@@ -15,11 +15,12 @@ from .abelian import (
     dual_hom,
     ext_group,
     finite_quotient_extension,
+    free_quotient,
     hom_kernel_cokernel,
     is_tame_hom,
     quotient,
 )
-from .cones import Cone, dual_cone, intersect, union_covers
+from .cones import Cone, union_covers
 from .errors import KmFanError
 from .fans import (
     KmFan,
@@ -68,7 +69,7 @@ from .gsfans import (
     rigidified_unfold,
     unfold,
 )
-from .monoids import AffineMonoid, dual_monoid, face_of_monoid, hilbert_basis, is_free_monoid, kernel_submonoid
+from .monoids import AffineMonoid, dual_monoid, face_of_monoid, is_free_monoid, kernel_submonoid
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -377,6 +377,21 @@ def quotient(ambient: FgaGroup, sub: Subgroup) -> Tuple[FgaGroup, GroupHom]:
     return pres.group, proj
 
 
+def free_quotient(group: FgaGroup) -> Tuple[FgaGroup, GroupHom]:
+    """The free quotient N/N_tor, with the projection dropping the torsion
+    coordinates."""
+    free = FgaGroup(group.free_rank)
+    proj = GroupHom(
+        group,
+        free,
+        IntMatrix(
+            [[1 if i == j else 0 for j in range(group.ncoords)] for i in range(group.free_rank)],
+            cols=group.ncoords,
+        ),
+    )
+    return free, proj
+
+
 def dual_group(group: FgaGroup) -> FgaGroup:
     """Hom(N, Z): the free part's dual; torsion dies."""
     return FgaGroup(group.free_rank)

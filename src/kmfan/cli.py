@@ -45,6 +45,13 @@ class CliFailure(Exception):
         self.payload = payload
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as a CLI failure instead of writing to stderr."""
+
+    def error(self, message):
+        raise CliFailure(2, {"error": "usage", "detail": message})
+
+
 def _read_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -122,7 +129,7 @@ def _group_obj(group: FgaGroup) -> dict:
 
 def run(argv) -> int:
     """Execute one subcommand; returns the process exit code."""
-    parser = argparse.ArgumentParser(prog="kmfan", add_help=True)
+    parser = _Parser(prog="kmfan", add_help=True)
     parser.add_argument("subcommand", choices=SUBCOMMANDS)
     parser.add_argument("--fan")
     parser.add_argument("--fan2")
@@ -132,11 +139,10 @@ def run(argv) -> int:
     parser.add_argument("--window", type=int, default=5)
     parser.add_argument("--out")
     try:
-        args = parser.parse_args(argv)
+        payload = _dispatch(parser.parse_args(argv))
     except SystemExit:
+        # --help has printed the usage text
         return 2
-    try:
-        payload = _dispatch(args)
     except CliFailure as fail:
         sys.stdout.write(dumps(fail.payload))
         return fail.code
@@ -341,6 +347,8 @@ def _dispatch(args) -> dict:
 
     if cmd == "draw":
         fan = _load_fan(_need_fan(args))
+        if args.window < 1:
+            raise CliFailure(2, {"error": "usage", "detail": "--window must be positive"})
         svg = draw_fan_svg(fan, window=args.window)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:

@@ -1,9 +1,11 @@
 """Rational polyhedral cones in Z^r with exact double-description conversion.
 
-Cones are stored in a canonical form: primitive extremal ray representatives
-(reduced against a canonical complement of the lineality lattice and sorted),
-a canonical lineality basis, and derived facet inequalities and span
-equations.  Two cones are equal as point sets iff their fields are equal.
+A cone is its canonical V-data: primitive extremal ray representatives
+(reduced against a canonical complement of the lineality lattice and sorted)
+and a canonical lineality basis.  Two cones are equal as point sets iff their
+V-data are equal.  The H-description (facet inequalities and span equations)
+is derived on demand and cached; faces are cut out of a cone by incidence
+with its facets, without a new double description.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from .intlinalg import (
     kernel_basis,
     primitive_vector,
     rank as matrix_rank,
+    saturate,
+    smith_decomposition,
     solve_rational,
 )
 
@@ -118,18 +122,34 @@ def _dedupe(vectors: Iterable[Vec]) -> List[Vec]:
 class Cone:
     """A rational polyhedral cone in canonical form."""
 
-    __slots__ = ("ambient_rank", "rays", "lineality", "facets", "equations", "_faces")
+    __slots__ = ("ambient_rank", "rays", "lineality", "_h", "_faces")
 
-    def __init__(self, ambient_rank, rays, lineality, facets, equations):
+    def __init__(self, ambient_rank, rays, lineality, _h=None):
+        """Canonical V-data; _h is the (facets, equations) pair when the
+        caller has already computed it, otherwise it is derived on first use."""
         object.__setattr__(self, "ambient_rank", ambient_rank)
         object.__setattr__(self, "rays", tuple(rays))
         object.__setattr__(self, "lineality", tuple(lineality))
-        object.__setattr__(self, "facets", tuple(facets))
-        object.__setattr__(self, "equations", tuple(equations))
+        object.__setattr__(self, "_h", _h)
         object.__setattr__(self, "_faces", None)
 
     def __setattr__(self, *args):
         raise AttributeError("Cone is immutable")
+
+    @property
+    def facets(self) -> Tuple[Vec, ...]:
+        """Canonical facet inequalities, reduced modulo the span equations."""
+        return self._h_data()[0]
+
+    @property
+    def equations(self) -> Tuple[Vec, ...]:
+        """Canonical basis of the equations of the linear span."""
+        return self._h_data()[1]
+
+    def _h_data(self) -> Tuple[Tuple[Vec, ...], Tuple[Vec, ...]]:
+        if self._h is None:
+            object.__setattr__(self, "_h", _h_description(self.generators(), self.ambient_rank))
+        return self._h
 
     # -- constructors ---------------------------------------------------
 
@@ -140,22 +160,13 @@ class Cone:
             if len(g) != ambient_rank:
                 raise DimensionMismatch("generator has wrong length")
         gens = [g for g in gens if any(g)]
-        # dual description: the dual cone, as inequalities/equations of self
-        dual_rays, dual_lin, _ = _halfspace_intersection(ambient_rank, gens)
-        equations = _canonical_lattice_basis(dual_lin, ambient_rank)
-        facets = _reduce_mod_lattice(dual_rays, equations, ambient_rank)
+        h = _h_description(gens, ambient_rank)
+        facets, equations = h
         # lineality of the primal: common kernel of facets and equations
-        constraints = facets + equations
-        if constraints:
-            lin_mat = kernel_basis(IntMatrix(constraints, cols=ambient_rank))
-            lineality = _canonical_lattice_basis(list(lin_mat.columns()), ambient_rank)
-        else:
-            lineality = _canonical_lattice_basis(
-                [tuple(1 if j == i else 0 for j in range(ambient_rank)) for i in range(ambient_rank)],
-                ambient_rank,
-            )
+        lin_mat = kernel_basis(IntMatrix(facets + equations, cols=ambient_rank))
+        lineality = _canonical_lattice_basis(list(lin_mat.columns()), ambient_rank)
         rays = _canonical_rays(gens, facets, equations, lineality, ambient_rank)
-        return Cone(ambient_rank, rays, lineality, facets, equations)
+        return Cone(ambient_rank, rays, lineality, h)
 
     @staticmethod
     def from_halfspaces(
@@ -241,12 +252,7 @@ class Cone:
         active = [h for h in self.facets if _dot(h, vector) == 0]
         if not active:
             return ("interior", None)
-        keep = [r for r in self.rays if all(_dot(h, r) == 0 for h in active)]
-        face = Cone.from_generators(
-            keep + list(self.lineality) + [tuple(-x for x in l) for l in self.lineality],
-            self.ambient_rank,
-        )
-        return ("boundary", face)
+        return ("boundary", self._face(active))
 
     def contains_cone(self, other: "Cone") -> bool:
         return all(self.contains_point(g) for g in other.generators())
@@ -265,32 +271,35 @@ class Cone:
         ]
         return Cone.from_generators(gens, self.ambient_rank)
 
+    def _face(self, hyperplanes: Sequence[Vec]) -> "Cone":
+        """The face cut out by valid inequalities vanishing on the lineality.
+
+        This cone's rays on which they all vanish, with this cone's
+        lineality, are already canonical: the face has the same lineality
+        lattice and complement, and a subset of sorted rays stays sorted.
+        """
+        rays = [r for r in self.rays if all(_dot(h, r) == 0 for h in hyperplanes)]
+        return Cone(self.ambient_rank, rays, self.lineality)
+
     def faces(self) -> List["Cone"]:
         """All faces, including {0}-or-lineality and the cone itself, ordered
         by dimension then lexicographically by rays."""
-        if self._faces is not None:
-            return list(self._faces)
-        ray_sets = {frozenset(range(len(self.rays)))}
-        frontier = [frozenset(range(len(self.rays)))]
-        while frontier:
-            new = []
-            for rs in frontier:
-                for h in self.facets:
-                    child = frozenset(
-                        i for i in rs if _dot(h, self.rays[i]) == 0
-                    )
-                    if child not in ray_sets:
-                        ray_sets.add(child)
-                        new.append(child)
-            frontier = new
-        lin_gens = list(self.lineality) + [tuple(-x for x in l) for l in self.lineality]
-        out = []
-        for rs in ray_sets:
-            gens = [self.rays[i] for i in sorted(rs)] + lin_gens
-            out.append(Cone.from_generators(gens, self.ambient_rank))
-        out.sort(key=lambda c: (c.dim(), c.rays))
-        object.__setattr__(self, "_faces", tuple(out))
-        return out
+        if self._faces is None:
+            whole = self._face([])  # a copy: the cache must not refer to self
+            found = {whole}
+            frontier = [whole]
+            while frontier:
+                new = []
+                for face in frontier:
+                    for h in self.facets:
+                        child = face._face([h])
+                        if child not in found:
+                            found.add(child)
+                            new.append(child)
+                frontier = new
+            ordered = sorted(found, key=lambda c: (c.dim(), c.rays))
+            object.__setattr__(self, "_faces", tuple(ordered))
+        return list(self._faces)
 
     def facet_cones(self) -> List["Cone"]:
         d = self.dim()
@@ -312,23 +321,15 @@ class Cone:
             return True
         if not other.contains_cone(self):
             return False
-        active = [
-            h for h in other.facets if all(_dot(h, g) == 0 for g in self.generators())
-        ]
-        keep = [r for r in other.rays if all(_dot(h, r) == 0 for h in active)]
-        face = Cone.from_generators(
-            keep + list(other.lineality) + [tuple(-x for x in l) for l in other.lineality],
-            other.ambient_rank,
-        )
-        return face == self
+        gens = self.generators()
+        active = [h for h in other.facets if all(_dot(h, g) == 0 for g in gens)]
+        return other._face(active) == self
 
     def span_lattice_basis(self) -> IntMatrix:
         """Saturated basis of Span(cone) cap Z^r (Hermite-canonical columns)."""
         gens = list(self.rays) + list(self.lineality)
         if not gens:
             return IntMatrix.from_columns([], rows=self.ambient_rank)
-        from .intlinalg import saturate
-
         return saturate(IntMatrix.from_columns(gens, rows=self.ambient_rank))
 
     def linear_image(self, matrix: IntMatrix) -> "Cone":
@@ -350,6 +351,16 @@ class Cone:
         ineqs = [mt.apply(h) for h in self.facets]
         eqs = [mt.apply(e) for e in self.equations]
         return Cone.from_halfspaces(ineqs, eqs, matrix.cols)
+
+
+def _h_description(gens: Sequence[Vec], ambient: int) -> Tuple[Tuple[Vec, ...], Tuple[Vec, ...]]:
+    """Canonical (facets, equations) of cone(gens), from the dual cone's
+    double description.  The equations are a basis of the saturated lattice
+    orthogonal to the span, so neither part depends on the generators given."""
+    dual_rays, dual_lin, _ = _halfspace_intersection(ambient, gens)
+    equations = list(saturate(IntMatrix.from_columns(dual_lin, rows=ambient)).columns())
+    facets = _reduce_mod_lattice(dual_rays, equations, ambient)
+    return tuple(facets), tuple(equations)
 
 
 def _canonical_rays(
@@ -392,57 +403,37 @@ def _reduce_mod_lattice(vectors: Sequence[Vec], lattice: Sequence[Vec], ambient:
     return sorted(_dedupe(out))
 
 
+def _lattice_complement(lattice: Sequence[Vec], ambient: int) -> Tuple[IntMatrix, IntMatrix]:
+    """A canonical complement of a saturated lattice in Z^ambient.
+
+    Returns (comp, full): the columns of comp span the complement and
+    full = lattice | comp is unimodular.
+    """
+    lin_mat = IntMatrix.from_columns(lattice, rows=ambient)
+    s = smith_decomposition(lin_mat)
+    # the lattice is saturated: its diagonal entries are all 1; the complement
+    # is spanned by the remaining columns of U^{-1}
+    comp_cols = [s.u_inv.column(i) for i in range(s.rank(), ambient)]
+    comp = IntMatrix.from_columns(comp_cols, rows=ambient)
+    return comp, lin_mat.hstack(comp)
+
+
 def _complement_projector(lineality: Sequence[Vec], ambient: int):
     """Project onto a canonical complement of the (saturated) lineality lattice.
 
     Returns a function mapping an integer vector to the primitive generator of
     its class modulo the lineality, embedded back via the complement basis.
     """
-    lin_mat = IntMatrix.from_columns(lineality, rows=ambient)
-    from .intlinalg import smith_decomposition
-
-    s = smith_decomposition(lin_mat)
-    # lineality is saturated: its diagonal entries are all 1; the complement
-    # is spanned by the remaining columns of U^{-1}
-    nonzero = s.rank()
-    comp_cols = [s.u_inv.column(i) for i in range(nonzero, ambient)]
-    comp = IntMatrix.from_columns(comp_cols, rows=ambient)
-    full = lin_mat.hstack(comp)
+    comp, full = _lattice_complement(lineality, ambient)
 
     def project(v: Vec) -> Optional[Vec]:
         sol = solve_rational(full, [Fraction(x) for x in v])
         if sol is None:
             return None
-        tail = sol[lin_mat.cols:]
-        prim = fraction_vector_to_primitive(tail)
+        prim = fraction_vector_to_primitive(sol[len(lineality):])
         return tuple(comp.apply(prim))
 
     return project
-
-
-# ---------------------------------------------------------------------------
-# Operation spellings
-# ---------------------------------------------------------------------------
-
-
-def dual_cone(c: Cone) -> Cone:
-    return c.dual()
-
-
-def faces(c: Cone) -> List[Cone]:
-    return c.faces()
-
-
-def span_sublattice(c: Cone) -> IntMatrix:
-    return c.span_lattice_basis()
-
-
-def contains(c: Cone, vector: Sequence) -> Tuple[str, Optional[Cone]]:
-    return c.classify_point(vector)
-
-
-def intersect(a: Cone, b: Cone) -> Cone:
-    return a.intersect(b)
 
 
 def union_covers(target: Cone, pieces: Sequence[Cone]) -> bool:

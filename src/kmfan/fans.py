@@ -20,6 +20,7 @@ from .abelian import (
     direct_sum,
     dual_group,
     ext_group,
+    free_quotient,
     hom_kernel_cokernel,
     is_isomorphism,
     is_tame_hom,
@@ -373,16 +374,8 @@ def is_classical(fan: KmFan) -> bool:
 
 def coarse_fan(fan: KmFan) -> Tuple[KmFan, KmFanHom]:
     """The underlying classical fan over N/N_tor, with the projection map."""
-    nbar = FgaGroup(fan.group.free_rank)
+    nbar, proj = free_quotient(fan.group)
     coarse = from_classical(nbar, fan.cones)
-    proj = GroupHom(
-        fan.group,
-        nbar,
-        IntMatrix(
-            [[1 if i == j else 0 for j in range(fan.group.ncoords)] for i in range(nbar.ncoords)],
-            cols=fan.group.ncoords,
-        ),
-    )
     hom = validate_hom(proj, fan, coarse)
     assert isinstance(hom, KmFanHom)
     return coarse, hom
@@ -390,15 +383,7 @@ def coarse_fan(fan: KmFan) -> Tuple[KmFan, KmFanHom]:
 
 def rigidify(fan: KmFan) -> Tuple[KmFan, KmFanHom]:
     """Push the lattice data into N/N_tor: the initial lattice KM fan under F."""
-    nbar = FgaGroup(fan.group.free_rank)
-    proj = GroupHom(
-        fan.group,
-        nbar,
-        IntMatrix(
-            [[1 if i == j else 0 for j in range(fan.group.ncoords)] for i in range(nbar.ncoords)],
-            cols=fan.group.ncoords,
-        ),
-    )
+    nbar, proj = free_quotient(fan.group)
     data = {}
     for c in fan.cones:
         gens = [proj.apply(g) for g in fan.data[c].generators()]
@@ -638,15 +623,7 @@ def atoroidal_split(fan: KmFan) -> Tuple[KmFan, FgaGroup, KmFanHom]:
     for c in fan.cones:
         total = total.sum(fan.data[c].subgroup)
     q, proj = quotient(n, total)
-    bgrp = FgaGroup(q.free_rank)
-    free_proj = GroupHom(
-        q,
-        bgrp,
-        IntMatrix(
-            [[1 if i == j else 0 for j in range(q.ncoords)] for i in range(bgrp.ncoords)],
-            cols=q.ncoords,
-        ),
-    )
+    bgrp, free_proj = free_quotient(q)
     to_b = proj.then(free_proj)
     a_sub = kernel_subgroup(to_b)
     a_grp, incl = a_sub.as_group()

@@ -14,6 +14,7 @@ from typing import Dict, List, Optional, Tuple
 from .abelian import (
     FgaGroup,
     GroupHom,
+    free_quotient,
     hom_kernel_cokernel,
     present_quotient,
 )
@@ -172,9 +173,7 @@ def lattice_data_colimit(fan: KmFan) -> Unfolding:
     for tau in fan.cones:
         tau_basis = fan.data[tau].basis()
         for sigma in fan.cones:
-            if sigma == tau or not sigma.contains_cone(tau):
-                continue
-            if not tau.is_face_of(sigma):
+            if sigma == tau or not tau.is_face_of(sigma):
                 continue
             for j in range(tau_basis.cols):
                 g = fan.group.reduce(tau_basis.column(j))
@@ -307,16 +306,7 @@ def is_gs_representable(fan: KmFan) -> bool:
         raise NonLattice("the test is defined for lattice KM fans")
     g_fan, _, _ = atoroidal_split(fan)
     unf = lattice_data_colimit(g_fan)
-    lt = unf.colimit
-    lt_bar = FgaGroup(lt.free_rank)
-    to_free = GroupHom(
-        lt,
-        lt_bar,
-        IntMatrix(
-            [[1 if i == j else 0 for j in range(lt.ncoords)] for i in range(lt_bar.ncoords)],
-            cols=lt.ncoords,
-        ),
-    )
+    _, to_free = free_quotient(unf.colimit)
     for c in g_fan.cones:
         ibar = unf.structure_maps[c].then(to_free)
         _, cok, _ = hom_kernel_cokernel(ibar)

@@ -14,7 +14,7 @@ from math import floor
 from typing import List, Sequence, Tuple
 
 from .abelian import FgaGroup, GroupHom
-from .cones import Cone
+from .cones import Cone, _lattice_complement
 from .errors import KmFanError, NotAFace, NotSharp
 from .intlinalg import (
     IntMatrix,
@@ -106,17 +106,13 @@ class AffineMonoid:
 
 def _split_off_units(units: Sequence[Vec], ambient: int):
     """Coordinates on a canonical complement of the (saturated) unit lattice."""
-    lin = IntMatrix.from_columns(units, rows=ambient)
-    s = smith_decomposition(lin)
-    comp_cols = [s.u_inv.column(i) for i in range(s.rank(), ambient)]
-    comp = IntMatrix.from_columns(comp_cols, rows=ambient)
-    full = lin.hstack(comp)
+    comp, full = _lattice_complement(units, ambient)
 
     def proj(v: Sequence[int]) -> Vec:
         sol = solve_integer(full, v)
         if sol is None:
             raise KmFanError("internal: vector outside the ambient lattice split")
-        return tuple(sol[lin.cols:])
+        return tuple(sol[len(units):])
 
     def embed(v: Sequence[int]) -> Vec:
         return comp.apply(v)
@@ -219,10 +215,6 @@ def dual_monoid(sigma: Cone, lattice_rank: int) -> AffineMonoid:
     if sigma.ambient_rank != lattice_rank:
         raise KmFanError("cone rank does not match the lattice rank")
     return AffineMonoid(sigma.dual())
-
-
-def hilbert_basis(monoid: AffineMonoid) -> List[Vec]:
-    return monoid.hilbert_basis()
 
 
 def face_of_monoid(monoid: AffineMonoid, tau: Cone) -> AffineMonoid:

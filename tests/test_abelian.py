@@ -13,6 +13,7 @@ from kmfan.abelian import (
     dual_hom,
     ext_group,
     finite_quotient_extension,
+    free_quotient,
     hom_kernel_cokernel,
     image_subgroup,
     is_injective,
@@ -83,6 +84,17 @@ class TestQuotient:
         q, proj = quotient(N22, Subgroup.trivial(N22))
         assert q == N22
         assert proj == GroupHom.identity(N22)
+
+    def test_free_quotient_kills_exactly_the_torsion(self):
+        rng = random.Random(6)
+        for _ in range(20):
+            g = random_group(rng)
+            units = [tuple(int(i == j) for i in range(g.ncoords)) for j in range(g.ncoords)]
+            torsion = Subgroup.from_generators(g, units[g.free_rank:])
+            free, proj = free_quotient(g)
+            assert free == FgaGroup(g.free_rank)
+            assert is_surjective(proj)
+            assert kernel_subgroup(proj) == torsion
 
     def test_presentation_independence(self):
         rng = random.Random(5)

@@ -112,6 +112,19 @@ class TestExitCodes:
         assert code == 1
         assert json.loads(out)["error"] == "precondition"
 
+    @pytest.mark.parametrize("argv", [
+        ["draw", "--fan", "p22.json", "--window", "-3"],
+        ["draw", "--fan", "p22.json", "--window", "0"],
+        ["no-such-command", "--fan", "p22.json"],
+    ], ids=["window_negative", "window_zero", "unknown_subcommand"])
+    def test_usage_error_is_exit_two_json(self, workdir, argv):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code, out = invoke(argv)
+        assert code == 2
+        assert json.loads(out)["error"] == "usage"
+        assert err.getvalue() == ""
+
     def test_rank_too_high_draw(self, workdir):
         from kmfan.abelian import FgaGroup
         from kmfan.cones import Cone

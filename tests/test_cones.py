@@ -70,6 +70,23 @@ class TestFaces:
                         # a sum lands in the face only if both parts do
                         assert face.contains_point(p) and face.contains_point(q)
 
+    def test_faces_by_incidence_defer_double_description(self, monkeypatch):
+        import kmfan.cones as cones
+
+        c = Cone.from_generators([(1, 0, 0), (0, 1, 0), (1, 1, 1), (0, 0, 1)], 3)
+        calls = []
+        real = cones._halfspace_intersection
+        monkeypatch.setattr(
+            cones, "_halfspace_intersection", lambda *args: calls.append(args) or real(*args)
+        )
+        faces = c.faces()
+        assert c.classify_point((1, 0, 0))[1] in faces
+        assert all(f.is_face_of(c) for f in faces)
+        assert calls == []
+        # a face's own H-description is derived when first read
+        assert faces[-2].facets
+        assert len(calls) == 1
+
 
 class TestSpan:
     def test_ray_span(self):

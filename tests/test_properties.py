@@ -96,6 +96,89 @@ class TestMembershipOracle:
                 assert dual.contains_point(m) == expected
 
 
+def _random_cone(rng, n):
+    """A cone in Z^n, possibly lower-dimensional and possibly with lineality."""
+    span = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(0, n))]
+
+    def in_span():
+        return tuple(sum(rng.randint(-2, 2) * b[i] for b in span) for i in range(n))
+
+    gens = [in_span() for _ in range(rng.randint(0, 5))]
+    if span and rng.random() < 0.3:
+        line = in_span()
+        gens += [line, tuple(-x for x in line)]
+    return Cone.from_generators(gens, n)
+
+
+def _rebuilt(cone, rng):
+    """The cone rebuilt by double description from scaled, shuffled and
+    padded generators."""
+    gens = [tuple(k * x for x in g) for g in cone.generators() for k in [rng.randint(1, 3)]]
+    gens += [tuple(a + b for a, b in zip(g, h)) for g, h in zip(gens, gens[1:])]
+    rng.shuffle(gens)
+    return Cone.from_generators(gens, cone.ambient_rank)
+
+
+def _vanishes(functional, vectors):
+    return all(sum(a * b for a, b in zip(functional, v)) == 0 for v in vectors)
+
+
+def _reference_is_face_of(tau, sigma):
+    """The supporting-hyperplane face test with the face rebuilt by
+    double description."""
+    if tau == sigma:
+        return True
+    if not sigma.contains_cone(tau):
+        return False
+    active = [h for h in sigma.facets if _vanishes(h, tau.generators())]
+    keep = [r for r in sigma.rays if all(_vanishes(h, [r]) for h in active)]
+    lin = list(sigma.lineality) + [tuple(-x for x in l) for l in sigma.lineality]
+    return Cone.from_generators(keep + lin, sigma.ambient_rank) == tau
+
+
+class TestFacesByIncidence:
+    """Faces cut out by incidence equal the faces rebuilt by double
+    description, and the incidence face test agrees with the rebuilt one."""
+
+    def assert_same_cone(self, face, rng):
+        for ref in (Cone.from_generators(face.generators(), face.ambient_rank), _rebuilt(face, rng)):
+            assert face.rays == ref.rays, face
+            assert face.lineality == ref.lineality, face
+            assert face.facets == ref.facets, face
+            assert face.equations == ref.equations, face
+            assert hash(face) == hash(ref)
+
+    def test_faces_and_face_tests_match_double_description(self):
+        rng = random.Random(37)
+        outcomes = {True: 0, False: 0}
+        kinds = set()
+        for _ in range(200):
+            n = rng.randint(1, 4)
+            sigma = _random_cone(rng, n)
+            kinds.add((sigma.is_sharp(), sigma.dim() == n))
+            faces = sigma.faces()
+            for face in faces:
+                self.assert_same_cone(face, rng)
+            for _ in range(6):
+                coeffs = [rng.randint(0, 2) for _ in sigma.rays]
+                point = tuple(sum(c * r[i] for c, r in zip(coeffs, sigma.rays)) for i in range(n))
+                where, face = sigma.classify_point(point)
+                if where == "boundary":
+                    self.assert_same_cone(face, rng)
+                    assert face in faces
+            others = list(faces)
+            other = _random_cone(rng, n)
+            others += [other, sigma.intersect(other), other.intersect(faces[0])]
+            some = [r for r in sigma.rays if rng.random() < 0.5]
+            others.append(Cone.from_generators(some + [sigma.relative_interior_point()], n))
+            for tau in others:
+                expected = _reference_is_face_of(tau, sigma)
+                assert tau.is_face_of(sigma) == expected, (tau, sigma)
+                outcomes[expected] += 1
+        assert min(outcomes.values()) >= 200, outcomes
+        assert len(kinds) == 4, kinds
+
+
 class TestChartCharacterSequence:
     def test_kernel_of_action_is_restriction_image(self):
         # the chart character L^v -> E(N/L) continues the restriction
