@@ -5,7 +5,9 @@ A cone is its canonical V-data: primitive extremal ray representatives
 and a canonical lineality basis.  Two cones are equal as point sets iff their
 V-data are equal.  The H-description (facet inequalities and span equations)
 is derived on demand and cached; faces are cut out of a cone by incidence
-with its facets, without a new double description.
+with its facets, without a new double description.  A cone given by
+inequalities and equations (intersections, preimages) takes its V-data from
+one double-description conversion of those constraints.
 """
 
 from __future__ import annotations
@@ -109,6 +111,12 @@ def _canonical_lattice_basis(vectors: Sequence[Vec], ambient: int) -> List[Vec]:
     return list(h.columns())
 
 
+def _saturated_lattice_basis(vectors: Sequence[Vec], ambient: int) -> List[Vec]:
+    if not vectors:
+        return []
+    return list(saturate(IntMatrix.from_columns(vectors, rows=ambient)).columns())
+
+
 def _dedupe(vectors: Iterable[Vec]) -> List[Vec]:
     seen = set()
     out = []
@@ -122,7 +130,7 @@ def _dedupe(vectors: Iterable[Vec]) -> List[Vec]:
 class Cone:
     """A rational polyhedral cone in canonical form."""
 
-    __slots__ = ("ambient_rank", "rays", "lineality", "_h", "_faces")
+    __slots__ = ("ambient_rank", "rays", "lineality", "_h", "_faces", "_dim")
 
     def __init__(self, ambient_rank, rays, lineality, _h=None):
         """Canonical V-data; _h is the (facets, equations) pair when the
@@ -132,6 +140,7 @@ class Cone:
         object.__setattr__(self, "lineality", tuple(lineality))
         object.__setattr__(self, "_h", _h)
         object.__setattr__(self, "_faces", None)
+        object.__setattr__(self, "_dim", None)
 
     def __setattr__(self, *args):
         raise AttributeError("Cone is immutable")
@@ -174,15 +183,16 @@ class Cone:
         equations: Iterable[Sequence[int]],
         ambient_rank: int,
     ) -> "Cone":
-        ineqs = [tuple(int(x) for x in v) for v in inequalities]
-        eqs = [tuple(int(x) for x in v) for v in equations]
-        constraints = list(ineqs)
-        for e in eqs:
-            constraints.append(e)
-            constraints.append(tuple(-x for x in e))
+        """The cone {x : <g, x> >= 0, <e, x> = 0}, canonicalised straight from
+        one double description: its rays are extremal, so reducing them modulo
+        the saturated lineality gives the canonical V-data."""
+        constraints = [tuple(int(x) for x in v) for v in inequalities]
+        for v in equations:
+            e = tuple(int(x) for x in v)
+            constraints += [e, tuple(-x for x in e)]
         rays, lin, _ = _halfspace_intersection(ambient_rank, constraints)
-        gens = rays + lin + [tuple(-x for x in l) for l in lin]
-        return Cone.from_generators(gens, ambient_rank)
+        lineality = _saturated_lattice_basis(lin, ambient_rank)
+        return Cone(ambient_rank, _reduce_mod_lattice(rays, lineality, ambient_rank), lineality)
 
     @staticmethod
     def zero(ambient_rank: int) -> "Cone":
@@ -200,7 +210,10 @@ class Cone:
     # -- basic predicates -------------------------------------------------
 
     def dim(self) -> int:
-        return _rank_of_vectors(list(self.rays) + list(self.lineality), self.ambient_rank)
+        if self._dim is None:
+            rank = _rank_of_vectors(list(self.rays) + list(self.lineality), self.ambient_rank)
+            object.__setattr__(self, "_dim", rank)
+        return self._dim
 
     def is_sharp(self) -> bool:
         return not self.lineality
@@ -358,7 +371,7 @@ def _h_description(gens: Sequence[Vec], ambient: int) -> Tuple[Tuple[Vec, ...], 
     double description.  The equations are a basis of the saturated lattice
     orthogonal to the span, so neither part depends on the generators given."""
     dual_rays, dual_lin, _ = _halfspace_intersection(ambient, gens)
-    equations = list(saturate(IntMatrix.from_columns(dual_lin, rows=ambient)).columns())
+    equations = _saturated_lattice_basis(dual_lin, ambient)
     facets = _reduce_mod_lattice(dual_rays, equations, ambient)
     return tuple(facets), tuple(equations)
 

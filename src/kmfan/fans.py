@@ -45,6 +45,7 @@ from .intlinalg import (
     IntMatrix,
     Vec,
     fraction_vector_to_primitive,
+    kernel_basis,
     rank as matrix_rank,
     solve_integer,
     solve_rational,
@@ -151,7 +152,17 @@ class KmFan:
     # -- validation ------------------------------------------------------
 
     def validate(self) -> List[dict]:
-        """Structured list of violations; empty when the fan is valid."""
+        """Structured list of violations; empty when the fan is valid.
+
+        The phases run in order, each only when the earlier ones found
+        nothing: the ambient rank; sharpness and closure under faces; the
+        pairwise check; the lattice data; their compatibility.  The pairwise
+        check intersects maximal cones only, one double description per
+        pair, so its bad-intersection entries name maximal cones.  That
+        suffices: if the cones are closed under faces and maximal cones S, T
+        meet in a common face F, then faces s of S and t of T meet in the
+        face (s cap F) cap (t cap F) of F, a face of both s and t.
+        """
         out: List[dict] = []
         r = self.group.free_rank
         cone_set = set(self.cones)
@@ -168,10 +179,12 @@ class KmFan:
             for f in c.faces():
                 if f not in cone_set:
                     out.append({"kind": "missing-face", "detail": f"face {f!r} of {c!r} is not in the fan"})
-        for i, a in enumerate(self.cones):
-            for b in self.cones[i + 1:]:
-                # cones are sorted by dimension, so b never sits inside a
-                meet = a if b.contains_cone(a) else a.intersect(b)
+        if out:
+            return out
+        maximal = _maximal_cones(self.cones)
+        for i, a in enumerate(maximal):
+            for b in maximal[i + 1:]:
+                meet = a.intersect(b)
                 if meet not in cone_set or not meet.is_face_of(a) or not meet.is_face_of(b):
                     out.append({
                         "kind": "bad-intersection",
@@ -215,11 +228,7 @@ class KmFan:
         return [c for c in self.cones if c.dim() == 1]
 
     def maximal_cones(self) -> List[Cone]:
-        out = []
-        for c in self.cones:
-            if not any(o != c and o.contains_cone(c) for o in self.cones):
-                out.append(c)
-        return out
+        return _maximal_cones(self.cones)
 
     def cone_index(self, cone: Cone) -> int:
         return self.cones.index(cone)
@@ -239,6 +248,12 @@ class KmFan:
         return f"KmFan(group={self.group!r}, ncones={len(self.cones)})"
 
 
+def _maximal_cones(cones: Sequence[Cone]) -> List[Cone]:
+    """The cones that are no proper face of another, in the given order."""
+    proper = {f for c in cones for f in c.faces() if f != c}
+    return [c for c in cones if c not in proper]
+
+
 def _span_intersection(group: FgaGroup, datum: LatticeDatum, tau: Cone) -> Subgroup:
     """The subgroup Span(tau) cap F_sigma, computed in datum coordinates."""
     basis = datum.basis()
@@ -249,8 +264,6 @@ def _span_intersection(group: FgaGroup, datum: LatticeDatum, tau: Cone) -> Subgr
     if pres is None:
         return datum.subgroup
     proj = pres.proj @ fb  # coords of Z^d -> free quotient of Span tau
-    from .intlinalg import kernel_basis
-
     ker = kernel_basis(proj)
     gens = [basis.apply(col) for col in ker.columns()]
     return Subgroup.from_generators(group, gens)

@@ -87,6 +87,35 @@ class TestFaces:
         assert faces[-2].facets
         assert len(calls) == 1
 
+    def test_intersection_and_validation_run_one_conversion_each(self, monkeypatch):
+        import kmfan.cones as cones
+        from kmfan.abelian import FgaGroup
+        from kmfan.fans import from_classical
+
+        a = Cone.from_generators([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
+        b = Cone.from_generators([(1, 1, 0), (0, 0, 1), (-1, 2, 1)], 3)
+        rays = [(1, 0), (2, 1), (1, 1), (1, 2)]
+        for _ in range(3):  # rotate by a quarter turn
+            rays += [(-y, x) for x, y in rays[-4:]]
+        fan = from_classical(
+            FgaGroup(2),
+            [Cone.from_generators([rays[i], rays[(i + 1) % 16]], 2) for i in range(16)],
+        )
+        calls = []
+        real = cones._halfspace_intersection
+        monkeypatch.setattr(
+            cones, "_halfspace_intersection", lambda *args: calls.append(args) or real(*args)
+        )
+        meet = a.intersect(b)
+        assert len(calls) == 1
+        # the meet's facets are derived once, when first read
+        assert meet.facets == meet.facets
+        assert len(calls) == 2
+        calls.clear()
+        assert len(fan.maximal_cones()) == 16
+        assert fan.validate() == []
+        assert len(calls) <= 16 * 15 // 2
+
 
 class TestSpan:
     def test_ray_span(self):

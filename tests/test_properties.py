@@ -6,6 +6,8 @@ counts for stabilizers, and element-wise exactness of the chart character
 sequence.
 """
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -17,10 +19,11 @@ from kmfan.abelian import (
     kernel_subgroup,
     quotient,
 )
+from kmfan import cones
 from kmfan.cones import Cone
-from kmfan.fans import construct_lifting, local_presentation, zero_fan
+from kmfan.fans import KmFan, LatticeDatum, construct_lifting, local_presentation, zero_fan
 from kmfan.gsfans import unfold
-from kmfan.intlinalg import IntMatrix
+from kmfan.intlinalg import IntMatrix, primitive_vector
 
 from conftest import random_simplicial_km_fan
 
@@ -179,6 +182,52 @@ class TestFacesByIncidence:
         assert len(kinds) == 4, kinds
 
 
+def _constraint_kind(cone):
+    if cone.is_zero():
+        return "zero"
+    if not cone.is_sharp():
+        return "non-sharp"
+    return "full" if cone.dim() == cone.ambient_rank else "lower-dimensional"
+
+
+class TestHalfspaceConversion:
+    """A cone given by constraints, canonicalised from its one double
+    description, equals the cone rebuilt from the generators that double
+    description found; intersections and preimages hold exactly the right
+    lattice points."""
+
+    def test_from_halfspaces_matches_from_generators(self):
+        rng = random.Random(43)
+        kinds = {"zero": 0, "non-sharp": 0, "lower-dimensional": 0, "full": 0}
+        for _ in range(1200):
+            n = rng.randint(1, 4)
+            ineqs = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(0, 2 * n))]
+            eqs = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.choice([0, 0, 1, 2]))]
+            cone = Cone.from_halfspaces(ineqs, eqs, n)
+            constraints = ineqs + [s for e in eqs for s in (e, tuple(-x for x in e))]
+            rays, lin, _ = cones._halfspace_intersection(n, constraints)
+            ref = Cone.from_generators(rays + lin + [tuple(-x for x in l) for l in lin], n)
+            assert cone.rays == ref.rays, (ineqs, eqs)
+            assert cone.lineality == ref.lineality, (ineqs, eqs)
+            assert cone.facets == ref.facets, (ineqs, eqs)
+            assert cone.equations == ref.equations, (ineqs, eqs)
+            assert hash(cone) == hash(ref)
+            kinds[_constraint_kind(cone)] += 1
+        assert min(kinds.values()) >= 100, kinds
+
+    def test_intersect_and_preimage_membership_on_a_box(self):
+        rng = random.Random(47)
+        for _ in range(150):
+            n, m = rng.randint(1, 4), rng.randint(1, 3)
+            a, b = _random_cone(rng, n), _random_cone(rng, n)
+            matrix = IntMatrix([[rng.randint(-2, 2) for _ in range(m)] for _ in range(n)], cols=m)
+            meet, pre = a.intersect(b), a.preimage(matrix)
+            for p in itertools.product(range(-2, 3), repeat=n):
+                assert meet.contains_point(p) == (a.contains_point(p) and b.contains_point(p)), (a, b, p)
+            for p in itertools.product(range(-2, 3), repeat=m):
+                assert pre.contains_point(p) == a.contains_point(matrix.apply(p)), (a, matrix, p)
+
+
 class TestChartCharacterSequence:
     def test_kernel_of_action_is_restriction_image(self):
         # the chart character L^v -> E(N/L) continues the restriction
@@ -290,8 +339,6 @@ class TestUnfoldDegenerate:
 class TestValidationFuzz:
     def test_random_fans_validate_and_corruptions_fail(self):
         rng = random.Random(35)
-        from kmfan.fans import KmFan, LatticeDatum
-
         for _ in range(10):
             fan = random_simplicial_km_fan(rng)
             assert fan.validate() == []
@@ -317,3 +364,71 @@ class TestValidationFuzz:
                 assert problems == [] or all(
                     p["kind"] == "incompatible-data" for p in problems
                 )
+
+    @staticmethod
+    def all_pairs_oracle(cone_list):
+        """The geometric fan conditions with the pair check run over every
+        pair of cones, the reference for the validator, which intersects
+        maximal cones only: (non-sharp cones and missing faces, bad pairs)."""
+        cone_set = set(cone_list)
+        faults = [c for c in cone_list if not c.is_sharp()]
+        faults += [f for c in cone_list for f in c.faces() if f not in cone_set]
+        bad_pairs = []
+        ordered = sorted(cone_set, key=lambda c: (c.dim(), c.rays))
+        for i, a in enumerate(ordered):
+            for b in ordered[i + 1:]:
+                meet = a if b.contains_cone(a) else a.intersect(b)
+                if meet not in cone_set or not meet.is_face_of(a) or not meet.is_face_of(b):
+                    bad_pairs.append((a, b))
+        return faults, bad_pairs
+
+    @staticmethod
+    def random_maximal_cones(rng):
+        """Maximal cones of a valid fan with at least one ray: a 2-D polygon
+        fan or a set of octants of Z^3."""
+        if rng.random() < 0.6:
+            drawn = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(rng.randint(1, 6))]
+            vectors = {(1, 0)} | {primitive_vector(v) for v in drawn if any(v)}
+            rays = sorted(vectors, key=lambda v: math.atan2(v[1], v[0]))
+            pairs = zip(rays, rays[1:] + rays[:1]) if len(rays) > 2 else zip(rays, rays[1:])
+            # consecutive rays less than a half turn apart span a cone
+            out = [Cone.from_generators([u, v], 2) for u, v in pairs if u[0] * v[1] - u[1] * v[0] > 0]
+            return out or [Cone.ray(rays[0])]
+        octants = rng.sample(list(itertools.product((1, -1), repeat=3)), rng.randint(1, 8))
+        return [Cone.from_generators([(x, 0, 0), (0, y, 0), (0, 0, z)], 3) for x, y, z in octants]
+
+    def test_maximal_pair_check_agrees_with_all_pairs_oracle(self):
+        rng = random.Random(53)
+        outcomes = {"valid": 0, "pairs-only": 0, "other": 0}
+        for _ in range(160):
+            maximal = self.random_maximal_cones(rng)
+            n = maximal[0].ambient_rank
+            cone_list = {f for c in maximal for f in c.faces()}
+            corruption = rng.choice(["none", "overlap", "dropped-face", "crossing-ray"])
+            if corruption == "overlap":
+                gens = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(1, n))]
+                cone_list |= set(Cone.from_generators(gens, n).faces())
+            elif corruption == "dropped-face":
+                proper = {f for c in maximal for f in c.faces() if f != c}
+                cone_list.discard(rng.choice(sorted(proper, key=repr)))
+            elif corruption == "crossing-ray":
+                old = rng.choice(sorted({r for c in maximal for r in c.rays}))
+                new = tuple(rng.randint(-3, 3) for _ in range(n))
+                moved = [Cone.from_generators([new if r == old else r for r in c.rays], n) for c in maximal]
+                cone_list = {f for c in moved for f in c.faces()}
+            group = FgaGroup(n)
+            data = {c: LatticeDatum.from_generators(group, c.span_lattice_basis().columns()) for c in cone_list}
+            fan = KmFan(group, cone_list, data, check=False)
+            problems = fan.validate()
+            faults, bad_pairs = self.all_pairs_oracle(list(cone_list))
+            assert (problems == []) == (not faults and not bad_pairs), (corruption, fan.cones, problems)
+            if bad_pairs and not faults:
+                named = {
+                    f"{a!r} and {b!r} do not intersect in a common face"
+                    for a in fan.maximal_cones() for b in fan.maximal_cones()
+                }
+                assert all(p["kind"] == "bad-intersection" and p["detail"] in named for p in problems)
+            if faults:
+                assert all(p["kind"] != "bad-intersection" for p in problems)
+            outcomes["other" if faults else "pairs-only" if bad_pairs else "valid"] += 1
+        assert min(outcomes.values()) >= 25, outcomes
