@@ -10,7 +10,7 @@ subgroups of N given in full coordinates.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .abelian import (
     FgaGroup,
@@ -204,9 +204,10 @@ class KmFan:
                 out.append({"kind": "invalid-datum", "detail": f"{c!r}: {v}"})
         if out:
             return out
+        projections = {tau: _span_projection(tau) for tau in self.cones}
         for sigma in self.cones:
             for tau in sigma.faces():
-                expected = _span_intersection(self.group, self.data[sigma], tau)
+                expected = _span_intersection(self.group, self.data[sigma], projections[tau])
                 if expected != self.data[tau].subgroup:
                     out.append({
                         "kind": "incompatible-data",
@@ -254,16 +255,24 @@ def _maximal_cones(cones: Sequence[Cone]) -> List[Cone]:
     return [c for c in cones if c not in proper]
 
 
-def _span_intersection(group: FgaGroup, datum: LatticeDatum, tau: Cone) -> Subgroup:
-    """The subgroup Span(tau) cap F_sigma, computed in datum coordinates."""
-    basis = datum.basis()
-    fb = datum.free_basis()
-    span = tau.span_lattice_basis()
-    r = group.free_rank
-    pres = present_quotient(r, span) if r else None
-    if pres is None:
+def _span_projection(tau: Cone) -> Optional[IntMatrix]:
+    """The projection Z^r -> Z^r / Span(tau); None when r = 0."""
+    r = tau.ambient_rank
+    return present_quotient(r, tau.span_lattice_basis()).proj if r else None
+
+
+def _span_intersection(
+    group: FgaGroup, datum: LatticeDatum, span_projection: Optional[IntMatrix]
+) -> Subgroup:
+    """The subgroup Span(tau) cap F_sigma, computed in datum coordinates.
+
+    span_projection is _span_projection(tau); it depends on tau alone, so
+    callers meeting one face with many data compute it once.
+    """
+    if span_projection is None:
         return datum.subgroup
-    proj = pres.proj @ fb  # coords of Z^d -> free quotient of Span tau
+    basis = datum.basis()
+    proj = span_projection @ datum.free_basis()  # coords of Z^d -> Z^r / Span tau
     ker = kernel_basis(proj)
     gens = [basis.apply(col) for col in ker.columns()]
     return Subgroup.from_generators(group, gens)
@@ -744,7 +753,7 @@ def lifting_violations(fan: KmFan, sigma: Cone, lifting: Subgroup) -> List[str]:
     if lifting.rank() != n.free_rank:
         out.append("lifting does not have finite index")
         return out
-    meet = _span_intersection(n, LatticeDatum(n, lifting), sigma)
+    meet = _span_intersection(n, LatticeDatum(n, lifting), _span_projection(sigma))
     if meet != fan.datum(sigma).subgroup:
         out.append("lifting does not meet Span(sigma) in the lattice datum")
     return out

@@ -24,7 +24,6 @@ from .fans import (
     KmFan,
     KmFanHom,
     LatticeDatum,
-    atoroidal_split,
     is_atoroidal,
     is_classical,
     rigidify,
@@ -169,11 +168,12 @@ def lattice_data_colimit(fan: KmFan) -> Unfolding:
             raise KmFanError("internal: datum element outside a larger datum")
         return sol[: basis.cols]
 
+    faces = {sigma: set(sigma.faces()) for sigma in fan.cones}
     rel_cols: List[Vec] = []
     for tau in fan.cones:
         tau_basis = fan.data[tau].basis()
         for sigma in fan.cones:
-            if sigma == tau or not tau.is_face_of(sigma):
+            if sigma == tau or tau not in faces[sigma]:
                 continue
             for j in range(tau_basis.cols):
                 g = fan.group.reduce(tau_basis.column(j))
@@ -298,16 +298,19 @@ def rigidified_unfold(fan: KmFan) -> Tuple[KmFan, Optional[KmFanHom]]:
 def is_gs_representable(fan: KmFan) -> bool:
     """Whether a lattice KM fan is the folding of a GS fan.
 
-    Split off the torus factor, then test on the atoroidal part whether every
-    structure map into the rigidified colimit has torsion-free cokernel
-    (equivalently, is saturated).
+    Test whether every structure map into the rigidified colimit has
+    torsion-free cokernel (equivalently, is saturated).  The test runs on the
+    fan itself, with no torus factor split off: the colimit is a function of
+    the diagram of lattice data {F_sigma} and their face inclusions alone, and
+    atoroidal_split carries that diagram isomorphically onto its atoroidal
+    part (same cones, same subgroups, read through the injective inclusion
+    A -> N), which leaves the cokernels' torsion unchanged.
     """
     if not fan.group.is_lattice():
         raise NonLattice("the test is defined for lattice KM fans")
-    g_fan, _, _ = atoroidal_split(fan)
-    unf = lattice_data_colimit(g_fan)
+    unf = lattice_data_colimit(fan)
     _, to_free = free_quotient(unf.colimit)
-    for c in g_fan.cones:
+    for c in fan.cones:
         ibar = unf.structure_maps[c].then(to_free)
         _, cok, _ = hom_kernel_cokernel(ibar)
         if cok.torsion:

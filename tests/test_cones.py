@@ -116,6 +116,38 @@ class TestFaces:
         assert fan.validate() == []
         assert len(calls) <= 16 * 15 // 2
 
+    def test_representability_and_compatibility_skip_redundant_work(self, monkeypatch):
+        import kmfan.fans as fans
+        import kmfan.gsfans as gsfans
+        from kmfan.abelian import FgaGroup
+        from kmfan.fans import KmFan, from_classical, product
+
+        rays = [(1, 0), (2, 1), (1, 1)]
+        for _ in range(3):  # rotate by a quarter turn
+            rays += [(-y, x) for x, y in rays[-3:]]
+        polygon = from_classical(
+            FgaGroup(2),
+            [Cone.from_generators([rays[i], rays[(i + 1) % 12]], 2) for i in range(12)],
+        )
+        p1 = from_classical(FgaGroup(1), [Cone.from_generators([(1,)], 1), Cone.from_generators([(-1,)], 1)])
+        square = product(p1, p1)[0]
+        calls = []
+
+        def count(owner, name):
+            real = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *a, **k: calls.append(name) or real(*a, **k))
+
+        count(KmFan, "__init__")
+        count(fans, "product")
+        count(fans, "validate_hom")
+        count(gsfans, "validate_hom")
+        assert gsfans.is_gs_representable(polygon)
+        assert gsfans.is_gs_representable(square)
+        assert calls == []
+        count(fans, "present_quotient")
+        assert polygon.validate() == [] and square.validate() == []
+        assert calls.count("present_quotient") <= len(polygon.cones) + len(square.cones)
+
 
 class TestSpan:
     def test_ray_span(self):

@@ -10,6 +10,7 @@ from kmfan.abelian import (
     Subgroup,
     direct_sum,
     dual_hom,
+    free_quotient,
     hom_kernel_cokernel,
     kernel_subgroup,
     quotient,
@@ -19,12 +20,14 @@ from kmfan.errors import NotFoldable, NonLattice, PreconditionsFail
 from kmfan.fans import (
     KmFan,
     LatticeDatum,
+    atoroidal_split,
     dilate,
     from_classical,
     is_atoroidal,
     is_classical,
     is_semi_tame,
     is_tame,
+    product,
     rigidify,
     torsor_group,
     validate_hom,
@@ -368,6 +371,90 @@ class TestGsRepresentable:
     def test_torsion_group_rejected(self):
         with pytest.raises(NonLattice):
             is_gs_representable(build_p22())
+
+
+def split_then_test(fan: KmFan) -> bool:
+    """GS-representability the long way: split off the torus factor first,
+    then test every structure map of the atoroidal part's colimit."""
+    g_fan, _, _ = atoroidal_split(fan)
+    unf = lattice_data_colimit(g_fan)
+    _, to_free = free_quotient(unf.colimit)
+    for c in g_fan.cones:
+        _, cok, _ = hom_kernel_cokernel(unf.structure_maps[c].then(to_free))
+        if cok.torsion:
+            return False
+    return True
+
+
+def random_primitive(rng: random.Random, rank: int, bound: int):
+    while True:
+        v = tuple(rng.randint(-bound, bound) for _ in range(rank))
+        if any(v):
+            return primitive_vector(v)
+
+
+def mixed_three_ray_fan(rng: random.Random) -> KmFan:
+    """A complete fan in Z^2 on three rays; each 2-cone gets the saturated
+    datum or the (possibly smaller) datum generated by its primitive rays."""
+    while True:
+        u, v = random_primitive(rng, 2, 3), random_primitive(rng, 2, 3)
+        if u[0] * v[1] - u[1] * v[0] != 0:
+            break
+    a, b = rng.randint(1, 3), rng.randint(1, 3)
+    w = primitive_vector((-a * u[0] - b * v[0], -a * u[1] - b * v[1]))
+    base = from_classical(Z2, [Cone.from_generators(pair, 2) for pair in ((u, v), (v, w), (w, u))])
+    data = dict(base.data)
+    for c in base.cones:
+        if c.dim() == 2 and rng.random() < 0.5:
+            data[c] = LatticeDatum.from_generators(Z2, c.rays)
+    return KmFan(Z2, base.cones, data)
+
+
+def single_cone_in_z3(rng: random.Random) -> KmFan:
+    """One 2-cone in Z^3 (never atoroidal) with the saturated datum or the
+    datum generated by multiples a u, b v of its primitive rays."""
+    while True:
+        cone = Cone.from_generators([random_primitive(rng, 3, 2) for _ in range(2)], 3)
+        if cone.dim() == 2 and cone.is_sharp():
+            break
+    base = from_classical(Z3, [cone])
+    if rng.random() < 0.5:
+        return base
+    u, v = cone.rays
+    a, b = rng.choice([1, 2, 3]), rng.choice([1, 2, 3])
+    data = dict(base.data)
+    data[cone] = LatticeDatum.from_generators(Z3, [tuple(a * x for x in u), tuple(b * x for x in v)])
+    for ray, m in ((u, a), (v, b)):
+        data[Cone.from_generators([ray], 3)] = LatticeDatum.from_generators(Z3, [tuple(m * x for x in ray)])
+    return KmFan(Z3, base.cones, data)
+
+
+class TestRepresentabilityWithoutSplitting:
+    def test_agrees_with_split_then_test(self):
+        from conftest import random_simplicial_km_fan
+
+        rng = random.Random(4404)
+        outcomes = []
+        for i in range(320):
+            family = i % 4
+            if family == 0:
+                fan = mixed_three_ray_fan(rng)
+            elif family == 1:
+                fan = single_cone_in_z3(rng)
+            elif family == 2:
+                fan, _ = rigidify(random_simplicial_km_fan(rng))
+            else:
+                fan, _ = fold(random_foldable_gsfan(rng))
+            side = rng.randrange(3)
+            if side:
+                torus = zero_fan(FgaGroup(rng.randint(1, 2)))
+                fan = product(fan, torus)[0] if side == 1 else product(torus, fan)[0]
+            answer = is_gs_representable(fan)
+            assert answer == split_then_test(fan), (i, fan.cones)
+            outcomes.append((answer, is_atoroidal(fan)))
+        assert sum(1 for answer, _ in outcomes if not answer) >= 10
+        assert sum(1 for _, atoroidal in outcomes if not atoroidal) >= 10
+        assert sum(1 for answer, _ in outcomes if answer) >= 10
 
 
 class TestRoundTrip:
