@@ -92,7 +92,7 @@ class FgaGroup:
             col = [0] * m
             col[r + i] = d
             cols.append(col)
-        return IntMatrix.from_columns(cols, rows=m)
+        return IntMatrix._from_columns(cols, m)
 
     def elements(self) -> List[Vec]:
         """All elements; only allowed for finite groups."""
@@ -137,8 +137,8 @@ class GroupHom:
     def __init__(self, source: FgaGroup, target: FgaGroup, matrix: IntMatrix):
         if matrix.rows != target.ncoords or matrix.cols != source.ncoords:
             raise DimensionMismatch("matrix shape does not match groups")
-        matrix = IntMatrix([target.reduce(c) for c in matrix.transpose().entries]).transpose() \
-            if matrix.cols else IntMatrix.zero(target.ncoords, 0)
+        if target.torsion:
+            matrix = IntMatrix._from_columns([target.reduce(c) for c in matrix.columns()], target.ncoords)
         r = source.free_rank
         for i, d in enumerate(source.torsion):
             img = target.reduce(tuple(d * x for x in matrix.column(r + i)))
@@ -175,12 +175,8 @@ class GroupHom:
 
     def free_matrix(self) -> IntMatrix:
         """The induced map on free quotients N/N_tor -> N'/N'_tor."""
-        rows = range(self.target.free_rank)
-        cols = range(self.source.free_rank)
-        return IntMatrix(
-            [[self.matrix.entries[i][j] for j in cols] for i in rows],
-            cols=self.source.free_rank,
-        )
+        s = self.source.free_rank
+        return IntMatrix._make(tuple(r[:s] for r in self.matrix.entries[: self.target.free_rank]), s)
 
     def __eq__(self, other):
         return (
@@ -219,7 +215,7 @@ class Subgroup:
     @staticmethod
     def from_generators(ambient: FgaGroup, generators: Iterable[Sequence[int]]) -> "Subgroup":
         gens = [ambient.reduce(g) for g in generators]
-        pre = IntMatrix.from_columns(gens, rows=ambient.ncoords).hstack(ambient.relation_matrix())
+        pre = IntMatrix._from_columns(gens, ambient.ncoords).hstack(ambient.relation_matrix())
         return Subgroup(ambient, hermite_column_basis(pre))
 
     @staticmethod
@@ -247,7 +243,7 @@ class Subgroup:
         return out
 
     def generator_matrix(self) -> IntMatrix:
-        return IntMatrix.from_columns(self.generators(), rows=self.ambient.ncoords)
+        return IntMatrix._from_columns(self.generators(), self.ambient.ncoords)
 
     def sum(self, other: "Subgroup") -> "Subgroup":
         return Subgroup(self.ambient, hermite_column_basis(self.preimage.hstack(other.preimage)))
@@ -284,10 +280,10 @@ class Subgroup:
         if not grp.is_lattice():
             raise NonLattice("subgroup has torsion")
         if grp.free_rank == 0:
-            return IntMatrix.from_columns([], rows=self.ambient.ncoords)
+            return IntMatrix.zero(self.ambient.ncoords, 0)
         h = hermite_column_basis(incl.matrix)
-        return IntMatrix.from_columns(
-            [self.ambient.reduce(c) for c in h.columns()], rows=self.ambient.ncoords
+        return IntMatrix._from_columns(
+            [self.ambient.reduce(c) for c in h.columns()], self.ambient.ncoords
         )
 
     def __eq__(self, other):
@@ -325,7 +321,7 @@ def present_quotient(m: int, relation_columns: IntMatrix) -> QuotientPresentatio
     """Normal form of the quotient of Z^m by the given column span."""
     if relation_columns.rows != m:
         raise DimensionMismatch("relation columns live in the wrong space")
-    s = smith_decomposition(relation_columns)
+    s = smith_decomposition(relation_columns, transforms=("u", "u_inv"))
     diag = s.diagonal()
 
     def modulus(i: int) -> int:
@@ -381,14 +377,7 @@ def free_quotient(group: FgaGroup) -> Tuple[FgaGroup, GroupHom]:
     """The free quotient N/N_tor, with the projection dropping the torsion
     coordinates."""
     free = FgaGroup(group.free_rank)
-    proj = GroupHom(
-        group,
-        free,
-        IntMatrix(
-            [[1 if i == j else 0 for j in range(group.ncoords)] for i in range(group.free_rank)],
-            cols=group.ncoords,
-        ),
-    )
+    proj = GroupHom(group, free, IntMatrix.identity(group.ncoords).select_rows(range(group.free_rank)))
     return free, proj
 
 
@@ -460,7 +449,7 @@ def inverse_hom(f: GroupHom) -> GroupHom:
         e = tuple(1 if i == j else 0 for i in range(f.target.ncoords))
         sol = solve_integer(aug, e)
         cols.append(sol[: f.source.ncoords])
-    return GroupHom(f.target, f.source, IntMatrix.from_columns(cols, rows=f.source.ncoords))
+    return GroupHom(f.target, f.source, IntMatrix._from_columns(cols, f.source.ncoords))
 
 
 def is_tame_hom(f: GroupHom) -> bool:
@@ -534,14 +523,11 @@ def dd_of_hom(f: GroupHom) -> DerivedDual:
         if sol is None:
             raise KmFanError("internal: relation compatibility failed")
         gcols.append(sol)
-    gmat = IntMatrix.from_columns(gcols, rows=kp)
+    gmat = IntMatrix._from_columns(gcols, kp)
 
     # A = [[R], [-G]]  ((a+kp) x k);  B = [F | R']  (b x (a+kp))
-    amat = IntMatrix(
-        [r_src.entries[i] for i in range(a)] + [tuple(-x for x in gmat.entries[i]) for i in range(kp)],
-        cols=k,
-    )
-    bmat = IntMatrix([big_f.entries[i] + r_tgt.entries[i] for i in range(b)], cols=a + kp)
+    amat = IntMatrix._make(r_src.entries + gmat.scale(-1).entries, k)
+    bmat = big_f.hstack(r_tgt)
 
     kb = kernel_basis(amat.transpose())     # columns: basis of ker(A^T) in Z^{a+kp}
     s = kb.cols
@@ -554,7 +540,7 @@ def dd_of_hom(f: GroupHom) -> DerivedDual:
 
     # relations of D(f): the columns of B^T expressed in the kernel basis
     rel_cols = [in_kernel_coords(row) for row in bmat.entries]
-    pres = present_quotient(s, IntMatrix.from_columns(rel_cols, rows=s))
+    pres = present_quotient(s, IntMatrix._from_columns(rel_cols, s))
     dgroup = pres.group
 
     ker_sub = kernel_subgroup(f)
@@ -571,7 +557,7 @@ def dd_of_hom(f: GroupHom) -> DerivedDual:
         if sol is None:
             raise KmFanError("internal: kernel column does not map into relations")
         mu2_cols.append(sol)
-    mu2 = IntMatrix.from_columns(mu2_cols, rows=kp)
+    mu2 = IntMatrix._from_columns(mu2_cols, kp)
     ker_dual = FgaGroup(s_k)
     pairing = ker_basis.transpose().hstack(mu2.transpose())   # s_k x (a+kp)
     to_ker_dual = GroupHom(dgroup, ker_dual, pairing @ kb @ pres.section)
@@ -586,13 +572,13 @@ def dd_of_hom(f: GroupHom) -> DerivedDual:
         if sol is None:
             raise KmFanError("internal: image column outside image lattice")
         nu_cols.append(sol)
-    nu = IntMatrix.from_columns(nu_cols, rows=cmat.cols)      # t x (a+kp)
+    nu = IntMatrix._from_columns(nu_cols, cmat.cols)          # t x (a+kp)
     cols = []
     for j in range(ecok.ncoords):
         xi = ecok_pres.lift(tuple(1 if i == j else 0 for i in range(ecok.ncoords)))
         vec = nu.transpose().apply(xi)
         cols.append(pres.to_normal(in_kernel_coords(vec)))
-    from_ext_cok = GroupHom(ecok, dgroup, IntMatrix.from_columns(cols, rows=dgroup.ncoords))
+    from_ext_cok = GroupHom(ecok, dgroup, IntMatrix._from_columns(cols, dgroup.ncoords))
 
     # --- witness: N^v -> D(f) ----------------------------------------------
     src_dual = dual_group(src)
@@ -600,7 +586,7 @@ def dd_of_hom(f: GroupHom) -> DerivedDual:
     for i in range(src.free_rank):
         vec = tuple(1 if j == i else 0 for j in range(a)) + (0,) * kp
         cols.append(pres.to_normal(in_kernel_coords(vec)))
-    from_source_dual = GroupHom(src_dual, dgroup, IntMatrix.from_columns(cols, rows=dgroup.ncoords))
+    from_source_dual = GroupHom(src_dual, dgroup, IntMatrix._from_columns(cols, dgroup.ncoords))
 
     # --- witness: D(f) -> E(N') ---------------------------------------------
     etgt_pres = present_quotient(kp, r_tgt.transpose())
@@ -610,7 +596,7 @@ def dd_of_hom(f: GroupHom) -> DerivedDual:
         vec = kb.apply(pres.lift(tuple(1 if i == j else 0 for i in range(dgroup.ncoords))))
         psi = vec[a:]
         cols.append(etgt_pres.to_normal(psi))
-    to_ext_target = GroupHom(dgroup, etgt, IntMatrix.from_columns(cols, rows=etgt.ncoords))
+    to_ext_target = GroupHom(dgroup, etgt, IntMatrix._from_columns(cols, etgt.ncoords))
 
     return DerivedDual(
         hom=f,
@@ -653,26 +639,18 @@ def direct_sum(a: FgaGroup, b: FgaGroup):
     tor = list(a.torsion) + list(b.torsion)
     pres = present_quotient(
         ka + kb_,
-        IntMatrix.from_columns(
-            [[tor[i] if j == i else 0 for j in range(ka + kb_)] for i in range(ka + kb_)],
-            rows=ka + kb_,
+        IntMatrix._from_columns(
+            [tuple(tor[i] if j == i else 0 for j in range(ka + kb_)) for i in range(ka + kb_)],
+            ka + kb_,
         ),
     )
     grp = FgaGroup(ra + rb, pres.group.torsion)
-
-    def assemble(freem: IntMatrix, torm: IntMatrix, cols: int) -> IntMatrix:
-        return IntMatrix(
-            [freem.entries[i] for i in range(freem.rows)]
-            + [torm.entries[i] for i in range(torm.rows)],
-            cols=cols,
-        )
 
     # inclusion of a: free coords -> first ra coords; torsion via pres.proj
     def make_inc(which: int) -> GroupHom:
         src = a if which == 0 else b
         rs, ks = (ra, ka) if which == 0 else (rb, kb_)
-        free = IntMatrix.zero(ra + rb, src.ncoords)
-        fentries = [list(r) for r in free.entries]
+        fentries = [[0] * src.ncoords for _ in range(ra + rb)]
         off = 0 if which == 0 else ra
         for i in range(rs):
             fentries[off + i][i] = 1
@@ -685,8 +663,9 @@ def direct_sum(a: FgaGroup, b: FgaGroup):
                 e = [0] * (ka + kb_)
                 e[toroff + (j - rs)] = 1
                 tcols.append(tuple(e))
-        torm = pres.proj @ IntMatrix.from_columns(tcols, rows=ka + kb_)
-        return GroupHom(src, grp, assemble(IntMatrix(fentries, cols=src.ncoords), torm, src.ncoords))
+        torm = pres.proj @ IntMatrix._from_columns(tcols, ka + kb_)
+        # free rows above the torsion rows
+        return GroupHom(src, grp, IntMatrix._make(tuple(map(tuple, fentries)) + torm.entries, src.ncoords))
 
     def make_proj(which: int) -> GroupHom:
         tgtg = a if which == 0 else b
@@ -708,6 +687,6 @@ def direct_sum(a: FgaGroup, b: FgaGroup):
                 for i in range(ks):
                     col[rs + i] = lifted[toroff + i]
                 cols.append(tuple(col))
-        return GroupHom(grp, tgtg, IntMatrix.from_columns(cols, rows=tgtg.ncoords))
+        return GroupHom(grp, tgtg, IntMatrix._from_columns(cols, tgtg.ncoords))
 
     return grp, make_inc(0), make_inc(1), make_proj(0), make_proj(1)

@@ -19,6 +19,8 @@ from .errors import DimensionMismatch, PieceOutsideTarget
 from .intlinalg import (
     IntMatrix,
     Vec,
+    _dot,
+    _int_vector,
     fraction_vector_to_primitive,
     hermite_column_basis,
     kernel_basis,
@@ -30,14 +32,10 @@ from .intlinalg import (
 )
 
 
-def _dot(a: Sequence, b: Sequence):
-    return sum(x * y for x, y in zip(a, b))
-
-
 def _rank_of_vectors(vectors: Sequence[Sequence[int]], ambient: int) -> int:
     if not vectors:
         return 0
-    return matrix_rank(IntMatrix(vectors, cols=ambient))
+    return matrix_rank(IntMatrix._make(tuple(vectors), ambient))
 
 
 def _halfspace_intersection(ambient: int, inequalities: Sequence[Vec]):
@@ -107,14 +105,14 @@ def _halfspace_intersection(ambient: int, inequalities: Sequence[Vec]):
 def _canonical_lattice_basis(vectors: Sequence[Vec], ambient: int) -> List[Vec]:
     if not vectors:
         return []
-    h = hermite_column_basis(IntMatrix.from_columns(vectors, rows=ambient))
+    h = hermite_column_basis(IntMatrix._from_columns(vectors, ambient))
     return list(h.columns())
 
 
 def _saturated_lattice_basis(vectors: Sequence[Vec], ambient: int) -> List[Vec]:
     if not vectors:
         return []
-    return list(saturate(IntMatrix.from_columns(vectors, rows=ambient)).columns())
+    return list(saturate(IntMatrix._from_columns(vectors, ambient)).columns())
 
 
 def _dedupe(vectors: Iterable[Vec]) -> List[Vec]:
@@ -164,7 +162,7 @@ class Cone:
 
     @staticmethod
     def from_generators(generators: Iterable[Sequence[int]], ambient_rank: int) -> "Cone":
-        gens = [tuple(int(x) for x in g) for g in generators]
+        gens = [_int_vector(g) for g in generators]
         for g in gens:
             if len(g) != ambient_rank:
                 raise DimensionMismatch("generator has wrong length")
@@ -172,7 +170,7 @@ class Cone:
         h = _h_description(gens, ambient_rank)
         facets, equations = h
         # lineality of the primal: common kernel of facets and equations
-        lin_mat = kernel_basis(IntMatrix(facets + equations, cols=ambient_rank))
+        lin_mat = kernel_basis(IntMatrix._make(facets + equations, ambient_rank))
         lineality = _canonical_lattice_basis(list(lin_mat.columns()), ambient_rank)
         rays = _canonical_rays(gens, facets, equations, lineality, ambient_rank)
         return Cone(ambient_rank, rays, lineality, h)
@@ -186,9 +184,9 @@ class Cone:
         """The cone {x : <g, x> >= 0, <e, x> = 0}, canonicalised straight from
         one double description: its rays are extremal, so reducing them modulo
         the saturated lineality gives the canonical V-data."""
-        constraints = [tuple(int(x) for x in v) for v in inequalities]
+        constraints = [_int_vector(v) for v in inequalities]
         for v in equations:
-            e = tuple(int(x) for x in v)
+            e = _int_vector(v)
             constraints += [e, tuple(-x for x in e)]
         rays, lin, _ = _halfspace_intersection(ambient_rank, constraints)
         lineality = _saturated_lattice_basis(lin, ambient_rank)
@@ -342,8 +340,8 @@ class Cone:
         """Saturated basis of Span(cone) cap Z^r (Hermite-canonical columns)."""
         gens = list(self.rays) + list(self.lineality)
         if not gens:
-            return IntMatrix.from_columns([], rows=self.ambient_rank)
-        return saturate(IntMatrix.from_columns(gens, rows=self.ambient_rank))
+            return IntMatrix.zero(self.ambient_rank, 0)
+        return saturate(IntMatrix._from_columns(gens, self.ambient_rank))
 
     def linear_image(self, matrix: IntMatrix) -> "Cone":
         """Image cone under an integer linear map (matrix acts on columns)."""
@@ -422,12 +420,11 @@ def _lattice_complement(lattice: Sequence[Vec], ambient: int) -> Tuple[IntMatrix
     Returns (comp, full): the columns of comp span the complement and
     full = lattice | comp is unimodular.
     """
-    lin_mat = IntMatrix.from_columns(lattice, rows=ambient)
-    s = smith_decomposition(lin_mat)
+    lin_mat = IntMatrix._from_columns(lattice, ambient)
+    s = smith_decomposition(lin_mat, transforms=("u_inv",))
     # the lattice is saturated: its diagonal entries are all 1; the complement
     # is spanned by the remaining columns of U^{-1}
-    comp_cols = [s.u_inv.column(i) for i in range(s.rank(), ambient)]
-    comp = IntMatrix.from_columns(comp_cols, rows=ambient)
+    comp = s.u_inv.select_columns(range(s.rank(), ambient))
     return comp, lin_mat.hstack(comp)
 
 

@@ -81,8 +81,7 @@ class LatticeDatum:
         return list(self.basis().columns())
 
     def free_basis(self) -> IntMatrix:
-        b = self.basis()
-        return IntMatrix([b.entries[i] for i in range(self.ambient.free_rank)], cols=b.cols)
+        return self.basis().select_rows(range(self.ambient.free_rank))
 
     def rank(self) -> int:
         return self.basis().cols
@@ -678,7 +677,7 @@ def atoroidal_split(fan: KmFan) -> Tuple[KmFan, FgaGroup, KmFanHom]:
         if sol is None:
             raise KmFanError("internal: projection to the torus factor is not split")
         section_cols.append(sol)
-    section = IntMatrix.from_columns(section_cols, rows=n.ncoords)
+    section = IntMatrix._from_columns(section_cols, n.ncoords)
 
     prod, p1, p2 = product(g_fan, zero_fan(bgrp))
     iso_matrix = _matrix_add(incl.matrix @ p1.hom.matrix, section @ p2.hom.matrix)
@@ -691,9 +690,8 @@ def atoroidal_split(fan: KmFan) -> Tuple[KmFan, FgaGroup, KmFanHom]:
 def _matrix_add(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     if a.rows != b.rows or a.cols != b.cols:
         raise KmFanError("matrix shapes differ")
-    return IntMatrix(
-        [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a.entries, b.entries)],
-        cols=a.cols,
+    return IntMatrix._make(
+        tuple(tuple([x + y for x, y in zip(ra, rb)]) for ra, rb in zip(a.entries, b.entries)), a.cols
     )
 
 
@@ -795,7 +793,7 @@ def induced_quotient_hom(f: KmFanHom, sigma: Cone) -> GroupHom:
             raise KmFanError("internal: quotient projection is not surjective")
         x = sol[: f.source.group.ncoords]
         cols.append(pt.apply(f.hom.apply(f.source.group.reduce(x))))
-    ind = GroupHom(qs, qt, IntMatrix.from_columns(cols, rows=qt.ncoords))
+    ind = GroupHom(qs, qt, IntMatrix._from_columns(cols, qt.ncoords))
     if ps.then(ind) != f.hom.then(pt):
         raise KmFanError("internal: induced quotient map is inconsistent")
     return ind
@@ -830,7 +828,7 @@ def local_presentation(fan: KmFan, sigma: Cone) -> LocalPresentation:
     lifting = construct_lifting(fan, sigma)
     n = fan.group
     basis = lifting.lattice_basis()              # n.ncoords x r
-    fb = IntMatrix([basis.entries[i] for i in range(n.free_rank)], cols=basis.cols)
+    fb = basis.select_rows(range(n.free_rank))
     # the cone in L-coordinates
     rays_l = [
         fraction_vector_to_primitive(solve_rational(fb, [Fraction(x) for x in r]))
@@ -853,7 +851,7 @@ def local_presentation(fan: KmFan, sigma: Cone) -> LocalPresentation:
         if sol is None:
             raise KmFanError("internal: preimage column is not in the lifting")
         pr_cols.append(sol[: basis.cols])
-    pr = IntMatrix.from_columns(pr_cols, rows=basis.cols)   # Lambda -> L in bases
+    pr = IntMatrix._from_columns(pr_cols, basis.cols)       # Lambda -> L in bases
     action = GroupHom(dual_group(FgaGroup(basis.cols)), stabilizer, pres.proj @ pr.transpose())
     return LocalPresentation(sigma, lifting, hb, stabilizer, action)
 
@@ -970,7 +968,7 @@ def is_atoroidal(fan: KmFan) -> bool:
         return True
     if not all_rays:
         return False
-    return matrix_rank(IntMatrix(all_rays, cols=fan.group.free_rank)) == fan.group.free_rank
+    return matrix_rank(IntMatrix._make(tuple(all_rays), fan.group.free_rank)) == fan.group.free_rank
 
 
 def is_nondegenerate(fan: KmFan) -> bool:

@@ -183,7 +183,7 @@ def lattice_data_colimit(fan: KmFan) -> Unfolding:
                 col[offsets[tau] + j] -= 1
                 rel_cols.append(tuple(col))
 
-    pres = present_quotient(total, IntMatrix.from_columns(rel_cols, rows=total))
+    pres = present_quotient(total, IntMatrix._from_columns(rel_cols, total))
     colimit = pres.group
     structure: Dict[Cone, GroupHom] = {}
     for c, basis in blocks:
@@ -193,14 +193,14 @@ def lattice_data_colimit(fan: KmFan) -> Unfolding:
             e[offsets[c] + j] = 1
             cols.append(pres.to_normal(e))
         structure[c] = GroupHom(
-            FgaGroup(basis.cols), colimit, IntMatrix.from_columns(cols, rows=colimit.ncoords)
+            FgaGroup(basis.cols), colimit, IntMatrix._from_columns(cols, colimit.ncoords)
         )
     # beta: send each block generator to the corresponding element of N
     beta_cols = []
     for c, basis in blocks:
         for j in range(basis.cols):
             beta_cols.append(fan.group.reduce(basis.column(j)))
-    beta_on_blocks = IntMatrix.from_columns(beta_cols, rows=fan.group.ncoords)
+    beta_on_blocks = IntMatrix._from_columns(beta_cols, fan.group.ncoords)
     beta = GroupHom(colimit, fan.group, beta_on_blocks @ pres.section)
     # sanity: beta o i_sigma is the inclusion F_sigma -> N, generator by generator
     for c, basis in blocks:
@@ -233,7 +233,7 @@ def induced_colimit_map(sub: Unfolding, sup: Unfolding) -> GroupHom:
                 big[sup_off + i] += lifted[off + i]
         cols.append(sup.presentation.to_normal(big))
     return GroupHom(
-        sub.colimit, sup.colimit, IntMatrix.from_columns(cols, rows=sup.colimit.ncoords)
+        sub.colimit, sup.colimit, IntMatrix._from_columns(cols, sup.colimit.ncoords)
     )
 
 
@@ -288,7 +288,7 @@ def rigidified_unfold(fan: KmFan) -> Tuple[KmFan, Optional[KmFanHom]]:
     r = lt.free_rank
     bbar_cols = [unf.beta.apply(tuple(1 if i == j else 0 for i in range(lt.ncoords)))
                  for j in range(r)]
-    betabar = GroupHom(rig.group, fan.group, IntMatrix.from_columns(bbar_cols, rows=fan.group.ncoords))
+    betabar = GroupHom(rig.group, fan.group, IntMatrix._from_columns(bbar_cols, fan.group.ncoords))
     result = validate_hom(betabar, rig, fan)
     if not isinstance(result, KmFanHom):
         raise KmFanError("internal: rigidified unfolding map failed to validate")
@@ -305,12 +305,21 @@ def is_gs_representable(fan: KmFan) -> bool:
     atoroidal_split carries that diagram isomorphically onto its atoroidal
     part (same cones, same subgroups, read through the injective inclusion
     A -> N), which leaves the cokernels' torsion unchanged.
+
+    Only maximal cones are tested; saturation passes down to their faces.
+    Each structure map into the free colimit is injective, since following
+    it by the map to N (which factors through the free colimit, N being a
+    lattice) gives the inclusion of F_sigma.  For a face tau of sigma,
+    F_tau = Span(tau) cap F_sigma is saturated in F_sigma, and the map for
+    tau is the map for sigma restricted to F_tau.  So when the image of
+    F_sigma is saturated, the image of F_tau is saturated in it and hence in
+    the free colimit.  Every cone is a face of a maximal cone.
     """
     if not fan.group.is_lattice():
         raise NonLattice("the test is defined for lattice KM fans")
     unf = lattice_data_colimit(fan)
     _, to_free = free_quotient(unf.colimit)
-    for c in fan.cones:
+    for c in fan.maximal_cones():
         ibar = unf.structure_maps[c].then(to_free)
         _, cok, _ = hom_kernel_cokernel(ibar)
         if cok.torsion:

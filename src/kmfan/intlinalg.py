@@ -2,17 +2,52 @@
 
 Everything here works with arbitrary-precision Python integers; there is no
 floating point anywhere.  Matrices are immutable values.
+
+The public constructors (``IntMatrix(...)`` and ``IntMatrix.from_columns``)
+check every entry once and reject anything that is not an integer.  Matrices
+built inside the library from entries that are already ints (products,
+transposes, selections, normal forms) go through the trusted
+``IntMatrix._make`` and ``IntMatrix._from_columns`` instead, which use their
+int tuples as they are.  ``smith_decomposition`` computes only the
+transforms a caller asks for; the library's own callers name the ones they
+read, and the default tracks all four.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Collection, Iterable, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch
 
 Vec = Tuple[int, ...]
+
+
+def _int_entry(x) -> int:
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise TypeError(f"entry {x!r} is not an integer") from None
+
+
+def _int_vector(values: Iterable) -> Vec:
+    """The values as a tuple of ints; anything operator.index rejects
+    (floats, fractions, strings) raises TypeError naming the entry."""
+    if type(values) is tuple and all(type(x) is int for x in values):
+        return values
+    return tuple(map(_int_entry, values))
+
+
+def _transposed(vectors: Sequence[Vec], length: int) -> Tuple[Vec, ...]:
+    """The transpose of int sequences of the given length (that length is the
+    number of empty vectors returned when there are no vectors)."""
+    return tuple(zip(*vectors)) if vectors else ((),) * length
+
+
+def _dot(a: Sequence, b: Sequence):
+    return sum(map(operator.mul, a, b))
 
 
 class IntMatrix:
@@ -21,11 +56,7 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries: Iterable[Sequence[int]], cols: Optional[int] = None):
-        rows = tuple(
-            row if type(row) is tuple and all(type(x) is int for x in row)
-            else tuple(int(x) for x in row)
-            for row in entries
-        )
+        rows = tuple(_int_vector(row) for row in entries)
         if rows:
             ncols = len(rows[0])
             if any(len(r) != ncols for r in rows):
@@ -46,16 +77,33 @@ class IntMatrix:
     # -- constructors -------------------------------------------------
 
     @staticmethod
+    def _make(entries: Tuple[Vec, ...], cols: int) -> "IntMatrix":
+        """Trusted constructor: entries is a tuple of int tuples, each of
+        length cols, and is used as it is, with no check or copy."""
+        m = object.__new__(IntMatrix)
+        object.__setattr__(m, "rows", len(entries))
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "entries", entries)
+        return m
+
+    @staticmethod
+    def _from_columns(columns: Sequence[Vec], rows: int) -> "IntMatrix":
+        """Trusted from_columns: the columns are int sequences of length rows."""
+        return IntMatrix._make(_transposed(columns, rows), len(columns))
+
+    @staticmethod
     def identity(n: int) -> "IntMatrix":
-        return IntMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
+        return IntMatrix._make(
+            tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), n
+        )
 
     @staticmethod
     def zero(rows: int, cols: int) -> "IntMatrix":
-        return IntMatrix([[0] * cols for _ in range(rows)], cols=cols)
+        return IntMatrix._make(((0,) * cols,) * rows, cols)
 
     @staticmethod
     def from_columns(columns: Sequence[Sequence[int]], rows: Optional[int] = None) -> "IntMatrix":
-        columns = [tuple(int(x) for x in c) for c in columns]
+        columns = [_int_vector(c) for c in columns]
         if columns:
             nrows = len(columns[0])
             if any(len(c) != nrows for c in columns):
@@ -64,7 +112,7 @@ class IntMatrix:
             if rows is None:
                 raise DimensionMismatch("empty matrix needs an explicit row count")
             nrows = rows
-        return IntMatrix([[c[i] for c in columns] for i in range(nrows)], cols=len(columns))
+        return IntMatrix._from_columns(columns, nrows)
 
     # -- basic access --------------------------------------------------
 
@@ -72,13 +120,13 @@ class IntMatrix:
         return self.entries[i]
 
     def column(self, j: int) -> Vec:
-        return tuple(r[j] for r in self.entries)
+        return tuple([r[j] for r in self.entries])
 
     def columns(self) -> Tuple[Vec, ...]:
-        return tuple(self.column(j) for j in range(self.cols))
+        return _transposed(self.entries, self.cols)
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix([self.column(j) for j in range(self.cols)], cols=self.rows)
+        return IntMatrix._make(_transposed(self.entries, self.cols), self.rows)
 
     def __eq__(self, other) -> bool:
         return (
@@ -98,46 +146,49 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise DimensionMismatch(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        ocols = [other.column(j) for j in range(other.cols)]
-        return IntMatrix(
-            [[_dot(r, c) for c in ocols] for r in self.entries],
-            cols=other.cols,
+        ocols = other.columns()
+        return IntMatrix._make(
+            tuple(tuple([_dot(r, c) for c in ocols]) for r in self.entries), other.cols
         )
 
     def apply(self, vector: Sequence[int]) -> Vec:
         if len(vector) != self.cols:
             raise DimensionMismatch("vector length does not match column count")
-        return tuple(_dot(r, vector) for r in self.entries)
+        return tuple([_dot(r, vector) for r in self.entries])
 
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
             raise DimensionMismatch("row counts differ")
-        return IntMatrix(
-            [self.entries[i] + other.entries[i] for i in range(self.rows)],
-            cols=self.cols + other.cols,
+        return IntMatrix._make(
+            tuple(a + b for a, b in zip(self.entries, other.entries)), self.cols + other.cols
         )
 
     def select_columns(self, indices: Sequence[int]) -> "IntMatrix":
-        return IntMatrix([[r[j] for j in indices] for r in self.entries], cols=len(indices))
+        return IntMatrix._make(
+            tuple(tuple([r[j] for j in indices]) for r in self.entries), len(indices)
+        )
 
     def select_rows(self, indices: Sequence[int]) -> "IntMatrix":
-        return IntMatrix([self.entries[i] for i in indices], cols=self.cols)
+        return IntMatrix._make(tuple(self.entries[i] for i in indices), self.cols)
 
     def scale(self, a: int) -> "IntMatrix":
-        return IntMatrix([[a * x for x in r] for r in self.entries], cols=self.cols)
-
-
-def _dot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(a, b))
+        a = _int_entry(a)
+        return IntMatrix._make(tuple(tuple([a * x for x in r]) for r in self.entries), self.cols)
 
 
 # ---------------------------------------------------------------------------
 # Smith normal form
 # ---------------------------------------------------------------------------
 
+#: the transforms smith_decomposition can track, and its default
+TRANSFORMS = ("u", "v", "u_inv", "v_inv")
+
 
 class SmithDecomposition:
-    """U @ M @ V = D with U, V unimodular and D in Smith normal form."""
+    """U @ M @ V = D with U, V unimodular and D in Smith normal form.
+
+    A transform the decomposition was not asked to track is None.
+    """
 
     __slots__ = ("u", "d", "v", "u_inv", "v_inv")
 
@@ -155,62 +206,95 @@ class SmithDecomposition:
         return sum(1 for x in self.diagonal() if x != 0)
 
 
-def smith_decomposition(m: IntMatrix) -> SmithDecomposition:
-    """Full Smith decomposition, with the inverse transforms tracked as well.
+def _identity_rows(n: int) -> list:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
-    Pivots are chosen as the smallest nonzero absolute value, scanning in
-    row-major order, so the output is deterministic.
+
+def _trusted(rows: list, cols: int) -> IntMatrix:
+    return IntMatrix._make(tuple(map(tuple, rows)), cols)
+
+
+def smith_decomposition(m: IntMatrix, transforms: Collection[str] = TRANSFORMS) -> SmithDecomposition:
+    """Smith decomposition U @ M @ V = D, tracking the named transforms.
+
+    ``transforms`` names which of "u", "v", "u_inv" and "v_inv" to compute;
+    the others are None.  The default tracks all four.  Pivots are chosen as
+    the smallest nonzero absolute value, first in row-major order, whatever
+    is tracked, so D and every tracked transform are deterministic and the
+    same as in the full decomposition.
     """
+    unknown = set(transforms).difference(TRANSFORMS)
+    if unknown:
+        raise ValueError(f"unknown Smith transforms: {sorted(unknown)}")
     nr, nc = m.rows, m.cols
     d = [list(r) for r in m.entries]
-    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
-    ui = [list(r) for r in u]
-    v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
-    vi = [list(r) for r in v]
+    u = _identity_rows(nr) if "u" in transforms else None
+    ui = _identity_rows(nr) if "u_inv" in transforms else None
+    v = _identity_rows(nc) if "v" in transforms else None
+    vi = _identity_rows(nc) if "v_inv" in transforms else None
 
     def swap_rows(i, j):
         d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-        for r in ui:
-            r[i], r[j] = r[j], r[i]
+        if u is not None:
+            u[i], u[j] = u[j], u[i]
+        if ui is not None:
+            for r in ui:
+                r[i], r[j] = r[j], r[i]
 
     def swap_cols(i, j):
         for r in d:
             r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
-        vi[i], vi[j] = vi[j], vi[i]
+        if v is not None:
+            for r in v:
+                r[i], r[j] = r[j], r[i]
+        if vi is not None:
+            vi[i], vi[j] = vi[j], vi[i]
 
     def add_row(src, dst, c):
         # row[dst] += c * row[src]
         d[dst] = [a + c * b for a, b in zip(d[dst], d[src])]
-        u[dst] = [a + c * b for a, b in zip(u[dst], u[src])]
-        for r in ui:
-            r[src] -= c * r[dst]
+        if u is not None:
+            u[dst] = [a + c * b for a, b in zip(u[dst], u[src])]
+        if ui is not None:
+            for r in ui:
+                r[src] -= c * r[dst]
 
     def add_col(src, dst, c):
         for r in d:
             r[dst] += c * r[src]
-        for r in v:
-            r[dst] += c * r[src]
-        vi[src] = [a - c * b for a, b in zip(vi[src], vi[dst])]
+        if v is not None:
+            for r in v:
+                r[dst] += c * r[src]
+        if vi is not None:
+            vi[src] = [a - c * b for a, b in zip(vi[src], vi[dst])]
 
     def negate_row(i):
         d[i] = [-a for a in d[i]]
-        u[i] = [-a for a in u[i]]
-        for r in ui:
-            r[i] = -r[i]
+        if u is not None:
+            u[i] = [-a for a in u[i]]
+        if ui is not None:
+            for r in ui:
+                r[i] = -r[i]
 
     n = min(nr, nc)
     for t in range(n):
         while True:
-            # locate the smallest nonzero |entry| in the working block
+            # locate the smallest nonzero |entry| in the working block, the
+            # first in row-major order on ties (no later entry beats a 1)
             pivot = None
+            best = 0
             for i in range(t, nr):
+                row = d[i]
                 for j in range(t, nc):
-                    x = d[i][j]
-                    if x != 0 and (pivot is None or abs(x) < abs(d[pivot[0]][pivot[1]])):
-                        pivot = (i, j)
+                    x = row[j]
+                    if x:
+                        ax = x if x > 0 else -x
+                        if pivot is None or ax < best:
+                            pivot, best = (i, j), ax
+                            if ax == 1:
+                                break
+                if best == 1:
+                    break
             if pivot is None:
                 break
             pi, pj = pivot
@@ -249,23 +333,24 @@ def smith_decomposition(m: IntMatrix) -> SmithDecomposition:
                 break
             add_row(offender, t, 1)
 
-    um = IntMatrix(u, cols=nr)
-    dm = IntMatrix(d, cols=nc)
-    vm = IntMatrix(v, cols=nc)
-    uim = IntMatrix(ui, cols=nr)
-    vim = IntMatrix(vi, cols=nc)
-    return SmithDecomposition(um, dm, vm, uim, vim)
+    return SmithDecomposition(
+        None if u is None else _trusted(u, nr),
+        _trusted(d, nc),
+        None if v is None else _trusted(v, nc),
+        None if ui is None else _trusted(ui, nr),
+        None if vi is None else _trusted(vi, nc),
+    )
 
 
 def smith_normal_form(m: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Return (U, D, V) with U @ M @ V = D diagonal, d_1 | d_2 | ... , d_i >= 0."""
-    s = smith_decomposition(m)
+    s = smith_decomposition(m, transforms=("u", "v"))
     return s.u, s.d, s.v
 
 
 def invariant_factors(m: IntMatrix) -> Tuple[int, ...]:
     """The nonzero diagonal of the Smith form."""
-    return tuple(x for x in smith_decomposition(m).diagonal() if x != 0)
+    return tuple(x for x in smith_decomposition(m, transforms=()).diagonal() if x != 0)
 
 
 def rank(m: IntMatrix) -> int:
@@ -294,7 +379,7 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
     The kernel of an integer matrix is saturated, so this basis is a basis of
     a saturated sublattice.  Deterministic column order.
     """
-    s = smith_decomposition(m)
+    s = smith_decomposition(m, transforms=("v",))
     diag = s.diagonal()
     free = [j for j in range(m.cols) if j >= len(diag) or diag[j] == 0]
     return s.v.select_columns(free)
@@ -308,7 +393,7 @@ def solve_integer(m: IntMatrix, b: Sequence[int]) -> Optional[Vec]:
     """
     if len(b) != m.rows:
         raise DimensionMismatch("right-hand side length does not match row count")
-    s = smith_decomposition(m)
+    s = smith_decomposition(m, transforms=("u", "v"))
     c = s.u.apply(b)
     diag = s.diagonal()
     y = [0] * m.cols
@@ -361,7 +446,7 @@ def saturate(m: IntMatrix) -> IntMatrix:
 
     Idempotent; the result is returned in Hermite column form.
     """
-    s = smith_decomposition(m)
+    s = smith_decomposition(m, transforms=("u_inv",))
     diag = s.diagonal()
     nonzero = [i for i in range(len(diag)) if diag[i] != 0]
     return hermite_column_basis(s.u_inv.select_columns(nonzero))
@@ -411,7 +496,7 @@ def hermite_column_basis(m: IntMatrix) -> IntMatrix:
             q = basis[j][r] // p
             if q:
                 basis[j] = [x - q * y for x, y in zip(basis[j], basis[i])]
-    return IntMatrix.from_columns(basis, rows=nr)
+    return IntMatrix._from_columns(basis, nr)
 
 
 def lattice_contains(basis: IntMatrix, v: Sequence[int]) -> bool:
@@ -424,7 +509,7 @@ def lattice_intersection(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     if a.rows != b.rows:
         raise DimensionMismatch("ambient ranks differ")
     if a.cols == 0 or b.cols == 0:
-        return IntMatrix.from_columns([], rows=a.rows)
+        return IntMatrix.zero(a.rows, 0)
     k = kernel_basis(a.hstack(b.scale(-1)))
     xpart = k.select_rows(range(a.cols))
     return hermite_column_basis(a @ xpart)

@@ -168,7 +168,7 @@ def _parallelepiped_points(simplex: Sequence[Vec], ambient: int) -> List[Vec]:
     """Lattice points in the half-open parallelepiped of independent vectors."""
     from .intlinalg import saturate
 
-    vmat = IntMatrix.from_columns(simplex, rows=ambient)
+    vmat = IntMatrix._from_columns(simplex, ambient)
     span = saturate(vmat)
     d = span.cols
     # simplex vectors in span coordinates: a d x d nonsingular matrix
@@ -178,8 +178,8 @@ def _parallelepiped_points(simplex: Sequence[Vec], ambient: int) -> List[Vec]:
         if sol is None:
             raise KmFanError("internal: ray not in its own span lattice")
         vcols.append(sol)
-    vs = IntMatrix.from_columns(vcols, rows=d)
-    s = smith_decomposition(vs)
+    vs = IntMatrix._from_columns(vcols, d)
+    s = smith_decomposition(vs, transforms=("u_inv",))
     diag = s.diagonal()
     reps = [()]
     for di in diag:
@@ -247,7 +247,7 @@ def kernel_submonoid(monoid: AffineMonoid, a: GroupHom) -> List[Vec]:
         return []
     # kernel lattice of a inside Z^t (finite index)
     lifted = kernel_basis(a.matrix.hstack(a.target.relation_matrix()))
-    kmat = IntMatrix([lifted.entries[i] for i in range(t)], cols=lifted.cols)
+    kmat = lifted.select_rows(range(t))
     from .intlinalg import hermite_column_basis
 
     kmat = hermite_column_basis(kmat)
@@ -284,6 +284,6 @@ def is_free_monoid(monoid: AffineMonoid) -> bool:
         if sol is None:
             return False
         cols.append(sol)
-    m = IntMatrix.from_columns(cols, rows=t)
-    diag = smith_decomposition(m).diagonal()
+    m = IntMatrix._from_columns(cols, t)
+    diag = smith_decomposition(m, transforms=()).diagonal()
     return all(abs(x) == 1 for x in diag)

@@ -429,32 +429,56 @@ def single_cone_in_z3(rng: random.Random) -> KmFan:
     return KmFan(Z3, base.cones, data)
 
 
+def seeded_lattice_fans(count: int):
+    """Seeded lattice KM fans of four families, a third of them times a torus."""
+    from conftest import random_simplicial_km_fan
+
+    rng = random.Random(4404)
+    for i in range(count):
+        family = i % 4
+        if family == 0:
+            fan = mixed_three_ray_fan(rng)
+        elif family == 1:
+            fan = single_cone_in_z3(rng)
+        elif family == 2:
+            fan, _ = rigidify(random_simplicial_km_fan(rng))
+        else:
+            fan, _ = fold(random_foldable_gsfan(rng))
+        side = rng.randrange(3)
+        if side:
+            torus = zero_fan(FgaGroup(rng.randint(1, 2)))
+            fan = product(fan, torus)[0] if side == 1 else product(torus, fan)[0]
+        yield fan
+
+
 class TestRepresentabilityWithoutSplitting:
     def test_agrees_with_split_then_test(self):
-        from conftest import random_simplicial_km_fan
-
-        rng = random.Random(4404)
         outcomes = []
-        for i in range(320):
-            family = i % 4
-            if family == 0:
-                fan = mixed_three_ray_fan(rng)
-            elif family == 1:
-                fan = single_cone_in_z3(rng)
-            elif family == 2:
-                fan, _ = rigidify(random_simplicial_km_fan(rng))
-            else:
-                fan, _ = fold(random_foldable_gsfan(rng))
-            side = rng.randrange(3)
-            if side:
-                torus = zero_fan(FgaGroup(rng.randint(1, 2)))
-                fan = product(fan, torus)[0] if side == 1 else product(torus, fan)[0]
+        for i, fan in enumerate(seeded_lattice_fans(320)):
             answer = is_gs_representable(fan)
             assert answer == split_then_test(fan), (i, fan.cones)
             outcomes.append((answer, is_atoroidal(fan)))
         assert sum(1 for answer, _ in outcomes if not answer) >= 10
         assert sum(1 for _, atoroidal in outcomes if not atoroidal) >= 10
         assert sum(1 for answer, _ in outcomes if answer) >= 10
+
+    def test_maximal_cones_decide_as_all_cones_do(self):
+        """Testing maximal cones only gives the all-cones answer, and every
+        cone with a torsion cokernel lies in a maximal cone with one."""
+        failing_fans = 0
+        for i, fan in enumerate(seeded_lattice_fans(320)):
+            unf = lattice_data_colimit(fan)
+            _, to_free = free_quotient(unf.colimit)
+            torsion = {
+                c for c in fan.cones
+                if hom_kernel_cokernel(unf.structure_maps[c].then(to_free))[1].torsion
+            }
+            assert is_gs_representable(fan) == (not torsion), (i, fan.cones)
+            bad_maximal = [m for m in fan.maximal_cones() if m in torsion]
+            for c in torsion:
+                assert any(c in m.faces() for m in bad_maximal), (i, c)
+            failing_fans += bool(torsion)
+        assert failing_fans >= 10
 
 
 class TestRoundTrip:

@@ -5,9 +5,12 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import pytest
+
 from kmfan.intlinalg import (
     IntMatrix,
     hermite_column_basis,
+    invariant_factors,
     kernel_basis,
     lattice_contains,
     lattice_intersection,
@@ -235,3 +238,161 @@ def test_solve_rational():
     m = IntMatrix([[2, 0], [0, 3]])
     assert solve_rational(m, [Fraction(1), Fraction(1)]) == (Fraction(1, 2), Fraction(1, 3))
     assert solve_rational(IntMatrix([[0]]), [Fraction(1)]) is None
+
+
+def _random_matrix(rng, rows, cols):
+    bound = rng.choice([1, 3, 9, 40])
+    density = rng.choice([0.3, 0.7, 1.0])
+    return IntMatrix(
+        [[rng.randint(-bound, bound) if rng.random() < density else 0 for _ in range(cols)]
+         for _ in range(rows)],
+        cols=cols,
+    )
+
+
+def _seeded_matrices(seed, count):
+    """Seeded integer matrices of up to 7x7, starting with every 0 x n and
+    n x 0 shape."""
+    rng = random.Random(seed)
+    out = [IntMatrix.zero(0, n) for n in range(4)] + [IntMatrix.zero(n, 0) for n in range(1, 4)]
+    while len(out) < count:
+        out.append(_random_matrix(rng, rng.randint(0, 7), rng.randint(0, 7)))
+    return out
+
+
+class TestSmithTransforms:
+    def test_every_subset_matches_the_full_decomposition(self):
+        names = ("u", "v", "u_inv", "v_inv")
+        subsets = [c for k in range(5) for c in itertools.combinations(names, k)]
+        for m in _seeded_matrices(5151, 320):
+            full = smith_decomposition(m)
+            assert full.u @ m @ full.v == full.d
+            assert full.u @ full.u_inv == IntMatrix.identity(m.rows)
+            assert full.v @ full.v_inv == IntMatrix.identity(m.cols)
+            for subset in subsets:
+                part = smith_decomposition(m, transforms=subset)
+                assert part.d == full.d, (m, subset)
+                for name in names:
+                    got = getattr(part, name)
+                    assert got == (getattr(full, name) if name in subset else None), (m, subset, name)
+
+    def test_witnesses_are_pinned(self):
+        """The pivot rule (smallest nonzero |entry|, first in row-major order
+        on ties) fixes every transform; these are the decompositions it has
+        always given, so witnesses built on them stay byte-identical."""
+        cases = [
+            ([[2, 4, 4], [-6, 6, 12], [10, -4, -16]],
+             [[[1, 0, 0], [3, 1, 0], [1, 2, 1]], [[2, 0, 0], [0, 6, 0], [0, 0, 12]],
+              [[1, 0, -2], [0, -1, 4], [0, 1, -3]], [[1, 0, 0], [-3, 1, 0], [5, -2, 1]],
+              [[1, 2, 2], [0, 3, 4], [0, 1, 1]]]),
+            # three entries of |x| = 2 tie for the first pivot
+            ([[2, 4, 4], [2, -2, 4], [3, 6, 4]],
+             [[[-1, 0, 1], [2, 1, -2], [5, 4, -6]], [[1, 0, 0], [0, 2, 0], [0, 0, 12]],
+              [[1, -2, 4], [0, 1, -2], [0, 2, -3]], [[2, 4, -1], [2, 1, 0], [3, 4, -1]],
+              [[1, 2, 0], [0, -3, 2], [0, -2, 1]]]),
+        ]
+        for rows, want in cases:
+            s = smith_decomposition(IntMatrix(rows))
+            assert [s.u, s.d, s.v, s.u_inv, s.v_inv] == [IntMatrix(w) for w in want]
+
+    def test_unknown_transform_rejected(self):
+        with pytest.raises(ValueError):
+            smith_decomposition(IntMatrix.identity(2), transforms=("w",))
+
+
+class TestTrustedConstruction:
+    def test_library_producers_make_no_checked_matrices(self, monkeypatch):
+        checked = []
+        original = IntMatrix.__init__
+
+        def counting_init(self, *args, **kwargs):
+            checked.append(args)
+            original(self, *args, **kwargs)
+
+        a = IntMatrix([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
+        b = IntMatrix([[1, 0], [3, 5], [0, 0], [2, 7]])
+        monkeypatch.setattr(IntMatrix, "__init__", counting_init)
+        produced = [
+            a @ a, a.transpose(), b.transpose(), a.hstack(a), a.scale(-3),
+            a.select_rows([2, 0]), a.select_columns([1]), b.select_columns([]),
+            IntMatrix.identity(3), IntMatrix.zero(2, 3), IntMatrix.zero(0, 2),
+            IntMatrix.from_columns([(1, 2), [3, 4]]), IntMatrix.from_columns([], rows=2),
+            hermite_column_basis(a), hermite_column_basis(b), kernel_basis(a), kernel_basis(b),
+            saturate(b), lattice_intersection(a, a.scale(2)),
+            *smith_normal_form(b), *smith_normal_form(a),
+        ]
+        s = smith_decomposition(b)
+        produced += [s.u, s.d, s.v, s.u_inv, s.v_inv]
+        assert a.apply((1, 2, 3)) == (22, 42, -46) and solve_integer(a, a.apply((1, 0, 1))) is not None
+        assert all(isinstance(m, IntMatrix) for m in produced)
+        assert checked == []
+        IntMatrix([[1, 2]])
+        assert len(checked) == 1
+
+    def test_trusted_results_are_plain_ints(self):
+        a = IntMatrix([[True, 2], [3, -4]])
+        for m in (a, a @ a, a.transpose(), hermite_column_basis(a), smith_decomposition(a).u_inv):
+            assert type(m.entries) is tuple
+            assert all(type(r) is tuple and all(type(x) is int for x in r) for r in m.entries)
+        assert a.columns() == ((1, 3), (2, -4))
+        assert IntMatrix.zero(2, 0).columns() == () and IntMatrix.zero(0, 2).columns() == ((), ())
+
+
+class TestCheckedConstruction:
+    def test_non_integral_entries_are_rejected(self):
+        with pytest.raises(TypeError, match="1.5"):
+            IntMatrix([[1.5, 2]])
+        with pytest.raises(TypeError, match="2.7"):
+            IntMatrix.from_columns([[2.7]])
+        with pytest.raises(TypeError, match=r"Fraction\(1, 2\)"):
+            IntMatrix([[Fraction(1, 2)]])
+        with pytest.raises(TypeError):
+            IntMatrix([["3"]])
+        with pytest.raises(TypeError):
+            IntMatrix.identity(2).scale(0.5)
+
+    def test_integral_entries_are_accepted(self):
+        assert IntMatrix([[True, 2], (3, 4)]) == IntMatrix([[1, 2], [3, 4]])
+        assert IntMatrix.from_columns([[1, 3], (2, 4)]) == IntMatrix([[1, 2], [3, 4]])
+
+    def test_cone_generators_are_checked(self):
+        from kmfan.cones import Cone
+
+        with pytest.raises(TypeError, match="1.5"):
+            Cone.from_generators([(1.5, 0)], 2)
+        with pytest.raises(TypeError, match="0.5"):
+            Cone.from_halfspaces([(0.5, 1)], [], 2)
+        assert Cone.from_generators([[True, 0]], 2) == Cone.ray((1, 0))
+
+
+class TestSympyOracle:
+    def test_invariant_factors_match_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+        for m in _seeded_matrices(6262, 160):
+            if not m.rows or not m.cols:
+                assert invariant_factors(m) == ()
+                continue
+            snf = sympy_snf(sympy.Matrix(m.rows, m.cols, [x for r in m.entries for x in r]),
+                            domain=sympy.ZZ)
+            want = tuple(abs(int(snf[i, i])) for i in range(min(m.rows, m.cols)) if snf[i, i] != 0)
+            assert invariant_factors(m) == want, m
+
+    def test_hermite_basis_spans_the_sympy_lattice(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import hermite_normal_form as sympy_hnf
+
+        def lattice(m):
+            flat = [x for r in m.entries for x in r]
+            return sympy_hnf(sympy.Matrix(m.rows, m.cols, flat)) if any(flat) else None
+
+        for m in _seeded_matrices(7373, 160):
+            if not m.rows:
+                continue
+            h = hermite_column_basis(m)
+            assert h.rows == m.rows
+            if lattice(m) is None:
+                assert h.cols == 0
+            else:
+                assert lattice(h) == lattice(m), m
