@@ -14,6 +14,8 @@ from .errors import DimensionMismatch, KmFanError, NonLattice, NotTame
 from .intlinalg import (
     IntMatrix,
     Vec,
+    _int_entry,
+    _int_vector,
     hermite_column_basis,
     kernel_basis,
     smith_decomposition,
@@ -27,7 +29,8 @@ class FgaGroup:
     __slots__ = ("free_rank", "torsion")
 
     def __init__(self, free_rank: int, torsion: Iterable[int] = ()):
-        torsion = tuple(int(d) for d in torsion)
+        free_rank = _int_entry(free_rank)
+        torsion = tuple(map(_int_entry, torsion))
         if free_rank < 0:
             raise ValueError("free rank must be nonnegative")
         for i, d in enumerate(torsion):
@@ -73,13 +76,15 @@ class FgaGroup:
         return (0,) * self.ncoords
 
     def reduce(self, vector: Sequence[int]) -> Vec:
-        """Normalize a coordinate vector (torsion coordinates mod d_i)."""
+        """Normalize a coordinate vector (torsion coordinates mod d_i); a
+        coordinate that is not an integer raises TypeError."""
         if len(vector) != self.ncoords:
             raise DimensionMismatch("wrong number of coordinates")
+        vector = _int_vector(vector)
+        if not self.torsion:
+            return vector
         r = self.free_rank
-        return tuple(int(v) for v in vector[:r]) + tuple(
-            int(v) % d for v, d in zip(vector[r:], self.torsion)
-        )
+        return vector[:r] + tuple(v % d for v, d in zip(vector[r:], self.torsion))
 
     def free_part(self, vector: Sequence[int]) -> Vec:
         return tuple(vector[: self.free_rank])

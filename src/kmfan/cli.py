@@ -27,7 +27,7 @@ from .documents import (
     loads,
 )
 from .drawing import draw_fan_svg
-from .errors import KmFanError
+from .errors import InvalidFan, KmFanError
 from .fans import KmFan, KmFanHom, validate_hom
 from .intlinalg import IntMatrix
 
@@ -62,17 +62,20 @@ def _read_json(path: str):
         raise CliFailure(2, {"error": "malformed", "detail": str(exc)})
 
 
-def _load_fan(path: str, check: bool = True) -> KmFan:
+def _read_fan(path: str) -> KmFan:
+    """The fan document at path; a fan that fails validation raises InvalidFan."""
     obj = _read_json(path)
     try:
-        fan = fan_from_obj(obj, check=False)
+        return fan_from_obj(obj)
     except DocumentError as exc:
         raise CliFailure(2, {"error": "schema", "detail": str(exc)})
-    if check:
-        problems = fan.validate()
-        if problems:
-            raise CliFailure(1, {"error": "invalid-fan", "violations": problems})
-    return fan
+
+
+def _load_fan(path: str) -> KmFan:
+    try:
+        return _read_fan(path)
+    except InvalidFan as exc:
+        raise CliFailure(1, {"error": "invalid-fan", "violations": exc.violations})
 
 
 def _load_hom(path: str) -> KmFanHom:
@@ -163,10 +166,10 @@ def _dispatch(args) -> dict:
     cmd = args.subcommand
 
     if cmd == "validate":
-        fan = _load_fan(_need_fan(args), check=False)
-        problems = fan.validate()
-        if problems:
-            raise CliFailure(1, {"ok": False, "violations": problems})
+        try:
+            _read_fan(_need_fan(args))
+        except InvalidFan as exc:
+            raise CliFailure(1, {"ok": False, "violations": exc.violations})
         return {"ok": True, "violations": []}
 
     if cmd == "info":

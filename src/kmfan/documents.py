@@ -99,7 +99,8 @@ def fan_to_obj(fan: KmFan) -> dict:
     }
 
 
-def fan_from_obj(obj, check: bool = True) -> KmFan:
+def fan_from_obj(obj) -> KmFan:
+    """The validated fan of a document; an invalid fan raises InvalidFan."""
     if not isinstance(obj, dict):
         raise DocumentError("fan document must be an object")
     if obj.get("schema_version") != SCHEMA_VERSION:
@@ -135,7 +136,7 @@ def fan_from_obj(obj, check: bool = True) -> KmFan:
     missing = [i for i, c in enumerate(cones) if c not in data]
     if missing:
         raise DocumentError(f"cones {missing} have no lattice datum")
-    return KmFan(group, cones, data, check=check)
+    return KmFan(group, cones, data)
 
 
 def hom_to_obj(hom: GroupHom, source_path: str, target_path: str) -> dict:

@@ -22,7 +22,6 @@ from .abelian import (
     ext_group,
     free_quotient,
     hom_kernel_cokernel,
-    is_isomorphism,
     is_tame_hom,
     kernel_subgroup,
     present_quotient,
@@ -125,72 +124,40 @@ class LatticeDatum:
 
 
 class KmFan:
-    """A KM fan (N, F, {F_sigma}) in canonical form."""
+    """A KM fan (N, F, {F_sigma}) in canonical form.
+
+    The constructor validates and raises InvalidFan.  Constructions that
+    start from a valid fan build theirs with KmFan._make: the same canonical
+    sort, no validation.
+    """
 
     __slots__ = ("group", "cones", "data")
 
-    def __init__(
-        self,
-        group: FgaGroup,
-        cones: Iterable[Cone],
-        data: Dict[Cone, LatticeDatum],
-        check: bool = True,
-    ):
-        cones = sorted(set(cones), key=lambda c: (c.dim(), c.rays))
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "cones", tuple(cones))
-        object.__setattr__(self, "data", dict(data))
-        if check:
-            problems = self.validate()
-            if problems:
-                raise InvalidFan(problems)
+    def __init__(self, group: FgaGroup, cones: Iterable[Cone], data: Dict[Cone, LatticeDatum]):
+        _fill(self, group, cones, data)
+        problems = self.validate()
+        if problems:
+            raise InvalidFan(problems)
+
+    @staticmethod
+    def _make(group: FgaGroup, cones: Iterable[Cone], data: Dict[Cone, LatticeDatum]) -> "KmFan":
+        """Trusted constructor: the caller guarantees a valid fan."""
+        return _fill(object.__new__(KmFan), group, cones, data)
 
     def __setattr__(self, *args):
         raise AttributeError("KmFan is immutable")
 
-    # -- validation ------------------------------------------------------
-
     def validate(self) -> List[dict]:
         """Structured list of violations; empty when the fan is valid.
 
-        The phases run in order, each only when the earlier ones found
-        nothing: the ambient rank; sharpness and closure under faces; the
-        pairwise check; the lattice data; their compatibility.  The pairwise
-        check intersects maximal cones only, one double description per
-        pair, so its bad-intersection entries name maximal cones.  That
-        suffices: if the cones are closed under faces and maximal cones S, T
-        meet in a common face F, then faces s of S and t of T meet in the
-        face (s cap F) cap (t cap F) of F, a face of both s and t.
+        Two phases, the second only when the first finds nothing: the cone
+        set (_cone_violations), then the lattice data and their compatibility.
         """
+        return _cone_violations(self.group.free_rank, self.cones) or self._datum_violations()
+
+    def _datum_violations(self) -> List[dict]:
+        """The data phase of validate, run on a valid cone set."""
         out: List[dict] = []
-        r = self.group.free_rank
-        cone_set = set(self.cones)
-        if not self.cones:
-            out.append({"kind": "empty-fan", "detail": "a fan must contain at least one cone"})
-            return out
-        for c in self.cones:
-            if c.ambient_rank != r:
-                out.append({"kind": "wrong-ambient", "detail": f"cone {c!r} has ambient rank {c.ambient_rank}, expected {r}"})
-                return out
-            if not c.is_sharp():
-                out.append({"kind": "non-sharp-cone", "detail": f"cone {c!r} contains a line"})
-        for c in self.cones:
-            for f in c.faces():
-                if f not in cone_set:
-                    out.append({"kind": "missing-face", "detail": f"face {f!r} of {c!r} is not in the fan"})
-        if out:
-            return out
-        maximal = _maximal_cones(self.cones)
-        for i, a in enumerate(maximal):
-            for b in maximal[i + 1:]:
-                meet = a.intersect(b)
-                if meet not in cone_set or not meet.is_face_of(a) or not meet.is_face_of(b):
-                    out.append({
-                        "kind": "bad-intersection",
-                        "detail": f"{a!r} and {b!r} do not intersect in a common face",
-                    })
-        if out:
-            return out
         for c in self.cones:
             datum = self.data.get(c)
             if datum is None:
@@ -248,6 +215,57 @@ class KmFan:
         return f"KmFan(group={self.group!r}, ncones={len(self.cones)})"
 
 
+def _canonical(cones: Iterable[Cone]) -> Tuple[Cone, ...]:
+    return tuple(sorted(set(cones), key=lambda c: (c.dim(), c.rays)))
+
+
+def _fill(fan: KmFan, group: FgaGroup, cones: Iterable[Cone], data: Dict[Cone, LatticeDatum]) -> KmFan:
+    object.__setattr__(fan, "group", group)
+    object.__setattr__(fan, "cones", _canonical(cones))
+    object.__setattr__(fan, "data", dict(data))
+    return fan
+
+
+def _cone_violations(r: int, cones: Sequence[Cone]) -> List[dict]:
+    """The cone-set phase of validation, over cones in canonical order.
+
+    Each step runs only when the earlier ones found nothing: the ambient
+    rank; sharpness and closure under faces; the pairwise check.  The
+    pairwise check intersects maximal cones only, one double description
+    per pair, so its bad-intersection entries name maximal cones.  That
+    suffices: if the cones are closed under faces and maximal cones S, T
+    meet in a common face F, then faces s of S and t of T meet in the face
+    (s cap F) cap (t cap F) of F, a face of both s and t.
+    """
+    out: List[dict] = []
+    cone_set = set(cones)
+    if not cones:
+        out.append({"kind": "empty-fan", "detail": "a fan must contain at least one cone"})
+        return out
+    for c in cones:
+        if c.ambient_rank != r:
+            out.append({"kind": "wrong-ambient", "detail": f"cone {c!r} has ambient rank {c.ambient_rank}, expected {r}"})
+            return out
+        if not c.is_sharp():
+            out.append({"kind": "non-sharp-cone", "detail": f"cone {c!r} contains a line"})
+    for c in cones:
+        for f in c.faces():
+            if f not in cone_set:
+                out.append({"kind": "missing-face", "detail": f"face {f!r} of {c!r} is not in the fan"})
+    if out:
+        return out
+    maximal = _maximal_cones(cones)
+    for i, a in enumerate(maximal):
+        for b in maximal[i + 1:]:
+            meet = a.intersect(b)
+            if meet not in cone_set or not meet.is_face_of(a) or not meet.is_face_of(b):
+                out.append({
+                    "kind": "bad-intersection",
+                    "detail": f"{a!r} and {b!r} do not intersect in a common face",
+                })
+    return out
+
+
 def _maximal_cones(cones: Sequence[Cone]) -> List[Cone]:
     """The cones that are no proper face of another, in the given order."""
     proper = {f for c in cones for f in c.faces() if f != c}
@@ -278,7 +296,9 @@ def _span_intersection(
 
 
 class KmFanHom:
-    """A morphism of KM fans with its derived minimal-cone assignment."""
+    """A morphism of KM fans with its minimal-cone assignment sigma -> the
+    minimal target cone containing f(sigma): built by the construction, or
+    derived by validate_hom for a group map from outside the library."""
 
     __slots__ = ("source", "target", "hom", "cone_images")
 
@@ -292,12 +312,15 @@ class KmFanHom:
         raise AttributeError("KmFanHom is immutable")
 
     def then(self, other: "KmFanHom") -> "KmFanHom":
+        """other o self, with the composed cone map: the minimal cone
+        containing g(f(sigma)) is the image of the minimal cone tau containing
+        f(sigma), since relint g(C) = g(relint C) and relint f(sigma) lies in
+        relint tau, so relint g(f(sigma)) lies in the relint of tau's image.
+        """
         if other.source != self.target:
             raise KmFanError("fan morphisms do not compose")
-        result = validate_hom(self.hom.then(other.hom), self.source, other.target)
-        if not isinstance(result, KmFanHom):
-            raise KmFanError("composition failed to validate")
-        return result
+        images = {sigma: other.cone_images[tau] for sigma, tau in self.cone_images.items()}
+        return KmFanHom(self.source, other.target, self.hom.then(other.hom), images)
 
     def __repr__(self):
         return f"KmFanHom({self.source!r} -> {self.target!r})"
@@ -322,7 +345,8 @@ def validate_hom(f: GroupHom, source: KmFan, target: KmFan):
     Returns a KmFanHom on success, otherwise a HomRefusal naming the first
     cone where the morphism conditions fail.  Only the minimal containing
     cone needs its datum checked; compatibility transfers the condition to
-    every other containing cone.
+    every other containing cone.  This is for maps from outside the library;
+    its constructions carry their own cone maps.
     """
     if f.source != source.group or f.target != target.group:
         raise KmFanError("homomorphism endpoints do not match the fans")
@@ -356,30 +380,34 @@ def validate_hom(f: GroupHom, source: KmFan, target: KmFan):
 def zero_fan(group: FgaGroup) -> KmFan:
     """The fan whose only cone is the zero cone, with the zero datum."""
     c = Cone.zero(group.free_rank)
-    return KmFan(group, [c], {c: LatticeDatum.from_generators(group, [])})
+    return KmFan._make(group, [c], {c: LatticeDatum.from_generators(group, [])})
 
 
 def zero_fan_unit(fan: KmFan) -> KmFanHom:
     """The canonical map zero_fan(N) -> F over the identity of N."""
-    result = validate_hom(GroupHom.identity(fan.group), zero_fan(fan.group), fan)
-    assert isinstance(result, KmFanHom)
-    return result
+    zero = fan.zero_cone()
+    return KmFanHom(zero_fan(fan.group), fan, GroupHom.identity(fan.group), {zero: zero})
 
 
 def from_classical(group: FgaGroup, cones: Iterable[Cone]) -> KmFan:
-    """A classical fan as a KM fan: lattice data N_sigma = Span(sigma) cap N."""
+    """A classical fan as a KM fan: lattice data N_sigma = Span(sigma) cap N.
+
+    Only the cone set of the face closure is validated: the data
+    Span(sigma) cap N are valid and compatible by construction.
+    """
     if not group.is_lattice():
         raise TorsionAmbient("a classical fan needs a torsion-free group")
-    closure = set()
-    for c in cones:
-        for face in c.faces():
-            closure.add(face)
-    if not closure:
-        closure.add(Cone.zero(group.free_rank))
-    data = {}
-    for c in closure:
-        data[c] = LatticeDatum.from_generators(group, c.span_lattice_basis().columns())
-    return KmFan(group, closure, data)
+    closure = _canonical(face for c in cones for face in c.faces()) or (Cone.zero(group.free_rank),)
+    data = _saturated_data(group, closure)
+    problems = _cone_violations(group.free_rank, closure)
+    if problems:
+        raise InvalidFan(problems)
+    return KmFan._make(group, closure, data)
+
+
+def _saturated_data(group: FgaGroup, cones: Iterable[Cone]) -> Dict[Cone, LatticeDatum]:
+    """The classical lattice data Span(sigma) cap N of a lattice N."""
+    return {c: LatticeDatum.from_generators(group, c.span_lattice_basis().columns()) for c in cones}
 
 
 def is_classical(fan: KmFan) -> bool:
@@ -396,10 +424,8 @@ def is_classical(fan: KmFan) -> bool:
 def coarse_fan(fan: KmFan) -> Tuple[KmFan, KmFanHom]:
     """The underlying classical fan over N/N_tor, with the projection map."""
     nbar, proj = free_quotient(fan.group)
-    coarse = from_classical(nbar, fan.cones)
-    hom = validate_hom(proj, fan, coarse)
-    assert isinstance(hom, KmFanHom)
-    return coarse, hom
+    coarse = KmFan._make(nbar, fan.cones, _saturated_data(nbar, fan.cones))
+    return coarse, KmFanHom(fan, coarse, proj, {c: c for c in fan.cones})
 
 
 def rigidify(fan: KmFan) -> Tuple[KmFan, KmFanHom]:
@@ -409,10 +435,8 @@ def rigidify(fan: KmFan) -> Tuple[KmFan, KmFanHom]:
     for c in fan.cones:
         gens = [proj.apply(g) for g in fan.data[c].generators()]
         data[c] = LatticeDatum.from_generators(nbar, gens)
-    rig = KmFan(nbar, fan.cones, data)
-    hom = validate_hom(proj, fan, rig)
-    assert isinstance(hom, KmFanHom)
-    return rig, hom
+    rig = KmFan._make(nbar, fan.cones, data)
+    return rig, KmFanHom(fan, rig, proj, {c: c for c in fan.cones})
 
 
 def ray_marking(fan: KmFan, ray: Cone) -> Vec:
@@ -452,10 +476,8 @@ def roots(fan: KmFan, orders: Sequence[int]) -> Tuple[KmFan, KmFanHom]:
             if c.contains_cone(ray):
                 gens.append(tuple(a * x for x in marking[ray]))
         data[c] = LatticeDatum.from_generators(fan.group, gens)
-    rooted = KmFan(fan.group, fan.cones, data)
-    hom = validate_hom(GroupHom.identity(fan.group), rooted, fan)
-    assert isinstance(hom, KmFanHom)
-    return rooted, hom
+    rooted = KmFan._make(fan.group, fan.cones, data)
+    return rooted, KmFanHom(rooted, fan, GroupHom.identity(fan.group), {c: c for c in fan.cones})
 
 
 def dilate(fan: KmFan, factor: int) -> Tuple[KmFan, KmFanHom]:
@@ -466,10 +488,8 @@ def dilate(fan: KmFan, factor: int) -> Tuple[KmFan, KmFanHom]:
     for c in fan.cones:
         gens = [tuple(factor * x for x in g) for g in fan.data[c].generators()]
         data[c] = LatticeDatum.from_generators(fan.group, gens)
-    dilated = KmFan(fan.group, fan.cones, data)
-    hom = validate_hom(GroupHom.identity(fan.group), dilated, fan)
-    assert isinstance(hom, KmFanHom)
-    return dilated, hom
+    dilated = KmFan._make(fan.group, fan.cones, data)
+    return dilated, KmFanHom(dilated, fan, GroupHom.identity(fan.group), {c: c for c in fan.cones})
 
 
 def inflate(fan: KmFan, inclusion: GroupHom) -> Tuple[KmFan, KmFanHom]:
@@ -492,10 +512,8 @@ def inflate(fan: KmFan, inclusion: GroupHom) -> Tuple[KmFan, KmFanHom]:
         cone_map[c] = newc
         gens = [inclusion.apply(g) for g in fan.data[c].generators()]
         data[newc] = LatticeDatum.from_generators(inclusion.target, gens)
-    inflated = KmFan(inclusion.target, list(cone_map.values()), data)
-    hom = validate_hom(inclusion, fan, inflated)
-    assert isinstance(hom, KmFanHom)
-    return inflated, hom
+    inflated = KmFan._make(inclusion.target, cone_map.values(), data)
+    return inflated, KmFanHom(fan, inflated, inclusion, cone_map)
 
 
 def contract(fan: KmFan, inclusion: GroupHom) -> Tuple[KmFan, KmFanHom]:
@@ -514,22 +532,14 @@ def contract(fan: KmFan, inclusion: GroupHom) -> Tuple[KmFan, KmFanHom]:
     cone_map = {}
     data = {}
     for c in fan.cones:
-        new_rays = []
-        for r in c.rays:
-            sol = solve_rational(fbar, [Fraction(x) for x in r])
-            if sol is None:
-                raise KmFanError("internal: ray not in the rational image")
-            new_rays.append(fraction_vector_to_primitive(sol))
-        newc = Cone.from_generators(new_rays, inclusion.source.free_rank)
-        cone_map[c] = newc
+        newc = Cone.from_generators(_preimage_rays(fbar, c.rays), inclusion.source.free_rank)
+        cone_map[newc] = c
         data[newc] = LatticeDatum(
             inclusion.source,
             preimage_subgroup(inclusion, fan.data[c].subgroup),
         )
-    contracted = KmFan(inclusion.source, list(cone_map.values()), data)
-    hom = validate_hom(inclusion, contracted, fan)
-    assert isinstance(hom, KmFanHom)
-    return contracted, hom
+    contracted = KmFan._make(inclusion.source, cone_map, data)
+    return contracted, KmFanHom(contracted, fan, inclusion, cone_map)
 
 
 def is_simplicial(fan: KmFan) -> bool:
@@ -545,10 +555,8 @@ def canonical_resolution(fan: KmFan) -> Tuple[KmFan, KmFanHom]:
     for c in fan.cones:
         gens = [marking[ray] for ray in fan.ray_cones() if c.contains_cone(ray)]
         data[c] = LatticeDatum.from_generators(fan.group, gens)
-    resolved = KmFan(fan.group, fan.cones, data)
-    hom = validate_hom(GroupHom.identity(fan.group), resolved, fan)
-    assert isinstance(hom, KmFanHom)
-    return resolved, hom
+    resolved = KmFan._make(fan.group, fan.cones, data)
+    return resolved, KmFanHom(resolved, fan, GroupHom.identity(fan.group), {c: c for c in fan.cones})
 
 
 def star(fan: KmFan, tau: Cone) -> KmFan:
@@ -566,7 +574,7 @@ def star(fan: KmFan, tau: Cone) -> KmFan:
         cones.append(image)
         gens = [proj.apply(g) for g in fan.data[sigma].generators()]
         data[image] = LatticeDatum.from_generators(q, gens)
-    return KmFan(q, cones, data)
+    return KmFan._make(q, cones, data)
 
 
 class StratumInfo:
@@ -614,22 +622,19 @@ def product(a: KmFan, b: KmFan) -> Tuple[KmFan, KmFanHom, KmFanHom]:
     """The product fan over N x N', with the two projections."""
     grp, inc1, inc2, proj1, proj2 = direct_sum(a.group, b.group)
     ra, rb = a.group.free_rank, b.group.free_rank
-    cones = []
+    to_a, to_b = {}, {}
     data = {}
     for ca in a.cones:
         for cb in b.cones:
             rays = [r + (0,) * rb for r in ca.rays] + [(0,) * ra + r for r in cb.rays]
             c = Cone.from_generators(rays, ra + rb)
-            cones.append(c)
+            to_a[c], to_b[c] = ca, cb
             gens = [inc1.apply(g) for g in a.data[ca].generators()] + [
                 inc2.apply(g) for g in b.data[cb].generators()
             ]
             data[c] = LatticeDatum.from_generators(grp, gens)
-    prod = KmFan(grp, cones, data)
-    p1 = validate_hom(proj1, prod, a)
-    p2 = validate_hom(proj2, prod, b)
-    assert isinstance(p1, KmFanHom) and isinstance(p2, KmFanHom)
-    return prod, p1, p2
+    prod = KmFan._make(grp, to_a, data)
+    return prod, KmFanHom(prod, a, proj1, to_a), KmFanHom(prod, b, proj2, to_b)
 
 
 def atoroidal_split(fan: KmFan) -> Tuple[KmFan, FgaGroup, KmFanHom]:
@@ -649,17 +654,11 @@ def atoroidal_split(fan: KmFan) -> Tuple[KmFan, FgaGroup, KmFanHom]:
     a_sub = kernel_subgroup(to_b)
     a_grp, incl = a_sub.as_group()
     inc_free = incl.free_matrix()
-    cones = []
+    back = {}
     data = {}
     for c in fan.cones:
-        rays = []
-        for r in c.rays:
-            sol = solve_rational(inc_free, [Fraction(x) for x in r])
-            if sol is None:
-                raise KmFanError("internal: cone does not lie in the atoroidal part")
-            rays.append(fraction_vector_to_primitive(sol))
-        newc = Cone.from_generators(rays, a_grp.free_rank)
-        cones.append(newc)
+        newc = Cone.from_generators(_preimage_rays(inc_free, c.rays), a_grp.free_rank)
+        back[newc] = c
         gens = []
         for g in fan.data[c].generators():
             sol = solve_integer(incl.matrix.hstack(n.relation_matrix()), g)
@@ -667,7 +666,7 @@ def atoroidal_split(fan: KmFan) -> Tuple[KmFan, FgaGroup, KmFanHom]:
                 raise KmFanError("internal: datum generator outside the atoroidal subgroup")
             gens.append(a_grp.reduce(sol[: a_grp.ncoords]))
         data[newc] = LatticeDatum.from_generators(a_grp, gens)
-    g_fan = KmFan(a_grp, cones, data)
+    g_fan = KmFan._make(a_grp, back, data)
 
     # a splitting N = A + s(B): lift each basis vector of B through N -> B
     section_cols = []
@@ -681,10 +680,20 @@ def atoroidal_split(fan: KmFan) -> Tuple[KmFan, FgaGroup, KmFanHom]:
 
     prod, p1, p2 = product(g_fan, zero_fan(bgrp))
     iso_matrix = _matrix_add(incl.matrix @ p1.hom.matrix, section @ p2.hom.matrix)
-    iso = validate_hom(GroupHom(prod.group, n, iso_matrix), prod, fan)
-    if not isinstance(iso, KmFanHom) or not is_isomorphism(iso.hom):
-        raise KmFanError("internal: atoroidal splitting failed to produce an isomorphism")
-    return g_fan, bgrp, iso
+    iso_images = {c: back[p1.cone_images[c]] for c in prod.cones}
+    return g_fan, bgrp, KmFanHom(prod, fan, GroupHom(prod.group, n, iso_matrix), iso_images)
+
+
+def _preimage_rays(m: IntMatrix, rays: Iterable[Vec]) -> List[Vec]:
+    """The primitive rays x with m x on the ray of r, for each ray r in the
+    image of the injective lattice map m."""
+    out = []
+    for r in rays:
+        sol = solve_rational(m, [Fraction(x) for x in r])
+        if sol is None:
+            raise KmFanError(f"internal: ray {r!r} not in the image")
+        out.append(fraction_vector_to_primitive(sol))
+    return out
 
 
 def _matrix_add(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -830,11 +839,7 @@ def local_presentation(fan: KmFan, sigma: Cone) -> LocalPresentation:
     basis = lifting.lattice_basis()              # n.ncoords x r
     fb = basis.select_rows(range(n.free_rank))
     # the cone in L-coordinates
-    rays_l = [
-        fraction_vector_to_primitive(solve_rational(fb, [Fraction(x) for x in r]))
-        for r in sigma.rays
-    ]
-    sigma_l = Cone.from_generators(rays_l, basis.cols)
+    sigma_l = Cone.from_generators(_preimage_rays(fb, sigma.rays), basis.cols)
     monoid = AffineMonoid(sigma_l.dual())
     hb = monoid.hilbert_basis()
 
@@ -872,12 +877,7 @@ def is_smooth(fan: KmFan) -> bool:
 def cone_monoid(fan: KmFan, sigma: Cone) -> AffineMonoid:
     """P_sigma = sigma cap F_sigma as an affine monoid in datum coordinates."""
     datum = fan.datum(sigma)
-    fb = datum.free_basis()
-    rays_c = [
-        fraction_vector_to_primitive(solve_rational(fb, [Fraction(x) for x in r]))
-        for r in sigma.rays
-    ]
-    return AffineMonoid(Cone.from_generators(rays_c, datum.rank()))
+    return AffineMonoid(Cone.from_generators(_preimage_rays(datum.free_basis(), sigma.rays), datum.rank()))
 
 
 def monoid_presentation(fan: KmFan) -> List[Tuple[Cone, List[Vec]]]:
@@ -916,14 +916,12 @@ def fan_from_monoids(group: FgaGroup, monoid_generators: Sequence[Sequence[Seque
         _check_monoid_saturated(group, cone, datum, gens)
         cones.append(cone)
         data[cone] = datum
-    fan = KmFan(group, cones, data)
-    return fan
+    return KmFan(group, cones, data)
 
 
 def _check_monoid_saturated(group, cone, datum, gens):
     """The supplied generators must generate all of sigma cap F_sigma."""
     basis = datum.basis()
-    fb = datum.free_basis()
     coords = []
     aug = basis.hstack(group.relation_matrix())
     for g in gens:
@@ -932,11 +930,7 @@ def _check_monoid_saturated(group, cone, datum, gens):
             raise InvalidFan([{ "kind": "non-saturated-monoid",
                                 "detail": "generator outside its own group"}])
         coords.append(sol[: basis.cols])
-    rays_c = [
-        fraction_vector_to_primitive(solve_rational(fb, [Fraction(x) for x in r]))
-        for r in cone.rays
-    ]
-    full = AffineMonoid(Cone.from_generators(rays_c, datum.rank()))
+    full = AffineMonoid(Cone.from_generators(_preimage_rays(datum.free_basis(), cone.rays), datum.rank()))
     for h in full.hilbert_basis():
         if not _is_nonneg_combination(h, coords, full.cone):
             raise InvalidFan([{ "kind": "non-saturated-monoid",

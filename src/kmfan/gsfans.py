@@ -8,7 +8,6 @@ semi-tame cover of a KM fan.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .abelian import (
@@ -24,18 +23,12 @@ from .fans import (
     KmFan,
     KmFanHom,
     LatticeDatum,
+    _preimage_rays,
     is_atoroidal,
     is_classical,
     rigidify,
-    validate_hom,
 )
-from .intlinalg import (
-    IntMatrix,
-    Vec,
-    fraction_vector_to_primitive,
-    solve_integer,
-    solve_rational,
-)
+from .intlinalg import IntMatrix, Vec, solve_integer
 
 
 class GsFan:
@@ -65,6 +58,12 @@ class GsFan:
 
 def is_foldable(gs: GsFan) -> Tuple[bool, List[dict]]:
     """Foldability: beta injective on every cone span, image interiors disjoint."""
+    _, problems = _fold_images(gs)
+    return (not problems, problems)
+
+
+def _fold_images(gs: GsFan) -> Tuple[Dict[Cone, Cone], List[dict]]:
+    """The image beta(sigma) of every cone, and the foldability problems."""
     problems: List[dict] = []
     bbar = gs.beta.free_matrix()
     images: Dict[Cone, Cone] = {}
@@ -90,7 +89,7 @@ def is_foldable(gs: GsFan) -> Tuple[bool, List[dict]]:
                     "kind": "overlapping-images",
                     "detail": f"images of {a!r} and {b!r} have intersecting interiors",
                 })
-    return (not problems, problems)
+    return images, problems
 
 
 def fold(gs: GsFan) -> Tuple[KmFan, KmFanHom]:
@@ -98,25 +97,18 @@ def fold(gs: GsFan) -> Tuple[KmFan, KmFanHom]:
 
     The returned morphism beta : F -> fold(F, beta) is tame.
     """
-    ok, problems = is_foldable(gs)
-    if not ok:
+    images, problems = _fold_images(gs)
+    if problems:
         raise NotFoldable("; ".join(p["detail"] for p in problems))
     n = gs.beta.target
-    bbar = gs.beta.free_matrix()
-    cones = []
     data: Dict[Cone, LatticeDatum] = {}
-    for sigma in gs.fan.cones:
-        image = Cone.from_generators([bbar.apply(r) for r in sigma.rays], n.free_rank)
+    for sigma, image in images.items():
         gens = [gs.beta.apply(g) for g in gs.fan.data[sigma].generators()]
         datum = LatticeDatum.from_generators(n, gens)
-        if image in data and data[image] != datum:
+        if data.setdefault(image, datum) != datum:
             raise NotFoldable("inconsistent lattice data on a folded cone")
-        cones.append(image)
-        data[image] = datum
-    folded = KmFan(n, cones, data)
-    hom = validate_hom(gs.beta, gs.fan, folded)
-    assert isinstance(hom, KmFanHom)
-    return folded, hom
+    folded = KmFan._make(n, data.keys(), data)
+    return folded, KmFanHom(gs.fan, folded, gs.beta, images)
 
 
 class Unfolding:
@@ -246,31 +238,25 @@ def unfold(fan: KmFan) -> Tuple[KmFan, KmFanHom, Unfolding]:
     """
     unf = lattice_data_colimit(fan)
     lt = unf.colimit
-    cones = []
+    preimages: Dict[Cone, Cone] = {}
     data: Dict[Cone, LatticeDatum] = {}
     for sigma in fan.cones:
         datum = fan.data[sigma]
         basis = datum.basis()
         imap = unf.structure_maps[sigma]
         # sigma in datum coordinates -> rays in the colimit's free quotient
-        fb = datum.free_basis()
-        rays_c = [
-            fraction_vector_to_primitive(solve_rational(fb, [Fraction(x) for x in r]))
-            for r in sigma.rays
-        ]
+        rays_c = _preimage_rays(datum.free_basis(), sigma.rays)
         ibar = imap.free_matrix()
         image = Cone.from_generators([ibar.apply(r) for r in rays_c], lt.free_rank)
         gens = [imap.apply(tuple(1 if i == j else 0 for i in range(basis.cols)))
                 for j in range(basis.cols)]
         if image in data:
             raise KmFanError("internal: unfolding produced a duplicate cone")
-        cones.append(image)
+        preimages[image] = sigma
         data[image] = LatticeDatum.from_generators(lt, gens)
-    unfolded = KmFan(lt, cones, data)
+    unfolded = KmFan._make(lt, preimages, data)
     unf.fan = unfolded
-    hom = validate_hom(unf.beta, unfolded, fan)
-    assert isinstance(hom, KmFanHom)
-    return unfolded, hom, unf
+    return unfolded, KmFanHom(unfolded, fan, unf.beta, preimages), unf
 
 
 def rigidified_unfold(fan: KmFan) -> Tuple[KmFan, Optional[KmFanHom]]:
@@ -280,7 +266,7 @@ def rigidified_unfold(fan: KmFan) -> Tuple[KmFan, Optional[KmFanHom]]:
     and is returned; otherwise the map does not factor and None is returned.
     """
     unfolded, hom, unf = unfold(fan)
-    rig, q = rigidify(unfolded)
+    rig, _ = rigidify(unfolded)
     if not fan.group.is_lattice():
         return rig, None
     # beta kills the colimit torsion (it lands in a lattice), so it factors
@@ -289,10 +275,8 @@ def rigidified_unfold(fan: KmFan) -> Tuple[KmFan, Optional[KmFanHom]]:
     bbar_cols = [unf.beta.apply(tuple(1 if i == j else 0 for i in range(lt.ncoords)))
                  for j in range(r)]
     betabar = GroupHom(rig.group, fan.group, IntMatrix._from_columns(bbar_cols, fan.group.ncoords))
-    result = validate_hom(betabar, rig, fan)
-    if not isinstance(result, KmFanHom):
-        raise KmFanError("internal: rigidified unfolding map failed to validate")
-    return rig, result
+    # rigidify keeps the cones, so the cone map is the unfolding's
+    return rig, KmFanHom(rig, fan, betabar, hom.cone_images)
 
 
 def is_gs_representable(fan: KmFan) -> bool:

@@ -6,8 +6,48 @@ import pytest
 
 from kmfan.abelian import FgaGroup, GroupHom, is_tame_hom
 from kmfan.cones import Cone
-from kmfan.fans import KmFan, LatticeDatum, from_classical
+from kmfan.fans import KmFan, KmFanHom, LatticeDatum, from_classical, validate_hom
 from kmfan.intlinalg import IntMatrix, primitive_vector
+
+_trusted_make = KmFan._make
+
+
+@pytest.fixture(autouse=True, scope="session")
+def trusted_construction_oracle():
+    """Check every trusted construction against the validating paths: a fan
+    built by KmFan._make must validate, and a KmFanHom must carry the cone
+    map that validate_hom derives for its group map.  The guard keeps the
+    KmFanHom built inside validate_hom from checking itself."""
+    init = KmFanHom.__init__
+    active = []
+
+    def checked_make(group, cones, data):
+        fan = _trusted_make(group, cones, data)
+        problems = fan.validate()
+        assert problems == [], problems
+        return fan
+
+    def checked_init(self, source, target, hom, cone_images):
+        init(self, source, target, hom, cone_images)
+        if active:
+            return
+        active.append(self)
+        try:
+            derived = validate_hom(hom, source, target)
+        finally:
+            active.pop()
+        assert isinstance(derived, KmFanHom), derived
+        assert self.cone_images == derived.cone_images
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(KmFan, "_make", staticmethod(checked_make))
+        mp.setattr(KmFanHom, "__init__", checked_init)
+        yield
+
+
+def unchecked_fan(group, cones, data) -> KmFan:
+    """A KmFan built with no validation, for tests of validate() itself."""
+    return _trusted_make(group, cones, data)
 
 
 @pytest.fixture

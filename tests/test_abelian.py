@@ -56,6 +56,14 @@ class TestNormalForm:
         with pytest.raises(ValueError):
             FgaGroup(0, (1,))
 
+    def test_non_integer_coordinates_raise(self):
+        with pytest.raises(TypeError):
+            FgaGroup(1, (2,)).reduce((1.5, 3.7))
+        with pytest.raises(TypeError):
+            GroupHom.identity(FgaGroup(2)).apply((1.5, 2))
+        with pytest.raises(TypeError):
+            Subgroup.full(FgaGroup(1)).contains((0.5,))
+
     def test_equality_is_isomorphism(self):
         assert FgaGroup(1, (2, 4)) == FgaGroup(1, (2, 4))
         assert FgaGroup(1, (2,)) != FgaGroup(1, (4,))

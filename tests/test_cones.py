@@ -138,9 +138,9 @@ class TestFaces:
             monkeypatch.setattr(owner, name, lambda *a, **k: calls.append(name) or real(*a, **k))
 
         count(KmFan, "__init__")
+        count(KmFan, "_make")
         count(fans, "product")
         count(fans, "validate_hom")
-        count(gsfans, "validate_hom")
         assert gsfans.is_gs_representable(polygon)
         assert gsfans.is_gs_representable(square)
         assert calls == []

@@ -74,6 +74,7 @@ from conftest import (
     plane_fan,
     projective_line_fan,
     random_simplicial_km_fan,
+    unchecked_fan,
 )
 
 Z = FgaGroup(1)
@@ -130,7 +131,7 @@ class TestValidation:
 
     def test_missing_face_reported(self):
         plus = Cone.from_generators([(1,)], 1)
-        fan = KmFan(Z, [plus], {plus: LatticeDatum.from_generators(Z, [(1,)])}, check=False)
+        fan = unchecked_fan(Z, [plus], {plus: LatticeDatum.from_generators(Z, [(1,)])})
         assert any(v["kind"] == "missing-face" for v in fan.validate())
 
 
@@ -763,6 +764,21 @@ class TestMorphisms:
         _, q = rigidify(p22_fan)
         with pytest.raises(NotTame):
             torsor_group(q)
+
+    def test_composed_cone_map_follows_the_order(self):
+        # on P^1 x P^1, swapping the factors and flattening onto the first
+        # do not commute, so the composite's cone map depends on the order
+        p1 = projective_line_fan()
+        square = product(p1, p1)[0]
+        swap = validate_hom(GroupHom(Z2, Z2, IntMatrix([[0, 1], [1, 0]])), square, square)
+        flatten = validate_hom(GroupHom(Z2, Z2, IntMatrix([[1, 0], [0, 0]])), square, square)
+        assert isinstance(swap, KmFanHom) and isinstance(flatten, KmFanHom)
+        for f, g in ((swap, flatten), (flatten, swap)):
+            composed = f.then(g)
+            assert composed.cone_images == validate_hom(composed.hom, square, square).cone_images
+        up = Cone.ray((0, 1))
+        assert swap.then(flatten).cone_images[up] == Cone.ray((1, 0))
+        assert flatten.then(swap).cone_images[up] == Cone.zero(2)
 
     def test_tame_composition_of_fan_maps(self):
         # two stacked inflations compose to a tame map with the product index

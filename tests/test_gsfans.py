@@ -451,10 +451,15 @@ def seeded_lattice_fans(count: int):
         yield fan
 
 
+@pytest.fixture(scope="module")
+def lattice_fans():
+    return list(seeded_lattice_fans(320))
+
+
 class TestRepresentabilityWithoutSplitting:
-    def test_agrees_with_split_then_test(self):
+    def test_agrees_with_split_then_test(self, lattice_fans):
         outcomes = []
-        for i, fan in enumerate(seeded_lattice_fans(320)):
+        for i, fan in enumerate(lattice_fans):
             answer = is_gs_representable(fan)
             assert answer == split_then_test(fan), (i, fan.cones)
             outcomes.append((answer, is_atoroidal(fan)))
@@ -462,11 +467,11 @@ class TestRepresentabilityWithoutSplitting:
         assert sum(1 for _, atoroidal in outcomes if not atoroidal) >= 10
         assert sum(1 for answer, _ in outcomes if answer) >= 10
 
-    def test_maximal_cones_decide_as_all_cones_do(self):
+    def test_maximal_cones_decide_as_all_cones_do(self, lattice_fans):
         """Testing maximal cones only gives the all-cones answer, and every
         cone with a torsion cokernel lies in a maximal cone with one."""
         failing_fans = 0
-        for i, fan in enumerate(seeded_lattice_fans(320)):
+        for i, fan in enumerate(lattice_fans):
             unf = lattice_data_colimit(fan)
             _, to_free = free_quotient(unf.colimit)
             torsion = {

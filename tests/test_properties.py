@@ -25,7 +25,7 @@ from kmfan.fans import KmFan, LatticeDatum, construct_lifting, local_presentatio
 from kmfan.gsfans import unfold
 from kmfan.intlinalg import IntMatrix, primitive_vector
 
-from conftest import random_simplicial_km_fan
+from conftest import random_simplicial_km_fan, unchecked_fan
 
 
 def feasible_nonneg_combination(generators, point):
@@ -354,7 +354,7 @@ class TestValidationFuzz:
                 for g in data[victim].generators()
             ]
             data[victim] = LatticeDatum.from_generators(fan.group, doubled)
-            corrupted = KmFan(fan.group, fan.cones, data, check=False)
+            corrupted = unchecked_fan(fan.group, fan.cones, data)
             problems = corrupted.validate()
             bigger = [c for c in fan.cones if c != victim and c.contains_cone(victim)]
             if bigger:
@@ -418,7 +418,7 @@ class TestValidationFuzz:
                 cone_list = {f for c in moved for f in c.faces()}
             group = FgaGroup(n)
             data = {c: LatticeDatum.from_generators(group, c.span_lattice_basis().columns()) for c in cone_list}
-            fan = KmFan(group, cone_list, data, check=False)
+            fan = unchecked_fan(group, cone_list, data)
             problems = fan.validate()
             faults, bad_pairs = self.all_pairs_oracle(list(cone_list))
             assert (problems == []) == (not faults and not bad_pairs), (corruption, fan.cones, problems)
