@@ -13,6 +13,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 from .errors import DimensionMismatch, KmFanError, NonLattice, NotTame
 from .intlinalg import (
     IntMatrix,
+    LinearSystem,
     Vec,
     _int_entry,
     _int_vector,
@@ -236,7 +237,8 @@ class Subgroup:
         return solve_integer(self.preimage, v) is not None
 
     def contains_subgroup(self, other: "Subgroup") -> bool:
-        return all(self.contains(g) for g in other.generators())
+        system = LinearSystem(self.preimage)
+        return all(system.integer(self.ambient.reduce(g)) is not None for g in other.generators())
 
     def generators(self) -> List[Vec]:
         """Canonical generators (images of the preimage basis, zeros dropped)."""
@@ -448,13 +450,23 @@ def inverse_hom(f: GroupHom) -> GroupHom:
     """The inverse of an isomorphism."""
     if not is_isomorphism(f):
         raise KmFanError("homomorphism is not invertible")
-    cols = []
-    aug = f.matrix.hstack(f.target.relation_matrix())
-    for j in range(f.target.ncoords):
-        e = tuple(1 if i == j else 0 for i in range(f.target.ncoords))
-        sol = solve_integer(aug, e)
-        cols.append(sol[: f.source.ncoords])
+    lift = _lifter(f.matrix, f.target)
+    cols = [lift(e) for e in IntMatrix.identity(f.target.ncoords).entries]
     return GroupHom(f.target, f.source, IntMatrix._from_columns(cols, f.source.ncoords))
+
+
+def _lifter(matrix: IntMatrix, group: FgaGroup):
+    """Coefficients x with matrix x = v in the group, or None when v is
+    outside the image: one LinearSystem for matrix | relations serves every
+    v, and the relation coefficients are dropped."""
+    system = LinearSystem(matrix.hstack(group.relation_matrix()))
+    k = matrix.cols
+
+    def lift(v: Sequence[int]) -> Optional[Vec]:
+        sol = system.integer(v)
+        return None if sol is None else sol[:k]
+
+    return lift
 
 
 def is_tame_hom(f: GroupHom) -> bool:
@@ -521,10 +533,11 @@ def dd_of_hom(f: GroupHom) -> DerivedDual:
     big_f = f.matrix                       # b x a
 
     # G : Z^k -> Z^{kp} with F R = R' G (exists because f is well defined)
+    tgt_relations = LinearSystem(r_tgt)
     gcols = []
     for j in range(k):
         rhs = big_f.apply(r_src.column(j))
-        sol = solve_integer(r_tgt, rhs)
+        sol = tgt_relations.integer(rhs)
         if sol is None:
             raise KmFanError("internal: relation compatibility failed")
         gcols.append(sol)
@@ -536,9 +549,10 @@ def dd_of_hom(f: GroupHom) -> DerivedDual:
 
     kb = kernel_basis(amat.transpose())     # columns: basis of ker(A^T) in Z^{a+kp}
     s = kb.cols
+    kernel_system = LinearSystem(kb)
 
     def in_kernel_coords(vector: Sequence[int]) -> Vec:
-        sol = solve_integer(kb, vector)
+        sol = kernel_system.integer(vector)
         if sol is None:
             raise KmFanError("internal: vector not in kernel lattice")
         return sol
@@ -558,7 +572,7 @@ def dd_of_hom(f: GroupHom) -> DerivedDual:
     mu2_cols = []
     for j in range(s_k):
         rhs = tuple(-x for x in big_f.apply(ker_basis.column(j)))
-        sol = solve_integer(r_tgt, rhs)
+        sol = tgt_relations.integer(rhs)
         if sol is None:
             raise KmFanError("internal: kernel column does not map into relations")
         mu2_cols.append(sol)
@@ -571,36 +585,27 @@ def dd_of_hom(f: GroupHom) -> DerivedDual:
     cmat = hermite_column_basis(big_f.hstack(r_tgt))          # b x b (cok finite)
     ecok_pres = present_quotient(cmat.cols, cmat.transpose())
     ecok = ecok_pres.group                                    # = ext_group(cok)
+    image_system = LinearSystem(cmat)
     nu_cols = []
     for j in range(a + kp):
-        sol = solve_integer(cmat, bmat.column(j))
+        sol = image_system.integer(bmat.column(j))
         if sol is None:
             raise KmFanError("internal: image column outside image lattice")
         nu_cols.append(sol)
-    nu = IntMatrix._from_columns(nu_cols, cmat.cols)          # t x (a+kp)
-    cols = []
-    for j in range(ecok.ncoords):
-        xi = ecok_pres.lift(tuple(1 if i == j else 0 for i in range(ecok.ncoords)))
-        vec = nu.transpose().apply(xi)
-        cols.append(pres.to_normal(in_kernel_coords(vec)))
+    nu_t = IntMatrix._make(tuple(nu_cols), cmat.cols)         # nu^T: (a+kp) x t
+    cols = [pres.to_normal(in_kernel_coords(nu_t.apply(xi))) for xi in ecok_pres.section.columns()]
     from_ext_cok = GroupHom(ecok, dgroup, IntMatrix._from_columns(cols, dgroup.ncoords))
 
     # --- witness: N^v -> D(f) ----------------------------------------------
     src_dual = dual_group(src)
-    cols = []
-    for i in range(src.free_rank):
-        vec = tuple(1 if j == i else 0 for j in range(a)) + (0,) * kp
-        cols.append(pres.to_normal(in_kernel_coords(vec)))
+    units = IntMatrix.identity(a + kp).entries[: src.free_rank]
+    cols = [pres.to_normal(in_kernel_coords(e)) for e in units]
     from_source_dual = GroupHom(src_dual, dgroup, IntMatrix._from_columns(cols, dgroup.ncoords))
 
     # --- witness: D(f) -> E(N') ---------------------------------------------
     etgt_pres = present_quotient(kp, r_tgt.transpose())
     etgt = etgt_pres.group                                    # = ext_group(tgt)
-    cols = []
-    for j in range(dgroup.ncoords):
-        vec = kb.apply(pres.lift(tuple(1 if i == j else 0 for i in range(dgroup.ncoords))))
-        psi = vec[a:]
-        cols.append(etgt_pres.to_normal(psi))
+    cols = [etgt_pres.to_normal(kb.apply(col)[a:]) for col in pres.section.columns()]
     to_ext_target = GroupHom(dgroup, etgt, IntMatrix._from_columns(cols, etgt.ncoords))
 
     return DerivedDual(

@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Optional
+from typing import Optional, Tuple
 
 from . import fans, gsfans
 from .abelian import FgaGroup, GroupHom
@@ -78,7 +78,9 @@ def _load_fan(path: str) -> KmFan:
         raise CliFailure(1, {"error": "invalid-fan", "violations": exc.violations})
 
 
-def _load_hom(path: str) -> KmFanHom:
+def _read_hom(path: str) -> Tuple[KmFan, KmFan, GroupHom]:
+    """The source fan, target fan and group map of the hom document at path;
+    a matrix that is ragged or does not fit the two groups is a schema error."""
     obj = _read_json(path)
     try:
         rows = hom_matrix_from_obj(obj)
@@ -93,6 +95,11 @@ def _load_hom(path: str) -> KmFanHom:
         )
     except KmFanError as exc:
         raise CliFailure(2, {"error": "schema", "detail": str(exc)})
+    return source, target, hom
+
+
+def _load_hom(path: str) -> KmFanHom:
+    source, target, hom = _read_hom(path)
     result = validate_hom(hom, source, target)
     if not isinstance(result, KmFanHom):
         raise CliFailure(1, {
@@ -225,15 +232,7 @@ def _dispatch(args) -> dict:
         fan = _load_fan(_need_fan(args))
         if not args.hom:
             raise CliFailure(2, {"error": "usage", "detail": "--hom is required"})
-        obj = _read_json(args.hom)
-        try:
-            rows = hom_matrix_from_obj(obj)
-        except DocumentError as exc:
-            raise CliFailure(2, {"error": "schema", "detail": str(exc)})
-        base = os.path.dirname(os.path.abspath(args.hom))
-        source = _load_fan(os.path.join(base, obj["source_fan"]))
-        target = _load_fan(os.path.join(base, obj["target_fan"]))
-        inclusion = GroupHom(source.group, target.group, IntMatrix(rows, cols=source.group.ncoords))
+        source, target, inclusion = _read_hom(args.hom)
         if cmd == "inflate":
             if source != fan:
                 raise CliFailure(1, {"error": "precondition", "detail": "--fan must be the hom's source fan"})

@@ -12,23 +12,21 @@ one double-description conversion of those constraints.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
-from .errors import DimensionMismatch, PieceOutsideTarget
+from .errors import DimensionMismatch, KmFanError, PieceOutsideTarget
 from .intlinalg import (
     IntMatrix,
+    LinearSystem,
     Vec,
     _dot,
     _int_vector,
-    fraction_vector_to_primitive,
     hermite_column_basis,
     kernel_basis,
     primitive_vector,
     rank as matrix_rank,
     saturate,
     smith_decomposition,
-    solve_rational,
 )
 
 
@@ -382,22 +380,16 @@ def _canonical_rays(
     ambient: int,
 ) -> List[Vec]:
     """Canonical primitive extremal-ray representatives of cone(gens)+lin."""
-    lin_dim = len(lineality)
-    comp = _complement_projector(lineality, ambient) if lin_dim else None
+    comp = _complement_projector(lineality, ambient)
     out = []
-    target_rank = ambient - lin_dim - 1
+    target_rank = ambient - len(lineality) - 1
     constraints = list(facets) + list(equations)
     for g in gens:
         active = [h for h in constraints if _dot(h, g) == 0]
-        if _rank_of_vectors(active, ambient) != target_rank:
-            continue
-        if comp is not None:
+        if _rank_of_vectors(active, ambient) == target_rank:
             rep = comp(g)
-            if rep is None or not any(rep):
-                continue
-        else:
-            rep = primitive_vector(g)
-        out.append(rep)
+            if any(rep):
+                out.append(rep)
     return sorted(_dedupe(out))
 
 
@@ -409,7 +401,7 @@ def _reduce_mod_lattice(vectors: Sequence[Vec], lattice: Sequence[Vec], ambient:
     out = []
     for v in vectors:
         rep = comp(v)
-        if rep is not None and any(rep):
+        if any(rep):
             out.append(rep)
     return sorted(_dedupe(out))
 
@@ -417,15 +409,14 @@ def _reduce_mod_lattice(vectors: Sequence[Vec], lattice: Sequence[Vec], ambient:
 def _lattice_complement(lattice: Sequence[Vec], ambient: int) -> Tuple[IntMatrix, IntMatrix]:
     """A canonical complement of a saturated lattice in Z^ambient.
 
-    Returns (comp, full): the columns of comp span the complement and
-    full = lattice | comp is unimodular.
+    Returns (comp, coords): the columns of comp span the complement, and
+    coords maps (lattice part) + comp b to b.  The lattice is saturated, so
+    U lattice V = [I; 0] and U^{-1} = [lattice V | comp]: comp is U^{-1} and
+    coords is U past the rank.
     """
-    lin_mat = IntMatrix._from_columns(lattice, ambient)
-    s = smith_decomposition(lin_mat, transforms=("u_inv",))
-    # the lattice is saturated: its diagonal entries are all 1; the complement
-    # is spanned by the remaining columns of U^{-1}
-    comp = s.u_inv.select_columns(range(s.rank(), ambient))
-    return comp, lin_mat.hstack(comp)
+    s = smith_decomposition(IntMatrix._from_columns(lattice, ambient), transforms=("u", "u_inv"))
+    rest = range(s.rank(), ambient)
+    return s.u_inv.select_columns(rest), s.u.select_rows(rest)
 
 
 def _complement_projector(lineality: Sequence[Vec], ambient: int):
@@ -434,16 +425,27 @@ def _complement_projector(lineality: Sequence[Vec], ambient: int):
     Returns a function mapping an integer vector to the primitive generator of
     its class modulo the lineality, embedded back via the complement basis.
     """
-    comp, full = _lattice_complement(lineality, ambient)
+    if not lineality:
+        return primitive_vector
+    comp, coords = _lattice_complement(lineality, ambient)
 
-    def project(v: Vec) -> Optional[Vec]:
-        sol = solve_rational(full, [Fraction(x) for x in v])
-        if sol is None:
-            return None
-        prim = fraction_vector_to_primitive(sol[len(lineality):])
-        return tuple(comp.apply(prim))
+    def project(v: Vec) -> Vec:
+        return comp.apply(primitive_vector(coords.apply(v)))
 
     return project
+
+
+def _preimage_rays(m: IntMatrix, rays: Iterable[Vec]) -> List[Vec]:
+    """The primitive rays x with m x on the ray of r, for each ray r in the
+    image of the injective lattice map m."""
+    system = LinearSystem(m)
+    out = []
+    for r in rays:
+        x = system.ray(r)
+        if x is None:
+            raise KmFanError(f"internal: ray {r!r} not in the image")
+        out.append(x)
+    return out
 
 
 def union_covers(target: Cone, pieces: Sequence[Cone]) -> bool:

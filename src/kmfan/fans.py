@@ -9,13 +9,13 @@ subgroups of N given in full coordinates.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .abelian import (
     FgaGroup,
     GroupHom,
     Subgroup,
+    _lifter,
     dd_of_hom,
     direct_sum,
     dual_group,
@@ -28,7 +28,7 @@ from .abelian import (
     preimage_subgroup,
     quotient,
 )
-from .cones import Cone, union_covers
+from .cones import Cone, _preimage_rays, union_covers
 from .errors import (
     ConeNotInFan,
     InfiniteCokernel,
@@ -42,12 +42,10 @@ from .errors import (
 )
 from .intlinalg import (
     IntMatrix,
+    LinearSystem,
     Vec,
-    fraction_vector_to_primitive,
     kernel_basis,
     rank as matrix_rank,
-    solve_integer,
-    solve_rational,
 )
 from .monoids import AffineMonoid, is_free_monoid
 
@@ -103,10 +101,8 @@ class LatticeDatum:
         if basis.cols != span.cols:
             out.append("datum rank differs from the cone dimension")
             return out
-        for col in fb.columns():
-            if solve_rational(span, [Fraction(x) for x in col]) is None:
-                out.append("datum does not lie in the span of the cone")
-                return out
+        if matrix_rank(span.hstack(fb)) != span.cols:
+            out.append("datum does not lie in the span of the cone")
         return out
 
     def __eq__(self, other):
@@ -448,10 +444,11 @@ def ray_marking(fan: KmFan, ray: Cone) -> Vec:
     gen = basis.column(0)
     free = gen[: fan.group.free_rank]
     direction = ray.rays[0]
-    scale = next((Fraction(f, d) for f, d in zip(free, direction) if d), None)
-    if scale is None or scale == 0:
+    # the sign of the scale f / d taking the direction to the free part
+    sign = next((f * d for f, d in zip(free, direction) if d), 0)
+    if sign == 0:
         raise KmFanError("ray datum does not span the ray")
-    if scale < 0:
+    if sign < 0:
         gen = fan.group.reduce(tuple(-x for x in gen))
     return gen
 
@@ -508,7 +505,7 @@ def inflate(fan: KmFan, inclusion: GroupHom) -> Tuple[KmFan, KmFanHom]:
     cone_map = {}
     data = {}
     for c in fan.cones:
-        newc = Cone.from_generators([fbar.apply(r) for r in c.rays], inclusion.target.free_rank)
+        newc = c.linear_image(fbar)
         cone_map[c] = newc
         gens = [inclusion.apply(g) for g in fan.data[c].generators()]
         data[newc] = LatticeDatum.from_generators(inclusion.target, gens)
@@ -570,7 +567,7 @@ def star(fan: KmFan, tau: Cone) -> KmFan:
     for sigma in fan.cones:
         if not sigma.contains_cone(tau):
             continue
-        image = Cone.from_generators([pbar.apply(r) for r in sigma.rays], q.free_rank)
+        image = sigma.linear_image(pbar)
         cones.append(image)
         gens = [proj.apply(g) for g in fan.data[sigma].generators()]
         data[image] = LatticeDatum.from_generators(q, gens)
@@ -654,6 +651,7 @@ def atoroidal_split(fan: KmFan) -> Tuple[KmFan, FgaGroup, KmFanHom]:
     a_sub = kernel_subgroup(to_b)
     a_grp, incl = a_sub.as_group()
     inc_free = incl.free_matrix()
+    lift = _lifter(incl.matrix, n)
     back = {}
     data = {}
     for c in fan.cones:
@@ -661,18 +659,18 @@ def atoroidal_split(fan: KmFan) -> Tuple[KmFan, FgaGroup, KmFanHom]:
         back[newc] = c
         gens = []
         for g in fan.data[c].generators():
-            sol = solve_integer(incl.matrix.hstack(n.relation_matrix()), g)
+            sol = lift(g)
             if sol is None:
                 raise KmFanError("internal: datum generator outside the atoroidal subgroup")
-            gens.append(a_grp.reduce(sol[: a_grp.ncoords]))
+            gens.append(a_grp.reduce(sol))
         data[newc] = LatticeDatum.from_generators(a_grp, gens)
     g_fan = KmFan._make(a_grp, back, data)
 
     # a splitting N = A + s(B): lift each basis vector of B through N -> B
+    to_b_system = LinearSystem(to_b.matrix)
     section_cols = []
-    for j in range(bgrp.ncoords):
-        e = tuple(1 if i == j else 0 for i in range(bgrp.ncoords))
-        sol = solve_integer(to_b.matrix, e)
+    for e in IntMatrix.identity(bgrp.ncoords).entries:
+        sol = to_b_system.integer(e)
         if sol is None:
             raise KmFanError("internal: projection to the torus factor is not split")
         section_cols.append(sol)
@@ -682,18 +680,6 @@ def atoroidal_split(fan: KmFan) -> Tuple[KmFan, FgaGroup, KmFanHom]:
     iso_matrix = _matrix_add(incl.matrix @ p1.hom.matrix, section @ p2.hom.matrix)
     iso_images = {c: back[p1.cone_images[c]] for c in prod.cones}
     return g_fan, bgrp, KmFanHom(prod, fan, GroupHom(prod.group, n, iso_matrix), iso_images)
-
-
-def _preimage_rays(m: IntMatrix, rays: Iterable[Vec]) -> List[Vec]:
-    """The primitive rays x with m x on the ray of r, for each ray r in the
-    image of the injective lattice map m."""
-    out = []
-    for r in rays:
-        sol = solve_rational(m, [Fraction(x) for x in r])
-        if sol is None:
-            raise KmFanError(f"internal: ray {r!r} not in the image")
-        out.append(fraction_vector_to_primitive(sol))
-    return out
 
 
 def _matrix_add(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -793,14 +779,12 @@ def induced_quotient_hom(f: KmFanHom, sigma: Cone) -> GroupHom:
     tau = f.cone_images[sigma]
     qs, ps = quotient(f.source.group, f.source.datum(sigma).subgroup)
     qt, pt = quotient(f.target.group, f.target.datum(tau).subgroup)
+    lift = _lifter(ps.matrix, qs)
     cols = []
-    aug = ps.matrix.hstack(qs.relation_matrix())
-    for j in range(qs.ncoords):
-        e = tuple(1 if i == j else 0 for i in range(qs.ncoords))
-        sol = solve_integer(aug, e)
-        if sol is None:
+    for e in IntMatrix.identity(qs.ncoords).entries:
+        x = lift(e)
+        if x is None:
             raise KmFanError("internal: quotient projection is not surjective")
-        x = sol[: f.source.group.ncoords]
         cols.append(pt.apply(f.hom.apply(f.source.group.reduce(x))))
     ind = GroupHom(qs, qt, IntMatrix._from_columns(cols, qt.ncoords))
     if ps.then(ind) != f.hom.then(pt):
@@ -849,13 +833,13 @@ def local_presentation(fan: KmFan, sigma: Cone) -> LocalPresentation:
     j = lifting.preimage                          # n.ncoords x n.ncoords
     pres = present_quotient(j.cols, j.transpose())
     stabilizer = pres.group
-    aug = basis.hstack(n.relation_matrix())
+    lift = _lifter(basis, n)
     pr_cols = []
     for col in j.columns():
-        sol = solve_integer(aug, n.reduce(col))
+        sol = lift(n.reduce(col))
         if sol is None:
             raise KmFanError("internal: preimage column is not in the lifting")
-        pr_cols.append(sol[: basis.cols])
+        pr_cols.append(sol)
     pr = IntMatrix._from_columns(pr_cols, basis.cols)       # Lambda -> L in bases
     action = GroupHom(dual_group(FgaGroup(basis.cols)), stabilizer, pres.proj @ pr.transpose())
     return LocalPresentation(sigma, lifting, hb, stabilizer, action)
@@ -921,15 +905,14 @@ def fan_from_monoids(group: FgaGroup, monoid_generators: Sequence[Sequence[Seque
 
 def _check_monoid_saturated(group, cone, datum, gens):
     """The supplied generators must generate all of sigma cap F_sigma."""
-    basis = datum.basis()
+    lift = _lifter(datum.basis(), group)
     coords = []
-    aug = basis.hstack(group.relation_matrix())
     for g in gens:
-        sol = solve_integer(aug, g)
+        sol = lift(g)
         if sol is None:
             raise InvalidFan([{ "kind": "non-saturated-monoid",
                                 "detail": "generator outside its own group"}])
-        coords.append(sol[: basis.cols])
+        coords.append(sol)
     full = AffineMonoid(Cone.from_generators(_preimage_rays(datum.free_basis(), cone.rays), datum.rank()))
     for h in full.hilbert_basis():
         if not _is_nonneg_combination(h, coords, full.cone):
@@ -975,10 +958,7 @@ def is_equidimensional(f: KmFanHom) -> bool:
     fbar = f.hom.free_matrix()
     target_cones = set(f.target.cones)
     for sigma in f.source.cones:
-        image = Cone.from_generators(
-            [fbar.apply(r) for r in sigma.rays], f.target.group.free_rank
-        )
-        if image not in target_cones:
+        if sigma.linear_image(fbar) not in target_cones:
             return False
     return True
 
@@ -993,9 +973,7 @@ def has_reduced_fibers(f: KmFanHom) -> bool:
         raise PreconditionsFail("reduced-fiber criterion requires an equidimensional map")
     fbar = f.hom.free_matrix()
     for sigma in f.source.cones:
-        image = Cone.from_generators(
-            [fbar.apply(r) for r in sigma.rays], f.target.group.free_rank
-        )
+        image = sigma.linear_image(fbar)
         mapped = Subgroup.from_generators(
             f.target.group, [f.hom.apply(g) for g in f.source.datum(sigma).generators()]
         )
@@ -1015,9 +993,7 @@ def is_semi_tame(f: KmFanHom) -> bool:
     fbar = f.hom.free_matrix()
     images = []
     for sigma in f.source.cones:
-        image = Cone.from_generators(
-            [fbar.apply(r) for r in sigma.rays], f.target.group.free_rank
-        )
+        image = sigma.linear_image(fbar)
         if image not in f.target.data:
             return False
         if image.dim() != sigma.dim():

@@ -8,27 +8,27 @@ semi-tame cover of a KM fan.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .abelian import (
     FgaGroup,
     GroupHom,
+    _lifter,
     free_quotient,
     hom_kernel_cokernel,
     present_quotient,
 )
-from .cones import Cone
+from .cones import Cone, _preimage_rays
 from .errors import KmFanError, NonLattice, NotFoldable, PreconditionsFail
 from .fans import (
     KmFan,
     KmFanHom,
     LatticeDatum,
-    _preimage_rays,
     is_atoroidal,
     is_classical,
     rigidify,
 )
-from .intlinalg import IntMatrix, Vec, solve_integer
+from .intlinalg import IntMatrix, Vec
 
 
 class GsFan:
@@ -63,21 +63,33 @@ def is_foldable(gs: GsFan) -> Tuple[bool, List[dict]]:
 
 
 def _fold_images(gs: GsFan) -> Tuple[Dict[Cone, Cone], List[dict]]:
-    """The image beta(sigma) of every cone, and the foldability problems."""
+    """The image beta(sigma) of every cone, and the foldability problems.
+
+    A pair (a, b) with a a proper face of b is not intersected when beta(b)
+    has the dimension of b.  beta is then a linear isomorphism of Span(b)
+    onto its image, so beta(a) is a proper face of beta(b): their meet is
+    beta(a), whose relative interior lies on the boundary of beta(b).
+    """
     problems: List[dict] = []
     bbar = gs.beta.free_matrix()
     images: Dict[Cone, Cone] = {}
+    injective = set()
     for sigma in gs.fan.cones:
-        image = Cone.from_generators([bbar.apply(r) for r in sigma.rays], gs.beta.target.free_rank)
+        image = sigma.linear_image(bbar)
         images[sigma] = image
-        if image.dim() != sigma.dim():
+        if image.dim() == sigma.dim():
+            injective.add(sigma)
+        else:
             problems.append({
                 "kind": "collapsed-cone",
                 "detail": f"beta is not injective on the span of {sigma!r}",
             })
     cones = list(gs.fan.cones)
+    faces = {c: set(c.faces()) for c in cones}
     for i, a in enumerate(cones):
         for b in cones[i + 1:]:
+            if (b in injective and a in faces[b]) or (a in injective and b in faces[a]):
+                continue
             ia, ib = images[a], images[b]
             meet = ia.intersect(ib)
             point = meet.relative_interior_point()
@@ -152,13 +164,15 @@ def lattice_data_colimit(fan: KmFan) -> Unfolding:
         blocks.append((c, basis))
         total += basis.cols
 
+    lifters: Dict[Cone, Callable] = {}  # one per larger cone, built on first use
+
     def coords_in(sigma: Cone, element: Vec) -> Vec:
-        basis = fan.data[sigma].basis()
-        aug = basis.hstack(fan.group.relation_matrix())
-        sol = solve_integer(aug, element)
+        if sigma not in lifters:
+            lifters[sigma] = _lifter(fan.data[sigma].basis(), fan.group)
+        sol = lifters[sigma](element)
         if sol is None:
             raise KmFanError("internal: datum element outside a larger datum")
-        return sol[: basis.cols]
+        return sol
 
     faces = {sigma: set(sigma.faces()) for sigma in fan.cones}
     rel_cols: List[Vec] = []
@@ -178,28 +192,21 @@ def lattice_data_colimit(fan: KmFan) -> Unfolding:
     pres = present_quotient(total, IntMatrix._from_columns(rel_cols, total))
     colimit = pres.group
     structure: Dict[Cone, GroupHom] = {}
+    proj_cols = pres.proj.columns()  # the images of the block generators
     for c, basis in blocks:
-        cols = []
-        for j in range(basis.cols):
-            e = [0] * total
-            e[offsets[c] + j] = 1
-            cols.append(pres.to_normal(e))
+        cols = [colimit.reduce(proj_cols[offsets[c] + j]) for j in range(basis.cols)]
         structure[c] = GroupHom(
             FgaGroup(basis.cols), colimit, IntMatrix._from_columns(cols, colimit.ncoords)
         )
     # beta: send each block generator to the corresponding element of N
-    beta_cols = []
-    for c, basis in blocks:
-        for j in range(basis.cols):
-            beta_cols.append(fan.group.reduce(basis.column(j)))
+    beta_cols = [fan.group.reduce(col) for _, basis in blocks for col in basis.columns()]
     beta_on_blocks = IntMatrix._from_columns(beta_cols, fan.group.ncoords)
     beta = GroupHom(colimit, fan.group, beta_on_blocks @ pres.section)
     # sanity: beta o i_sigma is the inclusion F_sigma -> N, generator by generator
     for c, basis in blocks:
         comp = structure[c].then(beta)
-        for j in range(basis.cols):
-            e = tuple(1 if i == j else 0 for i in range(basis.cols))
-            if comp.apply(e) != fan.group.reduce(basis.column(j)):
+        for e, col in zip(IntMatrix.identity(basis.cols).entries, basis.columns()):
+            if comp.apply(e) != fan.group.reduce(col):
                 raise KmFanError("internal: colimit structure map is inconsistent")
     return Unfolding(colimit, structure, beta, block_offsets=offsets, presentation=pres)
 
@@ -248,8 +255,7 @@ def unfold(fan: KmFan) -> Tuple[KmFan, KmFanHom, Unfolding]:
         rays_c = _preimage_rays(datum.free_basis(), sigma.rays)
         ibar = imap.free_matrix()
         image = Cone.from_generators([ibar.apply(r) for r in rays_c], lt.free_rank)
-        gens = [imap.apply(tuple(1 if i == j else 0 for i in range(basis.cols)))
-                for j in range(basis.cols)]
+        gens = [imap.apply(e) for e in IntMatrix.identity(basis.cols).entries]
         if image in data:
             raise KmFanError("internal: unfolding produced a duplicate cone")
         preimages[image] = sigma
@@ -271,9 +277,7 @@ def rigidified_unfold(fan: KmFan) -> Tuple[KmFan, Optional[KmFanHom]]:
         return rig, None
     # beta kills the colimit torsion (it lands in a lattice), so it factors
     lt = unf.colimit
-    r = lt.free_rank
-    bbar_cols = [unf.beta.apply(tuple(1 if i == j else 0 for i in range(lt.ncoords)))
-                 for j in range(r)]
+    bbar_cols = [unf.beta.apply(e) for e in IntMatrix.identity(lt.ncoords).entries[: lt.free_rank]]
     betabar = GroupHom(rig.group, fan.group, IntMatrix._from_columns(bbar_cols, fan.group.ncoords))
     # rigidify keeps the cones, so the cone map is the unfolding's
     return rig, KmFanHom(rig, fan, betabar, hom.cone_images)

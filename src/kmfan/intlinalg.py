@@ -11,6 +11,12 @@ transposes, selections, normal forms) go through the trusted
 int tuples as they are.  ``smith_decomposition`` computes only the
 transforms a caller asks for; the library's own callers name the ones they
 read, and the default tracks all four.
+
+Linear systems are solved in integers: ``LinearSystem(m)`` runs one Smith
+decomposition and answers every right-hand side against m, as an integer
+solution (``integer``) or, for injective m, as a primitive ray (``ray``).
+``solve_integer`` is the one-shot form.  The Fraction elimination further
+down is an independent oracle for the tests; nothing in the library calls it.
 """
 
 from __future__ import annotations
@@ -385,33 +391,73 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
     return s.v.select_columns(free)
 
 
+class LinearSystem:
+    """The integer system M x = b for one fixed matrix M and any b.
+
+    One Smith decomposition U M V = D, computed when the system is built,
+    answers every right-hand side: M x = b exactly when D y = U b, with
+    x = V y.  The nonzero invariant factors d_1 | ... | d_rank lead the
+    diagonal of D.
+    """
+
+    __slots__ = ("matrix", "rank", "_u", "_v", "_diag")
+
+    def __init__(self, m: IntMatrix):
+        s = smith_decomposition(m, transforms=("u", "v"))
+        self.matrix = m
+        self.rank = s.rank()
+        self._u, self._v = s.u, s.v
+        self._diag = s.diagonal()[: self.rank]
+
+    def _coordinates(self, b: Sequence[int]) -> Optional[Vec]:
+        """U b cut to the rank, or None when b is outside the rational span."""
+        if len(b) != self.matrix.rows:
+            raise DimensionMismatch("right-hand side length does not match row count")
+        c = self._u.apply(b)
+        if any(c[self.rank:]):
+            return None
+        return c[: self.rank]
+
+    def integer(self, b: Sequence[int]) -> Optional[Vec]:
+        """Some integer solution x of M x = b, or None when none exists.
+
+        The witness is deterministic: the free Smith coordinates are zero.
+        """
+        c = self._coordinates(b)
+        if c is None or any(ci % di for ci, di in zip(c, self._diag)):
+            return None
+        y = [ci // di for ci, di in zip(c, self._diag)] + [0] * (self.matrix.cols - self.rank)
+        return self._v.apply(y)
+
+    def ray(self, b: Sequence[int]) -> Optional[Vec]:
+        """For injective M: the primitive x with M x a positive multiple of b
+        (zero for b = 0), or None when b is outside the span of M.  This is
+        V D^{-1} U b times the largest invariant factor, made primitive.
+        """
+        if self.rank != self.matrix.cols:
+            raise ValueError("ray needs an injective matrix")
+        c = self._coordinates(b)
+        if c is None:
+            return None
+        top = self._diag[-1] if self._diag else 1
+        return primitive_vector(self._v.apply([ci * (top // di) for ci, di in zip(c, self._diag)]))
+
+
 def solve_integer(m: IntMatrix, b: Sequence[int]) -> Optional[Vec]:
     """Some integer solution x of Mx = b, or None when no solution exists.
 
     The witness is deterministic: free coordinates of the Smith-transformed
     system are set to zero.
     """
-    if len(b) != m.rows:
-        raise DimensionMismatch("right-hand side length does not match row count")
-    s = smith_decomposition(m, transforms=("u", "v"))
-    c = s.u.apply(b)
-    diag = s.diagonal()
-    y = [0] * m.cols
-    for i in range(m.rows):
-        di = diag[i] if i < len(diag) else 0
-        if di == 0:
-            if c[i] != 0:
-                return None
-        else:
-            if c[i] % di:
-                return None
-            if i < m.cols:
-                y[i] = c[i] // di
-    return s.v.apply(y)
+    return LinearSystem(m).integer(b)
 
 
 def solve_rational(m: IntMatrix, b: Sequence[Fraction]) -> Optional[Tuple[Fraction, ...]]:
-    """Some rational solution of Mx = b, or None.  Free variables set to zero."""
+    """Some rational solution of Mx = b, or None.  Free variables set to zero.
+
+    Fraction Gauss-Jordan elimination, independent of the Smith form: the
+    tests' oracle for LinearSystem.ray.
+    """
     if len(b) != m.rows:
         raise DimensionMismatch("right-hand side length does not match row count")
     a = [[Fraction(x) for x in row] + [Fraction(v)] for row, v in zip(m.entries, b)]

@@ -9,21 +9,19 @@ enumerates the fundamental parallelepiped of each simplicial piece.
 from __future__ import annotations
 
 import threading
-from fractions import Fraction
-from math import floor
 from typing import List, Sequence, Tuple
 
 from .abelian import FgaGroup, GroupHom
-from .cones import Cone, _lattice_complement
+from .cones import Cone, _lattice_complement, _preimage_rays
 from .errors import KmFanError, NotAFace, NotSharp
 from .intlinalg import (
     IntMatrix,
+    LinearSystem,
     Vec,
-    fraction_vector_to_primitive,
+    hermite_column_basis,
     kernel_basis,
+    saturate,
     smith_decomposition,
-    solve_integer,
-    solve_rational,
 )
 
 
@@ -82,10 +80,10 @@ class AffineMonoid:
         if not cone.rays:
             sharp_part: List[Vec] = []
         elif units:
-            proj, embed = _split_off_units(units, cone.ambient_rank)
-            image = Cone.from_generators([proj(r) for r in cone.rays], len(proj((0,) * cone.ambient_rank)))
-            sharp = _sharp_hilbert_basis(image)
-            sharp_part = [embed(v) for v in sharp]
+            # coordinates on a canonical complement of the unit lattice
+            comp, coords = _lattice_complement(units, cone.ambient_rank)
+            image = Cone.from_generators([coords.apply(r) for r in cone.rays], coords.rows)
+            sharp_part = [comp.apply(v) for v in _sharp_hilbert_basis(image)]
         else:
             sharp_part = _sharp_hilbert_basis(cone)
         out = sorted(sharp_part)
@@ -102,22 +100,6 @@ class AffineMonoid:
 
     def __repr__(self):
         return f"AffineMonoid({self.cone!r})"
-
-
-def _split_off_units(units: Sequence[Vec], ambient: int):
-    """Coordinates on a canonical complement of the (saturated) unit lattice."""
-    comp, full = _lattice_complement(units, ambient)
-
-    def proj(v: Sequence[int]) -> Vec:
-        sol = solve_integer(full, v)
-        if sol is None:
-            raise KmFanError("internal: vector outside the ambient lattice split")
-        return tuple(sol[len(units):])
-
-    def embed(v: Sequence[int]) -> Vec:
-        return comp.apply(v)
-
-    return proj, embed
 
 
 def _sharp_hilbert_basis(cone: Cone) -> List[Vec]:
@@ -165,44 +147,39 @@ def _pulling_triangulation(cone: Cone) -> List[Tuple[Vec, ...]]:
 
 
 def _parallelepiped_points(simplex: Sequence[Vec], ambient: int) -> List[Vec]:
-    """Lattice points in the half-open parallelepiped of independent vectors."""
-    from .intlinalg import saturate
+    """Lattice points in the half-open parallelepiped of independent vectors.
 
+    In span coordinates the vectors are the columns of a nonsingular vs,
+    U vs V = D.  Each class z = U^{-1} rep (rep in the box of D) of
+    Z^d / vs Z^d meets the parallelepiped in vs frac(vs^{-1} z), computed in
+    integers: w = delta vs^{-1} z = V (delta D^{-1} rep) is integral for
+    delta the largest invariant factor, and the point is vs (w mod delta) / delta.
+    """
     vmat = IntMatrix._from_columns(simplex, ambient)
     span = saturate(vmat)
     d = span.cols
     # simplex vectors in span coordinates: a d x d nonsingular matrix
+    in_span = LinearSystem(span)
     vcols = []
-    for j in range(vmat.cols):
-        sol = solve_integer(span, vmat.column(j))
+    for col in vmat.columns():
+        sol = in_span.integer(col)
         if sol is None:
             raise KmFanError("internal: ray not in its own span lattice")
         vcols.append(sol)
     vs = IntMatrix._from_columns(vcols, d)
-    s = smith_decomposition(vs, transforms=("u_inv",))
+    s = smith_decomposition(vs, transforms=("v",))
     diag = s.diagonal()
+    delta = diag[-1]
     reps = [()]
     for di in diag:
-        reps = [r + (t,) for r in reps for t in range(abs(di))]
+        reps = [r + (t * (delta // di),) for r in reps for t in range(di)]
     points = []
     for rep in reps:
-        z = s.u_inv.apply(rep)
-        t = solve_rational(vs, [Fraction(x) for x in z])
-        frac = [x - floor(x) for x in t]
-        inside = _exact_int_product(vs, frac)
-        points.append(tuple(span.apply(inside)))
-    return points
-
-
-def _exact_int_product(m: IntMatrix, frac: Sequence[Fraction]) -> Vec:
-    """Evaluate m @ frac exactly; the result must be integral."""
-    out = []
-    for i in range(m.rows):
-        val = sum(Fraction(m.entries[i][j]) * frac[j] for j in range(m.cols))
-        if val.denominator != 1:
+        scaled = vs.apply([x % delta for x in s.v.apply(rep)])
+        if any(x % delta for x in scaled):
             raise KmFanError("internal: parallelepiped point is not integral")
-        out.append(int(val))
-    return tuple(out)
+        points.append(span.apply([x // delta for x in scaled]))
+    return points
 
 
 # ---------------------------------------------------------------------------
@@ -247,22 +224,9 @@ def kernel_submonoid(monoid: AffineMonoid, a: GroupHom) -> List[Vec]:
         return []
     # kernel lattice of a inside Z^t (finite index)
     lifted = kernel_basis(a.matrix.hstack(a.target.relation_matrix()))
-    kmat = lifted.select_rows(range(t))
-    from .intlinalg import hermite_column_basis
-
-    kmat = hermite_column_basis(kmat)
-    # rewrite the cone in kernel-lattice coordinates
-    def to_k_coords(v: Sequence[int]) -> Vec:
-        g = solve_rational(gp, [Fraction(x) for x in v])
-        if g is None:
-            raise KmFanError("internal: cone generator outside the monoid span")
-        y = solve_rational(kmat, list(g))
-        if y is None:
-            raise KmFanError("internal: kernel lattice does not span")
-        return fraction_vector_to_primitive(y)
-
-    gens = [to_k_coords(g) for g in monoid.cone.generators()]
-    kcone = Cone.from_generators(gens, kmat.cols)
+    kmat = hermite_column_basis(lifted.select_rows(range(t)))
+    # rewrite the cone in kernel-lattice coordinates; gp @ kmat is injective
+    kcone = Cone.from_generators(_preimage_rays(gp @ kmat, monoid.cone.generators()), kmat.cols)
     khb = AffineMonoid(kcone).hilbert_basis()
     return [tuple(gp.apply(kmat.apply(v))) for v in khb]
 
@@ -277,10 +241,10 @@ def is_free_monoid(monoid: AffineMonoid) -> bool:
         return False
     if t == 0:
         return True
-    gp = monoid.gp_basis()
+    in_gp = LinearSystem(monoid.gp_basis())
     cols = []
     for v in hb:
-        sol = solve_integer(gp, v)
+        sol = in_gp.integer(v)
         if sol is None:
             return False
         cols.append(sol)

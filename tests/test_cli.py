@@ -125,6 +125,16 @@ class TestExitCodes:
         assert json.loads(out)["error"] == "usage"
         assert err.getvalue() == ""
 
+    @pytest.mark.parametrize("subcommand", ["inflate", "contract", "tame"])
+    @pytest.mark.parametrize("matrix", [[[1, 2], [3]], [[1, 0, 0]]], ids=["ragged", "mis_sized"])
+    def test_malformed_hom_matrix_is_exit_two_schema(self, workdir, subcommand, matrix):
+        doc = {"matrix": matrix, "schema_version": "1", "source_fan": "a1.json", "target_fan": "a1.json"}
+        with open("bad_hom.json", "w", encoding="utf-8") as fh:
+            fh.write(dumps(doc))
+        code, out = invoke([subcommand, "--fan", "a1.json", "--hom", "bad_hom.json"])
+        assert code == 2
+        assert json.loads(out)["error"] == "schema"
+
     def test_rank_too_high_draw(self, workdir):
         from kmfan.abelian import FgaGroup
         from kmfan.cones import Cone

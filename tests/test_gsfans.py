@@ -1,5 +1,6 @@
 """GS fans, folding, and the unfolding correspondence."""
 
+import itertools
 import random
 
 import pytest
@@ -26,7 +27,9 @@ from kmfan.fans import (
     is_atoroidal,
     is_classical,
     is_semi_tame,
+    is_smooth,
     is_tame,
+    local_presentation,
     product,
     rigidify,
     torsor_group,
@@ -43,7 +46,9 @@ from kmfan.gsfans import (
     rigidified_unfold,
     unfold,
 )
+from kmfan import abelian, cones, fans, gsfans, intlinalg, monoids
 from kmfan.intlinalg import IntMatrix, primitive_vector, rank as matrix_rank
+from kmfan.monoids import AffineMonoid, kernel_submonoid
 
 from conftest import build_p22, line_fan, projective_line_fan, plane_fan
 
@@ -509,3 +514,143 @@ class TestRoundTrip:
             fold_unfold_roundtrip(zero_fan(Z))
         with pytest.raises(PreconditionsFail):
             fold_unfold_roundtrip(nonsaturated_colimit_fan())
+
+
+def all_pairs_fold_problems(gs: GsFan):
+    """The foldability problems with the images of every pair of cones
+    intersected, comparable pairs included: the oracle for the shortcut in
+    is_foldable."""
+    bbar = gs.beta.free_matrix()
+    rank = gs.beta.target.free_rank
+    images = {
+        s: Cone.from_generators([bbar.apply(r) for r in s.rays], rank) for s in gs.fan.cones
+    }
+    problems = [
+        {"kind": "collapsed-cone", "detail": f"beta is not injective on the span of {s!r}"}
+        for s in gs.fan.cones
+        if images[s].dim() != s.dim()
+    ]
+    cones_ = list(gs.fan.cones)
+    for i, a in enumerate(cones_):
+        for b in cones_[i + 1:]:
+            ia, ib = images[a], images[b]
+            point = ia.intersect(ib).relative_interior_point()
+            if ia.classify_point(point)[0] == "interior" and ib.classify_point(point)[0] == "interior":
+                problems.append({
+                    "kind": "overlapping-images",
+                    "detail": f"images of {a!r} and {b!r} have intersecting interiors",
+                })
+    return problems
+
+
+def _nonzero_primitive(rng, rank, bound):
+    while True:
+        v = primitive_vector(tuple(rng.randint(-bound, bound) for _ in range(rank)))
+        if any(v):
+            return v
+
+
+def random_collapsing_gsfan(rng: random.Random) -> GsFan:
+    """A complete fan of Z^2 onto Z (every 2-cone collapses), or one
+    simplicial 3-cone of Z^3 onto Z^2."""
+    if rng.random() < 0.5:
+        rays = sorted({_nonzero_primitive(rng, 2, 3) for _ in range(rng.randint(1, 3))})
+        fan = complete_fan_with_rays(rays)
+        return GsFan(fan, GroupHom(Z2, Z, IntMatrix([list(_nonzero_primitive(rng, 2, 3))])))
+    cone = None
+    while cone is None or cone.dim() != 3 or len(cone.rays) != 3:
+        cone = Cone.from_generators([_nonzero_primitive(rng, 3, 2) for _ in range(3)], 3)
+    while True:
+        m = IntMatrix([[rng.randint(-2, 2) for _ in range(3)] for _ in range(2)])
+        if matrix_rank(m) == 2:
+            return GsFan(from_classical(Z3, [cone]), GroupHom(Z3, Z2, m))
+
+
+def random_overlapping_gsfan(rng: random.Random) -> GsFan:
+    """Rays of Z^2 onto Z, or some 2-cones of the octant fan of Z^3 onto
+    Z^2: no cone of full dimension, so images overlap without collapsing
+    (unless a ray or plane meets the kernel)."""
+    if rng.random() < 0.5:
+        rays = {_nonzero_primitive(rng, 2, 3) for _ in range(rng.randint(2, 4))}
+        fan = from_classical(Z2, [Cone.from_generators([r], 2) for r in sorted(rays)])
+        return GsFan(fan, GroupHom(Z2, Z, IntMatrix([list(_nonzero_primitive(rng, 2, 3))])))
+    units = [tuple(s if k == i else 0 for k in range(3)) for i in range(3) for s in (1, -1)]
+    planes = [
+        Cone.from_generators([u, w], 3)
+        for u, w in itertools.combinations(units, 2)
+        if u != tuple(-x for x in w)
+    ]
+    chosen = rng.sample(planes, rng.randint(2, 4))
+    while True:
+        m = IntMatrix([[rng.randint(-2, 2) for _ in range(3)] for _ in range(2)])
+        if matrix_rank(m) == 2:
+            return GsFan(from_classical(Z3, chosen), GroupHom(Z3, Z2, m))
+
+
+class TestFoldComparablePairs:
+    def test_problem_lists_match_the_all_pairs_oracle(self):
+        rng = random.Random(3737)
+        makers = [random_foldable_gsfan, random_collapsing_gsfan, random_overlapping_gsfan]
+        seen = {"foldable": 0, "collapsed": 0, "overlapping": 0}
+        for attempt in range(600):
+            gs = makers[attempt % 3](rng)
+            problems = is_foldable(gs)[1]
+            assert problems == all_pairs_fold_problems(gs)
+            kinds = {p["kind"] for p in problems}
+            if not kinds:
+                seen["foldable"] += 1
+            elif "collapsed-cone" in kinds:
+                seen["collapsed"] += 1
+            else:
+                seen["overlapping"] += 1
+            if min(seen.values()) >= 30:
+                break
+        assert min(seen.values()) >= 30, seen
+
+    def test_simplicial_three_cone_skips_comparable_pairs(self, monkeypatch):
+        """8 cones make 28 pairs; 19 are comparable and beta is injective."""
+        cone = Cone.from_generators([(1, 0, 0), (0, 1, 0), (1, 1, 2)], 3)
+        gs = GsFan(from_classical(Z3, [cone]), GroupHom(Z3, Z3, IntMatrix([[2, 0, 0], [0, 1, 0], [0, 1, 1]])))
+        calls = []
+        real = Cone.intersect
+        monkeypatch.setattr(Cone, "intersect", lambda a, b: calls.append(1) or real(a, b))
+        assert is_foldable(gs) == (True, [])
+        assert len(calls) <= 9
+
+
+def _count_calls(monkeypatch, name):
+    """Count calls of an intlinalg function through every module that
+    imports it."""
+    calls = []
+    real = getattr(intlinalg, name)
+    for mod in (intlinalg, abelian, cones, monoids, fans, gsfans):
+        if hasattr(mod, name):
+            monkeypatch.setattr(mod, name, lambda *a, **k: calls.append(1) or real(*a, **k))
+    return calls
+
+
+class TestOneSmithPerSystem:
+    def test_no_rational_elimination(self, monkeypatch):
+        calls = _count_calls(monkeypatch, "solve_rational")
+        assert fold_unfold_roundtrip(from_classical(Z2, [Cone.from_generators([(1, 0), (1, 2)], 2)]))
+        p22 = build_p22()
+        for c in p22.cones:
+            local_presentation(p22, c)
+        assert is_smooth(p22)
+        quad = AffineMonoid(Cone.from_generators([(1, 0), (0, 1)], 2))
+        parity = GroupHom(Z2, FgaGroup(0, (2,)), IntMatrix([[1, 1]]))
+        assert sorted(kernel_submonoid(quad, parity)) == [(0, 2), (1, 1), (2, 0)]
+        assert calls == []
+
+    def test_colimit_runs_one_smith_per_cone(self, monkeypatch):
+        """One lifter per larger cone plus the presentation of the quotient;
+        every relation generator of a cone reuses its lifter."""
+        p1 = projective_line_fan()
+        fan = product(product(p1, p1)[0], p1)[0]
+        for c in fan.cones:
+            fan.data[c].basis()
+        calls = _count_calls(monkeypatch, "smith_decomposition")
+        unf = lattice_data_colimit(fan)
+        assert unf.colimit == FgaGroup(6)  # one generator per ray: the fan is smooth
+        assert len(fan.cones) == 27
+        assert len(calls) <= len(fan.cones) + 1

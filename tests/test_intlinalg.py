@@ -7,8 +7,11 @@ from math import gcd
 
 import pytest
 
+from kmfan.errors import DimensionMismatch
 from kmfan.intlinalg import (
     IntMatrix,
+    LinearSystem,
+    fraction_vector_to_primitive,
     hermite_column_basis,
     invariant_factors,
     kernel_basis,
@@ -396,3 +399,90 @@ class TestSympyOracle:
                 assert h.cols == 0
             else:
                 assert lattice(h) == lattice(m), m
+
+
+def _seeded_injective(rng, count):
+    """Seeded injective n x k matrices (k <= n <= 5), starting with 0 x 0 and
+    every n x 0 shape."""
+    out = [IntMatrix.zero(n, 0) for n in range(4)]
+    while len(out) < count:
+        k = rng.randint(1, 4)
+        m = _random_matrix(rng, rng.randint(k, 5), k)
+        if smith_decomposition(m, transforms=()).rank() == k:
+            out.append(m)
+    return out
+
+
+class TestLinearSystem:
+    def test_ray_matches_rational_elimination(self):
+        """ray(b) is the primitive of the rational solution, on b in the span
+        (rational and integral points of it) and b outside it."""
+        rng = random.Random(7007)
+        inside = outside = 0
+        for m in _seeded_injective(rng, 320):
+            system = LinearSystem(m)
+            rhs = [(0,) * m.rows, tuple(rng.randint(-9, 9) for _ in range(m.rows))]
+            for _ in range(2):
+                x = [rng.randint(-5, 5) for _ in range(m.cols)]
+                rhs.append(m.apply(x))
+                rhs.append(primitive_vector(m.apply(x)))
+            for b in rhs:
+                sol = solve_rational(m, [Fraction(v) for v in b])
+                want = None if sol is None else fraction_vector_to_primitive(sol)
+                assert system.ray(b) == want, (m, b)
+                if want is None:
+                    outside += 1
+                elif any(b):
+                    inside += 1
+        assert inside >= 300 and outside >= 100
+
+    def test_ray_needs_an_injective_matrix(self):
+        with pytest.raises(ValueError):
+            LinearSystem(IntMatrix([[1, 1]])).ray((1,))
+
+    def test_integer_solves_exactly_when_b_is_in_the_lattice(self):
+        rng = random.Random(8008)
+        solved = unsolved = deficient = 0
+        for m in _seeded_matrices(8118, 320):
+            system = LinearSystem(m)
+            if system.rank < min(m.rows, m.cols):
+                deficient += 1
+            rhs = [tuple(rng.randint(-9, 9) for _ in range(m.rows)),
+                   m.apply([rng.randint(-4, 4) for _ in range(m.cols)])]
+            for b in rhs:
+                x = system.integer(b)
+                with_b = m.hstack(IntMatrix._from_columns([b], m.rows))
+                in_lattice = hermite_column_basis(with_b) == hermite_column_basis(m)
+                assert (x is not None) == in_lattice, (m, b)
+                if x is None:
+                    unsolved += 1
+                else:
+                    assert len(x) == m.cols and m.apply(x) == b
+                    solved += 1
+                assert x == solve_integer(m, b)
+        assert solved >= 300 and unsolved >= 100 and deficient >= 25
+
+    def test_right_hand_side_length_checked(self):
+        with pytest.raises(DimensionMismatch):
+            LinearSystem(IntMatrix([[1, 0]])).integer((1, 2))
+
+    def test_solve_integer_witnesses_are_pinned(self):
+        """Witnesses recorded before LinearSystem existed, when every call
+        ran its own Smith decomposition: the free Smith coordinates are
+        still zero."""
+        cases = [
+            ([[2, 4, 4], [-6, 6, 12], [10, -4, -16]],
+             [(2, -6, 10), (0, 12, -12), (6, 0, -6), (1, 0, 0)],
+             [(1, 0, 0), (-2, 2, -1), (3, -3, 3), None]),
+            ([[3, 1, 4, 1], [5, 9, 2, 6]],
+             [(1, 0), (0, 1), (7, -3), (100, -41)],
+             [(0, 64, 9, -99), (0, -7, -1, 11), (0, 469, 66, -726), (0, 6687, 941, -10351)]),
+            ([[1, 2], [2, 4], [3, 7]],
+             [(1, 2, 3), (0, 0, 1), (1, 2, 4), (1, 1, 1)],
+             [(1, 0), (-2, 1), (-1, 1), None]),
+        ]
+        for rows, rhs, want in cases:
+            m = IntMatrix(rows)
+            assert [solve_integer(m, b) for b in rhs] == want
+            system = LinearSystem(m)
+            assert [system.integer(b) for b in rhs] == want

@@ -2,15 +2,24 @@
 
 import itertools
 import random
+from fractions import Fraction
+from math import floor
 
 import pytest
 
 from kmfan.abelian import FgaGroup, GroupHom
-from kmfan.cones import Cone
+from kmfan.cones import Cone, _lattice_complement
 from kmfan.errors import NotAFace, NotSharp
-from kmfan.intlinalg import IntMatrix
+from kmfan.intlinalg import (
+    IntMatrix,
+    saturate,
+    smith_decomposition,
+    solve_integer,
+    solve_rational,
+)
 from kmfan.monoids import (
     AffineMonoid,
+    _parallelepiped_points,
     dual_monoid,
     face_of_monoid,
     is_free_monoid,
@@ -212,3 +221,65 @@ class TestFreeness:
     def test_not_sharp_rejected(self):
         with pytest.raises(NotSharp):
             is_free_monoid(AffineMonoid(Cone.full(1)))
+
+
+def rational_parallelepiped_points(simplex, ambient):
+    """The half-open parallelepiped's lattice points by the rational formula
+    vs frac(vs^{-1} z), z = U^{-1} rep, in Fractions: the oracle for the
+    integer computation."""
+    vmat = IntMatrix.from_columns(simplex)
+    span = saturate(vmat)
+    vs = IntMatrix.from_columns([solve_integer(span, c) for c in vmat.columns()], span.cols)
+    s = smith_decomposition(vs, transforms=("u_inv",))
+    reps = [()]
+    for di in s.diagonal():
+        reps = [r + (t,) for r in reps for t in range(di)]
+    points = []
+    for rep in reps:
+        t = solve_rational(vs, [Fraction(x) for x in s.u_inv.apply(rep)])
+        frac = [x - floor(x) for x in t]
+        inside = [sum(Fraction(e) * f for e, f in zip(row, frac)) for row in vs.entries]
+        assert all(x.denominator == 1 for x in inside)
+        points.append(span.apply([int(x) for x in inside]))
+    return points
+
+
+def seeded_saturated_lattices(seed, count):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(1, 5)
+        k = rng.randint(0, n)
+        m = IntMatrix([[rng.randint(-4, 4) for _ in range(k)] for _ in range(n)], cols=k)
+        out.append((saturate(m), n))
+    return out
+
+
+class TestIntegerSplitting:
+    def test_complement_coordinates_kill_the_lattice(self):
+        """coords L = 0 and coords comp = I, with L | comp unimodular."""
+        for lattice, n in seeded_saturated_lattices(3131, 200):
+            comp, coords = _lattice_complement(list(lattice.columns()), n)
+            assert comp.rows == n and lattice.cols + comp.cols == n
+            assert coords @ lattice == IntMatrix.zero(comp.cols, lattice.cols)
+            assert coords @ comp == IntMatrix.identity(comp.cols)
+            full = lattice.hstack(comp)
+            assert all(d == 1 for d in smith_decomposition(full, transforms=()).diagonal())
+
+    def test_parallelepiped_points_match_the_rational_formula(self):
+        rng = random.Random(4141)
+        checked = nontrivial = 0
+        while checked < 150:
+            n = rng.randint(1, 4)
+            k = rng.randint(1, n)
+            simplex = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(k)]
+            vmat = IntMatrix.from_columns(simplex)
+            if smith_decomposition(vmat, transforms=()).rank() != k:
+                continue
+            want = rational_parallelepiped_points(simplex, n)
+            if len(want) > 400:
+                continue
+            assert _parallelepiped_points(simplex, n) == want, simplex
+            checked += 1
+            nontrivial += len(want) > 1
+        assert nontrivial >= 50
