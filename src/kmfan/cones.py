@@ -12,7 +12,7 @@ one double-description conversion of those constraints.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, KmFanError, PieceOutsideTarget
 from .intlinalg import (
@@ -433,6 +433,23 @@ def _complement_projector(lineality: Sequence[Vec], ambient: int):
         return comp.apply(primitive_vector(coords.apply(v)))
 
     return project
+
+
+def _separating_facet(a: Cone, b: Cone) -> Optional[Vec]:
+    """A facet h of one cone with h <= 0 on every generator of the other,
+    or None.
+
+    Such an h is >= 0 on its own cone and <= 0 on the other, so it confines
+    a cap b to the hyperplane h = 0; and h > 0 on the relative interior of
+    its own cone, which the other cone therefore misses.  Only dot products
+    with cached facets are taken, no double description.
+    """
+    for own, other in ((a, b), (b, a)):
+        gens = other.generators()
+        for h in own.facets:
+            if all(_dot(h, g) <= 0 for g in gens):
+                return h
+    return None
 
 
 def _preimage_rays(m: IntMatrix, rays: Iterable[Vec]) -> List[Vec]:

@@ -61,6 +61,17 @@ def _dec_matrix_rows(value, cols=None) -> List[tuple]:
     return [tuple(_dec_vector(r, cols)) for r in value]
 
 
+def _dec_cone_rays(entry, rank: int) -> List[tuple]:
+    """The rays of one cone entry; a zero ray is refused, as it would load
+    as no ray at all."""
+    if not isinstance(entry, dict) or "rays" not in entry:
+        raise DocumentError("each cone needs a rays field")
+    rays = _dec_matrix_rows(entry["rays"], rank)
+    if not all(map(any, rays)):
+        raise DocumentError("a cone ray must be nonzero")
+    return rays
+
+
 def group_to_obj(group: FgaGroup) -> dict:
     return {
         "free_rank": group.free_rank,
@@ -112,10 +123,7 @@ def fan_from_obj(obj) -> KmFan:
         raise DocumentError("cones must be a list")
     cones = []
     for entry in raw_cones:
-        if not isinstance(entry, dict) or "rays" not in entry:
-            raise DocumentError("each cone needs a rays field")
-        rays = _dec_matrix_rows(entry["rays"], r)
-        cone = Cone.from_generators(rays, r)
+        cone = Cone.from_generators(_dec_cone_rays(entry, r), r)
         if cone in cones:
             raise DocumentError("duplicate cone in document")
         cones.append(cone)
@@ -183,9 +191,7 @@ def gsfan_from_obj(obj) -> GsFan:
         raise DocumentError("cones must be a list")
     cones = []
     for entry in raw_cones:
-        if not isinstance(entry, dict) or "rays" not in entry:
-            raise DocumentError("each cone needs a rays field")
-        cones.append(Cone.from_generators(_dec_matrix_rows(entry["rays"], lattice.free_rank), lattice.free_rank))
+        cones.append(Cone.from_generators(_dec_cone_rays(entry, lattice.free_rank), lattice.free_rank))
     rows = _dec_matrix_rows(obj.get("beta"), lattice.ncoords)
     if len(rows) != target.ncoords:
         raise DocumentError("beta has the wrong number of rows")

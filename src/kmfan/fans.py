@@ -28,7 +28,7 @@ from .abelian import (
     preimage_subgroup,
     quotient,
 )
-from .cones import Cone, _preimage_rays, union_covers
+from .cones import Cone, _preimage_rays, _separating_facet, union_covers
 from .errors import (
     ConeNotInFan,
     InfiniteCokernel,
@@ -45,6 +45,7 @@ from .intlinalg import (
     LinearSystem,
     Vec,
     kernel_basis,
+    primitive_vector,
     rank as matrix_rank,
 )
 from .monoids import AffineMonoid, is_free_monoid
@@ -152,7 +153,15 @@ class KmFan:
         return _cone_violations(self.group.free_rank, self.cones) or self._datum_violations()
 
     def _datum_violations(self) -> List[dict]:
-        """The data phase of validate, run on a valid cone set."""
+        """The data phase of validate, run on a valid cone set.
+
+        The compatibility loop skips tau = {0} and tau = sigma, the first and
+        last of sigma.faces(): both hold for every datum that passed
+        LatticeDatum.violations.  Span(sigma) cap F_sigma = F_sigma, as F_sigma
+        lies in the span; and Span({0}) cap F_sigma is the part of F_sigma
+        with zero free projection, which is 0 as the free projections of its
+        basis are independent, while F_{0} is a lattice of rank dim {0} = 0.
+        """
         out: List[dict] = []
         for c in self.cones:
             datum = self.data.get(c)
@@ -166,9 +175,11 @@ class KmFan:
                 out.append({"kind": "invalid-datum", "detail": f"{c!r}: {v}"})
         if out:
             return out
-        projections = {tau: _span_projection(tau) for tau in self.cones}
+        projections: Dict[Cone, Optional[IntMatrix]] = {}
         for sigma in self.cones:
-            for tau in sigma.faces():
+            for tau in sigma.faces()[1:-1]:
+                if tau not in projections:
+                    projections[tau] = _span_projection(tau)
                 expected = _span_intersection(self.group, self.data[sigma], projections[tau])
                 if expected != self.data[tau].subgroup:
                     out.append({
@@ -227,11 +238,25 @@ def _cone_violations(r: int, cones: Sequence[Cone]) -> List[dict]:
 
     Each step runs only when the earlier ones found nothing: the ambient
     rank; sharpness and closure under faces; the pairwise check.  The
-    pairwise check intersects maximal cones only, one double description
-    per pair, so its bad-intersection entries name maximal cones.  That
-    suffices: if the cones are closed under faces and maximal cones S, T
-    meet in a common face F, then faces s of S and t of T meet in the face
-    (s cap F) cap (t cap F) of F, a face of both s and t.
+    pairwise check runs over maximal cones only, so its bad-intersection
+    entries name maximal cones.  That suffices: if the cones are closed
+    under faces and maximal cones S, T meet in a common face F, then faces
+    s of S and t of T meet in the face (s cap F) cap (t cap F) of F, a face
+    of both s and t.
+
+    A pair is settled by descent, mostly with dot products alone.  A facet
+    h of one cone with h <= 0 on the other (cones._separating_facet) is a
+    valid inequality on both, up to sign, so a cap b = a' cap b' for the
+    faces a' = a cap h-perp and b' = b cap h-perp, which are cones of the
+    fan (taken as the fan's own instances, whose facets are cached).  A
+    face of a' or b' is a face of a or b, since a face of a face is a face;
+    and a face of a contained in a' is a face of a'.  So a and b meet in a
+    common face iff a' and b' do, and the pair (a, b) is replaced by
+    (a', b'), which loses at least one dimension.  The descent stops when
+    one of the two is a face of the other, which is then their meet, or
+    when no facet separates them.  Only then, as in dimension 3 and up a
+    separating hyperplane need not be a facet of either cone, one double
+    description intersects the pair and the meet is tested directly.
     """
     out: List[dict] = []
     cone_set = set(cones)
@@ -250,11 +275,22 @@ def _cone_violations(r: int, cones: Sequence[Cone]) -> List[dict]:
                 out.append({"kind": "missing-face", "detail": f"face {f!r} of {c!r} is not in the fan"})
     if out:
         return out
+    instances = {c: c for c in cones}
+    faces = {c: set(c.faces()) for c in cones}
+
+    def meet_in_common_face(a: Cone, b: Cone) -> bool:
+        while a not in faces[b] and b not in faces[a]:
+            h = _separating_facet(a, b)
+            if h is None:
+                meet = a.intersect(b)
+                return meet in cone_set and meet.is_face_of(a) and meet.is_face_of(b)
+            a, b = instances[a._face([h])], instances[b._face([h])]
+        return True
+
     maximal = _maximal_cones(cones)
     for i, a in enumerate(maximal):
         for b in maximal[i + 1:]:
-            meet = a.intersect(b)
-            if meet not in cone_set or not meet.is_face_of(a) or not meet.is_face_of(b):
+            if not meet_in_common_face(a, b):
                 out.append({
                     "kind": "bad-intersection",
                     "detail": f"{a!r} and {b!r} do not intersect in a common face",
@@ -989,14 +1025,25 @@ def _require_finite_cokernel(f: KmFanHom) -> None:
 
 
 def is_semi_tame(f: KmFanHom) -> bool:
-    """Cone-set bijection with bijective restrictions on cones and data."""
+    """Cone-set bijection with bijective restrictions on cones and data.
+
+    f(sigma) is compared with tau = f.cone_images[sigma], the smallest target
+    cone containing it, on V-data alone: f(sigma) is a target cone of the
+    dimension of sigma iff it is tau and dim tau = dim sigma.  Then f is
+    injective on Span(sigma) and carries the extremal rays of sigma onto
+    those of tau; conversely, if the primitive vectors on the images of the
+    rays of sigma are the rays of tau, f(sigma) is tau.  A ray mapped to 0
+    gives the zero vector, which is no ray of tau.  Target cones are sharp,
+    so their sorted rays are their canonical V-data.
+    """
     fbar = f.hom.free_matrix()
     images = []
     for sigma in f.source.cones:
-        image = sigma.linear_image(fbar)
-        if image not in f.target.data:
-            return False
+        image = f.cone_images[sigma]
         if image.dim() != sigma.dim():
+            return False
+        ray_images = {primitive_vector(fbar.apply(r)) for r in sigma.rays}
+        if tuple(sorted(ray_images)) != image.rays:
             return False
         images.append(image)
         mapped = Subgroup.from_generators(

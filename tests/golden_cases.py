@@ -1,5 +1,11 @@
-"""Input documents and the golden CLI invocation list (shared by the test
-suite and the regeneration entry point in make_goldens.py)."""
+"""Input documents, the golden CLI invocation list and the demo runner
+(shared by the test suite and the regeneration entry point in
+make_goldens.py)."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from kmfan.abelian import FgaGroup, GroupHom
 from kmfan.cones import Cone
@@ -7,6 +13,20 @@ from kmfan.documents import dumps, fan_to_obj, gsfan_to_obj, hom_to_obj
 from kmfan.fans import KmFan, LatticeDatum, from_classical
 from kmfan.gsfans import GsFan
 from kmfan.intlinalg import IntMatrix
+
+ROOT = Path(__file__).resolve().parent.parent
+# demo 06 writes SVG files into demos/output/; the drawing goldens cover it
+DEMOS = sorted(p for p in (ROOT / "demos").glob("0[1-5]_*.py"))
+
+
+def run_demo(demo: Path) -> subprocess.CompletedProcess:
+    """Run one demo from the repository root against the source tree."""
+    env = dict(os.environ)
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    return subprocess.run(
+        [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300
+    )
 
 
 def input_documents():

@@ -1,4 +1,4 @@
-"""Regenerate the committed golden files for the CLI suite.
+"""Regenerate the committed golden files for the CLI suite and the demos.
 
 Run from the repository root:  python3 tests/make_goldens.py
 """
@@ -11,7 +11,7 @@ import sys
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, HERE)
 
-from golden_cases import ARTIFACTS, CASES, extra_documents, input_documents  # noqa: E402
+from golden_cases import ARTIFACTS, CASES, DEMOS, extra_documents, input_documents, run_demo  # noqa: E402
 
 from kmfan.cli import run  # noqa: E402
 
@@ -49,7 +49,12 @@ def main() -> None:
                 os.unlink(artifact)
     finally:
         os.chdir(cwd)
-    print(f"wrote {len(docs)} inputs and {len(CASES)} expected outputs")
+    demos = os.path.join(golden, "demos")
+    os.makedirs(demos, exist_ok=True)
+    for path in DEMOS:
+        with open(os.path.join(demos, path.stem + ".out"), "w", encoding="utf-8") as fh:
+            fh.write(run_demo(path).stdout)
+    print(f"wrote {len(docs)} inputs, {len(CASES)} expected outputs and {len(DEMOS)} demo outputs")
 
 
 if __name__ == "__main__":

@@ -135,6 +135,41 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(out)["error"] == "schema"
 
+    # without the check, [[0]] loads as the zero cone and [[1], [0]] as the ray (1)
+    ZERO_RAY_CONES = [
+        ([[[0]]], [[]]),
+        ([[], [[1], [0]]], [[], [[1]]]),
+    ]
+
+    @pytest.mark.parametrize("rays,generators", ZERO_RAY_CONES, ids=["zero", "ray_and_zero"])
+    def test_zero_ray_in_fan_is_exit_two_schema(self, workdir, rays, generators):
+        doc = {
+            "schema_version": "1",
+            "group": {"free_rank": 1, "torsion_invariants": []},
+            "cones": [{"rays": r} for r in rays],
+            "lattice_data": [{"cone_index": i, "generators": g} for i, g in enumerate(generators)],
+        }
+        with open("zero_ray.json", "w", encoding="utf-8") as fh:
+            fh.write(dumps(doc))
+        code, out = invoke(["validate", "--fan", "zero_ray.json"])
+        assert code == 2
+        assert json.loads(out)["error"] == "schema"
+
+    @pytest.mark.parametrize("rays,generators", ZERO_RAY_CONES, ids=["zero", "ray_and_zero"])
+    def test_zero_ray_in_gs_fan_is_exit_two_schema(self, workdir, rays, generators):
+        doc = {
+            "schema_version": "1",
+            "lattice": {"free_rank": 1, "torsion_invariants": []},
+            "cones": [{"rays": r} for r in rays],
+            "group": {"free_rank": 1, "torsion_invariants": []},
+            "beta": [[2]],
+        }
+        with open("zero_ray_gs.json", "w", encoding="utf-8") as fh:
+            fh.write(dumps(doc))
+        code, out = invoke(["fold", "--fan", "zero_ray_gs.json"])
+        assert code == 2
+        assert json.loads(out)["error"] == "schema"
+
     def test_rank_too_high_draw(self, workdir):
         from kmfan.abelian import FgaGroup
         from kmfan.cones import Cone

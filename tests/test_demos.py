@@ -1,15 +1,11 @@
-"""Smoke test: the demos that print to stdout run cleanly."""
-
-import os
-import subprocess
-import sys
-from pathlib import Path
+"""The demos that print to stdout run cleanly and print their pinned output,
+which tests/make_goldens.py writes to tests/golden/demos/."""
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
-# demo 06 writes SVG files into demos/output/; the drawing goldens cover it
-DEMOS = sorted(p for p in (ROOT / "demos").glob("0[1-5]_*.py"))
+from golden_cases import DEMOS, ROOT, run_demo
+
+EXPECTED = ROOT / "tests" / "golden" / "demos"
 
 
 def test_demos_found():
@@ -18,12 +14,7 @@ def test_demos_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs_cleanly(demo):
-    env = dict(os.environ)
-    src = str(ROOT / "src")
-    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
-    result = subprocess.run(
-        [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300
-    )
+    result = run_demo(demo)
     assert result.returncode == 0, result.stderr
     assert result.stderr == ""
-    assert result.stdout
+    assert result.stdout == (EXPECTED / (demo.stem + ".out")).read_text(encoding="utf-8")

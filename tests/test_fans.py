@@ -1,5 +1,7 @@
 """KM fans: validation, constructions, morphisms, invariants."""
 
+import itertools
+import math
 import random
 
 import pytest
@@ -11,7 +13,7 @@ from kmfan.abelian import (
     is_isomorphism,
     quotient,
 )
-from kmfan.cones import Cone
+from kmfan.cones import Cone, _separating_facet
 from kmfan.errors import (
     ConeNotInFan,
     InfiniteCokernel,
@@ -64,7 +66,8 @@ from kmfan.fans import (
     zero_fan,
     zero_fan_unit,
 )
-from kmfan.intlinalg import IntMatrix
+from kmfan.fans import _cone_violations
+from kmfan.intlinalg import IntMatrix, _dot, primitive_vector, rank as matrix_rank
 
 from conftest import (
     build_p22,
@@ -842,3 +845,179 @@ class TestProperness:
         refined = from_classical(Z2, [Cone.from_generators([(1, 0), (1, 1)], 2)])
         hom = validate_hom(GroupHom.identity(Z2), refined, plane_fan())
         assert not is_proper(hom)
+
+
+def _random_3_vector(rng):
+    while True:
+        v = tuple(rng.randint(-3, 3) for _ in range(3))
+        if any(v):
+            return v
+
+
+def _random_simplicial_3_cone(rng, shared=()):
+    while True:
+        rays = list(shared) + [_random_3_vector(rng) for _ in range(3 - len(shared))]
+        if matrix_rank(IntMatrix(rays)) == 3:
+            return Cone.from_generators(rays, 3)
+
+
+def _random_cone_pairs(rng):
+    """Seeded pairs of simplicial 3-cones, drawn apart or sharing one or two
+    rays, each followed by a pair of their nonzero faces."""
+    while True:
+        shared = [_random_3_vector(rng) for _ in range(rng.randrange(3))]
+        if shared and matrix_rank(IntMatrix(shared)) < len(shared):
+            continue
+        a, b = _random_simplicial_3_cone(rng, shared), _random_simplicial_3_cone(rng, shared)
+        yield a, b
+        yield rng.choice(a.faces()[1:]), rng.choice(b.faces()[1:])
+
+
+def _polygon_fan_64() -> KmFan:
+    """The complete fan on 64 of the 80 primitive vectors of [-5, 5]^2: every
+    fifth one in angular order is left out."""
+    vectors = sorted(
+        (v for v in itertools.product(range(-5, 6), repeat=2) if math.gcd(*v) == 1),
+        key=lambda v: math.atan2(v[1], v[0]),
+    )
+    rays = [v for i, v in enumerate(vectors) if i % 5]
+    return from_classical(Z2, [Cone.from_generators([u, v], 2) for u, v in zip(rays, rays[1:] + rays[:1])])
+
+
+class TestSeparatingFacets:
+    def test_pairs_agree_with_the_intersection_oracle(self, monkeypatch):
+        """Validation of the face closure of a pair reports a bad intersection
+        iff the double-description meet is not a face of both cones."""
+        rng = random.Random(8)
+        real = Cone.intersect
+        calls = []
+        monkeypatch.setattr(Cone, "intersect", lambda a, b: calls.append(1) or real(a, b))
+        fallback = bad = 0
+        for a, b in itertools.islice(_random_cone_pairs(rng), 2000):
+            meet = real(a, b)
+            common_face = meet.is_face_of(a) and meet.is_face_of(b)
+            h = _separating_facet(a, b)
+            if h is not None:
+                own, other = (a, b) if h in a.facets else (b, a)
+                assert h in own.facets
+                assert all(_dot(h, g) <= 0 for g in other.generators())
+                assert all(_dot(h, g) == 0 for g in meet.generators())
+            closure = {face for c in (a, b) for face in c.faces()}
+            calls.clear()
+            problems = _cone_violations(3, sorted(closure, key=lambda c: (c.dim(), c.rays)))
+            assert (problems == []) == common_face, (a, b, problems)
+            if common_face and calls:
+                fallback += 1
+            bad += not common_face
+            if fallback >= 30 and bad >= 30:
+                break
+        assert fallback >= 30 and bad >= 30, (fallback, bad)
+
+    def test_pairs_of_facets_in_one_plane(self):
+        """Cones on opposite sides of a plane, each with a facet in it: the
+        first separating facet confines the meet to the plane, and the two
+        facets there decide the pair."""
+        rng = random.Random(81)
+        seen = {True: 0, False: 0}
+        while min(seen.values()) < 15:
+            u1, u2, v1, v2 = (_random_3_vector(rng)[:2] + (0,) for _ in range(4))
+            if u1[0] * u2[1] == u1[1] * u2[0] or v1[0] * v2[1] == v1[1] * v2[0]:
+                continue
+            up, down = _random_3_vector(rng)[:2] + (1,), _random_3_vector(rng)[:2] + (-1,)
+            a, b = Cone.from_generators([u1, u2, up], 3), Cone.from_generators([v1, v2, down], 3)
+            meet = a.intersect(b)
+            common_face = meet.is_face_of(a) and meet.is_face_of(b)
+            closure = {face for c in (a, b) for face in c.faces()}
+            problems = _cone_violations(3, sorted(closure, key=lambda c: (c.dim(), c.rays)))
+            assert (problems == []) == common_face, (a, b, problems)
+            seen[common_face] += 1
+
+    @pytest.mark.parametrize("build,rays", [
+        (_polygon_fan_64, 64),
+        (lambda: product(product(projective_line_fan(), projective_line_fan())[0], projective_line_fan())[0], 6),
+    ], ids=["polygon_64", "p1_cubed"])
+    def test_validation_runs_no_intersection(self, monkeypatch, build, rays):
+        fan = build()
+        assert len(fan.ray_cones()) == rays
+        calls = []
+        real = Cone.intersect
+        monkeypatch.setattr(Cone, "intersect", lambda a, b: calls.append(1) or real(a, b))
+        assert fan.validate() == []
+        assert calls == []
+
+
+def semi_tame_by_images(f: KmFanHom):
+    """is_semi_tame by the image cones f(sigma) themselves, one double
+    description each, with the reason for a False."""
+    fbar = f.hom.free_matrix()
+    images = []
+    for sigma in f.source.cones:
+        image = sigma.linear_image(fbar)
+        if image not in f.target.data:
+            return False, "not a target cone"
+        if image.dim() != sigma.dim():
+            return False, "collapsed"
+        images.append(image)
+        mapped = Subgroup.from_generators(
+            f.target.group, [f.hom.apply(g) for g in f.source.datum(sigma).generators()]
+        )
+        if mapped != f.target.datum(image).subgroup:
+            return False, "data"
+    if len(set(images)) != len(f.source.cones) or set(images) != set(f.target.cones):
+        return False, "not bijective"
+    return True, None
+
+
+def _random_polygon_fan(rng) -> KmFan:
+    """A random subfan of a complete fan in Z^2 on 3 to 6 rays."""
+    vectors = set()
+    while len(vectors) < rng.randint(3, 6):
+        v = (rng.randint(-3, 3), rng.randint(-3, 3))
+        if any(v):
+            vectors.add(primitive_vector(v))
+    rays = sorted(vectors, key=lambda v: math.atan2(v[1], v[0]))
+    cones = [
+        Cone.from_generators([u, v], 2)
+        for u, v in zip(rays, rays[1:] + rays[:1])
+        if u[0] * v[1] - u[1] * v[0] > 0
+    ] + [Cone.ray(v) for v in rays]
+    return from_classical(Z2, rng.sample(cones, rng.randint(1, len(cones))))
+
+
+class TestSemiTameFromConeImages:
+    def test_agrees_with_the_image_cone_oracle(self):
+        rng = random.Random(4242)
+        seen = {True: 0, "collapsed": 0, "not a target cone": 0, "not bijective": 0, "data": 0}
+        for _ in range(1500):
+            source = _random_polygon_fan(rng)
+            style = rng.randrange(5)
+            if style == 0:
+                # a unimodular change of coordinates onto the image fan
+                while True:
+                    g = IntMatrix([[rng.randint(-2, 2) for _ in range(2)] for _ in range(2)])
+                    if abs(g.entries[0][0] * g.entries[1][1] - g.entries[0][1] * g.entries[1][0]) == 1:
+                        break
+                target = from_classical(Z2, [c.linear_image(g) for c in source.maximal_cones()])
+                hom = validate_hom(GroupHom(Z2, Z2, g), source, target)
+            elif style == 1:
+                hom = dilate(source, rng.randint(1, 2))[1]
+            elif style == 2:
+                g = IntMatrix([[rng.randint(-2, 2) for _ in range(2)] for _ in range(2)])
+                hom = validate_hom(GroupHom(Z2, Z2, g), source, _random_polygon_fan(rng))
+            elif style == 3:
+                row = IntMatrix([[rng.randint(-2, 2), rng.randint(-2, 2)]])
+                hom = validate_hom(GroupHom(Z2, Z, row), source, line_fan())
+            else:
+                # the inclusion of a subfan
+                target = source
+                source = from_classical(Z2, rng.sample(target.cones, rng.randint(1, len(target.cones))))
+                hom = validate_hom(GroupHom.identity(Z2), source, target)
+            if not isinstance(hom, KmFanHom):
+                continue
+            verdict, reason = semi_tame_by_images(hom)
+            assert is_semi_tame(hom) == verdict, hom
+            seen[reason or True] += 1
+            if min(seen[True], sum(seen.values()) - seen[True]) >= 30 and min(seen.values()) >= 5:
+                break
+        assert seen[True] >= 30 and sum(seen.values()) - seen[True] >= 30, seen
+        assert min(seen.values()) >= 5, seen

@@ -617,6 +617,17 @@ class TestFoldComparablePairs:
         assert is_foldable(gs) == (True, [])
         assert len(calls) <= 9
 
+    def test_simplicial_three_cone_intersects_nothing(self, monkeypatch):
+        """All 8 cones are faces of the one cone, on whose span beta is
+        injective, so no pair needs its images intersected."""
+        cone = Cone.from_generators([(1, 0, 0), (0, 1, 0), (1, 1, 2)], 3)
+        gs = GsFan(from_classical(Z3, [cone]), GroupHom(Z3, Z3, IntMatrix([[2, 0, 0], [0, 1, 0], [0, 1, 1]])))
+        calls = []
+        real = Cone.intersect
+        monkeypatch.setattr(Cone, "intersect", lambda a, b: calls.append(1) or real(a, b))
+        assert is_foldable(gs) == (True, [])
+        assert calls == []
+
 
 def _count_calls(monkeypatch, name):
     """Count calls of an intlinalg function through every module that
