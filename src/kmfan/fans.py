@@ -379,6 +379,13 @@ def validate_hom(f: GroupHom, source: KmFan, target: KmFan):
     cone needs its datum checked; compatibility transfers the condition to
     every other containing cone.  This is for maps from outside the library;
     its constructions carry their own cone maps.
+
+    The minimal cone is the first containing cone tau in fan order, with no
+    intersection.  The smallest face of tau containing f(sigma) lies in
+    every other containing cone tau', since tau cap tau' is a face of tau
+    containing f(sigma); so it is the minimal cone, and it is a cone of the
+    fan.  The fan's cones are sorted by dimension, so a proper face of tau
+    would come before tau: the smallest face is tau itself.
     """
     if f.source != source.group or f.target != target.group:
         raise KmFanError("homomorphism endpoints do not match the fans")
@@ -386,14 +393,11 @@ def validate_hom(f: GroupHom, source: KmFan, target: KmFan):
     images: Dict[Cone, Cone] = {}
     for sigma in source.cones:
         img_gens = [fbar.apply(rr) for rr in sigma.rays]
-        containing = [
-            tau for tau in target.cones if all(tau.contains_point(g) for g in img_gens)
-        ]
-        if not containing:
+        minimal = next(
+            (c for c in target.cones if all(c.contains_point(g) for g in img_gens)), None
+        )
+        if minimal is None:
             return HomRefusal(sigma, "image of the cone is not contained in any target cone")
-        minimal = containing[0]
-        for tau in containing[1:]:
-            minimal = minimal.intersect(tau)
         datum = target.datum(minimal)
         for gen in source.datum(sigma).generators():
             if not datum.contains(f.apply(gen)):

@@ -14,8 +14,6 @@ from .abelian import (
     FgaGroup,
     GroupHom,
     _lifter,
-    free_quotient,
-    hom_kernel_cokernel,
     present_quotient,
 )
 from .cones import Cone, _preimage_rays, _separating_facet
@@ -28,7 +26,7 @@ from .fans import (
     is_classical,
     rigidify,
 )
-from .intlinalg import IntMatrix, Vec
+from .intlinalg import IntMatrix, Vec, invariant_factors, smith_decomposition
 
 
 class GsFan:
@@ -43,8 +41,8 @@ class GsFan:
             raise KmFanError("beta must start at the fan's lattice")
         if not beta.target.is_lattice():
             raise NonLattice("beta must land in a lattice")
-        _, cok, _ = hom_kernel_cokernel(beta)
-        if not cok.is_finite():
+        # a map of lattices has finite cokernel iff its rank is the target's
+        if len(invariant_factors(beta.matrix)) != beta.target.free_rank:
             raise KmFanError("beta must have finite cokernel")
         object.__setattr__(self, "fan", fan)
         object.__setattr__(self, "beta", beta)
@@ -186,13 +184,15 @@ def lattice_data_colimit(fan: KmFan) -> Unfolding:
             raise KmFanError("internal: datum element outside a larger datum")
         return sol
 
-    faces = {sigma: set(sigma.faces()) for sigma in fan.cones}
+    # the proper cofaces of each cone, in fan order
+    cofaces: Dict[Cone, List[Cone]] = {c: [] for c in fan.cones}
+    for sigma in fan.cones:
+        for tau in sigma.faces()[:-1]:
+            cofaces[tau].append(sigma)
     rel_cols: List[Vec] = []
     for tau in fan.cones:
         tau_basis = fan.data[tau].basis()
-        for sigma in fan.cones:
-            if sigma == tau or tau not in faces[sigma]:
-                continue
+        for sigma in cofaces[tau]:
             for j in range(tau_basis.cols):
                 g = fan.group.reduce(tau_basis.column(j))
                 col = [0] * total
@@ -314,15 +314,72 @@ def is_gs_representable(fan: KmFan) -> bool:
     tau is the map for sigma restricted to F_tau.  So when the image of
     F_sigma is saturated, the image of F_tau is saturated in it and hence in
     the free colimit.  Every cone is a face of a maximal cone.
+
+    The colimit is presented on maximal cones only, which gives the same
+    group as lattice_data_colimit's presentation over all cones.  Take the
+    direct sum of the blocks F_sigma, sigma maximal, and for each cone tau
+    with maximal cofaces sigma_1, ..., sigma_k (sigma_1 first in fan order)
+    the relations g in sigma_1's block = g in sigma_i's block, for g in a
+    basis of F_tau.  Passing from the full presentation to this one is a
+    sequence of Tietze moves: each non-maximal block F_tau is eliminated by
+    its relation to the block of its sigma_1.  A relation for a face pair
+    tau < rho then reads (g in the block of rho's sigma_1) = (g in the block
+    of tau's sigma_1).  Both are maximal cofaces of tau, so it is the
+    difference of two of tau's relations above.
+
+    Whether an image is saturated does not depend on the basis of the free
+    colimit, so no normal form is built.  One Smith decomposition
+    U rel V = D of the relation columns gives it: the image of rel lies in
+    the span of the first rank coordinates of U, and its saturation is that
+    span, so the rows of U past the rank are coordinates on the colimit
+    modulo its torsion.  The columns of those rows at sigma's block are the
+    structure map of sigma, saturated exactly when its invariant factors
+    are all 1.
     """
     if not fan.group.is_lattice():
         raise NonLattice("the test is defined for lattice KM fans")
-    unf = lattice_data_colimit(fan)
-    _, to_free = free_quotient(unf.colimit)
-    for c in fan.maximal_cones():
-        ibar = unf.structure_maps[c].then(to_free)
-        _, cok, _ = hom_kernel_cokernel(ibar)
-        if cok.torsion:
+    maximal = fan.maximal_cones()
+    offsets: Dict[Cone, int] = {}
+    lifters: Dict[Cone, Callable] = {}
+    cofaces: Dict[Cone, List[Cone]] = {}
+    total = 0
+    for sigma in maximal:
+        basis = fan.data[sigma].basis()
+        offsets[sigma] = total
+        total += basis.cols
+        lifters[sigma] = _lifter(basis, fan.group)
+        for tau in sigma.faces():
+            cofaces.setdefault(tau, []).append(sigma)
+
+    def coords_in(sigma: Cone, element: Vec) -> Vec:
+        sol = lifters[sigma](element)
+        if sol is None:
+            raise KmFanError("internal: datum element outside a larger datum")
+        return sol
+
+    rel_cols: List[Vec] = []
+    for tau, over in cofaces.items():
+        if len(over) < 2:
+            continue
+        off_first = offsets[over[0]]
+        for g in fan.data[tau].basis().columns():
+            base = coords_in(over[0], g)
+            for sigma in over[1:]:
+                col = [0] * total
+                for i, x in enumerate(base):
+                    col[off_first + i] = x
+                off = offsets[sigma]
+                for i, x in enumerate(coords_in(sigma, g)):
+                    col[off + i] -= x
+                rel_cols.append(tuple(col))
+
+    s = smith_decomposition(IntMatrix._from_columns(rel_cols, total), transforms=("u",))
+    free_rows = s.u.entries[s.rank():]
+    for sigma in maximal:
+        off = offsets[sigma]
+        width = fan.data[sigma].basis().cols
+        block = IntMatrix._make(tuple(row[off:off + width] for row in free_rows), width)
+        if any(d != 1 for d in invariant_factors(block)):
             return False
     return True
 

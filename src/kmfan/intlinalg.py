@@ -326,6 +326,8 @@ def smith_decomposition(m: IntMatrix, transforms: Collection[str] = TRANSFORMS) 
                     dirty = True
             if dirty:
                 continue
+            if p == 1:  # a unit divides the rest of the block
+                break
             # pivot must divide the rest of the block
             offender = None
             for i in range(t + 1, nr):

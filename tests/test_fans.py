@@ -1021,3 +1021,89 @@ class TestSemiTameFromConeImages:
                 break
         assert seen[True] >= 30 and sum(seen.values()) - seen[True] >= 30, seen
         assert min(seen.values()) >= 5, seen
+
+
+def validate_hom_by_intersection(f: GroupHom, source: KmFan, target: KmFan):
+    """validate_hom with the minimal containing cone found by intersecting
+    every target cone that contains f(sigma), one double description per
+    extra containing cone."""
+    fbar = f.free_matrix()
+    images = {}
+    for sigma in source.cones:
+        img_gens = [fbar.apply(rr) for rr in sigma.rays]
+        containing = [
+            tau for tau in target.cones if all(tau.contains_point(g) for g in img_gens)
+        ]
+        if not containing:
+            return HomRefusal(sigma, "image of the cone is not contained in any target cone")
+        minimal = containing[0]
+        for tau in containing[1:]:
+            minimal = minimal.intersect(tau)
+        datum = target.datum(minimal)
+        for gen in source.datum(sigma).generators():
+            if not datum.contains(f.apply(gen)):
+                return HomRefusal(
+                    sigma, "lattice datum does not map into the datum of the minimal cone"
+                )
+        images[sigma] = minimal
+    return KmFanHom(source, target, f, images)
+
+
+def _random_fan_hom_inputs(rng, p1_cubed):
+    """A group map with source and target fans: maps between random polygon
+    subfans, into the line and into p1_cubed = (P^1)^3, and into random KM
+    fans with torsion, whose data refuse many maps."""
+    style = rng.randrange(4)
+    if style == 0:
+        g = IntMatrix([[rng.randint(-2, 2) for _ in range(2)] for _ in range(2)])
+        return GroupHom(Z2, Z2, g), _random_polygon_fan(rng), _random_polygon_fan(rng)
+    if style == 1:
+        row = IntMatrix([[rng.randint(-2, 2), rng.randint(-2, 2)]])
+        return GroupHom(Z2, Z, row), _random_polygon_fan(rng), projective_line_fan()
+    if style == 2:
+        z3 = FgaGroup(3)
+        while True:
+            cone = Cone.from_generators([_random_3_vector(rng) for _ in range(3)], 3)
+            if cone.dim() == 3 and cone.is_sharp():
+                break
+        g = IntMatrix([[rng.randint(-1, 1) for _ in range(3)] for _ in range(3)])
+        return GroupHom(z3, z3, g), from_classical(z3, [cone]), p1_cubed
+    target = random_simplicial_km_fan(rng)
+    source = _random_polygon_fan(rng)
+    cols = [
+        tuple(rng.randint(-2, 2) for _ in range(target.group.free_rank))
+        + tuple(rng.randrange(d) for d in target.group.torsion)
+        for _ in range(2)
+    ]
+    return GroupHom(Z2, target.group, IntMatrix.from_columns(cols, rows=target.group.ncoords)), source, target
+
+
+class TestMinimalConeWithoutIntersection:
+    def test_agrees_with_the_intersection_oracle(self, monkeypatch):
+        """Same KmFanHom cone maps and the same refusals (cone and reason)
+        as the scan-and-intersect oracle, with no intersection of its own;
+        "several" counts the maps where the oracle intersected."""
+        rng = random.Random(5150)
+        calls = []
+        real = Cone.intersect
+        monkeypatch.setattr(Cone, "intersect", lambda a, b: calls.append(1) or real(a, b))
+        seen = {"accepted": 0, "several": 0, "not contained": 0, "datum": 0}
+        p1 = projective_line_fan()
+        p1_cubed = product(product(p1, p1)[0], p1)[0]
+        for _ in range(1000):
+            f, source, target = _random_fan_hom_inputs(rng, p1_cubed)
+            del calls[:]
+            verdict = validate_hom(f, source, target)
+            assert calls == []
+            expected = validate_hom_by_intersection(f, source, target)
+            seen["several"] += bool(calls)
+            assert type(verdict) is type(expected), (f, source, target)
+            if isinstance(expected, HomRefusal):
+                assert (verdict.cone, verdict.reason) == (expected.cone, expected.reason)
+                seen["datum" if "datum" in expected.reason else "not contained"] += 1
+            else:
+                assert verdict.cone_images == expected.cone_images
+                seen["accepted"] += 1
+            if min(seen.values()) >= 30:
+                break
+        assert min(seen.values()) >= 30, seen

@@ -461,6 +461,64 @@ def lattice_fans():
     return list(seeded_lattice_fans(320))
 
 
+def colimit_torsion_oracle(fan: KmFan) -> bool:
+    """GS-representability through the full colimit normal form: the
+    colimit over all cones, its free quotient, and one kernel-cokernel per
+    maximal cone."""
+    unf = lattice_data_colimit(fan)
+    _, to_free = free_quotient(unf.colimit)
+    for c in fan.maximal_cones():
+        _, cok, _ = hom_kernel_cokernel(unf.structure_maps[c].then(to_free))
+        if cok.torsion:
+            return False
+    return True
+
+
+def linked_pages_fan(saturated: bool) -> KmFan:
+    """Three maximal cones in Z^3 that pairwise meet only in the ray e3 (a
+    2-cone, the first of them in fan order, and two 3-cones), and a fourth,
+    a 2-cone that joins the two 3-cones through one ray of each.  The
+    fourth carries the saturated datum, or the index-2 datum generated by
+    its rays, which makes the fan non-representable through the cycle
+    3-cone, 2-cone, 3-cone, e3.  Only the relation that identifies e3 in
+    the two 3-cones closes that cycle."""
+    e3 = (0, 0, 1)
+    link = Cone.from_generators([(-2, -2, 1), (2, 0, -3)], 3)
+    base = from_classical(Z3, [
+        Cone.from_generators([e3, (1, 1, 0)], 3),
+        Cone.from_generators([e3, (-3, 2, -1), (-2, -2, 1)], 3),
+        Cone.from_generators([e3, (2, -1, 1), (2, 0, -3)], 3),
+        link,
+    ])
+    if saturated:
+        return base
+    data = dict(base.data)
+    data[link] = LatticeDatum.from_generators(Z3, link.rays)
+    return KmFan(Z3, base.cones, data)
+
+
+def nonsaturated_single_cone_fan() -> KmFan:
+    """One maximal cone whose datum, generated by its rays, has index 2:
+    no relations, and the colimit is the datum itself."""
+    cone = Cone.from_generators([(1, 0), (1, 2)], 2)
+    base = from_classical(Z2, [cone])
+    data = dict(base.data)
+    data[cone] = LatticeDatum.from_generators(Z2, cone.rays)
+    return KmFan(Z2, base.cones, data)
+
+
+def polygon_fan(count: int) -> KmFan:
+    """A complete fan in Z^2 on about count primitive rays of norm <= 12,
+    spread evenly by angle."""
+    import math
+
+    candidates = sorted(
+        {primitive_vector((a, b)) for a in range(-12, 13) for b in range(-12, 13) if (a, b) != (0, 0)},
+        key=lambda v: math.atan2(v[1], v[0]),
+    )
+    return complete_fan_with_rays([candidates[i * len(candidates) // count] for i in range(count)])
+
+
 class TestRepresentabilityWithoutSplitting:
     def test_agrees_with_split_then_test(self, lattice_fans):
         outcomes = []
@@ -489,6 +547,64 @@ class TestRepresentabilityWithoutSplitting:
                 assert any(c in m.faces() for m in bad_maximal), (i, c)
             failing_fans += bool(torsion)
         assert failing_fans >= 10
+
+
+class TestMaximalConePresentation:
+    def test_agrees_with_the_colimit_oracle(self, lattice_fans):
+        answers = []
+        for i, fan in enumerate(lattice_fans):
+            answer = is_gs_representable(fan)
+            assert answer == colimit_torsion_oracle(fan), (i, fan.cones)
+            answers.append(answer)
+        assert answers.count(True) == 301 and answers.count(False) == 19
+
+    @pytest.mark.parametrize("count", [8, 16, 32, 64, 128])
+    def test_complete_polygons(self, count):
+        fan = polygon_fan(count)
+        assert len(fan.maximal_cones()) >= count
+        assert is_gs_representable(fan) is colimit_torsion_oracle(fan) is True
+
+    @pytest.mark.parametrize("build, expected", [
+        (nonsaturated_colimit_fan, False),
+        (torsion_colimit_fan, True),
+        (lambda: linked_pages_fan(False), False),
+        (lambda: linked_pages_fan(True), True),
+        (lambda: zero_fan(Z2), True),
+        (lambda: zero_fan(FgaGroup(0)), True),
+        (plane_fan, True),
+        (lambda: single_cone_in_z3(random.Random(3)), True),
+        (nonsaturated_single_cone_fan, True),
+    ])
+    def test_named_fans(self, build, expected):
+        fan = build()
+        assert is_gs_representable(fan) is colimit_torsion_oracle(fan) is expected
+
+    @pytest.mark.parametrize("build", [
+        lambda: polygon_fan(64),
+        lambda: product(product(projective_line_fan(), projective_line_fan())[0], projective_line_fan())[0],
+    ])
+    def test_one_u_only_smith_and_no_colimit(self, monkeypatch, build):
+        """Counted with the datum bases already cached, as in a fan that has
+        been validated."""
+        fan = build()
+        for c in fan.cones:
+            fan.data[c].basis()
+        tracked = []
+        real = intlinalg.smith_decomposition
+
+        def counting(m, transforms=intlinalg.TRANSFORMS):
+            tracked.append(tuple(transforms))
+            return real(m, transforms)
+
+        for mod in (intlinalg, abelian, gsfans):
+            monkeypatch.setattr(mod, "smith_decomposition", counting)
+        banned = []
+        for mod, name in ((abelian, "present_quotient"), (abelian, "hom_kernel_cokernel"),
+                          (gsfans, "present_quotient"), (gsfans, "lattice_data_colimit")):
+            monkeypatch.setattr(mod, name, lambda *a, _name=name, **k: banned.append(_name))
+        assert is_gs_representable(fan)
+        assert tracked.count(("u",)) == 1
+        assert banned == []
 
 
 class TestRoundTrip:
