@@ -4,14 +4,20 @@ A cone is its canonical V-data: primitive extremal ray representatives
 (reduced against a canonical complement of the lineality lattice and sorted)
 and a canonical lineality basis.  Two cones are equal as point sets iff their
 V-data are equal.  The H-description (facet inequalities and span equations)
-is derived on demand and cached; faces are cut out of a cone by incidence
-with its facets, without a new double description.  A cone given by
+is derived on demand and cached.
+
+A simplicial cone is its rays.  It is built without a double description
+(DD), its faces are the subsets of its rays, and its H-description comes
+from one Smith decomposition of its ray matrix.  The DD serves only the
+other cones: a non-simplicial cone derives its H-description by one DD, its
+faces are cut out by incidence with its facets, and a cone given by
 inequalities and equations (intersections, preimages) takes its V-data from
-one double-description conversion of those constraints.
+one DD of those constraints.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, KmFanError, PieceOutsideTarget
@@ -128,15 +134,16 @@ class Cone:
 
     __slots__ = ("ambient_rank", "rays", "lineality", "_h", "_faces", "_dim")
 
-    def __init__(self, ambient_rank, rays, lineality, _h=None):
-        """Canonical V-data; _h is the (facets, equations) pair when the
-        caller has already computed it, otherwise it is derived on first use."""
+    def __init__(self, ambient_rank, rays, lineality, _h=None, _dim=None):
+        """Canonical V-data; _h is the (facets, equations) pair and _dim the
+        dimension when the caller already knows them, otherwise they are
+        derived on first use."""
         object.__setattr__(self, "ambient_rank", ambient_rank)
         object.__setattr__(self, "rays", tuple(rays))
         object.__setattr__(self, "lineality", tuple(lineality))
         object.__setattr__(self, "_h", _h)
         object.__setattr__(self, "_faces", None)
-        object.__setattr__(self, "_dim", None)
+        object.__setattr__(self, "_dim", _dim)
 
     def __setattr__(self, *args):
         raise AttributeError("Cone is immutable")
@@ -153,24 +160,36 @@ class Cone:
 
     def _h_data(self) -> Tuple[Tuple[Vec, ...], Tuple[Vec, ...]]:
         if self._h is None:
-            object.__setattr__(self, "_h", _h_description(self.generators(), self.ambient_rank))
+            object.__setattr__(self, "_h", _derive_h(self))
         return self._h
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
     def from_generators(generators: Iterable[Sequence[int]], ambient_rank: int) -> "Cone":
+        """The cone spanned by the generators.
+
+        A simplicial cone is its rays: when the primitive generators are
+        linearly independent they are its rays, and it is built with no
+        double description (DD).  Its faces are the cones on subsets of its
+        rays, and its H-description, when read, comes from one Smith
+        decomposition.  Any other cone takes its H-description from one DD
+        here and keeps the generators that are extremal; the DD serves only
+        such cones and cones given by constraints.
+        """
         gens = [_int_vector(g) for g in generators]
         for g in gens:
             if len(g) != ambient_rank:
                 raise DimensionMismatch("generator has wrong length")
-        gens = [g for g in gens if any(g)]
-        h = _h_description(gens, ambient_rank)
+        rays = _dedupe(primitive_vector(g) for g in gens if any(g))
+        if _rank_of_vectors(rays, ambient_rank) == len(rays):
+            return Cone(ambient_rank, sorted(rays), (), _dim=len(rays))
+        h = _h_description(rays, ambient_rank)
         facets, equations = h
         # lineality of the primal: common kernel of facets and equations
         lin_mat = kernel_basis(IntMatrix._make(facets + equations, ambient_rank))
         lineality = _canonical_lattice_basis(list(lin_mat.columns()), ambient_rank)
-        rays = _canonical_rays(gens, facets, equations, lineality, ambient_rank)
+        rays = _canonical_rays(rays, facets, equations, lineality, ambient_rank)
         return Cone(ambient_rank, rays, lineality, h)
 
     @staticmethod
@@ -294,19 +313,28 @@ class Cone:
         """All faces, including {0}-or-lineality and the cone itself, ordered
         by dimension then lexicographically by rays."""
         if self._faces is None:
-            whole = self._face([])  # a copy: the cache must not refer to self
-            found = {whole}
-            frontier = [whole]
-            while frontier:
-                new = []
-                for face in frontier:
-                    for h in self.facets:
-                        child = face._face([h])
-                        if child not in found:
-                            found.add(child)
-                            new.append(child)
-                frontier = new
-            ordered = sorted(found, key=lambda c: (c.dim(), c.rays))
+            if self.is_simplicial():
+                # the cones on the subsets of the sorted rays, already in
+                # (dimension, rays) order
+                ordered = [
+                    Cone(self.ambient_rank, sub, (), _dim=k)
+                    for k in range(self.dim() + 1)
+                    for sub in itertools.combinations(self.rays, k)
+                ]
+            else:
+                whole = self._face([])  # a copy: the cache must not refer to self
+                found = {whole}
+                frontier = [whole]
+                while frontier:
+                    new = []
+                    for face in frontier:
+                        for h in self.facets:
+                            child = face._face([h])
+                            if child not in found:
+                                found.add(child)
+                                new.append(child)
+                    frontier = new
+                ordered = sorted(found, key=lambda c: (c.dim(), c.rays))
             object.__setattr__(self, "_faces", tuple(ordered))
         return list(self._faces)
 
@@ -360,6 +388,34 @@ class Cone:
         ineqs = [mt.apply(h) for h in self.facets]
         eqs = [mt.apply(e) for e in self.equations]
         return Cone.from_halfspaces(ineqs, eqs, matrix.cols)
+
+
+def _derive_h(cone: Cone) -> Tuple[Tuple[Vec, ...], Tuple[Vec, ...]]:
+    """The canonical (facets, equations) of a cone: the entry point of every
+    H-description a cone derives when it is first read."""
+    if cone.is_simplicial():
+        return _simplicial_h_description(cone.rays, cone.ambient_rank)
+    return _h_description(cone.generators(), cone.ambient_rank)
+
+
+def _simplicial_h_description(rays: Sequence[Vec], ambient: int) -> Tuple[Tuple[Vec, ...], Tuple[Vec, ...]]:
+    """Canonical (facets, equations) of the cone on linearly independent rays,
+    from one Smith decomposition U R^T V = D of the k x ambient ray matrix.
+
+    The columns of V past k span the kernel of R^T, the equations.  Facet i
+    is V y with y_j = (d_k / d_j) U[j][i] for j < k, so that R^T V y = d_k e_i:
+    it vanishes on every ray but the i-th.  Both go through the same
+    canonicalisation as the double description's output.
+    """
+    k = len(rays)
+    s = smith_decomposition(IntMatrix._make(tuple(rays), ambient), transforms=("u", "v"))
+    diag = s.diagonal()
+    equations = _saturated_lattice_basis(s.v.columns()[k:], ambient)
+    facets = []
+    for i in range(k):
+        y = [diag[k - 1] // diag[j] * s.u.entries[j][i] for j in range(k)]
+        facets.append(s.v.apply(y + [0] * (ambient - k)))
+    return tuple(_reduce_mod_lattice(facets, equations, ambient)), tuple(equations)
 
 
 def _h_description(gens: Sequence[Vec], ambient: int) -> Tuple[Tuple[Vec, ...], Tuple[Vec, ...]]:

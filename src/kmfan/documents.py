@@ -84,7 +84,7 @@ def group_from_obj(obj) -> FgaGroup:
         raise DocumentError("group must be an object")
     try:
         free = _dec_int(obj["free_rank"])
-        torsion = [_dec_int(d) for d in obj.get("torsion_invariants", [])]
+        torsion = _dec_vector(obj.get("torsion_invariants", []))
     except KeyError as exc:
         raise DocumentError(f"group is missing {exc}") from exc
     try:

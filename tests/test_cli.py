@@ -170,6 +170,38 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(out)["error"] == "schema"
 
+    # "2" once loaded as [2]; true and 7 raised a TypeError out of the CLI
+    BAD_TORSION = ["2", True, 7]
+
+    @pytest.mark.parametrize("torsion", BAD_TORSION, ids=["string", "boolean", "integer"])
+    def test_non_list_torsion_in_fan_is_exit_two_schema(self, workdir, torsion):
+        doc = {
+            "schema_version": "1",
+            "group": {"free_rank": 1, "torsion_invariants": torsion},
+            "cones": [{"rays": []}],
+            "lattice_data": [{"cone_index": 0, "generators": []}],
+        }
+        with open("bad_torsion.json", "w", encoding="utf-8") as fh:
+            fh.write(dumps(doc))
+        code, out = invoke(["info", "--fan", "bad_torsion.json"])
+        assert code == 2
+        assert json.loads(out)["error"] == "schema"
+
+    @pytest.mark.parametrize("torsion", BAD_TORSION, ids=["string", "boolean", "integer"])
+    def test_non_list_torsion_in_gs_fan_lattice_is_exit_two_schema(self, workdir, torsion):
+        doc = {
+            "schema_version": "1",
+            "lattice": {"free_rank": 1, "torsion_invariants": torsion},
+            "cones": [{"rays": [[1]]}],
+            "group": {"free_rank": 1, "torsion_invariants": []},
+            "beta": [[2]],
+        }
+        with open("bad_torsion_gs.json", "w", encoding="utf-8") as fh:
+            fh.write(dumps(doc))
+        code, out = invoke(["fold", "--fan", "bad_torsion_gs.json"])
+        assert code == 2
+        assert json.loads(out)["error"] == "schema"
+
     def test_rank_too_high_draw(self, workdir):
         from kmfan.abelian import FgaGroup
         from kmfan.cones import Cone

@@ -5,12 +5,30 @@ import random
 
 import pytest
 
-from kmfan.cones import Cone, union_covers
+from kmfan.cones import Cone, _h_description, union_covers
 from kmfan.errors import DimensionMismatch, PieceOutsideTarget
-from kmfan.intlinalg import IntMatrix
+from kmfan.intlinalg import IntMatrix, rank
 
 
 QUAD = Cone.from_generators([(1, 0), (0, 1)], 2)
+
+
+def _count_derivations(monkeypatch):
+    """Count the cones module's double descriptions and its H-derivations
+    (the single entry point a cone derives its facets through)."""
+    import kmfan.cones as cones
+
+    calls = {}
+    for name in ("_derive_h", "_halfspace_intersection"):
+        real = getattr(cones, name)
+        calls[name] = 0
+
+        def counted(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(cones, name, counted)
+    return calls
 
 
 class TestDual:
@@ -71,24 +89,18 @@ class TestFaces:
                         assert face.contains_point(p) and face.contains_point(q)
 
     def test_faces_by_incidence_defer_double_description(self, monkeypatch):
-        import kmfan.cones as cones
-
         c = Cone.from_generators([(1, 0, 0), (0, 1, 0), (1, 1, 1), (0, 0, 1)], 3)
-        calls = []
-        real = cones._halfspace_intersection
-        monkeypatch.setattr(
-            cones, "_halfspace_intersection", lambda *args: calls.append(args) or real(*args)
-        )
+        calls = _count_derivations(monkeypatch)
         faces = c.faces()
         assert c.classify_point((1, 0, 0))[1] in faces
         assert all(f.is_face_of(c) for f in faces)
-        assert calls == []
-        # a face's own H-description is derived when first read
-        assert faces[-2].facets
-        assert len(calls) == 1
+        assert calls == {"_derive_h": 0, "_halfspace_intersection": 0}
+        # a face's own H-description is derived once, when first read; the
+        # face is simplicial, so that takes no double description
+        assert faces[-2].facets == faces[-2].facets
+        assert calls == {"_derive_h": 1, "_halfspace_intersection": 0}
 
     def test_intersection_and_validation_run_one_conversion_each(self, monkeypatch):
-        import kmfan.cones as cones
         from kmfan.abelian import FgaGroup
         from kmfan.fans import from_classical
 
@@ -101,20 +113,19 @@ class TestFaces:
             FgaGroup(2),
             [Cone.from_generators([rays[i], rays[(i + 1) % 16]], 2) for i in range(16)],
         )
-        calls = []
-        real = cones._halfspace_intersection
-        monkeypatch.setattr(
-            cones, "_halfspace_intersection", lambda *args: calls.append(args) or real(*args)
-        )
+        calls = _count_derivations(monkeypatch)
+        # one double description, after reading the operands' facets
         meet = a.intersect(b)
-        assert len(calls) == 1
-        # the meet's facets are derived once, when first read
+        assert calls == {"_derive_h": 2, "_halfspace_intersection": 1}
+        # the meet's facets are derived once, when first read; the meet is
+        # simplicial, so that takes no double description
         assert meet.facets == meet.facets
-        assert len(calls) == 2
-        calls.clear()
+        assert calls == {"_derive_h": 3, "_halfspace_intersection": 1}
+        calls.update(dict.fromkeys(calls, 0))
         assert len(fan.maximal_cones()) == 16
         assert fan.validate() == []
-        assert len(calls) <= 16 * 15 // 2
+        # the cones are simplicial: no pair needs a double description
+        assert calls["_halfspace_intersection"] == 0
 
     def test_representability_and_compatibility_skip_redundant_work(self, monkeypatch):
         import kmfan.fans as fans
@@ -147,6 +158,72 @@ class TestFaces:
         count(fans, "present_quotient")
         assert polygon.validate() == [] and square.validate() == []
         assert calls.count("present_quotient") <= len(polygon.cones) + len(square.cones)
+
+
+def _generator_sets(seed, count):
+    """Seeded generator sets in ambient ranks 0-5: zero cones, independent
+    sets, repeated generators, positive multiples and dependent sets."""
+    rng = random.Random(seed)
+    kinds = ["zero", "independent", "repeated", "multiple", "dependent"]
+    for t in range(count):
+        r = t % 6
+        kind = kinds[(t // 6) % len(kinds)]
+
+        def vec():
+            return tuple(rng.randint(-3, 3) for _ in range(r))
+
+        if kind == "zero":
+            gens = [(0,) * r] * rng.randint(0, 2)
+        elif kind == "dependent":
+            gens = [vec() for _ in range(r + rng.randint(1, 2))]
+            if gens and rng.random() < 0.5:
+                gens.append(tuple(-x for x in gens[0]))
+        else:
+            gens = [vec() for _ in range(rng.randint(1, r))] if r else []
+            if gens and kind == "repeated":
+                gens.append(rng.choice(gens))
+            elif gens and kind == "multiple":
+                gens.append(tuple(rng.randint(2, 5) * x for x in rng.choice(gens)))
+            rng.shuffle(gens)
+        yield r, gens
+
+
+def _dd_reference(gens, r):
+    """V-data, H-description and faces of cone(gens), all by double
+    description: the facets and equations from the dual cone's DD, the
+    V-data from a DD of those constraints, each face cut out by facets and
+    given its own DD-derived H-description."""
+    facets, equations = _h_description(gens, r)
+    cone = Cone.from_halfspaces(facets, equations, r)
+    found = {cone.rays}
+    frontier = [cone.rays]
+    while frontier:
+        cut = [tuple(x for x in rays if sum(a * b for a, b in zip(h, x)) == 0)
+               for rays in frontier for h in facets]
+        frontier = [rays for rays in dict.fromkeys(cut) if rays not in found]
+        found.update(frontier)
+    faces = []
+    for rays in found:
+        face_gens = list(rays) + list(cone.lineality) + [tuple(-x for x in l) for l in cone.lineality]
+        dim = rank(IntMatrix(list(rays) + list(cone.lineality), cols=r)) if face_gens else 0
+        faces.append((dim, rays, cone.lineality, _h_description(face_gens, r)))
+    return cone.rays, cone.lineality, (facets, equations), sorted(faces)
+
+
+class TestSimplicialClosedForms:
+    def test_agree_with_double_description(self):
+        simplicial = 0
+        for r, gens in _generator_sets(20, 2000):
+            c = Cone.from_generators(gens, r)
+            rays, lineality, h, faces = _dd_reference(gens, r)
+            assert (c.rays, c.lineality) == (rays, lineality), gens
+            assert (c.facets, c.equations) == h, gens
+            assert [
+                (f.dim(), f.rays, f.lineality, (f.facets, f.equations)) for f in c.faces()
+            ] == faces, gens
+            simplicial += c.is_simplicial()
+        # both paths are exercised
+        assert 1000 < simplicial < 2000
 
 
 class TestSpan:
