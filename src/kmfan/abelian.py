@@ -87,9 +87,6 @@ class FgaGroup:
         r = self.free_rank
         return vector[:r] + tuple(v % d for v, d in zip(vector[r:], self.torsion))
 
-    def free_part(self, vector: Sequence[int]) -> Vec:
-        return tuple(vector[: self.free_rank])
-
     def relation_matrix(self) -> IntMatrix:
         """Columns d_i * e_{r+i}: the relations of the standard presentation."""
         m, r = self.ncoords, self.free_rank
@@ -344,11 +341,17 @@ def present_quotient(m: int, relation_columns: IntMatrix) -> QuotientPresentatio
 
 
 def _presentation_of_image(ambient: FgaGroup, preimage: IntMatrix) -> Tuple[FgaGroup, GroupHom]:
-    """Normal form of H = image of a preimage lattice, with inclusion into N."""
+    """Normal form of H = image of a preimage lattice, with inclusion into N.
+
+    On a lattice N the preimage is H itself, and its Hermite basis has full
+    column rank: H is Z^t with the basis as inclusion, which is what the
+    general path (no relations, so an empty kernel) returns too.  Elsewhere
+    the preimage holds the relations of N, so t > 0.
+    """
     t = preimage.cols
-    if t == 0:
-        grp = FgaGroup(0)
-        return grp, GroupHom(grp, ambient, IntMatrix.zero(ambient.ncoords, 0))
+    if ambient.is_lattice():
+        grp = FgaGroup(t)
+        return grp, GroupHom(grp, ambient, preimage)
     rel = ambient.relation_matrix()
     ker = kernel_basis(preimage.hstack(rel))
     coeff = ker.select_rows(range(t))
@@ -444,15 +447,6 @@ def is_surjective(f: GroupHom) -> bool:
 
 def is_isomorphism(f: GroupHom) -> bool:
     return is_injective(f) and is_surjective(f)
-
-
-def inverse_hom(f: GroupHom) -> GroupHom:
-    """The inverse of an isomorphism."""
-    if not is_isomorphism(f):
-        raise KmFanError("homomorphism is not invertible")
-    lift = _lifter(f.matrix, f.target)
-    cols = [lift(e) for e in IntMatrix.identity(f.target.ncoords).entries]
-    return GroupHom(f.target, f.source, IntMatrix._from_columns(cols, f.source.ncoords))
 
 
 def _lifter(matrix: IntMatrix, group: FgaGroup):

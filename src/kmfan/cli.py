@@ -5,7 +5,8 @@ Usage:
                        [--point CSV] [--window N] [--out FILE]
 
 Exit codes: 0 success, 1 validation refusal or precondition failure,
-2 malformed input.  All results are deterministic JSON on stdout.
+2 malformed input, or input too large to compute with (an OverflowError or
+MemoryError).  All results are deterministic JSON on stdout.
 """
 
 from __future__ import annotations
@@ -159,6 +160,9 @@ def run(argv) -> int:
     except KmFanError as exc:
         sys.stdout.write(dumps({"error": "precondition", "detail": str(exc)}))
         return 1
+    except (OverflowError, MemoryError) as exc:
+        sys.stdout.write(dumps({"error": "too-large", "detail": str(exc) or type(exc).__name__}))
+        return 2
     sys.stdout.write(dumps(payload))
     return 0
 

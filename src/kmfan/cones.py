@@ -132,7 +132,7 @@ def _dedupe(vectors: Iterable[Vec]) -> List[Vec]:
 class Cone:
     """A rational polyhedral cone in canonical form."""
 
-    __slots__ = ("ambient_rank", "rays", "lineality", "_h", "_faces", "_dim")
+    __slots__ = ("ambient_rank", "rays", "lineality", "_h", "_faces", "_dim", "_span")
 
     def __init__(self, ambient_rank, rays, lineality, _h=None, _dim=None):
         """Canonical V-data; _h is the (facets, equations) pair and _dim the
@@ -144,6 +144,7 @@ class Cone:
         object.__setattr__(self, "_h", _h)
         object.__setattr__(self, "_faces", None)
         object.__setattr__(self, "_dim", _dim)
+        object.__setattr__(self, "_span", None)
 
     def __setattr__(self, *args):
         raise AttributeError("Cone is immutable")
@@ -363,11 +364,16 @@ class Cone:
         return other._face(active) == self
 
     def span_lattice_basis(self) -> IntMatrix:
-        """Saturated basis of Span(cone) cap Z^r (Hermite-canonical columns)."""
-        gens = list(self.rays) + list(self.lineality)
-        if not gens:
-            return IntMatrix.zero(self.ambient_rank, 0)
-        return saturate(IntMatrix._from_columns(gens, self.ambient_rank))
+        """Saturated basis of Span(cone) cap Z^r (Hermite-canonical columns),
+        derived on first use and cached like the H-description."""
+        if self._span is None:
+            gens = list(self.rays) + list(self.lineality)
+            if gens:
+                span = saturate(IntMatrix._from_columns(gens, self.ambient_rank))
+            else:
+                span = IntMatrix.zero(self.ambient_rank, 0)
+            object.__setattr__(self, "_span", span)
+        return self._span
 
     def linear_image(self, matrix: IntMatrix) -> "Cone":
         """Image cone under an integer linear map (matrix acts on columns)."""

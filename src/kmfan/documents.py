@@ -19,6 +19,9 @@ from .intlinalg import IntMatrix
 
 SCHEMA_VERSION = "1"
 _SAFE = 2 ** 53 - 1
+# The largest free rank a document may declare.  A larger one is a schema
+# error, not a hang or an OverflowError deep inside the integer core.
+MAX_FREE_RANK = 4096
 
 
 class DocumentError(KmFanError):
@@ -87,6 +90,8 @@ def group_from_obj(obj) -> FgaGroup:
         torsion = _dec_vector(obj.get("torsion_invariants", []))
     except KeyError as exc:
         raise DocumentError(f"group is missing {exc}") from exc
+    if free > MAX_FREE_RANK:
+        raise DocumentError(f"free_rank {free} exceeds the maximum {MAX_FREE_RANK}")
     try:
         return FgaGroup(free, torsion)
     except ValueError as exc:

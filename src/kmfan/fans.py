@@ -44,6 +44,7 @@ from .intlinalg import (
     IntMatrix,
     LinearSystem,
     Vec,
+    _dot,
     kernel_basis,
     primitive_vector,
     rank as matrix_rank,
@@ -161,6 +162,16 @@ class KmFan:
         lies in the span; and Span({0}) cap F_sigma is the part of F_sigma
         with zero free projection, which is 0 as the free projections of its
         basis are independent, while F_{0} is a lattice of rank dim {0} = 0.
+
+        The covering pairs, tau a facet of sigma, are checked first, and
+        when they all hold so does every pair.  If tau < rho < sigma, then
+        Span(tau) cap F_sigma = Span(tau) cap (Span(rho) cap F_sigma) =
+        Span(tau) cap F_rho, as Span(tau) lies in Span(rho); and the face
+        lattice of a cone is graded (Ziegler, Lectures on Polytopes, Ch. 2),
+        so every face tau of sigma ends a chain of covering pairs from sigma,
+        through cones of the fan, which is closed under faces.  Only when a
+        covering pair fails does the loop over all pairs run, which writes
+        the report.
         """
         out: List[dict] = []
         for c in self.cones:
@@ -175,13 +186,24 @@ class KmFan:
                 out.append({"kind": "invalid-datum", "detail": f"{c!r}: {v}"})
         if out:
             return out
+        instances = {c: c for c in self.cones}
         projections: Dict[Cone, Optional[IntMatrix]] = {}
+
+        def incompatible(sigma: Cone, tau: Cone) -> bool:
+            if tau not in projections:
+                projections[tau] = _span_projection(instances[tau])
+            return _span_intersection(self.group, self.data[sigma], projections[tau]) != self.data[tau].subgroup
+
+        if not any(
+            incompatible(sigma, tau)
+            for sigma in self.cones
+            for tau in sigma.faces()[1:-1]
+            if tau.dim() == sigma.dim() - 1
+        ):
+            return out
         for sigma in self.cones:
             for tau in sigma.faces()[1:-1]:
-                if tau not in projections:
-                    projections[tau] = _span_projection(tau)
-                expected = _span_intersection(self.group, self.data[sigma], projections[tau])
-                if expected != self.data[tau].subgroup:
+                if incompatible(sigma, tau):
                     out.append({
                         "kind": "incompatible-data",
                         "detail": f"datum of face {tau!r} is not Span(face) cap datum of {sigma!r}",
@@ -237,7 +259,10 @@ def _cone_violations(r: int, cones: Sequence[Cone]) -> List[dict]:
     """The cone-set phase of validation, over cones in canonical order.
 
     Each step runs only when the earlier ones found nothing: the ambient
-    rank; sharpness and closure under faces; the pairwise check.  The
+    rank; sharpness and closure under faces; the pairwise check.  Before
+    the pairwise check, a complete simplicial fan is certified valid
+    without it (_certified_complete_simplicial, which carries the proof);
+    when the certificate cannot decide, the pairwise check runs.  The
     pairwise check runs over maximal cones only, so its bad-intersection
     entries name maximal cones.  That suffices: if the cones are closed
     under faces and maximal cones S, T meet in a common face F, then faces
@@ -275,6 +300,9 @@ def _cone_violations(r: int, cones: Sequence[Cone]) -> List[dict]:
                 out.append({"kind": "missing-face", "detail": f"face {f!r} of {c!r} is not in the fan"})
     if out:
         return out
+    maximal = _maximal_cones(cones)
+    if _certified_complete_simplicial(r, maximal):
+        return out
     instances = {c: c for c in cones}
     faces = {c: set(c.faces()) for c in cones}
 
@@ -287,7 +315,6 @@ def _cone_violations(r: int, cones: Sequence[Cone]) -> List[dict]:
             a, b = instances[a._face([h])], instances[b._face([h])]
         return True
 
-    maximal = _maximal_cones(cones)
     for i, a in enumerate(maximal):
         for b in maximal[i + 1:]:
             if not meet_in_common_face(a, b):
@@ -296,6 +323,65 @@ def _cone_violations(r: int, cones: Sequence[Cone]) -> List[dict]:
                     "detail": f"{a!r} and {b!r} do not intersect in a common face",
                 })
     return out
+
+
+def _certified_complete_simplicial(r: int, maximal: Sequence[Cone]) -> bool:
+    """Whether the maximal cones of a set of sharp cones closed under faces
+    are certified to meet pairwise in common faces (the fan is then complete
+    and simplicial); False means "cannot decide", never "invalid".
+
+    The certificate applies when r >= 2 and every maximal cone is simplicial
+    with r rays.  It checks, with dot products and cached facets only:
+      (a) every facet, keyed by its r - 1 rays, lies in exactly two maximal
+          cones;
+      (b) the apex rays of those two cones lie strictly on opposite sides
+          of it, read off the first cone's facet normal;
+      (c) the point p, the sum of the rays of the first maximal cone, lies
+          in exactly one maximal cone.
+    This is the pseudo-manifold characterization of triangulations (De
+    Loera, Rambau and Santos, Triangulations, Ch. 4), for cones.
+
+    Proof.  Call a point generic when it lies on no facet, and let c(x)
+    count the maximal cones holding x.  Crossing a facet hyperplane at a
+    point y on no cone of dimension <= r - 2 keeps c: y lies in the
+    relative interior of every facet through it, and by (a) and (b) each
+    such facet is left by one cone and entered by one other.  Removing the
+    cones of dimension <= r - 2 leaves R^r connected, as r >= 2, so c is
+    one constant k on generic points.  Generic points near p lie in the
+    first cone, so k >= 1, and each lies in k cones, which are closed, so
+    p lies in at least k: by (c), k = 1.  So the maximal cones cover R^r
+    and their interiors are disjoint.
+
+    The same argument runs in the link of each face F of a maximal cone
+    sigma.  Project the maximal cones containing F to R^r / Span(F): the
+    images are simplicial cones of full dimension, and (a) and (b) hold
+    for them, as the partner of a facet containing F contains F, and the
+    facet hyperplane contains Span(F).  For x in the relative interior of F
+    and small v, such a cone holds x + v iff its image holds the image of
+    v, so the images cover a generic point at most once (k = 1), hence,
+    by the argument above (or directly, in quotient dimension 0 or 1),
+    exactly once.  So these cones cover a neighbourhood of x, and a maximal
+    cone tau holding x without F as a face would overlap one of their
+    interiors.  Hence, for every x in sigma cap tau, the minimal face of
+    sigma holding x is the minimal face of tau holding x.  Taking x in the
+    relative interior of the convex set sigma cap tau, that common face
+    contains sigma cap tau and lies in it.
+    """
+    if r < 2 or any(len(c.rays) != r or c.dim() != r for c in maximal):
+        return False
+    sides: Dict[Tuple[Vec, ...], List[Tuple[Cone, Vec]]] = {}
+    for c in maximal:
+        for i, apex in enumerate(c.rays):
+            sides.setdefault(c.rays[:i] + c.rays[i + 1:], []).append((c, apex))
+    for pair in sides.values():
+        if len(pair) != 2:
+            return False
+        (a, apex_a), (_, apex_b) = pair
+        normal = next(h for h in a.facets if _dot(h, apex_a) > 0)
+        if _dot(normal, apex_b) >= 0:
+            return False
+    p = maximal[0].relative_interior_point()
+    return sum(c.contains_point(p) for c in maximal) == 1
 
 
 def _maximal_cones(cones: Sequence[Cone]) -> List[Cone]:

@@ -20,10 +20,12 @@ from kmfan.abelian import (
     is_surjective,
     is_tame_hom,
     kernel_subgroup,
+    present_quotient,
     quotient,
 )
+from kmfan import abelian, intlinalg
 from kmfan.errors import NonLattice, NotTame
-from kmfan.intlinalg import IntMatrix
+from kmfan.intlinalg import IntMatrix, kernel_basis
 
 from conftest import random_tame_homs, random_group, random_hom
 
@@ -284,3 +286,35 @@ class TestFiniteQuotientExtension:
             nprime, inc = finite_quotient_extension(lattice, g)
             _, cok, _ = hom_kernel_cokernel(inc)
             assert ext_group(cok) == a
+
+
+def presentation_by_smith(sub: Subgroup):
+    """The presentation of a subgroup by the path for any ambient: the
+    relations among the preimage basis and the relations of the ambient,
+    then one Smith decomposition of their coefficients."""
+    t = sub.preimage.cols
+    if t == 0:
+        return FgaGroup(0), GroupHom(FgaGroup(0), sub.ambient, IntMatrix.zero(sub.ambient.ncoords, 0))
+    ker = kernel_basis(sub.preimage.hstack(sub.ambient.relation_matrix()))
+    pres = present_quotient(t, ker.select_rows(range(t)))
+    return pres.group, GroupHom(pres.group, sub.ambient, sub.preimage @ pres.section)
+
+
+class TestSubgroupPresentation:
+    def test_lattice_ambient_runs_no_smith(self, monkeypatch):
+        rng = random.Random(1111)
+        subgroups = [Subgroup.trivial(FgaGroup(0)), Subgroup.trivial(Z2), Subgroup.full(Z2)]
+        for _ in range(200):
+            n = rng.randint(1, 5)
+            gens = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(0, n + 1))]
+            subgroups.append(Subgroup.from_generators(FgaGroup(n), gens))
+        calls = []
+        real = abelian.smith_decomposition
+        for module in (abelian, intlinalg):
+            monkeypatch.setattr(module, "smith_decomposition", lambda *a, **k: calls.append(1) or real(*a, **k))
+        presented = [sub.as_group() for sub in subgroups]
+        assert calls == []
+        monkeypatch.undo()
+        for sub, (grp, incl) in zip(subgroups, presented):
+            assert (grp, incl) == presentation_by_smith(sub)
+            assert grp == FgaGroup(sub.preimage.cols) and incl.matrix == sub.preimage

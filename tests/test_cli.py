@@ -10,6 +10,7 @@ import pytest
 
 from kmfan.cli import run
 from kmfan.documents import (
+    MAX_FREE_RANK,
     DocumentError,
     dumps,
     fan_from_obj,
@@ -212,3 +213,49 @@ class TestExitCodes:
             fh.write(dumps(fan_to_obj(big)))
         code, out = invoke(["draw", "--fan", "big.json"])
         assert code == 1
+
+
+class TestHugeInputs:
+    @pytest.mark.parametrize("subcommand", ["validate", "info"])
+    def test_huge_free_rank_is_exit_two_schema(self, workdir, capsys, subcommand):
+        """A declared rank of 10**30 once raised OverflowError out of the CLI
+        (and before that hung); it is now refused while loading."""
+        doc = {
+            "schema_version": "1",
+            "group": {"free_rank": 10 ** 30, "torsion_invariants": []},
+            "cones": [{"rays": []}],
+            "lattice_data": [{"cone_index": 0, "generators": []}],
+        }
+        with open("huge_rank.json", "w", encoding="utf-8") as fh:
+            fh.write(dumps(doc))
+        code = run([subcommand, "--fan", "huge_rank.json"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ""
+        assert captured.out.count("\n") == 1
+        assert json.loads(captured.out)["error"] == "schema"
+
+    def test_largest_free_rank_loads(self):
+        doc = {
+            "schema_version": "1",
+            "group": {"free_rank": MAX_FREE_RANK, "torsion_invariants": []},
+            "cones": [{"rays": []}],
+            "lattice_data": [{"cone_index": 0, "generators": []}],
+        }
+        assert fan_from_obj(doc).group.free_rank == MAX_FREE_RANK
+        doc["group"]["free_rank"] = MAX_FREE_RANK + 1
+        with pytest.raises(DocumentError):
+            fan_from_obj(doc)
+
+    @pytest.mark.parametrize("error", [OverflowError("int too large"), MemoryError()])
+    def test_overflow_and_memory_errors_are_one_json_object(self, workdir, capsys, monkeypatch, error):
+        def fail(args):
+            raise error
+
+        monkeypatch.setattr("kmfan.cli._dispatch", fail)
+        code = run(["validate", "--fan", "p22.json"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ""
+        assert captured.out.count("\n") == 1
+        assert json.loads(captured.out)["error"] == "too-large"

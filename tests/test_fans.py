@@ -66,9 +66,11 @@ from kmfan.fans import (
     zero_fan,
     zero_fan_unit,
 )
-from kmfan.fans import _cone_violations
+from kmfan import fans as fans_module
+from kmfan.fans import _certified_complete_simplicial, _cone_violations, _maximal_cones
 from kmfan.intlinalg import IntMatrix, _dot, primitive_vector, rank as matrix_rank
 
+import test_properties
 from conftest import (
     build_p22,
     build_p22_source,
@@ -944,6 +946,171 @@ class TestSeparatingFacets:
         monkeypatch.setattr(Cone, "intersect", lambda a, b: calls.append(1) or real(a, b))
         assert fan.validate() == []
         assert calls == []
+
+
+def _stellar_complete_fan(rng, r, steps):
+    """Maximal cones, as ray tuples, of a complete simplicial fan in Z^r:
+    the orthant fan on +-e_i after `steps` stellar subdivisions, each at a
+    random point of the relative interior of a random face with at least
+    two rays, then a random nonsingular integer linear map."""
+    maximal = {
+        frozenset(tuple(s if j == i else 0 for j in range(r)) for i, s in enumerate(signs))
+        for signs in itertools.product((1, -1), repeat=r)
+    }
+    for _ in range(steps):
+        sigma = sorted(rng.choice(sorted(maximal, key=sorted)))
+        tau = rng.sample(sigma, rng.randint(2, r))
+        weights = [rng.randint(1, 3) for _ in tau]
+        v = primitive_vector(tuple(sum(w * u[i] for w, u in zip(weights, tau)) for i in range(r)))
+        star_of_tau = [c for c in maximal if c.issuperset(tau)]
+        maximal.difference_update(star_of_tau)
+        maximal.update(c - {u} | {v} for c in star_of_tau for u in tau)
+    while True:
+        m = IntMatrix([[rng.randint(-2, 2) for _ in range(r)] for _ in range(r)])
+        if matrix_rank(m) == r:
+            break
+    return [tuple(primitive_vector(m.apply(u)) for u in c) for c in sorted(maximal, key=sorted)]
+
+
+def _closure(r, maximal_rays):
+    """The face closure of the cones on the given ray tuples, in canonical
+    order."""
+    cones = {f for rays in maximal_rays for f in Cone.from_generators(rays, r).faces()}
+    return sorted(cones, key=lambda c: (c.dim(), c.rays))
+
+
+def _classical_unchecked(r, maximal_rays) -> KmFan:
+    group = FgaGroup(r)
+    cones = _closure(r, maximal_rays)
+    data = {c: LatticeDatum.from_generators(group, c.span_lattice_basis().columns()) for c in cones}
+    return unchecked_fan(group, cones, data)
+
+
+def _descent_violations(fan: KmFan, monkeypatch) -> list:
+    """fan.validate() with the certificate switched off: the pairwise
+    descent's report."""
+    with monkeypatch.context() as m:
+        m.setattr(fans_module, "_certified_complete_simplicial", lambda r, maximal: False)
+        return fan.validate()
+
+
+def _circle_rays(n):
+    """n primitive rays of Z^2 spread around the circle, in angular order."""
+    return [
+        primitive_vector((round(10 * math.cos(2 * math.pi * k / n)), round(10 * math.sin(2 * math.pi * k / n))))
+        for k in range(n)
+    ]
+
+
+# Invalid fans that meet one or two of the certificate's conditions.  The
+# cover meets (a) and (b): every facet lies in two cones on opposite sides,
+# yet every point is covered twice.  The fold meets (a) and (c): rays
+# (1,-1) and (1,-3) each lie in two cones, but on the same side, and the
+# angles between -71.6 and -45 degrees are covered three times.
+WINDING_TWO_COVERS = [
+    [(rays[k], rays[(k + 2) % n]) for k in range(n)]
+    for n in (5, 7, 9)
+    for rays in [_circle_rays(n)]
+]
+QUADRANTS = [((1, 0), (0, 1)), ((0, 1), (-1, 0)), ((-1, 0), (0, -1)), ((0, -1), (1, 0))]
+FACET_IN_THREE_CONES = QUADRANTS + [((1, 0), (1, 1))]
+FOLD = QUADRANTS[:3] + [((0, -1), (1, -1)), ((1, -1), (1, -3)), ((1, -3), (1, 0))]
+
+
+class TestCompleteSimplicialCertificate:
+    @pytest.mark.parametrize("r,fans,steps", [(2, 40, 6), (3, 12, 4), (4, 2, 1)])
+    def test_accepts_complete_simplicial_fans_the_oracle_accepts(self, r, fans, steps):
+        rng = random.Random(1100 + r)
+        for _ in range(fans):
+            maximal_rays = _stellar_complete_fan(rng, r, rng.randint(0, steps))
+            cones = _closure(r, maximal_rays)
+            assert _certified_complete_simplicial(r, _maximal_cones(cones))
+            faults, bad_pairs = test_properties.TestValidationFuzz.all_pairs_oracle(cones)
+            assert faults == [] and bad_pairs == [], maximal_rays
+            assert _classical_unchecked(r, maximal_rays).validate() == []
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_never_accepts_a_fan_the_oracle_rejects(self, r, monkeypatch):
+        """Complete fans with one ray moved: the certificate accepts only
+        valid ones, and validate agrees with the all-pairs oracle."""
+        rng = random.Random(1200 + r)
+        seen = {"accepted": 0, "declined": 0}
+        for _ in range(400):
+            maximal_rays = _stellar_complete_fan(rng, r, rng.randint(0, 1))
+            old = rng.choice(sorted({u for rays in maximal_rays for u in rays}))
+            new = primitive_vector(tuple(x + rng.randint(-2, 2) for x in old))
+            if not any(new):
+                continue
+            moved = [tuple(new if u == old else u for u in rays) for rays in maximal_rays]
+            cones = _closure(r, moved)
+            maximal = _maximal_cones(cones)
+            faults, bad_pairs = test_properties.TestValidationFuzz.all_pairs_oracle(cones)
+            valid = not faults and not bad_pairs
+            fan = _classical_unchecked(r, moved)
+            if _certified_complete_simplicial(r, maximal):
+                assert valid, moved
+                seen["accepted"] += 1
+            else:
+                assert fan.validate() == _descent_violations(fan, monkeypatch)
+                seen["declined"] += 1
+            assert (fan.validate() == []) == valid, moved
+            if min(seen.values()) >= 15:
+                break
+        assert min(seen.values()) >= 15, seen
+
+    @pytest.mark.parametrize("maximal_rays", WINDING_TWO_COVERS + [FACET_IN_THREE_CONES, FOLD],
+                             ids=["cover_5", "cover_7", "cover_9", "facet_in_three_cones", "fold"])
+    def test_declines_invalid_fans(self, maximal_rays, monkeypatch):
+        """No two of the conditions (a)-(c) are enough: the covers fail only
+        (c), the fold only (b), the extra cone fails (a); validate reports
+        the descent's list."""
+        cones = _closure(2, maximal_rays)
+        assert not _certified_complete_simplicial(2, _maximal_cones(cones))
+        fan = _classical_unchecked(2, maximal_rays)
+        problems = fan.validate()
+        assert problems and all(p["kind"] == "bad-intersection" for p in problems)
+        assert problems == _descent_violations(fan, monkeypatch)
+
+    def test_declines_fans_it_does_not_cover(self):
+        """Not complete, not simplicial, lower-dimensional maximal cones, or
+        r < 2: the certificate cannot decide."""
+        p1 = projective_line_fan()
+        square = Cone.from_generators([(1, 0, 0), (0, 1, 0), (1, 1, 1), (0, 0, 1)], 3)
+        for r, maximal_rays in [
+            (1, [((1,),), ((-1,),)]),
+            (2, QUADRANTS[:3]),
+            (2, QUADRANTS[:3] + [((0, -1),), ((1, 0),)]),
+        ]:
+            assert not _certified_complete_simplicial(r, _maximal_cones(_closure(r, maximal_rays)))
+        assert not _certified_complete_simplicial(3, [square])
+        assert not _certified_complete_simplicial(1, p1.maximal_cones())
+
+    @pytest.mark.parametrize("build", [
+        _polygon_fan_64,
+        lambda: product(product(projective_line_fan(), projective_line_fan())[0], projective_line_fan())[0],
+    ], ids=["polygon_64", "p1_cubed"])
+    def test_validation_descends_no_pair(self, monkeypatch, build):
+        fan = build()
+        calls = []
+        real = fans_module._separating_facet
+        monkeypatch.setattr(fans_module, "_separating_facet", lambda a, b: calls.append(1) or real(a, b))
+        assert fan.validate() == []
+        assert calls == []
+
+    def test_data_checked_once_per_covering_pair(self, monkeypatch):
+        p1 = projective_line_fan()
+        fan = p1
+        for _ in range(3):
+            fan = product(fan, p1)[0]
+        covering = sum(
+            1 for sigma in fan.cones for tau in sigma.faces()[1:-1] if tau.dim() == sigma.dim() - 1
+        )
+        assert covering == 208
+        calls = []
+        real = fans_module._span_intersection
+        monkeypatch.setattr(fans_module, "_span_intersection", lambda *a: calls.append(1) or real(*a))
+        assert fan.validate() == []
+        assert len(calls) == covering
 
 
 def semi_tame_by_images(f: KmFanHom):
