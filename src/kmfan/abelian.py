@@ -278,8 +278,10 @@ class Subgroup:
         """Columns form a free basis of the subgroup; requires torsion-freeness.
 
         The basis is canonical: Hermite-reduced representatives with torsion
-        coordinates normalized.
+        coordinates normalized.  On a lattice ambient that is the preimage.
         """
+        if self.ambient.is_lattice():
+            return self.preimage
         grp, incl = self.as_group()
         if not grp.is_lattice():
             raise NonLattice("subgroup has torsion")
@@ -465,10 +467,8 @@ def _lifter(matrix: IntMatrix, group: FgaGroup):
 
 def is_tame_hom(f: GroupHom) -> bool:
     """Finite cokernel and torsion-injective (equivalently torsion-free kernel)."""
-    _, cok, _ = hom_kernel_cokernel(f)
-    if not cok.is_finite():
-        return False
-    return kernel_subgroup(f).is_lattice()
+    ker, cok, _ = hom_kernel_cokernel(f)
+    return cok.is_finite() and ker.is_lattice()
 
 
 class DerivedDual:
@@ -556,10 +556,9 @@ def dd_of_hom(f: GroupHom) -> DerivedDual:
     pres = present_quotient(s, IntMatrix._from_columns(rel_cols, s))
     dgroup = pres.group
 
-    ker_sub = kernel_subgroup(f)
+    ker_sub, cok, _ = hom_kernel_cokernel(f)
     ker_basis = ker_sub.lattice_basis()     # a x s_k, columns a basis of Ker f
     s_k = ker_basis.cols
-    _, cok, _ = hom_kernel_cokernel(f)
 
     # --- witness: D(f) -> (Ker f)^v --------------------------------------
     # mu2 solves R' mu2 = -F X columnwise; the dual of the chain inclusion

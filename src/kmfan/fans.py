@@ -45,7 +45,8 @@ from .intlinalg import (
     LinearSystem,
     Vec,
     _dot,
-    kernel_basis,
+    hermite_column_basis,
+    is_saturated,
     primitive_vector,
     rank as matrix_rank,
 )
@@ -55,7 +56,7 @@ from .monoids import AffineMonoid, is_free_monoid
 class LatticeDatum:
     """A finite-index lattice inside Span(sigma) cap N, attached to a cone."""
 
-    __slots__ = ("ambient", "subgroup", "_basis")
+    __slots__ = ("ambient", "subgroup", "_basis", "_lift")
 
     def __init__(self, ambient: FgaGroup, subgroup: Subgroup):
         if subgroup.ambient != ambient:
@@ -63,6 +64,7 @@ class LatticeDatum:
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "subgroup", subgroup)
         object.__setattr__(self, "_basis", None)
+        object.__setattr__(self, "_lift", None)
 
     def __setattr__(self, *args):
         raise AttributeError("LatticeDatum is immutable")
@@ -85,8 +87,17 @@ class LatticeDatum:
     def rank(self) -> int:
         return self.basis().cols
 
+    def coordinates(self, vector: Sequence[int]) -> Optional[Vec]:
+        """The coordinates of the element in basis(), or None when it is
+        outside the datum.  One linear system, built on first use, serves
+        every element."""
+        vector = self.ambient.reduce(vector)
+        if self._lift is None:
+            object.__setattr__(self, "_lift", _lifter(self.basis(), self.ambient))
+        return self._lift(vector)
+
     def contains(self, vector: Sequence[int]) -> bool:
-        return self.subgroup.contains(vector)
+        return self.coordinates(vector) is not None
 
     def violations(self, cone: Cone) -> List[str]:
         """Why this is not a valid lattice datum for the cone, if it is not."""
@@ -163,6 +174,10 @@ class KmFan:
         with zero free projection, which is 0 as the free projections of its
         basis are independent, while F_{0} is a lattice of rank dim {0} = 0.
 
+        A pair is checked as F_tau saturated in F_sigma (_saturated_in,
+        which carries the proof that this is F_tau = Span(tau) cap F_sigma
+        for data that passed LatticeDatum.violations).
+
         The covering pairs, tau a facet of sigma, are checked first, and
         when they all hold so does every pair.  If tau < rho < sigma, then
         Span(tau) cap F_sigma = Span(tau) cap (Span(rho) cap F_sigma) =
@@ -186,16 +201,9 @@ class KmFan:
                 out.append({"kind": "invalid-datum", "detail": f"{c!r}: {v}"})
         if out:
             return out
-        instances = {c: c for c in self.cones}
-        projections: Dict[Cone, Optional[IntMatrix]] = {}
-
-        def incompatible(sigma: Cone, tau: Cone) -> bool:
-            if tau not in projections:
-                projections[tau] = _span_projection(instances[tau])
-            return _span_intersection(self.group, self.data[sigma], projections[tau]) != self.data[tau].subgroup
-
-        if not any(
-            incompatible(sigma, tau)
+        data = self.data
+        if all(
+            _saturated_in(data[sigma], data[tau])
             for sigma in self.cones
             for tau in sigma.faces()[1:-1]
             if tau.dim() == sigma.dim() - 1
@@ -203,7 +211,7 @@ class KmFan:
             return out
         for sigma in self.cones:
             for tau in sigma.faces()[1:-1]:
-                if incompatible(sigma, tau):
+                if not _saturated_in(data[sigma], data[tau]):
                     out.append({
                         "kind": "incompatible-data",
                         "detail": f"datum of face {tau!r} is not Span(face) cap datum of {sigma!r}",
@@ -390,27 +398,34 @@ def _maximal_cones(cones: Sequence[Cone]) -> List[Cone]:
     return [c for c in cones if c not in proper]
 
 
-def _span_projection(tau: Cone) -> Optional[IntMatrix]:
-    """The projection Z^r -> Z^r / Span(tau); None when r = 0."""
-    r = tau.ambient_rank
-    return present_quotient(r, tau.span_lattice_basis()).proj if r else None
+def _saturated_in(outer: LatticeDatum, inner: LatticeDatum) -> bool:
+    """Whether inner lies in outer, saturated: every generator of inner has
+    coordinates in outer, and they have rank(inner) invariant factors, all 1.
 
+    For the data of cones tau < sigma that passed LatticeDatum.violations,
+    this holds exactly when F_tau = Span(tau) cap F_sigma (outer F_sigma,
+    inner F_tau); and for a lifting L and sigma, with outer L and inner
+    F_sigma, exactly when L cap Span(sigma) = F_sigma.
 
-def _span_intersection(
-    group: FgaGroup, datum: LatticeDatum, span_projection: Optional[IntMatrix]
-) -> Subgroup:
-    """The subgroup Span(tau) cap F_sigma, computed in datum coordinates.
-
-    span_projection is _span_projection(tau); it depends on tau alone, so
-    callers meeting one face with many data compute it once.
+    Proof.  Write tau for the cone of inner (sigma, for a lifting).  In
+    both cases the free projection is injective on outer (a torsion-free L
+    meets N_tor in 0), inner lies in Span(tau) with rank dim tau, and
+    Span(tau) lies in the real span of the free projection of outer.  So S = Span(tau) cap outer has rank dim tau, and S is saturated
+    in outer: if k x is in S for x in outer and k > 0, so is x.  If inner
+    = S, inner lies in outer, saturated.  Conversely, let inner lie in
+    outer, saturated.  Then inner lies in S with the same rank, so S/inner
+    is a torsion subgroup of outer/inner, which is torsion-free: S = inner.
+    The coordinates of a basis of inner are a basis of inner in the
+    coordinates of outer, so inner is saturated in outer exactly when they
+    have rank(inner) invariant factors, all 1.
     """
-    if span_projection is None:
-        return datum.subgroup
-    basis = datum.basis()
-    proj = span_projection @ datum.free_basis()  # coords of Z^d -> Z^r / Span tau
-    ker = kernel_basis(proj)
-    gens = [basis.apply(col) for col in ker.columns()]
-    return Subgroup.from_generators(group, gens)
+    coords = []
+    for g in inner.generators():
+        x = outer.coordinates(g)
+        if x is None:
+            return False
+        coords.append(x)
+    return is_saturated(IntMatrix._from_columns(coords, outer.rank()))
 
 
 class KmFanHom:
@@ -536,11 +551,7 @@ def is_classical(fan: KmFan) -> bool:
     """Lattice group and every datum saturated (F_sigma = N_sigma)."""
     if not fan.group.is_lattice():
         return False
-    for c in fan.cones:
-        q, _ = quotient(fan.group, fan.data[c].subgroup)
-        if q.torsion:
-            return False
-    return True
+    return all(is_saturated(fan.data[c].basis()) for c in fan.cones)
 
 
 def coarse_fan(fan: KmFan) -> Tuple[KmFan, KmFanHom]:
@@ -623,8 +634,7 @@ def inflate(fan: KmFan, inclusion: GroupHom) -> Tuple[KmFan, KmFanHom]:
     """
     if inclusion.source != fan.group:
         raise KmFanError("inclusion must start at the fan's group")
-    ker = kernel_subgroup(inclusion)
-    _, cok, _ = hom_kernel_cokernel(inclusion)
+    ker, cok, _ = hom_kernel_cokernel(inclusion)
     if ker.generators() or not cok.is_finite():
         raise NotFiniteIndex("inclusion must be injective with finite cokernel")
     fbar = inclusion.free_matrix()
@@ -647,8 +657,7 @@ def contract(fan: KmFan, inclusion: GroupHom) -> Tuple[KmFan, KmFanHom]:
     """
     if inclusion.target != fan.group:
         raise KmFanError("inclusion must land in the fan's group")
-    ker = kernel_subgroup(inclusion)
-    _, cok, _ = hom_kernel_cokernel(inclusion)
+    ker, cok, _ = hom_kernel_cokernel(inclusion)
     if ker.generators() or not cok.is_finite():
         raise NotFiniteIndex("inclusion must be injective with finite cokernel")
     fbar = inclusion.free_matrix()
@@ -732,12 +741,16 @@ def strata(fan: KmFan) -> List[StratumInfo]:
     return out
 
 
+def _data_sum(fan: KmFan) -> Subgroup:
+    """The subgroup generated by all lattice data: one Hermite basis of all
+    their preimages, which hold the relations of N."""
+    columns = [col for c in fan.cones for col in fan.data[c].subgroup.preimage.columns()]
+    return Subgroup(fan.group, hermite_column_basis(IntMatrix._from_columns(columns, fan.group.ncoords)))
+
+
 def fundamental_group(fan: KmFan) -> FgaGroup:
     """N modulo the subgroup generated by all lattice data."""
-    total = Subgroup.trivial(fan.group)
-    for c in fan.cones:
-        total = total.sum(fan.data[c].subgroup)
-    q, _ = quotient(fan.group, total)
+    q, _ = quotient(fan.group, _data_sum(fan))
     return q
 
 
@@ -768,10 +781,7 @@ def atoroidal_split(fan: KmFan) -> Tuple[KmFan, FgaGroup, KmFanHom]:
     product(G, zero_fan(B)) onto F determined by a chosen splitting.
     """
     n = fan.group
-    total = Subgroup.trivial(n)
-    for c in fan.cones:
-        total = total.sum(fan.data[c].subgroup)
-    q, proj = quotient(n, total)
+    q, proj = quotient(n, _data_sum(fan))
     bgrp, free_proj = free_quotient(q)
     to_b = proj.then(free_proj)
     a_sub = kernel_subgroup(to_b)
@@ -872,8 +882,7 @@ def lifting_violations(fan: KmFan, sigma: Cone, lifting: Subgroup) -> List[str]:
     if lifting.rank() != n.free_rank:
         out.append("lifting does not have finite index")
         return out
-    meet = _span_intersection(n, LatticeDatum(n, lifting), _span_projection(sigma))
-    if meet != fan.datum(sigma).subgroup:
+    if not _saturated_in(LatticeDatum(n, lifting), fan.datum(sigma)):
         out.append("lifting does not meet Span(sigma) in the lattice datum")
     return out
 
@@ -1023,18 +1032,17 @@ def fan_from_monoids(group: FgaGroup, monoid_generators: Sequence[Sequence[Seque
         problems = datum.violations(cone)
         if problems:
             raise InvalidFan([{"kind": "invalid-datum", "detail": p} for p in problems])
-        _check_monoid_saturated(group, cone, datum, gens)
+        _check_monoid_saturated(cone, datum, gens)
         cones.append(cone)
         data[cone] = datum
     return KmFan(group, cones, data)
 
 
-def _check_monoid_saturated(group, cone, datum, gens):
+def _check_monoid_saturated(cone, datum, gens):
     """The supplied generators must generate all of sigma cap F_sigma."""
-    lift = _lifter(datum.basis(), group)
     coords = []
     for g in gens:
-        sol = lift(g)
+        sol = datum.coordinates(g)
         if sol is None:
             raise InvalidFan([{ "kind": "non-saturated-monoid",
                                 "detail": "generator outside its own group"}])

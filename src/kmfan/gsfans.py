@@ -8,14 +8,9 @@ semi-tame cover of a KM fan.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .abelian import (
-    FgaGroup,
-    GroupHom,
-    _lifter,
-    present_quotient,
-)
+from .abelian import FgaGroup, GroupHom, present_quotient
 from .cones import Cone, _preimage_rays, _separating_facet
 from .errors import KmFanError, NonLattice, NotFoldable, PreconditionsFail
 from .fans import (
@@ -26,7 +21,7 @@ from .fans import (
     is_classical,
     rigidify,
 )
-from .intlinalg import IntMatrix, Vec, invariant_factors, smith_decomposition
+from .intlinalg import IntMatrix, Vec, invariant_factors, is_saturated, smith_decomposition
 
 
 class GsFan:
@@ -174,16 +169,6 @@ def lattice_data_colimit(fan: KmFan) -> Unfolding:
         blocks.append((c, basis))
         total += basis.cols
 
-    lifters: Dict[Cone, Callable] = {}  # one per larger cone, built on first use
-
-    def coords_in(sigma: Cone, element: Vec) -> Vec:
-        if sigma not in lifters:
-            lifters[sigma] = _lifter(fan.data[sigma].basis(), fan.group)
-        sol = lifters[sigma](element)
-        if sol is None:
-            raise KmFanError("internal: datum element outside a larger datum")
-        return sol
-
     # the proper cofaces of each cone, in fan order
     cofaces: Dict[Cone, List[Cone]] = {c: [] for c in fan.cones}
     for sigma in fan.cones:
@@ -196,7 +181,7 @@ def lattice_data_colimit(fan: KmFan) -> Unfolding:
             for j in range(tau_basis.cols):
                 g = fan.group.reduce(tau_basis.column(j))
                 col = [0] * total
-                for i, x in enumerate(coords_in(sigma, g)):
+                for i, x in enumerate(_coords_in(fan.data[sigma], g)):
                     col[offsets[sigma] + i] += x
                 col[offsets[tau] + j] -= 1
                 rel_cols.append(tuple(col))
@@ -221,6 +206,14 @@ def lattice_data_colimit(fan: KmFan) -> Unfolding:
             if comp.apply(e) != fan.group.reduce(col):
                 raise KmFanError("internal: colimit structure map is inconsistent")
     return Unfolding(colimit, structure, beta, block_offsets=offsets, presentation=pres)
+
+
+def _coords_in(datum: LatticeDatum, element: Vec) -> Vec:
+    """The coordinates of an element of a smaller datum in this datum."""
+    sol = datum.coordinates(element)
+    if sol is None:
+        raise KmFanError("internal: datum element outside a larger datum")
+    return sol
 
 
 def induced_colimit_map(sub: Unfolding, sup: Unfolding) -> GroupHom:
@@ -333,29 +326,22 @@ def is_gs_representable(fan: KmFan) -> bool:
     the span of the first rank coordinates of U, and its saturation is that
     span, so the rows of U past the rank are coordinates on the colimit
     modulo its torsion.  The columns of those rows at sigma's block are the
-    structure map of sigma, saturated exactly when its invariant factors
-    are all 1.
+    structure map of sigma, which is injective, so its image is saturated
+    exactly when the block is (intlinalg.is_saturated).  The relations read
+    each face generator in the coordinates of its maximal cofaces with
+    LatticeDatum.coordinates, whose linear systems the data keep.
     """
     if not fan.group.is_lattice():
         raise NonLattice("the test is defined for lattice KM fans")
     maximal = fan.maximal_cones()
     offsets: Dict[Cone, int] = {}
-    lifters: Dict[Cone, Callable] = {}
     cofaces: Dict[Cone, List[Cone]] = {}
     total = 0
     for sigma in maximal:
-        basis = fan.data[sigma].basis()
         offsets[sigma] = total
-        total += basis.cols
-        lifters[sigma] = _lifter(basis, fan.group)
+        total += fan.data[sigma].rank()
         for tau in sigma.faces():
             cofaces.setdefault(tau, []).append(sigma)
-
-    def coords_in(sigma: Cone, element: Vec) -> Vec:
-        sol = lifters[sigma](element)
-        if sol is None:
-            raise KmFanError("internal: datum element outside a larger datum")
-        return sol
 
     rel_cols: List[Vec] = []
     for tau, over in cofaces.items():
@@ -363,13 +349,13 @@ def is_gs_representable(fan: KmFan) -> bool:
             continue
         off_first = offsets[over[0]]
         for g in fan.data[tau].basis().columns():
-            base = coords_in(over[0], g)
+            base = _coords_in(fan.data[over[0]], g)
             for sigma in over[1:]:
                 col = [0] * total
                 for i, x in enumerate(base):
                     col[off_first + i] = x
                 off = offsets[sigma]
-                for i, x in enumerate(coords_in(sigma, g)):
+                for i, x in enumerate(_coords_in(fan.data[sigma], g)):
                     col[off + i] -= x
                 rel_cols.append(tuple(col))
 
@@ -377,9 +363,9 @@ def is_gs_representable(fan: KmFan) -> bool:
     free_rows = s.u.entries[s.rank():]
     for sigma in maximal:
         off = offsets[sigma]
-        width = fan.data[sigma].basis().cols
+        width = fan.data[sigma].rank()
         block = IntMatrix._make(tuple(row[off:off + width] for row in free_rows), width)
-        if any(d != 1 for d in invariant_factors(block)):
+        if not is_saturated(block):
             return False
     return True
 

@@ -361,6 +361,13 @@ def invariant_factors(m: IntMatrix) -> Tuple[int, ...]:
     return tuple(x for x in smith_decomposition(m, transforms=()).diagonal() if x != 0)
 
 
+def is_saturated(m: IntMatrix) -> bool:
+    """Whether the columns of m are a basis of a saturated sublattice: m has
+    m.cols invariant factors, all of them 1."""
+    factors = invariant_factors(m)
+    return len(factors) == m.cols and all(d == 1 for d in factors)
+
+
 def rank(m: IntMatrix) -> int:
     """Rank over Q, by fraction-free Gaussian elimination."""
     a = [list(r) for r in m.entries]
@@ -545,11 +552,6 @@ def hermite_column_basis(m: IntMatrix) -> IntMatrix:
             if q:
                 basis[j] = [x - q * y for x, y in zip(basis[j], basis[i])]
     return IntMatrix._from_columns(basis, nr)
-
-
-def lattice_contains(basis: IntMatrix, v: Sequence[int]) -> bool:
-    """Whether v lies in the column lattice spanned by ``basis``."""
-    return solve_integer(basis, v) is not None
 
 
 def lattice_intersection(a: IntMatrix, b: IntMatrix) -> IntMatrix:

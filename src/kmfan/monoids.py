@@ -19,6 +19,7 @@ from .intlinalg import (
     LinearSystem,
     Vec,
     hermite_column_basis,
+    is_saturated,
     kernel_basis,
     saturate,
     smith_decomposition,
@@ -248,6 +249,4 @@ def is_free_monoid(monoid: AffineMonoid) -> bool:
         if sol is None:
             return False
         cols.append(sol)
-    m = IntMatrix._from_columns(cols, t)
-    diag = smith_decomposition(m, transforms=()).diagonal()
-    return all(abs(x) == 1 for x in diag)
+    return is_saturated(IntMatrix._from_columns(cols, t))

@@ -25,7 +25,7 @@ from kmfan.abelian import (
 )
 from kmfan import abelian, intlinalg
 from kmfan.errors import NonLattice, NotTame
-from kmfan.intlinalg import IntMatrix, kernel_basis
+from kmfan.intlinalg import IntMatrix, hermite_column_basis, kernel_basis
 
 from conftest import random_tame_homs, random_group, random_hom
 
@@ -300,7 +300,35 @@ def presentation_by_smith(sub: Subgroup):
     return pres.group, GroupHom(pres.group, sub.ambient, sub.preimage @ pres.section)
 
 
+def lattice_basis_by_hermite(sub: Subgroup) -> IntMatrix:
+    """Subgroup.lattice_basis by the path for any ambient: the Hermite basis
+    of the inclusion, with torsion coordinates reduced."""
+    grp, incl = sub.as_group()
+    if grp.free_rank == 0:
+        return IntMatrix.zero(sub.ambient.ncoords, 0)
+    h = hermite_column_basis(incl.matrix)
+    return IntMatrix.from_columns([sub.ambient.reduce(c) for c in h.columns()], rows=sub.ambient.ncoords)
+
+
 class TestSubgroupPresentation:
+    def test_lattice_basis_on_a_lattice_is_the_preimage(self, monkeypatch):
+        rng = random.Random(2222)
+        subgroups = [Subgroup.trivial(FgaGroup(0)), Subgroup.trivial(Z2), Subgroup.full(Z2)]
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            gens = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(0, n + 1))]
+            subgroups.append(Subgroup.from_generators(FgaGroup(n), gens))
+        calls = []
+        real = intlinalg.hermite_column_basis
+        for module in (abelian, intlinalg):
+            monkeypatch.setattr(module, "hermite_column_basis", lambda *a: calls.append(1) or real(*a))
+        bases = [sub.lattice_basis() for sub in subgroups]
+        assert calls == []
+        monkeypatch.undo()
+        assert sum(b.cols == 0 for b in bases) >= 10
+        for sub, basis in zip(subgroups, bases):
+            assert basis == lattice_basis_by_hermite(sub)
+
     def test_lattice_ambient_runs_no_smith(self, monkeypatch):
         rng = random.Random(1111)
         subgroups = [Subgroup.trivial(FgaGroup(0)), Subgroup.trivial(Z2), Subgroup.full(Z2)]

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import sys
 
 import pytest
 
@@ -11,6 +12,7 @@ from kmfan.abelian import (
     GroupHom,
     Subgroup,
     is_isomorphism,
+    present_quotient,
     quotient,
 )
 from kmfan.cones import Cone, _separating_facet
@@ -68,7 +70,7 @@ from kmfan.fans import (
 )
 from kmfan import fans as fans_module
 from kmfan.fans import _certified_complete_simplicial, _cone_violations, _maximal_cones
-from kmfan.intlinalg import IntMatrix, _dot, primitive_vector, rank as matrix_rank
+from kmfan.intlinalg import IntMatrix, _dot, kernel_basis, primitive_vector, rank as matrix_rank
 
 import test_properties
 from conftest import (
@@ -610,6 +612,130 @@ def _subgroup_index(big: Subgroup, small: Subgroup) -> int:
     return out
 
 
+def span_meet_oracle(group: FgaGroup, datum: LatticeDatum, tau: Cone) -> Subgroup:
+    """Span(tau) cap F for a lattice F on which the free projection is
+    injective: the kernel of F -> Z^r / Span(tau) in the coordinates of F,
+    as a subgroup of N.  Validation computed this, and compared subgroups,
+    before the saturation test replaced it."""
+    r = tau.ambient_rank
+    if r == 0:
+        return datum.subgroup
+    proj = present_quotient(r, tau.span_lattice_basis()).proj
+    ker = kernel_basis(proj @ datum.free_basis())
+    return Subgroup.from_generators(group, [datum.basis().apply(c) for c in ker.columns()])
+
+
+def oracle_data_report(fan: KmFan) -> list:
+    """The data phase of validate, with every pair of a cone and a proper
+    nonzero face compared by span_meet_oracle."""
+    out = [
+        {"kind": "invalid-datum", "detail": f"{c!r}: {v}"}
+        for c in fan.cones
+        for v in fan.data[c].violations(c)
+    ]
+    if out:
+        return out
+    for sigma in fan.cones:
+        for tau in sigma.faces()[1:-1]:
+            if span_meet_oracle(fan.group, fan.data[sigma], tau) != fan.data[tau].subgroup:
+                out.append({
+                    "kind": "incompatible-data",
+                    "detail": f"datum of face {tau!r} is not Span(face) cap datum of {sigma!r}",
+                })
+    return out
+
+
+def oracle_lifting_violations(fan: KmFan, sigma: Cone, lifting: Subgroup) -> list:
+    n = fan.group
+    if not lifting.is_lattice():
+        return ["lifting is not torsion-free"]
+    if lifting.rank() != n.free_rank:
+        return ["lifting does not have finite index"]
+    if span_meet_oracle(n, LatticeDatum(n, lifting), sigma) != fan.datum(sigma).subgroup:
+        return ["lifting does not meet Span(sigma) in the lattice datum"]
+    return []
+
+
+def _perturbed(group: FgaGroup, gens, rng, span=None):
+    """The generators with one of them scaled, sheared along a vector of
+    the span lattice (or of Z^r), or shifted by a torsion element: the
+    perturbation's kind and the new generators."""
+    r = group.free_rank
+    gens = [list(g) for g in gens]
+    i = rng.randrange(len(gens))
+    kinds = ["scale", "shear"] + (["torsion"] if group.torsion else [])
+    kind = rng.choice(kinds)
+    if kind == "scale":
+        gens[i] = [rng.choice([-3, -2, 2, 3]) * x for x in gens[i]]
+    elif kind == "shear":
+        vectors = span.columns() if span is not None and span.cols else [
+            tuple(int(j == k) for j in range(r)) for k in range(r)
+        ]
+        step = rng.choice([-2, -1, 1, 2])
+        gens[i][:r] = [x + step * y for x, y in zip(gens[i][:r], rng.choice(vectors))]
+    else:
+        j = rng.randrange(len(group.torsion))
+        gens[i][r + j] += rng.randrange(1, group.torsion[j])
+    return kind, [group.reduce(g) for g in gens]
+
+
+def _seeded_km_fans(rng):
+    """Random simplicial KM fans, torsion included, and their products with
+    P^1, which have 3-dimensional cones with faces of codimension 2."""
+    while True:
+        fan = random_simplicial_km_fan(rng)
+        if rng.random() < 0.3:
+            fan = product(fan, projective_line_fan())[0]
+        if any(c.dim() for c in fan.cones):
+            yield fan
+
+
+class TestCompatibilityBySaturation:
+    def test_validate_agrees_with_the_span_meet_oracle(self):
+        rng = random.Random(1212)
+        seen = {"valid": 0, "invalid-datum": 0, "incompatible-data": 0}
+        kinds = {"scale": 0, "shear": 0, "torsion": 0}
+        fans = _seeded_km_fans(rng)
+        for _ in range(300):
+            fan = next(fans)
+            assert fan.validate() == [] == oracle_data_report(fan)
+            victim = rng.choice([c for c in fan.cones if c.dim()])
+            kind, gens = _perturbed(
+                fan.group, fan.data[victim].generators(), rng, victim.span_lattice_basis()
+            )
+            data = dict(fan.data)
+            data[victim] = LatticeDatum.from_generators(fan.group, gens)
+            corrupted = unchecked_fan(fan.group, fan.cones, data)
+            problems = corrupted.validate()
+            assert problems == oracle_data_report(corrupted), (victim, gens)
+            seen[problems[0]["kind"] if problems else "valid"] += 1
+            kinds[kind] += 1
+        assert min(seen.values()) >= 20 and min(kinds.values()) >= 50, (seen, kinds)
+
+    def test_lifting_violations_agree_with_the_span_meet_oracle(self):
+        """Constructed, twisted, perturbed and torsion-enlarged liftings."""
+        rng = random.Random(1313)
+        seen = {}
+        fans = _seeded_km_fans(rng)
+        for _ in range(40):
+            fan = next(fans)
+            for sigma in fan.cones:
+                base = construct_lifting(fan, sigma)
+                liftings = [base, _random_lifting(fan, sigma, rng)]
+                for _ in range(3):
+                    _, gens = _perturbed(fan.group, base.lattice_basis().columns(), rng)
+                    liftings.append(Subgroup.from_generators(fan.group, gens))
+                if fan.group.torsion:
+                    element = fan.group.reduce((0,) * fan.group.free_rank + (1,) * len(fan.group.torsion))
+                    liftings.append(Subgroup.from_generators(fan.group, base.generators() + [element]))
+                for lifting in liftings:
+                    problems = lifting_violations(fan, sigma, lifting)
+                    assert problems == oracle_lifting_violations(fan, sigma, lifting)
+                    key = problems[0] if problems else "lifting"
+                    seen[key] = seen.get(key, 0) + 1
+        assert len(seen) == 4 and min(seen.values()) >= 20, seen
+
+
 class TestLocalPresentation:
     def test_p22_chart(self, p22_fan):
         plus = Cone.from_generators([(1,)], 1)
@@ -1107,10 +1233,27 @@ class TestCompleteSimplicialCertificate:
         )
         assert covering == 208
         calls = []
-        real = fans_module._span_intersection
-        monkeypatch.setattr(fans_module, "_span_intersection", lambda *a: calls.append(1) or real(*a))
+        real = fans_module._saturated_in
+        monkeypatch.setattr(fans_module, "_saturated_in", lambda *a: calls.append(1) or real(*a))
         assert fan.validate() == []
         assert len(calls) == covering
+
+    def test_data_phase_builds_no_kernel_and_no_quotient(self, monkeypatch):
+        """With fresh data, which keep no linear systems yet."""
+        p1 = projective_line_fan()
+        fan = p1
+        for _ in range(3):
+            fan = product(fan, p1)[0]
+        fresh = {c: LatticeDatum(fan.group, fan.data[c].subgroup) for c in fan.cones}
+        fan = unchecked_fan(fan.group, fan.cones, fresh)
+        calls = []
+        for module in sys.modules.values():
+            if module.__name__.startswith("kmfan"):
+                for name in ("kernel_basis", "present_quotient"):
+                    if hasattr(module, name):
+                        monkeypatch.setattr(module, name, lambda *a, _name=name: calls.append(_name))
+        assert fan.validate() == []
+        assert calls == []
 
 
 def semi_tame_by_images(f: KmFanHom):

@@ -14,8 +14,8 @@ from kmfan.intlinalg import (
     fraction_vector_to_primitive,
     hermite_column_basis,
     invariant_factors,
+    is_saturated,
     kernel_basis,
-    lattice_contains,
     lattice_intersection,
     primitive_vector,
     rank,
@@ -108,8 +108,8 @@ class TestKernel:
         m = IntMatrix([[1, -1, 0], [1, 0, 2]])
         kb = kernel_basis(m)
         sub = hermite_column_basis(kb.select_rows([0, 1]))
-        assert lattice_contains(sub, (2, 2))
-        assert not lattice_contains(sub, (1, 1))
+        assert solve_integer(sub, (2, 2)) is not None
+        assert solve_integer(sub, (1, 1)) is None
 
     def test_invertible_matrix_has_no_kernel(self):
         kb = kernel_basis(IntMatrix([[1, 1], [0, 1]]))
@@ -176,8 +176,33 @@ class TestSaturate:
             sat = saturate(m)
             assert saturate(sat) == sat
             for c in m.columns():
-                assert lattice_contains(sat, c)
+                assert solve_integer(sat, c) is not None
             assert rank(sat) == rank(m)
+
+
+class TestIsSaturated:
+    def test_examples(self):
+        assert is_saturated(IntMatrix.identity(3))
+        assert is_saturated(IntMatrix.zero(2, 0))
+        assert is_saturated(IntMatrix.from_columns([(1, 2)]))
+        assert not is_saturated(IntMatrix.from_columns([(2, 4)]))
+        assert not is_saturated(IntMatrix.from_columns([(1, 1), (1, -1)]))
+        # dependent columns span a saturated lattice but are no basis of it
+        assert not is_saturated(IntMatrix.from_columns([(1, 0), (0, 1), (1, 1)]))
+        assert not is_saturated(IntMatrix.zero(2, 1))
+
+    def test_agrees_with_saturate(self):
+        """A basis of a saturated lattice: independent columns whose Hermite
+        basis is that of their saturation."""
+        rng = random.Random(12)
+        seen = {True: 0, False: 0}
+        for _ in range(400):
+            n, k = rng.randint(1, 4), rng.randint(0, 4)
+            m = IntMatrix([[rng.randint(-3, 3) for _ in range(k)] for _ in range(n)], cols=k)
+            expected = rank(m) == k and hermite_column_basis(m) == saturate(m)
+            assert is_saturated(m) == expected, m
+            seen[expected] += 1
+        assert min(seen.values()) >= 50, seen
 
 
 class TestHermite:
