@@ -97,15 +97,6 @@ class FgaGroup:
             cols.append(col)
         return IntMatrix._from_columns(cols, m)
 
-    def elements(self) -> List[Vec]:
-        """All elements; only allowed for finite groups."""
-        if not self.is_finite():
-            raise KmFanError("cannot enumerate an infinite group")
-        out = [()]
-        for d in self.torsion:
-            out = [e + (t,) for e in out for t in range(d)]
-        return out
-
     def torsion_elements(self) -> List[Vec]:
         """All torsion elements (free coordinates zero)."""
         out = [(0,) * self.free_rank]
@@ -249,9 +240,6 @@ class Subgroup:
     def generator_matrix(self) -> IntMatrix:
         return IntMatrix._from_columns(self.generators(), self.ambient.ncoords)
 
-    def sum(self, other: "Subgroup") -> "Subgroup":
-        return Subgroup(self.ambient, hermite_column_basis(self.preimage.hstack(other.preimage)))
-
     def intersection(self, other: "Subgroup") -> "Subgroup":
         from .intlinalg import lattice_intersection
 
@@ -368,21 +356,28 @@ def _presentation_of_image(ambient: FgaGroup, preimage: IntMatrix) -> Tuple[FgaG
 # ---------------------------------------------------------------------------
 
 
+def _quotient_presentation(ambient: FgaGroup, sub: Subgroup) -> QuotientPresentation:
+    """N/H with its projection and a section, from one Smith decomposition:
+    the section's columns lift the quotient's generators, so whatever needs
+    a lift through N -> N/H reads it here.  The trivial subgroup gives N
+    itself, with identity projection and section."""
+    if sub.ambient != ambient:
+        raise KmFanError("subgroup lives in a different group")
+    gens = sub.generator_matrix()
+    if gens.cols == 0:
+        identity = IntMatrix.identity(ambient.ncoords)
+        return QuotientPresentation(ambient, identity, identity)
+    return present_quotient(ambient.ncoords, ambient.relation_matrix().hstack(gens))
+
+
 def quotient(ambient: FgaGroup, sub: Subgroup) -> Tuple[FgaGroup, GroupHom]:
     """The cokernel of a subgroup inclusion, with the projection map.
 
     Quotienting by the trivial subgroup returns the ambient group itself with
     the identity projection.
     """
-    if sub.ambient != ambient:
-        raise KmFanError("subgroup lives in a different group")
-    gens = sub.generator_matrix()
-    if gens.cols == 0:
-        return ambient, GroupHom.identity(ambient)
-    rel = ambient.relation_matrix().hstack(gens)
-    pres = present_quotient(ambient.ncoords, rel)
-    proj = GroupHom(ambient, pres.group, pres.proj)
-    return pres.group, proj
+    pres = _quotient_presentation(ambient, sub)
+    return pres.group, GroupHom(ambient, pres.group, pres.proj)
 
 
 def free_quotient(group: FgaGroup) -> Tuple[FgaGroup, GroupHom]:
@@ -417,12 +412,18 @@ def hom_kernel_cokernel(f: GroupHom) -> Tuple[Subgroup, FgaGroup, GroupHom]:
     return ker, pres.group, cok_proj
 
 
+def _preimage_of(f: GroupHom, lattice: IntMatrix) -> Subgroup:
+    """The subgroup {x : f(x) in the image of the lattice} of the source,
+    for a lattice in Z^m holding the relations of the target: the x-part of
+    the kernel of [f | lattice].  That x-part holds the relations of the
+    source, which f maps into the target's, so it is the preimage lattice."""
+    lifted = kernel_basis(f.matrix.hstack(lattice))
+    return Subgroup(f.source, hermite_column_basis(lifted.select_rows(range(f.source.ncoords))))
+
+
 def kernel_subgroup(f: GroupHom) -> Subgroup:
     """The subgroup {x : f(x) = 0} of the source."""
-    lifted = kernel_basis(f.matrix.hstack(f.target.relation_matrix()))
-    xpart = lifted.select_rows(range(f.source.ncoords))
-    pre = xpart.hstack(f.source.relation_matrix())
-    return Subgroup(f.source, hermite_column_basis(pre))
+    return _preimage_of(f, f.target.relation_matrix())
 
 
 def image_subgroup(f: GroupHom) -> Subgroup:
@@ -430,12 +431,11 @@ def image_subgroup(f: GroupHom) -> Subgroup:
 
 
 def preimage_subgroup(f: GroupHom, sub: Subgroup) -> Subgroup:
-    """The subgroup f^{-1}(H) of the source."""
+    """The subgroup f^{-1}(H) of the source: H's preimage lattice holds the
+    relations of the target."""
     if sub.ambient != f.target:
         raise KmFanError("subgroup lives in the wrong group")
-    qgrp, proj = quotient(f.target, sub)
-    comp = GroupHom(f.source, qgrp, proj.matrix @ f.matrix)
-    return kernel_subgroup(comp)
+    return _preimage_of(f, sub.preimage)
 
 
 def is_injective(f: GroupHom) -> bool:
@@ -449,20 +449,6 @@ def is_surjective(f: GroupHom) -> bool:
 
 def is_isomorphism(f: GroupHom) -> bool:
     return is_injective(f) and is_surjective(f)
-
-
-def _lifter(matrix: IntMatrix, group: FgaGroup):
-    """Coefficients x with matrix x = v in the group, or None when v is
-    outside the image: one LinearSystem for matrix | relations serves every
-    v, and the relation coefficients are dropped."""
-    system = LinearSystem(matrix.hstack(group.relation_matrix()))
-    k = matrix.cols
-
-    def lift(v: Sequence[int]) -> Optional[Vec]:
-        sol = system.integer(v)
-        return None if sol is None else sol[:k]
-
-    return lift
 
 
 def is_tame_hom(f: GroupHom) -> bool:
@@ -635,61 +621,32 @@ def direct_sum(a: FgaGroup, b: FgaGroup):
     """Normal form of a x b along with the two inclusions and projections.
 
     Free coordinates are the concatenation (a's, then b's); only the torsion
-    coordinates are renormalized, so free data are unaffected.
+    coordinates are renormalized, by the presentation of Z^k modulo the
+    diagonal of both torsion invariants, so free data are unaffected.  Each
+    map is an identity block on the free coordinates beside the
+    presentation's projection (inclusions) or section (projections).
     """
-    ra, rb = a.free_rank, b.free_rank
-    ka, kb_ = len(a.torsion), len(b.torsion)
-    tor = list(a.torsion) + list(b.torsion)
-    pres = present_quotient(
-        ka + kb_,
-        IntMatrix._from_columns(
-            [tuple(tor[i] if j == i else 0 for j in range(ka + kb_)) for i in range(ka + kb_)],
-            ka + kb_,
-        ),
+    ra, ka = a.free_rank, len(a.torsion)
+    tor = a.torsion + b.torsion
+    k = len(tor)
+    diag = IntMatrix._make(tuple(tuple(d if i == j else 0 for j in range(k)) for i, d in enumerate(tor)), k)
+    pres = present_quotient(k, diag)
+    grp = FgaGroup(ra + b.free_rank, pres.group.torsion)
+    free = IntMatrix.identity(grp.free_rank)
+
+    def maps(summand: FgaGroup, free_idx: range, tor_idx: range) -> Tuple[GroupHom, GroupHom]:
+        inc = _block_diagonal(free.select_columns(free_idx), pres.proj.select_columns(tor_idx))
+        proj = _block_diagonal(free.select_rows(free_idx), pres.section.select_rows(tor_idx))
+        return GroupHom(summand, grp, inc), GroupHom(grp, summand, proj)
+
+    inc_a, proj_a = maps(a, range(ra), range(ka))
+    inc_b, proj_b = maps(b, range(ra, grp.free_rank), range(ka, k))
+    return grp, inc_a, inc_b, proj_a, proj_b
+
+
+def _block_diagonal(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """The matrix [[a, 0], [0, b]]."""
+    return IntMatrix._make(
+        tuple(r + (0,) * b.cols for r in a.entries) + tuple((0,) * a.cols + r for r in b.entries),
+        a.cols + b.cols,
     )
-    grp = FgaGroup(ra + rb, pres.group.torsion)
-
-    # inclusion of a: free coords -> first ra coords; torsion via pres.proj
-    def make_inc(which: int) -> GroupHom:
-        src = a if which == 0 else b
-        rs, ks = (ra, ka) if which == 0 else (rb, kb_)
-        fentries = [[0] * src.ncoords for _ in range(ra + rb)]
-        off = 0 if which == 0 else ra
-        for i in range(rs):
-            fentries[off + i][i] = 1
-        toroff = 0 if which == 0 else ka
-        tcols = []
-        for j in range(src.ncoords):
-            if j < rs:
-                tcols.append((0,) * (ka + kb_))
-            else:
-                e = [0] * (ka + kb_)
-                e[toroff + (j - rs)] = 1
-                tcols.append(tuple(e))
-        torm = pres.proj @ IntMatrix._from_columns(tcols, ka + kb_)
-        # free rows above the torsion rows
-        return GroupHom(src, grp, IntMatrix._make(tuple(map(tuple, fentries)) + torm.entries, src.ncoords))
-
-    def make_proj(which: int) -> GroupHom:
-        tgtg = a if which == 0 else b
-        rs, ks = (ra, ka) if which == 0 else (rb, kb_)
-        off = 0 if which == 0 else ra
-        toroff = 0 if which == 0 else ka
-        cols = []
-        for j in range(grp.ncoords):
-            if j < ra + rb:
-                col = [0] * tgtg.ncoords
-                if off <= j < off + rs:
-                    col[j - off] = 1
-                cols.append(tuple(col))
-            else:
-                lifted = pres.lift(
-                    tuple(1 if i == j - (ra + rb) else 0 for i in range(len(pres.group.torsion)))
-                )
-                col = [0] * tgtg.ncoords
-                for i in range(ks):
-                    col[rs + i] = lifted[toroff + i]
-                cols.append(tuple(col))
-        return GroupHom(grp, tgtg, IntMatrix._from_columns(cols, tgtg.ncoords))
-
-    return grp, make_inc(0), make_inc(1), make_proj(0), make_proj(1)

@@ -441,18 +441,15 @@ def _canonical_rays(
     lineality: Sequence[Vec],
     ambient: int,
 ) -> List[Vec]:
-    """Canonical primitive extremal-ray representatives of cone(gens)+lin."""
-    comp = _complement_projector(lineality, ambient)
-    out = []
+    """Canonical primitive extremal-ray representatives of cone(gens)+lin:
+    the extremal generators, reduced modulo the lineality."""
     target_rank = ambient - len(lineality) - 1
     constraints = list(facets) + list(equations)
-    for g in gens:
-        active = [h for h in constraints if _dot(h, g) == 0]
-        if _rank_of_vectors(active, ambient) == target_rank:
-            rep = comp(g)
-            if any(rep):
-                out.append(rep)
-    return sorted(_dedupe(out))
+    extremal = [
+        g for g in gens
+        if _rank_of_vectors([h for h in constraints if _dot(h, g) == 0], ambient) == target_rank
+    ]
+    return _reduce_mod_lattice(extremal, lineality, ambient)
 
 
 def _reduce_mod_lattice(vectors: Sequence[Vec], lattice: Sequence[Vec], ambient: int) -> List[Vec]:

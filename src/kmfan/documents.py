@@ -169,6 +169,9 @@ def hom_matrix_from_obj(obj) -> List[tuple]:
     for key in ("source_fan", "target_fan", "matrix"):
         if key not in obj:
             raise DocumentError(f"hom document is missing {key!r}")
+    for key in ("source_fan", "target_fan"):
+        if not isinstance(obj[key], str) or "\0" in obj[key]:
+            raise DocumentError(f"{key} must be a path string, got {obj[key]!r}")
     return _dec_matrix_rows(obj["matrix"])
 
 

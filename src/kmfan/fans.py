@@ -15,7 +15,7 @@ from .abelian import (
     FgaGroup,
     GroupHom,
     Subgroup,
-    _lifter,
+    _quotient_presentation,
     dd_of_hom,
     direct_sum,
     dual_group,
@@ -56,7 +56,7 @@ from .monoids import AffineMonoid, is_free_monoid
 class LatticeDatum:
     """A finite-index lattice inside Span(sigma) cap N, attached to a cone."""
 
-    __slots__ = ("ambient", "subgroup", "_basis", "_lift")
+    __slots__ = ("ambient", "subgroup", "_basis", "_system")
 
     def __init__(self, ambient: FgaGroup, subgroup: Subgroup):
         if subgroup.ambient != ambient:
@@ -64,7 +64,7 @@ class LatticeDatum:
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "subgroup", subgroup)
         object.__setattr__(self, "_basis", None)
-        object.__setattr__(self, "_lift", None)
+        object.__setattr__(self, "_system", None)
 
     def __setattr__(self, *args):
         raise AttributeError("LatticeDatum is immutable")
@@ -89,12 +89,15 @@ class LatticeDatum:
 
     def coordinates(self, vector: Sequence[int]) -> Optional[Vec]:
         """The coordinates of the element in basis(), or None when it is
-        outside the datum.  One linear system, built on first use, serves
-        every element."""
+        outside the datum.  One linear system for basis | relations, built on
+        first use, serves every element; the relation coefficients are
+        dropped."""
         vector = self.ambient.reduce(vector)
-        if self._lift is None:
-            object.__setattr__(self, "_lift", _lifter(self.basis(), self.ambient))
-        return self._lift(vector)
+        if self._system is None:
+            system = LinearSystem(self.basis().hstack(self.ambient.relation_matrix()))
+            object.__setattr__(self, "_system", system)
+        sol = self._system.integer(vector)
+        return None if sol is None else sol[: self.rank()]
 
     def contains(self, vector: Sequence[int]) -> bool:
         return self.coordinates(vector) is not None
@@ -233,9 +236,6 @@ class KmFan:
 
     def maximal_cones(self) -> List[Cone]:
         return _maximal_cones(self.cones)
-
-    def cone_index(self, cone: Cone) -> int:
-        return self.cones.index(cone)
 
     def __eq__(self, other):
         return (
@@ -781,37 +781,20 @@ def atoroidal_split(fan: KmFan) -> Tuple[KmFan, FgaGroup, KmFanHom]:
     product(G, zero_fan(B)) onto F determined by a chosen splitting.
     """
     n = fan.group
-    q, proj = quotient(n, _data_sum(fan))
-    bgrp, free_proj = free_quotient(q)
-    to_b = proj.then(free_proj)
-    a_sub = kernel_subgroup(to_b)
-    a_grp, incl = a_sub.as_group()
+    pres = _quotient_presentation(n, _data_sum(fan))
+    bgrp, free_proj = free_quotient(pres.group)
+    a_grp, incl = kernel_subgroup(GroupHom(n, pres.group, pres.proj).then(free_proj)).as_group()
     inc_free = incl.free_matrix()
-    lift = _lifter(incl.matrix, n)
     back = {}
     data = {}
     for c in fan.cones:
         newc = Cone.from_generators(_preimage_rays(inc_free, c.rays), a_grp.free_rank)
         back[newc] = c
-        gens = []
-        for g in fan.data[c].generators():
-            sol = lift(g)
-            if sol is None:
-                raise KmFanError("internal: datum generator outside the atoroidal subgroup")
-            gens.append(a_grp.reduce(sol))
-        data[newc] = LatticeDatum.from_generators(a_grp, gens)
+        data[newc] = LatticeDatum(a_grp, preimage_subgroup(incl, fan.data[c].subgroup))
     g_fan = KmFan._make(a_grp, back, data)
 
-    # a splitting N = A + s(B): lift each basis vector of B through N -> B
-    to_b_system = LinearSystem(to_b.matrix)
-    section_cols = []
-    for e in IntMatrix.identity(bgrp.ncoords).entries:
-        sol = to_b_system.integer(e)
-        if sol is None:
-            raise KmFanError("internal: projection to the torus factor is not split")
-        section_cols.append(sol)
-    section = IntMatrix._from_columns(section_cols, n.ncoords)
-
+    # a splitting N = A + s(B): the section's free columns lift the basis of B
+    section = pres.section.select_columns(range(bgrp.ncoords))
     prod, p1, p2 = product(g_fan, zero_fan(bgrp))
     iso_matrix = _matrix_add(incl.matrix @ p1.hom.matrix, section @ p2.hom.matrix)
     iso_images = {c: back[p1.cone_images[c]] for c in prod.cones}
@@ -863,9 +846,8 @@ def construct_lifting(fan: KmFan, sigma: Cone) -> Subgroup:
         for j in range(len(n.torsion))
     ]
     nsigma = Subgroup.from_generators(n, nsigma_gens)
-    pres = present_quotient(n.ncoords, n.relation_matrix().hstack(nsigma.generator_matrix()))
-    complement_cols = list(pres.section.columns()) if pres.group.ncoords else []
-    gens = datum.generators() + [n.reduce(c) for c in complement_cols]
+    complement = _quotient_presentation(n, nsigma).section.columns()
+    gens = datum.generators() + [n.reduce(c) for c in complement]
     lifting = Subgroup.from_generators(n, gens)
     if not lifting.is_lattice():
         raise KmFanError("internal: lifting is not a lattice")
@@ -912,16 +894,11 @@ def compatible_lifting(f: KmFanHom, sigma: Cone, target_lifting: Subgroup) -> Su
 def induced_quotient_hom(f: KmFanHom, sigma: Cone) -> GroupHom:
     """The induced map N/F_sigma -> N'/F'_tau for the minimal cone tau."""
     tau = f.cone_images[sigma]
-    qs, ps = quotient(f.source.group, f.source.datum(sigma).subgroup)
+    pres = _quotient_presentation(f.source.group, f.source.datum(sigma).subgroup)
+    ps = GroupHom(f.source.group, pres.group, pres.proj)
     qt, pt = quotient(f.target.group, f.target.datum(tau).subgroup)
-    lift = _lifter(ps.matrix, qs)
-    cols = []
-    for e in IntMatrix.identity(qs.ncoords).entries:
-        x = lift(e)
-        if x is None:
-            raise KmFanError("internal: quotient projection is not surjective")
-        cols.append(pt.apply(f.hom.apply(f.source.group.reduce(x))))
-    ind = GroupHom(qs, qt, IntMatrix._from_columns(cols, qt.ncoords))
+    # the generators of N/F_sigma lift to the section's columns
+    ind = GroupHom(pres.group, qt, pt.matrix @ f.hom.matrix @ pres.section)
     if ps.then(ind) != f.hom.then(pt):
         raise KmFanError("internal: induced quotient map is inconsistent")
     return ind
@@ -955,10 +932,10 @@ def local_presentation(fan: KmFan, sigma: Cone) -> LocalPresentation:
     """
     lifting = construct_lifting(fan, sigma)
     n = fan.group
-    basis = lifting.lattice_basis()              # n.ncoords x r
-    fb = basis.select_rows(range(n.free_rank))
+    datum = LatticeDatum(n, lifting)
+    r = datum.rank()
     # the cone in L-coordinates
-    sigma_l = Cone.from_generators(_preimage_rays(fb, sigma.rays), basis.cols)
+    sigma_l = Cone.from_generators(_preimage_rays(datum.free_basis(), sigma.rays), r)
     monoid = AffineMonoid(sigma_l.dual())
     hb = monoid.hilbert_basis()
 
@@ -968,15 +945,14 @@ def local_presentation(fan: KmFan, sigma: Cone) -> LocalPresentation:
     j = lifting.preimage                          # n.ncoords x n.ncoords
     pres = present_quotient(j.cols, j.transpose())
     stabilizer = pres.group
-    lift = _lifter(basis, n)
     pr_cols = []
     for col in j.columns():
-        sol = lift(n.reduce(col))
+        sol = datum.coordinates(col)
         if sol is None:
             raise KmFanError("internal: preimage column is not in the lifting")
         pr_cols.append(sol)
-    pr = IntMatrix._from_columns(pr_cols, basis.cols)       # Lambda -> L in bases
-    action = GroupHom(dual_group(FgaGroup(basis.cols)), stabilizer, pres.proj @ pr.transpose())
+    pr = IntMatrix._from_columns(pr_cols, r)       # Lambda -> L in bases
+    action = GroupHom(dual_group(FgaGroup(r)), stabilizer, pres.proj @ pr.transpose())
     return LocalPresentation(sigma, lifting, hb, stabilizer, action)
 
 

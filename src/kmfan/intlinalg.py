@@ -122,9 +122,6 @@ class IntMatrix:
 
     # -- basic access --------------------------------------------------
 
-    def row(self, i: int) -> Vec:
-        return self.entries[i]
-
     def column(self, j: int) -> Vec:
         return tuple([r[j] for r in self.entries])
 

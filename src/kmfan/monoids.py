@@ -11,16 +11,14 @@ from __future__ import annotations
 import threading
 from typing import List, Sequence, Tuple
 
-from .abelian import FgaGroup, GroupHom
+from .abelian import FgaGroup, GroupHom, kernel_subgroup
 from .cones import Cone, _lattice_complement, _preimage_rays
 from .errors import KmFanError, NotAFace, NotSharp
 from .intlinalg import (
     IntMatrix,
     LinearSystem,
     Vec,
-    hermite_column_basis,
     is_saturated,
-    kernel_basis,
     saturate,
     smith_decomposition,
 )
@@ -224,8 +222,7 @@ def kernel_submonoid(monoid: AffineMonoid, a: GroupHom) -> List[Vec]:
     if t == 0:
         return []
     # kernel lattice of a inside Z^t (finite index)
-    lifted = kernel_basis(a.matrix.hstack(a.target.relation_matrix()))
-    kmat = hermite_column_basis(lifted.select_rows(range(t)))
+    kmat = kernel_subgroup(a).preimage
     # rewrite the cone in kernel-lattice coordinates; gp @ kmat is injective
     kcone = Cone.from_generators(_preimage_rays(gp @ kmat, monoid.cone.generators()), kmat.cols)
     khb = AffineMonoid(kcone).hilbert_basis()

@@ -10,6 +10,7 @@ from kmfan.fans import KmFan, KmFanHom, LatticeDatum, from_classical, validate_h
 from kmfan.intlinalg import IntMatrix, primitive_vector
 
 _trusted_make = KmFan._make
+_trusted_hom_init = KmFanHom.__init__
 
 
 @pytest.fixture(autouse=True, scope="session")
@@ -48,6 +49,13 @@ def trusted_construction_oracle():
 def unchecked_fan(group, cones, data) -> KmFan:
     """A KmFan built with no validation, for tests of validate() itself."""
     return _trusted_make(group, cones, data)
+
+
+def without_construction_oracle(monkeypatch) -> None:
+    """Turn trusted_construction_oracle off for the rest of one test, so that
+    a count of a construction's calls leaves out those of the checks."""
+    monkeypatch.setattr(KmFan, "_make", staticmethod(_trusted_make))
+    monkeypatch.setattr(KmFanHom, "__init__", _trusted_hom_init)
 
 
 @pytest.fixture

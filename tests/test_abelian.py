@@ -9,6 +9,7 @@ from kmfan.abelian import (
     GroupHom,
     Subgroup,
     dd_of_hom,
+    direct_sum,
     dual_group,
     dual_hom,
     ext_group,
@@ -20,6 +21,7 @@ from kmfan.abelian import (
     is_surjective,
     is_tame_hom,
     kernel_subgroup,
+    preimage_subgroup,
     present_quotient,
     quotient,
 )
@@ -27,7 +29,7 @@ from kmfan import abelian, intlinalg
 from kmfan.errors import NonLattice, NotTame
 from kmfan.intlinalg import IntMatrix, hermite_column_basis, kernel_basis
 
-from conftest import random_tame_homs, random_group, random_hom
+from conftest import random_element, random_group, random_hom, random_tame_homs
 
 
 Z = FgaGroup(1)
@@ -346,3 +348,112 @@ class TestSubgroupPresentation:
         for sub, (grp, incl) in zip(subgroups, presented):
             assert (grp, incl) == presentation_by_smith(sub)
             assert grp == FgaGroup(sub.preimage.cols) and incl.matrix == sub.preimage
+
+
+def kernel_with_source_relations(f: GroupHom) -> Subgroup:
+    """kernel_subgroup with the source relations added to the x-part of the
+    kernel of [f | target relations], which already holds them."""
+    lifted = kernel_basis(f.matrix.hstack(f.target.relation_matrix()))
+    pre = lifted.select_rows(range(f.source.ncoords)).hstack(f.source.relation_matrix())
+    return Subgroup(f.source, hermite_column_basis(pre))
+
+
+def preimage_by_quotient(f: GroupHom, sub: Subgroup) -> Subgroup:
+    """preimage_subgroup as the kernel of f followed by N' -> N'/H."""
+    qgrp, proj = quotient(f.target, sub)
+    return kernel_with_source_relations(GroupHom(f.source, qgrp, proj.matrix @ f.matrix))
+
+
+def random_torsion_group(rng: random.Random) -> FgaGroup:
+    while True:
+        g = random_group(rng)
+        if g.torsion:
+            return g
+
+
+class TestPreimage:
+    def test_agrees_with_the_quotient_kernel_oracle(self):
+        rng = random.Random(1313)
+        for _ in range(320):
+            f = random_hom(rng, random_torsion_group(rng), random_torsion_group(rng))
+            tgt = f.target
+            gens = [random_element(rng, tgt) for _ in range(rng.randint(0, 3))]
+            for sub in (Subgroup.from_generators(tgt, gens), Subgroup.trivial(tgt),
+                        Subgroup.full(tgt), image_subgroup(f)):
+                assert preimage_subgroup(f, sub) == preimage_by_quotient(f, sub)
+
+
+def direct_sum_by_loops(a: FgaGroup, b: FgaGroup):
+    """direct_sum with its maps written entry by entry: the inclusions send
+    torsion generators through the presentation's projection, the
+    projections read the presentation's lifts."""
+    ra, rb = a.free_rank, b.free_rank
+    ka, kb_ = len(a.torsion), len(b.torsion)
+    tor = list(a.torsion) + list(b.torsion)
+    k = ka + kb_
+    pres = present_quotient(k, IntMatrix.from_columns(
+        [tuple(tor[i] if j == i else 0 for j in range(k)) for i in range(k)], rows=k))
+    grp = FgaGroup(ra + rb, pres.group.torsion)
+
+    def make_inc(src, rs, off, toroff):
+        fentries = [[0] * src.ncoords for _ in range(ra + rb)]
+        for i in range(rs):
+            fentries[off + i][i] = 1
+        tcols = []
+        for j in range(src.ncoords):
+            e = [0] * k
+            if j >= rs:
+                e[toroff + (j - rs)] = 1
+            tcols.append(tuple(e))
+        torm = pres.proj @ IntMatrix.from_columns(tcols, rows=k)
+        return GroupHom(src, grp, IntMatrix(fentries + [list(r) for r in torm.entries], cols=src.ncoords))
+
+    def make_proj(tgtg, rs, ks, off, toroff):
+        cols = []
+        for j in range(grp.ncoords):
+            col = [0] * tgtg.ncoords
+            if j < ra + rb:
+                if off <= j < off + rs:
+                    col[j - off] = 1
+            else:
+                lifted = pres.lift(tuple(int(i == j - (ra + rb)) for i in range(len(grp.torsion))))
+                for i in range(ks):
+                    col[rs + i] = lifted[toroff + i]
+            cols.append(tuple(col))
+        return GroupHom(grp, tgtg, IntMatrix.from_columns(cols, rows=tgtg.ncoords))
+
+    return (grp, make_inc(a, ra, 0, 0), make_inc(b, rb, ra, ka),
+            make_proj(a, ra, ka, 0, 0), make_proj(b, rb, kb_, ra, ka))
+
+
+class TestDirectSum:
+    PAIRS = [
+        (FgaGroup(0, (2,)), FgaGroup(0, (3,))),
+        (FgaGroup(1, (2,)), FgaGroup(2, (3,))),
+        (FgaGroup(0, (2, 4)), FgaGroup(0, (6,))),
+        (FgaGroup(2, (2, 4)), FgaGroup(1, (6,))),
+        (FgaGroup(0), FgaGroup(0)),
+        (FgaGroup(1), FgaGroup(0, (2, 4))),
+    ]
+
+    def test_agrees_with_the_entrywise_oracle(self):
+        rng = random.Random(4242)
+        pairs = self.PAIRS + [(random_group(rng), random_group(rng)) for _ in range(200)]
+        for a, b in pairs:
+            new, old = direct_sum(a, b), direct_sum_by_loops(a, b)
+            assert new[0] == old[0]
+            for m_new, m_old in zip(new[1:], old[1:]):
+                assert m_new.matrix.entries == m_old.matrix.entries
+                assert (m_new.source, m_new.target) == (m_old.source, m_old.target)
+
+    def test_maps_split_the_sum(self):
+        for a, b in self.PAIRS:
+            grp, inc_a, inc_b, proj_a, proj_b = direct_sum(a, b)
+            assert inc_a.then(proj_a) == GroupHom.identity(a)
+            assert inc_b.then(proj_b) == GroupHom.identity(b)
+            assert inc_a.then(proj_b) == GroupHom.zero(a, b)
+            assert inc_b.then(proj_a) == GroupHom.zero(b, a)
+            # inc_a proj_a + inc_b proj_b is the identity of the sum
+            total = (inc_a.matrix @ proj_a.matrix).hstack(inc_b.matrix @ proj_b.matrix)
+            for x in IntMatrix.identity(grp.ncoords).entries:
+                assert grp.reduce(total.apply(x + x)) == x

@@ -136,6 +136,22 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(out)["error"] == "schema"
 
+    @pytest.mark.parametrize("key", ["source_fan", "target_fan"])
+    @pytest.mark.parametrize("path", [5, None, ["a1.json"], "a1.json\0"], ids=["int", "null", "list", "nul"])
+    def test_non_string_fan_path_is_exit_two_schema(self, workdir, capsys, key, path):
+        """Such a path once raised out of the CLI: TypeError from os.path.join,
+        or for a NUL byte ValueError from open."""
+        doc = {"matrix": [[1]], "schema_version": "1", "source_fan": "a1.json", "target_fan": "a1.json"}
+        doc[key] = path
+        with open("bad.json", "w", encoding="utf-8") as fh:
+            fh.write(dumps(doc))
+        code = run(["proper", "--hom", "bad.json"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ""
+        assert captured.out.count("\n") == 1
+        assert json.loads(captured.out)["error"] == "schema"
+
     # without the check, [[0]] loads as the zero cone and [[1], [0]] as the ray (1)
     ZERO_RAY_CONES = [
         ([[[0]]], [[]]),

@@ -42,6 +42,7 @@ from kmfan.fans import (
     from_classical,
     fundamental_group,
     has_reduced_fibers,
+    induced_quotient_hom,
     inflate,
     is_atoroidal,
     is_classical,
@@ -68,9 +69,10 @@ from kmfan.fans import (
     zero_fan,
     zero_fan_unit,
 )
+from kmfan import abelian, intlinalg
 from kmfan import fans as fans_module
 from kmfan.fans import _certified_complete_simplicial, _cone_violations, _maximal_cones
-from kmfan.intlinalg import IntMatrix, _dot, kernel_basis, primitive_vector, rank as matrix_rank
+from kmfan.intlinalg import IntMatrix, LinearSystem, _dot, kernel_basis, primitive_vector, rank as matrix_rank
 
 import test_properties
 from conftest import (
@@ -82,6 +84,7 @@ from conftest import (
     projective_line_fan,
     random_simplicial_km_fan,
     unchecked_fan,
+    without_construction_oracle,
 )
 
 Z = FgaGroup(1)
@@ -943,6 +946,75 @@ class TestMorphisms:
                     face.contains_point(fbar.apply(r)) for r in sigma.rays
                 ):
                     pytest.fail("containing cone was not minimal")
+
+
+def induced_quotient_hom_by_lifter(f: KmFanHom, sigma: Cone) -> GroupHom:
+    """induced_quotient_hom with each generator of N/F_sigma lifted through
+    the projection by a linear system of its own."""
+    tau = f.cone_images[sigma]
+    qs, ps = quotient(f.source.group, f.source.datum(sigma).subgroup)
+    qt, pt = quotient(f.target.group, f.target.datum(tau).subgroup)
+    system = LinearSystem(ps.matrix.hstack(qs.relation_matrix()))
+    cols = []
+    for e in IntMatrix.identity(qs.ncoords).entries:
+        x = system.integer(e)[: ps.matrix.cols]
+        cols.append(pt.apply(f.hom.apply(f.source.group.reduce(x))))
+    return GroupHom(qs, qt, IntMatrix.from_columns(cols, rows=qt.ncoords))
+
+
+def seeded_torsion_morphisms(seed: int, count: int):
+    """Morphisms out of roots, dilate and canonical_resolution of seeded
+    simplicial fans whose group has torsion."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        fan = random_simplicial_km_fan(rng)
+        if not fan.group.torsion:
+            continue
+        out.append(dilate(fan, rng.choice([2, 3]))[1])
+        out.append(canonical_resolution(fan)[1])
+        if is_smooth(fan):
+            out.append(roots(fan, [rng.choice([1, 2, 3]) for _ in fan.ray_cones()])[1])
+    return out
+
+
+class TestQuotientSections:
+    def test_induced_maps_agree_with_the_lifter_oracle(self):
+        morphisms = [p22_morphism()] + seeded_torsion_morphisms(31, 60)
+        torsion_quotients = 0
+        for f in morphisms:
+            for sigma in f.source.cones:
+                ind = induced_quotient_hom(f, sigma)
+                assert ind == induced_quotient_hom_by_lifter(f, sigma)
+                torsion_quotients += bool(ind.source.torsion)
+        assert torsion_quotients >= 50
+
+    def test_contract_presents_one_quotient(self, monkeypatch):
+        """The cokernel test of the inclusion presents the one quotient;
+        each datum's preimage is a kernel, with no quotient."""
+        p2 = from_classical(Z2, [
+            Cone.from_generators(rays, 2)
+            for rays in ([(1, 0), (0, 1)], [(0, 1), (-1, -1)], [(-1, -1), (1, 0)])
+        ])
+        without_construction_oracle(monkeypatch)
+        calls = []
+        real = abelian.present_quotient
+        for module in (abelian, fans_module):
+            monkeypatch.setattr(module, "present_quotient", lambda *a: calls.append(1) or real(*a))
+        contracted, _ = contract(p2, GroupHom(Z2, Z2, IntMatrix([[2, 1], [0, 3]])))
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert contracted.validate() == []
+
+    def test_representability_of_the_p22_map_runs_seven_smith(self, monkeypatch):
+        hom = p22_morphism()
+        calls = []
+        real = intlinalg.smith_decomposition
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("kmfan") and hasattr(module, "smith_decomposition"):
+                monkeypatch.setattr(module, "smith_decomposition", lambda *a, **k: calls.append(1) or real(*a, **k))
+        assert is_representable(hom)
+        assert len(calls) == 7
 
 
 class TestProperness:
