@@ -5,8 +5,9 @@ Usage:
                        [--point CSV] [--window N] [--out FILE]
 
 Exit codes: 0 success, 1 validation refusal or precondition failure,
-2 malformed input, or input too large to compute with (an OverflowError or
-MemoryError).  All results are deterministic JSON on stdout.
+2 malformed input (JSON that does not parse, or a file that is not UTF-8),
+a file that cannot be read or written, or input too large to compute with
+(an OverflowError or MemoryError).  All results are deterministic JSON on stdout.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ def _read_json(path: str):
             return loads(fh.read())
     except OSError as exc:
         raise CliFailure(2, {"error": "io", "detail": str(exc)})
-    except DocumentError as exc:
+    except (DocumentError, UnicodeDecodeError) as exc:
         raise CliFailure(2, {"error": "malformed", "detail": str(exc)})
 
 
@@ -357,8 +358,11 @@ def _dispatch(args) -> dict:
             raise CliFailure(2, {"error": "usage", "detail": "--window must be positive"})
         svg = draw_fan_svg(fan, window=args.window)
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(svg)
+            try:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    fh.write(svg)
+            except OSError as exc:
+                raise CliFailure(2, {"error": "io", "detail": str(exc)})
             return {"written": args.out, "bytes": len(svg.encode())}
         return {"svg": svg}
 

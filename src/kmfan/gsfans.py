@@ -135,72 +135,99 @@ class Unfolding:
     structure_maps: for each cone sigma, the map F_sigma -> Ltilde on the
     canonical basis of the lattice datum (source Z^{rank F_sigma}).
     beta: the induced map Ltilde -> N with beta o i_sigma the inclusion.
-    fan: the KM fan over Ltilde, filled in by unfold().
-    block_offsets/presentation: the block layout of the defining quotient of
-    the direct sum of all lattice data, for callers composing colimits.
+    block_offsets/presentation: the defining quotient of the direct sum of
+    the lattice data of the maximal cones, and where each maximal cone's
+    block starts in it; block_offsets covers the maximal cones only.
     """
 
-    __slots__ = ("colimit", "structure_maps", "beta", "fan", "block_offsets", "presentation")
+    __slots__ = ("colimit", "structure_maps", "beta", "block_offsets", "presentation")
 
     def __init__(self, colimit: FgaGroup, structure_maps: Dict[Cone, GroupHom], beta: GroupHom,
                  block_offsets=None, presentation=None):
         self.colimit = colimit
         self.structure_maps = dict(structure_maps)
         self.beta = beta
-        self.fan = None
         self.block_offsets = dict(block_offsets or {})
         self.presentation = presentation
+
+
+def _maximal_cone_presentation(
+    fan: KmFan,
+) -> Tuple[Dict[Cone, int], Dict[Cone, List[Cone]], IntMatrix]:
+    """The colimit of the lattice data, presented on maximal-cone blocks.
+
+    Returns the block offset of each maximal cone, the maximal cofaces of
+    each cone (both in fan order; a maximal cone is its own), and the
+    relations: for each generator g of a face tau with maximal cofaces
+    sigma_1, ..., sigma_k, g in sigma_1's block minus g in sigma_i's block.
+
+    The colimit is defined on a block F_tau for every cone, with the
+    relation g in rho's block = g in tau's block for each face pair
+    tau < rho and g in a basis of F_tau.  Tietze moves take that to this:
+    each non-maximal block F_tau is eliminated by its relation to the block
+    of its sigma_1.  A relation for tau < rho then reads (g in the block of
+    rho's sigma_1) = (g in the block of tau's sigma_1); both are maximal
+    cofaces of tau, so it is the difference of two of tau's relations.
+    """
+    offsets: Dict[Cone, int] = {}
+    cofaces: Dict[Cone, List[Cone]] = {}
+    total = 0
+    for sigma in fan.maximal_cones():
+        offsets[sigma] = total
+        total += fan.data[sigma].rank()
+        for tau in sigma.faces():
+            cofaces.setdefault(tau, []).append(sigma)
+
+    rel_cols: List[Vec] = []
+    for tau, over in cofaces.items():
+        if len(over) < 2:
+            continue
+        off_first = offsets[over[0]]
+        for g in fan.data[tau].basis().columns():
+            base = _coords_in(fan.data[over[0]], g)
+            for sigma in over[1:]:
+                col = [0] * total
+                for i, x in enumerate(base):
+                    col[off_first + i] = x
+                off = offsets[sigma]
+                for i, x in enumerate(_coords_in(fan.data[sigma], g)):
+                    col[off + i] -= x
+                rel_cols.append(tuple(col))
+    return offsets, cofaces, IntMatrix._from_columns(rel_cols, total)
 
 
 def lattice_data_colimit(fan: KmFan) -> Unfolding:
     """Colimit of {F_sigma} over the face relations, with structure maps.
 
-    Presented as the cokernel of the map sending a generator g of F_tau, for
-    each comparable pair tau < sigma, to (g in sigma-block) - (g in
-    tau-block).  Using all comparable pairs (not only facet pairs) adds only
-    redundant relations.
+    The normal form of the maximal-cone presentation
+    (_maximal_cone_presentation).  The structure map of a maximal cone is
+    the projection of its block; that of any other cone tau is the map of
+    its first maximal coface sigma, read on the coordinates of F_tau's basis
+    in F_sigma.  beta sends each block generator to its element of N, and
+    reads the colimit through the presentation's section.
     """
-    blocks: List[Tuple[Cone, IntMatrix]] = []
-    offsets: Dict[Cone, int] = {}
-    total = 0
-    for c in fan.cones:
-        basis = fan.data[c].basis()
-        offsets[c] = total
-        blocks.append((c, basis))
-        total += basis.cols
-
-    # the proper cofaces of each cone, in fan order
-    cofaces: Dict[Cone, List[Cone]] = {c: [] for c in fan.cones}
-    for sigma in fan.cones:
-        for tau in sigma.faces()[:-1]:
-            cofaces[tau].append(sigma)
-    rel_cols: List[Vec] = []
-    for tau in fan.cones:
-        tau_basis = fan.data[tau].basis()
-        for sigma in cofaces[tau]:
-            for j in range(tau_basis.cols):
-                g = fan.group.reduce(tau_basis.column(j))
-                col = [0] * total
-                for i, x in enumerate(_coords_in(fan.data[sigma], g)):
-                    col[offsets[sigma] + i] += x
-                col[offsets[tau] + j] -= 1
-                rel_cols.append(tuple(col))
-
-    pres = present_quotient(total, IntMatrix._from_columns(rel_cols, total))
+    offsets, cofaces, relations = _maximal_cone_presentation(fan)
+    pres = present_quotient(relations.rows, relations)
     colimit = pres.group
     structure: Dict[Cone, GroupHom] = {}
-    proj_cols = pres.proj.columns()  # the images of the block generators
-    for c, basis in blocks:
-        cols = [colimit.reduce(proj_cols[offsets[c] + j]) for j in range(basis.cols)]
+    for c in fan.cones:
+        sigma = cofaces[c][0]
+        off, width = offsets[sigma], fan.data[sigma].rank()
+        image = pres.proj.select_columns(range(off, off + width))
+        if c != sigma:
+            coords = [_coords_in(fan.data[sigma], g) for g in fan.data[c].basis().columns()]
+            image = image @ IntMatrix._from_columns(coords, width)
+        cols = [colimit.reduce(col) for col in image.columns()]
         structure[c] = GroupHom(
-            FgaGroup(basis.cols), colimit, IntMatrix._from_columns(cols, colimit.ncoords)
+            FgaGroup(len(cols)), colimit, IntMatrix._from_columns(cols, colimit.ncoords)
         )
     # beta: send each block generator to the corresponding element of N
-    beta_cols = [fan.group.reduce(col) for _, basis in blocks for col in basis.columns()]
+    beta_cols = [fan.group.reduce(g) for m in offsets for g in fan.data[m].basis().columns()]
     beta_on_blocks = IntMatrix._from_columns(beta_cols, fan.group.ncoords)
     beta = GroupHom(colimit, fan.group, beta_on_blocks @ pres.section)
     # sanity: beta o i_sigma is the inclusion F_sigma -> N, generator by generator
-    for c, basis in blocks:
+    for c in fan.cones:
+        basis = fan.data[c].basis()
         comp = structure[c].then(beta)
         for e, col in zip(IntMatrix.identity(basis.cols).entries, basis.columns()):
             if comp.apply(e) != fan.group.reduce(col):
@@ -220,25 +247,19 @@ def induced_colimit_map(sub: Unfolding, sup: Unfolding) -> GroupHom:
     """The map of colimits induced by an inclusion of sub-KM-fans.
 
     Every cone of the sub-unfolding must appear, with the same lattice datum,
-    in the super-unfolding.
+    in the super-unfolding.  A generator of sub's colimit lifts to sub's
+    maximal-cone blocks, and each block maps by sup's structure map of its
+    cone, which need not be maximal in the larger fan.
     """
-    total_sup = sup.presentation.proj.cols
-    cols = []
-    for j in range(sub.colimit.ncoords):
-        e = tuple(1 if i == j else 0 for i in range(sub.colimit.ncoords))
-        lifted = sub.presentation.lift(e)
-        big = [0] * total_sup
-        for cone, off in sub.block_offsets.items():
-            if cone not in sup.block_offsets:
-                raise KmFanError("sub-fan cone missing from the larger fan")
-            width = sub.structure_maps[cone].source.ncoords
-            sup_off = sup.block_offsets[cone]
-            for i in range(width):
-                big[sup_off + i] += lifted[off + i]
-        cols.append(sup.presentation.to_normal(big))
-    return GroupHom(
-        sub.colimit, sup.colimit, IntMatrix._from_columns(cols, sup.colimit.ncoords)
-    )
+    on_blocks = []
+    for cone in sub.block_offsets:
+        if cone not in sup.structure_maps:
+            raise KmFanError("sub-fan cone missing from the larger fan")
+        on_blocks.extend(sup.structure_maps[cone].matrix.columns())
+    lt = sup.colimit
+    images = IntMatrix._from_columns(on_blocks, lt.ncoords) @ sub.presentation.section
+    cols = [lt.reduce(c) for c in images.columns()]
+    return GroupHom(sub.colimit, lt, IntMatrix._from_columns(cols, lt.ncoords))
 
 
 def unfold(fan: KmFan) -> Tuple[KmFan, KmFanHom, Unfolding]:
@@ -266,7 +287,6 @@ def unfold(fan: KmFan) -> Tuple[KmFan, KmFanHom, Unfolding]:
         preimages[image] = sigma
         data[image] = LatticeDatum.from_generators(lt, gens)
     unfolded = KmFan._make(lt, preimages, data)
-    unf.fan = unfolded
     return unfolded, KmFanHom(unfolded, fan, unf.beta, preimages), unf
 
 
@@ -308,61 +328,24 @@ def is_gs_representable(fan: KmFan) -> bool:
     F_sigma is saturated, the image of F_tau is saturated in it and hence in
     the free colimit.  Every cone is a face of a maximal cone.
 
-    The colimit is presented on maximal cones only, which gives the same
-    group as lattice_data_colimit's presentation over all cones.  Take the
-    direct sum of the blocks F_sigma, sigma maximal, and for each cone tau
-    with maximal cofaces sigma_1, ..., sigma_k (sigma_1 first in fan order)
-    the relations g in sigma_1's block = g in sigma_i's block, for g in a
-    basis of F_tau.  Passing from the full presentation to this one is a
-    sequence of Tietze moves: each non-maximal block F_tau is eliminated by
-    its relation to the block of its sigma_1.  A relation for a face pair
-    tau < rho then reads (g in the block of rho's sigma_1) = (g in the block
-    of tau's sigma_1).  Both are maximal cofaces of tau, so it is the
-    difference of two of tau's relations above.
-
-    Whether an image is saturated does not depend on the basis of the free
-    colimit, so no normal form is built.  One Smith decomposition
-    U rel V = D of the relation columns gives it: the image of rel lies in
-    the span of the first rank coordinates of U, and its saturation is that
-    span, so the rows of U past the rank are coordinates on the colimit
-    modulo its torsion.  The columns of those rows at sigma's block are the
-    structure map of sigma, which is injective, so its image is saturated
-    exactly when the block is (intlinalg.is_saturated).  The relations read
-    each face generator in the coordinates of its maximal cofaces with
-    LatticeDatum.coordinates, whose linear systems the data keep.
+    The colimit is the one lattice_data_colimit builds its normal form from:
+    blocks for the maximal cones, and one relation per generator of each
+    shared face (_maximal_cone_presentation).  Whether an image is saturated
+    does not depend on the basis of the free colimit, so no normal form is
+    built.  One Smith decomposition U rel V = D of the relation columns
+    gives it: the image of rel lies in the span of the first rank
+    coordinates of U, and its saturation is that span, so the rows of U past
+    the rank are coordinates on the colimit modulo its torsion.  The columns
+    of those rows at sigma's block are the structure map of sigma, which is
+    injective, so its image is saturated exactly when the block is
+    (intlinalg.is_saturated).
     """
     if not fan.group.is_lattice():
         raise NonLattice("the test is defined for lattice KM fans")
-    maximal = fan.maximal_cones()
-    offsets: Dict[Cone, int] = {}
-    cofaces: Dict[Cone, List[Cone]] = {}
-    total = 0
-    for sigma in maximal:
-        offsets[sigma] = total
-        total += fan.data[sigma].rank()
-        for tau in sigma.faces():
-            cofaces.setdefault(tau, []).append(sigma)
-
-    rel_cols: List[Vec] = []
-    for tau, over in cofaces.items():
-        if len(over) < 2:
-            continue
-        off_first = offsets[over[0]]
-        for g in fan.data[tau].basis().columns():
-            base = _coords_in(fan.data[over[0]], g)
-            for sigma in over[1:]:
-                col = [0] * total
-                for i, x in enumerate(base):
-                    col[off_first + i] = x
-                off = offsets[sigma]
-                for i, x in enumerate(_coords_in(fan.data[sigma], g)):
-                    col[off + i] -= x
-                rel_cols.append(tuple(col))
-
-    s = smith_decomposition(IntMatrix._from_columns(rel_cols, total), transforms=("u",))
+    offsets, _, relations = _maximal_cone_presentation(fan)
+    s = smith_decomposition(relations, transforms=("u",))
     free_rows = s.u.entries[s.rank():]
-    for sigma in maximal:
-        off = offsets[sigma]
+    for sigma, off in offsets.items():
         width = fan.data[sigma].rank()
         block = IntMatrix._make(tuple(row[off:off + width] for row in free_rows), width)
         if not is_saturated(block):

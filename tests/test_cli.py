@@ -8,7 +8,7 @@ import shutil
 
 import pytest
 
-from kmfan.cli import run
+from kmfan.cli import SUBCOMMANDS, run
 from kmfan.documents import (
     MAX_FREE_RANK,
     DocumentError,
@@ -22,6 +22,8 @@ from golden_cases import ARTIFACTS, CASES
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "golden")
+# a UTF-16 byte-order mark: not valid UTF-8
+NOT_UTF8 = b"\xff\xfe{}"
 
 
 @pytest.fixture
@@ -219,6 +221,42 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(out)["error"] == "schema"
 
+    @pytest.mark.parametrize("reader", ["fan", "fan2", "hom", "source_fan", "target_fan", "gs_fan"])
+    def test_non_utf8_document_is_exit_two_malformed(self, workdir, capsys, reader):
+        """Such a document once raised UnicodeDecodeError out of the CLI."""
+        with open("bad.json", "wb") as fh:
+            fh.write(NOT_UTF8)
+        hom = {"matrix": [[1]], "schema_version": "1", "source_fan": "a1.json", "target_fan": "a1.json"}
+        if reader in hom:
+            hom[reader] = "bad.json"
+        with open("hom.json", "w", encoding="utf-8") as fh:
+            fh.write(dumps(hom))
+        argv = {
+            "fan": ["validate", "--fan", "bad.json"],
+            "fan2": ["product", "--fan", "a1.json", "--fan2", "bad.json"],
+            "hom": ["proper", "--hom", "bad.json"],
+            "source_fan": ["proper", "--hom", "hom.json"],
+            "target_fan": ["tame", "--hom", "hom.json"],
+            "gs_fan": ["fold", "--fan", "bad.json"],
+        }[reader]
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ""
+        assert captured.out.count("\n") == 1
+        assert json.loads(captured.out)["error"] == "malformed"
+
+    @pytest.mark.parametrize("out", [os.path.join("missing", "x.svg"), "."], ids=["missing_dir", "directory"])
+    def test_unwritable_draw_output_is_exit_two_io(self, workdir, capsys, out):
+        """Such a path once raised FileNotFoundError or IsADirectoryError out
+        of the CLI."""
+        code = run(["draw", "--fan", "p22.json", "--out", out])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ""
+        assert captured.out.count("\n") == 1
+        assert json.loads(captured.out)["error"] == "io"
+
     def test_rank_too_high_draw(self, workdir):
         from kmfan.abelian import FgaGroup
         from kmfan.cones import Cone
@@ -275,3 +313,17 @@ class TestHugeInputs:
         assert captured.err == ""
         assert captured.out.count("\n") == 1
         assert json.loads(captured.out)["error"] == "too-large"
+
+
+class TestFailureContract:
+    @pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+    @pytest.mark.parametrize("flags", [[], ["--fan", "bad.json"]], ids=["no_flags", "non_utf8_fan"])
+    def test_every_subcommand_fails_with_one_json_object(self, workdir, capsys, subcommand, flags):
+        with open("bad.json", "wb") as fh:
+            fh.write(NOT_UTF8)
+        code = run([subcommand] + flags)
+        captured = capsys.readouterr()
+        assert code in (1, 2)
+        assert captured.err == ""
+        assert captured.out.count("\n") == 1
+        assert isinstance(json.loads(captured.out), dict)

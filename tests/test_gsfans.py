@@ -781,3 +781,135 @@ class TestOneSmithPerSystem:
         assert unf.colimit == FgaGroup(6)  # one generator per ray: the fan is smooth
         assert len(fan.cones) == 27
         assert len(calls) <= len(fan.cones) + 1
+
+
+def all_pairs_colimit(fan: KmFan) -> gsfans.Unfolding:
+    """The colimit presented on a block for every cone, with a relation for
+    every comparable pair: g in sigma's block minus g in tau's block, for g
+    in a basis of F_tau and tau < sigma.  The definition, and the oracle
+    for the maximal-cone presentation that lattice_data_colimit reads."""
+    offsets = {}
+    total = 0
+    for c in fan.cones:
+        offsets[c] = total
+        total += fan.data[c].rank()
+    rel_cols = []
+    for sigma in fan.cones:
+        for tau in sigma.faces()[:-1]:
+            for j, g in enumerate(fan.data[tau].basis().columns()):
+                col = [0] * total
+                for i, x in enumerate(fan.data[sigma].coordinates(g)):
+                    col[offsets[sigma] + i] += x
+                col[offsets[tau] + j] -= 1
+                rel_cols.append(tuple(col))
+    pres = abelian.present_quotient(total, IntMatrix._from_columns(rel_cols, total))
+    colimit = pres.group
+    structure = {}
+    for c, off in offsets.items():
+        cols = [colimit.reduce(pres.proj.column(off + j)) for j in range(fan.data[c].rank())]
+        structure[c] = GroupHom(FgaGroup(len(cols)), colimit, IntMatrix._from_columns(cols, colimit.ncoords))
+    beta_cols = [fan.group.reduce(g) for c in fan.cones for g in fan.data[c].basis().columns()]
+    beta = GroupHom(colimit, fan.group, IntMatrix._from_columns(beta_cols, fan.group.ncoords) @ pres.section)
+    return gsfans.Unfolding(colimit, structure, beta, block_offsets=offsets, presentation=pres)
+
+
+def random_polygon_km_fan(rng: random.Random) -> KmFan:
+    """A complete fan in Z^2 on 5 to 16 rays; each 2-cone gets the saturated
+    datum or the datum generated by its primitive rays."""
+    rays = set()
+    while len(rays) < rng.randint(2, 13):
+        rays.add(random_primitive(rng, 2, 5))
+    base = complete_fan_with_rays(sorted(rays))
+    data = dict(base.data)
+    for c in base.cones:
+        if c.dim() == 2 and rng.random() < 0.5:
+            data[c] = LatticeDatum.from_generators(Z2, c.rays)
+    return KmFan(Z2, base.cones, data)
+
+
+def seeded_colimit_fans(count: int):
+    """Seeded KM fans for the colimit oracle: random simplicial fans (their
+    groups may have torsion), the same times P^1, and polygons."""
+    from conftest import random_simplicial_km_fan
+
+    rng = random.Random(12345)
+    p1 = projective_line_fan()
+    for i in range(count):
+        family = i % 3
+        if family == 0:
+            yield random_simplicial_km_fan(rng)
+        elif family == 1:
+            yield product(random_simplicial_km_fan(rng), p1)[0]
+        else:
+            yield random_polygon_km_fan(rng)
+
+
+def named_colimit_fans():
+    p1 = projective_line_fan()
+    p1_squared = product(p1, p1)[0]
+    return [
+        p1_squared,
+        product(p1_squared, p1)[0],
+        product(build_p22(), build_p22())[0],
+        torsion_colimit_fan(),
+        nonsaturated_colimit_fan(),
+        linked_pages_fan(False),
+        zero_fan(FgaGroup(0)),
+    ]
+
+
+class TestOneColimitPresentation:
+    def test_agrees_with_the_all_pairs_oracle(self):
+        """The same group, and a canonical isomorphism from the oracle's
+        colimit that commutes with every structure map and with beta: lift
+        through the oracle's section, then map each cone's block by the new
+        structure map of that cone."""
+        fans_ = list(seeded_colimit_fans(300)) + named_colimit_fans()
+        torsion_groups = 0
+        for i, fan in enumerate(fans_):
+            old = all_pairs_colimit(fan)
+            new = lattice_data_colimit(fan)
+            assert new.colimit == old.colimit, i
+            on_blocks = [col for c in old.block_offsets for col in new.structure_maps[c].matrix.columns()]
+            images = IntMatrix._from_columns(on_blocks, new.colimit.ncoords) @ old.presentation.section
+            phi = GroupHom(old.colimit, new.colimit, images)
+            assert abelian.is_isomorphism(phi), i
+            for c in fan.cones:
+                assert old.structure_maps[c].then(phi) == new.structure_maps[c], (i, c)
+            assert phi.then(new.beta) == old.beta, i
+            torsion_groups += bool(fan.group.torsion)
+        assert torsion_groups >= 50
+
+    def test_presents_on_maximal_cones_once(self, monkeypatch):
+        """(P^1)^4: 16 maximal cones of rank 4 and one relation per generator
+        of each shared face and each further coface; the all-pairs
+        presentation is 216 x 784."""
+        p1 = projective_line_fan()
+        fan = p1
+        for _ in range(3):
+            fan = product(fan, p1)[0]
+        shapes = []
+        real = gsfans.present_quotient
+
+        def recording(m, relations):
+            shapes.append((relations.rows, relations.cols))
+            return real(m, relations)
+
+        monkeypatch.setattr(gsfans, "present_quotient", recording)
+        unf = lattice_data_colimit(fan)
+        assert shapes == [(64, 296)]
+        assert unf.colimit == FgaGroup(8)
+        assert sorted(unf.block_offsets.values()) == list(range(0, 64, 4))
+
+    def test_induced_map_reads_cones_not_maximal_in_the_larger_fan(self):
+        """The boundary of a maximal cone has maximal cones that are faces in
+        the larger fan: its colimit maps there through their structure maps."""
+        fan = nonsaturated_colimit_fan()
+        maximal = fan.maximal_cones()[0]
+        boundary_cones = [c for c in maximal.faces() if c != maximal]
+        boundary = KmFan(fan.group, boundary_cones, {c: fan.data[c] for c in boundary_cones})
+        sub, sup = lattice_data_colimit(boundary), lattice_data_colimit(fan)
+        assert not set(sub.block_offsets) & set(sup.block_offsets)
+        into = gsfans.induced_colimit_map(sub, sup)
+        for c in boundary_cones:
+            assert sub.structure_maps[c].then(into) == sup.structure_maps[c]
