@@ -18,6 +18,7 @@ from .intlinalg import (
     _int_entry,
     _int_vector,
     hermite_column_basis,
+    invariant_factors,
     kernel_basis,
     smith_decomposition,
     solve_integer,
@@ -368,6 +369,18 @@ def _quotient_presentation(ambient: FgaGroup, sub: Subgroup) -> QuotientPresenta
         identity = IntMatrix.identity(ambient.ncoords)
         return QuotientPresentation(ambient, identity, identity)
     return present_quotient(ambient.ncoords, ambient.relation_matrix().hstack(gens))
+
+
+def _quotient_group(ambient: FgaGroup, sub: Subgroup) -> FgaGroup:
+    """The isomorphism type of N/H alone, from the invariant factors of H's
+    preimage lattice (one Smith decomposition that tracks no transform).
+    The preimage holds the relations of N, so Z^m / preimage is N/H: its
+    free rank is m minus the number of invariant factors, and its torsion
+    is the factors other than 1.  This is the group quotient() returns."""
+    if sub.ambient != ambient:
+        raise KmFanError("subgroup lives in a different group")
+    factors = invariant_factors(sub.preimage)
+    return FgaGroup(ambient.ncoords - len(factors), tuple(d for d in factors if d != 1))
 
 
 def quotient(ambient: FgaGroup, sub: Subgroup) -> Tuple[FgaGroup, GroupHom]:

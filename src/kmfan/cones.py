@@ -365,13 +365,26 @@ class Cone:
 
     def span_lattice_basis(self) -> IntMatrix:
         """Saturated basis of Span(cone) cap Z^r (Hermite-canonical columns),
-        derived on first use and cached like the H-description."""
+        derived on first use and cached like the H-description.
+
+        Two cases have closed forms, which are what saturate returns: a
+        full-dimensional cone spans Z^r, whose Hermite basis is the identity;
+        a sharp cone on one ray spans the line of its primitive ray, whose
+        Hermite basis is that ray with its first nonzero entry positive.
+        """
         if self._span is None:
             gens = list(self.rays) + list(self.lineality)
-            if gens:
-                span = saturate(IntMatrix._from_columns(gens, self.ambient_rank))
-            else:
+            if not gens:
                 span = IntMatrix.zero(self.ambient_rank, 0)
+            elif len(self.rays) == 1 and not self.lineality:
+                ray = self.rays[0]
+                if ray[_first_nonzero(ray)] < 0:
+                    ray = tuple(-x for x in ray)
+                span = IntMatrix._from_columns([ray], self.ambient_rank)
+            elif self.dim() == self.ambient_rank:
+                span = IntMatrix.identity(self.ambient_rank)
+            else:
+                span = saturate(IntMatrix._from_columns(gens, self.ambient_rank))
             object.__setattr__(self, "_span", span)
         return self._span
 

@@ -21,6 +21,11 @@ MARGIN = 30
 LAYER_GAP = 40
 POINT_RADIUS = 5
 
+#: the largest window drawn: a layer holds up to (2 * window + 1)^2 points
+MAX_WINDOW = 32
+#: the most layers drawn, one per torsion element of N
+MAX_LAYERS = 16
+
 
 def _fmt(x: Fraction) -> str:
     """Fixed two-decimal rendering of an exact rational, without floats."""
@@ -34,12 +39,23 @@ def _fmt(x: Fraction) -> str:
 
 
 def draw_fan_svg(fan: KmFan, window: int = 5) -> str:
-    """Render the fan as an SVG string; deterministic for fixed input."""
+    """Render the fan as an SVG string; deterministic for fixed input.
+
+    A window above MAX_WINDOW, or a torsion subgroup of order above
+    MAX_LAYERS, raises OverflowError before any point or layer is listed.
+    """
     r = fan.group.free_rank
     if r > 2:
         raise RankTooHigh("drawing supports free rank at most 2")
     if window < 1:
         raise ValueError("window must be positive")
+    if window > MAX_WINDOW:
+        raise OverflowError(f"window {window} exceeds drawing.MAX_WINDOW = {MAX_WINDOW}")
+    order = fan.group.torsion_order()
+    if order > MAX_LAYERS:
+        raise OverflowError(
+            f"{order} torsion layers exceed drawing.MAX_LAYERS = {MAX_LAYERS}"
+        )
     torsion_elements = fan.group.torsion_elements()
     layers = [t[fan.group.free_rank:] for t in torsion_elements]
 

@@ -15,6 +15,7 @@ from .abelian import (
     FgaGroup,
     GroupHom,
     Subgroup,
+    _quotient_group,
     _quotient_presentation,
     dd_of_hom,
     direct_sum,
@@ -103,21 +104,23 @@ class LatticeDatum:
         return self.coordinates(vector) is not None
 
     def violations(self, cone: Cone) -> List[str]:
-        """Why this is not a valid lattice datum for the cone, if it is not."""
+        """Why this is not a valid lattice datum for the cone, if it is not.
+
+        A torsion-free datum meets N_tor in 0, so the free projections of
+        its basis are independent.  The rays span Span(cone) over Q, so the
+        rank and the span membership are read off them: the datum lies in
+        the span when rays and free basis together have rank dim(cone).
+        """
         out = []
         if not self.subgroup.is_lattice():
             out.append("generated subgroup is not torsion-free")
             return out
-        basis = self.basis()
-        fb = self.free_basis()
-        if matrix_rank(fb) != basis.cols:
-            out.append("free projections of the generators are linearly dependent")
-            return out
-        span = cone.span_lattice_basis()
-        if basis.cols != span.cols:
+        dim = cone.dim()
+        if self.rank() != dim:
             out.append("datum rank differs from the cone dimension")
             return out
-        if matrix_rank(span.hstack(fb)) != span.cols:
+        rays = IntMatrix._from_columns(cone.rays + cone.lineality, cone.ambient_rank)
+        if matrix_rank(rays.hstack(self.free_basis())) != dim:
             out.append("datum does not lie in the span of the cone")
         return out
 
@@ -543,8 +546,10 @@ def from_classical(group: FgaGroup, cones: Iterable[Cone]) -> KmFan:
 
 
 def _saturated_data(group: FgaGroup, cones: Iterable[Cone]) -> Dict[Cone, LatticeDatum]:
-    """The classical lattice data Span(sigma) cap N of a lattice N."""
-    return {c: LatticeDatum.from_generators(group, c.span_lattice_basis().columns()) for c in cones}
+    """The classical lattice data Span(sigma) cap N of a lattice N.  On a
+    lattice a subgroup is stored as the Hermite basis of itself, and the
+    span lattice basis is one already, so it is the datum as it is."""
+    return {c: LatticeDatum(group, Subgroup(group, c.span_lattice_basis())) for c in cones}
 
 
 def is_classical(fan: KmFan) -> bool:
@@ -725,17 +730,21 @@ class StratumInfo:
 
 
 def isotropy(fan: KmFan, sigma: Cone) -> FgaGroup:
-    """The torsion subgroup of N/F_sigma."""
+    """The torsion subgroup of N/F_sigma, read off the invariant factors of
+    F_sigma's preimage lattice: no projection onto N/F_sigma is built."""
     if sigma not in fan.data:
         raise ConeNotInFan(f"{sigma!r} is not a cone of this fan")
-    q, _ = quotient(fan.group, fan.data[sigma].subgroup)
-    return FgaGroup(0, q.torsion)
+    return FgaGroup(0, _quotient_group(fan.group, fan.data[sigma].subgroup).torsion)
 
 
 def strata(fan: KmFan) -> List[StratumInfo]:
+    """The stratum of every cone, in the fan's order: the torus rank and the
+    isotropy group are the free rank and the torsion of N/F_sigma, and the
+    band is the isotropy group's Ext.  Each quotient type comes from one
+    Smith decomposition that tracks no transform (abelian._quotient_group)."""
     out = []
     for c in fan.cones:
-        q, _ = quotient(fan.group, fan.data[c].subgroup)
+        q = _quotient_group(fan.group, fan.data[c].subgroup)
         iso = FgaGroup(0, q.torsion)
         out.append(StratumInfo(c, q.free_rank, iso, ext_group(iso)))
     return out
@@ -749,9 +758,9 @@ def _data_sum(fan: KmFan) -> Subgroup:
 
 
 def fundamental_group(fan: KmFan) -> FgaGroup:
-    """N modulo the subgroup generated by all lattice data."""
-    q, _ = quotient(fan.group, _data_sum(fan))
-    return q
+    """N modulo the subgroup generated by all lattice data, from the
+    invariant factors of their sum: no projection is built."""
+    return _quotient_group(fan.group, _data_sum(fan))
 
 
 def product(a: KmFan, b: KmFan) -> Tuple[KmFan, KmFanHom, KmFanHom]:

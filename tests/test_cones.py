@@ -5,9 +5,10 @@ import random
 
 import pytest
 
-from kmfan.cones import Cone, _h_description, union_covers
+from kmfan import cones as cones_module
+from kmfan.cones import Cone, _first_nonzero, _h_description, union_covers
 from kmfan.errors import DimensionMismatch, PieceOutsideTarget
-from kmfan.intlinalg import IntMatrix, rank
+from kmfan.intlinalg import IntMatrix, rank, saturate
 
 
 QUAD = Cone.from_generators([(1, 0), (0, 1)], 2)
@@ -235,6 +236,48 @@ class TestSpan:
 
     def test_zero_span(self):
         assert Cone.zero(2).span_lattice_basis().cols == 0
+
+    def test_closed_forms_agree_with_saturate(self, monkeypatch):
+        """Seeded cones in r = 1..4: full-dimensional (sharp or not), single
+        rays (many with a negative leading entry), lines and intermediate
+        cones.  The first two kinds run no saturate."""
+        rng = random.Random(1515)
+        kinds = {"full": 0, "ray": 0, "negative-ray": 0, "other": 0}
+        cases = []
+        for t in range(400):
+            r = 1 + t % 4
+
+            def vec():
+                return tuple(rng.randint(-4, 4) for _ in range(r))
+
+            kind = rng.choice(["full", "ray", "line", "intermediate"])
+            if kind == "full":
+                gens = [vec() for _ in range(r + rng.randint(0, 2))]
+            elif kind == "ray":
+                gens = [tuple(rng.choice([1, 2, 3]) * x for x in vec())]
+            elif kind == "line":
+                v = vec()
+                gens = [v, tuple(-x for x in v)]
+            else:
+                gens = [vec() for _ in range(rng.randint(1, r))]
+            cases.append((r, [g for g in gens if any(g)] or [(0,) * (r - 1) + (-2,)]))
+        saturated = []
+        monkeypatch.setattr(cones_module, "saturate", lambda m: saturated.append(m) or saturate(m))
+        for r, gens in cases:
+            c = Cone.from_generators(gens, r)
+            before = len(saturated)
+            span = c.span_lattice_basis()
+            expected = saturate(IntMatrix.from_columns(list(c.rays) + list(c.lineality), rows=r))
+            assert span == expected, gens
+            closed_form = c.dim() == r or (len(c.rays) == 1 and not c.lineality)
+            assert (len(saturated) == before) == closed_form, gens
+            if c.dim() == r:
+                kinds["full"] += 1
+            elif closed_form:
+                kinds["negative-ray" if c.rays[0][_first_nonzero(c.rays[0])] < 0 else "ray"] += 1
+            else:
+                kinds["other"] += 1
+        assert min(kinds.values()) >= 30, kinds
 
 
 class TestMembership:

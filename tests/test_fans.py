@@ -72,7 +72,15 @@ from kmfan.fans import (
 from kmfan import abelian, intlinalg
 from kmfan import fans as fans_module
 from kmfan.fans import _certified_complete_simplicial, _cone_violations, _maximal_cones
-from kmfan.intlinalg import IntMatrix, LinearSystem, _dot, kernel_basis, primitive_vector, rank as matrix_rank
+from kmfan.intlinalg import (
+    IntMatrix,
+    LinearSystem,
+    _dot,
+    kernel_basis,
+    primitive_vector,
+    rank as matrix_rank,
+    saturate,
+)
 
 import test_properties
 from conftest import (
@@ -628,13 +636,33 @@ def span_meet_oracle(group: FgaGroup, datum: LatticeDatum, tau: Cone) -> Subgrou
     return Subgroup.from_generators(group, [datum.basis().apply(c) for c in ker.columns()])
 
 
+def saturated_span_violations(datum: LatticeDatum, cone: Cone) -> list:
+    """LatticeDatum.violations with rank and span membership compared against
+    the saturated span lattice of the cone, as validation did before it read
+    them off the rays."""
+    if not datum.subgroup.is_lattice():
+        return ["generated subgroup is not torsion-free"]
+    basis, fb = datum.basis(), datum.free_basis()
+    if matrix_rank(fb) != basis.cols:
+        return ["free projections of the generators are linearly dependent"]
+    gens = list(cone.rays) + list(cone.lineality)
+    r = cone.ambient_rank
+    span = saturate(IntMatrix.from_columns(gens, rows=r)) if gens else IntMatrix.zero(r, 0)
+    if basis.cols != span.cols:
+        return ["datum rank differs from the cone dimension"]
+    if matrix_rank(span.hstack(fb)) != span.cols:
+        return ["datum does not lie in the span of the cone"]
+    return []
+
+
 def oracle_data_report(fan: KmFan) -> list:
-    """The data phase of validate, with every pair of a cone and a proper
-    nonzero face compared by span_meet_oracle."""
+    """The data phase of validate, with each datum checked against the
+    saturated span lattice and every pair of a cone and a proper nonzero
+    face compared by span_meet_oracle."""
     out = [
         {"kind": "invalid-datum", "detail": f"{c!r}: {v}"}
         for c in fan.cones
-        for v in fan.data[c].violations(c)
+        for v in saturated_span_violations(fan.data[c], c)
     ]
     if out:
         return out
@@ -682,6 +710,18 @@ def _perturbed(group: FgaGroup, gens, rng, span=None):
     return kind, [group.reduce(g) for g in gens]
 
 
+def _off_span(cone: Cone, rng) -> list:
+    """A nonzero vector of Z^r outside the span of a cone of dimension < r,
+    else any nonzero vector."""
+    r = cone.ambient_rank
+    while True:
+        v = [rng.randint(-2, 2) for _ in range(r)]
+        if not any(v):
+            continue
+        if cone.dim() == r or matrix_rank(IntMatrix.from_columns(list(cone.rays) + [v], rows=r)) > cone.dim():
+            return v
+
+
 def _seeded_km_fans(rng):
     """Random simplicial KM fans, torsion included, and their products with
     P^1, which have 3-dimensional cones with faces of codimension 2."""
@@ -714,6 +754,41 @@ class TestCompatibilityBySaturation:
             seen[problems[0]["kind"] if problems else "valid"] += 1
             kinds[kind] += 1
         assert min(seen.values()) >= 20 and min(kinds.values()) >= 50, (seen, kinds)
+
+    def test_wrong_rank_and_out_of_span_data_agree_with_the_oracle(self):
+        """A generator dropped or added, moved out of the span of its cone,
+        or joined by a torsion element: every datum violation is reported
+        as against the saturated span lattice."""
+        rng = random.Random(1414)
+        seen = {}
+        fans = _seeded_km_fans(rng)
+        for _ in range(200):
+            fan = next(fans)
+            n, r = fan.group, fan.group.free_rank
+            victim = rng.choice([c for c in fan.cones if c.dim()])
+            gens = [list(g) for g in fan.data[victim].generators()]
+            kind = rng.choice(["drop", "add", "out-of-span"] + (["torsion"] if n.torsion else []))
+            if kind == "drop":
+                gens.pop(rng.randrange(len(gens)))
+            elif kind == "add":
+                gens.append([rng.randint(-3, 3) for _ in range(n.ncoords)])
+            elif kind == "out-of-span":
+                i, step = rng.randrange(len(gens)), rng.choice([-1, 1])
+                gens[i][:r] = [x + step * y for x, y in zip(gens[i][:r], _off_span(victim, rng))]
+            else:
+                element = [0] * r + [rng.randrange(1, d) for d in n.torsion]
+                gens.append(element)
+            data = dict(fan.data)
+            data[victim] = LatticeDatum.from_generators(n, gens)
+            corrupted = unchecked_fan(n, fan.cones, data)
+            problems = corrupted.validate()
+            assert problems == oracle_data_report(corrupted), (kind, victim, gens)
+            for p in problems:
+                key = p["detail"].split(": ")[-1] if p["kind"] == "invalid-datum" else p["kind"]
+                seen[key] = seen.get(key, 0) + 1
+        # no datum reaches the dependent-projections branch of the oracle:
+        # a torsion-free datum meets N_tor in 0
+        assert len(seen) == 4 and min(seen.values()) >= 10, seen
 
     def test_lifting_violations_agree_with_the_span_meet_oracle(self):
         """Constructed, twisted, perturbed and torsion-enlarged liftings."""
@@ -1489,3 +1564,89 @@ class TestMinimalConeWithoutIntersection:
             if min(seen.values()) >= 30:
                 break
         assert min(seen.values()) >= 30, seen
+
+
+def _strata_oracle(fan: KmFan) -> list:
+    """strata(fan) from the full quotient N/F_sigma with its projection."""
+    out = []
+    for c in fan.cones:
+        q, _ = quotient(fan.group, fan.data[c].subgroup)
+        iso = FgaGroup(0, q.torsion)
+        out.append((c, q.free_rank, iso, FgaGroup(0, iso.torsion)))
+    return out
+
+
+def _power(fan: KmFan, k: int) -> KmFan:
+    out = fan
+    for _ in range(k - 1):
+        out = product(out, fan)[0]
+    return out
+
+
+class TestInvariantsWithoutTransforms:
+    def test_agree_with_the_quotient_oracle(self):
+        """Seeded KM fans, torsion included, and their products with P^1 and
+        P(2,2)."""
+        rng = random.Random(1616)
+        fans = _seeded_km_fans(rng)
+        torsion = 0
+        for i in range(60):
+            fan = next(fans)
+            if i % 4 == 0:
+                fan = product(fan, build_p22())[0]
+            got = [(s.cone, s.torus_rank, s.isotropy, s.band) for s in strata(fan)]
+            assert got == _strata_oracle(fan)
+            for c in fan.cones:
+                assert isotropy(fan, c) == FgaGroup(0, quotient(fan.group, fan.data[c].subgroup)[0].torsion)
+            everything = Subgroup.from_generators(
+                fan.group, [g for c in fan.cones for g in fan.data[c].generators()]
+            )
+            assert fundamental_group(fan) == quotient(fan.group, everything)[0]
+            torsion += any(s.isotropy.torsion for s in strata(fan))
+        assert torsion >= 20
+
+    @pytest.mark.parametrize("build", [
+        lambda: _power(projective_line_fan(), 3),
+        lambda: _power(build_p22(), 2),
+    ], ids=["p1_cubed", "p22_squared"])
+    def test_strata_build_no_projection(self, monkeypatch, build):
+        """No present_quotient, and every Smith tracks no transform."""
+        fan = build()
+        calls = []
+        real = intlinalg.smith_decomposition
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("kmfan"):
+                if hasattr(module, "present_quotient"):
+                    monkeypatch.setattr(module, "present_quotient", lambda *a: calls.append("present_quotient"))
+                if hasattr(module, "smith_decomposition"):
+                    monkeypatch.setattr(
+                        module, "smith_decomposition",
+                        lambda m, transforms=intlinalg.TRANSFORMS: calls.append(tuple(transforms)) or real(m, transforms),
+                    )
+        assert len(strata(fan)) == len(fan.cones)
+        assert calls and set(calls) == {()}
+
+    def test_classical_polygon_runs_no_saturate(self, monkeypatch):
+        rays = [(1, 0), (2, 1), (1, 1), (0, 1), (-1, 2), (-1, 0), (-2, -3), (0, -1), (3, -1)]
+        cones = [Cone.from_generators([u, v], 2) for u, v in zip(rays, rays[1:] + rays[:1])]
+        calls = []
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("kmfan") and hasattr(module, "saturate"):
+                monkeypatch.setattr(module, "saturate", lambda m: calls.append(m))
+        fan = from_classical(Z2, cones)
+        assert len(fan.cones) == 2 * len(rays) + 1
+        assert calls == []
+
+    def test_validation_with_fresh_cones_runs_no_saturate(self, monkeypatch):
+        """A product fan rebuilt from new cone instances, which keep no span
+        lattice yet."""
+        fan = product(_power(projective_line_fan(), 2), build_p22())[0]
+        fresh = {Cone.from_generators(c.rays, c.ambient_rank): fan.data[c] for c in fan.cones}
+        data = {c: LatticeDatum(fan.group, d.subgroup) for c, d in fresh.items()}
+        fan = unchecked_fan(fan.group, list(data), data)
+        calls = []
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("kmfan") and hasattr(module, "saturate"):
+                monkeypatch.setattr(module, "saturate", lambda m: calls.append(m))
+        assert fan.validate() == []
+        assert calls == []
