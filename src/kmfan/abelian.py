@@ -373,7 +373,7 @@ def _quotient_presentation(ambient: FgaGroup, sub: Subgroup) -> QuotientPresenta
 
 def _quotient_group(ambient: FgaGroup, sub: Subgroup) -> FgaGroup:
     """The isomorphism type of N/H alone, from the invariant factors of H's
-    preimage lattice (one Smith decomposition that tracks no transform).
+    preimage lattice (intlinalg.invariant_factors, which tracks no transform).
     The preimage holds the relations of N, so Z^m / preimage is N/H: its
     free rank is m minus the number of invariant factors, and its torsion
     is the factors other than 1.  This is the group quotient() returns."""

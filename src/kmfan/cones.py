@@ -8,7 +8,7 @@ is derived on demand and cached.
 
 A simplicial cone is its rays.  It is built without a double description
 (DD), its faces are the subsets of its rays, and its H-description comes
-from one Smith decomposition of its ray matrix.  The DD serves only the
+from one row echelon form of its ray matrix.  The DD serves only the
 other cones: a non-simplicial cone derives its H-description by one DD, its
 faces are cut out by incidence with its facets, and a cone given by
 inequalities and equations (intersections, preimages) takes its V-data from
@@ -18,6 +18,7 @@ one DD of those constraints.
 from __future__ import annotations
 
 import itertools
+from math import prod
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, KmFanError, PieceOutsideTarget
@@ -25,8 +26,10 @@ from .intlinalg import (
     IntMatrix,
     LinearSystem,
     Vec,
+    _back_substitute,
     _dot,
     _int_vector,
+    _row_echelon,
     hermite_column_basis,
     kernel_basis,
     primitive_vector,
@@ -419,22 +422,25 @@ def _derive_h(cone: Cone) -> Tuple[Tuple[Vec, ...], Tuple[Vec, ...]]:
 
 def _simplicial_h_description(rays: Sequence[Vec], ambient: int) -> Tuple[Tuple[Vec, ...], Tuple[Vec, ...]]:
     """Canonical (facets, equations) of the cone on linearly independent rays,
-    from one Smith decomposition U R^T V = D of the k x ambient ray matrix.
+    from one row echelon form T R = [E; 0] of the ambient x k ray matrix R.
 
-    The columns of V past k span the kernel of R^T, the equations.  Facet i
-    is V y with y_j = (d_k / d_j) U[j][i] for j < k, so that R^T V y = d_k e_i:
-    it vanishes on every ray but the i-th.  Both go through the same
+    T is unimodular, so its rows past k are a basis of the saturated lattice
+    of functionals vanishing on R, the equations: their Hermite basis is
+    canonical with no saturation.  E is k x k upper triangular with positive
+    diagonal, and the columns of adj(E) = det(E) E^-1 come from back
+    substitution.  Facet i is row i of adj(E) times the first k rows of T:
+    on R it is row i of adj(E) E = det(E) I, so it vanishes on every ray but
+    the i-th, where it is positive.  Both go through the same
     canonicalisation as the double description's output.
     """
     k = len(rays)
-    s = smith_decomposition(IntMatrix._make(tuple(rays), ambient), transforms=("u", "v"))
-    diag = s.diagonal()
-    equations = _saturated_lattice_basis(s.v.columns()[k:], ambient)
-    facets = []
-    for i in range(k):
-        y = [diag[k - 1] // diag[j] * s.u.entries[j][i] for j in range(k)]
-        facets.append(s.v.apply(y + [0] * (ambient - k)))
-    return tuple(_reduce_mod_lattice(facets, equations, ambient)), tuple(equations)
+    echelon, t = _row_echelon(IntMatrix._from_columns(rays, ambient), transform=True)
+    kernel = t.entries[k:]
+    equations = hermite_column_basis(IntMatrix._from_columns(kernel, ambient)).columns() if kernel else ()
+    det = prod(row[i] for i, row in enumerate(echelon))
+    adj = [_back_substitute(echelon, [det if i == j else 0 for i in range(k)], exact=True) for j in range(k)]
+    facets = (IntMatrix._from_columns(adj, k) @ t.select_rows(range(k))).entries
+    return tuple(_reduce_mod_lattice(facets, equations, ambient)), equations
 
 
 def _h_description(gens: Sequence[Vec], ambient: int) -> Tuple[Tuple[Vec, ...], Tuple[Vec, ...]]:

@@ -740,8 +740,9 @@ def isotropy(fan: KmFan, sigma: Cone) -> FgaGroup:
 def strata(fan: KmFan) -> List[StratumInfo]:
     """The stratum of every cone, in the fan's order: the torus rank and the
     isotropy group are the free rank and the torsion of N/F_sigma, and the
-    band is the isotropy group's Ext.  Each quotient type comes from one
-    Smith decomposition that tracks no transform (abelian._quotient_group)."""
+    band is the isotropy group's Ext.  Each quotient type comes from the
+    invariant factors of F_sigma's preimage (abelian._quotient_group), with
+    no transform."""
     out = []
     for c in fan.cones:
         q = _quotient_group(fan.group, fan.data[c].subgroup)
@@ -751,9 +752,11 @@ def strata(fan: KmFan) -> List[StratumInfo]:
 
 
 def _data_sum(fan: KmFan) -> Subgroup:
-    """The subgroup generated by all lattice data: one Hermite basis of all
-    their preimages, which hold the relations of N."""
-    columns = [col for c in fan.cones for col in fan.data[c].subgroup.preimage.columns()]
+    """The subgroup generated by all lattice data: one Hermite basis of the
+    preimages of the maximal cones' data, which hold the relations of N.  In
+    a valid fan F_tau lies in F_sigma for every face tau of sigma, so the
+    maximal cones' data generate the same subgroup as all of them."""
+    columns = [col for c in fan.maximal_cones() for col in fan.data[c].subgroup.preimage.columns()]
     return Subgroup(fan.group, hermite_column_basis(IntMatrix._from_columns(columns, fan.group.ncoords)))
 
 

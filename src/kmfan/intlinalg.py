@@ -12,11 +12,16 @@ int tuples as they are.  ``smith_decomposition`` computes only the
 transforms a caller asks for; the library's own callers name the ones they
 read, and the default tracks all four.
 
-Linear systems are solved in integers: ``LinearSystem(m)`` runs one Smith
-decomposition and answers every right-hand side against m, as an integer
-solution (``integer``) or, for injective m, as a primitive ray (``ray``).
-``solve_integer`` is the one-shot form.  The Fraction elimination further
-down is an independent oracle for the tests; nothing in the library calls it.
+The small-matrix queries run on one row echelon form (``_row_echelon``),
+which takes unimodular row steps only: ``invariant_factors`` and
+``is_saturated`` read its leading entries, and ``LinearSystem(m)`` keeps it
+with its row transform and answers every right-hand side against an
+injective m by back substitution, as an integer solution (``integer``) or a
+primitive ray (``ray``).  Only a rank-deficient m runs a Smith decomposition
+there.  ``solve_integer`` is the one-shot form.  A full Smith form is
+computed only where one of its transforms is read.  The Fraction elimination
+further down is an independent oracle for the tests; nothing in the library
+calls it.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from math import gcd
-from typing import Collection, Iterable, Optional, Sequence, Tuple
+from typing import Collection, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch
 
@@ -353,14 +358,105 @@ def smith_normal_form(m: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
     return s.u, s.d, s.v
 
 
+def _row_echelon(m: IntMatrix, transform: bool = False) -> Tuple[List[Vec], Optional[IntMatrix]]:
+    """(E, T): the nonzero rows E of a row echelon form of m, with positive
+    leading entries, and, when asked, the unimodular T with T @ m = [E; 0]
+    (None otherwise).
+
+    Only unimodular row steps are taken: swaps, negations and subtracting a
+    multiple of the pivot row.  The pivot in each column is the smallest
+    nonzero |entry| at or below the current row, the first row on ties, so
+    E and T are deterministic.  For injective m, E is square and upper
+    triangular.
+    """
+    nr = m.rows
+    a = [list(r) for r in m.entries]
+    t = _identity_rows(nr) if transform else None
+    r = 0
+    for j in range(m.cols):
+        if r == nr:
+            break
+        while True:
+            pivot, best = None, 0
+            for i in range(r, nr):
+                x = a[i][j]
+                if x and (pivot is None or abs(x) < best):
+                    pivot, best = i, abs(x)
+                    if best == 1:
+                        break
+            if pivot is None:
+                break
+            if pivot != r:
+                a[r], a[pivot] = a[pivot], a[r]
+                if t is not None:
+                    t[r], t[pivot] = t[pivot], t[r]
+            if a[r][j] < 0:
+                a[r] = [-x for x in a[r]]
+                if t is not None:
+                    t[r] = [-x for x in t[r]]
+            p, row = best, a[r]
+            done = True
+            for i in range(r + 1, nr):
+                q = a[i][j] // p
+                if q:
+                    a[i] = [x - q * y for x, y in zip(a[i], row)]
+                    if t is not None:
+                        t[i] = [x - q * y for x, y in zip(t[i], t[r])]
+                if a[i][j]:
+                    done = False
+            if done:
+                r += 1
+                break
+    return [tuple(x) for x in a[:r]], None if t is None else _trusted(t, nr)
+
+
+def _back_substitute(echelon: Sequence[Vec], c: Sequence[int], exact: bool) -> Optional[List[int]]:
+    """A solution of E x = c for square upper triangular E with positive
+    diagonal, by back substitution.
+
+    exact: the integer solution, or None when a division leaves a
+    remainder.  Otherwise a positive multiple of the rational solution, in
+    integers: where a division would leave a remainder, the solution so far
+    is scaled up until it does not.
+    """
+    k = len(echelon)
+    x = [0] * k
+    scale = 1
+    for i in range(k - 1, -1, -1):
+        row = echelon[i]
+        p = row[i]
+        rest = scale * c[i] - _dot(row[i + 1:], x[i + 1:])
+        if rest % p:
+            if exact:
+                return None
+            f = p // gcd(rest, p)
+            scale *= f
+            rest *= f
+            x = [f * v for v in x]
+        x[i] = rest // p
+    return x
+
+
 def invariant_factors(m: IntMatrix) -> Tuple[int, ...]:
-    """The nonzero diagonal of the Smith form."""
-    return tuple(x for x in smith_decomposition(m, transforms=()).diagonal() if x != 0)
+    """The nonzero diagonal of the Smith form, read from a row echelon form
+    E of m (T m = [E; 0], T unimodular, so m and E have the same factors).
+
+    When every leading entry of E is 1, the minor of E on its pivot columns
+    is triangular with unit diagonal, so all rank(m) factors are 1.
+    Otherwise they come from one Smith decomposition of E, which tracks no
+    transform.
+    """
+    echelon, _ = _row_echelon(m)
+    if all(next(filter(None, row)) == 1 for row in echelon):
+        return (1,) * len(echelon)
+    diagonal = smith_decomposition(_trusted(echelon, m.cols), transforms=()).diagonal()
+    return tuple(x for x in diagonal if x != 0)
 
 
 def is_saturated(m: IntMatrix) -> bool:
     """Whether the columns of m are a basis of a saturated sublattice: m has
-    m.cols invariant factors, all of them 1."""
+    m.cols invariant factors, all of them 1, which a row echelon form of m
+    with m.cols unit leading entries shows without a Smith form."""
     factors = invariant_factors(m)
     return len(factors) == m.cols and all(d == 1 for d in factors)
 
@@ -400,26 +496,33 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
 class LinearSystem:
     """The integer system M x = b for one fixed matrix M and any b.
 
-    One Smith decomposition U M V = D, computed when the system is built,
-    answers every right-hand side: M x = b exactly when D y = U b, with
-    x = V y.  The nonzero invariant factors d_1 | ... | d_rank lead the
-    diagonal of D.
+    A row echelon form T M = [E; 0], computed when the system is built,
+    answers every right-hand side of an injective M: M x = b exactly when
+    T b = [c; 0] and E x = c, which back substitution solves.  E is square
+    and upper triangular, and the solution is unique.  For a rank-deficient M,
+    one Smith decomposition U M V = D answers instead: M x = b exactly when
+    D y = U b, with x = V y and the free coordinates of y zero.
     """
 
-    __slots__ = ("matrix", "rank", "_u", "_v", "_diag")
+    __slots__ = ("matrix", "rank", "_t", "_echelon", "_v", "_diag")
 
     def __init__(self, m: IntMatrix):
-        s = smith_decomposition(m, transforms=("u", "v"))
+        echelon, t = _row_echelon(m, transform=True)
         self.matrix = m
-        self.rank = s.rank()
-        self._u, self._v = s.u, s.v
-        self._diag = s.diagonal()[: self.rank]
+        self.rank = len(echelon)
+        self._t, self._echelon, self._v, self._diag = t, echelon, None, None
+        if self.rank < m.cols:
+            s = smith_decomposition(m, transforms=("u", "v"))
+            self._t, self._v = s.u, s.v
+            self._diag = s.diagonal()[: self.rank]
 
     def _coordinates(self, b: Sequence[int]) -> Optional[Vec]:
-        """U b cut to the rank, or None when b is outside the rational span."""
+        """T b (or U b) cut to the rank, or None when b is outside the
+        rational span.  Entries of b that are not integers raise TypeError."""
+        b = _int_vector(b)
         if len(b) != self.matrix.rows:
             raise DimensionMismatch("right-hand side length does not match row count")
-        c = self._u.apply(b)
+        c = self._t.apply(b)
         if any(c[self.rank:]):
             return None
         return c[: self.rank]
@@ -427,10 +530,16 @@ class LinearSystem:
     def integer(self, b: Sequence[int]) -> Optional[Vec]:
         """Some integer solution x of M x = b, or None when none exists.
 
-        The witness is deterministic: the free Smith coordinates are zero.
+        The witness is deterministic: the only one for injective M, and the
+        one whose free Smith coordinates are zero otherwise.
         """
         c = self._coordinates(b)
-        if c is None or any(ci % di for ci, di in zip(c, self._diag)):
+        if c is None:
+            return None
+        if self._v is None:
+            x = _back_substitute(self._echelon, c, exact=True)
+            return None if x is None else tuple(x)
+        if any(ci % di for ci, di in zip(c, self._diag)):
             return None
         y = [ci // di for ci, di in zip(c, self._diag)] + [0] * (self.matrix.cols - self.rank)
         return self._v.apply(y)
@@ -438,22 +547,20 @@ class LinearSystem:
     def ray(self, b: Sequence[int]) -> Optional[Vec]:
         """For injective M: the primitive x with M x a positive multiple of b
         (zero for b = 0), or None when b is outside the span of M.  This is
-        V D^{-1} U b times the largest invariant factor, made primitive.
+        the back substitution of E x = T b in integers, made primitive.
         """
         if self.rank != self.matrix.cols:
             raise ValueError("ray needs an injective matrix")
         c = self._coordinates(b)
         if c is None:
             return None
-        top = self._diag[-1] if self._diag else 1
-        return primitive_vector(self._v.apply([ci * (top // di) for ci, di in zip(c, self._diag)]))
+        return primitive_vector(_back_substitute(self._echelon, c, exact=False))
 
 
 def solve_integer(m: IntMatrix, b: Sequence[int]) -> Optional[Vec]:
     """Some integer solution x of Mx = b, or None when no solution exists.
 
-    The witness is deterministic: free coordinates of the Smith-transformed
-    system are set to zero.
+    The witness is deterministic (see LinearSystem.integer).
     """
     return LinearSystem(m).integer(b)
 

@@ -6,9 +6,17 @@ import random
 import pytest
 
 from kmfan import cones as cones_module
-from kmfan.cones import Cone, _first_nonzero, _h_description, union_covers
+from kmfan.cones import (
+    Cone,
+    _first_nonzero,
+    _h_description,
+    _reduce_mod_lattice,
+    _saturated_lattice_basis,
+    _simplicial_h_description,
+    union_covers,
+)
 from kmfan.errors import DimensionMismatch, PieceOutsideTarget
-from kmfan.intlinalg import IntMatrix, rank, saturate
+from kmfan.intlinalg import IntMatrix, rank, saturate, smith_decomposition
 
 
 QUAD = Cone.from_generators([(1, 0), (0, 1)], 2)
@@ -225,6 +233,48 @@ class TestSimplicialClosedForms:
             simplicial += c.is_simplicial()
         # both paths are exercised
         assert 1000 < simplicial < 2000
+
+
+def simplicial_h_description_by_smith(rays, ambient):
+    """The simplicial H-description as it was before the row echelon form:
+    one Smith decomposition U R^T V = D of the k x ambient ray matrix, the
+    equations from the columns of V past k, facet i = V y with
+    y_j = (d_k / d_j) U[j][i]."""
+    k = len(rays)
+    s = smith_decomposition(IntMatrix._make(tuple(rays), ambient), transforms=("u", "v"))
+    diag = s.diagonal()
+    equations = _saturated_lattice_basis(s.v.columns()[k:], ambient)
+    facets = []
+    for i in range(k):
+        y = [diag[k - 1] // diag[j] * s.u.entries[j][i] for j in range(k)]
+        facets.append(s.v.apply(y + [0] * (ambient - k)))
+    return tuple(_reduce_mod_lattice(facets, equations, ambient)), tuple(equations)
+
+
+class TestSimplicialEchelon:
+    def test_agrees_with_the_smith_oracle(self):
+        """Seeded simplicial cones on r = 1..5 rays in every ambient rank
+        r..6, small and large entries: facets and equations byte-equal."""
+        rng = random.Random(1616)
+        seen = set()
+        for _ in range(1500):
+            r = rng.randint(1, 5)
+            ambient = rng.randint(r, 6)
+            bound = rng.choice([1, 3, 9, 60])
+            rays = [tuple(rng.randint(-bound, bound) for _ in range(ambient)) for _ in range(r)]
+            if rank(IntMatrix(rays, cols=ambient)) < r:
+                continue
+            cone = Cone.from_generators(rays, ambient)
+            assert cone.is_simplicial()
+            want = simplicial_h_description_by_smith(cone.rays, ambient)
+            assert _simplicial_h_description(cone.rays, ambient) == want, cone
+            assert (cone.facets, cone.equations) == want
+            seen.add((r, ambient))
+        assert seen == {(r, a) for r in range(1, 6) for a in range(r, 7)}
+
+    def test_zero_cone(self):
+        for ambient in range(4):
+            assert _simplicial_h_description((), ambient) == simplicial_h_description_by_smith((), ambient)
 
 
 class TestSpan:

@@ -76,6 +76,7 @@ from kmfan.intlinalg import (
     IntMatrix,
     LinearSystem,
     _dot,
+    hermite_column_basis,
     kernel_basis,
     primitive_vector,
     rank as matrix_rank,
@@ -1583,6 +1584,14 @@ def _power(fan: KmFan, k: int) -> KmFan:
     return out
 
 
+def _fresh(fan: KmFan) -> KmFan:
+    """The fan on new cone instances and new data, which keep no span
+    lattices and no linear systems yet."""
+    cones = {Cone.from_generators(c.rays, c.ambient_rank): fan.data[c] for c in fan.cones}
+    data = {c: LatticeDatum(fan.group, d.subgroup) for c, d in cones.items()}
+    return unchecked_fan(fan.group, list(data), data)
+
+
 class TestInvariantsWithoutTransforms:
     def test_agree_with_the_quotient_oracle(self):
         """Seeded KM fans, torsion included, and their products with P^1 and
@@ -1610,7 +1619,9 @@ class TestInvariantsWithoutTransforms:
         lambda: _power(build_p22(), 2),
     ], ids=["p1_cubed", "p22_squared"])
     def test_strata_build_no_projection(self, monkeypatch, build):
-        """No present_quotient, and every Smith tracks no transform."""
+        """No present_quotient, and no Smith that tracks a transform.  The
+        invariant factors come from a row echelon form, so (P^1)^3, whose
+        echelon forms all have unit leading entries, runs no Smith at all."""
         fan = build()
         calls = []
         real = intlinalg.smith_decomposition
@@ -1624,7 +1635,7 @@ class TestInvariantsWithoutTransforms:
                         lambda m, transforms=intlinalg.TRANSFORMS: calls.append(tuple(transforms)) or real(m, transforms),
                     )
         assert len(strata(fan)) == len(fan.cones)
-        assert calls and set(calls) == {()}
+        assert set(calls) <= {()}
 
     def test_classical_polygon_runs_no_saturate(self, monkeypatch):
         rays = [(1, 0), (2, 1), (1, 1), (0, 1), (-1, 2), (-1, 0), (-2, -3), (0, -1), (3, -1)]
@@ -1640,13 +1651,78 @@ class TestInvariantsWithoutTransforms:
     def test_validation_with_fresh_cones_runs_no_saturate(self, monkeypatch):
         """A product fan rebuilt from new cone instances, which keep no span
         lattice yet."""
-        fan = product(_power(projective_line_fan(), 2), build_p22())[0]
-        fresh = {Cone.from_generators(c.rays, c.ambient_rank): fan.data[c] for c in fan.cones}
-        data = {c: LatticeDatum(fan.group, d.subgroup) for c, d in fresh.items()}
-        fan = unchecked_fan(fan.group, list(data), data)
+        fan = _fresh(product(_power(projective_line_fan(), 2), build_p22())[0])
         calls = []
         for module in list(sys.modules.values()):
             if module.__name__.startswith("kmfan") and hasattr(module, "saturate"):
                 monkeypatch.setattr(module, "saturate", lambda m: calls.append(m))
         assert fan.validate() == []
         assert calls == []
+
+
+def _complete_polygon_31() -> KmFan:
+    rays = _circle_rays(31)
+    return from_classical(Z2, [Cone.from_generators([u, v], 2) for u, v in zip(rays, rays[1:] + rays[:1])])
+
+
+def all_cones_data_sum(fan: KmFan) -> Subgroup:
+    """The sum of the lattice data as it was computed before it read only
+    the maximal cones: one Hermite basis of the preimages of every cone."""
+    columns = [col for c in fan.cones for col in fan.data[c].subgroup.preimage.columns()]
+    return Subgroup(fan.group, hermite_column_basis(IntMatrix._from_columns(columns, fan.group.ncoords)))
+
+
+class TestFundamentalGroupFromMaximalCones:
+    def test_equals_the_all_cones_sum(self):
+        """Seeded valid fans, torsion included: the same Hermite basis, so
+        the same fundamental group, byte for byte."""
+        rng = random.Random(1818)
+        fans = _seeded_km_fans(rng)
+        torsion = 0
+        for i in range(60):
+            fan = next(fans)
+            if i % 4 == 0:
+                fan = product(fan, build_p22())[0]
+            assert len(fan.maximal_cones()) < len(fan.cones)
+            assert fans_module._data_sum(fan).preimage == all_cones_data_sum(fan).preimage
+            torsion += bool(fan.group.torsion)
+        assert torsion >= 20
+
+    def test_polygon_sums_the_maximal_cones_only(self, monkeypatch):
+        """31 maximal cones with two columns each; all 63 cones would give
+        93 columns."""
+        fan = _complete_polygon_31()
+        cols = []
+        real = fans_module.hermite_column_basis
+        monkeypatch.setattr(fans_module, "hermite_column_basis", lambda m: cols.append(m.cols) or real(m))
+        assert fundamental_group(fan).is_trivial()
+        assert cols == [62]
+
+
+class TestDatumChecksWithoutSmith:
+    @pytest.mark.parametrize("build", [
+        lambda: _power(projective_line_fan(), 4),
+        _complete_polygon_31,
+    ], ids=["p1_fourth", "polygon_31"])
+    def test_validate_runs_no_smith_in_the_datum_checks(self, monkeypatch, build):
+        """With fresh cones and data: the saturation tests and the
+        coordinate solves run on row echelon forms alone."""
+        fan = _fresh(build())
+        callers, checks = [], []
+        real_smith, real_check = intlinalg.smith_decomposition, fans_module._saturated_in
+
+        def spy(m, transforms=intlinalg.TRANSFORMS):
+            frame, names = sys._getframe(1), set()
+            while frame is not None:
+                names.add(frame.f_code.co_name)
+                frame = frame.f_back
+            callers.append(names)
+            return real_smith(m, transforms)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("kmfan") and hasattr(module, "smith_decomposition"):
+                monkeypatch.setattr(module, "smith_decomposition", spy)
+        monkeypatch.setattr(fans_module, "_saturated_in", lambda *a: checks.append(1) or real_check(*a))
+        assert fan.validate() == []
+        assert checks
+        assert [names for names in callers if names & {"_saturated_in", "coordinates"}] == []
