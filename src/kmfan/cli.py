@@ -114,7 +114,7 @@ def _load_hom(path: str) -> KmFanHom:
 
 def _parse_point(text: Optional[str], length: int) -> tuple:
     if text is None:
-        raise CliFailure(2, {"error": "usage", "detail": "--point is required"})
+        _usage("--point")
     try:
         values = tuple(int(x) for x in text.split(",")) if text else ()
     except ValueError:
@@ -129,7 +129,7 @@ def _parse_point(text: Optional[str], length: int) -> tuple:
 
 def _cone_arg(fan: KmFan, index: Optional[int]):
     if index is None:
-        raise CliFailure(2, {"error": "usage", "detail": "--cone is required"})
+        _usage("--cone")
     if not 0 <= index < len(fan.cones):
         raise CliFailure(1, {"error": "no-such-cone", "detail": f"index {index} out of range"})
     return fan.cones[index]
@@ -168,24 +168,18 @@ def run(argv) -> int:
     return 0
 
 
-def _need_fan(args) -> str:
-    if not args.fan:
-        raise CliFailure(2, {"error": "usage", "detail": "--fan is required"})
-    return args.fan
-
-
 def _dispatch(args) -> dict:
     cmd = args.subcommand
 
     if cmd == "validate":
         try:
-            _read_fan(_need_fan(args))
+            _read_fan(args.fan or _usage("--fan"))
         except InvalidFan as exc:
             raise CliFailure(1, {"ok": False, "violations": exc.violations})
         return {"ok": True, "violations": []}
 
     if cmd == "info":
-        fan = _load_fan(_need_fan(args))
+        fan = _load_fan(args.fan or _usage("--fan"))
         return {
             "group": _group_obj(fan.group),
             "cones": len(fan.cones),
@@ -199,45 +193,41 @@ def _dispatch(args) -> dict:
         }
 
     if cmd == "coarse":
-        fan = _load_fan(_need_fan(args))
+        fan = _load_fan(args.fan or _usage("--fan"))
         coarse, _ = fans.coarse_fan(fan)
         return fan_to_obj(coarse)
 
     if cmd == "rigidify":
-        fan = _load_fan(_need_fan(args))
+        fan = _load_fan(args.fan or _usage("--fan"))
         rig, _ = fans.rigidify(fan)
         return fan_to_obj(rig)
 
     if cmd == "star":
-        fan = _load_fan(_need_fan(args))
+        fan = _load_fan(args.fan or _usage("--fan"))
         cone = _cone_arg(fan, args.cone)
         return fan_to_obj(fans.star(fan, cone))
 
     if cmd == "product":
-        fan = _load_fan(_need_fan(args))
-        if not args.fan2:
-            raise CliFailure(2, {"error": "usage", "detail": "--fan2 is required"})
-        other = _load_fan(args.fan2)
+        fan = _load_fan(args.fan or _usage("--fan"))
+        other = _load_fan(args.fan2 or _usage("--fan2"))
         prod, _, _ = fans.product(fan, other)
         return fan_to_obj(prod)
 
     if cmd == "roots":
-        fan = _load_fan(_need_fan(args))
+        fan = _load_fan(args.fan or _usage("--fan"))
         orders = _parse_point(args.point, len(fan.ray_cones()))
         rooted, _ = fans.roots(fan, list(orders))
         return fan_to_obj(rooted)
 
     if cmd == "dilate":
-        fan = _load_fan(_need_fan(args))
+        fan = _load_fan(args.fan or _usage("--fan"))
         factor = _parse_point(args.point, 1)[0]
         dilated, _ = fans.dilate(fan, factor)
         return fan_to_obj(dilated)
 
     if cmd in ("inflate", "contract"):
-        fan = _load_fan(_need_fan(args))
-        if not args.hom:
-            raise CliFailure(2, {"error": "usage", "detail": "--hom is required"})
-        source, target, inclusion = _read_hom(args.hom)
+        fan = _load_fan(args.fan or _usage("--fan"))
+        source, target, inclusion = _read_hom(args.hom or _usage("--hom"))
         if cmd == "inflate":
             if source != fan:
                 raise CliFailure(1, {"error": "precondition", "detail": "--fan must be the hom's source fan"})
@@ -249,12 +239,12 @@ def _dispatch(args) -> dict:
         return fan_to_obj(result)
 
     if cmd == "resolve":
-        fan = _load_fan(_need_fan(args))
+        fan = _load_fan(args.fan or _usage("--fan"))
         resolved, _ = fans.canonical_resolution(fan)
         return fan_to_obj(resolved)
 
     if cmd == "support":
-        fan = _load_fan(_need_fan(args))
+        fan = _load_fan(args.fan or _usage("--fan"))
         point = _parse_point(args.point, fan.group.ncoords)
         return {
             "fine": fans.support_contains(fan, point),
@@ -287,17 +277,17 @@ def _dispatch(args) -> dict:
         return out
 
     if cmd == "pi1":
-        fan = _load_fan(_need_fan(args))
+        fan = _load_fan(args.fan or _usage("--fan"))
         pi1 = fans.fundamental_group(fan)
         return {"free_rank": pi1.free_rank, "torsion": [int(d) for d in pi1.torsion]}
 
     if cmd == "isotropy":
-        fan = _load_fan(_need_fan(args))
+        fan = _load_fan(args.fan or _usage("--fan"))
         cone = _cone_arg(fan, args.cone)
         return {"torsion": [int(d) for d in fans.isotropy(fan, cone).torsion]}
 
     if cmd == "strata":
-        fan = _load_fan(_need_fan(args))
+        fan = _load_fan(args.fan or _usage("--fan"))
         return {
             "strata": [
                 {
@@ -311,7 +301,7 @@ def _dispatch(args) -> dict:
         }
 
     if cmd == "local":
-        fan = _load_fan(_need_fan(args))
+        fan = _load_fan(args.fan or _usage("--fan"))
         cone = _cone_arg(fan, args.cone)
         lp = fans.local_presentation(fan, cone)
         return {
@@ -323,7 +313,7 @@ def _dispatch(args) -> dict:
         }
 
     if cmd == "fold":
-        obj = _read_json(_need_fan(args))
+        obj = _read_json(args.fan or _usage("--fan"))
         try:
             gs = gsfan_from_obj(obj)
         except DocumentError as exc:
@@ -335,25 +325,25 @@ def _dispatch(args) -> dict:
         return fan_to_obj(folded)
 
     if cmd == "unfold":
-        fan = _load_fan(_need_fan(args))
+        fan = _load_fan(args.fan or _usage("--fan"))
         unfolded, _, _ = gsfans.unfold(fan)
         return fan_to_obj(unfolded)
 
     if cmd == "unfold-rig":
-        fan = _load_fan(_need_fan(args))
+        fan = _load_fan(args.fan or _usage("--fan"))
         rig, _ = gsfans.rigidified_unfold(fan)
         return fan_to_obj(rig)
 
     if cmd == "gs-check":
-        fan = _load_fan(_need_fan(args))
+        fan = _load_fan(args.fan or _usage("--fan"))
         return {"gs_representable": gsfans.is_gs_representable(fan)}
 
     if cmd == "roundtrip":
-        fan = _load_fan(_need_fan(args))
+        fan = _load_fan(args.fan or _usage("--fan"))
         return {"roundtrip": gsfans.fold_unfold_roundtrip(fan)}
 
     if cmd == "draw":
-        fan = _load_fan(_need_fan(args))
+        fan = _load_fan(args.fan or _usage("--fan"))
         if args.window < 1:
             raise CliFailure(2, {"error": "usage", "detail": "--window must be positive"})
         svg = draw_fan_svg(fan, window=args.window)

@@ -30,6 +30,7 @@ from .intlinalg import (
     _dot,
     _int_vector,
     _row_echelon,
+    _transposed,
     hermite_column_basis,
     kernel_basis,
     primitive_vector,
@@ -176,8 +177,8 @@ class Cone:
         A simplicial cone is its rays: when the primitive generators are
         linearly independent they are its rays, and it is built with no
         double description (DD).  Its faces are the cones on subsets of its
-        rays, and its H-description, when read, comes from one Smith
-        decomposition.  Any other cone takes its H-description from one DD
+        rays, and its H-description, when read, comes from one row echelon
+        form of its rays.  Any other cone takes its H-description from one DD
         here and keeps the generators that are extremal; the DD serves only
         such cones and cones given by constraints.
         """
@@ -434,7 +435,7 @@ def _simplicial_h_description(rays: Sequence[Vec], ambient: int) -> Tuple[Tuple[
     canonicalisation as the double description's output.
     """
     k = len(rays)
-    echelon, t = _row_echelon(IntMatrix._from_columns(rays, ambient), transform=True)
+    echelon, t = _row_echelon(_transposed(rays, ambient), transform=True)
     kernel = t.entries[k:]
     equations = hermite_column_basis(IntMatrix._from_columns(kernel, ambient)).columns() if kernel else ()
     det = prod(row[i] for i, row in enumerate(echelon))

@@ -983,8 +983,12 @@ def is_smooth(fan: KmFan) -> bool:
 
 def cone_monoid(fan: KmFan, sigma: Cone) -> AffineMonoid:
     """P_sigma = sigma cap F_sigma as an affine monoid in datum coordinates."""
-    datum = fan.datum(sigma)
-    return AffineMonoid(Cone.from_generators(_preimage_rays(datum.free_basis(), sigma.rays), datum.rank()))
+    return _datum_monoid(sigma, fan.datum(sigma))
+
+
+def _datum_monoid(cone: Cone, datum: LatticeDatum) -> AffineMonoid:
+    """cone cap F as an affine monoid in the coordinates of the datum F."""
+    return AffineMonoid(Cone.from_generators(_preimage_rays(datum.free_basis(), cone.rays), datum.rank()))
 
 
 def monoid_presentation(fan: KmFan) -> List[Tuple[Cone, List[Vec]]]:
@@ -1035,7 +1039,7 @@ def _check_monoid_saturated(cone, datum, gens):
             raise InvalidFan([{ "kind": "non-saturated-monoid",
                                 "detail": "generator outside its own group"}])
         coords.append(sol)
-    full = AffineMonoid(Cone.from_generators(_preimage_rays(datum.free_basis(), cone.rays), datum.rank()))
+    full = _datum_monoid(cone, datum)
     for h in full.hilbert_basis():
         if not _is_nonneg_combination(h, coords, full.cone):
             raise InvalidFan([{ "kind": "non-saturated-monoid",

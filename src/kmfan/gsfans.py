@@ -21,7 +21,7 @@ from .fans import (
     is_classical,
     rigidify,
 )
-from .intlinalg import IntMatrix, Vec, invariant_factors, is_saturated, smith_decomposition
+from .intlinalg import IntMatrix, Vec, _row_echelon, invariant_factors, is_saturated
 
 
 class GsFan:
@@ -332,19 +332,18 @@ def is_gs_representable(fan: KmFan) -> bool:
     blocks for the maximal cones, and one relation per generator of each
     shared face (_maximal_cone_presentation).  Whether an image is saturated
     does not depend on the basis of the free colimit, so no normal form is
-    built.  One Smith decomposition U rel V = D of the relation columns
-    gives it: the image of rel lies in the span of the first rank
-    coordinates of U, and its saturation is that span, so the rows of U past
-    the rank are coordinates on the colimit modulo its torsion.  The columns
-    of those rows at sigma's block are the structure map of sigma, which is
-    injective, so its image is saturated exactly when the block is
-    (intlinalg.is_saturated).
+    built.  One row echelon form T rel = [E; 0] of the relation columns
+    gives it: T is unimodular, so its rows past the rank are a basis of the
+    functionals that vanish on the relations, that is, coordinates on the
+    colimit modulo its torsion.  The columns of those rows at sigma's block
+    are the structure map of sigma, which is injective, so its image is
+    saturated exactly when the block is (intlinalg.is_saturated).
     """
     if not fan.group.is_lattice():
         raise NonLattice("the test is defined for lattice KM fans")
     offsets, _, relations = _maximal_cone_presentation(fan)
-    s = smith_decomposition(relations, transforms=("u",))
-    free_rows = s.u.entries[s.rank():]
+    echelon, t = _row_echelon(relations.entries, transform=True)
+    free_rows = t.entries[len(echelon):]
     for sigma, off in offsets.items():
         width = fan.data[sigma].rank()
         block = IntMatrix._make(tuple(row[off:off + width] for row in free_rows), width)

@@ -12,22 +12,22 @@ int tuples as they are.  ``smith_decomposition`` computes only the
 transforms a caller asks for; the library's own callers name the ones they
 read, and the default tracks all four.
 
-The small-matrix queries run on one row echelon form (``_row_echelon``),
-which takes unimodular row steps only: ``invariant_factors`` and
-``is_saturated`` read its leading entries, and ``LinearSystem(m)`` keeps it
-with its row transform and answers every right-hand side against an
-injective m by back substitution, as an integer solution (``integer``) or a
-primitive ray (``ray``).  Only a rank-deficient m runs a Smith decomposition
-there.  ``solve_integer`` is the one-shot form.  A full Smith form is
-computed only where one of its transforms is read.  The Fraction elimination
-further down is an independent oracle for the tests; nothing in the library
-calls it.
+The lattice queries run on one row echelon form (``_row_echelon``), which
+takes unimodular row steps only.  ``invariant_factors`` and ``is_saturated``
+read its leading entries.  ``hermite_column_basis`` is the echelon of the
+columns, reduced at each pivot.  ``kernel_basis`` reads the rows of the
+transform past the rank, and ``saturate`` is the kernel of the left kernel.
+``LinearSystem(m)`` keeps the echelon with its row transform and answers
+every right-hand side against an injective m by back substitution, as an
+integer solution (``integer``) or a primitive ray (``ray``); only a
+rank-deficient m runs a Smith decomposition there.  ``solve_integer`` is the
+one-shot form.  A full Smith form is computed only where its diagonal or one
+of its transforms is read.  ``rank`` is fraction-free Gaussian elimination.
 """
 
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
 from math import gcd
 from typing import Collection, Iterable, List, Optional, Sequence, Tuple
 
@@ -352,28 +352,24 @@ def smith_decomposition(m: IntMatrix, transforms: Collection[str] = TRANSFORMS) 
     )
 
 
-def smith_normal_form(m: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Return (U, D, V) with U @ M @ V = D diagonal, d_1 | d_2 | ... , d_i >= 0."""
-    s = smith_decomposition(m, transforms=("u", "v"))
-    return s.u, s.d, s.v
-
-
-def _row_echelon(m: IntMatrix, transform: bool = False) -> Tuple[List[Vec], Optional[IntMatrix]]:
-    """(E, T): the nonzero rows E of a row echelon form of m, with positive
-    leading entries, and, when asked, the unimodular T with T @ m = [E; 0]
-    (None otherwise).
+def _row_echelon(rows: Sequence[Sequence[int]], transform: bool = False) -> Tuple[List[Vec], Optional[IntMatrix]]:
+    """(E, T) for the matrix m with the given int rows, all of one length:
+    the nonzero rows E of a row echelon form of m, with positive leading
+    entries, and, when asked, the unimodular T with T @ m = [E; 0] (None
+    otherwise).
 
     Only unimodular row steps are taken: swaps, negations and subtracting a
     multiple of the pivot row.  The pivot in each column is the smallest
     nonzero |entry| at or below the current row, the first row on ties, so
     E and T are deterministic.  For injective m, E is square and upper
-    triangular.
+    triangular.  T is unimodular, so its rows past the rank are a basis of
+    the left kernel {y : y m = 0}.
     """
-    nr = m.rows
-    a = [list(r) for r in m.entries]
+    nr = len(rows)
+    a = [list(r) for r in rows]
     t = _identity_rows(nr) if transform else None
     r = 0
-    for j in range(m.cols):
+    for j in range(len(a[0]) if a else 0):
         if r == nr:
             break
         while True:
@@ -446,7 +442,7 @@ def invariant_factors(m: IntMatrix) -> Tuple[int, ...]:
     Otherwise they come from one Smith decomposition of E, which tracks no
     transform.
     """
-    echelon, _ = _row_echelon(m)
+    echelon, _ = _row_echelon(m.entries)
     if all(next(filter(None, row)) == 1 for row in echelon):
         return (1,) * len(echelon)
     diagonal = smith_decomposition(_trusted(echelon, m.cols), transforms=()).diagonal()
@@ -484,13 +480,13 @@ def rank(m: IntMatrix) -> int:
 def kernel_basis(m: IntMatrix) -> IntMatrix:
     """Columns form a basis of the integer kernel lattice {x : Mx = 0}.
 
-    The kernel of an integer matrix is saturated, so this basis is a basis of
-    a saturated sublattice.  Deterministic column order.
+    These are the rows past the rank of the unimodular T with
+    T M^T = [E; 0], a basis of the left kernel of M^T; the kernel of an
+    integer matrix is saturated, so this basis is a basis of a saturated
+    sublattice.  Deterministic column order.
     """
-    s = smith_decomposition(m, transforms=("v",))
-    diag = s.diagonal()
-    free = [j for j in range(m.cols) if j >= len(diag) or diag[j] == 0]
-    return s.v.select_columns(free)
+    echelon, t = _row_echelon(m.columns(), transform=True)
+    return IntMatrix._from_columns(t.entries[len(echelon):], m.cols)
 
 
 class LinearSystem:
@@ -507,7 +503,7 @@ class LinearSystem:
     __slots__ = ("matrix", "rank", "_t", "_echelon", "_v", "_diag")
 
     def __init__(self, m: IntMatrix):
-        echelon, t = _row_echelon(m, transform=True)
+        echelon, t = _row_echelon(m.entries, transform=True)
         self.matrix = m
         self.rank = len(echelon)
         self._t, self._echelon, self._v, self._diag = t, echelon, None, None
@@ -565,97 +561,39 @@ def solve_integer(m: IntMatrix, b: Sequence[int]) -> Optional[Vec]:
     return LinearSystem(m).integer(b)
 
 
-def solve_rational(m: IntMatrix, b: Sequence[Fraction]) -> Optional[Tuple[Fraction, ...]]:
-    """Some rational solution of Mx = b, or None.  Free variables set to zero.
-
-    Fraction Gauss-Jordan elimination, independent of the Smith form: the
-    tests' oracle for LinearSystem.ray.
-    """
-    if len(b) != m.rows:
-        raise DimensionMismatch("right-hand side length does not match row count")
-    a = [[Fraction(x) for x in row] + [Fraction(v)] for row, v in zip(m.entries, b)]
-    nr, nc = m.rows, m.cols
-    pivots = []
-    r = 0
-    for j in range(nc):
-        piv = next((i for i in range(r, nr) if a[i][j] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        a[r] = [x / a[r][j] for x in a[r]]
-        for i in range(nr):
-            if i != r and a[i][j]:
-                f = a[i][j]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(j)
-        r += 1
-        if r == nr:
-            break
-    for i in range(r, nr):
-        if a[i][nc] != 0:
-            return None
-    x = [Fraction(0)] * nc
-    for i, j in enumerate(pivots):
-        x[j] = a[i][nc]
-    return tuple(x)
-
-
 def saturate(m: IntMatrix) -> IntMatrix:
-    """Basis of the saturation {x : kx in colspan(M) for some k > 0}.
+    """Basis of the saturation {x : kx in colspan(M) for some k > 0}: the
+    kernel of the left kernel of M.
 
     Idempotent; the result is returned in Hermite column form.
     """
-    s = smith_decomposition(m, transforms=("u_inv",))
-    diag = s.diagonal()
-    nonzero = [i for i in range(len(diag)) if diag[i] != 0]
-    return hermite_column_basis(s.u_inv.select_columns(nonzero))
+    return hermite_column_basis(kernel_basis(kernel_basis(m.transpose()).transpose()))
 
 
 def hermite_column_basis(m: IntMatrix) -> IntMatrix:
     """Canonical basis (column-style Hermite normal form) of the column lattice.
 
     Zero columns are dropped; two matrices span the same lattice iff their
-    Hermite column bases are equal.
+    Hermite column bases are equal.  The basis is the row echelon form of
+    the columns, with the entries of each earlier column in a pivot row
+    reduced into [0, pivot): that form of a lattice is unique, whatever
+    elimination reaches it.
     """
-    # Work on columns: bring to column echelon with positive pivots and
-    # reduced off-pivot entries.
-    work = [list(c) for c in m.columns()]
-    nr = m.rows
-    basis: list = []
-    pivot_rows = []
-    for row in range(nr):
-        nz = [c for c in work if c[row] != 0]
-        rest = [c for c in work if c[row] == 0]
-        if not nz:
-            work = rest
-            continue
-        # gcd-reduce the columns hitting this row down to a single pivot
-        while len(nz) > 1:
-            nz.sort(key=lambda c: (abs(c[row]), c))
-            a, b = nz[0], nz[1]
-            q = b[row] // a[row]
-            nb = [x - q * y for x, y in zip(b, a)]
-            nz = [a] + nz[2:]
-            if nb[row] != 0:
-                nz.append(nb)
-            elif any(nb):
-                rest.append(nb)
-        piv = nz[0]
-        if piv[row] < 0:
-            piv = [-x for x in piv]
-        basis.append(piv)
-        pivot_rows.append(row)
-        work = rest
-    # reduce entries left of each pivot into [0, pivot); ascending pivot rows so
-    # a reduction never disturbs rows already normalized
-    for i in range(len(basis)):
-        r = pivot_rows[i]
-        p = basis[i][r]
+    basis, _ = _row_echelon(m.columns())
+    # ascending pivot rows, so a reduction never disturbs rows already
+    # reduced; column i is zero above its pivot row, which lies below the
+    # pivot row of column i - 1
+    r = 0
+    for i in range(1, len(basis)):
+        pivot = basis[i]
+        while not pivot[r]:
+            r += 1
+        p = pivot[r]
         for j in range(i):
             q = basis[j][r] // p
             if q:
-                basis[j] = [x - q * y for x, y in zip(basis[j], basis[i])]
-    return IntMatrix._from_columns(basis, nr)
+                basis[j] = tuple([x - q * y for x, y in zip(basis[j], pivot)])
+    return IntMatrix._from_columns(basis, m.rows)
 
 
 def lattice_intersection(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -677,12 +615,3 @@ def primitive_vector(v: Sequence[int]) -> Vec:
     if g <= 1:
         return tuple(int(x) for x in v)
     return tuple(int(x) // g for x in v)
-
-
-def fraction_vector_to_primitive(v: Sequence[Fraction]) -> Vec:
-    """Clear denominators of a rational vector and make it primitive."""
-    denom = 1
-    for x in v:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in v]
-    return primitive_vector(ints)

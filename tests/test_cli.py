@@ -327,3 +327,18 @@ class TestFailureContract:
         assert captured.err == ""
         assert captured.out.count("\n") == 1
         assert isinstance(json.loads(captured.out), dict)
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["product", "--fan", "a1.json"], "--fan2"),
+        (["inflate", "--fan", "a1.json"], "--hom"),
+        (["contract", "--fan", "a1.json"], "--hom"),
+        (["star", "--fan", "a1.json"], "--cone"),
+        (["roots", "--fan", "a1.json"], "--point"),
+    ], ids=["product", "inflate", "contract", "star", "roots"])
+    def test_a_missing_second_flag_is_one_usage_object(self, workdir, capsys, argv, flag):
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ""
+        assert captured.out.count("\n") == 1
+        assert json.loads(captured.out) == {"error": "usage", "detail": f"{flag} is required"}

@@ -27,9 +27,7 @@ from kmfan.fans import (
     is_atoroidal,
     is_classical,
     is_semi_tame,
-    is_smooth,
     is_tame,
-    local_presentation,
     product,
     rigidify,
     torsor_group,
@@ -48,9 +46,9 @@ from kmfan.gsfans import (
 )
 from kmfan import abelian, cones, fans, gsfans, intlinalg, monoids
 from kmfan.intlinalg import IntMatrix, primitive_vector, rank as matrix_rank
-from kmfan.monoids import AffineMonoid, kernel_submonoid
 
 from conftest import build_p22, line_fan, projective_line_fan, plane_fan
+from linalg_oracles import blocks_saturated_by_smith
 
 Z = FgaGroup(1)
 Z2 = FgaGroup(2)
@@ -558,6 +556,20 @@ class TestMaximalConePresentation:
             answers.append(answer)
         assert answers.count(True) == 301 and answers.count(False) == 19
 
+    def test_agrees_with_the_smith_block_test(self, lattice_fans):
+        """The rows of the echelon transform past the rank against the rows
+        of Smith's U past the rank: both are bases of the functionals that
+        kill the relations, so every block test answers alike."""
+        cases = lattice_fans + [polygon_fan(64), linked_pages_fan(False), nonsaturated_colimit_fan()]
+        answers = []
+        for i, fan in enumerate(cases):
+            offsets, _, relations = gsfans._maximal_cone_presentation(fan)
+            blocks = [(off, fan.data[sigma].rank()) for sigma, off in offsets.items()]
+            answer = is_gs_representable(fan)
+            assert answer == blocks_saturated_by_smith(relations, blocks), (i, fan.cones)
+            answers.append(answer)
+        assert answers.count(False) == 21
+
     @pytest.mark.parametrize("count", [8, 16, 32, 64, 128])
     def test_complete_polygons(self, count):
         fan = polygon_fan(count)
@@ -583,9 +595,10 @@ class TestMaximalConePresentation:
         lambda: polygon_fan(64),
         lambda: product(product(projective_line_fan(), projective_line_fan())[0], projective_line_fan())[0],
     ])
-    def test_one_u_only_smith_and_no_colimit(self, monkeypatch, build):
-        """Counted with the datum bases already cached, as in a fan that has
-        been validated."""
+    def test_no_smith_and_no_colimit(self, monkeypatch, build):
+        """The test reads one row echelon form of the relations, with no
+        Smith decomposition.  Counted with the datum bases already cached,
+        as in a fan that has been validated."""
         fan = build()
         for c in fan.cones:
             fan.data[c].basis()
@@ -596,14 +609,15 @@ class TestMaximalConePresentation:
             tracked.append(tuple(transforms))
             return real(m, transforms)
 
-        for mod in (intlinalg, abelian, gsfans):
+        assert not hasattr(gsfans, "smith_decomposition")
+        for mod in (intlinalg, abelian, cones, monoids):
             monkeypatch.setattr(mod, "smith_decomposition", counting)
         banned = []
         for mod, name in ((abelian, "present_quotient"), (abelian, "hom_kernel_cokernel"),
                           (gsfans, "present_quotient"), (gsfans, "lattice_data_colimit")):
             monkeypatch.setattr(mod, name, lambda *a, _name=name, **k: banned.append(_name))
         assert is_gs_representable(fan)
-        assert tracked.count(("u",)) == 1
+        assert tracked == []
         assert banned == []
 
 
@@ -757,17 +771,13 @@ def _count_calls(monkeypatch, name):
 
 
 class TestOneSmithPerSystem:
-    def test_no_rational_elimination(self, monkeypatch):
-        calls = _count_calls(monkeypatch, "solve_rational")
-        assert fold_unfold_roundtrip(from_classical(Z2, [Cone.from_generators([(1, 0), (1, 2)], 2)]))
-        p22 = build_p22()
-        for c in p22.cones:
-            local_presentation(p22, c)
-        assert is_smooth(p22)
-        quad = AffineMonoid(Cone.from_generators([(1, 0), (0, 1)], 2))
-        parity = GroupHom(Z2, FgaGroup(0, (2,)), IntMatrix([[1, 1]]))
-        assert sorted(kernel_submonoid(quad, parity)) == [(0, 2), (1, 1), (2, 0)]
-        assert calls == []
+    def test_no_rational_elimination(self):
+        """The Fraction elimination is a test oracle (linalg_oracles): no
+        library module has it, and intlinalg imports no Fraction."""
+        for mod in (intlinalg, abelian, cones, monoids, fans, gsfans):
+            assert not hasattr(mod, "solve_rational"), mod
+            assert not hasattr(mod, "fraction_vector_to_primitive"), mod
+        assert not hasattr(intlinalg, "Fraction")
 
     def test_colimit_runs_one_smith_per_cone(self, monkeypatch):
         """One lifter per larger cone plus the presentation of the quotient;

@@ -7,11 +7,11 @@ from math import gcd
 
 import pytest
 
+from kmfan import intlinalg
 from kmfan.errors import DimensionMismatch
 from kmfan.intlinalg import (
     IntMatrix,
     LinearSystem,
-    fraction_vector_to_primitive,
     hermite_column_basis,
     invariant_factors,
     is_saturated,
@@ -21,8 +21,14 @@ from kmfan.intlinalg import (
     rank,
     saturate,
     smith_decomposition,
-    smith_normal_form,
     solve_integer,
+)
+from linalg_oracles import (
+    fraction_vector_to_primitive,
+    hermite_by_gcd_sort,
+    kernel_by_smith,
+    saturate_by_smith,
+    smith_normal_form,
     solve_rational,
 )
 
@@ -671,3 +677,75 @@ class TestEchelonAgainstSmith:
             oracle = SmithLinearSystem(m)
             assert oracle.rank == 30
             assert got == [(oracle.integer(b), oracle.ray(b)) for b in rhs]
+
+
+class TestLatticeQueriesAgainstSmith:
+    """hermite_column_basis, kernel_basis and saturate on the row echelon
+    form, against the gcd-sort and Smith bodies they replaced."""
+
+    @staticmethod
+    def _check(m: IntMatrix):
+        assert hermite_column_basis(m) == hermite_by_gcd_sort(m), m
+        k, want = kernel_basis(m), kernel_by_smith(m)
+        assert (k.rows, k.cols) == (want.rows, want.cols), m
+        assert all(not any(m.apply(c)) for c in k.columns()), m
+        # the same lattice: so k, with as many columns as the kernel's rank,
+        # is a basis of the kernel
+        assert hermite_by_gcd_sort(k) == hermite_by_gcd_sort(want), m
+        assert saturate(m) == saturate_by_smith(m), m
+
+    def test_differential_matrices(self):
+        _, matrices = _differential_matrices(9292)
+        kernels = saturations = 0
+        for m in matrices:
+            self._check(m)
+            kernels += kernel_basis(m).cols > 0
+            saturations += hermite_column_basis(m) != saturate(m)
+        assert kernels >= 100 and saturations >= 100
+
+    def test_wide_data_sum_of_the_512_ray_polygon(self, monkeypatch):
+        """The 2 x 1024 matrix fundamental_group reduces on the complete
+        fan on 512 rays in a box of 60."""
+        from kmfan import fans
+        from test_gsfans import complete_fan_with_rays
+
+        rng = random.Random(7)
+        rays = {(1, 0), (0, 1), (-1, -1)}
+        while len(rays) < 512:
+            v = primitive_vector((rng.randint(-60, 60), rng.randint(-60, 60)))
+            if any(v):
+                rays.add(v)
+        fan = complete_fan_with_rays(rays)
+        seen = []
+        real = fans.hermite_column_basis
+        monkeypatch.setattr(fans, "hermite_column_basis", lambda m: seen.append(m) or real(m))
+        assert fans.fundamental_group(fan).is_trivial()
+        (m,) = seen
+        assert (m.rows, m.cols) == (2, 1024)
+        self._check(m)
+
+    def test_no_smith_decomposition(self, monkeypatch):
+        calls = []
+        real = intlinalg.smith_decomposition
+        monkeypatch.setattr(intlinalg, "smith_decomposition", lambda *a, **k: calls.append(1) or real(*a, **k))
+        _, matrices = _differential_matrices(9393)
+        for m in matrices:
+            for query in (hermite_column_basis, kernel_basis, saturate):
+                query(m)
+        assert calls == []
+
+    def test_growth_guard(self):
+        """kernel_basis and saturate of 32 x 30 matrices with entries in
+        [-5, 5], and of their transposes, in well under a second each."""
+        import time
+
+        rng = random.Random(3231)
+        for _ in range(3):
+            m = IntMatrix([[rng.randint(-5, 5) for _ in range(30)] for _ in range(32)])
+            for a in (m, m.transpose()):
+                start = time.perf_counter()
+                k, sat = kernel_basis(a), saturate(a)
+                assert time.perf_counter() - start < 1.0
+                assert k.cols == a.cols - 30 and all(not any(a.apply(c)) for c in k.columns())
+                assert sat.cols == 30 and is_saturated(sat)
+                assert all(solve_integer(sat, c) is not None for c in a.columns())

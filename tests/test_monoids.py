@@ -15,7 +15,6 @@ from kmfan.intlinalg import (
     saturate,
     smith_decomposition,
     solve_integer,
-    solve_rational,
 )
 from kmfan.monoids import (
     AffineMonoid,
@@ -25,6 +24,7 @@ from kmfan.monoids import (
     is_free_monoid,
     kernel_submonoid,
 )
+from linalg_oracles import solve_rational
 
 QUAD = Cone.from_generators([(1, 0), (0, 1)], 2)
 

@@ -308,7 +308,7 @@ class TestCoarseChartEqualizer:
 
 
 def _rational_coords(matrix, vector):
-    from kmfan.intlinalg import fraction_vector_to_primitive, solve_rational
+    from linalg_oracles import fraction_vector_to_primitive, solve_rational
 
     sol = solve_rational(matrix, [Fraction(x) for x in vector])
     assert sol is not None
