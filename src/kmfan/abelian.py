@@ -21,7 +21,6 @@ from .intlinalg import (
     invariant_factors,
     kernel_basis,
     smith_decomposition,
-    solve_integer,
 )
 
 
@@ -191,18 +190,32 @@ class GroupHom:
 class Subgroup:
     """A subgroup of an FgaGroup, in canonical form.
 
-    Internally the subgroup H <= N is stored as the Hermite column basis of
-    its preimage lattice in Z^m (m = number of coordinates of N).  The
-    preimage always contains the relation lattice of N, and determines H, so
-    two Subgroups are equal iff they are the same subgroup.
+    Internally the subgroup H <= N is stored as P, the Hermite column basis
+    of its preimage lattice in Z^m (m = number of coordinates of N).  The
+    preimage always contains the relation lattice R of N, and determines H,
+    so two Subgroups are equal iff they are the same subgroup.
+
+    Rank, torsion-freeness and a free basis are read off P.  Let N = Z^r +
+    Z/d_1 + ... + Z/d_t, so R is spanned by the d_i e_{r+i}.  The columns of
+    P with their pivot (first nonzero entry) in a torsion row span P cap
+    (0 + Z^t), of rank t as it holds R: they are the last t, with pivots p_i
+    in rows r+i.  So rank(H) = rank(P) - rank(R) = k for k = P.cols - t, and
+    H_tor = (P cap (0 + Z^t)) / R, in which R has index prod(d_i / p_i), as
+    d_i e_{r+i} is zero above row r+i.  H is torsion-free iff entry
+    (r+i, k+i) of P is d_i for every i; then the last t columns are R, as
+    Hermite forms are unique, and the first k, their torsion entries reduced
+    into [0, d_i), are the canonical basis of H.  One linear system on P,
+    built on first use, answers membership, and the first k entries of its
+    solution are the coordinates in that basis.
     """
 
-    __slots__ = ("ambient", "preimage", "_as_group")
+    __slots__ = ("ambient", "preimage", "_as_group", "_system")
 
     def __init__(self, ambient: FgaGroup, preimage: IntMatrix):
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "preimage", preimage)
         object.__setattr__(self, "_as_group", None)
+        object.__setattr__(self, "_system", None)
 
     def __setattr__(self, *args):
         raise AttributeError("Subgroup is immutable")
@@ -221,13 +234,18 @@ class Subgroup:
     def full(ambient: FgaGroup) -> "Subgroup":
         return Subgroup(ambient, IntMatrix.identity(ambient.ncoords))
 
-    def contains(self, vector: Sequence[int]) -> bool:
+    def _solve(self, vector: Sequence[int]) -> Optional[Vec]:
+        """The x with P x = v for the reduced element v; None outside H."""
         v = self.ambient.reduce(vector)
-        return solve_integer(self.preimage, v) is not None
+        if self._system is None:
+            object.__setattr__(self, "_system", LinearSystem(self.preimage))
+        return self._system.integer(v)
+
+    def contains(self, vector: Sequence[int]) -> bool:
+        return self._solve(vector) is not None
 
     def contains_subgroup(self, other: "Subgroup") -> bool:
-        system = LinearSystem(self.preimage)
-        return all(system.integer(self.ambient.reduce(g)) is not None for g in other.generators())
+        return all(map(self.contains, other.generators()))
 
     def generators(self) -> List[Vec]:
         """Canonical generators (images of the preimage basis, zeros dropped)."""
@@ -258,28 +276,21 @@ class Subgroup:
         return self.as_group()[0]
 
     def is_lattice(self) -> bool:
-        return self.group().is_lattice()
+        k, r, rows = self.rank(), self.ambient.free_rank, self.preimage.entries
+        return all(rows[r + i][k + i] == d for i, d in enumerate(self.ambient.torsion))
 
     def rank(self) -> int:
-        return self.group().free_rank
+        return self.preimage.cols - len(self.ambient.torsion)
 
     def lattice_basis(self) -> IntMatrix:
         """Columns form a free basis of the subgroup; requires torsion-freeness.
 
-        The basis is canonical: Hermite-reduced representatives with torsion
-        coordinates normalized.  On a lattice ambient that is the preimage.
+        The basis is canonical: the first rank() columns of the preimage
+        (see the class docstring).  On a lattice ambient that is the preimage.
         """
-        if self.ambient.is_lattice():
-            return self.preimage
-        grp, incl = self.as_group()
-        if not grp.is_lattice():
+        if not self.is_lattice():
             raise NonLattice("subgroup has torsion")
-        if grp.free_rank == 0:
-            return IntMatrix.zero(self.ambient.ncoords, 0)
-        h = hermite_column_basis(incl.matrix)
-        return IntMatrix._from_columns(
-            [self.ambient.reduce(c) for c in h.columns()], self.ambient.ncoords
-        )
+        return self.preimage.select_columns(range(self.rank()))
 
     def __eq__(self, other):
         return (

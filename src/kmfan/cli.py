@@ -6,8 +6,10 @@ Usage:
 
 Exit codes: 0 success, 1 validation refusal or precondition failure,
 2 malformed input (JSON that does not parse, or a file that is not UTF-8),
-a file that cannot be read or written, or input too large to compute with
-(an OverflowError or MemoryError).  All results are deterministic JSON on stdout.
+a group larger than documents allow (documents.MAX_FREE_RANK,
+documents.MAX_TORSION_INVARIANTS), a file that cannot be read or written,
+or input too large to compute with (an OverflowError or MemoryError).
+All results are deterministic JSON on stdout.
 """
 
 from __future__ import annotations

@@ -22,6 +22,10 @@ _SAFE = 2 ** 53 - 1
 # The largest free rank a document may declare.  A larger one is a schema
 # error, not a hang or an OverflowError deep inside the integer core.
 MAX_FREE_RANK = 4096
+# The largest number of torsion invariants a document may declare.  Every
+# datum check runs over all coordinates of N, and 1024 invariants of 2 on
+# a one-ray fan took a minute to stratify.
+MAX_TORSION_INVARIANTS = 64
 
 
 class DocumentError(KmFanError):
@@ -92,6 +96,10 @@ def group_from_obj(obj) -> FgaGroup:
         raise DocumentError(f"group is missing {exc}") from exc
     if free > MAX_FREE_RANK:
         raise DocumentError(f"free_rank {free} exceeds the maximum {MAX_FREE_RANK}")
+    if len(torsion) > MAX_TORSION_INVARIANTS:
+        raise DocumentError(
+            f"{len(torsion)} torsion invariants exceed the maximum {MAX_TORSION_INVARIANTS}"
+        )
     try:
         return FgaGroup(free, torsion)
     except ValueError as exc:

@@ -43,7 +43,6 @@ from .errors import (
 )
 from .intlinalg import (
     IntMatrix,
-    LinearSystem,
     Vec,
     _dot,
     hermite_column_basis,
@@ -57,7 +56,7 @@ from .monoids import AffineMonoid, is_free_monoid
 class LatticeDatum:
     """A finite-index lattice inside Span(sigma) cap N, attached to a cone."""
 
-    __slots__ = ("ambient", "subgroup", "_basis", "_system")
+    __slots__ = ("ambient", "subgroup", "_basis")
 
     def __init__(self, ambient: FgaGroup, subgroup: Subgroup):
         if subgroup.ambient != ambient:
@@ -65,7 +64,6 @@ class LatticeDatum:
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "subgroup", subgroup)
         object.__setattr__(self, "_basis", None)
-        object.__setattr__(self, "_system", None)
 
     def __setattr__(self, *args):
         raise AttributeError("LatticeDatum is immutable")
@@ -90,15 +88,11 @@ class LatticeDatum:
 
     def coordinates(self, vector: Sequence[int]) -> Optional[Vec]:
         """The coordinates of the element in basis(), or None when it is
-        outside the datum.  One linear system for basis | relations, built on
-        first use, serves every element; the relation coefficients are
-        dropped."""
-        vector = self.ambient.reduce(vector)
-        if self._system is None:
-            system = LinearSystem(self.basis().hstack(self.ambient.relation_matrix()))
-            object.__setattr__(self, "_system", system)
-        sol = self._system.integer(vector)
-        return None if sol is None else sol[: self.rank()]
+        outside the datum.  The subgroup's preimage basis is basis() |
+        relations (Subgroup), so its one linear system serves every element;
+        the relation coefficients are dropped."""
+        sol, k = self.subgroup._solve(vector), self.rank()
+        return None if sol is None else sol[:k]
 
     def contains(self, vector: Sequence[int]) -> bool:
         return self.coordinates(vector) is not None
@@ -1079,31 +1073,39 @@ def is_nondegenerate(fan: KmFan) -> bool:
 
 
 def is_equidimensional(f: KmFanHom) -> bool:
-    """Every cone's image f_R(sigma) is itself a cone of the target fan."""
+    """Every cone's image f_R(sigma) is itself a cone of the target fan.
+
+    Read off the cone map, with no image cone built.  f(sigma) is a target
+    cone exactly when it is tau = f.cone_images[sigma], the smallest target
+    cone containing it: a target cone rho = f(sigma) contains tau (see
+    validate_hom), which contains f(sigma) = rho.  And f(sigma) = tau exactly when every ray of tau is
+    the primitive image of a ray of sigma.  If so, tau, the cone on its
+    rays, lies in f(sigma), which lies in tau.  Conversely f(sigma) is the
+    cone on the images of the rays of sigma, and it is sharp, as tau is, so
+    each of its extremal rays is spanned by one of those images; a ray
+    mapped to 0 gives the zero vector, which is no ray of tau.
+    """
     _require_finite_cokernel(f)
     fbar = f.hom.free_matrix()
-    target_cones = set(f.target.cones)
-    for sigma in f.source.cones:
-        if sigma.linear_image(fbar) not in target_cones:
-            return False
-    return True
+    return all(
+        {primitive_vector(fbar.apply(r)) for r in sigma.rays}.issuperset(f.cone_images[sigma].rays)
+        for sigma in f.source.cones
+    )
 
 
 def has_reduced_fibers(f: KmFanHom) -> bool:
     """Every restriction F_sigma -> F'_{f(sigma)} is surjective.
 
-    Only defined when the map is equidimensional.
+    Only defined when the map is equidimensional; then f(sigma) is
+    f.cone_images[sigma] (see is_equidimensional).
     """
-    _require_finite_cokernel(f)
     if not is_equidimensional(f):
         raise PreconditionsFail("reduced-fiber criterion requires an equidimensional map")
-    fbar = f.hom.free_matrix()
     for sigma in f.source.cones:
-        image = sigma.linear_image(fbar)
         mapped = Subgroup.from_generators(
             f.target.group, [f.hom.apply(g) for g in f.source.datum(sigma).generators()]
         )
-        if not mapped.contains_subgroup(f.target.datum(image).subgroup):
+        if not mapped.contains_subgroup(f.target.datum(f.cone_images[sigma]).subgroup):
             return False
     return True
 

@@ -10,7 +10,7 @@ transposes, selections, normal forms) go through the trusted
 ``IntMatrix._make`` and ``IntMatrix._from_columns`` instead, which use their
 int tuples as they are.  ``smith_decomposition`` computes only the
 transforms a caller asks for; the library's own callers name the ones they
-read, and the default tracks all four.
+read, and the default tracks all three.
 
 The lattice queries run on one row echelon form (``_row_echelon``), which
 takes unimodular row steps only.  ``invariant_factors`` and ``is_saturated``
@@ -189,7 +189,7 @@ class IntMatrix:
 # ---------------------------------------------------------------------------
 
 #: the transforms smith_decomposition can track, and its default
-TRANSFORMS = ("u", "v", "u_inv", "v_inv")
+TRANSFORMS = ("u", "v", "u_inv")
 
 
 class SmithDecomposition:
@@ -198,14 +198,13 @@ class SmithDecomposition:
     A transform the decomposition was not asked to track is None.
     """
 
-    __slots__ = ("u", "d", "v", "u_inv", "v_inv")
+    __slots__ = ("u", "d", "v", "u_inv")
 
-    def __init__(self, u, d, v, u_inv, v_inv):
+    def __init__(self, u, d, v, u_inv):
         self.u = u
         self.d = d
         self.v = v
         self.u_inv = u_inv
-        self.v_inv = v_inv
 
     def diagonal(self) -> Tuple[int, ...]:
         return tuple(self.d.entries[i][i] for i in range(min(self.d.rows, self.d.cols)))
@@ -225,8 +224,8 @@ def _trusted(rows: list, cols: int) -> IntMatrix:
 def smith_decomposition(m: IntMatrix, transforms: Collection[str] = TRANSFORMS) -> SmithDecomposition:
     """Smith decomposition U @ M @ V = D, tracking the named transforms.
 
-    ``transforms`` names which of "u", "v", "u_inv" and "v_inv" to compute;
-    the others are None.  The default tracks all four.  Pivots are chosen as
+    ``transforms`` names which of "u", "v" and "u_inv" to compute; the
+    others are None.  The default tracks all three.  Pivots are chosen as
     the smallest nonzero absolute value, first in row-major order, whatever
     is tracked, so D and every tracked transform are deterministic and the
     same as in the full decomposition.
@@ -239,7 +238,6 @@ def smith_decomposition(m: IntMatrix, transforms: Collection[str] = TRANSFORMS) 
     u = _identity_rows(nr) if "u" in transforms else None
     ui = _identity_rows(nr) if "u_inv" in transforms else None
     v = _identity_rows(nc) if "v" in transforms else None
-    vi = _identity_rows(nc) if "v_inv" in transforms else None
 
     def swap_rows(i, j):
         d[i], d[j] = d[j], d[i]
@@ -255,8 +253,6 @@ def smith_decomposition(m: IntMatrix, transforms: Collection[str] = TRANSFORMS) 
         if v is not None:
             for r in v:
                 r[i], r[j] = r[j], r[i]
-        if vi is not None:
-            vi[i], vi[j] = vi[j], vi[i]
 
     def add_row(src, dst, c):
         # row[dst] += c * row[src]
@@ -273,8 +269,6 @@ def smith_decomposition(m: IntMatrix, transforms: Collection[str] = TRANSFORMS) 
         if v is not None:
             for r in v:
                 r[dst] += c * r[src]
-        if vi is not None:
-            vi[src] = [a - c * b for a, b in zip(vi[src], vi[dst])]
 
     def negate_row(i):
         d[i] = [-a for a in d[i]]
@@ -348,7 +342,6 @@ def smith_decomposition(m: IntMatrix, transforms: Collection[str] = TRANSFORMS) 
         _trusted(d, nc),
         None if v is None else _trusted(v, nc),
         None if ui is None else _trusted(ui, nr),
-        None if vi is None else _trusted(vi, nc),
     )
 
 

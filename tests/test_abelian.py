@@ -25,11 +25,19 @@ from kmfan.abelian import (
     present_quotient,
     quotient,
 )
-from kmfan import abelian, intlinalg
+from kmfan import abelian, fans, intlinalg
+from kmfan.cones import Cone
 from kmfan.errors import NonLattice, NotTame
-from kmfan.intlinalg import IntMatrix, hermite_column_basis, kernel_basis
+from kmfan.fans import LatticeDatum
+from kmfan.intlinalg import IntMatrix, LinearSystem, hermite_column_basis, kernel_basis, solve_integer
 
-from conftest import random_element, random_group, random_hom, random_tame_homs
+from conftest import (
+    random_element,
+    random_group,
+    random_hom,
+    random_simplicial_km_fan,
+    random_tame_homs,
+)
 
 
 Z = FgaGroup(1)
@@ -348,6 +356,128 @@ class TestSubgroupPresentation:
         for sub, (grp, incl) in zip(subgroups, presented):
             assert (grp, incl) == presentation_by_smith(sub)
             assert grp == FgaGroup(sub.preimage.cols) and incl.matrix == sub.preimage
+
+
+def _seeded_group(rng: random.Random) -> FgaGroup:
+    """Free rank 0 to 4 and up to three torsion invariants."""
+    torsion, d = [], rng.choice([2, 3, 4])
+    for _ in range(rng.randint(0, 3)):
+        torsion.append(d)
+        d *= rng.choice([1, 2, 3])
+    return FgaGroup(rng.randint(0, 4), torsion)
+
+
+def seeded_subgroups(seed: int, count: int):
+    """Subgroups built by every library constructor, over mixed ambients."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        g = _seeded_group(rng)
+        gens = [random_element(rng, g) for _ in range(rng.randint(0, 3))]
+        kind = rng.randrange(9)
+        if kind == 0:
+            out.append(Subgroup.from_generators(g, gens))
+        elif kind == 1:
+            out += [Subgroup.trivial(g), Subgroup.full(g)]
+        elif kind in (2, 3, 4):
+            f = random_hom(rng, _seeded_group(rng), g)
+            h = Subgroup.from_generators(g, gens)
+            out += [kernel_subgroup(f), image_subgroup(f), preimage_subgroup(f, h)][kind - 2:]
+        elif kind == 5:
+            other = [random_element(rng, g) for _ in range(rng.randint(1, 3))]
+            out.append(Subgroup.from_generators(g, gens).intersection(Subgroup.from_generators(g, other)))
+        elif kind == 6:
+            fan = random_simplicial_km_fan(rng)
+            out.append(fans._data_sum(fan))
+            out += [datum.subgroup for datum in fan.data.values()]
+        else:
+            n = rng.randint(1, 4)
+            rays = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(1, 3))]
+            cones = [Cone.from_generators([r for r in rays if any(r)], n)]
+            out += [datum.subgroup for datum in fans._saturated_data(FgaGroup(n), cones).values()]
+    return out
+
+
+def _sample_elements(rng: random.Random, sub: Subgroup):
+    """Elements of the ambient: combinations of the preimage basis, which
+    lie in the subgroup, and random elements, which mostly do not."""
+    inside = [
+        sub.preimage.apply([rng.randint(-3, 3) for _ in range(sub.preimage.cols)])
+        for _ in range(2)
+    ]
+    return inside + [random_element(rng, sub.ambient) for _ in range(3)]
+
+
+class TestSubgroupReads:
+    """rank, is_lattice, lattice_basis, contains and datum coordinates read
+    off the stored Hermite preimage, against the presentation path and the
+    linear systems they replaced."""
+
+    def test_agrees_with_the_presentation_and_solve_oracles(self):
+        rng = random.Random(1818)
+        subgroups = seeded_subgroups(1818, 400)
+        seen = {"torsion": 0, "lattice": 0, "in": 0, "out": 0}
+        for sub in subgroups:
+            grp, _ = presentation_by_smith(sub)
+            assert sub.rank() == grp.free_rank, sub
+            assert sub.is_lattice() == grp.is_lattice(), sub
+            if not grp.is_lattice():
+                seen["torsion"] += 1
+                with pytest.raises(NonLattice):
+                    sub.lattice_basis()
+                with pytest.raises(NonLattice):
+                    LatticeDatum(sub.ambient, sub).coordinates(sub.ambient.zero())
+            else:
+                seen["lattice"] += grp.free_rank >= 1
+                basis = lattice_basis_by_hermite(sub)
+                assert sub.lattice_basis() == basis, sub
+                old_system = LinearSystem(basis.hstack(sub.ambient.relation_matrix()))
+                datum = LatticeDatum(sub.ambient, sub)
+                assert datum.basis() == basis
+            for v in _sample_elements(rng, sub):
+                reduced = sub.ambient.reduce(v)
+                inside = solve_integer(sub.preimage, reduced) is not None
+                seen["in" if inside else "out"] += 1
+                assert sub.contains(v) == inside, (sub, v)
+                if grp.is_lattice():
+                    old = old_system.integer(reduced)
+                    assert datum.coordinates(v) == (None if old is None else old[: basis.cols])
+            other = subgroups[rng.randrange(len(subgroups))]
+            if other.ambient == sub.ambient:
+                want = all(solve_integer(sub.preimage, g) is not None for g in other.generators())
+                assert sub.contains_subgroup(other) == want
+        assert len(subgroups) >= 300
+        assert seen["torsion"] >= 50 and seen["lattice"] >= 100, seen
+        assert seen["in"] >= 300 and seen["out"] >= 300, seen
+
+    def test_reads_build_no_presentation(self, monkeypatch):
+        """The reads take no kernel, quotient, Smith form or Hermite basis,
+        and one linear system per subgroup answers all its membership."""
+        # fresh objects, which keep no presentation or linear system yet
+        subgroups = [Subgroup(sub.ambient, sub.preimage) for sub in seeded_subgroups(1919, 120)]
+        data = [LatticeDatum(sub.ambient, sub) for sub in subgroups if sub.is_lattice()]
+        calls = []
+        for module in (abelian, intlinalg):
+            for name in ("kernel_basis", "present_quotient", "smith_decomposition", "hermite_column_basis"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, lambda *a, _n=name, **k: calls.append(_n))
+        monkeypatch.setattr(Subgroup, "as_group", lambda self: calls.append("as_group"))
+        systems = []
+        real_system = abelian.LinearSystem
+        monkeypatch.setattr(abelian, "LinearSystem", lambda m: systems.append(m) or real_system(m))
+        for sub in subgroups:
+            sub.rank()
+            if sub.is_lattice():
+                sub.lattice_basis()
+        for datum in data:
+            datum.basis()
+            for v in (datum.ambient.zero(), *datum.generators()):
+                assert datum.coordinates(v) is not None
+                assert datum.subgroup.contains(v)
+            assert datum.subgroup.contains_subgroup(datum.subgroup)
+        assert calls == []
+        assert systems == [datum.subgroup.preimage for datum in data]
+        assert len(data) >= 60
 
 
 def kernel_with_source_relations(f: GroupHom) -> Subgroup:

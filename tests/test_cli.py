@@ -9,8 +9,10 @@ import shutil
 import pytest
 
 from kmfan.cli import SUBCOMMANDS, run
+from kmfan.cones import Cone
 from kmfan.documents import (
     MAX_FREE_RANK,
+    MAX_TORSION_INVARIANTS,
     DocumentError,
     dumps,
     fan_from_obj,
@@ -55,6 +57,19 @@ def test_golden_case(workdir, name, argv, expected_code):
             produced = fh.read()
         with open(os.path.join(GOLDEN, "expected", artifact), "rb") as fh:
             assert produced == fh.read()
+
+
+def test_equidim_case_builds_no_image_cone(workdir, monkeypatch):
+    """equidim reads f(sigma) off the cone map: no Cone.linear_image."""
+    calls = []
+    real = Cone.linear_image
+    monkeypatch.setattr(Cone, "linear_image", lambda *a: calls.append(1) or real(*a))
+    name, argv, expected_code = next(c for c in CASES if c[0] == "equidim_x2")
+    code, out = invoke(argv)
+    assert code == expected_code
+    with open(os.path.join(GOLDEN, "expected", name + ".out"), "r", encoding="utf-8") as fh:
+        assert out == fh.read()
+    assert calls == []
 
 
 class TestDocumentRoundTrip:
@@ -300,6 +315,38 @@ class TestHugeInputs:
         doc["group"]["free_rank"] = MAX_FREE_RANK + 1
         with pytest.raises(DocumentError):
             fan_from_obj(doc)
+
+    @staticmethod
+    def one_ray_doc(invariants: int) -> dict:
+        """Z + (Z/2)^invariants with the zero cone and one ray."""
+        return {
+            "schema_version": "1",
+            "group": {"free_rank": 1, "torsion_invariants": [2] * invariants},
+            "cones": [{"rays": []}, {"rays": [[1]]}],
+            "lattice_data": [
+                {"cone_index": 0, "generators": []},
+                {"cone_index": 1, "generators": [[1] + [0] * invariants]},
+            ],
+        }
+
+    def test_most_torsion_invariants_load(self):
+        fan = fan_from_obj(self.one_ray_doc(MAX_TORSION_INVARIANTS))
+        assert fan.group.torsion == (2,) * MAX_TORSION_INVARIANTS
+        with pytest.raises(DocumentError):
+            fan_from_obj(self.one_ray_doc(MAX_TORSION_INVARIANTS + 1))
+
+    @pytest.mark.parametrize("subcommand", ["validate", "strata", "pi1"])
+    def test_many_torsion_invariants_are_exit_two_schema(self, workdir, capsys, subcommand):
+        """1024 invariants of 2 once took strata over a minute; the document
+        is now refused while loading."""
+        with open("many_torsion.json", "w", encoding="utf-8") as fh:
+            fh.write(dumps(self.one_ray_doc(1024)))
+        code = run([subcommand, "--fan", "many_torsion.json"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ""
+        assert captured.out.count("\n") == 1
+        assert json.loads(captured.out)["error"] == "schema"
 
     @pytest.mark.parametrize("error", [OverflowError("int too large"), MemoryError()])
     def test_overflow_and_memory_errors_are_one_json_object(self, workdir, capsys, monkeypatch, error):

@@ -1481,6 +1481,80 @@ class TestSemiTameFromConeImages:
         assert min(seen.values()) >= 5, seen
 
 
+def equidimensional_by_images(f: KmFanHom) -> bool:
+    """is_equidimensional by the image cones f(sigma) themselves, one
+    double description each."""
+    fans_module._require_finite_cokernel(f)
+    fbar = f.hom.free_matrix()
+    return all(sigma.linear_image(fbar) in f.target.data for sigma in f.source.cones)
+
+
+def reduced_fibers_by_images(f: KmFanHom) -> bool:
+    """has_reduced_fibers on the image cones f(sigma), with its own
+    equidimensionality check."""
+    fans_module._require_finite_cokernel(f)
+    if not equidimensional_by_images(f):
+        raise PreconditionsFail("reduced-fiber criterion requires an equidimensional map")
+    fbar = f.hom.free_matrix()
+    for sigma in f.source.cones:
+        mapped = Subgroup.from_generators(
+            f.target.group, [f.hom.apply(g) for g in f.source.datum(sigma).generators()]
+        )
+        if not mapped.contains_subgroup(f.target.datum(sigma.linear_image(fbar)).subgroup):
+            return False
+    return True
+
+
+def _outcome(predicate, f):
+    try:
+        return predicate(f)
+    except (InfiniteCokernel, PreconditionsFail) as exc:
+        return type(exc)
+
+
+class TestEquidimensionalFromConeMap:
+    def test_agrees_with_the_image_cone_oracle(self):
+        rng = random.Random(5353)
+        quadrants = from_classical(Z2, [
+            Cone.from_generators([u, v], 2)
+            for u, v in [((1, 0), (0, 1)), ((0, 1), (-1, 0)), ((-1, 0), (0, -1)), ((0, -1), (1, 0))]
+        ])
+        seen = {(name, verdict): 0 for name in ("equidim", "reduced") for verdict in (True, False)}
+        for _ in range(600):
+            source = _random_polygon_fan(rng)
+            style = rng.randrange(6)
+            if style == 0:
+                hom = dilate(source, rng.randint(1, 3))[1]
+            elif style == 1:
+                g = IntMatrix([[rng.randint(-2, 2) for _ in range(2)] for _ in range(2)])
+                hom = validate_hom(GroupHom(Z2, Z2, g), source, _random_polygon_fan(rng))
+            elif style == 2:
+                row = IntMatrix([[rng.randint(-2, 2), rng.randint(-2, 2)]])
+                hom = validate_hom(GroupHom(Z2, Z, row), source, line_fan())
+            elif style == 3:
+                # the inclusion of a subfan
+                target = source
+                source = from_classical(Z2, rng.sample(target.cones, rng.randint(1, len(target.cones))))
+                hom = validate_hom(GroupHom.identity(Z2), source, target)
+            elif style == 4:
+                hom = product(random_simplicial_km_fan(rng), source)[rng.randrange(1, 3)]
+            else:
+                # into the four quadrants: a ray off the axes maps inside one
+                hom = validate_hom(GroupHom.identity(Z2), source, quadrants)
+            if not isinstance(hom, KmFanHom):
+                continue
+            equi = _outcome(is_equidimensional, hom)
+            assert equi == _outcome(equidimensional_by_images, hom), hom
+            reduced = _outcome(has_reduced_fibers, hom)
+            assert reduced == _outcome(reduced_fibers_by_images, hom), hom
+            for name, verdict in (("equidim", equi), ("reduced", reduced)):
+                if verdict in (True, False):
+                    seen[name, verdict] += 1
+            if min(seen.values()) >= 30:
+                break
+        assert min(seen.values()) >= 30, seen
+
+
 def validate_hom_by_intersection(f: GroupHom, source: KmFan, target: KmFan):
     """validate_hom with the minimal containing cone found by intersecting
     every target cone that contains f(sigma), one double description per
