@@ -466,9 +466,14 @@ def is_injective(f: GroupHom) -> bool:
     return not kernel_subgroup(f).generators()
 
 
+def _cokernel_group(f: GroupHom) -> FgaGroup:
+    """Cok f = N'/f(N) alone, from invariant factors (_quotient_group):
+    the yes/no questions about it need no projection."""
+    return _quotient_group(f.target, image_subgroup(f))
+
+
 def is_surjective(f: GroupHom) -> bool:
-    _, cok, _ = hom_kernel_cokernel(f)
-    return cok.is_trivial()
+    return _cokernel_group(f).is_trivial()
 
 
 def is_isomorphism(f: GroupHom) -> bool:
@@ -477,8 +482,7 @@ def is_isomorphism(f: GroupHom) -> bool:
 
 def is_tame_hom(f: GroupHom) -> bool:
     """Finite cokernel and torsion-injective (equivalently torsion-free kernel)."""
-    ker, cok, _ = hom_kernel_cokernel(f)
-    return cok.is_finite() and ker.is_lattice()
+    return _cokernel_group(f).is_finite() and kernel_subgroup(f).is_lattice()
 
 
 class DerivedDual:
@@ -527,7 +531,8 @@ def dd_of_hom(f: GroupHom) -> DerivedDual:
     of free groups is quasi-isomorphic to [N -> N'], so D(f) is the middle
     cohomology of its Z-dual: ker((R,-G)^T) / im((F | R')^T).
     """
-    if not is_tame_hom(f):
+    ker_sub, cok = kernel_subgroup(f), _cokernel_group(f)
+    if not (cok.is_finite() and ker_sub.is_lattice()):
         raise NotTame("derived dual requires a tame homomorphism")
     src, tgt = f.source, f.target
     a, b = src.ncoords, tgt.ncoords
@@ -566,7 +571,6 @@ def dd_of_hom(f: GroupHom) -> DerivedDual:
     pres = present_quotient(s, IntMatrix._from_columns(rel_cols, s))
     dgroup = pres.group
 
-    ker_sub, cok, _ = hom_kernel_cokernel(f)
     ker_basis = ker_sub.lattice_basis()     # a x s_k, columns a basis of Ker f
     s_k = ker_basis.cols
 

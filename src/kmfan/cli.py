@@ -141,22 +141,23 @@ def _group_obj(group: FgaGroup) -> dict:
     return {"free_rank": group.free_rank, "torsion": [int(d) for d in group.torsion]}
 
 
+# Built once; parse_args leaves it unchanged.  It has no -h/--help: a help
+# flag is an unknown argument, one usage object like any other.
+_PARSER = _Parser(prog="kmfan", add_help=False)
+_PARSER.add_argument("subcommand", choices=SUBCOMMANDS)
+_PARSER.add_argument("--fan")
+_PARSER.add_argument("--fan2")
+_PARSER.add_argument("--hom")
+_PARSER.add_argument("--cone", type=int)
+_PARSER.add_argument("--point")
+_PARSER.add_argument("--window", type=int, default=5)
+_PARSER.add_argument("--out")
+
+
 def run(argv) -> int:
     """Execute one subcommand; returns the process exit code."""
-    parser = _Parser(prog="kmfan", add_help=True)
-    parser.add_argument("subcommand", choices=SUBCOMMANDS)
-    parser.add_argument("--fan")
-    parser.add_argument("--fan2")
-    parser.add_argument("--hom")
-    parser.add_argument("--cone", type=int)
-    parser.add_argument("--point")
-    parser.add_argument("--window", type=int, default=5)
-    parser.add_argument("--out")
     try:
-        payload = _dispatch(parser.parse_args(argv))
-    except SystemExit:
-        # --help has printed the usage text
-        return 2
+        payload = _dispatch(_PARSER.parse_args(argv))
     except CliFailure as fail:
         sys.stdout.write(dumps(fail.payload))
         return fail.code

@@ -134,12 +134,13 @@ def fan_from_obj(obj) -> KmFan:
     raw_cones = obj.get("cones")
     if not isinstance(raw_cones, list):
         raise DocumentError("cones must be a list")
-    cones = []
+    cones, seen = [], set()
     for entry in raw_cones:
         cone = Cone.from_generators(_dec_cone_rays(entry, r), r)
-        if cone in cones:
+        if cone in seen:
             raise DocumentError("duplicate cone in document")
         cones.append(cone)
+        seen.add(cone)
     raw_data = obj.get("lattice_data")
     if not isinstance(raw_data, list):
         raise DocumentError("lattice_data must be a list")

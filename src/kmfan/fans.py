@@ -15,6 +15,7 @@ from .abelian import (
     FgaGroup,
     GroupHom,
     Subgroup,
+    _cokernel_group,
     _quotient_group,
     _quotient_presentation,
     dd_of_hom,
@@ -22,7 +23,7 @@ from .abelian import (
     dual_group,
     ext_group,
     free_quotient,
-    hom_kernel_cokernel,
+    is_injective,
     is_tame_hom,
     kernel_subgroup,
     present_quotient,
@@ -43,6 +44,7 @@ from .errors import (
 )
 from .intlinalg import (
     IntMatrix,
+    LinearSystem,
     Vec,
     _dot,
     hermite_column_basis,
@@ -633,8 +635,7 @@ def inflate(fan: KmFan, inclusion: GroupHom) -> Tuple[KmFan, KmFanHom]:
     """
     if inclusion.source != fan.group:
         raise KmFanError("inclusion must start at the fan's group")
-    ker, cok, _ = hom_kernel_cokernel(inclusion)
-    if ker.generators() or not cok.is_finite():
+    if not is_injective(inclusion) or not _cokernel_group(inclusion).is_finite():
         raise NotFiniteIndex("inclusion must be injective with finite cokernel")
     fbar = inclusion.free_matrix()
     cone_map = {}
@@ -656,8 +657,7 @@ def contract(fan: KmFan, inclusion: GroupHom) -> Tuple[KmFan, KmFanHom]:
     """
     if inclusion.target != fan.group:
         raise KmFanError("inclusion must land in the fan's group")
-    ker, cok, _ = hom_kernel_cokernel(inclusion)
-    if ker.generators() or not cok.is_finite():
+    if not is_injective(inclusion) or not _cokernel_group(inclusion).is_finite():
         raise NotFiniteIndex("inclusion must be injective with finite cokernel")
     fbar = inclusion.free_matrix()
     cone_map = {}
@@ -886,9 +886,8 @@ def compatible_lifting(f: KmFanHom, sigma: Cone, target_lifting: Subgroup) -> Su
     problems = lifting_violations(f.target, tau, target_lifting)
     if problems:
         raise KmFanError("target lifting invalid: " + "; ".join(problems))
-    ind = induced_quotient_hom(f, sigma)
     pre = preimage_subgroup(f.hom, target_lifting)
-    if kernel_subgroup(ind).is_lattice():
+    if _torsion_injective(f, sigma):
         lifting = pre
     else:
         lifting = construct_lifting(f.source, sigma).intersection(pre)
@@ -897,17 +896,26 @@ def compatible_lifting(f: KmFanHom, sigma: Cone, target_lifting: Subgroup) -> Su
     return lifting
 
 
-def induced_quotient_hom(f: KmFanHom, sigma: Cone) -> GroupHom:
-    """The induced map N/F_sigma -> N'/F'_tau for the minimal cone tau."""
+def _torsion_injective(f: KmFanHom, sigma: Cone) -> bool:
+    """Whether the induced map N/F_sigma -> N'/F'_tau, tau =
+    f.cone_images[sigma], is injective on torsion: whether its kernel is
+    torsion-free.  No quotient is presented.
+
+    Let R be the relation lattice of N, Lambda_sigma the preimage lattice of
+    F_sigma in Z^m and Lambda that of f^{-1}(F'_tau).  Both hold R, and
+    Lambda_sigma lies in Lambda, as f(F_sigma) lies in F'_tau.  The kernel
+    of the induced map is f^{-1}(F'_tau)/F_sigma = (Lambda/R)/(Lambda_sigma/R)
+    = Lambda/Lambda_sigma, which is torsion-free exactly when Lambda_sigma is
+    saturated in Lambda: when the coordinates of Lambda_sigma's basis in
+    Lambda's basis span a saturated sublattice.  They are solved for the
+    columns as they are, not reduced modulo R, which would change the
+    lattice they span.
+    """
     tau = f.cone_images[sigma]
-    pres = _quotient_presentation(f.source.group, f.source.datum(sigma).subgroup)
-    ps = GroupHom(f.source.group, pres.group, pres.proj)
-    qt, pt = quotient(f.target.group, f.target.datum(tau).subgroup)
-    # the generators of N/F_sigma lift to the section's columns
-    ind = GroupHom(pres.group, qt, pt.matrix @ f.hom.matrix @ pres.section)
-    if ps.then(ind) != f.hom.then(pt):
-        raise KmFanError("internal: induced quotient map is inconsistent")
-    return ind
+    big = preimage_subgroup(f.hom, f.target.datum(tau).subgroup).preimage
+    system = LinearSystem(big)
+    coords = [system.integer(c) for c in f.source.datum(sigma).subgroup.preimage.columns()]
+    return is_saturated(IntMatrix._from_columns(coords, big.cols))
 
 
 class LocalPresentation:
@@ -1025,38 +1033,28 @@ def fan_from_monoids(group: FgaGroup, monoid_generators: Sequence[Sequence[Seque
 
 
 def _check_monoid_saturated(cone, datum, gens):
-    """The supplied generators must generate all of sigma cap F_sigma."""
-    coords = []
+    """The supplied generators must generate all of sigma cap F_sigma.
+
+    They do exactly when each element of the Hilbert basis is one of them,
+    in datum coordinates, so the first element of the basis that is not
+    one is the point the monoid misses.  For a sharp cone, each generator
+    lies in P = sigma cap F_sigma, a sharp monoid, whose Hilbert basis is its
+    set of irreducible elements (Bruns and Gubeladze, Polytopes, Rings, and
+    K-Theory, Ch. 2): an irreducible element that is a sum of generators is
+    one of them, and the generators generate P once they contain the basis.
+    KmFan refuses a cone that is not sharp, whatever this check finds.
+    """
+    coords = set()
     for g in gens:
         sol = datum.coordinates(g)
         if sol is None:
             raise InvalidFan([{ "kind": "non-saturated-monoid",
                                 "detail": "generator outside its own group"}])
-        coords.append(sol)
-    full = _datum_monoid(cone, datum)
-    for h in full.hilbert_basis():
-        if not _is_nonneg_combination(h, coords, full.cone):
+        coords.add(sol)
+    for h in _datum_monoid(cone, datum).hilbert_basis():
+        if h not in coords:
             raise InvalidFan([{ "kind": "non-saturated-monoid",
                                 "detail": f"monoid misses the lattice point {h}"}])
-
-
-def _is_nonneg_combination(target: Vec, gens: List[Vec], cone: Cone) -> bool:
-    """Greedy-with-backtracking membership in the generated submonoid."""
-    seen = set()
-
-    def search(t: Vec) -> bool:
-        if not any(t):
-            return True
-        if t in seen:
-            return False
-        seen.add(t)
-        for g in gens:
-            d = tuple(a - b for a, b in zip(t, g))
-            if cone.contains_point(d) and search(d):
-                return True
-        return False
-
-    return search(target)
 
 
 def is_atoroidal(fan: KmFan) -> bool:
@@ -1111,8 +1109,7 @@ def has_reduced_fibers(f: KmFanHom) -> bool:
 
 
 def _require_finite_cokernel(f: KmFanHom) -> None:
-    _, cok, _ = hom_kernel_cokernel(f.hom)
-    if not cok.is_finite():
+    if not _cokernel_group(f.hom).is_finite():
         raise InfiniteCokernel("criterion requires a finite cokernel on groups")
 
 
@@ -1165,11 +1162,7 @@ def torsor_group(f: KmFanHom) -> FgaGroup:
 
 def is_representable(f: KmFanHom) -> bool:
     """Torsion-injectivity of every induced map N/F_sigma -> N'/F'_tau."""
-    for sigma in f.source.cones:
-        ind = induced_quotient_hom(f, sigma)
-        if not kernel_subgroup(ind).is_lattice():
-            return False
-    return True
+    return all(_torsion_injective(f, sigma) for sigma in f.source.cones)
 
 
 def is_proper(f: KmFanHom) -> bool:

@@ -230,20 +230,23 @@ def kernel_submonoid(monoid: AffineMonoid, a: GroupHom) -> List[Vec]:
 
 
 def is_free_monoid(monoid: AffineMonoid) -> bool:
-    """Whether a sharp monoid is free (isomorphic to N^n)."""
+    """Whether a sharp monoid is free (isomorphic to N^n): exactly when the
+    cone is simplicial and its primitive rays span a saturated sublattice
+    of Z^r.  No Hilbert basis is computed.
+
+    Let P = sigma cap Z^r and L = Span(sigma) cap Z^r, a saturated lattice
+    of rank n = dim sigma that P generates.  If P is free, its n free
+    generators are its irreducible elements and a basis of L; sigma is the
+    cone on them, so they are its n rays, each primitive in L and so in
+    Z^r, and they span L, which is saturated.  Conversely, if sigma has n
+    rays spanning a saturated sublattice, that sublattice has rank n and
+    lies in L, so it is L; then an element of P has nonnegative, hence
+    natural, coordinates on the rays, and P is N^n on them (Cox, Little
+    and Schenck, Toric Varieties, Thm 3.1.19).
+    """
     if not monoid.is_sharp():
         raise NotSharp("freeness is defined for sharp monoids")
-    hb = monoid.hilbert_basis()
-    t = monoid.gp_rank()
-    if len(hb) != t:
-        return False
-    if t == 0:
-        return True
-    in_gp = LinearSystem(monoid.gp_basis())
-    cols = []
-    for v in hb:
-        sol = in_gp.integer(v)
-        if sol is None:
-            return False
-        cols.append(sol)
-    return is_saturated(IntMatrix._from_columns(cols, t))
+    rays = monoid.cone.rays
+    return len(rays) == monoid.cone.dim() and is_saturated(
+        IntMatrix._from_columns(rays, monoid.ambient_lattice_rank)
+    )

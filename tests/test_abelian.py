@@ -188,6 +188,22 @@ class TestKernelCokernel:
                 continue
             assert is_tame_hom(f.then(g))
 
+    def test_predicates_match_the_presented_cokernel(self):
+        """is_tame_hom and is_surjective against the kernel and the
+        presented cokernel of hom_kernel_cokernel, their former bodies."""
+        rng = random.Random(1919)
+        homs = [random_hom(rng, random_group(rng), random_group(rng)) for _ in range(400)]
+        homs += random_tame_homs(1920, 100)
+        tame = surjective = 0
+        for f in homs:
+            ker, cok, _ = hom_kernel_cokernel(f)
+            assert is_tame_hom(f) == (cok.is_finite() and ker.is_lattice()), f
+            assert is_surjective(f) == cok.is_trivial(), f
+            assert abelian._cokernel_group(f) == cok
+            tame += is_tame_hom(f)
+            surjective += is_surjective(f)
+        assert 150 <= tame <= 400 and 50 <= surjective <= 400
+
 
 class TestDerivedDual:
     def test_surjective_gives_kernel_dual(self):

@@ -5,9 +5,11 @@ import io
 import json
 import os
 import shutil
+import time
 
 import pytest
 
+from kmfan import cli
 from kmfan.cli import SUBCOMMANDS, run
 from kmfan.cones import Cone
 from kmfan.documents import (
@@ -57,6 +59,35 @@ def test_golden_case(workdir, name, argv, expected_code):
             produced = fh.read()
         with open(os.path.join(GOLDEN, "expected", artifact), "rb") as fh:
             assert produced == fh.read()
+
+
+def test_every_subcommand_has_a_golden_case():
+    assert {argv[0] for _, argv, _ in CASES} == set(SUBCOMMANDS)
+
+
+def test_info_on_a_deep_singular_cone_is_fast(workdir, capsys):
+    """sing.json with the ray (1, 2) moved to (1, 10001): smoothness is read
+    off the rays, with no Hilbert basis of the cone's |det| = 10001 points."""
+    with open("sing.json", "r", encoding="utf-8") as fh:
+        text = fh.read()
+    assert text.count("[1,2]") == 3
+    with open("deep.json", "w", encoding="utf-8") as fh:
+        fh.write(text.replace("[1,2]", "[1,10001]"))
+    start = time.perf_counter()
+    code = run(["info", "--fan", "deep.json"])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["smooth"] is False
+    assert elapsed < 1.0
+
+
+def test_run_builds_no_parser(workdir, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a parser was built")
+
+    monkeypatch.setattr(cli._Parser, "__init__", refuse)
+    name, argv, expected_code = next(c for c in CASES if c[0] == "info_p22")
+    assert invoke(argv)[0] == expected_code
 
 
 def test_equidim_case_builds_no_image_cone(workdir, monkeypatch):
@@ -111,6 +142,14 @@ class TestDocumentRoundTrip:
                 "schema_version": "1",
                 "group": {"free_rank": 1},
                 "cones": [{"rays": [[1]]}],
+                "lattice_data": [],
+            })
+        # the same cone twice, once on a non-primitive ray
+        with pytest.raises(DocumentError, match="duplicate cone in document"):
+            fan_from_obj({
+                "schema_version": "1",
+                "group": {"free_rank": 1},
+                "cones": [{"rays": []}, {"rays": [[1]]}, {"rays": [[2]]}],
                 "lattice_data": [],
             })
 
@@ -389,3 +428,18 @@ class TestFailureContract:
         assert captured.err == ""
         assert captured.out.count("\n") == 1
         assert json.loads(captured.out) == {"error": "usage", "detail": f"{flag} is required"}
+
+    @pytest.mark.parametrize("argv, detail", [
+        (["-h"], "the following arguments are required: subcommand"),
+        (["--help"], "the following arguments are required: subcommand"),
+        (["info", "-h"], "unrecognized arguments: -h"),
+        (["info", "--fan", "p22.json", "--help"], "unrecognized arguments: --help"),
+    ], ids=["h", "help", "info_h", "info_fan_help"])
+    def test_a_help_flag_is_one_usage_object(self, workdir, capsys, argv, detail):
+        """There is no help text: a help flag is an unknown argument."""
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ""
+        assert captured.out.count("\n") == 1
+        assert json.loads(captured.out) == {"error": "usage", "detail": detail}

@@ -11,7 +11,9 @@ from kmfan.abelian import (
     FgaGroup,
     GroupHom,
     Subgroup,
+    _quotient_presentation,
     is_isomorphism,
+    kernel_subgroup,
     present_quotient,
     quotient,
 )
@@ -42,7 +44,6 @@ from kmfan.fans import (
     from_classical,
     fundamental_group,
     has_reduced_fibers,
-    induced_quotient_hom,
     inflate,
     is_atoroidal,
     is_classical,
@@ -72,6 +73,7 @@ from kmfan.fans import (
 from kmfan import abelian, intlinalg
 from kmfan import fans as fans_module
 from kmfan.fans import _certified_complete_simplicial, _cone_violations, _maximal_cones
+from kmfan.monoids import AffineMonoid
 from kmfan.intlinalg import (
     IntMatrix,
     LinearSystem,
@@ -84,6 +86,7 @@ from kmfan.intlinalg import (
 )
 
 import test_properties
+from test_monoids import _in_submonoid
 from conftest import (
     build_p22,
     build_p22_source,
@@ -91,6 +94,8 @@ from conftest import (
     p22_hom_matrix,
     plane_fan,
     projective_line_fan,
+    random_group,
+    random_hom,
     random_simplicial_km_fan,
     unchecked_fan,
     without_construction_oracle,
@@ -1024,9 +1029,23 @@ class TestMorphisms:
                     pytest.fail("containing cone was not minimal")
 
 
+def induced_quotient_hom_by_presentation(f: KmFanHom, sigma: Cone) -> GroupHom:
+    """The induced map N/F_sigma -> N'/F'_tau for the minimal cone tau, from
+    a presentation of each quotient: the library's former body, kept as the
+    oracle of fans._torsion_injective."""
+    tau = f.cone_images[sigma]
+    pres = _quotient_presentation(f.source.group, f.source.datum(sigma).subgroup)
+    ps = GroupHom(f.source.group, pres.group, pres.proj)
+    qt, pt = quotient(f.target.group, f.target.datum(tau).subgroup)
+    # the generators of N/F_sigma lift to the section's columns
+    ind = GroupHom(pres.group, qt, pt.matrix @ f.hom.matrix @ pres.section)
+    assert ps.then(ind) == f.hom.then(pt)
+    return ind
+
+
 def induced_quotient_hom_by_lifter(f: KmFanHom, sigma: Cone) -> GroupHom:
-    """induced_quotient_hom with each generator of N/F_sigma lifted through
-    the projection by a linear system of its own."""
+    """The induced map N/F_sigma -> N'/F'_tau with each generator of
+    N/F_sigma lifted through the projection by a linear system of its own."""
     tau = f.cone_images[sigma]
     qs, ps = quotient(f.source.group, f.source.datum(sigma).subgroup)
     qt, pt = quotient(f.target.group, f.target.datum(tau).subgroup)
@@ -1055,19 +1074,39 @@ def seeded_torsion_morphisms(seed: int, count: int):
 
 
 class TestQuotientSections:
-    def test_induced_maps_agree_with_the_lifter_oracle(self):
+    def test_torsion_injectivity_matches_the_lifter_kernel(self):
         morphisms = [p22_morphism()] + seeded_torsion_morphisms(31, 60)
-        torsion_quotients = 0
+        torsion_quotients = not_injective = 0
         for f in morphisms:
             for sigma in f.source.cones:
-                ind = induced_quotient_hom(f, sigma)
-                assert ind == induced_quotient_hom_by_lifter(f, sigma)
+                ind = induced_quotient_hom_by_lifter(f, sigma)
+                injective = kernel_subgroup(ind).is_lattice()
+                assert fans_module._torsion_injective(f, sigma) == injective
                 torsion_quotients += bool(ind.source.torsion)
+                not_injective += not injective
         assert torsion_quotients >= 50
+        assert not_injective >= 20
 
-    def test_contract_presents_one_quotient(self, monkeypatch):
-        """The cokernel test of the inclusion presents the one quotient;
-        each datum's preimage is a kernel, with no quotient."""
+    def test_torsion_injectivity_matches_the_presented_induced_map(self):
+        """The predicate against the kernel of the induced map built from
+        the two quotient presentations, the body it replaced."""
+        morphisms = [p22_morphism()] + seeded_torsion_morphisms(37, 120)
+        verdicts = []
+        for f in morphisms:
+            for sigma in f.source.cones:
+                ind = induced_quotient_hom_by_presentation(f, sigma)
+                injective = kernel_subgroup(ind).is_lattice()
+                assert fans_module._torsion_injective(f, sigma) == injective, (f, sigma)
+                verdicts.append(injective)
+            assert is_representable(f) == all(
+                kernel_subgroup(induced_quotient_hom_by_presentation(f, sigma)).is_lattice()
+                for sigma in f.source.cones
+            )
+        assert verdicts.count(True) >= 100 and verdicts.count(False) >= 50
+
+    def test_contract_presents_no_quotient(self, monkeypatch):
+        """The cokernel test of the inclusion reads invariant factors, and
+        each datum's preimage is a kernel: no quotient is presented."""
         p2 = from_classical(Z2, [
             Cone.from_generators(rays, 2)
             for rays in ([(1, 0), (0, 1)], [(0, 1), (-1, -1)], [(-1, -1), (1, 0)])
@@ -1078,11 +1117,13 @@ class TestQuotientSections:
         for module in (abelian, fans_module):
             monkeypatch.setattr(module, "present_quotient", lambda *a: calls.append(1) or real(*a))
         contracted, _ = contract(p2, GroupHom(Z2, Z2, IntMatrix([[2, 1], [0, 3]])))
-        assert len(calls) == 1
+        assert len(calls) == 0
         monkeypatch.undo()
         assert contracted.validate() == []
 
-    def test_representability_of_the_p22_map_runs_four_smith(self, monkeypatch):
+    def test_representability_of_the_p22_map_runs_no_smith(self, monkeypatch):
+        """Each cone's saturation test has unit pivots on a representable
+        map, so it settles without a Smith decomposition."""
         hom = p22_morphism()
         calls = []
         real = intlinalg.smith_decomposition
@@ -1090,7 +1131,7 @@ class TestQuotientSections:
             if module.__name__.startswith("kmfan") and hasattr(module, "smith_decomposition"):
                 monkeypatch.setattr(module, "smith_decomposition", lambda *a, **k: calls.append(1) or real(*a, **k))
         assert is_representable(hom)
-        assert len(calls) == 4
+        assert len(calls) == 0
 
 
 class TestProperness:
@@ -1800,3 +1841,101 @@ class TestDatumChecksWithoutSmith:
         assert fan.validate() == []
         assert checks
         assert [names for names in callers if names & {"_saturated_in", "coordinates"}] == []
+
+
+def check_monoid_saturated_by_search(cone, datum, gens):
+    """The generation check by a search for each Hilbert basis element as a
+    sum of the generators: the library's former body, kept as the oracle of
+    fans._check_monoid_saturated."""
+    coords = []
+    for g in gens:
+        sol = datum.coordinates(g)
+        if sol is None:
+            raise InvalidFan([{"kind": "non-saturated-monoid", "detail": "generator outside its own group"}])
+        coords.append(sol)
+    full = fans_module._datum_monoid(cone, datum)
+    for h in full.hilbert_basis():
+        if not _in_submonoid(h, coords, full.cone):
+            raise InvalidFan([{"kind": "non-saturated-monoid", "detail": f"monoid misses the lattice point {h}"}])
+
+
+def _generation_outcome(check, cone, datum, gens):
+    try:
+        check(cone, datum, gens)
+    except InvalidFan as exc:
+        return exc.violations
+    return None
+
+
+class TestPredicatesReadInvariants:
+    def test_monoid_generation_matches_the_search(self):
+        """Generator lists from the Hilbert basis of a sharp cone, with
+        elements scaled or dropped, sums added, and torsion attached."""
+        rng = random.Random(4343)
+        outcomes = []
+        while len(outcomes) < 400:
+            n = rng.randint(1, 3)
+            group = FgaGroup(n, rng.choice([(), (2,)]))
+            sigma = Cone.from_generators(
+                [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(1, n + 1))], n
+            )
+            if not sigma.is_sharp():
+                continue
+            hb = AffineMonoid(sigma).hilbert_basis()
+            gens = [h if rng.random() < 0.6 else tuple(rng.choice([2, 3]) * x for x in h) for h in hb]
+            gens = [g for g in gens if rng.random() < 0.8]
+            gens += [tuple(a + b for a, b in zip(*rng.sample(hb, 2))) for _ in range(rng.randint(0, 2)) if len(hb) > 1]
+            gens = [g + tuple(rng.randrange(d) for d in group.torsion) for g in gens]
+            cone = Cone.from_generators([g[:n] for g in gens], n)
+            datum = LatticeDatum.from_generators(group, gens)
+            if datum.violations(cone):
+                continue
+            new = _generation_outcome(fans_module._check_monoid_saturated, cone, datum, gens)
+            assert new == _generation_outcome(check_monoid_saturated_by_search, cone, datum, gens), gens
+            outcomes.append(new is None)
+        assert outcomes.count(True) >= 200 and outcomes.count(False) >= 50
+
+    def test_smoothness_computes_no_hilbert_basis(self, monkeypatch):
+        fans = [plane_fan(), build_p22(), from_classical(Z2, [Cone.from_generators([(1, 0), (1, 10001)], 2)])]
+        rng = random.Random(4444)
+        fans += [random_simplicial_km_fan(rng) for _ in range(20)]
+        for _ in range(20):
+            rays = [(rng.randint(1, 4), rng.randint(-4, 4)), (rng.randint(-4, 4), rng.randint(1, 4))]
+            if matrix_rank(IntMatrix.from_columns(rays)) == 2:
+                fans.append(from_classical(Z2, [Cone.from_generators(rays, 2)]))
+        expected = [is_smooth(fan) for fan in fans]
+        calls = []
+        monkeypatch.setattr(AffineMonoid, "_compute_hilbert", lambda self: calls.append(1))
+        assert [is_smooth(fan) for fan in fans] == expected
+        assert calls == []
+        assert expected[:3] == [True, True, False] and expected.count(False) >= 5
+
+    def test_hom_predicates_present_no_quotient(self, monkeypatch):
+        """The yes/no questions about a cokernel or an induced map read
+        invariant factors and saturation, never a presented quotient."""
+        rng = random.Random(4545)
+        homs = [random_hom(rng, random_group(rng), random_group(rng)) for _ in range(60)]
+        morphisms = [p22_morphism()] + seeded_torsion_morphisms(47, 20)
+        not_tame = next(f for f in homs if not abelian.is_tame_hom(f))
+        a1 = from_classical(Z, [Cone.from_generators([(1,)], 1)])
+        double = GroupHom(Z, Z, IntMatrix([[2]]))
+
+        def banned(*args, **kwargs):
+            raise AssertionError("a quotient was presented")
+
+        for name in ("present_quotient", "hom_kernel_cokernel"):
+            monkeypatch.setattr(abelian, name, banned)
+            monkeypatch.setattr(fans_module, name, banned, raising=False)
+        for f in homs:
+            abelian.is_tame_hom(f)
+            abelian.is_surjective(f)
+        inflate(a1, double)
+        contract(a1, double)
+        for f in morphisms:
+            is_representable(f)
+        with pytest.raises(NotTame):
+            abelian.dd_of_hom(not_tame)
+        monkeypatch.setattr(abelian, "present_quotient", present_quotient)
+        dd = abelian.dd_of_hom(double)
+        assert dd.cokernel == FgaGroup(0, (2,)) and dd.kernel.generators() == []
+

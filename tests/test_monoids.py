@@ -12,6 +12,8 @@ from kmfan.cones import Cone, _lattice_complement
 from kmfan.errors import NotAFace, NotSharp
 from kmfan.intlinalg import (
     IntMatrix,
+    LinearSystem,
+    is_saturated,
     saturate,
     smith_decomposition,
     solve_integer,
@@ -221,6 +223,44 @@ class TestFreeness:
     def test_not_sharp_rejected(self):
         with pytest.raises(NotSharp):
             is_free_monoid(AffineMonoid(Cone.full(1)))
+
+    def test_matches_the_hilbert_basis_test(self):
+        cones = seeded_sharp_cones(5151, 1000)
+        verdicts = []
+        for cone in cones:
+            free = is_free_monoid(AffineMonoid(cone))
+            assert free == is_free_by_hilbert_basis(AffineMonoid(cone)), cone
+            verdicts.append(free)
+        assert verdicts.count(True) >= 300 and verdicts.count(False) >= 300
+
+
+def is_free_by_hilbert_basis(monoid):
+    """Freeness read off the Hilbert basis: as many elements as the rank of
+    the group, forming a basis of it.  The library's former body, kept as
+    the oracle of is_free_monoid."""
+    hb = monoid.hilbert_basis()
+    t = monoid.gp_rank()
+    if len(hb) != t:
+        return False
+    if t == 0:
+        return True
+    in_gp = LinearSystem(monoid.gp_basis())
+    cols = [in_gp.integer(v) for v in hb]
+    return None not in cols and is_saturated(IntMatrix._from_columns(cols, t))
+
+
+def seeded_sharp_cones(seed, count):
+    """Sharp cones in Z^1 .. Z^4 on one to n + 1 generators with entries in
+    [-3, 3]: nearly all simplicial, about a third of them not free."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(1, 4)
+        gens = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(1, n + 1))]
+        cone = Cone.from_generators(gens, n)
+        if cone.is_sharp():
+            out.append(cone)
+    return out
 
 
 def rational_parallelepiped_points(simplex, ambient):
