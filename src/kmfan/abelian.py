@@ -530,6 +530,10 @@ def dd_of_hom(f: GroupHom) -> DerivedDual:
 
     of free groups is quasi-isomorphic to [N -> N'], so D(f) is the middle
     cohomology of its Z-dual: ker((R,-G)^T) / im((F | R')^T).
+
+    E(N') is Z^{k'} / (d_i e_i) for the target's invariants d_1 | ... | d_k',
+    which is already its normal form, ext_group(N'): the witness into it
+    reduces the last k' coordinates mod d_i, with no presentation.
     """
     ker_sub, cok = kernel_subgroup(f), _cokernel_group(f)
     if not (cok.is_finite() and ker_sub.is_lattice()):
@@ -610,9 +614,8 @@ def dd_of_hom(f: GroupHom) -> DerivedDual:
     from_source_dual = GroupHom(src_dual, dgroup, IntMatrix._from_columns(cols, dgroup.ncoords))
 
     # --- witness: D(f) -> E(N') ---------------------------------------------
-    etgt_pres = present_quotient(kp, r_tgt.transpose())
-    etgt = etgt_pres.group                                    # = ext_group(tgt)
-    cols = [etgt_pres.to_normal(kb.apply(col)[a:]) for col in pres.section.columns()]
+    etgt = ext_group(tgt)
+    cols = [etgt.reduce(kb.apply(col)[a:]) for col in pres.section.columns()]
     to_ext_target = GroupHom(dgroup, etgt, IntMatrix._from_columns(cols, etgt.ncoords))
 
     return DerivedDual(

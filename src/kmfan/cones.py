@@ -21,6 +21,7 @@ import itertools
 from math import prod
 from typing import Iterable, List, Optional, Sequence, Tuple
 
+from .abelian import present_quotient
 from .errors import DimensionMismatch, KmFanError, PieceOutsideTarget
 from .intlinalg import (
     IntMatrix,
@@ -36,7 +37,6 @@ from .intlinalg import (
     primitive_vector,
     rank as matrix_rank,
     saturate,
-    smith_decomposition,
 )
 
 
@@ -485,31 +485,22 @@ def _reduce_mod_lattice(vectors: Sequence[Vec], lattice: Sequence[Vec], ambient:
     return sorted(_dedupe(out))
 
 
-def _lattice_complement(lattice: Sequence[Vec], ambient: int) -> Tuple[IntMatrix, IntMatrix]:
-    """A canonical complement of a saturated lattice in Z^ambient.
-
-    Returns (comp, coords): the columns of comp span the complement, and
-    coords maps (lattice part) + comp b to b.  The lattice is saturated, so
-    U lattice V = [I; 0] and U^{-1} = [lattice V | comp]: comp is U^{-1} and
-    coords is U past the rank.
-    """
-    s = smith_decomposition(IntMatrix._from_columns(lattice, ambient), transforms=("u", "u_inv"))
-    rest = range(s.rank(), ambient)
-    return s.u_inv.select_columns(rest), s.u.select_rows(rest)
-
-
 def _complement_projector(lineality: Sequence[Vec], ambient: int):
     """Project onto a canonical complement of the (saturated) lineality lattice.
 
     Returns a function mapping an integer vector to the primitive generator of
     its class modulo the lineality, embedded back via the complement basis.
+    The lineality L is saturated, so Z^ambient / L is free: its presentation's
+    projection reads the coordinates of a class, and its section spans the
+    complement: U L V = [I; 0], and past the rank the section is the columns
+    of U^{-1} and the projection the rows of U.
     """
     if not lineality:
         return primitive_vector
-    comp, coords = _lattice_complement(lineality, ambient)
+    pres = present_quotient(ambient, IntMatrix._from_columns(lineality, ambient))
 
     def project(v: Vec) -> Vec:
-        return comp.apply(primitive_vector(coords.apply(v)))
+        return pres.section.apply(primitive_vector(pres.proj.apply(v)))
 
     return project
 

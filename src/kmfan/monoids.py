@@ -8,19 +8,22 @@ enumerates the fundamental parallelepiped of each simplicial piece.
 
 from __future__ import annotations
 
+import itertools
 import threading
+from math import prod
 from typing import List, Sequence, Tuple
 
-from .abelian import FgaGroup, GroupHom, kernel_subgroup
-from .cones import Cone, _lattice_complement, _preimage_rays
+from .abelian import FgaGroup, GroupHom, kernel_subgroup, present_quotient
+from .cones import Cone, _preimage_rays
 from .errors import KmFanError, NotAFace, NotSharp
 from .intlinalg import (
     IntMatrix,
-    LinearSystem,
     Vec,
+    _back_substitute,
+    _dot,
+    _row_echelon,
+    _transposed,
     is_saturated,
-    saturate,
-    smith_decomposition,
 )
 
 
@@ -70,19 +73,17 @@ class AffineMonoid:
                 object.__setattr__(self, "_hilbert", self._compute_hilbert())
         return list(self._hilbert)
 
-    def generators(self) -> List[Vec]:
-        return self.hilbert_basis()
-
     def _compute_hilbert(self) -> Tuple[Vec, ...]:
         cone = self.cone
         units = list(cone.lineality)
         if not cone.rays:
             sharp_part: List[Vec] = []
         elif units:
-            # coordinates on a canonical complement of the unit lattice
-            comp, coords = _lattice_complement(units, cone.ambient_rank)
-            image = Cone.from_generators([coords.apply(r) for r in cone.rays], coords.rows)
-            sharp_part = [comp.apply(v) for v in _sharp_hilbert_basis(image)]
+            # coordinates on a canonical complement of the unit lattice: the
+            # quotient by it is free, and its section spans the complement
+            pres = present_quotient(cone.ambient_rank, IntMatrix._from_columns(units, cone.ambient_rank))
+            image = Cone.from_generators([pres.proj.apply(r) for r in cone.rays], pres.proj.rows)
+            sharp_part = [pres.section.apply(v) for v in _sharp_hilbert_basis(image)]
         else:
             sharp_part = _sharp_hilbert_basis(cone)
         out = sorted(sharp_part)
@@ -102,32 +103,33 @@ class AffineMonoid:
 
 
 def _sharp_hilbert_basis(cone: Cone) -> List[Vec]:
-    """Hilbert basis of a sharp cone's monoid of lattice points."""
+    """Hilbert basis of a sharp cone's monoid of lattice points.
+
+    The candidates (the rays and the parallelepiped points of a
+    triangulation) hold every irreducible element.  The sum of the facets is
+    a grading, positive on the cone minus 0: on a sharp cone only 0 lies on
+    every facet.  Taken in order of grade, a candidate v is kept unless
+    v - h lies in the cone for a kept h; an irreducible v is never so split,
+    and a reducible one is the sum of irreducibles of smaller grade, kept
+    before it.  So the kept set is the Hilbert basis whatever the grading.
+    """
     if not cone.rays:
         return []
     candidates = set(cone.rays)
     for simplex in _pulling_triangulation(cone):
         candidates.update(_parallelepiped_points(simplex, cone.ambient_rank))
     candidates.discard((0,) * cone.ambient_rank)
-    # strictly positive grading: sum of the dual cone's extremal rays
-    dual = cone.dual()
-    weight = tuple(sum(r[i] for r in dual.rays) for i in range(cone.ambient_rank))
-
-    def grade(v: Vec) -> int:
-        return sum(w * x for w, x in zip(weight, v))
-
-    ordered = sorted(candidates, key=lambda v: (grade(v), v))
-    kept: List[Vec] = []
-    for v in ordered:
-        reducible = False
-        for h in kept:
-            diff = tuple(a - b for a, b in zip(v, h))
-            if any(diff) and cone.contains_point(diff):
-                reducible = True
-                break
-        if not reducible:
-            kept.append(v)
-    return kept
+    weight = tuple(map(sum, zip(*cone.facets)))
+    graded = sorted((_dot(weight, v), v) for v in candidates)
+    kept: List[Tuple[int, Vec]] = []
+    for g, v in graded:
+        # a reducible v is a sum of k >= 2 irreducibles, one of them of grade
+        # at most g / k <= g / 2, so only the kept h of such grades are tried
+        # (kept is in order of grade); h != v, so v - h is never 0
+        halves = itertools.takewhile(lambda gh: 2 * gh[0] <= g, kept)
+        if not any(cone.contains_point(tuple(a - b for a, b in zip(v, h))) for _, h in halves):
+            kept.append((g, v))
+    return [v for _, v in kept]
 
 
 def _pulling_triangulation(cone: Cone) -> List[Tuple[Vec, ...]]:
@@ -148,36 +150,26 @@ def _pulling_triangulation(cone: Cone) -> List[Tuple[Vec, ...]]:
 def _parallelepiped_points(simplex: Sequence[Vec], ambient: int) -> List[Vec]:
     """Lattice points in the half-open parallelepiped of independent vectors.
 
-    In span coordinates the vectors are the columns of a nonsingular vs,
-    U vs V = D.  Each class z = U^{-1} rep (rep in the box of D) of
-    Z^d / vs Z^d meets the parallelepiped in vs frac(vs^{-1} z), computed in
-    integers: w = delta vs^{-1} z = V (delta D^{-1} rep) is integral for
-    delta the largest invariant factor, and the point is vs (w mod delta) / delta.
+    Let V be the ambient x d matrix of the vectors and T V = [E; 0] its row
+    echelon form: T is unimodular and E is d x d upper triangular with
+    positive diagonal.  The integer points of Span(V) are the x with
+    T x = [y; 0] for y in Z^d, and x = V l exactly when y = E l.  So the
+    points of the parallelepiped are V frac(E^{-1} y), one for each class
+    of Z^d / E Z^d, and the box 0 <= y_i < E_ii meets each class once.  In
+    integers: for delta = det E, w = delta E^{-1} y = adj(E) y is integral,
+    and the point is V (w mod delta) / delta.
     """
+    echelon, _ = _row_echelon(_transposed(simplex, ambient))
+    diag = [row[i] for i, row in enumerate(echelon)]
+    delta = prod(diag)
     vmat = IntMatrix._from_columns(simplex, ambient)
-    span = saturate(vmat)
-    d = span.cols
-    # simplex vectors in span coordinates: a d x d nonsingular matrix
-    in_span = LinearSystem(span)
-    vcols = []
-    for col in vmat.columns():
-        sol = in_span.integer(col)
-        if sol is None:
-            raise KmFanError("internal: ray not in its own span lattice")
-        vcols.append(sol)
-    vs = IntMatrix._from_columns(vcols, d)
-    s = smith_decomposition(vs, transforms=("v",))
-    diag = s.diagonal()
-    delta = diag[-1]
-    reps = [()]
-    for di in diag:
-        reps = [r + (t * (delta // di),) for r in reps for t in range(di)]
     points = []
-    for rep in reps:
-        scaled = vs.apply([x % delta for x in s.v.apply(rep)])
+    for y in itertools.product(*map(range, diag)):
+        w = _back_substitute(echelon, [delta * x for x in y], exact=True)
+        scaled = vmat.apply([x % delta for x in w])
         if any(x % delta for x in scaled):
             raise KmFanError("internal: parallelepiped point is not integral")
-        points.append(span.apply([x // delta for x in scaled]))
+        points.append(tuple(x // delta for x in scaled))
     return points
 
 
@@ -196,15 +188,14 @@ def dual_monoid(sigma: Cone, lattice_rank: int) -> AffineMonoid:
 def face_of_monoid(monoid: AffineMonoid, tau: Cone) -> AffineMonoid:
     """The face of the monoid consisting of elements vanishing on tau.
 
-    tau must be a face of the primal cone (the dual of the monoid's cone).
+    tau must be a face of the primal cone sigma (the dual of the monoid's
+    cone).  Each generator of tau lies in sigma, so it is a valid inequality
+    on sigma^v that vanishes on its lineality sigma^perp: the face
+    sigma^v cap tau^perp is the one they cut out, by incidence with the rays.
     """
-    primal = monoid.cone.dual()
-    if not tau.is_face_of(primal):
+    if not tau.is_face_of(monoid.cone.dual()):
         raise NotAFace("tau is not a face of the primal cone")
-    ortho = Cone.from_halfspaces(
-        [], list(tau.rays) + list(tau.lineality), monoid.ambient_lattice_rank
-    )
-    return AffineMonoid(monoid.cone.intersect(ortho))
+    return AffineMonoid(monoid.cone._face(tau.generators()))
 
 
 def kernel_submonoid(monoid: AffineMonoid, a: GroupHom) -> List[Vec]:

@@ -81,6 +81,26 @@ def test_info_on_a_deep_singular_cone_is_fast(workdir, capsys):
     assert elapsed < 1.0
 
 
+def test_local_on_a_deep_singular_cone_is_fast(workdir, capsys):
+    """sing.json with the rays (1, 0) and (1, 2) moved to (0, 1) and
+    (10001, -1): the maximal cone's dual has the rays (1, 0) and
+    (1, 10001), and its Hilbert basis is the 10002 points (1, k).  They all
+    have one grade, so the reduction tries no pair."""
+    with open("sing.json", "r", encoding="utf-8") as fh:
+        text = fh.read()
+    assert text.count("[[1,0]]") == 2 and text.count("[[1,2]]") == 2
+    text = text.replace("[[1,0]]", "[[0,1]]").replace("[[1,2]]", "[[10001,-1]]")
+    with open("deep.json", "w", encoding="utf-8") as fh:
+        fh.write(text.replace("[[1,0],[1,2]]", "[[0,1],[10001,-1]]"))
+    start = time.perf_counter()
+    code = run(["local", "--fan", "deep.json", "--cone", "3"])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    generators = json.loads(capsys.readouterr().out)["monoid_generators"]
+    assert len(generators) == 10002
+    assert elapsed < 1.0
+
+
 def test_run_builds_no_parser(workdir, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a parser was built")

@@ -1,9 +1,14 @@
 """The library has zero runtime dependencies: it imports only the standard
-library and itself."""
+library and itself.  Inside it, the integer core's heavier tools stay
+behind a few module boundaries."""
 
 import ast
 import pathlib
 import sys
+
+from kmfan import monoids
+from kmfan.cones import Cone
+from kmfan.monoids import AffineMonoid, dual_monoid, face_of_monoid
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "kmfan"
 
@@ -33,3 +38,46 @@ def test_the_check_sees_a_foreign_import(tmp_path):
     module = tmp_path / "m.py"
     module.write_text("import os\nfrom numpy import array\nfrom . import cones\n")
     assert list(absolute_imports(module)) == ["os", "numpy"]
+
+
+def named_modules(name):
+    """The library modules whose source names the given identifier."""
+    return {
+        path.stem
+        for path in SRC.rglob("*.py")
+        if any(isinstance(node, ast.Name) and node.id == name or isinstance(node, ast.alias) and node.name == name
+               for node in ast.walk(ast.parse(path.read_text(), filename=str(path))))
+    }
+
+
+class TestModuleBoundaries:
+    def test_only_the_integer_core_and_groups_name_smith(self):
+        assert named_modules("smith_decomposition") == {"intlinalg", "abelian"}
+
+    def test_monoids_solve_and_saturate_nothing(self):
+        assert "monoids" not in named_modules("saturate") | named_modules("LinearSystem")
+        assert not hasattr(monoids, "saturate") and not hasattr(monoids, "LinearSystem")
+
+    def test_monoid_faces_run_no_double_description(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a face ran a double description")
+
+        sigma = Cone.from_generators([(1, 0, 0), (0, 1, 0), (1, 1, 2), (0, 0, 1), (0, 0, -1)], 3)
+        assert not sigma.is_sharp()
+        monoid = dual_monoid(sigma, 3)
+        monkeypatch.setattr(Cone, "intersect", refuse)
+        monkeypatch.setattr(Cone, "from_halfspaces", staticmethod(refuse))
+        faces = {tau: face_of_monoid(monoid, tau) for tau in sigma.faces()}
+        monkeypatch.undo()
+        for tau, face in faces.items():
+            ortho = Cone.from_halfspaces([], tau.generators(), 3)
+            assert face == AffineMonoid(monoid.cone.intersect(ortho))
+
+    def test_hilbert_bases_build_no_dual_cone(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Hilbert basis built a dual cone")
+
+        monkeypatch.setattr(Cone, "dual", refuse)
+        square = Cone.from_generators([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)], 3)
+        assert sorted(monoids._sharp_hilbert_basis(square)) == [(-1, 0, 1), (0, -1, 1), (0, 0, 1), (0, 1, 1), (1, 0, 1)]
+        assert len(AffineMonoid(Cone.from_generators([(1, 3), (1, 0), (0, -1), (0, 1)], 2)).hilbert_basis()) == 3

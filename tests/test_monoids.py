@@ -7,8 +7,8 @@ from math import floor
 
 import pytest
 
-from kmfan.abelian import FgaGroup, GroupHom
-from kmfan.cones import Cone, _lattice_complement
+from kmfan.abelian import FgaGroup, GroupHom, present_quotient
+from kmfan.cones import Cone
 from kmfan.errors import NotAFace, NotSharp
 from kmfan.intlinalg import (
     IntMatrix,
@@ -21,6 +21,7 @@ from kmfan.intlinalg import (
 from kmfan.monoids import (
     AffineMonoid,
     _parallelepiped_points,
+    _pulling_triangulation,
     dual_monoid,
     face_of_monoid,
     is_free_monoid,
@@ -297,9 +298,13 @@ def seeded_saturated_lattices(seed, count):
 
 class TestIntegerSplitting:
     def test_complement_coordinates_kill_the_lattice(self):
-        """coords L = 0 and coords comp = I, with L | comp unimodular."""
+        """For a saturated L, the quotient's projection and section are
+        complement coordinates: coords L = 0 and coords comp = I, with
+        L | comp unimodular."""
         for lattice, n in seeded_saturated_lattices(3131, 200):
-            comp, coords = _lattice_complement(list(lattice.columns()), n)
+            pres = present_quotient(n, lattice)
+            assert pres.group == FgaGroup(n - lattice.cols)
+            comp, coords = pres.section, pres.proj
             assert comp.rows == n and lattice.cols + comp.cols == n
             assert coords @ lattice == IntMatrix.zero(comp.cols, lattice.cols)
             assert coords @ comp == IntMatrix.identity(comp.cols)
@@ -319,7 +324,127 @@ class TestIntegerSplitting:
             want = rational_parallelepiped_points(simplex, n)
             if len(want) > 400:
                 continue
-            assert _parallelepiped_points(simplex, n) == want, simplex
+            assert sorted(_parallelepiped_points(simplex, n)) == sorted(want), simplex
             checked += 1
             nontrivial += len(want) > 1
         assert nontrivial >= 50
+
+
+def seeded_cones(seed, count):
+    """Cones in Z^1 .. Z^4 on zero to n + 2 generators with entries in
+    [-3, 3], about a quarter with a line added: sharp and not,
+    full-dimensional and lower-dimensional."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, 4)
+        gens = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(0, n + 2))]
+        if rng.random() < 0.25:
+            line = tuple(rng.randint(-2, 2) for _ in range(n))
+            gens += [line, tuple(-x for x in line)]
+        out.append(Cone.from_generators(gens, n))
+    return out
+
+
+def lattice_complement_by_smith(lattice, ambient):
+    """(comp, coords) for a saturated lattice, from U L V = [I; 0]: comp is
+    U^{-1} and coords is U past the rank.  The library's former
+    cones._lattice_complement, kept as an oracle."""
+    s = smith_decomposition(IntMatrix.from_columns(lattice, rows=ambient), transforms=("u", "u_inv"))
+    rest = range(s.rank(), ambient)
+    return s.u_inv.select_columns(rest), s.u.select_rows(rest)
+
+
+def parallelepiped_points_by_smith(simplex, ambient):
+    """The parallelepiped's lattice points from a saturation, the simplex in
+    span coordinates and its Smith form: the library's former body."""
+    vmat = IntMatrix.from_columns(simplex, rows=ambient)
+    span = saturate(vmat)
+    d = span.cols
+    in_span = LinearSystem(span)
+    vs = IntMatrix.from_columns([in_span.integer(col) for col in vmat.columns()], rows=d)
+    s = smith_decomposition(vs, transforms=("v",))
+    diag = s.diagonal()
+    delta = diag[-1]
+    reps = [()]
+    for di in diag:
+        reps = [r + (t * (delta // di),) for r in reps for t in range(di)]
+    points = []
+    for rep in reps:
+        scaled = vs.apply([x % delta for x in s.v.apply(rep)])
+        assert not any(x % delta for x in scaled)
+        points.append(span.apply([x // delta for x in scaled]))
+    return points
+
+
+def sharp_hilbert_basis_by_dual_grading(cone):
+    """The former reduction: graded by the sum of the dual cone's rays, each
+    candidate tried against every kept element."""
+    if not cone.rays:
+        return []
+    candidates = set(cone.rays)
+    for simplex in _pulling_triangulation(cone):
+        candidates.update(parallelepiped_points_by_smith(simplex, cone.ambient_rank))
+    candidates.discard((0,) * cone.ambient_rank)
+    dual = cone.dual()
+    weight = tuple(sum(r[i] for r in dual.rays) for i in range(cone.ambient_rank))
+
+    def grade(v):
+        return sum(w * x for w, x in zip(weight, v))
+
+    kept = []
+    for v in sorted(candidates, key=lambda v: (grade(v), v)):
+        if not any(
+            any(a - b for a, b in zip(v, h)) and cone.contains_point(tuple(a - b for a, b in zip(v, h)))
+            for h in kept
+        ):
+            kept.append(v)
+    return kept
+
+
+def hilbert_basis_by_smith(cone):
+    """AffineMonoid.hilbert_basis as the library computed it before it read
+    the echelon form, the facets and the quotient presentation."""
+    units = list(cone.lineality)
+    if not cone.rays:
+        sharp = []
+    elif units:
+        comp, coords = lattice_complement_by_smith(units, cone.ambient_rank)
+        image = Cone.from_generators([coords.apply(r) for r in cone.rays], coords.rows)
+        sharp = [comp.apply(v) for v in sharp_hilbert_basis_by_dual_grading(image)]
+    else:
+        sharp = sharp_hilbert_basis_by_dual_grading(cone)
+    out = sorted(sharp)
+    for u in units:
+        out += [u, tuple(-x for x in u)]
+    return out
+
+
+def face_of_monoid_by_intersection(monoid, tau):
+    """The face as the intersection of the monoid's cone with tau^perp,
+    by two double descriptions: the library's former body."""
+    ortho = Cone.from_halfspaces([], list(tau.rays) + list(tau.lineality), monoid.ambient_lattice_rank)
+    return AffineMonoid(monoid.cone.intersect(ortho))
+
+
+class TestAgainstTheFormerBodies:
+    def test_hilbert_bases_match(self):
+        cones = seeded_cones(6161, 700)
+        for cone in cones:
+            assert AffineMonoid(cone).hilbert_basis() == hilbert_basis_by_smith(cone), cone
+        assert sum(not c.is_sharp() for c in cones) >= 100
+        assert sum(c.dim() < c.ambient_rank for c in cones) >= 100
+        assert sum(len(hilbert_basis_by_smith(c)) > len(c.rays) + 2 * len(c.lineality) for c in cones) >= 100
+
+    def test_faces_match(self):
+        pairs = non_sharp = 0
+        for primal in seeded_cones(7171, 500):
+            monoid = dual_monoid(primal, primal.ambient_rank)
+            for tau in primal.faces():
+                face = face_of_monoid(monoid, tau)
+                want = face_of_monoid_by_intersection(monoid, tau)
+                assert face == want, (primal, tau)
+                assert face.cone.rays == want.cone.rays and face.cone.lineality == want.cone.lineality
+                pairs += 1
+                non_sharp += not primal.is_sharp()
+        assert pairs >= 2000 and non_sharp >= 50
