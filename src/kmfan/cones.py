@@ -344,8 +344,21 @@ class Cone:
         return list(self._faces)
 
     def facet_cones(self) -> List["Cone"]:
-        d = self.dim()
-        return [f for f in self.faces() if f.dim() == d - 1]
+        """The faces of codimension one, sorted by rays, as in faces().
+
+        A simplicial cone's facets are the cones on its rays minus one,
+        which the combinations of its sorted rays list in order, with no
+        H-description.  Any other cone has one facet per facet inequality,
+        cut out by _face: distinct canonical inequalities of a cone cut out
+        distinct facets.
+        """
+        if self.is_simplicial():
+            k = len(self.rays)
+            return [
+                Cone(self.ambient_rank, sub, (), _dim=k - 1)
+                for sub in itertools.combinations(self.rays, k - 1)
+            ] if k else []
+        return sorted((self._face([h]) for h in self.facets), key=lambda c: c.rays)
 
     def intersect(self, other: "Cone") -> "Cone":
         if self.ambient_rank != other.ambient_rank:

@@ -46,7 +46,7 @@ from .intlinalg import (
     IntMatrix,
     LinearSystem,
     Vec,
-    _dot,
+    _determinant,
     hermite_column_basis,
     is_saturated,
     primitive_vector,
@@ -140,9 +140,14 @@ class KmFan:
     The constructor validates and raises InvalidFan.  Constructions that
     start from a valid fan build theirs with KmFan._make: the same canonical
     sort, no validation.
+
+    The face index, filled on first use, holds the maximal cones and, once
+    validate has run the cone phase, its verdict: (maximal, violations or
+    None).  Like the caches of a Cone it is idempotent, so it is written
+    without a lock: a racing writer stores the same cones and verdict.
     """
 
-    __slots__ = ("group", "cones", "data")
+    __slots__ = ("group", "cones", "data", "_index")
 
     def __init__(self, group: FgaGroup, cones: Iterable[Cone], data: Dict[Cone, LatticeDatum]):
         _fill(self, group, cones, data)
@@ -163,8 +168,15 @@ class KmFan:
 
         Two phases, the second only when the first finds nothing: the cone
         set (_cone_violations), then the lattice data and their compatibility.
+        The cone phase runs once per fan: its verdict is kept in the face
+        index.
         """
-        return _cone_violations(self.group.free_rank, self.cones) or self._datum_violations()
+        maximal = self.maximal_cones()
+        problems = self._index[1]
+        if problems is None:
+            problems = tuple(_cone_violations(self.group.free_rank, self.cones, maximal))
+            object.__setattr__(self, "_index", (self._index[0], problems))
+        return list(problems) or self._datum_violations()
 
     def _datum_violations(self) -> List[dict]:
         """The data phase of validate, run on a valid cone set.
@@ -189,8 +201,21 @@ class KmFan:
         through cones of the fan, which is closed under faces.  Only when a
         covering pair fails does the loop over all pairs run, which writes
         the report.
+
+        Classical data are read per cone.  On a lattice N a datum stores the
+        Hermite basis of itself as its preimage, and c.span_lattice_basis()
+        is the Hermite basis of Span(c) cap N; Hermite bases are canonical,
+        so the two are equal exactly when F_c = Span(c) cap N.  Such a datum
+        is valid: it is torsion-free, as N is, of rank dim c, in the span;
+        so LatticeDatum.violations is skipped.  For a covering pair with
+        classical F_sigma, Span(tau) cap F_sigma = Span(tau) cap Span(sigma)
+        cap N = Span(tau) cap N, as Span(tau) lies in Span(sigma): the pair
+        holds exactly when F_tau is classical too.  Every other pair keeps
+        _saturated_in.
         """
         out: List[dict] = []
+        lattice = self.group.is_lattice()
+        classical = set()
         for c in self.cones:
             datum = self.data.get(c)
             if datum is None:
@@ -199,16 +224,19 @@ class KmFan:
             if datum.ambient != self.group:
                 out.append({"kind": "wrong-datum-group", "detail": f"datum for {c!r} lives in the wrong group"})
                 continue
+            if lattice and datum.subgroup.preimage == c.span_lattice_basis():
+                classical.add(c)
+                continue
             for v in datum.violations(c):
                 out.append({"kind": "invalid-datum", "detail": f"{c!r}: {v}"})
         if out:
             return out
         data = self.data
         if all(
-            _saturated_in(data[sigma], data[tau])
+            (tau in classical) if sigma in classical else _saturated_in(data[sigma], data[tau])
             for sigma in self.cones
-            for tau in sigma.faces()[1:-1]
-            if tau.dim() == sigma.dim() - 1
+            if sigma.dim() > 1
+            for tau in sigma.facet_cones()
         ):
             return out
         for sigma in self.cones:
@@ -234,7 +262,11 @@ class KmFan:
         return [c for c in self.cones if c.dim() == 1]
 
     def maximal_cones(self) -> List[Cone]:
-        return _maximal_cones(self.cones)
+        """The cones that are no facet of another (_maximal_cones), kept in
+        the face index."""
+        if self._index is None:
+            object.__setattr__(self, "_index", (tuple(_maximal_cones(self.cones)), None))
+        return list(self._index[0])
 
     def __eq__(self, other):
         return (
@@ -259,14 +291,20 @@ def _fill(fan: KmFan, group: FgaGroup, cones: Iterable[Cone], data: Dict[Cone, L
     object.__setattr__(fan, "group", group)
     object.__setattr__(fan, "cones", _canonical(cones))
     object.__setattr__(fan, "data", dict(data))
+    object.__setattr__(fan, "_index", None)
     return fan
 
 
-def _cone_violations(r: int, cones: Sequence[Cone]) -> List[dict]:
-    """The cone-set phase of validation, over cones in canonical order.
+def _cone_violations(r: int, cones: Sequence[Cone], maximal: Sequence[Cone]) -> List[dict]:
+    """The cone-set phase of validation, over cones in canonical order,
+    given the cones that are no facet of another (_maximal_cones).
 
     Each step runs only when the earlier ones found nothing: the ambient
-    rank; sharpness and closure under faces; the pairwise check.  Before
+    rank; sharpness and closure under faces; the pairwise check.  Closure
+    is checked on facets: when every facet of every cone is in the set,
+    so is every face, as a face of a cone ends a chain of facets from it
+    (the face lattice is graded: Ziegler, Lectures on Polytopes, Ch. 2);
+    so a missing-face entry names a missing facet.  Before
     the pairwise check, a complete simplicial fan is certified valid
     without it (_certified_complete_simplicial, which carries the proof);
     when the certificate cannot decide, the pairwise check runs.  The
@@ -286,7 +324,8 @@ def _cone_violations(r: int, cones: Sequence[Cone]) -> List[dict]:
     common face iff a' and b' do, and the pair (a, b) is replaced by
     (a', b'), which loses at least one dimension.  The descent stops when
     one of the two is a face of the other, which is then their meet, or
-    when no facet separates them.  Only then, as in dimension 3 and up a
+    when no facet separates them; the face set of a cone is built when a
+    pair first reaches it.  Only then, as in dimension 3 and up a
     separating hyperplane need not be a facet of either cone, one double
     description intersects the pair and the meet is tested directly.
     """
@@ -302,19 +341,23 @@ def _cone_violations(r: int, cones: Sequence[Cone]) -> List[dict]:
         if not c.is_sharp():
             out.append({"kind": "non-sharp-cone", "detail": f"cone {c!r} contains a line"})
     for c in cones:
-        for f in c.faces():
+        for f in c.facet_cones():
             if f not in cone_set:
                 out.append({"kind": "missing-face", "detail": f"face {f!r} of {c!r} is not in the fan"})
     if out:
         return out
-    maximal = _maximal_cones(cones)
     if _certified_complete_simplicial(r, maximal):
         return out
     instances = {c: c for c in cones}
-    faces = {c: set(c.faces()) for c in cones}
+    faces: Dict[Cone, set] = {}
+
+    def face_set(c: Cone) -> set:
+        if c not in faces:
+            faces[c] = set(c.faces())
+        return faces[c]
 
     def meet_in_common_face(a: Cone, b: Cone) -> bool:
-        while a not in faces[b] and b not in faces[a]:
+        while a not in face_set(b) and b not in face_set(a):
             h = _separating_facet(a, b)
             if h is None:
                 meet = a.intersect(b)
@@ -338,15 +381,27 @@ def _certified_complete_simplicial(r: int, maximal: Sequence[Cone]) -> bool:
     and simplicial); False means "cannot decide", never "invalid".
 
     The certificate applies when r >= 2 and every maximal cone is simplicial
-    with r rays.  It checks, with dot products and cached facets only:
+    with r rays.  It checks, with r x r integer determinants only and no
+    H-description:
       (a) every facet, keyed by its r - 1 rays, lies in exactly two maximal
           cones;
       (b) the apex rays of those two cones lie strictly on opposite sides
-          of it, read off the first cone's facet normal;
+          of it;
       (c) the point p, the sum of the rays of the first maximal cone, lies
           in exactly one maximal cone.
     This is the pseudo-manifold characterization of triangulations (De
     Loera, Rambau and Santos, Triangulations, Ch. 4), for cones.
+
+    The determinants.  Let F be the facet's rays, in key order, and
+    det(F, x) the determinant with rows F and x.  It is linear in x and
+    vanishes on Span(F), a hyperplane, as F is independent; it is nonzero
+    on the apex a of a cone with facet F, as that cone is simplicial of
+    dimension r.  So det(F, .) is a nonzero multiple of the facet normal
+    opposite a, and (b) reads det(F, a) det(F, b) < 0 for the apexes a, b
+    of the two cones.  For (c), a simplicial cone with ray rows R_1..R_r
+    holds p exactly when p = sum l_i R_i with every l_i >= 0, and by
+    Cramer's rule l_i = det(R with row i replaced by p) / det(R): so
+    exactly when det(R) det(R with row i replaced by p) >= 0 for every i.
 
     Proof.  Call a point generic when it lies on no facet, and let c(x)
     count the maximal cones holding x.  Crossing a facet hyperplane at a
@@ -376,24 +431,35 @@ def _certified_complete_simplicial(r: int, maximal: Sequence[Cone]) -> bool:
     """
     if r < 2 or any(len(c.rays) != r or c.dim() != r for c in maximal):
         return False
-    sides: Dict[Tuple[Vec, ...], List[Tuple[Cone, Vec]]] = {}
+    sides: Dict[Tuple[Vec, ...], List[Vec]] = {}
     for c in maximal:
         for i, apex in enumerate(c.rays):
-            sides.setdefault(c.rays[:i] + c.rays[i + 1:], []).append((c, apex))
-    for pair in sides.values():
-        if len(pair) != 2:
+            sides.setdefault(c.rays[:i] + c.rays[i + 1:], []).append(apex)
+    for facet, apexes in sides.items():
+        if len(apexes) != 2:
             return False
-        (a, apex_a), (_, apex_b) = pair
-        normal = next(h for h in a.facets if _dot(h, apex_a) > 0)
-        if _dot(normal, apex_b) >= 0:
+        if _determinant(facet + (apexes[0],)) * _determinant(facet + (apexes[1],)) >= 0:
             return False
     p = maximal[0].relative_interior_point()
-    return sum(c.contains_point(p) for c in maximal) == 1
+
+    def holds_p(rays: Tuple[Vec, ...]) -> bool:
+        d = _determinant(rays)
+        return all(d * _determinant(rays[:i] + (p,) + rays[i + 1:]) >= 0 for i in range(r))
+
+    return sum(holds_p(c.rays) for c in maximal) == 1
 
 
 def _maximal_cones(cones: Sequence[Cone]) -> List[Cone]:
-    """The cones that are no proper face of another, in the given order."""
-    proper = {f for c in cones for f in c.faces() if f != c}
+    """The cones that are no facet of another, in the given order.
+
+    When the cones are closed under faces these are the maximal cones, the
+    cones that are no proper face of another.  A facet is a proper face;
+    and a proper face tau of a cone sigma in the set ends a chain of facets
+    from sigma, as the face lattice of sigma is graded (Ziegler, Lectures
+    on Polytopes, Ch. 2), whose members are faces of sigma and so in the
+    set: tau is a facet of the last of them before it.
+    """
+    proper = {f for c in cones for f in c.facet_cones()}
     return [c for c in cones if c not in proper]
 
 
@@ -529,16 +595,21 @@ def from_classical(group: FgaGroup, cones: Iterable[Cone]) -> KmFan:
     """A classical fan as a KM fan: lattice data N_sigma = Span(sigma) cap N.
 
     Only the cone set of the face closure is validated: the data
-    Span(sigma) cap N are valid and compatible by construction.
+    Span(sigma) cap N are valid and compatible by construction.  The fan
+    keeps the verdict and the maximal cones in its face index, so a later
+    validate() runs only the data phase.
     """
     if not group.is_lattice():
         raise TorsionAmbient("a classical fan needs a torsion-free group")
     closure = _canonical(face for c in cones for face in c.faces()) or (Cone.zero(group.free_rank),)
     data = _saturated_data(group, closure)
-    problems = _cone_violations(group.free_rank, closure)
+    maximal = tuple(_maximal_cones(closure))
+    problems = _cone_violations(group.free_rank, closure, maximal)
     if problems:
         raise InvalidFan(problems)
-    return KmFan._make(group, closure, data)
+    fan = KmFan._make(group, closure, data)
+    object.__setattr__(fan, "_index", (maximal, ()))
+    return fan
 
 
 def _saturated_data(group: FgaGroup, cones: Iterable[Cone]) -> Dict[Cone, LatticeDatum]:

@@ -426,6 +426,37 @@ def _back_substitute(echelon: Sequence[Vec], c: Sequence[int], exact: bool) -> O
     return x
 
 
+def _determinant(rows: Sequence[Sequence[int]]) -> int:
+    """The determinant of the square integer matrix with the given rows, by
+    fraction-free elimination (Bareiss, Math. Comp. 22, 1968).
+
+    After step k, entry (i, j) with i, j > k is the minor on rows 0..k, i
+    and columns 0..k, j of the input with the row swaps made so far; so
+    the division by the previous pivot, itself such a minor, is exact, and
+    no entry outgrows a minor of the input.  A zero pivot is swapped with a
+    lower row that is nonzero in its column, which negates the determinant;
+    when there is none, the first k + 1 columns are dependent and the
+    determinant is 0.
+    """
+    a = [list(r) for r in rows]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        p, pivot_row = a[k][k], a[k]
+        for row in a[k + 1:]:
+            q = row[k]
+            for j in range(k + 1, n):
+                row[j] = (row[j] * p - q * pivot_row[j]) // prev
+        prev = p
+    return sign * a[n - 1][n - 1] if n else 1
+
+
 def invariant_factors(m: IntMatrix) -> Tuple[int, ...]:
     """The nonzero diagonal of the Smith form, read from a row echelon form
     E of m (T m = [E; 0], T unimodular, so m and E have the same factors).

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import shutil
@@ -99,6 +100,46 @@ def test_local_on_a_deep_singular_cone_is_fast(workdir, capsys):
     generators = json.loads(capsys.readouterr().out)["monoid_generators"]
     assert len(generators) == 10002
     assert elapsed < 1.0
+
+
+def _face_lattice_document(d: int, faces: bool) -> dict:
+    """The cone on the unit vectors of Z^d with classical data: with all of
+    its 2^d faces, or alone."""
+    unit = [[int(i == j) for j in range(d)] for i in range(d)]
+    sizes = range(d + 1) if faces else [d]
+    cones = [[unit[i] for i in sub] for k in sizes for sub in itertools.combinations(range(d), k)]
+    return {
+        "schema_version": "1",
+        "group": {"free_rank": d, "torsion_invariants": []},
+        "cones": [{"rays": rays} for rays in cones],
+        "lattice_data": [{"cone_index": i, "generators": rays} for i, rays in enumerate(cones)],
+    }
+
+
+@pytest.mark.parametrize("d", [14, 20, 24])
+def test_one_cone_document_reports_its_missing_facets(workdir, d):
+    """The closure report names the d missing facets, not the 2^d - 1
+    missing faces."""
+    with open("cone.json", "w", encoding="utf-8") as fh:
+        fh.write(dumps(_face_lattice_document(d, faces=False)))
+    start = time.perf_counter()
+    code, out = invoke(["validate", "--fan", "cone.json"])
+    elapsed = time.perf_counter() - start
+    assert code == 1
+    assert elapsed < 1.0
+    assert len(out.encode("utf-8")) < 1 << 20
+    violations = json.loads(out)["violations"]
+    assert len(violations) == d and all(v["kind"] == "missing-face" for v in violations)
+
+
+def test_face_lattice_of_a_twelve_dimensional_cone_loads_fast():
+    """4096 cones: the descent builds no face set, as no pair descends."""
+    obj = _face_lattice_document(12, faces=True)
+    start = time.perf_counter()
+    fan = fan_from_obj(obj)
+    elapsed = time.perf_counter() - start
+    assert len(fan.cones) == 4096 and len(fan.maximal_cones()) == 1
+    assert elapsed < 4.0
 
 
 def test_run_builds_no_parser(workdir, monkeypatch):

@@ -1,5 +1,6 @@
 """KM fans: validation, constructions, morphisms, invariants."""
 
+import collections
 import itertools
 import math
 import random
@@ -71,8 +72,10 @@ from kmfan.fans import (
     zero_fan_unit,
 )
 from kmfan import abelian, intlinalg
+from kmfan import cones as cones_module
 from kmfan import fans as fans_module
 from kmfan.fans import _certified_complete_simplicial, _cone_violations, _maximal_cones
+from kmfan.gsfans import GsFan, fold
 from kmfan.monoids import AffineMonoid
 from kmfan.intlinalg import (
     IntMatrix,
@@ -1201,6 +1204,12 @@ def _polygon_fan_64() -> KmFan:
     return from_classical(Z2, [Cone.from_generators([u, v], 2) for u, v in zip(rays, rays[1:] + rays[:1])])
 
 
+def _cone_phase(r, closure):
+    """The cone phase of validation on a set of cones, in canonical order."""
+    cones = sorted(closure, key=lambda c: (c.dim(), c.rays))
+    return _cone_violations(r, cones, _maximal_cones(cones))
+
+
 class TestSeparatingFacets:
     def test_pairs_agree_with_the_intersection_oracle(self, monkeypatch):
         """Validation of the face closure of a pair reports a bad intersection
@@ -1221,7 +1230,7 @@ class TestSeparatingFacets:
                 assert all(_dot(h, g) == 0 for g in meet.generators())
             closure = {face for c in (a, b) for face in c.faces()}
             calls.clear()
-            problems = _cone_violations(3, sorted(closure, key=lambda c: (c.dim(), c.rays)))
+            problems = _cone_phase(3, closure)
             assert (problems == []) == common_face, (a, b, problems)
             if common_face and calls:
                 fallback += 1
@@ -1245,7 +1254,7 @@ class TestSeparatingFacets:
             meet = a.intersect(b)
             common_face = meet.is_face_of(a) and meet.is_face_of(b)
             closure = {face for c in (a, b) for face in c.faces()}
-            problems = _cone_violations(3, sorted(closure, key=lambda c: (c.dim(), c.rays)))
+            problems = _cone_phase(3, closure)
             assert (problems == []) == common_face, (a, b, problems)
             seen[common_face] += 1
 
@@ -1413,19 +1422,20 @@ class TestCompleteSimplicialCertificate:
         assert calls == []
 
     def test_data_checked_once_per_covering_pair(self, monkeypatch):
-        p1 = projective_line_fan()
-        fan = p1
-        for _ in range(3):
-            fan = product(fan, p1)[0]
-        covering = sum(
-            1 for sigma in fan.cones for tau in sigma.faces()[1:-1] if tau.dim() == sigma.dim() - 1
-        )
-        assert covering == 208
+        """(P(2,2))^4, over a group with torsion, checks each covering pair
+        once; (P^1)^4 has classical data, read per cone, and checks none."""
         calls = []
         real = fans_module._saturated_in
         monkeypatch.setattr(fans_module, "_saturated_in", lambda *a: calls.append(1) or real(*a))
-        assert fan.validate() == []
-        assert len(calls) == covering
+        for base, pinned in [(build_p22(), 208), (projective_line_fan(), 0)]:
+            fan = _power(base, 4)
+            covering = sum(
+                1 for sigma in fan.cones for tau in sigma.faces()[1:-1] if tau.dim() == sigma.dim() - 1
+            )
+            assert covering == 208
+            calls.clear()
+            assert fan.validate() == []
+            assert len(calls) == pinned
 
     def test_data_phase_builds_no_kernel_and_no_quotient(self, monkeypatch):
         """With fresh data, which keep no linear systems yet."""
@@ -1816,12 +1826,13 @@ class TestFundamentalGroupFromMaximalCones:
 
 class TestDatumChecksWithoutSmith:
     @pytest.mark.parametrize("build", [
-        lambda: _power(projective_line_fan(), 4),
-        _complete_polygon_31,
-    ], ids=["p1_fourth", "polygon_31"])
+        lambda: _power(build_p22(), 4),
+        lambda: fold(GsFan(_complete_polygon_31(), GroupHom(Z2, Z2, IntMatrix([[2, 0], [0, 2]]))))[0],
+    ], ids=["p22_fourth", "polygon_31_fold"])
     def test_validate_runs_no_smith_in_the_datum_checks(self, monkeypatch, build):
-        """With fresh cones and data: the saturation tests and the
-        coordinate solves run on row echelon forms alone."""
+        """With fresh cones and data that are not classical, so that the
+        saturation tests run: they and the coordinate solves run on row
+        echelon forms alone."""
         fan = _fresh(build())
         callers, checks = [], []
         real_smith, real_check = intlinalg.smith_decomposition, fans_module._saturated_in
@@ -1939,3 +1950,234 @@ class TestPredicatesReadInvariants:
         dd = abelian.dd_of_hom(double)
         assert dd.cokernel == FgaGroup(0, (2,)) and dd.kernel.generators() == []
 
+
+
+# -- validation from facets: the replaced bodies, kept as oracles ----------
+
+
+def facet_normal_certificate(r, maximal) -> bool:
+    """_certified_complete_simplicial as it was: (b) read off the first
+    cone's facet normal and (c) off contains_point, both from derived
+    H-descriptions."""
+    if r < 2 or any(len(c.rays) != r or c.dim() != r for c in maximal):
+        return False
+    sides = {}
+    for c in maximal:
+        for i, apex in enumerate(c.rays):
+            sides.setdefault(c.rays[:i] + c.rays[i + 1:], []).append((c, apex))
+    for pair in sides.values():
+        if len(pair) != 2:
+            return False
+        (a, apex_a), (_, apex_b) = pair
+        normal = next(h for h in a.facets if _dot(h, apex_a) > 0)
+        if _dot(normal, apex_b) >= 0:
+            return False
+    p = maximal[0].relative_interior_point()
+    return sum(c.contains_point(p) for c in maximal) == 1
+
+
+def maximal_cones_by_faces(cones) -> list:
+    """The cones that are no proper face of another, from every face."""
+    proper = {f for c in cones for f in c.faces() if f != c}
+    return [c for c in cones if c not in proper]
+
+
+def missing_faces_by_faces(cones) -> list:
+    """(face, cone) for every face of every cone that is not in the set."""
+    cone_set = set(cones)
+    return [(f, c) for c in cones for f in c.faces() if f not in cone_set]
+
+
+def datum_violations_by_solves(fan: KmFan) -> list:
+    """The data phase as it was: every datum checked by
+    LatticeDatum.violations and every covering pair, found among all faces,
+    by _saturated_in, which solves the face's basis in the coface's datum."""
+    out = []
+    for c in fan.cones:
+        datum = fan.data.get(c)
+        if datum is None:
+            out.append({"kind": "missing-datum", "detail": f"no lattice datum for {c!r}"})
+            continue
+        if datum.ambient != fan.group:
+            out.append({"kind": "wrong-datum-group", "detail": f"datum for {c!r} lives in the wrong group"})
+            continue
+        for v in datum.violations(c):
+            out.append({"kind": "invalid-datum", "detail": f"{c!r}: {v}"})
+    if out:
+        return out
+    data = fan.data
+    if all(
+        fans_module._saturated_in(data[sigma], data[tau])
+        for sigma in fan.cones
+        for tau in sigma.faces()[1:-1]
+        if tau.dim() == sigma.dim() - 1
+    ):
+        return out
+    for sigma in fan.cones:
+        for tau in sigma.faces()[1:-1]:
+            if not fans_module._saturated_in(data[sigma], data[tau]):
+                out.append({
+                    "kind": "incompatible-data",
+                    "detail": f"datum of face {tau!r} is not Span(face) cap datum of {sigma!r}",
+                })
+    return out
+
+
+def oracle_validate(fan: KmFan, monkeypatch) -> list:
+    """validate() composed from the oracles: the cone phase with the
+    face-based maximal cones and the facet-normal certificate, then the
+    solve-per-pair data phase."""
+    with monkeypatch.context() as m:
+        m.setattr(fans_module, "_certified_complete_simplicial", facet_normal_certificate)
+        problems = _cone_violations(fan.group.free_rank, fan.cones, maximal_cones_by_faces(fan.cones))
+    return problems or datum_violations_by_solves(fan)
+
+
+def _validate_against_oracles(group, cones, data, monkeypatch, seen) -> list:
+    """validate() of a new unchecked fan, checked against oracle_validate;
+    the closure report against every missing face, and, on a closed set of
+    sharp cones, the maximal cones and the certificate against theirs."""
+    fan = unchecked_fan(group, cones, data)
+    problems = fan.validate()
+    assert problems == oracle_validate(unchecked_fan(group, cones, data), monkeypatch), (fan.cones, problems)
+    missing = missing_faces_by_faces(fan.cones)
+    assert [p["detail"] for p in problems if p["kind"] == "missing-face"] == [
+        f"face {f!r} of {c!r} is not in the fan" for f, c in missing if f.dim() == c.dim() - 1
+    ]
+    if not missing and all(c.is_sharp() for c in fan.cones):
+        maximal = maximal_cones_by_faces(fan.cones)
+        assert fan.maximal_cones() == maximal
+        certified = _certified_complete_simplicial(group.free_rank, maximal)
+        assert certified == facet_normal_certificate(group.free_rank, maximal)
+        seen["certified"] += certified
+    seen[problems[0]["kind"] if problems else "valid"] += 1
+    return problems
+
+
+def _classical_data(group, cones) -> dict:
+    return {c: LatticeDatum.from_generators(group, c.span_lattice_basis().columns()) for c in cones}
+
+
+class TestValidationAgainstOracles:
+    def test_cone_sets_agree(self, monkeypatch):
+        """Classical data on polygon and octant fans with overlapping cones,
+        dropped faces and crossing rays (TestValidationFuzz), and on complete
+        simplicial fans in Z^2 and Z^3 with one ray moved: 600 cone sets."""
+        rng = random.Random(2020)
+        seen = collections.Counter()
+        fuzz = test_properties.TestValidationFuzz
+        for _ in range(300):
+            maximal = fuzz.random_maximal_cones(rng)
+            n = maximal[0].ambient_rank
+            cone_list = {f for c in maximal for f in c.faces()}
+            corruption = rng.choice(["none", "overlap", "dropped-face", "crossing-ray"])
+            if corruption == "overlap":
+                gens = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(1, n))]
+                cone_list |= set(Cone.from_generators(gens, n).faces())
+            elif corruption == "dropped-face":
+                proper = sorted({f for c in maximal for f in c.faces() if f != c}, key=repr)
+                for f in rng.sample(proper, rng.randint(1, min(3, len(proper)))):
+                    cone_list.discard(f)
+            elif corruption == "crossing-ray":
+                old = rng.choice(sorted({r for c in maximal for r in c.rays}))
+                new = tuple(rng.randint(-3, 3) for _ in range(n))
+                moved = [Cone.from_generators([new if r == old else r for r in c.rays], n) for c in maximal]
+                cone_list = {f for c in moved for f in c.faces()}
+            group = FgaGroup(n)
+            _validate_against_oracles(group, cone_list, _classical_data(group, cone_list), monkeypatch, seen)
+        for i in range(300):
+            r = 2 + i % 2
+            maximal_rays = _stellar_complete_fan(rng, r, rng.randint(0, 2))
+            if rng.random() < 0.7:
+                old = rng.choice(sorted({u for rays in maximal_rays for u in rays}))
+                new = primitive_vector(tuple(x + rng.randint(-2, 2) for x in old))
+                if any(new):
+                    maximal_rays = [tuple(new if u == old else u for u in rays) for rays in maximal_rays]
+            cones = _closure(r, maximal_rays)
+            group = FgaGroup(r)
+            _validate_against_oracles(group, cones, _classical_data(group, cones), monkeypatch, seen)
+        assert sum(seen.values()) - seen["certified"] == 600
+        for kind in ("valid", "missing-face", "bad-intersection"):
+            assert seen[kind] >= 40, seen
+        assert seen["certified"] >= 100, seen
+
+    def test_data_agree(self, monkeypatch):
+        """Seeded KM fans, torsion and products with P^1 included; on a
+        lattice, also with classical data and with the data dilated by 2.
+        Each is checked as it is and with one datum perturbed or, among
+        classical and dilated data, swapped for the other kind."""
+        rng = random.Random(2121)
+        seen = collections.Counter()
+        fans = _seeded_km_fans(rng)
+        checked = 0
+        while checked < 600:
+            fan = next(fans)
+            group, cones = fan.group, fan.cones
+            variants = [dict(fan.data)]
+            if group.is_lattice():
+                classical = _classical_data(group, cones)
+                dilated = {c: LatticeDatum.from_generators(group, [tuple(2 * x for x in g) for g in d.generators()])
+                           for c, d in classical.items()}
+                variants += [classical, dilated]
+            for data in variants:
+                assert _validate_against_oracles(group, cones, data, monkeypatch, seen) == []
+                victim = rng.choice([c for c in cones if c.dim()])
+                corrupted = dict(data)
+                if len(variants) > 1 and rng.random() < 0.3:
+                    swapped = variants[1] if data is variants[2] else variants[2]
+                    corrupted[victim] = swapped[victim]
+                else:
+                    _, gens = _perturbed(group, data[victim].generators(), rng, victim.span_lattice_basis())
+                    corrupted[victim] = LatticeDatum.from_generators(group, gens)
+                _validate_against_oracles(group, cones, corrupted, monkeypatch, seen)
+                checked += 2
+        for kind in ("valid", "invalid-datum", "incompatible-data"):
+            assert seen[kind] >= 40, seen
+
+
+class TestValidationFromFacets:
+    @pytest.mark.parametrize("build", [
+        _complete_polygon_31,
+        lambda: _power(projective_line_fan(), 4),
+    ], ids=["polygon_31", "p1_fourth"])
+    def test_validate_derives_no_h_description_and_no_faces(self, monkeypatch, build):
+        """With fresh cones and data: closure, maximal cones, certificate
+        and data phase all read rays and facets of rays."""
+        fan = _fresh(build())
+        calls = []
+        real_derive, real_faces = cones_module._derive_h, Cone.faces
+        monkeypatch.setattr(cones_module, "_derive_h", lambda c: calls.append("_derive_h") or real_derive(c))
+        monkeypatch.setattr(Cone, "faces", lambda c: calls.append("faces") or real_faces(c))
+        assert fan.validate() == []
+        assert calls == []
+
+    def test_cone_phase_runs_once_per_fan(self, monkeypatch):
+        """A classical fan keeps the verdict of from_classical, and any other
+        fan the verdict of its first validate()."""
+        calls = []
+        real = fans_module._cone_violations
+        monkeypatch.setattr(fans_module, "_cone_violations", lambda *a: calls.append(1) or real(*a))
+        polygon = _complete_polygon_31()
+        p22_cubed = _power(build_p22(), 3)
+        calls.clear()
+        for fan in (polygon, unchecked_fan(p22_cubed.group, p22_cubed.cones, p22_cubed.data)):
+            maximal = fan.maximal_cones()
+            assert fan.validate() == [] and fan.validate() == []
+            assert fan.maximal_cones() == maximal == maximal_cones_by_faces(fan.cones)
+        assert calls == [1]
+
+    def test_facet_cones_are_the_faces_of_codimension_one(self):
+        """Simplicial and non-simplicial cones, with and without lineality."""
+        rng = random.Random(2222)
+        shapes = collections.Counter()
+        for _ in range(400):
+            n = rng.randint(1, 4)
+            gens = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(0, n + 2))]
+            if rng.random() < 0.4:
+                # in the open halfspace x_0 > 0, so sharp, and mostly not simplicial
+                gens = [(rng.randint(1, 3),) + g[1:] for g in gens + [(0,) * n] * 2]
+            cone = Cone.from_generators(gens, n)
+            d = cone.dim()
+            assert cone.facet_cones() == [f for f in cone.faces() if f.dim() == d - 1]
+            shapes["simplicial" if cone.is_simplicial() else "sharp" if cone.is_sharp() else "lineality"] += 1
+        assert min(shapes.values()) >= 25, shapes

@@ -749,3 +749,43 @@ class TestLatticeQueriesAgainstSmith:
                 assert k.cols == a.cols - 30 and all(not any(a.apply(c)) for c in k.columns())
                 assert sat.cols == 30 and is_saturated(sat)
                 assert all(solve_integer(sat, c) is not None for c in a.columns())
+
+
+def permutation_sum_determinant(rows) -> int:
+    """The determinant as the signed sum over permutations (Leibniz)."""
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = 1
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += -term if inversions % 2 else term
+    return total
+
+
+class TestDeterminant:
+    def test_agrees_with_the_permutation_sum(self):
+        """3000 seeded matrices of size 1 to 5, about half of their entries
+        zero: leading minors that vanish on nonsingular matrices, so that a
+        zero pivot is swapped, and singular matrices both occur."""
+        rng = random.Random(2323)
+        seen = {"zero-pivot": 0, "singular": 0, "nonsingular": 0}
+        for _ in range(3000):
+            n = rng.randint(1, 5)
+            rows = [[rng.choice((0, rng.randint(-6, 6))) for _ in range(n)] for _ in range(n)]
+            det = permutation_sum_determinant(rows)
+            assert intlinalg._determinant(rows) == det, rows
+            if det == 0:
+                seen["singular"] += 1
+            elif any(permutation_sum_determinant([r[:k] for r in rows[:k]]) == 0 for k in range(1, n)):
+                seen["zero-pivot"] += 1
+            else:
+                seen["nonsingular"] += 1
+        assert min(seen.values()) >= 300, seen
+
+    def test_empty_matrix_and_no_mutation(self):
+        assert intlinalg._determinant([]) == 1
+        rows = [[0, 2], [3, 4]]
+        assert intlinalg._determinant(rows) == -6
+        assert rows == [[0, 2], [3, 4]]
