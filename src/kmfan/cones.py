@@ -107,7 +107,7 @@ def _halfspace_intersection(ambient: int, inequalities: Sequence[Vec]):
                 rays = _dedupe(plus + zero + kept)
         processed.append(g)
 
-    return rays, lin, processed
+    return rays, lin
 
 
 def _canonical_lattice_basis(vectors: Sequence[Vec], ambient: int) -> List[Vec]:
@@ -210,7 +210,7 @@ class Cone:
         for v in equations:
             e = _int_vector(v)
             constraints += [e, tuple(-x for x in e)]
-        rays, lin, _ = _halfspace_intersection(ambient_rank, constraints)
+        rays, lin = _halfspace_intersection(ambient_rank, constraints)
         lineality = _saturated_lattice_basis(lin, ambient_rank)
         return Cone(ambient_rank, _reduce_mod_lattice(rays, lineality, ambient_rank), lineality)
 
@@ -461,7 +461,7 @@ def _h_description(gens: Sequence[Vec], ambient: int) -> Tuple[Tuple[Vec, ...], 
     """Canonical (facets, equations) of cone(gens), from the dual cone's
     double description.  The equations are a basis of the saturated lattice
     orthogonal to the span, so neither part depends on the generators given."""
-    dual_rays, dual_lin, _ = _halfspace_intersection(ambient, gens)
+    dual_rays, dual_lin = _halfspace_intersection(ambient, gens)
     equations = _saturated_lattice_basis(dual_lin, ambient)
     facets = _reduce_mod_lattice(dual_rays, equations, ambient)
     return tuple(facets), tuple(equations)

@@ -192,15 +192,14 @@ class KmFan:
         which carries the proof that this is F_tau = Span(tau) cap F_sigma
         for data that passed LatticeDatum.violations).
 
-        The covering pairs, tau a facet of sigma, are checked first, and
+        Only the covering pairs, tau a facet of sigma, are checked, and
         when they all hold so does every pair.  If tau < rho < sigma, then
         Span(tau) cap F_sigma = Span(tau) cap (Span(rho) cap F_sigma) =
         Span(tau) cap F_rho, as Span(tau) lies in Span(rho); and the face
         lattice of a cone is graded (Ziegler, Lectures on Polytopes, Ch. 2),
         so every face tau of sigma ends a chain of covering pairs from sigma,
-        through cones of the fan, which is closed under faces.  Only when a
-        covering pair fails does the loop over all pairs run, which writes
-        the report.
+        through cones of the fan, which is closed under faces.  The report
+        names the covering pairs that fail, in fan order.
 
         Classical data are read per cone.  On a lattice N a datum stores the
         Hermite basis of itself as its preimage, and c.span_lattice_basis()
@@ -232,20 +231,15 @@ class KmFan:
         if out:
             return out
         data = self.data
-        if all(
-            (tau in classical) if sigma in classical else _saturated_in(data[sigma], data[tau])
-            for sigma in self.cones
-            if sigma.dim() > 1
-            for tau in sigma.facet_cones()
-        ):
-            return out
         for sigma in self.cones:
-            for tau in sigma.faces()[1:-1]:
-                if not _saturated_in(data[sigma], data[tau]):
-                    out.append({
-                        "kind": "incompatible-data",
-                        "detail": f"datum of face {tau!r} is not Span(face) cap datum of {sigma!r}",
-                    })
+            if sigma.dim() > 1:
+                for tau in sigma.facet_cones():
+                    holds = (tau in classical) if sigma in classical else _saturated_in(data[sigma], data[tau])
+                    if not holds:
+                        out.append({
+                            "kind": "incompatible-data",
+                            "detail": f"datum of face {tau!r} is not Span(face) cap datum of {sigma!r}",
+                        })
         return out
 
     # -- accessors ---------------------------------------------------------

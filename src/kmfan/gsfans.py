@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from .abelian import FgaGroup, GroupHom, present_quotient
+from .abelian import FgaGroup, GroupHom, QuotientPresentation, present_quotient
 from .cones import Cone, _preimage_rays, _separating_facet
 from .errors import KmFanError, NonLattice, NotFoldable, PreconditionsFail
 from .fans import (
@@ -143,11 +143,11 @@ class Unfolding:
     __slots__ = ("colimit", "structure_maps", "beta", "block_offsets", "presentation")
 
     def __init__(self, colimit: FgaGroup, structure_maps: Dict[Cone, GroupHom], beta: GroupHom,
-                 block_offsets=None, presentation=None):
+                 block_offsets: Dict[Cone, int], presentation: QuotientPresentation):
         self.colimit = colimit
         self.structure_maps = dict(structure_maps)
         self.beta = beta
-        self.block_offsets = dict(block_offsets or {})
+        self.block_offsets = dict(block_offsets)
         self.presentation = presentation
 
 

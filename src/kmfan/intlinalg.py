@@ -229,64 +229,32 @@ def smith_decomposition(m: IntMatrix, transforms: Collection[str] = TRANSFORMS) 
     the smallest nonzero absolute value, first in row-major order, whatever
     is tracked, so D and every tracked transform are deterministic and the
     same as in the full decomposition.
+
+    D and the tracked transforms share one list of rows, so each step is
+    applied once (Cohen, GTM 138, 2.4.4): row i is D's row i then U's, and
+    V's rows follow D's, where every column step reaches them.  U^-1 is kept
+    as W = (U^-1)^T: the inverse of row[dst] += c row[src] is the row step
+    W[src] -= c W[dst], and swaps and negations act on W as on D.
     """
     unknown = set(transforms).difference(TRANSFORMS)
     if unknown:
         raise ValueError(f"unknown Smith transforms: {sorted(unknown)}")
     nr, nc = m.rows, m.cols
-    d = [list(r) for r in m.entries]
-    u = _identity_rows(nr) if "u" in transforms else None
-    ui = _identity_rows(nr) if "u_inv" in transforms else None
-    v = _identity_rows(nc) if "v" in transforms else None
+    a = [list(r) for r in m.entries]
+    if "u" in transforms:
+        a = [r + e for r, e in zip(a, _identity_rows(nr))]
+    if "v" in transforms:
+        a += _identity_rows(nc)
+    w = _identity_rows(nr) if "u_inv" in transforms else None
 
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        if u is not None:
-            u[i], u[j] = u[j], u[i]
-        if ui is not None:
-            for r in ui:
-                r[i], r[j] = r[j], r[i]
-
-    def swap_cols(i, j):
-        for r in d:
-            r[i], r[j] = r[j], r[i]
-        if v is not None:
-            for r in v:
-                r[i], r[j] = r[j], r[i]
-
-    def add_row(src, dst, c):
-        # row[dst] += c * row[src]
-        d[dst] = [a + c * b for a, b in zip(d[dst], d[src])]
-        if u is not None:
-            u[dst] = [a + c * b for a, b in zip(u[dst], u[src])]
-        if ui is not None:
-            for r in ui:
-                r[src] -= c * r[dst]
-
-    def add_col(src, dst, c):
-        for r in d:
-            r[dst] += c * r[src]
-        if v is not None:
-            for r in v:
-                r[dst] += c * r[src]
-
-    def negate_row(i):
-        d[i] = [-a for a in d[i]]
-        if u is not None:
-            u[i] = [-a for a in u[i]]
-        if ui is not None:
-            for r in ui:
-                r[i] = -r[i]
-
-    n = min(nr, nc)
-    for t in range(n):
+    for t in range(min(nr, nc)):
         while True:
             # locate the smallest nonzero |entry| in the working block, the
             # first in row-major order on ties (no later entry beats a 1)
             pivot = None
             best = 0
             for i in range(t, nr):
-                row = d[i]
+                row = a[i]
                 for j in range(t, nc):
                     x = row[j]
                     if x:
@@ -301,24 +269,33 @@ def smith_decomposition(m: IntMatrix, transforms: Collection[str] = TRANSFORMS) 
                 break
             pi, pj = pivot
             if pi != t:
-                swap_rows(t, pi)
+                a[t], a[pi] = a[pi], a[t]
+                if w is not None:
+                    w[t], w[pi] = w[pi], w[t]
             if pj != t:
-                swap_cols(t, pj)
-            if d[t][t] < 0:
-                negate_row(t)
-            p = d[t][t]
+                for r in a:
+                    r[t], r[pj] = r[pj], r[t]
+            if a[t][t] < 0:
+                a[t] = [-x for x in a[t]]
+                if w is not None:
+                    w[t] = [-x for x in w[t]]
+            top = a[t]
+            p = top[t]
             dirty = False
             for i in range(t + 1, nr):
-                q = d[i][t] // p
+                q = a[i][t] // p
                 if q:
-                    add_row(t, i, -q)
-                if d[i][t]:
+                    a[i] = [x - q * y for x, y in zip(a[i], top)]
+                    if w is not None:
+                        w[t] = [x + q * y for x, y in zip(w[t], w[i])]
+                if a[i][t]:
                     dirty = True
             for j in range(t + 1, nc):
-                q = d[t][j] // p
+                q = top[j] // p
                 if q:
-                    add_col(t, j, -q)
-                if d[t][j]:
+                    for r in a:
+                        r[j] -= q * r[t]
+                if top[j]:
                     dirty = True
             if dirty:
                 continue
@@ -328,20 +305,22 @@ def smith_decomposition(m: IntMatrix, transforms: Collection[str] = TRANSFORMS) 
             offender = None
             for i in range(t + 1, nr):
                 for j in range(t + 1, nc):
-                    if d[i][j] % p:
+                    if a[i][j] % p:
                         offender = i
                         break
                 if offender is not None:
                     break
             if offender is None:
                 break
-            add_row(offender, t, 1)
+            a[t] = [x + y for x, y in zip(top, a[offender])]
+            if w is not None:
+                w[offender] = [x - y for x, y in zip(w[offender], w[t])]
 
     return SmithDecomposition(
-        None if u is None else _trusted(u, nr),
-        _trusted(d, nc),
-        None if v is None else _trusted(v, nc),
-        None if ui is None else _trusted(ui, nr),
+        _trusted([r[nc:] for r in a[:nr]], nr) if "u" in transforms else None,
+        _trusted([r[:nc] for r in a[:nr]], nc),
+        _trusted(a[nr:], nc) if "v" in transforms else None,
+        None if w is None else IntMatrix._make(_transposed(w, nr), nr),
     )
 
 

@@ -1,16 +1,28 @@
 """Reference integer linear algebra that only the tests use.
 
-Fraction elimination, independent of every integer normal form, and the
+Fraction elimination, independent of every integer normal form; the
 Smith-based bodies that kmfan.intlinalg and kmfan.gsfans replaced with one
-row echelon form.  The tests compare the library against them.
+row echelon form; and the Smith decomposition with one step closure per
+elementary operation, which the augmented rows replaced.  The tests compare
+the library against them.
 """
 
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Sequence, Tuple
+from typing import Collection, Optional, Sequence, Tuple
 
 from kmfan.errors import DimensionMismatch
-from kmfan.intlinalg import IntMatrix, Vec, is_saturated, primitive_vector, smith_decomposition
+from kmfan.intlinalg import (
+    TRANSFORMS,
+    IntMatrix,
+    SmithDecomposition,
+    Vec,
+    _identity_rows,
+    _trusted,
+    is_saturated,
+    primitive_vector,
+    smith_decomposition,
+)
 
 
 def smith_normal_form(m: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -131,4 +143,129 @@ def blocks_saturated_by_smith(relations: IntMatrix, blocks) -> bool:
     return all(
         is_saturated(IntMatrix._make(tuple(row[off:off + width] for row in free_rows), width))
         for off, width in blocks
+    )
+
+
+def smith_decomposition_reference(m: IntMatrix, transforms: Collection[str] = TRANSFORMS) -> SmithDecomposition:
+    """smith_decomposition as it was written with one step closure per
+    elementary operation, each updating every tracked transform.
+
+    ``transforms`` names which of "u", "v" and "u_inv" to compute; the
+    others are None.  The default tracks all three.  Pivots are chosen as
+    the smallest nonzero absolute value, first in row-major order, whatever
+    is tracked, so D and every tracked transform are deterministic and the
+    same as in the full decomposition.
+    """
+    unknown = set(transforms).difference(TRANSFORMS)
+    if unknown:
+        raise ValueError(f"unknown Smith transforms: {sorted(unknown)}")
+    nr, nc = m.rows, m.cols
+    d = [list(r) for r in m.entries]
+    u = _identity_rows(nr) if "u" in transforms else None
+    ui = _identity_rows(nr) if "u_inv" in transforms else None
+    v = _identity_rows(nc) if "v" in transforms else None
+
+    def swap_rows(i, j):
+        d[i], d[j] = d[j], d[i]
+        if u is not None:
+            u[i], u[j] = u[j], u[i]
+        if ui is not None:
+            for r in ui:
+                r[i], r[j] = r[j], r[i]
+
+    def swap_cols(i, j):
+        for r in d:
+            r[i], r[j] = r[j], r[i]
+        if v is not None:
+            for r in v:
+                r[i], r[j] = r[j], r[i]
+
+    def add_row(src, dst, c):
+        # row[dst] += c * row[src]
+        d[dst] = [a + c * b for a, b in zip(d[dst], d[src])]
+        if u is not None:
+            u[dst] = [a + c * b for a, b in zip(u[dst], u[src])]
+        if ui is not None:
+            for r in ui:
+                r[src] -= c * r[dst]
+
+    def add_col(src, dst, c):
+        for r in d:
+            r[dst] += c * r[src]
+        if v is not None:
+            for r in v:
+                r[dst] += c * r[src]
+
+    def negate_row(i):
+        d[i] = [-a for a in d[i]]
+        if u is not None:
+            u[i] = [-a for a in u[i]]
+        if ui is not None:
+            for r in ui:
+                r[i] = -r[i]
+
+    n = min(nr, nc)
+    for t in range(n):
+        while True:
+            # locate the smallest nonzero |entry| in the working block, the
+            # first in row-major order on ties (no later entry beats a 1)
+            pivot = None
+            best = 0
+            for i in range(t, nr):
+                row = d[i]
+                for j in range(t, nc):
+                    x = row[j]
+                    if x:
+                        ax = x if x > 0 else -x
+                        if pivot is None or ax < best:
+                            pivot, best = (i, j), ax
+                            if ax == 1:
+                                break
+                if best == 1:
+                    break
+            if pivot is None:
+                break
+            pi, pj = pivot
+            if pi != t:
+                swap_rows(t, pi)
+            if pj != t:
+                swap_cols(t, pj)
+            if d[t][t] < 0:
+                negate_row(t)
+            p = d[t][t]
+            dirty = False
+            for i in range(t + 1, nr):
+                q = d[i][t] // p
+                if q:
+                    add_row(t, i, -q)
+                if d[i][t]:
+                    dirty = True
+            for j in range(t + 1, nc):
+                q = d[t][j] // p
+                if q:
+                    add_col(t, j, -q)
+                if d[t][j]:
+                    dirty = True
+            if dirty:
+                continue
+            if p == 1:  # a unit divides the rest of the block
+                break
+            # pivot must divide the rest of the block
+            offender = None
+            for i in range(t + 1, nr):
+                for j in range(t + 1, nc):
+                    if d[i][j] % p:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            add_row(offender, t, 1)
+
+    return SmithDecomposition(
+        None if u is None else _trusted(u, nr),
+        _trusted(d, nc),
+        None if v is None else _trusted(v, nc),
+        None if ui is None else _trusted(ui, nr),
     )

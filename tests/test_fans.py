@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 import sys
+import time
 
 import pytest
 
@@ -664,10 +665,23 @@ def saturated_span_violations(datum: LatticeDatum, cone: Cone) -> list:
     return []
 
 
+def _covering_report(failing: list) -> list:
+    """The incompatible-data entries of the failing (sigma, tau) pairs of
+    cones and proper nonzero faces whose faces are facets; there is one
+    exactly when some pair fails."""
+    covering = [(sigma, tau) for sigma, tau in failing if tau.dim() == sigma.dim() - 1]
+    assert bool(covering) == bool(failing), failing
+    return [
+        {"kind": "incompatible-data", "detail": f"datum of face {tau!r} is not Span(face) cap datum of {sigma!r}"}
+        for sigma, tau in covering
+    ]
+
+
 def oracle_data_report(fan: KmFan) -> list:
     """The data phase of validate, with each datum checked against the
     saturated span lattice and every pair of a cone and a proper nonzero
-    face compared by span_meet_oracle."""
+    face compared by span_meet_oracle; the report names the failing
+    covering pairs."""
     out = [
         {"kind": "invalid-datum", "detail": f"{c!r}: {v}"}
         for c in fan.cones
@@ -675,14 +689,12 @@ def oracle_data_report(fan: KmFan) -> list:
     ]
     if out:
         return out
-    for sigma in fan.cones:
-        for tau in sigma.faces()[1:-1]:
-            if span_meet_oracle(fan.group, fan.data[sigma], tau) != fan.data[tau].subgroup:
-                out.append({
-                    "kind": "incompatible-data",
-                    "detail": f"datum of face {tau!r} is not Span(face) cap datum of {sigma!r}",
-                })
-    return out
+    return _covering_report([
+        (sigma, tau)
+        for sigma in fan.cones
+        for tau in sigma.faces()[1:-1]
+        if span_meet_oracle(fan.group, fan.data[sigma], tau) != fan.data[tau].subgroup
+    ])
 
 
 def oracle_lifting_violations(fan: KmFan, sigma: Cone, lifting: Subgroup) -> list:
@@ -798,6 +810,27 @@ class TestCompatibilityBySaturation:
         # no datum reaches the dependent-projections branch of the oracle:
         # a torsion-free datum meets N_tor in 0
         assert len(seen) == 4 and min(seen.values()) >= 10, seen
+
+    def test_a_bad_ray_datum_is_reported_once_per_covering_pair(self):
+        """The full face lattice of the cone on the unit vectors of Z^12, with
+        classical data but 2 e_0 for the ray e_0: the report names the 11
+        walls {e_0, e_j} over that ray, not the 2^11 - 1 cones that contain
+        it, in under 2 s."""
+        d = 12
+        unit = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+        group = FgaGroup(d)
+        cones = [Cone.from_generators(sub, d) for k in range(d + 1) for sub in itertools.combinations(unit, k)]
+        data = {c: LatticeDatum.from_generators(group, c.rays) for c in cones}
+        ray = Cone.from_generators([unit[0]], d)
+        data[ray] = LatticeDatum.from_generators(group, [tuple(2 * x for x in unit[0])])
+        start = time.perf_counter()
+        with pytest.raises(InvalidFan) as caught:
+            KmFan(group, cones, data)
+        elapsed = time.perf_counter() - start
+        violations = caught.value.violations
+        assert [v["kind"] for v in violations] == ["incompatible-data"] * (d - 1)
+        assert all(v["detail"].startswith(f"datum of face {ray!r} is not") for v in violations)
+        assert elapsed < 2.0
 
     def test_lifting_violations_agree_with_the_span_meet_oracle(self):
         """Constructed, twisted, perturbed and torsion-enlarged liftings."""
@@ -1990,8 +2023,10 @@ def missing_faces_by_faces(cones) -> list:
 
 def datum_violations_by_solves(fan: KmFan) -> list:
     """The data phase as it was: every datum checked by
-    LatticeDatum.violations and every covering pair, found among all faces,
-    by _saturated_in, which solves the face's basis in the coface's datum."""
+    LatticeDatum.violations and every pair of a cone and a proper nonzero
+    face, found among all faces, by _saturated_in, which solves the face's
+    basis in the coface's datum; the report names the failing covering
+    pairs."""
     out = []
     for c in fan.cones:
         datum = fan.data.get(c)
@@ -2006,21 +2041,12 @@ def datum_violations_by_solves(fan: KmFan) -> list:
     if out:
         return out
     data = fan.data
-    if all(
-        fans_module._saturated_in(data[sigma], data[tau])
+    return _covering_report([
+        (sigma, tau)
         for sigma in fan.cones
         for tau in sigma.faces()[1:-1]
-        if tau.dim() == sigma.dim() - 1
-    ):
-        return out
-    for sigma in fan.cones:
-        for tau in sigma.faces()[1:-1]:
-            if not fans_module._saturated_in(data[sigma], data[tau]):
-                out.append({
-                    "kind": "incompatible-data",
-                    "detail": f"datum of face {tau!r} is not Span(face) cap datum of {sigma!r}",
-                })
-    return out
+        if not fans_module._saturated_in(data[sigma], data[tau])
+    ])
 
 
 def oracle_validate(fan: KmFan, monkeypatch) -> list:

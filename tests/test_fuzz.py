@@ -6,6 +6,11 @@ integers written as strings, booleans, null, nested lists), integers
 run through one subcommand.  Every run must keep the CLI's failure
 contract: exit 0, 1 or 2, exactly one JSON object on stdout, nothing on
 stderr.
+
+Amplification mutants are small edits of large valid documents, the face
+lattice of the cone on the unit vectors of Z^d: a datum scaled, a face
+dropped, or the top cone left alone.  Their reports must stay bounded by
+the document, not by its face lattice.
 """
 
 import contextlib
@@ -18,6 +23,8 @@ import shutil
 import time
 
 from kmfan.cli import SUBCOMMANDS, run
+
+from test_cli import _face_lattice_document
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 INPUTS = os.path.join(HERE, "golden", "inputs")
@@ -151,3 +158,55 @@ def test_mutated_documents_keep_the_failure_contract(tmp_path, monkeypatch):
     assert commands == set(SUBCOMMANDS)
     # the mutants reach past loading as well as failing in it
     assert min(codes.values()) >= 50, codes
+
+
+def _amplification_mutant(rng: random.Random, kind: str, d: int) -> dict:
+    """The face lattice of the cone on the unit vectors of Z^d with one
+    datum scaled by 2 or 3, or with one proper face dropped; or that cone
+    alone, without its faces."""
+    if kind == "top-cone":
+        return _face_lattice_document(d, faces=False)
+    doc = _face_lattice_document(d, faces=True)
+    if kind == "scaled-datum":
+        # any cone but {0}, the first, which has no generator to scale
+        victim = rng.randrange(1, len(doc["cones"]))
+        factor = rng.choice([2, 3])
+        datum = doc["lattice_data"][victim]
+        datum["generators"] = [[factor * x for x in g] for g in datum["generators"]]
+    else:
+        # any cone but the top one, the last, whose removal leaves a valid fan
+        victim = rng.randrange(len(doc["cones"]) - 1)
+        del doc["cones"][victim]
+        data = [datum for datum in doc["lattice_data"] if datum["cone_index"] != victim]
+        for datum in data:
+            datum["cone_index"] -= datum["cone_index"] > victim
+        doc["lattice_data"] = data
+    return doc
+
+
+def test_amplification_mutants_keep_the_failure_contract(tmp_path, monkeypatch):
+    """Face lattices at d = 9 and 10, and the top cone alone at d up to 21:
+    each mutant is invalid, and validate reports it with exit 1, one JSON
+    object under 64 KB and nothing on stderr, in under 2 s."""
+    monkeypatch.chdir(tmp_path)
+    rng = random.Random(SEED)
+    runs = [(kind, d) for d in (9, 10) for kind in ("scaled-datum", "dropped-face") for _ in range(2)]
+    # d missing facets of d - 1 rays each: 57.8 KB at d = 21, 85.5 KB at
+    # d = 24, which test_cli bounds by 1 MB
+    runs += [("top-cone", rng.randint(9, 21)) for _ in range(3)] + [("top-cone", 21)]
+    for kind, d in runs:
+        doc = _amplification_mutant(rng, kind, d)
+        with open("mutant.json", "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(["validate", "--fan", "mutant.json"])
+        elapsed = time.perf_counter() - start
+        text = out.getvalue()
+        assert code == 1, (kind, d, text[:500])
+        assert err.getvalue() == "", (kind, d)
+        assert text.count("\n") == 1 and text.endswith("\n"), (kind, d)
+        assert isinstance(json.loads(text), dict), (kind, d)
+        assert len(text.encode("utf-8")) < 1 << 16, (kind, d, len(text))
+        assert elapsed < 2.0, (kind, d, elapsed)

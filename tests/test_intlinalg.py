@@ -28,6 +28,7 @@ from linalg_oracles import (
     hermite_by_gcd_sort,
     kernel_by_smith,
     saturate_by_smith,
+    smith_decomposition_reference,
     smith_normal_form,
     solve_rational,
 )
@@ -308,6 +309,22 @@ class TestSmithTransforms:
                 for name in names:
                     got = getattr(part, name)
                     assert got == (getattr(full, name) if name in subset else None), (m, subset, name)
+
+    def test_equals_the_reference_body(self):
+        """U, D, V and U^-1 equal, entry for entry, those of the former body,
+        which updated each tracked transform in its own step closure: 2000
+        seeded matrices of up to 8x8, every 0 x n and n x 0 shape included,
+        under all eight transform subsets."""
+        subsets = [c for k in range(4) for c in itertools.combinations(("u", "v", "u_inv"), k)]
+        rng = random.Random(2222)
+        matrices = [IntMatrix.zero(0, n) for n in range(9)] + [IntMatrix.zero(n, 0) for n in range(1, 9)]
+        while len(matrices) < 2000:
+            matrices.append(_random_matrix(rng, rng.randint(0, 8), rng.randint(0, 8)))
+        for m in matrices:
+            for subset in subsets:
+                got = smith_decomposition(m, transforms=subset)
+                want = smith_decomposition_reference(m, transforms=subset)
+                assert [got.u, got.d, got.v, got.u_inv] == [want.u, want.d, want.v, want.u_inv], (m, subset)
 
     def test_witnesses_are_pinned(self):
         """The pivot rule (smallest nonzero |entry|, first in row-major order

@@ -205,7 +205,7 @@ class TestHalfspaceConversion:
             eqs = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.choice([0, 0, 1, 2]))]
             cone = Cone.from_halfspaces(ineqs, eqs, n)
             constraints = ineqs + [s for e in eqs for s in (e, tuple(-x for x in e))]
-            rays, lin, _ = cones._halfspace_intersection(n, constraints)
+            rays, lin = cones._halfspace_intersection(n, constraints)
             ref = Cone.from_generators(rays + lin + [tuple(-x for x in l) for l in lin], n)
             assert cone.rays == ref.rays, (ineqs, eqs)
             assert cone.lineality == ref.lineality, (ineqs, eqs)
