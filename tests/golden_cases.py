@@ -65,6 +65,14 @@ def input_documents():
     data[Cone.from_generators([(1, 2)], 2)] = LatticeDatum.from_generators(Z2, [(1, 2)])
     data[Cone.from_generators([(1, -2)], 2)] = LatticeDatum.from_generators(Z2, [(1, -2)])
     nonsat = KmFan(Z2, base.cones, data)
+    # rays whose largest |coordinate| does not divide drawing.SCALE = 36, so
+    # the clipped vertices need rounding; at window 3 the ray (32, -9) leaves
+    # the box at y = -27/32, whose picture coordinate is an exact half-hundredth
+    wedges = from_classical(Z2, [
+        Cone.from_generators([(7, 3), (-2, 5)], 2),
+        Cone.from_generators([(-2, 5), (-3, -1)], 2),
+        Cone.from_generators([(32, -9)], 2),
+    ])
 
     # a deliberately broken document: the positive ray is missing the zero cone
     broken = {
@@ -84,6 +92,7 @@ def input_documents():
         "point.json": dumps(fan_to_obj(point)),
         "sing.json": dumps(fan_to_obj(sing)),
         "nonsat.json": dumps(fan_to_obj(nonsat)),
+        "wedges.json": dumps(fan_to_obj(wedges)),
         "broken.json": dumps(broken),
         "gs2.json": dumps(gsfan_to_obj(gs)),
         "p22hom.json": dumps(hom_to_obj(
@@ -137,12 +146,16 @@ CASES = [
     ("roundtrip_p1", ["roundtrip", "--fan", "p1.json"], 0),
     ("draw_p22", ["draw", "--fan", "p22.json", "--window", "3", "--out", "p22.svg"], 0),
     ("draw_roots", ["draw", "--fan", "a1root2.json", "--window", "4", "--out", "a1root2.svg"], 0),
+    ("draw_nonsat", ["draw", "--fan", "nonsat.json", "--window", "3", "--out", "nonsat.svg"], 0),
+    ("draw_wedges", ["draw", "--fan", "wedges.json", "--window", "3", "--out", "wedges.svg"], 0),
 ]
 
 #: files written by draw cases, compared byte-for-byte
 ARTIFACTS = {
     "draw_p22": "p22.svg",
     "draw_roots": "a1root2.svg",
+    "draw_nonsat": "nonsat.svg",
+    "draw_wedges": "wedges.svg",
 }
 
 

@@ -2,6 +2,8 @@
 
 import io
 import json
+import math
+import random
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -11,11 +13,13 @@ from kmfan.cli import run
 from kmfan.documents import dumps, fan_to_obj
 from kmfan.drawing import MAX_LAYERS, MAX_WINDOW, draw_fan_svg
 from kmfan.errors import RankTooHigh
-from kmfan.fans import KmFan, LatticeDatum, dilate, from_classical, roots
+from kmfan.fans import KmFan, LatticeDatum, dilate, from_classical, is_smooth, roots
 from kmfan.abelian import FgaGroup
 from kmfan.cones import Cone
+from kmfan.intlinalg import primitive_vector
 
 from conftest import build_p22, line_fan
+from drawing_oracle import draw_fan_svg_reference
 
 
 def fill_counts(svg: str):
@@ -108,3 +112,110 @@ class TestSizeBounds:
         assert out.getvalue().count("\n") == 1
         assert json.loads(out.getvalue())["error"] == "too-large"
         assert not (tmp_path / "big.svg").exists()
+
+
+# -- byte equality with the reference drawing code ---------------------------
+
+def _graph_fan(classical: KmFan, torsion, phi, k: int) -> KmFan:
+    """A fan over Z^r + T on the cones of a classical fan over Z^r: F_sigma
+    is the graph {(k v, phi(v)) : v in Span(sigma) cap Z^r}, which is
+    torsion-free and compatible with faces, as phi is one map for all cones."""
+    r = classical.group.free_rank
+    group = FgaGroup(r, torsion)
+
+    def lift(v):
+        return tuple(k * x for x in v) + tuple(
+            sum(a * x for a, x in zip(row, v)) % d for row, d in zip(phi, torsion)
+        )
+
+    return KmFan(group, classical.cones, {
+        c: LatticeDatum.from_generators(group, [lift(b) for b in c.span_lattice_basis().columns()])
+        for c in classical.cones
+    })
+
+
+def _polygon_subfan(rng, box: int) -> KmFan:
+    """A random subfan of a complete fan in Z^2 on 2 to 7 primitive rays in
+    [-box, box]^2, now and then with a ray of largest |coordinate| 32, whose
+    clipped end can sit on an exact half-hundredth of the picture."""
+    vectors = set()
+    while len(vectors) < rng.randint(2, 7):
+        if rng.random() < 0.15:
+            v = (32, rng.randrange(-31, 32, 2))
+            v = v if rng.random() < 0.5 else (v[1], -v[0])
+        else:
+            v = (rng.randint(-box, box), rng.randint(-box, box))
+        if any(v):
+            vectors.add(primitive_vector(v))
+    rays = sorted(vectors, key=lambda v: math.atan2(v[1], v[0]))
+    walls = [
+        Cone.from_generators([u, v], 2)
+        for u, v in zip(rays, rays[1:] + rays[:1])
+        if u[0] * v[1] - u[1] * v[0] > 0
+    ]
+    cones = walls + [Cone.ray(v) for v in rays]
+    return from_classical(FgaGroup(2), rng.sample(cones, rng.randint(1, len(cones))))
+
+
+def _line_subfan(rng) -> KmFan:
+    cones = [Cone.ray((1,)), Cone.ray((-1,))]
+    return from_classical(FgaGroup(1), rng.sample(cones, rng.randint(0, 2)))
+
+
+#: torsion parts up to MAX_LAYERS elements
+TORSIONS = [(), (2,), (3,), (2, 2), (5,), (2, 4), (2, 6), (16,), (2, 2, 2, 2), (4, 4)]
+
+
+def _random_drawable_fan(rng, rank: int) -> KmFan:
+    if rank == 0:
+        group = FgaGroup(0, rng.choice(TORSIONS))
+        zero = Cone.zero(0)
+        return KmFan(group, [zero], {zero: LatticeDatum.from_generators(group, [])})
+    fan = _line_subfan(rng) if rank == 1 else _polygon_subfan(rng, 60)
+    style = rng.choice(["classical", "dilate", "roots", "graph"])
+    if style == "dilate":
+        return dilate(fan, rng.randint(2, 4))[0]
+    if style == "roots":
+        if is_smooth(fan):
+            return roots(fan, [rng.randint(1, 4) for _ in fan.ray_cones()])[0]
+        return fan
+    if style == "graph":
+        torsion = rng.choice(TORSIONS)
+        phi = [[rng.randrange(d) for _ in range(rank)] for d in torsion]
+        return _graph_fan(fan, torsion, phi, rng.randint(1, 3))
+    return fan
+
+
+def _window(rng, fan: KmFan) -> int:
+    """Mostly small windows; up to MAX_WINDOW where the reference is quick."""
+    layers = fan.group.torsion_order()
+    if fan.group.free_rank < 2 or (layers == 1 and rng.random() < 0.1):
+        return rng.randint(1, MAX_WINDOW)
+    return rng.randint(1, 6)
+
+
+class TestAgainstReference:
+    def test_bytes_equal_the_reference(self):
+        """Seeded fans of free rank 0-2 with up to MAX_LAYERS torsion layers:
+        classical, dilated, rooted and graph data on non-complete subfans of
+        polygon fans with rays in [-60, 60]^2, at windows 1 to MAX_WINDOW."""
+        rng = random.Random(2323)
+        seen = {"rank0": 0, "rank1": 0, "rank2": 0, "torsion": 0, "max-layers": 0,
+                "half": 0, "big-window": 0}
+        for t in range(300):
+            rank = (0, 1, 2, 2, 2, 2)[t % 6]
+            fan = _random_drawable_fan(rng, rank)
+            window = _window(rng, fan)
+            if t == 5:
+                window = MAX_WINDOW
+            svg = draw_fan_svg(fan, window=window)
+            assert svg == draw_fan_svg_reference(fan, window=window), (fan.cones, window)
+            seen[f"rank{rank}"] += 1
+            seen["torsion"] += fan.group.torsion_order() > 1
+            seen["max-layers"] += fan.group.torsion_order() == MAX_LAYERS
+            seen["big-window"] += window > 16
+            seen["half"] += rank == 2 and any(
+                36 * window * abs(x) % 32 == 16 and max(map(abs, c.rays[0])) == 32
+                for c in fan.ray_cones() for x in c.rays[0]
+            )
+        assert min(seen.values()) >= 5, seen
