@@ -33,6 +33,7 @@ from .intlinalg import (
     _row_echelon,
     _transposed,
     hermite_column_basis,
+    is_saturated,
     kernel_basis,
     primitive_vector,
     rank as matrix_rank,
@@ -388,6 +389,9 @@ class Cone:
         full-dimensional cone spans Z^r, whose Hermite basis is the identity;
         a sharp cone on one ray spans the line of its primitive ray, whose
         Hermite basis is that ray with its first nonzero entry positive.
+        Otherwise, when the generators are a basis of a saturated lattice
+        (is_saturated), that lattice is Span(cone) cap Z^r, and only its
+        Hermite basis is taken; else saturate runs.
         """
         if self._span is None:
             gens = list(self.rays) + list(self.lineality)
@@ -401,7 +405,8 @@ class Cone:
             elif self.dim() == self.ambient_rank:
                 span = IntMatrix.identity(self.ambient_rank)
             else:
-                span = saturate(IntMatrix._from_columns(gens, self.ambient_rank))
+                m = IntMatrix._from_columns(gens, self.ambient_rank)
+                span = hermite_column_basis(m) if is_saturated(m) else saturate(m)
             object.__setattr__(self, "_span", span)
         return self._span
 

@@ -36,6 +36,9 @@ def _enc_int(n: int):
     return n if abs(n) <= _SAFE else str(n)
 
 
+_PLAIN_INT = {int}
+
+
 def _dec_int(value) -> int:
     if isinstance(value, bool):
         raise DocumentError("expected an integer, got a boolean")
@@ -56,7 +59,12 @@ def _enc_vector(v: Sequence[int]) -> list:
 def _dec_vector(value, length=None) -> tuple:
     if not isinstance(value, list):
         raise DocumentError("expected a list of integers")
-    out = tuple(_dec_int(x) for x in value)
+    # a list of plain ints is taken in one pass (type(x) is int rejects bool);
+    # any other entry sends it through _dec_int, which names the bad one
+    if {*map(type, value)} <= _PLAIN_INT:
+        out = tuple(value)
+    else:
+        out = tuple(_dec_int(x) for x in value)
     if length is not None and len(out) != length:
         raise DocumentError(f"expected a vector of length {length}")
     return out

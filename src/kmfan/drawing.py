@@ -10,11 +10,10 @@ torsion directions.
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from .errors import RankTooHigh
-from .fans import KmFan, support_contains
+from .fans import KmFan, _support_holder
 
 SCALE = 36
 MARGIN = 30
@@ -27,12 +26,11 @@ MAX_WINDOW = 32
 MAX_LAYERS = 16
 
 
-def _fmt(x: Fraction) -> str:
-    """Fixed two-decimal rendering of an exact rational, without floats."""
-    scaled = x * 100
-    n = scaled.numerator // scaled.denominator
-    if scaled - n >= Fraction(1, 2):
-        n += 1
+def _fmt(num: int, den: int) -> str:
+    """num/den rounded half up to two decimals, in integers: the rounded
+    hundredths are floor(100 num/den + 1/2) = (200 num + den) // (2 den),
+    for den > 0."""
+    n = (200 * num + den) // (2 * den)
     sign = "-" if n < 0 else ""
     n = abs(n)
     return f"{sign}{n // 100}.{n % 100:02d}"
@@ -43,6 +41,12 @@ def draw_fan_svg(fan: KmFan, window: int = 5) -> str:
 
     A window above MAX_WINDOW, or a torsion subgroup of order above
     MAX_LAYERS, raises OverflowError before any point or layer is listed.
+
+    The layers differ only in their horizontal offset and in which points
+    are filled, so the cones are clipped, and each grid point is given the
+    maximal cone that decides its membership (fans._support_holder), once
+    per picture; a layer then costs one datum membership test per point
+    held by a cone.
     """
     r = fan.group.free_rank
     if r > 2:
@@ -64,6 +68,22 @@ def draw_fan_svg(fan: KmFan, window: int = 5) -> str:
     layer_h = (span if r == 2 else 2 * SCALE) + 2 * MARGIN
     width = layer_w * len(layers) + LAYER_GAP * (len(layers) - 1)
     height = layer_h + 20
+    oy = MARGIN + (span // 2 if r == 2 else SCALE)
+
+    # per picture: each shape as (tag, den, [(x numerator, y string)]), the
+    # picture point of a vertex (x, y)/den being (ox + x/den, oy - y/den)
+    shapes = []
+    if r:
+        for cone in fan.cones:
+            if cone.dim() == 0:
+                continue
+            # a clipped ray has 2 vertices, a clipped 2d cone at least 3
+            den, clipped = _clip_cone(cone, window, r)
+            tag = "polygon" if cone.dim() == 2 else "line"
+            shapes.append((tag, den, [(SCALE * x, _fmt(oy * den - SCALE * y, den)) for x, y in clipped]))
+    grid = _grid(window, r)
+    holders = [_support_holder(fan, point) for point in grid]
+    circles = [(SCALE * x, _fmt(oy - SCALE * y, 1)) for x, y in ((point + (0, 0))[:2] for point in grid)]
 
     parts: List[str] = []
     parts.append(
@@ -74,43 +94,29 @@ def draw_fan_svg(fan: KmFan, window: int = 5) -> str:
 
     for li, torsion in enumerate(layers):
         ox = li * (layer_w + LAYER_GAP) + MARGIN + span // 2
-        oy = MARGIN + (span // 2 if r == 2 else SCALE)
-
-        def px(v: Sequence[Fraction]) -> Tuple[str, str]:
-            x = Fraction(ox) + Fraction(v[0]) * SCALE if r >= 1 else Fraction(ox)
-            y = Fraction(oy) - (Fraction(v[1]) * SCALE if r == 2 else 0)
-            return _fmt(x), _fmt(y)
-
         label = ",".join(str(t) for t in torsion) if torsion else "0"
         parts.append(
             f'<text x="{ox - span // 2}" y="{height - 6}" font-size="12" '
             f'font-family="monospace">torsion ({label})</text>'
         )
         # shaded cones (2d cones as wedges, rays as thick segments)
-        for cone in fan.cones:
-            if cone.dim() == 0:
-                continue
-            if r == 0:
-                continue
-            clipped = _clip_cone(cone, window, r)
-            if cone.dim() >= 2 and len(clipped) >= 3:
-                pts = " ".join(",".join(px(p)) for p in clipped)
+        for tag, den, vertices in shapes:
+            xy = [(_fmt(ox * den + x, den), y) for x, y in vertices]
+            if tag == "polygon":
+                pts = " ".join(f"{x},{y}" for x, y in xy)
                 parts.append(f'<polygon points="{pts}" fill="#c8d8f0" stroke="none"/>')
-            elif cone.dim() == 1 and len(clipped) == 2:
-                (x1, y1), (x2, y2) = (px(clipped[0]), px(clipped[1]))
+            else:
+                (x1, y1), (x2, y2) = xy
                 parts.append(
                     f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
                     f'stroke="#7090c0" stroke-width="4"/>'
                 )
         # lattice points
-        grid = _grid(window, r)
-        for point in grid:
-            coords = tuple(point) + tuple(torsion)
-            filled = support_contains(fan, coords)
-            cx, cy = px([Fraction(x) for x in (list(point) + [0, 0])[:2]])
+        for point, holder, (dx, cy) in zip(grid, holders, circles):
+            filled = holder is not None and fan.data[holder].contains(point + torsion)
             fill = "#303030" if filled else "white"
             parts.append(
-                f'<circle cx="{cx}" cy="{cy}" r="{POINT_RADIUS}" fill="{fill}" '
+                f'<circle cx="{_fmt(ox + dx, 1)}" cy="{cy}" r="{POINT_RADIUS}" fill="{fill}" '
                 f'stroke="#303030" stroke-width="1"/>'
             )
     parts.append("</svg>")
@@ -125,44 +131,52 @@ def _grid(window: int, rank: int) -> List[Tuple[int, ...]]:
     return [(x, y) for x in range(-window, window + 1) for y in range(-window, window + 1)]
 
 
-def _clip_cone(cone, window: int, rank: int) -> List[List[Fraction]]:
-    """Vertices of the cone clipped to the window box, ordered around the
-    boundary (the intersection of a sharp cone with the box is convex)."""
-    w = Fraction(window)
+def _clip_cone(cone, window: int, rank: int) -> Tuple[int, List[Tuple[int, int]]]:
+    """The cone clipped to the window box, as a denominator den and integer
+    vertices (x, y), the points (x, y)/den, ordered around the boundary (the
+    intersection of a sharp cone with the box is convex).
+
+    A ray v leaves the box at window/m(v) times v, m(v) = max(|v_0|, |v_1|),
+    so den is the product of the rays' max-norms.
+    """
     if rank == 1:
         ray = cone.rays[0]
-        end = w if ray[0] > 0 else -w
-        return [[Fraction(0), Fraction(0)], [end, Fraction(0)]]
+        return 1, [(0, 0), (window if ray[0] > 0 else -window, 0)]
+    norms = [max(abs(ray[0]), abs(ray[1])) for ray in cone.rays]
+    den = 1
+    for m in norms:
+        den *= m
+    vertices = [(0, 0)] + [
+        (window * den // m * ray[0], window * den // m * ray[1]) for ray, m in zip(cone.rays, norms)
+    ]
     if cone.dim() == 1:
-        ray = cone.rays[0]
-        t = _box_exit(ray, w)
-        return [[Fraction(0), Fraction(0)], [t * ray[0], t * ray[1]]]
-    vertices: List[Tuple[Fraction, Fraction]] = [(Fraction(0), Fraction(0))]
-    for ray in cone.rays:
-        t = _box_exit(ray, w)
-        vertices.append((t * ray[0], t * ray[1]))
-    for corner in ((w, w), (-w, w), (-w, -w), (w, -w)):
+        return den, vertices
+    for corner in ((window, window), (-window, window), (-window, -window), (window, -window)):
         if cone.contains_point(corner):
-            vertices.append((Fraction(corner[0]), Fraction(corner[1])))
-    return [list(p) for p in _sort_ccw(vertices)]
+            vertices.append((corner[0] * den, corner[1] * den))
+    return den, _sort_ccw(vertices)
 
 
-def _sort_ccw(points: List[Tuple[Fraction, Fraction]]) -> List[Tuple[Fraction, Fraction]]:
-    """Order the vertices of a convex polygon counterclockwise, exactly."""
+def _sort_ccw(points: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
+    """Order the vertices of a convex polygon counterclockwise, exactly.
+
+    The angles are read around the centroid (sx, sy)/n, compared through
+    n p - (sx, sy), which has the sign pattern of p - centroid.
+    """
     points = sorted(set(points))
     n = len(points)
-    cx = sum(p[0] for p in points) / n
-    cy = sum(p[1] for p in points) / n
+    sx = sum(p[0] for p in points)
+    sy = sum(p[1] for p in points)
 
     def half(p) -> int:
-        dx, dy = p[0] - cx, p[1] - cy
+        dx, dy = n * p[0] - sx, n * p[1] - sy
         return 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
 
     def compare(a, b) -> int:
         ha, hb = half(a), half(b)
         if ha != hb:
             return -1 if ha < hb else 1
-        cross = (a[0] - cx) * (b[1] - cy) - (a[1] - cy) * (b[0] - cx)
+        cross = (n * a[0] - sx) * (n * b[1] - sy) - (n * a[1] - sy) * (n * b[0] - sx)
         if cross > 0:
             return -1
         if cross < 0:
@@ -170,8 +184,3 @@ def _sort_ccw(points: List[Tuple[Fraction, Fraction]]) -> List[Tuple[Fraction, F
         return 0
 
     return sorted(points, key=functools.cmp_to_key(compare))
-
-
-def _box_exit(ray: Sequence[int], w: Fraction) -> Fraction:
-    m = max(abs(ray[0]), abs(ray[1]))
-    return w / m

@@ -885,14 +885,31 @@ def _matrix_add(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 # ---------------------------------------------------------------------------
 
 
+def _support_holder(fan: KmFan, free: Sequence[int]) -> Optional[Cone]:
+    """The first maximal cone that holds a free-quotient point, or None
+    when no cone does.  It decides the fine support over the point: an
+    element n with free part p lies in the union of the F_c cap c exactly
+    when n lies in F_holder.
+
+    Proof.  Every cone lies in a maximal one, so some cone holds p exactly
+    when a maximal one does.  Let c be any cone holding p and sigma the
+    holder; in a fan tau = sigma cap c is a face of both, and p lies in tau.
+    By compatibility F_tau = Span(tau) cap F_sigma = Span(tau) cap F_c, and
+    n lies in Span(tau), as p does; so n in F_sigma <=> n in F_tau <=>
+    n in F_c.
+    """
+    for c in fan.maximal_cones():
+        if c.contains_point(free):
+            return c
+    return None
+
+
 def support_contains(fan: KmFan, element: Sequence[int]) -> bool:
-    """Membership in the fine support: union of F_sigma cap sigma."""
+    """Membership in the fine support: union of F_sigma cap sigma, read off
+    the one cone that decides it (_support_holder)."""
     n = fan.group.reduce(element)
-    free = n[: fan.group.free_rank]
-    for c in fan.cones:
-        if c.contains_point(free) and fan.data[c].contains(n):
-            return True
-    return False
+    holder = _support_holder(fan, n[: fan.group.free_rank])
+    return holder is not None and fan.data[holder].contains(n)
 
 
 def coarse_support_contains(fan: KmFan, vector: Sequence[int]) -> bool:

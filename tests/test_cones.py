@@ -16,7 +16,7 @@ from kmfan.cones import (
     union_covers,
 )
 from kmfan.errors import DimensionMismatch, PieceOutsideTarget
-from kmfan.intlinalg import IntMatrix, rank, saturate, smith_decomposition
+from kmfan.intlinalg import IntMatrix, is_saturated, rank, saturate, smith_decomposition
 
 
 QUAD = Cone.from_generators([(1, 0), (0, 1)], 2)
@@ -289,18 +289,20 @@ class TestSpan:
 
     def test_closed_forms_agree_with_saturate(self, monkeypatch):
         """Seeded cones in r = 1..4: full-dimensional (sharp or not), single
-        rays (many with a negative leading entry), lines and intermediate
-        cones.  The first two kinds run no saturate."""
+        rays (many with a negative leading entry), lines, intermediate cones
+        and cones on u + v and u - v.  The first two kinds run no saturate,
+        and neither does a cone whose rays and lineality are a basis of a
+        saturated lattice."""
         rng = random.Random(1515)
-        kinds = {"full": 0, "ray": 0, "negative-ray": 0, "other": 0}
+        kinds = {"full": 0, "ray": 0, "negative-ray": 0, "saturated": 0, "other": 0}
         cases = []
-        for t in range(400):
+        for t in range(500):
             r = 1 + t % 4
 
             def vec():
                 return tuple(rng.randint(-4, 4) for _ in range(r))
 
-            kind = rng.choice(["full", "ray", "line", "intermediate"])
+            kind = rng.choice(["full", "ray", "line", "intermediate", "coarse"])
             if kind == "full":
                 gens = [vec() for _ in range(r + rng.randint(0, 2))]
             elif kind == "ray":
@@ -308,6 +310,11 @@ class TestSpan:
             elif kind == "line":
                 v = vec()
                 gens = [v, tuple(-x for x in v)]
+            elif kind == "coarse":
+                # u + v and u - v span a sublattice of index 2 when u, v
+                # are a basis of a saturated lattice
+                u, v = vec(), vec()
+                gens = [tuple(a + b for a, b in zip(u, v)), tuple(a - b for a, b in zip(u, v))]
             else:
                 gens = [vec() for _ in range(rng.randint(1, r))]
             cases.append((r, [g for g in gens if any(g)] or [(0,) * (r - 1) + (-2,)]))
@@ -317,16 +324,17 @@ class TestSpan:
             c = Cone.from_generators(gens, r)
             before = len(saturated)
             span = c.span_lattice_basis()
-            expected = saturate(IntMatrix.from_columns(list(c.rays) + list(c.lineality), rows=r))
+            m = IntMatrix.from_columns(list(c.rays) + list(c.lineality), rows=r)
+            expected = saturate(m)
             assert span == expected, gens
             closed_form = c.dim() == r or (len(c.rays) == 1 and not c.lineality)
-            assert (len(saturated) == before) == closed_form, gens
+            assert (len(saturated) == before) == (closed_form or is_saturated(m)), gens
             if c.dim() == r:
                 kinds["full"] += 1
             elif closed_form:
                 kinds["negative-ray" if c.rays[0][_first_nonzero(c.rays[0])] < 0 else "ray"] += 1
             else:
-                kinds["other"] += 1
+                kinds["saturated" if is_saturated(m) else "other"] += 1
         assert min(kinds.values()) >= 30, kinds
 
 

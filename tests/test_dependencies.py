@@ -34,6 +34,14 @@ def test_library_imports_only_the_standard_library():
     assert foreign == set()
 
 
+def test_library_imports_no_fractions():
+    """The library computes in integers only: no module imports fractions,
+    the drawing code included (its former Fraction body is the reference in
+    tests/drawing_oracle.py)."""
+    importers = {path.name for path in SRC.rglob("*.py") if "fractions" in absolute_imports(path)}
+    assert importers == set()
+
+
 def test_the_check_sees_a_foreign_import(tmp_path):
     module = tmp_path / "m.py"
     module.write_text("import os\nfrom numpy import array\nfrom . import cones\n")

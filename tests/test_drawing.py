@@ -87,6 +87,22 @@ class TestSizeBounds:
         assert svg.count("torsion (") == MAX_LAYERS
         assert sum(fill_counts(svg)) == MAX_LAYERS * (2 * MAX_WINDOW + 1)
 
+    def test_largest_rank_two_picture_draws_fast(self):
+        """A complete fan on 31 rays over Z^2 + Z/16 at window MAX_WINDOW:
+        16 layers of 65^2 points, each point under one of 31 walls."""
+        rays = [
+            primitive_vector((round(10 * math.cos(2 * math.pi * k / 31)), round(10 * math.sin(2 * math.pi * k / 31))))
+            for k in range(31)
+        ]
+        polygon = from_classical(FgaGroup(2), [Cone.from_generators([u, v], 2) for u, v in zip(rays, rays[1:] + rays[:1])])
+        fan = _graph_fan(polygon, (MAX_LAYERS,), [[3, 5]], 2)
+        start = time.perf_counter()
+        svg = draw_fan_svg(fan, window=MAX_WINDOW)
+        assert time.perf_counter() - start < 3
+        assert svg.count("torsion (") == MAX_LAYERS
+        assert svg.count("<polygon") == 31 * MAX_LAYERS
+        assert sum(fill_counts(svg)) == MAX_LAYERS * (2 * MAX_WINDOW + 1) ** 2
+
     @pytest.mark.parametrize("order,window,bound", [
         (1, MAX_WINDOW + 1, "MAX_WINDOW"),
         (MAX_LAYERS + 1, 1, "MAX_LAYERS"),
