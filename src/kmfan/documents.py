@@ -36,9 +36,6 @@ def _enc_int(n: int):
     return n if abs(n) <= _SAFE else str(n)
 
 
-_PLAIN_INT = {int}
-
-
 def _dec_int(value) -> int:
     if isinstance(value, bool):
         raise DocumentError("expected an integer, got a boolean")
@@ -61,7 +58,7 @@ def _dec_vector(value, length=None) -> tuple:
         raise DocumentError("expected a list of integers")
     # a list of plain ints is taken in one pass (type(x) is int rejects bool);
     # any other entry sends it through _dec_int, which names the bad one
-    if {*map(type, value)} <= _PLAIN_INT:
+    if {*map(type, value)} <= {int}:
         out = tuple(value)
     else:
         out = tuple(_dec_int(x) for x in value)

@@ -10,6 +10,7 @@ torsion directions.
 from __future__ import annotations
 
 import functools
+import math
 from typing import List, Tuple
 
 from .errors import RankTooHigh
@@ -143,9 +144,7 @@ def _clip_cone(cone, window: int, rank: int) -> Tuple[int, List[Tuple[int, int]]
         ray = cone.rays[0]
         return 1, [(0, 0), (window if ray[0] > 0 else -window, 0)]
     norms = [max(abs(ray[0]), abs(ray[1])) for ray in cone.rays]
-    den = 1
-    for m in norms:
-        den *= m
+    den = math.prod(norms)
     vertices = [(0, 0)] + [
         (window * den // m * ray[0], window * den // m * ray[1]) for ray, m in zip(cone.rays, norms)
     ]

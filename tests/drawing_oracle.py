@@ -104,7 +104,7 @@ def draw_fan_svg_reference(fan: KmFan, window: int = 5) -> str:
         grid = _grid(window, r)
         for point in grid:
             coords = tuple(point) + tuple(torsion)
-            filled = _support_contains(fan, coords)
+            filled = support_contains_reference(fan, coords)
             cx, cy = px([Fraction(x) for x in (list(point) + [0, 0])[:2]])
             fill = "#303030" if filled else "white"
             parts.append(
@@ -115,7 +115,7 @@ def draw_fan_svg_reference(fan: KmFan, window: int = 5) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _support_contains(fan: KmFan, element: Sequence[int]) -> bool:
+def support_contains_reference(fan: KmFan, element: Sequence[int]) -> bool:
     """Membership in the fine support, read off every cone of the fan."""
     n = fan.group.reduce(element)
     free = n[: fan.group.free_rank]

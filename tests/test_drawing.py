@@ -13,13 +13,13 @@ from kmfan.cli import run
 from kmfan.documents import dumps, fan_to_obj
 from kmfan.drawing import MAX_LAYERS, MAX_WINDOW, draw_fan_svg
 from kmfan.errors import RankTooHigh
-from kmfan.fans import KmFan, LatticeDatum, dilate, from_classical, is_smooth, roots
+from kmfan.fans import KmFan, LatticeDatum, dilate, from_classical, is_smooth, roots, support_contains
 from kmfan.abelian import FgaGroup
 from kmfan.cones import Cone
 from kmfan.intlinalg import primitive_vector
 
 from conftest import build_p22, line_fan
-from drawing_oracle import draw_fan_svg_reference
+from drawing_oracle import draw_fan_svg_reference, support_contains_reference
 
 
 def fill_counts(svg: str):
@@ -81,6 +81,24 @@ def torsion_line_fan(order: int) -> KmFan:
     })
 
 
+def _graph_fan(classical: KmFan, torsion, phi, k: int) -> KmFan:
+    """A fan over Z^r + T on the cones of a classical fan over Z^r: F_sigma
+    is the graph {(k v, phi(v)) : v in Span(sigma) cap Z^r}, which is
+    torsion-free and compatible with faces, as phi is one map for all cones."""
+    r = classical.group.free_rank
+    group = FgaGroup(r, torsion)
+
+    def lift(v):
+        return tuple(k * x for x in v) + tuple(
+            sum(a * x for a, x in zip(row, v)) % d for row, d in zip(phi, torsion)
+        )
+
+    return KmFan(group, classical.cones, {
+        c: LatticeDatum.from_generators(group, [lift(b) for b in c.span_lattice_basis().columns()])
+        for c in classical.cones
+    })
+
+
 class TestSizeBounds:
     def test_largest_picture_is_drawn(self):
         svg = draw_fan_svg(torsion_line_fan(MAX_LAYERS), window=MAX_WINDOW)
@@ -89,7 +107,7 @@ class TestSizeBounds:
 
     def test_largest_rank_two_picture_draws_fast(self):
         """A complete fan on 31 rays over Z^2 + Z/16 at window MAX_WINDOW:
-        16 layers of 65^2 points, each point under one of 31 walls."""
+        16 layers of 65^2 points, every point held by one of 31 maximal cones."""
         rays = [
             primitive_vector((round(10 * math.cos(2 * math.pi * k / 31)), round(10 * math.sin(2 * math.pi * k / 31))))
             for k in range(31)
@@ -131,24 +149,6 @@ class TestSizeBounds:
 
 
 # -- byte equality with the reference drawing code ---------------------------
-
-def _graph_fan(classical: KmFan, torsion, phi, k: int) -> KmFan:
-    """A fan over Z^r + T on the cones of a classical fan over Z^r: F_sigma
-    is the graph {(k v, phi(v)) : v in Span(sigma) cap Z^r}, which is
-    torsion-free and compatible with faces, as phi is one map for all cones."""
-    r = classical.group.free_rank
-    group = FgaGroup(r, torsion)
-
-    def lift(v):
-        return tuple(k * x for x in v) + tuple(
-            sum(a * x for a, x in zip(row, v)) % d for row, d in zip(phi, torsion)
-        )
-
-    return KmFan(group, classical.cones, {
-        c: LatticeDatum.from_generators(group, [lift(b) for b in c.span_lattice_basis().columns()])
-        for c in classical.cones
-    })
-
 
 def _polygon_subfan(rng, box: int) -> KmFan:
     """A random subfan of a complete fan in Z^2 on 2 to 7 primitive rays in
@@ -235,3 +235,18 @@ class TestAgainstReference:
                 for c in fan.ray_cones() for x in c.rays[0]
             )
         assert min(seen.values()) >= 5, seen
+
+    def test_support_contains_equals_the_all_cones_reading(self):
+        """support_contains reads one maximal cone; the reference reads
+        every cone.  Seeded fans as above, elements with unreduced torsion
+        coordinates."""
+        rng = random.Random(2424)
+        filled = 0
+        for t in range(150):
+            fan = _random_drawable_fan(rng, (0, 1, 2)[t % 3])
+            for _ in range(20):
+                element = [rng.randint(-8, 8) for _ in range(fan.group.ncoords)]
+                expected = support_contains_reference(fan, element)
+                assert support_contains(fan, element) == expected, (fan.cones, element)
+                filled += expected
+        assert filled >= 300, filled
