@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from .errors import RankTooHigh
 from .fans import KmFan, _support_holder
+from .intlinalg import LinearSystem
 
 SCALE = 36
 MARGIN = 30
@@ -44,10 +45,8 @@ def draw_fan_svg(fan: KmFan, window: int = 5) -> str:
     MAX_LAYERS, raises OverflowError before any point or layer is listed.
 
     The layers differ only in their horizontal offset and in which points
-    are filled, so the cones are clipped, and each grid point is given the
-    maximal cone that decides its membership (fans._support_holder), once
-    per picture; a layer then costs one datum membership test per point
-    held by a cone.
+    are filled, so the cones are clipped, and the one layer filled over each
+    grid point is found (_filled_layers), once per picture.
     """
     r = fan.group.free_rank
     if r > 2:
@@ -83,7 +82,7 @@ def draw_fan_svg(fan: KmFan, window: int = 5) -> str:
             tag = "polygon" if cone.dim() == 2 else "line"
             shapes.append((tag, den, [(SCALE * x, _fmt(oy * den - SCALE * y, den)) for x, y in clipped]))
     grid = _grid(window, r)
-    holders = [_support_holder(fan, point) for point in grid]
+    filled_layer = _filled_layers(fan, grid)
     circles = [(SCALE * x, _fmt(oy - SCALE * y, 1)) for x, y in ((point + (0, 0))[:2] for point in grid)]
 
     parts: List[str] = []
@@ -113,15 +112,44 @@ def draw_fan_svg(fan: KmFan, window: int = 5) -> str:
                     f'stroke="#7090c0" stroke-width="4"/>'
                 )
         # lattice points
-        for point, holder, (dx, cy) in zip(grid, holders, circles):
-            filled = holder is not None and fan.data[holder].contains(point + torsion)
-            fill = "#303030" if filled else "white"
+        for layer, (dx, cy) in zip(filled_layer, circles):
+            fill = "#303030" if layer == torsion else "white"
             parts.append(
                 f'<circle cx="{_fmt(ox + dx, 1)}" cy="{cy}" r="{POINT_RADIUS}" fill="{fill}" '
                 f'stroke="#303030" stroke-width="1"/>'
             )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
+
+
+def _filled_layers(fan: KmFan, grid: List[Tuple[int, ...]]) -> List[Optional[Tuple[int, ...]]]:
+    """For each grid point p of the free quotient, the torsion part of the
+    one element of the fine support over p, or None when there is none.
+
+    The maximal cone that holds p decides the support over it
+    (fans._support_holder): the elements over p in the support are those of
+    F_holder.  A datum meets the torsion subgroup in 0, so its free
+    projection is injective, and at most one of them has free part p: the
+    element basis x for the integer solution x of free_basis x = p, one
+    solve per point on the holder's free basis, which is set up once per
+    holder.
+    """
+    group = fan.group
+    r = group.free_rank
+    systems = {}
+    out: List[Optional[Tuple[int, ...]]] = []
+    for point in grid:
+        holder = _support_holder(fan, point)
+        if holder is None:
+            out.append(None)
+            continue
+        datum = fan.data[holder]
+        system = systems.get(holder)
+        if system is None:
+            system = systems[holder] = LinearSystem(datum.free_basis())
+        x = system.integer(point)
+        out.append(None if x is None else group.reduce(datum.basis().apply(x))[r:])
+    return out
 
 
 def _grid(window: int, rank: int) -> List[Tuple[int, ...]]:

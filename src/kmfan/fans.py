@@ -614,10 +614,20 @@ def _saturated_data(group: FgaGroup, cones: Iterable[Cone]) -> Dict[Cone, Lattic
 
 
 def is_classical(fan: KmFan) -> bool:
-    """Lattice group and every datum saturated (F_sigma = N_sigma)."""
+    """Lattice group and every datum saturated (F_sigma = N_sigma), read
+    on the maximal cones only.
+
+    A valid datum F_sigma lies in Span(sigma) cap N with rank dim sigma, so
+    it is saturated in N exactly when it is N_sigma = Span(sigma) cap N: the
+    quotient N_sigma / F_sigma is finite, and trivial when F_sigma is
+    saturated.  For a face tau of a maximal sigma with F_sigma = N_sigma,
+    compatibility gives F_tau = Span(tau) cap F_sigma = Span(tau) cap
+    Span(sigma) cap N = Span(tau) cap N, as Span(tau) lies in Span(sigma).
+    Every cone is a face of a maximal cone.
+    """
     if not fan.group.is_lattice():
         return False
-    return all(is_saturated(fan.data[c].basis()) for c in fan.cones)
+    return all(is_saturated(fan.data[c].basis()) for c in fan.maximal_cones())
 
 
 def coarse_fan(fan: KmFan) -> Tuple[KmFan, KmFanHom]:

@@ -158,16 +158,43 @@ def _maximal_cone_presentation(
 
     Returns the block offset of each maximal cone, the maximal cofaces of
     each cone (both in fan order; a maximal cone is its own), and the
-    relations: for each generator g of a face tau with maximal cofaces
-    sigma_1, ..., sigma_k, g in sigma_1's block minus g in sigma_i's block.
+    relations: for each face tau with maximal cofaces sigma_1, ..., sigma_k,
+    and each generator g of F_tau, g in sigma_1's block minus g in the block
+    of the first cone of each other class of tau's linked cofaces (below).
 
     The colimit is defined on a block F_tau for every cone, with the
     relation g in rho's block = g in tau's block for each face pair
-    tau < rho and g in a basis of F_tau.  Tietze moves take that to this:
-    each non-maximal block F_tau is eliminated by its relation to the block
-    of its sigma_1.  A relation for tau < rho then reads (g in the block of
-    rho's sigma_1) = (g in the block of tau's sigma_1); both are maximal
-    cofaces of tau, so it is the difference of two of tau's relations.
+    tau < rho and g in a basis of F_tau.  Tietze moves take that to the
+    full presentation on maximal cones: each non-maximal block F_tau is
+    eliminated by its relation to the block of its sigma_1.  A relation for
+    tau < rho then reads (g in the block of rho's sigma_1) = (g in the block
+    of tau's sigma_1); both are maximal cofaces of tau, so it is the
+    difference of two relations g in sigma_1's block = g in sigma_i's block,
+    i = 2, ..., k, of tau.
+
+    Most of those are redundant, and are not emitted.  Two maximal cofaces
+    of tau are linked when both are cofaces of one non-maximal cone rho
+    that has tau as a facet; the classes are those of the equivalence this
+    generates (a maximal cone is its own only maximal coface, so it links
+    nothing).  Claim: the relations kept, g in sigma_1's block = g in the
+    block of the first coface of each other class, generate every relation
+    of the full presentation.  By induction down from the top dimension,
+    suppose they generate those of every face of dimension above dim tau.
+    Take rho non-maximal with tau as a facet, and two of its maximal
+    cofaces a, b.  F_tau = Span(tau) cap F_rho lies in F_rho, and the
+    coordinates of an element in a block are linear in it, so for g in
+    F_tau, g in a's block minus g in b's block is an integral combination
+    of rho's full relations, which are generated by hypothesis.  Chaining
+    such steps identifies g across each class, and the kept relations join
+    each class to sigma_1's.  A face of top dimension is maximal and has
+    none.  A non-maximal rho > tau of higher codimension would link nothing
+    more: rho's face lattice is graded (Ziegler, Lectures on Polytopes,
+    Ch. 2), so tau is a facet of some face rho' of rho in the fan,
+    non-maximal as rho is, whose maximal cofaces include rho's.
+
+    In free rank 2 and below nothing is pruned: a non-maximal cone with a
+    facet of positive rank has dimension at least 2, and no such cone is
+    a proper face there.  A fan with one maximal cone has no relations.
     """
     offsets: Dict[Cone, int] = {}
     cofaces: Dict[Cone, List[Cone]] = {}
@@ -178,14 +205,26 @@ def _maximal_cone_presentation(
         for tau in sigma.faces():
             cofaces.setdefault(tau, []).append(sigma)
 
+    # the coface lists of the non-maximal cones that have each face as a
+    # facet; facets of dimension 0 have no generators and are skipped
+    links: Dict[Cone, List[List[Cone]]] = {}
+    if len(offsets) > 1:
+        for rho, over in cofaces.items():
+            if len(over) > 1 and rho.dim() > 1:
+                for tau in rho.facet_cones():
+                    links.setdefault(tau, []).append(over)
+
     rel_cols: List[Vec] = []
     for tau, over in cofaces.items():
         if len(over) < 2:
             continue
+        heads = _class_heads(over, links[tau]) if tau in links else over[1:]
+        if not heads:
+            continue
         off_first = offsets[over[0]]
         for g in fan.data[tau].basis().columns():
             base = _coords_in(fan.data[over[0]], g)
-            for sigma in over[1:]:
+            for sigma in heads:
                 col = [0] * total
                 for i, x in enumerate(base):
                     col[off_first + i] = x
@@ -194,6 +233,34 @@ def _maximal_cone_presentation(
                     col[off + i] -= x
                 rel_cols.append(tuple(col))
     return offsets, cofaces, IntMatrix._from_columns(rel_cols, total)
+
+
+def _class_heads(over: List[Cone], groups: List[List[Cone]]) -> List[Cone]:
+    """The first cone, in the order of over, of each class of the
+    equivalence on over that every group links, except over[0]'s class.
+    A union-find; each group is a sublist of over."""
+    parent = {sigma: sigma for sigma in over}
+
+    def find(sigma: Cone) -> Cone:
+        while parent[sigma] is not sigma:
+            parent[sigma] = parent[parent[sigma]]
+            sigma = parent[sigma]
+        return sigma
+
+    for group in groups:
+        root = find(group[0])
+        for sigma in group[1:]:
+            other = find(sigma)
+            if other is not root:
+                parent[other] = root
+    seen = {find(over[0])}
+    heads = []
+    for sigma in over[1:]:
+        root = find(sigma)
+        if root not in seen:
+            seen.add(root)
+            heads.append(sigma)
+    return heads
 
 
 def lattice_data_colimit(fan: KmFan) -> Unfolding:
@@ -328,12 +395,23 @@ def is_gs_representable(fan: KmFan) -> bool:
     F_sigma is saturated, the image of F_tau is saturated in it and hence in
     the free colimit.  Every cone is a face of a maximal cone.
 
+    A maximal cone whose datum is saturated in N passes without the
+    colimit.  Write i for its structure map into the free colimit L and
+    beta : L -> N, so beta o i is the inclusion of F_sigma.  If k b = i(a)
+    for b in L, a in F_sigma and k > 0, then k beta(b) = a lies in F_sigma,
+    which is saturated, so beta(b) = a' for some a' in F_sigma.  Then
+    beta(b - i(a')) = 0 and k (b - i(a')) = i(a - k a') lies in i(F_sigma),
+    on which beta is injective, so it is 0; L is torsion-free, so
+    b = i(a'), and i(F_sigma) is saturated in L.  Only the maximal cones
+    with unsaturated data are tested, and when there are none (a classical
+    fan, say) the answer is True with no presentation built.
+
     The colimit is the one lattice_data_colimit builds its normal form from:
-    blocks for the maximal cones, and one relation per generator of each
-    shared face (_maximal_cone_presentation).  Whether an image is saturated
-    does not depend on the basis of the free colimit, so no normal form is
-    built.  One row echelon form T rel = [E; 0] of the relation columns
-    gives it: T is unimodular, so its rows past the rank are a basis of the
+    blocks for the maximal cones, and the relations of
+    _maximal_cone_presentation.  Whether an image is saturated does not
+    depend on the basis of the free colimit, so no normal form is built.
+    One row echelon form T rel = [E; 0] of the relation columns gives it:
+    T is unimodular, so its rows past the rank are a basis of the
     functionals that vanish on the relations, that is, coordinates on the
     colimit modulo its torsion.  The columns of those rows at sigma's block
     are the structure map of sigma, which is injective, so its image is
@@ -341,11 +419,14 @@ def is_gs_representable(fan: KmFan) -> bool:
     """
     if not fan.group.is_lattice():
         raise NonLattice("the test is defined for lattice KM fans")
+    unsaturated = [s for s in fan.maximal_cones() if not is_saturated(fan.data[s].basis())]
+    if not unsaturated:
+        return True
     offsets, _, relations = _maximal_cone_presentation(fan)
     echelon, t = _row_echelon(relations.entries, transform=True)
     free_rows = t.entries[len(echelon):]
-    for sigma, off in offsets.items():
-        width = fan.data[sigma].rank()
+    for sigma in unsaturated:
+        off, width = offsets[sigma], fan.data[sigma].rank()
         block = IntMatrix._make(tuple(row[off:off + width] for row in free_rows), width)
         if not is_saturated(block):
             return False

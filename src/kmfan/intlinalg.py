@@ -46,7 +46,7 @@ def _int_entry(x) -> int:
 def _int_vector(values: Iterable) -> Vec:
     """The values as a tuple of ints; anything operator.index rejects
     (floats, fractions, strings) raises TypeError naming the entry."""
-    if type(values) is tuple and all(type(x) is int for x in values):
+    if type(values) is tuple and {*map(type, values)} <= {int}:
         return values
     return tuple(map(_int_entry, values))
 
@@ -454,10 +454,17 @@ def invariant_factors(m: IntMatrix) -> Tuple[int, ...]:
 
 def is_saturated(m: IntMatrix) -> bool:
     """Whether the columns of m are a basis of a saturated sublattice: m has
-    m.cols invariant factors, all of them 1, which a row echelon form of m
-    with m.cols unit leading entries shows without a Smith form."""
-    factors = invariant_factors(m)
-    return len(factors) == m.cols and all(d == 1 for d in factors)
+    m.cols invariant factors, all of them 1, read off a row echelon form
+    T m = [E; 0] with no Smith form.
+
+    m must be injective, so E is square and upper triangular.  The product
+    of the invariant factors of an injective m is the gcd of its maximal
+    minors, which unimodular row steps keep; the only nonzero maximal minor
+    of [E; 0] is det E, the product of the leading entries.  So the factors
+    are all 1 exactly when every leading entry is.
+    """
+    echelon, _ = _row_echelon(m.entries)
+    return len(echelon) == m.cols and all(next(filter(None, row)) == 1 for row in echelon)
 
 
 def rank(m: IntMatrix) -> int:

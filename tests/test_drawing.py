@@ -9,6 +9,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from kmfan import drawing
 from kmfan.cli import run
 from kmfan.documents import dumps, fan_to_obj
 from kmfan.drawing import MAX_LAYERS, MAX_WINDOW, draw_fan_svg
@@ -120,6 +121,32 @@ class TestSizeBounds:
         assert svg.count("torsion (") == MAX_LAYERS
         assert svg.count("<polygon") == 31 * MAX_LAYERS
         assert sum(fill_counts(svg)) == MAX_LAYERS * (2 * MAX_WINDOW + 1) ** 2
+
+    def test_one_solve_per_grid_point(self, monkeypatch):
+        """The layer filled over a point comes from one integer solve on
+        its holder's free basis, with one linear system per holder and no
+        datum membership test per layer: 8 maximal cones over Z^2 + Z/8,
+        81 points, each held by a cone."""
+        rays = [(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1)]
+        polygon = from_classical(FgaGroup(2), [Cone.from_generators([u, v], 2) for u, v in zip(rays, rays[1:] + rays[:1])])
+        fan = _graph_fan(polygon, (8,), [[3, 5]], 2)
+        systems, solves, tests = [], [], []
+
+        class Counting(drawing.LinearSystem):
+            def __init__(self, m):
+                systems.append(m)
+                super().__init__(m)
+
+            def integer(self, b):
+                solves.append(b)
+                return super().integer(b)
+
+        monkeypatch.setattr(drawing, "LinearSystem", Counting)
+        monkeypatch.setattr(LatticeDatum, "contains", lambda self, v: tests.append(v))
+        svg = draw_fan_svg(fan, window=4)
+        assert (len(systems), len(solves), tests) == (8, 81, [])
+        assert sum(fill_counts(svg)) == 8 * 81
+        assert fill_counts(svg)[0] == 25
 
     @pytest.mark.parametrize("order,window,bound", [
         (1, MAX_WINDOW + 1, "MAX_WINDOW"),

@@ -83,6 +83,7 @@ from kmfan.intlinalg import (
     LinearSystem,
     _dot,
     hermite_column_basis,
+    is_saturated,
     kernel_basis,
     primitive_vector,
     rank as matrix_rank,
@@ -180,6 +181,31 @@ class TestClassical:
     def test_torsion_ambient_rejected(self):
         with pytest.raises(TorsionAmbient):
             from_classical(N22, [Cone.from_generators([(1,)], 1)])
+
+    def test_maximal_cones_decide_as_all_cones_do(self):
+        """is_classical reads the maximal cones only; on valid fans that is
+        the all-cones reading, every datum saturated in a lattice.  Seeded
+        simplicial fans (some over torsion), their rigidifications, some of
+        them times P^1, and dilations of classical fans, whose every
+        datum but the zero cone's is unsaturated."""
+        rng = random.Random(6161)
+        p1 = projective_line_fan()
+        readings = collections.Counter()
+        for i in range(240):
+            fan = random_simplicial_km_fan(rng)
+            if i % 2:
+                fan, _ = rigidify(fan)
+            if i % 3 == 0:
+                fan = product(fan, p1)[0]
+            for case in (fan, dilate(fan, 2)[0]) if is_classical(fan) else (fan,):
+                everywhere = case.group.is_lattice() and all(
+                    is_saturated(case.data[c].basis()) for c in case.cones
+                )
+                assert is_classical(case) == everywhere, (i, case.cones)
+                readings[everywhere, bool(case.group.torsion)] += 1
+        assert readings[True, False] >= 30
+        assert readings[False, False] >= 30
+        assert readings[False, True] >= 30
 
 
 class TestCoarseAndRigidify:

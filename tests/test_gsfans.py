@@ -45,9 +45,10 @@ from kmfan.gsfans import (
     unfold,
 )
 from kmfan import abelian, cones, fans, gsfans, intlinalg, monoids
-from kmfan.intlinalg import IntMatrix, primitive_vector, rank as matrix_rank
+from kmfan.intlinalg import IntMatrix, hermite_column_basis, primitive_vector, rank as matrix_rank
 
 from conftest import build_p22, line_fan, projective_line_fan, plane_fan
+from gsfans_oracle import colimit_reference, full_maximal_cone_presentation, is_gs_representable_reference
 from linalg_oracles import blocks_saturated_by_smith
 
 Z = FgaGroup(1)
@@ -594,11 +595,15 @@ class TestMaximalConePresentation:
     @pytest.mark.parametrize("build", [
         lambda: polygon_fan(64),
         lambda: product(product(projective_line_fan(), projective_line_fan())[0], projective_line_fan())[0],
+        lambda: dilate(product(product(projective_line_fan(), projective_line_fan())[0], projective_line_fan())[0], 2)[0],
+        lambda: dilate(polygon_fan(16), 3)[0],
     ])
     def test_no_smith_and_no_colimit(self, monkeypatch, build):
         """The test reads one row echelon form of the relations, with no
-        Smith decomposition.  Counted with the datum bases already cached,
-        as in a fan that has been validated."""
+        Smith decomposition; a classical fan needs not even that.  The
+        dilated fans, every datum unsaturated, keep the echelon path
+        counted.  Counted with the datum bases already cached, as in a fan
+        that has been validated."""
         fan = build()
         for c in fan.cones:
             fan.data[c].basis()
@@ -619,6 +624,102 @@ class TestMaximalConePresentation:
         assert is_gs_representable(fan)
         assert tracked == []
         assert banned == []
+
+
+def products_of_lines(k: int) -> KmFan:
+    p1 = projective_line_fan()
+    fan = p1
+    for _ in range(k - 1):
+        fan = product(fan, p1)[0]
+    return fan
+
+
+def bowtie_fan() -> KmFan:
+    """Four smooth 3-cones around the ray e3 in two pairs, each pair
+    sharing a wall through e3, the pairs meeting only in e3: the maximal
+    cofaces of e3 fall into two classes, and one relation joins them."""
+    e3 = (0, 0, 1)
+    return from_classical(Z3, [
+        Cone.from_generators([e3, (1, 0, 0), (1, 1, 0)], 3),
+        Cone.from_generators([e3, (1, 1, 0), (0, 1, 0)], 3),
+        Cone.from_generators([e3, (-1, 0, 0), (-1, -1, 0)], 3),
+        Cone.from_generators([e3, (-1, -1, 0), (0, -1, 0)], 3),
+    ])
+
+
+def pruned_products():
+    """Lattice fans of rank 3 and 4 whose faces are shared by cones that
+    are not maximal, where the presentation is pruned: P^1 cubed, the
+    bowtie and linked pages times P^1, and seeded rank-2 KM fans (polygons
+    and three-ray fans with mixed data, and the paper's counterexample)
+    times P^1 or a dilated P^1."""
+    rng = random.Random(7373)
+    p1 = projective_line_fan()
+    lines = [p1, dilate(p1, 2)[0], dilate(p1, 3)[0]]
+    out = [products_of_lines(3), product(nonsaturated_colimit_fan(), p1)[0]]
+    out += [product(bowtie_fan(), p1)[0], product(linked_pages_fan(False), p1)[0]]
+    for i in range(24):
+        base = random_polygon_km_fan(rng) if i % 2 else mixed_three_ray_fan(rng)
+        line = lines[i % 3]
+        out.append(product(base, line)[0] if i % 4 < 2 else product(line, base)[0])
+    return out
+
+
+class TestPrunedPresentation:
+    def test_agrees_with_the_full_presentation(self, lattice_fans):
+        """The pruned relations span the lattice of the full ones, so the
+        colimit and the representability answer are the full
+        presentation's (gsfans_oracle), on the seeded lattice fans, their
+        2x dilations (every datum of positive rank unsaturated), products
+        of rank 3 and 4, and named fans.  The bowtie keeps the one relation
+        that joins two classes of cofaces."""
+        cases = (
+            lattice_fans
+            + [dilate(fan, 2)[0] for fan in lattice_fans]
+            + pruned_products()
+            + [nonsaturated_colimit_fan(), linked_pages_fan(False), linked_pages_fan(True), bowtie_fan()]
+        )
+        pruned = 0
+        answers = []
+        for i, fan in enumerate(cases):
+            offsets, _, relations = gsfans._maximal_cone_presentation(fan)
+            full_offsets, full = full_maximal_cone_presentation(fan)
+            assert offsets == full_offsets, i
+            assert hermite_column_basis(relations) == hermite_column_basis(full), i
+            assert lattice_data_colimit(fan).colimit == colimit_reference(fan), i
+            answer = is_gs_representable(fan)
+            assert answer == is_gs_representable_reference(fan), (i, fan.cones)
+            pruned += relations.cols < full.cols
+            answers.append(answer)
+        assert pruned >= 20
+        _, _, relations = gsfans._maximal_cone_presentation(bowtie_fan())
+        assert (relations.cols, full_maximal_cone_presentation(bowtie_fan())[1].cols) == (5, 9)
+        assert answers.count(False) >= 40 and answers.count(True) >= 600
+
+    @pytest.mark.parametrize("k, kept, full", [(4, 96, 296), (5, 320, 1750), (6, 960, 9372)])
+    def test_relation_counts_on_products_of_lines(self, k, kept, full):
+        """(P^1)^k: 2^k maximal cones of rank k; the full presentation's
+        relations against the pruned ones."""
+        fan = products_of_lines(k)
+        offsets, _, relations = gsfans._maximal_cone_presentation(fan)
+        assert (len(offsets), relations.rows, relations.cols) == (2 ** k, k * 2 ** k, kept)
+        assert full_maximal_cone_presentation(fan)[1].cols == full
+
+    def test_classical_fans_build_no_presentation(self, monkeypatch, lattice_fans):
+        """Saturated maximal data pass without the colimit: a classical fan
+        never reaches _maximal_cone_presentation, a dilated one does once."""
+        calls = []
+        real = gsfans._maximal_cone_presentation
+        monkeypatch.setattr(gsfans, "_maximal_cone_presentation", lambda fan: calls.append(fan) or real(fan))
+        classical = [fan for fan in lattice_fans if is_classical(fan)]
+        classical += [polygon_fan(64), products_of_lines(4), linked_pages_fan(True)]
+        assert len(classical) >= 100
+        for fan in classical:
+            assert is_gs_representable(fan)
+        assert calls == []
+        dilated = dilate(polygon_fan(8), 2)[0]
+        assert is_gs_representable(dilated)
+        assert calls == [dilated]
 
 
 class TestRoundTrip:
@@ -892,12 +993,9 @@ class TestOneColimitPresentation:
 
     def test_presents_on_maximal_cones_once(self, monkeypatch):
         """(P^1)^4: 16 maximal cones of rank 4 and one relation per generator
-        of each shared face and each further coface; the all-pairs
-        presentation is 216 x 784."""
-        p1 = projective_line_fan()
-        fan = p1
-        for _ in range(3):
-            fan = product(fan, p1)[0]
+        of each shared face and each further class of its linked cofaces
+        (296 unpruned); the all-pairs presentation is 216 x 784."""
+        fan = products_of_lines(4)
         shapes = []
         real = gsfans.present_quotient
 
@@ -907,7 +1005,7 @@ class TestOneColimitPresentation:
 
         monkeypatch.setattr(gsfans, "present_quotient", recording)
         unf = lattice_data_colimit(fan)
-        assert shapes == [(64, 296)]
+        assert shapes == [(64, 96)]
         assert unf.colimit == FgaGroup(8)
         assert sorted(unf.block_offsets.values()) == list(range(0, 64, 4))
 

@@ -387,6 +387,10 @@ class TestTrustedConstruction:
             assert all(type(r) is tuple and all(type(x) is int for x in r) for r in m.entries)
         assert a.columns() == ((1, 3), (2, -4))
         assert IntMatrix.zero(2, 0).columns() == () and IntMatrix.zero(0, 2).columns() == ((), ())
+        # a tuple row of plain ints is kept as it is; one holding a bool is
+        # converted entry by entry
+        b = IntMatrix([(True, 2), (3, -4)])
+        assert [[type(x) for x in r] for r in b.entries] == [[int, int], [int, int]]
 
 
 class TestCheckedConstruction:
