@@ -8,6 +8,7 @@ groups are isomorphic iff they are equal.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, KmFanError, NonLattice, NotTame
@@ -20,6 +21,7 @@ from .intlinalg import (
     hermite_column_basis,
     invariant_factors,
     kernel_basis,
+    lattice_intersection,
     smith_decomposition,
 )
 
@@ -60,18 +62,10 @@ class FgaGroup:
 
     def order(self) -> Optional[int]:
         """Group order, or None when infinite."""
-        if self.free_rank:
-            return None
-        n = 1
-        for d in self.torsion:
-            n *= d
-        return n
+        return None if self.free_rank else self.torsion_order()
 
     def torsion_order(self) -> int:
-        n = 1
-        for d in self.torsion:
-            n *= d
-        return n
+        return math.prod(self.torsion)
 
     def zero(self) -> Vec:
         return (0,) * self.ncoords
@@ -260,8 +254,6 @@ class Subgroup:
         return IntMatrix._from_columns(self.generators(), self.ambient.ncoords)
 
     def intersection(self, other: "Subgroup") -> "Subgroup":
-        from .intlinalg import lattice_intersection
-
         return Subgroup(self.ambient, lattice_intersection(self.preimage, other.preimage))
 
     def as_group(self) -> Tuple[FgaGroup, GroupHom]:

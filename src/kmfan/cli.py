@@ -4,6 +4,11 @@ Usage:
     kmfan <subcommand> --fan FILE [--fan2 FILE] [--hom FILE] [--cone INDEX]
                        [--point CSV] [--window N] [--out FILE]
 
+Each subcommand is one entry of an ordered table: the flag naming its input
+document (--fan, or --hom for a fan morphism), the reader that loads that
+document, and the handler that turns it into the result.  The input is read
+before any other flag; SUBCOMMANDS is the table's names, in order.
+
 Exit codes: 0 success, 1 validation refusal or precondition failure,
 2 malformed input (JSON that does not parse, or a file that is not UTF-8),
 a group larger than documents allow (documents.MAX_FREE_RANK,
@@ -20,7 +25,7 @@ import sys
 from typing import Optional, Tuple
 
 from . import fans, gsfans
-from .abelian import FgaGroup, GroupHom
+from .abelian import FgaGroup, GroupHom, dd_of_hom, is_tame_hom
 from .documents import (
     DocumentError,
     dumps,
@@ -34,13 +39,6 @@ from .drawing import draw_fan_svg
 from .errors import InvalidFan, KmFanError
 from .fans import KmFan, KmFanHom, validate_hom
 from .intlinalg import IntMatrix
-
-SUBCOMMANDS = [
-    "validate", "info", "coarse", "rigidify", "star", "product", "roots",
-    "dilate", "inflate", "contract", "resolve", "support", "proper", "tame",
-    "representable", "equidim", "pi1", "isotropy", "strata", "local", "fold",
-    "unfold", "unfold-rig", "gs-check", "roundtrip", "draw",
-]
 
 
 class CliFailure(Exception):
@@ -66,33 +64,48 @@ def _read_json(path: str):
         raise CliFailure(2, {"error": "malformed", "detail": str(exc)})
 
 
-def _read_fan(path: str) -> KmFan:
-    """The fan document at path; a fan that fails validation raises InvalidFan."""
+def _read_document(path: str, decode):
+    """decode applied to the JSON document at path; a document it refuses is
+    a schema error."""
     obj = _read_json(path)
     try:
-        return fan_from_obj(obj)
+        return decode(obj)
     except DocumentError as exc:
         raise CliFailure(2, {"error": "schema", "detail": str(exc)})
 
 
 def _load_fan(path: str) -> KmFan:
     try:
-        return _read_fan(path)
+        return _read_document(path, fan_from_obj)
     except InvalidFan as exc:
         raise CliFailure(1, {"error": "invalid-fan", "violations": exc.violations})
+
+
+def _check_fan(path: str) -> KmFan:
+    """The reader of validate: an invalid fan is its {"ok": false} result."""
+    try:
+        return _read_document(path, fan_from_obj)
+    except InvalidFan as exc:
+        raise CliFailure(1, {"ok": False, "violations": exc.violations})
+
+
+def _read_gsfan(path: str):
+    return _read_document(path, gsfan_from_obj)
+
+
+def _hom_document(obj) -> Tuple[list, str, str]:
+    """The matrix rows and the source and target fan paths of a hom document."""
+    rows = hom_matrix_from_obj(obj)
+    return rows, obj["source_fan"], obj["target_fan"]
 
 
 def _read_hom(path: str) -> Tuple[KmFan, KmFan, GroupHom]:
     """The source fan, target fan and group map of the hom document at path;
     a matrix that is ragged or does not fit the two groups is a schema error."""
-    obj = _read_json(path)
-    try:
-        rows = hom_matrix_from_obj(obj)
-    except DocumentError as exc:
-        raise CliFailure(2, {"error": "schema", "detail": str(exc)})
+    rows, source_path, target_path = _read_document(path, _hom_document)
     base = os.path.dirname(os.path.abspath(path))
-    source = _load_fan(os.path.join(base, obj["source_fan"]))
-    target = _load_fan(os.path.join(base, obj["target_fan"]))
+    source = _load_fan(os.path.join(base, source_path))
+    target = _load_fan(os.path.join(base, target_path))
     try:
         hom = GroupHom(
             source.group, target.group, IntMatrix(rows, cols=source.group.ncoords)
@@ -138,8 +151,168 @@ def _cone_arg(fan: KmFan, index: Optional[int]):
 
 
 def _group_obj(group: FgaGroup) -> dict:
-    return {"free_rank": group.free_rank, "torsion": [int(d) for d in group.torsion]}
+    return {"free_rank": group.free_rank, "torsion": list(group.torsion)}
 
+
+def _usage(flag: str):
+    raise CliFailure(2, {"error": "usage", "detail": f"{flag} is required"})
+
+
+# -- handlers: (loaded input, parsed arguments) -> result payload ------------
+
+
+def _info(fan: KmFan, args) -> dict:
+    return {
+        "group": _group_obj(fan.group),
+        "cones": len(fan.cones),
+        "maximal_cones": len(fan.maximal_cones()),
+        "rays": len(fan.ray_cones()),
+        "classical": fans.is_classical(fan),
+        "smooth": fans.is_smooth(fan),
+        "simplicial": fans.is_simplicial(fan),
+        "atoroidal": fans.is_atoroidal(fan),
+        "nondegenerate": fans.is_nondegenerate(fan),
+    }
+
+
+def _product(fan: KmFan, args) -> dict:
+    other = _load_fan(args.fan2 or _usage("--fan2"))
+    return fan_to_obj(fans.product(fan, other)[0])
+
+
+def _dilate(fan: KmFan, args) -> dict:
+    factor = _parse_point(args.point, 1)[0]
+    return fan_to_obj(fans.dilate(fan, factor)[0])
+
+
+def _roots(fan: KmFan, args) -> dict:
+    orders = _parse_point(args.point, len(fan.ray_cones()))
+    return fan_to_obj(fans.roots(fan, list(orders))[0])
+
+
+def _inflate(fan: KmFan, args) -> dict:
+    source, _, inclusion = _read_hom(args.hom or _usage("--hom"))
+    if source != fan:
+        raise CliFailure(1, {"error": "precondition", "detail": "--fan must be the hom's source fan"})
+    return fan_to_obj(fans.inflate(fan, inclusion)[0])
+
+
+def _contract(fan: KmFan, args) -> dict:
+    _, target, inclusion = _read_hom(args.hom or _usage("--hom"))
+    if target != fan:
+        raise CliFailure(1, {"error": "precondition", "detail": "--fan must be the hom's target fan"})
+    return fan_to_obj(fans.contract(fan, inclusion)[0])
+
+
+def _support(fan: KmFan, args) -> dict:
+    point = _parse_point(args.point, fan.group.ncoords)
+    return {
+        "fine": fans.support_contains(fan, point),
+        "coarse": fans.coarse_support_contains(fan, point[: fan.group.free_rank]),
+    }
+
+
+def _tame(hom: KmFanHom, args) -> dict:
+    semi = fans.is_semi_tame(hom)
+    tame = semi and is_tame_hom(hom.hom)
+    out = {"semi_tame": semi, "tame": tame}
+    if tame:
+        out["torsor_group"] = _group_obj(dd_of_hom(hom.hom).group)
+    return out
+
+
+def _equidim(hom: KmFanHom, args) -> dict:
+    equi = fans.is_equidimensional(hom)
+    out = {"equidimensional": equi}
+    if equi:
+        out["reduced_fibers"] = fans.has_reduced_fibers(hom)
+    return out
+
+
+def _isotropy(fan: KmFan, args) -> dict:
+    return {"torsion": list(fans.isotropy(fan, _cone_arg(fan, args.cone)).torsion)}
+
+
+def _strata(fan: KmFan, args) -> dict:
+    return {
+        "strata": [
+            {
+                "cone_index": i,
+                "torus_rank": s.torus_rank,
+                "isotropy": list(s.isotropy.torsion),
+                "band": list(s.band.torsion),
+            }
+            for i, s in enumerate(fans.strata(fan))
+        ]
+    }
+
+
+def _local(fan: KmFan, args) -> dict:
+    lp = fans.local_presentation(fan, _cone_arg(fan, args.cone))
+    return {
+        "cone_index": args.cone,
+        "lifting": [list(g) for g in lp.lifting.generators()],
+        "monoid_generators": [list(g) for g in lp.monoid_generators],
+        "stabilizer": _group_obj(lp.stabilizer),
+        "action": [list(row) for row in lp.action.matrix.entries],
+    }
+
+
+def _fold(gs, args) -> dict:
+    ok, problems = gsfans.is_foldable(gs)
+    if not ok:
+        raise CliFailure(1, {"error": "not-foldable", "violations": problems})
+    return fan_to_obj(gsfans.fold(gs)[0])
+
+
+def _draw(fan: KmFan, args) -> dict:
+    if args.window < 1:
+        raise CliFailure(2, {"error": "usage", "detail": "--window must be positive"})
+    svg = draw_fan_svg(fan, window=args.window)
+    if not args.out:
+        return {"svg": svg}
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(svg)
+    except OSError as exc:
+        raise CliFailure(2, {"error": "io", "detail": str(exc)})
+    return {"written": args.out, "bytes": len(svg.encode())}
+
+
+# The input of a subcommand: the flag naming its document and its reader.
+_FAN = ("--fan", _load_fan)
+_HOM = ("--hom", _load_hom)
+
+# subcommand -> (input, handler), in the order of the usage message
+_TABLE = {
+    "validate": (("--fan", _check_fan), lambda fan, args: {"ok": True, "violations": []}),
+    "info": (_FAN, _info),
+    "coarse": (_FAN, lambda fan, args: fan_to_obj(fans.coarse_fan(fan)[0])),
+    "rigidify": (_FAN, lambda fan, args: fan_to_obj(fans.rigidify(fan)[0])),
+    "star": (_FAN, lambda fan, args: fan_to_obj(fans.star(fan, _cone_arg(fan, args.cone)))),
+    "product": (_FAN, _product),
+    "roots": (_FAN, _roots),
+    "dilate": (_FAN, _dilate),
+    "inflate": (_FAN, _inflate),
+    "contract": (_FAN, _contract),
+    "resolve": (_FAN, lambda fan, args: fan_to_obj(fans.canonical_resolution(fan)[0])),
+    "support": (_FAN, _support),
+    "proper": (_HOM, lambda hom, args: {"proper": fans.is_proper(hom)}),
+    "tame": (_HOM, _tame),
+    "representable": (_HOM, lambda hom, args: {"representable": fans.is_representable(hom)}),
+    "equidim": (_HOM, _equidim),
+    "pi1": (_FAN, lambda fan, args: _group_obj(fans.fundamental_group(fan))),
+    "isotropy": (_FAN, _isotropy),
+    "strata": (_FAN, _strata),
+    "local": (_FAN, _local),
+    "fold": (("--fan", _read_gsfan), _fold),
+    "unfold": (_FAN, lambda fan, args: fan_to_obj(gsfans.unfold(fan)[0])),
+    "unfold-rig": (_FAN, lambda fan, args: fan_to_obj(gsfans.rigidified_unfold(fan)[0])),
+    "gs-check": (_FAN, lambda fan, args: {"gs_representable": gsfans.is_gs_representable(fan)}),
+    "roundtrip": (_FAN, lambda fan, args: {"roundtrip": gsfans.fold_unfold_roundtrip(fan)}),
+    "draw": (_FAN, _draw),
+}
+SUBCOMMANDS = list(_TABLE)
 
 # Built once; parse_args leaves it unchanged.  It has no -h/--help: a help
 # flag is an unknown argument, one usage object like any other.
@@ -172,198 +345,8 @@ def run(argv) -> int:
 
 
 def _dispatch(args) -> dict:
-    cmd = args.subcommand
-
-    if cmd == "validate":
-        try:
-            _read_fan(args.fan or _usage("--fan"))
-        except InvalidFan as exc:
-            raise CliFailure(1, {"ok": False, "violations": exc.violations})
-        return {"ok": True, "violations": []}
-
-    if cmd == "info":
-        fan = _load_fan(args.fan or _usage("--fan"))
-        return {
-            "group": _group_obj(fan.group),
-            "cones": len(fan.cones),
-            "maximal_cones": len(fan.maximal_cones()),
-            "rays": len(fan.ray_cones()),
-            "classical": fans.is_classical(fan),
-            "smooth": fans.is_smooth(fan),
-            "simplicial": fans.is_simplicial(fan),
-            "atoroidal": fans.is_atoroidal(fan),
-            "nondegenerate": fans.is_nondegenerate(fan),
-        }
-
-    if cmd == "coarse":
-        fan = _load_fan(args.fan or _usage("--fan"))
-        coarse, _ = fans.coarse_fan(fan)
-        return fan_to_obj(coarse)
-
-    if cmd == "rigidify":
-        fan = _load_fan(args.fan or _usage("--fan"))
-        rig, _ = fans.rigidify(fan)
-        return fan_to_obj(rig)
-
-    if cmd == "star":
-        fan = _load_fan(args.fan or _usage("--fan"))
-        cone = _cone_arg(fan, args.cone)
-        return fan_to_obj(fans.star(fan, cone))
-
-    if cmd == "product":
-        fan = _load_fan(args.fan or _usage("--fan"))
-        other = _load_fan(args.fan2 or _usage("--fan2"))
-        prod, _, _ = fans.product(fan, other)
-        return fan_to_obj(prod)
-
-    if cmd == "roots":
-        fan = _load_fan(args.fan or _usage("--fan"))
-        orders = _parse_point(args.point, len(fan.ray_cones()))
-        rooted, _ = fans.roots(fan, list(orders))
-        return fan_to_obj(rooted)
-
-    if cmd == "dilate":
-        fan = _load_fan(args.fan or _usage("--fan"))
-        factor = _parse_point(args.point, 1)[0]
-        dilated, _ = fans.dilate(fan, factor)
-        return fan_to_obj(dilated)
-
-    if cmd in ("inflate", "contract"):
-        fan = _load_fan(args.fan or _usage("--fan"))
-        source, target, inclusion = _read_hom(args.hom or _usage("--hom"))
-        if cmd == "inflate":
-            if source != fan:
-                raise CliFailure(1, {"error": "precondition", "detail": "--fan must be the hom's source fan"})
-            result, _ = fans.inflate(fan, inclusion)
-        else:
-            if target != fan:
-                raise CliFailure(1, {"error": "precondition", "detail": "--fan must be the hom's target fan"})
-            result, _ = fans.contract(fan, inclusion)
-        return fan_to_obj(result)
-
-    if cmd == "resolve":
-        fan = _load_fan(args.fan or _usage("--fan"))
-        resolved, _ = fans.canonical_resolution(fan)
-        return fan_to_obj(resolved)
-
-    if cmd == "support":
-        fan = _load_fan(args.fan or _usage("--fan"))
-        point = _parse_point(args.point, fan.group.ncoords)
-        return {
-            "fine": fans.support_contains(fan, point),
-            "coarse": fans.coarse_support_contains(fan, point[: fan.group.free_rank]),
-        }
-
-    if cmd == "proper":
-        hom = _load_hom(args.hom or _usage("--hom"))
-        return {"proper": fans.is_proper(hom)}
-
-    if cmd == "tame":
-        hom = _load_hom(args.hom or _usage("--hom"))
-        semi = fans.is_semi_tame(hom)
-        tame = semi and fans.is_tame(hom)
-        out = {"semi_tame": semi, "tame": tame}
-        if tame:
-            out["torsor_group"] = _group_obj(fans.torsor_group(hom))
-        return out
-
-    if cmd == "representable":
-        hom = _load_hom(args.hom or _usage("--hom"))
-        return {"representable": fans.is_representable(hom)}
-
-    if cmd == "equidim":
-        hom = _load_hom(args.hom or _usage("--hom"))
-        equi = fans.is_equidimensional(hom)
-        out = {"equidimensional": equi}
-        if equi:
-            out["reduced_fibers"] = fans.has_reduced_fibers(hom)
-        return out
-
-    if cmd == "pi1":
-        fan = _load_fan(args.fan or _usage("--fan"))
-        pi1 = fans.fundamental_group(fan)
-        return {"free_rank": pi1.free_rank, "torsion": [int(d) for d in pi1.torsion]}
-
-    if cmd == "isotropy":
-        fan = _load_fan(args.fan or _usage("--fan"))
-        cone = _cone_arg(fan, args.cone)
-        return {"torsion": [int(d) for d in fans.isotropy(fan, cone).torsion]}
-
-    if cmd == "strata":
-        fan = _load_fan(args.fan or _usage("--fan"))
-        return {
-            "strata": [
-                {
-                    "cone_index": i,
-                    "torus_rank": s.torus_rank,
-                    "isotropy": [int(d) for d in s.isotropy.torsion],
-                    "band": [int(d) for d in s.band.torsion],
-                }
-                for i, s in enumerate(fans.strata(fan))
-            ]
-        }
-
-    if cmd == "local":
-        fan = _load_fan(args.fan or _usage("--fan"))
-        cone = _cone_arg(fan, args.cone)
-        lp = fans.local_presentation(fan, cone)
-        return {
-            "cone_index": args.cone,
-            "lifting": [list(map(int, g)) for g in lp.lifting.generators()],
-            "monoid_generators": [list(map(int, g)) for g in lp.monoid_generators],
-            "stabilizer": _group_obj(lp.stabilizer),
-            "action": [list(map(int, row)) for row in lp.action.matrix.entries],
-        }
-
-    if cmd == "fold":
-        obj = _read_json(args.fan or _usage("--fan"))
-        try:
-            gs = gsfan_from_obj(obj)
-        except DocumentError as exc:
-            raise CliFailure(2, {"error": "schema", "detail": str(exc)})
-        ok, problems = gsfans.is_foldable(gs)
-        if not ok:
-            raise CliFailure(1, {"error": "not-foldable", "violations": problems})
-        folded, _ = gsfans.fold(gs)
-        return fan_to_obj(folded)
-
-    if cmd == "unfold":
-        fan = _load_fan(args.fan or _usage("--fan"))
-        unfolded, _, _ = gsfans.unfold(fan)
-        return fan_to_obj(unfolded)
-
-    if cmd == "unfold-rig":
-        fan = _load_fan(args.fan or _usage("--fan"))
-        rig, _ = gsfans.rigidified_unfold(fan)
-        return fan_to_obj(rig)
-
-    if cmd == "gs-check":
-        fan = _load_fan(args.fan or _usage("--fan"))
-        return {"gs_representable": gsfans.is_gs_representable(fan)}
-
-    if cmd == "roundtrip":
-        fan = _load_fan(args.fan or _usage("--fan"))
-        return {"roundtrip": gsfans.fold_unfold_roundtrip(fan)}
-
-    if cmd == "draw":
-        fan = _load_fan(args.fan or _usage("--fan"))
-        if args.window < 1:
-            raise CliFailure(2, {"error": "usage", "detail": "--window must be positive"})
-        svg = draw_fan_svg(fan, window=args.window)
-        if args.out:
-            try:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    fh.write(svg)
-            except OSError as exc:
-                raise CliFailure(2, {"error": "io", "detail": str(exc)})
-            return {"written": args.out, "bytes": len(svg.encode())}
-        return {"svg": svg}
-
-    raise CliFailure(2, {"error": "usage", "detail": f"unknown subcommand {cmd!r}"})
-
-
-def _usage(flag: str):
-    raise CliFailure(2, {"error": "usage", "detail": f"{flag} is required"})
+    (flag, read), handle = _TABLE[args.subcommand]
+    return handle(read(getattr(args, flag[2:]) or _usage(flag)), args)
 
 
 def main() -> None:

@@ -8,12 +8,12 @@ both forms.  Serialization is deterministic: canonical order, sorted keys.
 from __future__ import annotations
 
 import json
-from typing import List, Sequence
+from typing import Iterator, List, Sequence
 
 from .abelian import FgaGroup, GroupHom
 from .cones import Cone
 from .errors import KmFanError
-from .fans import KmFan, LatticeDatum
+from .fans import KmFan, LatticeDatum, from_classical
 from .gsfans import GsFan
 from .intlinalg import IntMatrix
 
@@ -73,15 +73,26 @@ def _dec_matrix_rows(value, cols=None) -> List[tuple]:
     return [tuple(_dec_vector(r, cols)) for r in value]
 
 
-def _dec_cone_rays(entry, rank: int) -> List[tuple]:
-    """The rays of one cone entry; a zero ray is refused, as it would load
-    as no ray at all."""
-    if not isinstance(entry, dict) or "rays" not in entry:
-        raise DocumentError("each cone needs a rays field")
-    rays = _dec_matrix_rows(entry["rays"], rank)
-    if not all(map(any, rays)):
-        raise DocumentError("a cone ray must be nonzero")
-    return rays
+def _dec_cones(value, rank: int) -> Iterator[Cone]:
+    """The cones of a cones list, one entry at a time; a zero ray is
+    refused, as it would load as no ray at all."""
+    if not isinstance(value, list):
+        raise DocumentError("cones must be a list")
+    for entry in value:
+        if not isinstance(entry, dict) or "rays" not in entry:
+            raise DocumentError("each cone needs a rays field")
+        rays = _dec_matrix_rows(entry["rays"], rank)
+        if not all(map(any, rays)):
+            raise DocumentError("a cone ray must be nonzero")
+        yield Cone.from_generators(rays, rank)
+
+
+def _check_header(obj, what: str) -> None:
+    """A document is an object of the supported schema version."""
+    if not isinstance(obj, dict):
+        raise DocumentError(f"{what} document must be an object")
+    if obj.get("schema_version") != SCHEMA_VERSION:
+        raise DocumentError(f"unsupported schema_version {obj.get('schema_version')!r}")
 
 
 def group_to_obj(group: FgaGroup) -> dict:
@@ -130,18 +141,10 @@ def fan_to_obj(fan: KmFan) -> dict:
 
 def fan_from_obj(obj) -> KmFan:
     """The validated fan of a document; an invalid fan raises InvalidFan."""
-    if not isinstance(obj, dict):
-        raise DocumentError("fan document must be an object")
-    if obj.get("schema_version") != SCHEMA_VERSION:
-        raise DocumentError(f"unsupported schema_version {obj.get('schema_version')!r}")
+    _check_header(obj, "fan")
     group = group_from_obj(obj.get("group"))
-    r = group.free_rank
-    raw_cones = obj.get("cones")
-    if not isinstance(raw_cones, list):
-        raise DocumentError("cones must be a list")
     cones, seen = [], set()
-    for entry in raw_cones:
-        cone = Cone.from_generators(_dec_cone_rays(entry, r), r)
+    for cone in _dec_cones(obj.get("cones"), group.free_rank):
         if cone in seen:
             raise DocumentError("duplicate cone in document")
         cones.append(cone)
@@ -176,10 +179,7 @@ def hom_to_obj(hom: GroupHom, source_path: str, target_path: str) -> dict:
 
 
 def hom_matrix_from_obj(obj) -> List[tuple]:
-    if not isinstance(obj, dict):
-        raise DocumentError("hom document must be an object")
-    if obj.get("schema_version") != SCHEMA_VERSION:
-        raise DocumentError(f"unsupported schema_version {obj.get('schema_version')!r}")
+    _check_header(obj, "hom")
     for key in ("source_fan", "target_fan", "matrix"):
         if key not in obj:
             raise DocumentError(f"hom document is missing {key!r}")
@@ -200,25 +200,15 @@ def gsfan_to_obj(gs: GsFan) -> dict:
 
 
 def gsfan_from_obj(obj) -> GsFan:
-    if not isinstance(obj, dict):
-        raise DocumentError("GS fan document must be an object")
-    if obj.get("schema_version") != SCHEMA_VERSION:
-        raise DocumentError(f"unsupported schema_version {obj.get('schema_version')!r}")
+    _check_header(obj, "GS fan")
     lattice = group_from_obj(obj.get("lattice"))
     if not lattice.is_lattice():
         raise DocumentError("the fan lattice of a GS fan must be torsion-free")
     target = group_from_obj(obj.get("group"))
-    raw_cones = obj.get("cones")
-    if not isinstance(raw_cones, list):
-        raise DocumentError("cones must be a list")
-    cones = []
-    for entry in raw_cones:
-        cones.append(Cone.from_generators(_dec_cone_rays(entry, lattice.free_rank), lattice.free_rank))
+    cones = list(_dec_cones(obj.get("cones"), lattice.free_rank))
     rows = _dec_matrix_rows(obj.get("beta"), lattice.ncoords)
     if len(rows) != target.ncoords:
         raise DocumentError("beta has the wrong number of rows")
-    from .fans import from_classical
-
     fan = from_classical(lattice, cones)
     beta = GroupHom(lattice, target, IntMatrix(rows, cols=lattice.ncoords))
     return GsFan(fan, beta)

@@ -39,6 +39,7 @@ from .errors import (
     NotFiniteIndex,
     NotSimplicial,
     NotSmooth,
+    NotTame,
     PreconditionsFail,
     TorsionAmbient,
 )
@@ -678,16 +679,23 @@ def roots(fan: KmFan, orders: Sequence[int]) -> Tuple[KmFan, KmFanHom]:
         raise KmFanError("need one positive order per ray")
     if any(a < 1 for a in orders):
         raise KmFanError("orders must be positive")
-    marking = {ray: ray_marking(fan, ray) for ray in rays}
+    return _scaled_markings(fan, orders)
+
+
+def _scaled_markings(fan: KmFan, orders: Sequence[int]) -> Tuple[KmFan, KmFanHom]:
+    """The fan whose datum on each cone is spanned by its rays' markings,
+    the marking of the i-th ray scaled by orders[i], with the identity map
+    to fan."""
+    rays = fan.ray_cones()
+    marking = [ray_marking(fan, ray) for ray in rays]
     data = {}
     for c in fan.cones:
-        gens = []
-        for ray, a in zip(rays, orders):
-            if c.contains_cone(ray):
-                gens.append(tuple(a * x for x in marking[ray]))
+        gens = [
+            tuple(a * x for x in m) for ray, a, m in zip(rays, orders, marking) if c.contains_cone(ray)
+        ]
         data[c] = LatticeDatum.from_generators(fan.group, gens)
-    rooted = KmFan._make(fan.group, fan.cones, data)
-    return rooted, KmFanHom(rooted, fan, GroupHom.identity(fan.group), {c: c for c in fan.cones})
+    scaled = KmFan._make(fan.group, fan.cones, data)
+    return scaled, KmFanHom(scaled, fan, GroupHom.identity(fan.group), {c: c for c in fan.cones})
 
 
 def dilate(fan: KmFan, factor: int) -> Tuple[KmFan, KmFanHom]:
@@ -756,13 +764,7 @@ def canonical_resolution(fan: KmFan) -> Tuple[KmFan, KmFanHom]:
     """Replace each datum by the sublattice spanned by its primitive ray points."""
     if not is_simplicial(fan):
         raise NotSimplicial("canonical resolution requires a simplicial fan")
-    marking = {ray: ray_marking(fan, ray) for ray in fan.ray_cones()}
-    data = {}
-    for c in fan.cones:
-        gens = [marking[ray] for ray in fan.ray_cones() if c.contains_cone(ray)]
-        data[c] = LatticeDatum.from_generators(fan.group, gens)
-    resolved = KmFan._make(fan.group, fan.cones, data)
-    return resolved, KmFanHom(resolved, fan, GroupHom.identity(fan.group), {c: c for c in fan.cones})
+    return _scaled_markings(fan, [1] * len(fan.ray_cones()))
 
 
 def star(fan: KmFan, tau: Cone) -> KmFan:
@@ -1245,8 +1247,6 @@ def is_tame(f: KmFanHom) -> bool:
 
 def torsor_group(f: KmFanHom) -> FgaGroup:
     """The group D(f) under which a tame map's realization is a torsor."""
-    from .errors import NotTame
-
     if not is_tame(f):
         raise NotTame("torsor group is defined for tame maps only")
     return dd_of_hom(f.hom).group

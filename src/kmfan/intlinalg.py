@@ -623,5 +623,5 @@ def primitive_vector(v: Sequence[int]) -> Vec:
     for x in v:
         g = gcd(g, x)
     if g <= 1:
-        return tuple(int(x) for x in v)
-    return tuple(int(x) // g for x in v)
+        return tuple(v)
+    return tuple(x // g for x in v)

@@ -1,5 +1,6 @@
 """CLI golden suite: determinism and agreement with committed outputs."""
 
+import collections
 import contextlib
 import io
 import itertools
@@ -10,7 +11,7 @@ import time
 
 import pytest
 
-from kmfan import cli
+from kmfan import cli, fans
 from kmfan.cli import SUBCOMMANDS, run
 from kmfan.cones import Cone
 from kmfan.documents import (
@@ -20,6 +21,8 @@ from kmfan.documents import (
     dumps,
     fan_from_obj,
     fan_to_obj,
+    gsfan_from_obj,
+    hom_matrix_from_obj,
     loads,
 )
 
@@ -64,6 +67,40 @@ def test_golden_case(workdir, name, argv, expected_code):
 
 def test_every_subcommand_has_a_golden_case():
     assert {argv[0] for _, argv, _ in CASES} == set(SUBCOMMANDS)
+
+
+def test_subcommands_keep_their_order():
+    """The usage message lists the names in this order, and the seeded fuzz
+    draws from this list by index."""
+    assert SUBCOMMANDS == [
+        "validate", "info", "coarse", "rigidify", "star", "product", "roots",
+        "dilate", "inflate", "contract", "resolve", "support", "proper", "tame",
+        "representable", "equidim", "pi1", "isotropy", "strata", "local", "fold",
+        "unfold", "unfold-rig", "gs-check", "roundtrip", "draw",
+    ]
+
+
+@pytest.mark.parametrize("name", ["tame_p22", "tame_rig"])
+def test_tame_evaluates_each_predicate_once(workdir, monkeypatch, name):
+    """tame reads semi-tameness and tameness of the group map once each and
+    takes the torsor group from the derived dual, with the golden bytes."""
+    calls = collections.Counter()
+
+    def spy(fn):
+        return lambda *a: calls.update([fn.__name__]) or fn(*a)
+
+    semi, tame_hom = spy(fans.is_semi_tame), spy(fans.is_tame_hom)
+    monkeypatch.setattr(fans, "is_semi_tame", semi)
+    # fans.is_tame and the CLI each bind the group-map predicate by name
+    monkeypatch.setattr(fans, "is_tame_hom", tame_hom)
+    monkeypatch.setattr(cli, "is_tame_hom", tame_hom, raising=False)
+    argv, expected_code = next((c[1], c[2]) for c in CASES if c[0] == name)
+    code, out = invoke(argv)
+    assert code == expected_code
+    with open(os.path.join(GOLDEN, "expected", name + ".out"), "r", encoding="utf-8") as fh:
+        assert out == fh.read()
+    assert calls["is_semi_tame"] == 1
+    assert calls["is_tame_hom"] == 1
 
 
 def test_info_on_a_deep_singular_cone_is_fast(workdir, capsys):
@@ -213,6 +250,31 @@ class TestDocumentRoundTrip:
                 "cones": [{"rays": []}, {"rays": [[1]]}, {"rays": [[2]]}],
                 "lattice_data": [],
             })
+
+    V1, LINE = {"schema_version": "1"}, {"free_rank": 1}
+    GS = {"schema_version": "1", "lattice": LINE, "group": {"free_rank": 0}}
+
+    @pytest.mark.parametrize("decode, obj, message", [
+        (fan_from_obj, [], "fan document must be an object"),
+        (hom_matrix_from_obj, "x", "hom document must be an object"),
+        (gsfan_from_obj, None, "GS fan document must be an object"),
+        (fan_from_obj, {"schema_version": 1}, "unsupported schema_version 1"),
+        (hom_matrix_from_obj, {}, "unsupported schema_version None"),
+        (gsfan_from_obj, {"schema_version": "2"}, "unsupported schema_version '2'"),
+        (fan_from_obj, {**V1, "group": LINE}, "cones must be a list"),
+        (gsfan_from_obj, GS, "cones must be a list"),
+        (fan_from_obj, {**V1, "group": LINE, "cones": [[]]}, "each cone needs a rays field"),
+        (gsfan_from_obj, {**GS, "cones": [{}]}, "each cone needs a rays field"),
+        (fan_from_obj, {**V1, "group": LINE, "cones": [{"rays": [[0]]}]}, "a cone ray must be nonzero"),
+        (gsfan_from_obj, {**GS, "cones": [{"rays": [[0]]}]}, "a cone ray must be nonzero"),
+        # cones are read in order: a duplicate is reported before a later bad entry
+        (fan_from_obj, {**V1, "group": LINE, "cones": [{"rays": [[1]]}, {"rays": [[3]]}, {}]},
+         "duplicate cone in document"),
+    ])
+    def test_decoder_messages(self, decode, obj, message):
+        with pytest.raises(DocumentError) as info:
+            decode(obj)
+        assert str(info.value) == message
 
 
 class TestExitCodes:

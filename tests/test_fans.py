@@ -338,6 +338,16 @@ class TestCanonicalResolution:
             Z2, [(1, 0), (1, 2)]
         )
 
+    def test_smooth_fans_resolve_as_roots_of_order_one(self):
+        """On a smooth fan the resolution is roots with every order 1: the
+        same fan and the same identity map."""
+        for fan in (line_fan(), plane_fan(), roots(plane_fan(), [3, 2])[0], dilate(line_fan(), 2)[0]):
+            resolved, hom = canonical_resolution(fan)
+            rooted, rooted_hom = roots(fan, [1] * len(fan.ray_cones()))
+            assert resolved == rooted
+            assert (hom.source, hom.target, hom.hom, hom.cone_images) == (
+                rooted_hom.source, rooted_hom.target, rooted_hom.hom, rooted_hom.cone_images)
+
     def test_non_simplicial_rejected(self):
         cone = Cone.from_generators([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)], 3)
         fan = from_classical(FgaGroup(3), [cone])
