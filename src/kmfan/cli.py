@@ -25,7 +25,7 @@ import sys
 from typing import Optional, Tuple
 
 from . import fans, gsfans
-from .abelian import FgaGroup, GroupHom, dd_of_hom, is_tame_hom
+from .abelian import FgaGroup, GroupHom, dd_of_hom
 from .documents import (
     DocumentError,
     dumps,
@@ -36,7 +36,7 @@ from .documents import (
     loads,
 )
 from .drawing import draw_fan_svg
-from .errors import InvalidFan, KmFanError
+from .errors import InvalidFan, KmFanError, NotFoldable, NotTame
 from .fans import KmFan, KmFanHom, validate_hom
 from .intlinalg import IntMatrix
 
@@ -213,11 +213,13 @@ def _support(fan: KmFan, args) -> dict:
 
 
 def _tame(hom: KmFanHom, args) -> dict:
-    semi = fans.is_semi_tame(hom)
-    tame = semi and is_tame_hom(hom.hom)
-    out = {"semi_tame": semi, "tame": tame}
-    if tame:
-        out["torsor_group"] = _group_obj(dd_of_hom(hom.hom).group)
+    out = {"semi_tame": fans.is_semi_tame(hom), "tame": False}
+    if out["semi_tame"]:
+        try:  # dd_of_hom refuses a group map that is not tame
+            dd = dd_of_hom(hom.hom)
+        except NotTame:
+            return out
+        out.update(tame=True, torsor_group=_group_obj(dd.group))
     return out
 
 
@@ -259,10 +261,10 @@ def _local(fan: KmFan, args) -> dict:
 
 
 def _fold(gs, args) -> dict:
-    ok, problems = gsfans.is_foldable(gs)
-    if not ok:
-        raise CliFailure(1, {"error": "not-foldable", "violations": problems})
-    return fan_to_obj(gsfans.fold(gs)[0])
+    try:
+        return fan_to_obj(gsfans.fold(gs)[0])
+    except NotFoldable as exc:
+        raise CliFailure(1, {"error": "not-foldable", "violations": exc.violations})
 
 
 def _draw(fan: KmFan, args) -> dict:

@@ -54,7 +54,11 @@ class PieceOutsideTarget(KmFanError):
 
 
 class NotFoldable(KmFanError):
-    pass
+    """Carries the structured foldability problems in ``violations``."""
+
+    def __init__(self, violations):
+        self.violations = list(violations)
+        super().__init__("; ".join(v["detail"] for v in self.violations))
 
 
 class PreconditionsFail(KmFanError):

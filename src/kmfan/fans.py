@@ -1247,9 +1247,9 @@ def is_tame(f: KmFanHom) -> bool:
 
 def torsor_group(f: KmFanHom) -> FgaGroup:
     """The group D(f) under which a tame map's realization is a torsor."""
-    if not is_tame(f):
+    if not is_semi_tame(f):
         raise NotTame("torsor group is defined for tame maps only")
-    return dd_of_hom(f.hom).group
+    return dd_of_hom(f.hom).group  # NotTame when f.hom is not tame
 
 
 def is_representable(f: KmFanHom) -> bool:

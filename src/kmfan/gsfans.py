@@ -17,6 +17,9 @@ from .fans import (
     KmFan,
     KmFanHom,
     LatticeDatum,
+    _canonical,
+    _cone_violations,
+    _maximal_cones,
     is_atoroidal,
     is_classical,
     rigidify,
@@ -58,50 +61,41 @@ def is_foldable(gs: GsFan) -> Tuple[bool, List[dict]]:
 def _fold_images(gs: GsFan) -> Tuple[Dict[Cone, Cone], List[dict]]:
     """The image beta(sigma) of every cone, and the foldability problems.
 
-    Two rules settle most pairs (a, b) without intersecting their images.
-
-    - Both are faces of one cone c on whose span beta is injective: beta is
-      then a linear isomorphism of Span(c) onto its image, so beta(a) and
-      beta(b) are distinct faces of the cone beta(c), and distinct faces of
-      a cone have disjoint relative interiors.
-    - A facet h of one image is <= 0 on the other (cones._separating_facet):
-      h > 0 on the relative interior of its own image, which the other
-      image, lying in h <= 0, therefore misses.
-
-    Every other pair is intersected, one double description: in dimension 3
-    and up two cones can meet in a common face with no facet of either
-    separating them.
+    Where beta is injective on each span it carries the faces of sigma onto
+    those of beta(sigma), so the images are sharp and closed under faces.
+    Such a set is a fan exactly when distinct members have disjoint relative
+    interiors: for x in the relative interior of a cap b, the minimal faces
+    of a and b holding x hold it in their relative interiors, so are equal,
+    and contain a cap b; conversely, in a fan a cap b is a face of both, so
+    if it meets both relative interiors it is a and b.  So when no cone
+    collapses and the images are distinct (equal nonzero images overlap),
+    the fan validator decides.  A refusal's report examines every pair: a
+    facet of one image <= 0 on the other (cones._separating_facet)
+    separates them; others are intersected.
     """
     problems: List[dict] = []
     bbar = gs.beta.free_matrix()
     images: Dict[Cone, Cone] = {}
-    # the cones on whose span beta is injective that have the key as a face
-    holders: Dict[Cone, set] = {sigma: set() for sigma in gs.fan.cones}
     for sigma in gs.fan.cones:
         image = sigma.linear_image(bbar)
         images[sigma] = image
-        if image.dim() == sigma.dim():
-            for face in sigma.faces():
-                holders[face].add(sigma)
-        else:
+        if image.dim() != sigma.dim():
             problems.append({
                 "kind": "collapsed-cone",
                 "detail": f"beta is not injective on the span of {sigma!r}",
             })
+    if not problems and len(set(images.values())) == len(images):
+        canonical = _canonical(images.values())
+        if not _cone_violations(gs.beta.target.free_rank, canonical, _maximal_cones(canonical)):
+            return images, problems
     cones = list(gs.fan.cones)
     for i, a in enumerate(cones):
         for b in cones[i + 1:]:
-            if not holders[a].isdisjoint(holders[b]):
-                continue
             ia, ib = images[a], images[b]
             if _separating_facet(ia, ib) is not None:
                 continue
-            meet = ia.intersect(ib)
-            point = meet.relative_interior_point()
-            if (
-                ia.classify_point(point)[0] == "interior"
-                and ib.classify_point(point)[0] == "interior"
-            ):
+            point = ia.intersect(ib).relative_interior_point()
+            if all(c.classify_point(point)[0] == "interior" for c in (ia, ib)):
                 problems.append({
                     "kind": "overlapping-images",
                     "detail": f"images of {a!r} and {b!r} have intersecting interiors",
@@ -116,14 +110,12 @@ def fold(gs: GsFan) -> Tuple[KmFan, KmFanHom]:
     """
     images, problems = _fold_images(gs)
     if problems:
-        raise NotFoldable("; ".join(p["detail"] for p in problems))
+        raise NotFoldable(problems)
     n = gs.beta.target
-    data: Dict[Cone, LatticeDatum] = {}
-    for sigma, image in images.items():
-        gens = [gs.beta.apply(g) for g in gs.fan.data[sigma].generators()]
-        datum = LatticeDatum.from_generators(n, gens)
-        if data.setdefault(image, datum) != datum:
-            raise NotFoldable("inconsistent lattice data on a folded cone")
+    data = {
+        image: LatticeDatum.from_generators(n, map(gs.beta.apply, gs.fan.data[sigma].generators()))
+        for sigma, image in images.items()
+    }
     folded = KmFan._make(n, data.keys(), data)
     return folded, KmFanHom(gs.fan, folded, gs.beta, images)
 
@@ -436,16 +428,17 @@ def is_gs_representable(fan: KmFan) -> bool:
 def fold_unfold_roundtrip(fan: KmFan) -> bool:
     """Fold the rigidified unfolding back and compare with the fan itself.
 
-    Requires a lattice, atoroidal, GS-representable KM fan.
+    Requires a lattice, atoroidal, GS-representable KM fan.  The last is
+    is_classical of the rigidified unfolding: its datum of sigma is the image
+    of F_sigma in the free colimit, saturated exactly when that structure
+    map has torsion-free cokernel, the test of is_gs_representable.
     """
     if not fan.group.is_lattice():
         raise PreconditionsFail("round trip requires a lattice KM fan")
     if not is_atoroidal(fan):
         raise PreconditionsFail("round trip requires an atoroidal fan")
-    if not is_gs_representable(fan):
-        raise PreconditionsFail("round trip requires a GS-representable fan")
     rig, betabar = rigidified_unfold(fan)
-    assert betabar is not None
-    gs = GsFan(rig, betabar.hom)
-    folded, _ = fold(gs)
+    if not is_classical(rig):
+        raise PreconditionsFail("round trip requires a GS-representable fan")
+    folded, _ = fold(GsFan(rig, betabar.hom))
     return folded == fan

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from kmfan import cli, fans
+from kmfan import abelian, cli, fans
 from kmfan.cli import SUBCOMMANDS, run
 from kmfan.cones import Cone
 from kmfan.documents import (
@@ -82,25 +82,26 @@ def test_subcommands_keep_their_order():
 
 @pytest.mark.parametrize("name", ["tame_p22", "tame_rig"])
 def test_tame_evaluates_each_predicate_once(workdir, monkeypatch, name):
-    """tame reads semi-tameness and tameness of the group map once each and
-    takes the torsor group from the derived dual, with the golden bytes."""
+    """tame reads semi-tameness once, and tameness and the torsor group from
+    one derived dual, which computes the group map's kernel and cokernel
+    once each, with the golden bytes."""
     calls = collections.Counter()
 
     def spy(fn):
         return lambda *a: calls.update([fn.__name__]) or fn(*a)
 
-    semi, tame_hom = spy(fans.is_semi_tame), spy(fans.is_tame_hom)
-    monkeypatch.setattr(fans, "is_semi_tame", semi)
-    # fans.is_tame and the CLI each bind the group-map predicate by name
-    monkeypatch.setattr(fans, "is_tame_hom", tame_hom)
-    monkeypatch.setattr(cli, "is_tame_hom", tame_hom, raising=False)
+    monkeypatch.setattr(fans, "is_semi_tame", spy(fans.is_semi_tame))
+    # the derived dual and the tameness predicates call these by name in abelian
+    for fn in (abelian.kernel_subgroup, abelian._cokernel_group):
+        monkeypatch.setattr(abelian, fn.__name__, spy(fn))
     argv, expected_code = next((c[1], c[2]) for c in CASES if c[0] == name)
     code, out = invoke(argv)
     assert code == expected_code
     with open(os.path.join(GOLDEN, "expected", name + ".out"), "r", encoding="utf-8") as fh:
         assert out == fh.read()
     assert calls["is_semi_tame"] == 1
-    assert calls["is_tame_hom"] == 1
+    assert calls["kernel_subgroup"] == 1
+    assert calls["_cokernel_group"] == 1
 
 
 def test_info_on_a_deep_singular_cone_is_fast(workdir, capsys):

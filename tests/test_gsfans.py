@@ -730,6 +730,16 @@ class TestRoundTrip:
         fan = from_classical(Z2, [Cone.from_generators([(1, 0), (1, 2)], 2)])
         assert fold_unfold_roundtrip(fan)
 
+    def test_precondition_is_gs_representability(self, lattice_fans):
+        """The round trip reads GS-representability as is_classical of the
+        rigidified unfolding, with no colimit presentation of its own."""
+        answers = []
+        for i, fan in enumerate(lattice_fans):
+            answer = is_classical(rigidified_unfold(fan)[0])
+            assert answer == is_gs_representable(fan), (i, fan.cones)
+            answers.append(answer)
+        assert answers.count(False) >= 10 and answers.count(True) >= 100
+
     def test_random_folded_fans(self):
         rng = random.Random(25)
         for _ in range(15):
@@ -859,6 +869,38 @@ class TestFoldComparablePairs:
         assert is_foldable(gs) == (True, [])
         assert calls == []
 
+
+
+def unit_cone_face_lattice(d: int) -> KmFan:
+    """The classical fan of the faces of the cone on the unit vectors of Z^d."""
+    units = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    return from_classical(FgaGroup(d), [Cone.from_generators(units, d)])
+
+
+class TestFoldByValidation:
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("build", [
+        lambda: polygon_fan(128),
+        lambda: products_of_lines(5),
+        lambda: unit_cone_face_lattice(8),
+    ])
+    def test_scalar_folds_are_dilations(self, monkeypatch, build, k):
+        """fold(F, k I) = dilate(F, k) for classical F, decided by the fan
+        validator on the images: no image is intersected, and no cone's
+        face set is built."""
+        fan = build()
+        expected = dilate(fan, k)[0]
+        scalar = IntMatrix.identity(fan.group.free_rank).scale(k)
+        gs = GsFan(fan, GroupHom(fan.group, fan.group, scalar))
+        calls = []
+        real_intersect, real_faces = Cone.intersect, Cone.faces
+        monkeypatch.setattr(Cone, "intersect", lambda a, b: calls.append("intersect") or real_intersect(a, b))
+        monkeypatch.setattr(Cone, "faces", lambda c: calls.append("faces") or real_faces(c))
+        folded = fold(gs)[0]
+        monkeypatch.undo()
+        assert folded == expected
+        assert len(folded.cones) >= 128
+        assert calls == []
 
 def _count_calls(monkeypatch, name):
     """Count calls of an intlinalg function through every module that
