@@ -464,6 +464,13 @@ def _cokernel_group(f: GroupHom) -> FgaGroup:
     return _quotient_group(f.target, image_subgroup(f))
 
 
+def kernel_and_cokernel(f: GroupHom) -> Tuple[Subgroup, FgaGroup]:
+    """Ker f as a subgroup and Cok f in normal form, without the cokernel
+    projection of hom_kernel_cokernel: what is_tame_hom reads, and what
+    dd_of_hom starts from."""
+    return kernel_subgroup(f), _cokernel_group(f)
+
+
 def is_surjective(f: GroupHom) -> bool:
     return _cokernel_group(f).is_trivial()
 
@@ -512,8 +519,12 @@ class DerivedDual:
         self.to_ext_target = to_ext_target
 
 
-def dd_of_hom(f: GroupHom) -> DerivedDual:
+def dd_of_hom(f: GroupHom, kernel: Optional[Subgroup] = None,
+              cokernel: Optional[FgaGroup] = None) -> DerivedDual:
     """The derived dual of a tame homomorphism, with exact-sequence witnesses.
+
+    A caller that already holds the kernel subgroup and the cokernel of f
+    passes them, and they are not computed again.
 
     Present the source as Z^a / im R and the target as Z^b / im R'; lift f to
     F : Z^a -> Z^b and pick G with F R = R' G.  The complex
@@ -527,7 +538,8 @@ def dd_of_hom(f: GroupHom) -> DerivedDual:
     which is already its normal form, ext_group(N'): the witness into it
     reduces the last k' coordinates mod d_i, with no presentation.
     """
-    ker_sub, cok = kernel_subgroup(f), _cokernel_group(f)
+    ker_sub = kernel_subgroup(f) if kernel is None else kernel
+    cok = _cokernel_group(f) if cokernel is None else cokernel
     if not (cok.is_finite() and ker_sub.is_lattice()):
         raise NotTame("derived dual requires a tame homomorphism")
     src, tgt = f.source, f.target

@@ -25,7 +25,7 @@ import sys
 from typing import Optional, Tuple
 
 from . import fans, gsfans
-from .abelian import FgaGroup, GroupHom, dd_of_hom
+from .abelian import FgaGroup, GroupHom
 from .documents import (
     DocumentError,
     dumps,
@@ -36,7 +36,7 @@ from .documents import (
     loads,
 )
 from .drawing import draw_fan_svg
-from .errors import InvalidFan, KmFanError, NotFoldable, NotTame
+from .errors import InvalidFan, KmFanError, NotFoldable
 from .fans import KmFan, KmFanHom, validate_hom
 from .intlinalg import IntMatrix
 
@@ -213,13 +213,9 @@ def _support(fan: KmFan, args) -> dict:
 
 
 def _tame(hom: KmFanHom, args) -> dict:
-    out = {"semi_tame": fans.is_semi_tame(hom), "tame": False}
-    if out["semi_tame"]:
-        try:  # dd_of_hom refuses a group map that is not tame
-            dd = dd_of_hom(hom.hom)
-        except NotTame:
-            return out
-        out.update(tame=True, torsor_group=_group_obj(dd.group))
+    out = {"semi_tame": fans._tameness(hom)[0], "tame": fans.is_tame(hom)}
+    if out["tame"]:
+        out["torsor_group"] = _group_obj(fans.torsor_group(hom))
     return out
 
 

@@ -24,7 +24,7 @@ from .abelian import (
     ext_group,
     free_quotient,
     is_injective,
-    is_tame_hom,
+    kernel_and_cokernel,
     kernel_subgroup,
     present_quotient,
     preimage_subgroup,
@@ -157,9 +157,18 @@ class KmFan:
             raise InvalidFan(problems)
 
     @staticmethod
-    def _make(group: FgaGroup, cones: Iterable[Cone], data: Dict[Cone, LatticeDatum]) -> "KmFan":
-        """Trusted constructor: the caller guarantees a valid fan."""
-        return _fill(object.__new__(KmFan), group, cones, data)
+    def _make(group: FgaGroup, cones: Iterable[Cone], data: Dict[Cone, LatticeDatum],
+              maximal: Optional[Sequence[Cone]] = None) -> "KmFan":
+        """Trusted constructor: the caller guarantees a valid fan.
+
+        A caller that ran the cone phase (_cone_violations) on this cone set
+        and found nothing passes its maximal cones, and the fan keeps that
+        verdict in its face index.
+        """
+        fan = _fill(object.__new__(KmFan), group, cones, data)
+        if maximal is not None:
+            object.__setattr__(fan, "_index", (tuple(maximal), ()))
+        return fan
 
     def __setattr__(self, *args):
         raise AttributeError("KmFan is immutable")
@@ -491,15 +500,22 @@ def _saturated_in(outer: LatticeDatum, inner: LatticeDatum) -> bool:
 class KmFanHom:
     """A morphism of KM fans with its minimal-cone assignment sigma -> the
     minimal target cone containing f(sigma): built by the construction, or
-    derived by validate_hom for a group map from outside the library."""
+    derived by validate_hom for a group map from outside the library.
 
-    __slots__ = ("source", "target", "hom", "cone_images")
+    The tameness slot, filled on first use (_tameness), holds the semi-tame
+    verdict and, for a semi-tame map, the kernel and cokernel of the group
+    map.  Like KmFan's face index it is idempotent, so it is written
+    without a lock: a racing writer stores the same verdict.
+    """
+
+    __slots__ = ("source", "target", "hom", "cone_images", "_tame")
 
     def __init__(self, source: KmFan, target: KmFan, hom: GroupHom, cone_images: Dict[Cone, Cone]):
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "hom", hom)
         object.__setattr__(self, "cone_images", dict(cone_images))
+        object.__setattr__(self, "_tame", None)
 
     def __setattr__(self, *args):
         raise AttributeError("KmFanHom is immutable")
@@ -598,13 +614,11 @@ def from_classical(group: FgaGroup, cones: Iterable[Cone]) -> KmFan:
         raise TorsionAmbient("a classical fan needs a torsion-free group")
     closure = _canonical(face for c in cones for face in c.faces()) or (Cone.zero(group.free_rank),)
     data = _saturated_data(group, closure)
-    maximal = tuple(_maximal_cones(closure))
+    maximal = _maximal_cones(closure)
     problems = _cone_violations(group.free_rank, closure, maximal)
     if problems:
         raise InvalidFan(problems)
-    fan = KmFan._make(group, closure, data)
-    object.__setattr__(fan, "_index", (maximal, ()))
-    return fan
+    return KmFan._make(group, closure, data, maximal)
 
 
 def _saturated_data(group: FgaGroup, cones: Iterable[Cone]) -> Dict[Cone, LatticeDatum]:
@@ -1241,15 +1255,35 @@ def is_semi_tame(f: KmFanHom) -> bool:
     return True
 
 
+def _tameness(f: KmFanHom) -> Tuple[bool, Optional[Subgroup], Optional[FgaGroup]]:
+    """The semi-tame verdict and, when f is semi-tame, the kernel and
+    cokernel of its group map (None otherwise), kept in f's tameness slot.
+    A semi-tame f is tame exactly when its group map is; the derived dual
+    of torsor_group starts from the same kernel and cokernel."""
+    if f._tame is None:
+        if is_semi_tame(f):
+            verdict = (True, *kernel_and_cokernel(f.hom))
+        else:
+            verdict = (False, None, None)
+        object.__setattr__(f, "_tame", verdict)
+    return f._tame
+
+
 def is_tame(f: KmFanHom) -> bool:
-    return is_semi_tame(f) and is_tame_hom(f.hom)
+    """Semi-tame, with a tame group map (finite cokernel, torsion-free
+    kernel), read from the tameness slot (_tameness)."""
+    semi_tame, kernel, cokernel = _tameness(f)
+    return semi_tame and cokernel.is_finite() and kernel.is_lattice()
 
 
 def torsor_group(f: KmFanHom) -> FgaGroup:
-    """The group D(f) under which a tame map's realization is a torsor."""
-    if not is_semi_tame(f):
+    """The group D(f) under which a tame map's realization is a torsor: the
+    derived dual of the group map, computed on call from the kernel and
+    cokernel that is_tame reads (_tameness)."""
+    if not is_tame(f):
         raise NotTame("torsor group is defined for tame maps only")
-    return dd_of_hom(f.hom).group  # NotTame when f.hom is not tame
+    _, kernel, cokernel = _tameness(f)
+    return dd_of_hom(f.hom, kernel=kernel, cokernel=cokernel).group
 
 
 def is_representable(f: KmFanHom) -> bool:

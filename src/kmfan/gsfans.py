@@ -22,7 +22,6 @@ from .fans import (
     _maximal_cones,
     is_atoroidal,
     is_classical,
-    rigidify,
 )
 from .intlinalg import IntMatrix, Vec, _row_echelon, invariant_factors, is_saturated
 
@@ -54,12 +53,13 @@ class GsFan:
 
 def is_foldable(gs: GsFan) -> Tuple[bool, List[dict]]:
     """Foldability: beta injective on every cone span, image interiors disjoint."""
-    _, problems = _fold_images(gs)
+    problems = _fold_images(gs)[1]
     return (not problems, problems)
 
 
-def _fold_images(gs: GsFan) -> Tuple[Dict[Cone, Cone], List[dict]]:
-    """The image beta(sigma) of every cone, and the foldability problems.
+def _fold_images(gs: GsFan) -> Tuple[Dict[Cone, Cone], List[dict], List[Cone]]:
+    """The image beta(sigma) of every cone, the foldability problems, and,
+    when there are none, the maximal images (fans._maximal_cones).
 
     Where beta is injective on each span it carries the faces of sigma onto
     those of beta(sigma), so the images are sharp and closed under faces.
@@ -86,8 +86,9 @@ def _fold_images(gs: GsFan) -> Tuple[Dict[Cone, Cone], List[dict]]:
             })
     if not problems and len(set(images.values())) == len(images):
         canonical = _canonical(images.values())
-        if not _cone_violations(gs.beta.target.free_rank, canonical, _maximal_cones(canonical)):
-            return images, problems
+        maximal = _maximal_cones(canonical)
+        if not _cone_violations(gs.beta.target.free_rank, canonical, maximal):
+            return images, problems, maximal
     cones = list(gs.fan.cones)
     for i, a in enumerate(cones):
         for b in cones[i + 1:]:
@@ -100,15 +101,18 @@ def _fold_images(gs: GsFan) -> Tuple[Dict[Cone, Cone], List[dict]]:
                     "kind": "overlapping-images",
                     "detail": f"images of {a!r} and {b!r} have intersecting interiors",
                 })
-    return images, problems
+    return images, problems, []
 
 
 def fold(gs: GsFan) -> Tuple[KmFan, KmFanHom]:
     """The folding: the lattice KM fan (N, {beta(sigma)}, {beta(L_sigma)}).
 
-    The returned morphism beta : F -> fold(F, beta) is tame.
+    The returned morphism beta : F -> fold(F, beta) is tame.  The folded
+    fan keeps the cone verdict of _fold_images, which ran the cone phase of
+    validation on its very cone set, so its validate() runs only the data
+    phase.
     """
-    images, problems = _fold_images(gs)
+    images, problems, maximal = _fold_images(gs)
     if problems:
         raise NotFoldable(problems)
     n = gs.beta.target
@@ -116,7 +120,7 @@ def fold(gs: GsFan) -> Tuple[KmFan, KmFanHom]:
         image: LatticeDatum.from_generators(n, map(gs.beta.apply, gs.fan.data[sigma].generators()))
         for sigma, image in images.items()
     }
-    folded = KmFan._make(n, data.keys(), data)
+    folded = KmFan._make(n, data.keys(), data, maximal)
     return folded, KmFanHom(gs.fan, folded, gs.beta, images)
 
 
@@ -264,6 +268,14 @@ def lattice_data_colimit(fan: KmFan) -> Unfolding:
     its first maximal coface sigma, read on the coordinates of F_tau's basis
     in F_sigma.  beta sends each block generator to its element of N, and
     reads the colimit through the presentation's section.
+
+    The internal check that beta o i_c is the inclusion of F_c runs on the
+    maximal cones only, and the identity follows for every other cone tau.
+    Write C for the coordinates of F_tau's basis in F_sigma, sigma its first
+    maximal coface: they are exact (_coords_in), so B_sigma C = B_tau in N
+    for the bases B.  And i_tau = i_sigma o C, so
+    beta o i_tau = (beta o i_sigma) o C, which sends e_j to B_sigma C e_j,
+    the j-th element of B_tau, once beta o i_sigma is the inclusion.
     """
     offsets, cofaces, relations = _maximal_cone_presentation(fan)
     pres = present_quotient(relations.rows, relations)
@@ -284,8 +296,9 @@ def lattice_data_colimit(fan: KmFan) -> Unfolding:
     beta_cols = [fan.group.reduce(g) for m in offsets for g in fan.data[m].basis().columns()]
     beta_on_blocks = IntMatrix._from_columns(beta_cols, fan.group.ncoords)
     beta = GroupHom(colimit, fan.group, beta_on_blocks @ pres.section)
-    # sanity: beta o i_sigma is the inclusion F_sigma -> N, generator by generator
-    for c in fan.cones:
+    # sanity: beta o i_sigma is the inclusion F_sigma -> N, generator by
+    # generator, on the maximal cones; the others follow (see above)
+    for c in offsets:
         basis = fan.data[c].basis()
         comp = structure[c].then(beta)
         for e, col in zip(IntMatrix.identity(basis.cols).entries, basis.columns()):
@@ -321,6 +334,29 @@ def induced_colimit_map(sub: Unfolding, sup: Unfolding) -> GroupHom:
     return GroupHom(sub.colimit, lt, IntMatrix._from_columns(cols, lt.ncoords))
 
 
+def _unfolded_fan(fan: KmFan, unf: Unfolding, group: FgaGroup) -> Tuple[KmFan, Dict[Cone, Cone]]:
+    """The cones i(sigma) with the data i_sigma(F_sigma), over group: the
+    colimit, or its free quotient.  The free quotient's coordinates are the
+    colimit's first free_rank, so a datum is generated by the first
+    group.ncoords rows of its structure map, whose columns are reduced.
+    Returns the fan and the cone map i(sigma) -> sigma."""
+    preimages: Dict[Cone, Cone] = {}
+    data: Dict[Cone, LatticeDatum] = {}
+    for sigma in fan.cones:
+        datum = fan.data[sigma]
+        imap = unf.structure_maps[sigma]
+        # sigma in datum coordinates -> rays in the colimit's free quotient
+        rays_c = _preimage_rays(datum.free_basis(), sigma.rays)
+        ibar = imap.free_matrix()
+        image = Cone.from_generators([ibar.apply(r) for r in rays_c], group.free_rank)
+        if image in data:
+            raise KmFanError("internal: unfolding produced a duplicate cone")
+        preimages[image] = sigma
+        gens = [col[:group.ncoords] for col in imap.matrix.columns()]
+        data[image] = LatticeDatum.from_generators(group, gens)
+    return KmFan._make(group, preimages, data), preimages
+
+
 def unfold(fan: KmFan) -> Tuple[KmFan, KmFanHom, Unfolding]:
     """The unfolding: the KM fan over the lattice-data colimit.
 
@@ -329,42 +365,30 @@ def unfold(fan: KmFan) -> Tuple[KmFan, KmFanHom, Unfolding]:
     atoroidal and the colimit map has torsion-free kernel.
     """
     unf = lattice_data_colimit(fan)
-    lt = unf.colimit
-    preimages: Dict[Cone, Cone] = {}
-    data: Dict[Cone, LatticeDatum] = {}
-    for sigma in fan.cones:
-        datum = fan.data[sigma]
-        basis = datum.basis()
-        imap = unf.structure_maps[sigma]
-        # sigma in datum coordinates -> rays in the colimit's free quotient
-        rays_c = _preimage_rays(datum.free_basis(), sigma.rays)
-        ibar = imap.free_matrix()
-        image = Cone.from_generators([ibar.apply(r) for r in rays_c], lt.free_rank)
-        gens = [imap.apply(e) for e in IntMatrix.identity(basis.cols).entries]
-        if image in data:
-            raise KmFanError("internal: unfolding produced a duplicate cone")
-        preimages[image] = sigma
-        data[image] = LatticeDatum.from_generators(lt, gens)
-    unfolded = KmFan._make(lt, preimages, data)
+    unfolded, preimages = _unfolded_fan(fan, unf, unf.colimit)
     return unfolded, KmFanHom(unfolded, fan, unf.beta, preimages), unf
 
 
 def rigidified_unfold(fan: KmFan) -> Tuple[KmFan, Optional[KmFanHom]]:
-    """The rigidification of the unfolding.
+    """The rigidification of the unfolding, built in one pass.
+
+    fans.rigidify of the unfolding pushes each datum i_sigma(F_sigma) into
+    the free quotient of the colimit, dropping the torsion coordinates, and
+    keeps the cones.  So the fan is _unfolded_fan over the free quotient,
+    with no fan over the colimit built first.
 
     When the fan's group is a lattice the induced map back to the fan exists
     and is returned; otherwise the map does not factor and None is returned.
     """
-    unfolded, hom, unf = unfold(fan)
-    rig, _ = rigidify(unfolded)
+    unf = lattice_data_colimit(fan)
+    lt = unf.colimit
+    rig, preimages = _unfolded_fan(fan, unf, FgaGroup(lt.free_rank))
     if not fan.group.is_lattice():
         return rig, None
     # beta kills the colimit torsion (it lands in a lattice), so it factors
-    lt = unf.colimit
     bbar_cols = [unf.beta.apply(e) for e in IntMatrix.identity(lt.ncoords).entries[: lt.free_rank]]
     betabar = GroupHom(rig.group, fan.group, IntMatrix._from_columns(bbar_cols, fan.group.ncoords))
-    # rigidify keeps the cones, so the cone map is the unfolding's
-    return rig, KmFanHom(rig, fan, betabar, hom.cone_images)
+    return rig, KmFanHom(rig, fan, betabar, preimages)
 
 
 def is_gs_representable(fan: KmFan) -> bool:

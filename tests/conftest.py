@@ -16,17 +16,23 @@ _trusted_hom_init = KmFanHom.__init__
 @pytest.fixture(autouse=True, scope="session")
 def trusted_construction_oracle():
     """Check every trusted construction against the validating paths: a fan
-    built by KmFan._make must validate, and a KmFanHom must carry the cone
-    map that validate_hom derives for its group map.  The guard keeps the
-    KmFanHom built inside validate_hom from checking itself."""
+    built by KmFan._make must validate, both phases, on a copy built without
+    a kept cone verdict, and the maximal cones handed over with one must be
+    the fan's, which is then built with the verdict; a KmFanHom must
+    carry the cone map that validate_hom derives for its group map.  The
+    guard keeps the KmFanHom built inside validate_hom from checking
+    itself."""
     init = KmFanHom.__init__
     active = []
 
-    def checked_make(group, cones, data):
+    def checked_make(group, cones, data, maximal=None):
         fan = _trusted_make(group, cones, data)
         problems = fan.validate()
         assert problems == [], problems
-        return fan
+        if maximal is None:
+            return fan
+        assert tuple(maximal) == tuple(fan.maximal_cones()), maximal
+        return _trusted_make(group, cones, data, maximal)
 
     def checked_init(self, source, target, hom, cone_images):
         init(self, source, target, hom, cone_images)

@@ -1,20 +1,24 @@
-"""The full maximal-cone presentation of the lattice-data colimit, kept as
-a reference for the pruned one in kmfan.gsfans.
+"""References for kmfan.gsfans: the full maximal-cone presentation of the
+lattice-data colimit, and the rigidified unfolding in two steps.
 
 full_maximal_cone_presentation emits, for every face tau with maximal
 cofaces sigma_1, ..., sigma_k and every generator g of F_tau, the relation
 g in sigma_1's block minus g in sigma_i's block, for i = 2, ..., k.
 is_gs_representable_reference tests the block of every maximal cone against
 the echelon of that presentation, saturated data included.
-tests/test_gsfans.py compares the library's presentation, colimit and
-representability test with these.
+rigidified_unfold_reference builds the unfolding over the colimit of
+gsfans.lattice_data_colimit, then pushes every datum into the colimit's
+free quotient, with loops of its own.
+tests/test_gsfans.py compares the library's presentation, colimit,
+representability test and one-pass rigidified unfolding with these.
 """
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from kmfan.abelian import FgaGroup, present_quotient
-from kmfan.cones import Cone
-from kmfan.fans import KmFan
+from kmfan.abelian import FgaGroup, GroupHom, free_quotient, present_quotient
+from kmfan.cones import Cone, _preimage_rays
+from kmfan.fans import KmFan, KmFanHom, LatticeDatum
+from kmfan.gsfans import lattice_data_colimit
 from kmfan.intlinalg import IntMatrix, _row_echelon, is_saturated
 
 
@@ -60,3 +64,32 @@ def is_gs_representable_reference(fan: KmFan) -> bool:
         if not is_saturated(block):
             return False
     return True
+
+
+def rigidified_unfold_reference(fan: KmFan) -> Tuple[KmFan, Optional[KmFanHom]]:
+    """The rigidified unfolding in two steps.  First the unfolding over the
+    colimit: the cones i(sigma), each datum generated by i_sigma of the
+    basis of F_sigma.  Then each datum's generators pushed through the
+    projection onto the colimit's free quotient.  For a lattice fan, also
+    the map back: beta on the free generators of the colimit, with the cone
+    map i(sigma) -> sigma.  The fan is built by the validating KmFan(...)."""
+    unf = lattice_data_colimit(fan)
+    lt = unf.colimit
+    nbar, proj = free_quotient(lt)
+    preimages: Dict[Cone, Cone] = {}
+    data: Dict[Cone, LatticeDatum] = {}
+    for sigma in fan.cones:
+        datum = fan.data[sigma]
+        imap = unf.structure_maps[sigma]
+        rays_c = _preimage_rays(datum.free_basis(), sigma.rays)
+        image = Cone.from_generators([imap.free_matrix().apply(r) for r in rays_c], lt.free_rank)
+        units = IntMatrix.identity(datum.basis().cols).entries
+        unfolded = LatticeDatum.from_generators(lt, [imap.apply(e) for e in units])
+        preimages[image] = sigma
+        data[image] = LatticeDatum.from_generators(nbar, [proj.apply(g) for g in unfolded.generators()])
+    rig = KmFan(nbar, preimages, data)
+    if not fan.group.is_lattice():
+        return rig, None
+    bbar_cols = [unf.beta.apply(e) for e in IntMatrix.identity(lt.ncoords).entries[: lt.free_rank]]
+    betabar = GroupHom(rig.group, fan.group, IntMatrix._from_columns(bbar_cols, fan.group.ncoords))
+    return rig, KmFanHom(rig, fan, betabar, preimages)

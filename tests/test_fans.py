@@ -1047,6 +1047,30 @@ class TestMorphisms:
         assert is_tame(ident)
         assert torsor_group(ident).is_trivial()
 
+    def test_tameness_is_read_once_per_morphism(self, p22_fan, monkeypatch):
+        """is_tame then torsor_group runs the semi-tame body once, and
+        computes the group map's kernel and cokernel once each, which the
+        derived dual reuses: for a tame inflation, and for the semi-tame
+        rigidification of P(2,2), which is not tame."""
+        tame = inflate(line_fan(), GroupHom(Z, Z, IntMatrix([[2]])))[1]
+        not_tame = rigidify(p22_fan)[1]
+        calls = collections.Counter()
+
+        def spy(fn):
+            return lambda *a: calls.update([fn.__name__]) or fn(*a)
+
+        monkeypatch.setattr(fans_module, "is_semi_tame", spy(fans_module.is_semi_tame))
+        for fn in (abelian.kernel_subgroup, abelian._cokernel_group):
+            monkeypatch.setattr(abelian, fn.__name__, spy(fn))
+        assert is_tame(tame)
+        assert torsor_group(tame) == FgaGroup(0, (2,))
+        assert calls == {"is_semi_tame": 1, "kernel_subgroup": 1, "_cokernel_group": 1}
+        calls.clear()
+        assert not is_tame(not_tame)
+        with pytest.raises(NotTame):
+            torsor_group(not_tame)
+        assert calls == {"is_semi_tame": 1, "kernel_subgroup": 1, "_cokernel_group": 1}
+
     def test_torsor_group_requires_tame(self, p22_fan):
         _, q = rigidify(p22_fan)
         with pytest.raises(NotTame):

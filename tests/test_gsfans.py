@@ -1,6 +1,7 @@
 """GS fans, folding, and the unfolding correspondence."""
 
 import itertools
+import os
 import random
 
 import pytest
@@ -17,7 +18,8 @@ from kmfan.abelian import (
     quotient,
 )
 from kmfan.cones import Cone
-from kmfan.errors import NotFoldable, NonLattice, PreconditionsFail
+from kmfan.documents import fan_from_obj, loads
+from kmfan.errors import KmFanError, NotFoldable, NonLattice, PreconditionsFail
 from kmfan.fans import (
     KmFan,
     LatticeDatum,
@@ -47,8 +49,13 @@ from kmfan.gsfans import (
 from kmfan import abelian, cones, fans, gsfans, intlinalg, monoids
 from kmfan.intlinalg import IntMatrix, hermite_column_basis, primitive_vector, rank as matrix_rank
 
-from conftest import build_p22, line_fan, projective_line_fan, plane_fan
-from gsfans_oracle import colimit_reference, full_maximal_cone_presentation, is_gs_representable_reference
+from conftest import build_p22, line_fan, projective_line_fan, plane_fan, without_construction_oracle
+from gsfans_oracle import (
+    colimit_reference,
+    full_maximal_cone_presentation,
+    is_gs_representable_reference,
+    rigidified_unfold_reference,
+)
 from linalg_oracles import blocks_saturated_by_smith
 
 Z = FgaGroup(1)
@@ -397,16 +404,22 @@ def random_primitive(rng: random.Random, rank: int, bound: int):
             return primitive_vector(v)
 
 
-def mixed_three_ray_fan(rng: random.Random) -> KmFan:
-    """A complete fan in Z^2 on three rays; each 2-cone gets the saturated
-    datum or the (possibly smaller) datum generated by its primitive rays."""
+def three_ray_classical_fan(rng: random.Random) -> KmFan:
+    """A complete classical fan in Z^2 on three rays; its colimit often has
+    torsion, as that of torsion_colimit_fan does."""
     while True:
         u, v = random_primitive(rng, 2, 3), random_primitive(rng, 2, 3)
         if u[0] * v[1] - u[1] * v[0] != 0:
             break
     a, b = rng.randint(1, 3), rng.randint(1, 3)
     w = primitive_vector((-a * u[0] - b * v[0], -a * u[1] - b * v[1]))
-    base = from_classical(Z2, [Cone.from_generators(pair, 2) for pair in ((u, v), (v, w), (w, u))])
+    return from_classical(Z2, [Cone.from_generators(pair, 2) for pair in ((u, v), (v, w), (w, u))])
+
+
+def mixed_three_ray_fan(rng: random.Random) -> KmFan:
+    """A complete fan in Z^2 on three rays; each 2-cone gets the saturated
+    datum or the (possibly smaller) datum generated by its primitive rays."""
+    base = three_ray_classical_fan(rng)
     data = dict(base.data)
     for c in base.cones:
         if c.dim() == 2 and rng.random() < 0.5:
@@ -1063,3 +1076,100 @@ class TestOneColimitPresentation:
         into = gsfans.induced_colimit_map(sub, sup)
         for c in boundary_cones:
             assert sub.structure_maps[c].then(into) == sup.structure_maps[c]
+
+
+def golden_input(name: str) -> KmFan:
+    """A fan document of the CLI golden cases."""
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "inputs", name)
+    with open(path, "r", encoding="utf-8") as fh:
+        return fan_from_obj(loads(fh.read()))
+
+
+def one_pass_fans(lattice_fans):
+    """The seeded lattice fans, the seeded colimit fans (groups with
+    torsion among them), seeded classical three-ray fans, some times P^1,
+    and named fans whose colimits have torsion or whose data are not
+    saturated."""
+    rng = random.Random(5151)
+    p1 = projective_line_fan()
+    three_ray = [three_ray_classical_fan(rng) for _ in range(40)]
+    three_ray += [product(fan, p1)[0] for fan in three_ray[:8]]
+    named = [torsion_colimit_fan(), golden_input("p22.json"), golden_input("nonsat.json")]
+    return lattice_fans + list(seeded_colimit_fans(120)) + three_ray + named
+
+
+class TestOnePassRigidification:
+    def test_equals_the_two_step_oracle(self, lattice_fans):
+        """rigidified_unfold builds over the free colimit what rigidify
+        makes of the unfolding: the same fan and group, and for a lattice
+        fan the same map back and cone map."""
+        fans_ = one_pass_fans(lattice_fans)
+        torsion_colimits = 0
+        for i, fan in enumerate(fans_):
+            rig, betabar = rigidified_unfold(fan)
+            ref, ref_betabar = rigidified_unfold_reference(fan)
+            assert rig == ref and rig.group == ref.group, i
+            assert (betabar is None) == (ref_betabar is None) == (not fan.group.is_lattice()), i
+            if betabar is not None:
+                assert betabar.hom == ref_betabar.hom, i
+                assert betabar.cone_images == ref_betabar.cone_images, i
+            torsion_colimits += bool(lattice_data_colimit(fan).colimit.torsion)
+        assert torsion_colimits >= 10
+
+    def test_beta_restricts_to_inclusions_on_every_cone(self, lattice_fans):
+        """beta o i_c is the inclusion of F_c for every cone c, though
+        lattice_data_colimit checks it on the maximal cones only."""
+        for i, fan in enumerate(one_pass_fans(lattice_fans)):
+            unf = lattice_data_colimit(fan)
+            for c in fan.cones:
+                basis = fan.data[c].basis()
+                comp = unf.structure_maps[c].then(unf.beta)
+                for e, col in zip(IntMatrix.identity(basis.cols).entries, basis.columns()):
+                    assert comp.apply(e) == fan.group.reduce(col), (i, c)
+
+    def test_an_inconsistent_block_is_caught(self, monkeypatch):
+        """A relation that kills a block generator breaks beta o i_sigma on
+        a maximal cone, and the check on the maximal blocks refuses it."""
+        real = gsfans._maximal_cone_presentation
+
+        def killing(fan):
+            offsets, cofaces, relations = real(fan)
+            kill = tuple(int(i == 0) for i in range(relations.rows))
+            return offsets, cofaces, IntMatrix._from_columns(list(relations.columns()) + [kill], relations.rows)
+
+        monkeypatch.setattr(gsfans, "_maximal_cone_presentation", killing)
+        with pytest.raises(KmFanError, match="colimit structure map is inconsistent"):
+            lattice_data_colimit(torsion_colimit_fan())
+
+
+class TestFoldKeepsConeVerdict:
+    def test_validate_runs_only_the_data_phase(self, monkeypatch):
+        """The folded fan keeps the cone verdict of the fold, so validate()
+        makes no _cone_violations call, and it agrees with a fan built and
+        validated from the same cones and data.  The construction oracle,
+        which validates every trusted fan, is off."""
+        without_construction_oracle(monkeypatch)
+        rng = random.Random(2727)
+        for _ in range(40):
+            folded, _ = fold(random_foldable_gsfan(rng))
+            expected = KmFan(folded.group, folded.cones, folded.data).validate()
+            calls = []
+            real = fans._cone_violations
+            monkeypatch.setattr(fans, "_cone_violations", lambda *a: calls.append(1) or real(*a))
+            assert folded.validate() == expected == []
+            monkeypatch.setattr(fans, "_cone_violations", real)
+            assert calls == []
+
+    def test_refusals_report_as_before(self):
+        """A fold that is refused keeps no verdict, and its report is the
+        all-pairs one."""
+        rng = random.Random(2828)
+        for attempt in range(30):
+            maker = (random_collapsing_gsfan, random_overlapping_gsfan)[attempt % 2]
+            gs = maker(rng)
+            expected = all_pairs_fold_problems(gs)
+            if not expected:
+                continue
+            with pytest.raises(NotFoldable) as refusal:
+                fold(gs)
+            assert refusal.value.violations == expected
