@@ -16,6 +16,7 @@ from .intlinalg import (
     IntMatrix,
     LinearSystem,
     Vec,
+    _hermite_basis,
     _int_entry,
     _int_vector,
     hermite_column_basis,
@@ -83,13 +84,12 @@ class FgaGroup:
 
     def relation_matrix(self) -> IntMatrix:
         """Columns d_i * e_{r+i}: the relations of the standard presentation."""
+        return IntMatrix._from_columns(self._relation_columns(), self.ncoords)
+
+    def _relation_columns(self) -> List[Vec]:
+        """The columns of relation_matrix, as int tuples."""
         m, r = self.ncoords, self.free_rank
-        cols = []
-        for i, d in enumerate(self.torsion):
-            col = [0] * m
-            col[r + i] = d
-            cols.append(col)
-        return IntMatrix._from_columns(cols, m)
+        return [tuple(d if j == r + i else 0 for j in range(m)) for i, d in enumerate(self.torsion)]
 
     def torsion_elements(self) -> List[Vec]:
         """All torsion elements (free coordinates zero)."""
@@ -216,9 +216,12 @@ class Subgroup:
 
     @staticmethod
     def from_generators(ambient: FgaGroup, generators: Iterable[Sequence[int]]) -> "Subgroup":
-        gens = [ambient.reduce(g) for g in generators]
-        pre = IntMatrix._from_columns(gens, ambient.ncoords).hstack(ambient.relation_matrix())
-        return Subgroup(ambient, hermite_column_basis(pre))
+        """The subgroup the elements generate, stored as the Hermite basis
+        of the reduced generators followed by the relation columns, which
+        go to the echelon as they are (intlinalg._hermite_basis): no matrix
+        is built, transposed or stacked first."""
+        columns = [ambient.reduce(g) for g in generators] + ambient._relation_columns()
+        return Subgroup(ambient, _hermite_basis(columns, ambient.ncoords))
 
     @staticmethod
     def trivial(ambient: FgaGroup) -> "Subgroup":

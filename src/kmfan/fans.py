@@ -504,8 +504,10 @@ class KmFanHom:
 
     The tameness slot, filled on first use (_tameness), holds the semi-tame
     verdict and, for a semi-tame map, the kernel and cokernel of the group
-    map.  Like KmFan's face index it is idempotent, so it is written
-    without a lock: a racing writer stores the same verdict.
+    map.  A construction that proved its map semi-tame builds it with
+    _semi_tame, which leaves True in the slot until the kernel and cokernel
+    are computed.  Like KmFan's face index the slot is idempotent, so it is
+    written without a lock: a racing writer stores the same verdict.
     """
 
     __slots__ = ("source", "target", "hom", "cone_images", "_tame")
@@ -516,6 +518,15 @@ class KmFanHom:
         object.__setattr__(self, "hom", hom)
         object.__setattr__(self, "cone_images", dict(cone_images))
         object.__setattr__(self, "_tame", None)
+
+    @staticmethod
+    def _semi_tame(source: KmFan, target: KmFan, hom: GroupHom, cone_images: Dict[Cone, Cone]) -> "KmFanHom":
+        """Trusted constructor for a map its construction proved semi-tame
+        (gsfans.fold): the tameness slot starts at True, so _tameness runs
+        no is_semi_tame."""
+        f = KmFanHom(source, target, hom, cone_images)
+        object.__setattr__(f, "_tame", True)
+        return f
 
     def __setattr__(self, *args):
         raise AttributeError("KmFanHom is immutable")
@@ -605,6 +616,12 @@ def zero_fan_unit(fan: KmFan) -> KmFanHom:
 def from_classical(group: FgaGroup, cones: Iterable[Cone]) -> KmFan:
     """A classical fan as a KM fan: lattice data N_sigma = Span(sigma) cap N.
 
+    The face closure takes the given cones in decreasing dimension and
+    enumerates the faces of a cone only when it is not in the closure yet:
+    a cone already there is a face of a cone taken before it, and a face
+    of a face is a face, so its faces are there too.  Given the face
+    lattice of a cone, that enumerates the faces of the cone alone.
+
     Only the cone set of the face closure is validated: the data
     Span(sigma) cap N are valid and compatible by construction.  The fan
     keeps the verdict and the maximal cones in its face index, so a later
@@ -612,7 +629,11 @@ def from_classical(group: FgaGroup, cones: Iterable[Cone]) -> KmFan:
     """
     if not group.is_lattice():
         raise TorsionAmbient("a classical fan needs a torsion-free group")
-    closure = _canonical(face for c in cones for face in c.faces()) or (Cone.zero(group.free_rank),)
+    faces = set()
+    for c in sorted(cones, key=Cone.dim, reverse=True):
+        if c not in faces:
+            faces.update(c.faces())
+    closure = _canonical(faces) or (Cone.zero(group.free_rank),)
     data = _saturated_data(group, closure)
     maximal = _maximal_cones(closure)
     problems = _cone_violations(group.free_rank, closure, maximal)
@@ -1259,14 +1280,17 @@ def _tameness(f: KmFanHom) -> Tuple[bool, Optional[Subgroup], Optional[FgaGroup]
     """The semi-tame verdict and, when f is semi-tame, the kernel and
     cokernel of its group map (None otherwise), kept in f's tameness slot.
     A semi-tame f is tame exactly when its group map is; the derived dual
-    of torsor_group starts from the same kernel and cokernel."""
-    if f._tame is None:
-        if is_semi_tame(f):
+    of torsor_group starts from the same kernel and cokernel.  A slot that
+    holds True (KmFanHom._semi_tame) keeps its verdict: only the kernel and
+    cokernel are computed."""
+    verdict = f._tame
+    if verdict is None or verdict is True:
+        if verdict or is_semi_tame(f):
             verdict = (True, *kernel_and_cokernel(f.hom))
         else:
             verdict = (False, None, None)
         object.__setattr__(f, "_tame", verdict)
-    return f._tame
+    return verdict
 
 
 def is_tame(f: KmFanHom) -> bool:

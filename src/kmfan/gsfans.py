@@ -23,7 +23,7 @@ from .fans import (
     is_atoroidal,
     is_classical,
 )
-from .intlinalg import IntMatrix, Vec, _row_echelon, invariant_factors, is_saturated
+from .intlinalg import IntMatrix, Vec, _row_echelon, invariant_factors, is_saturated, primitive_vector
 
 
 class GsFan:
@@ -61,6 +61,16 @@ def _fold_images(gs: GsFan) -> Tuple[Dict[Cone, Cone], List[dict], List[Cone]]:
     """The image beta(sigma) of every cone, the foldability problems, and,
     when there are none, the maximal images (fans._maximal_cones).
 
+    Only the maximal cones are mapped (Cone.linear_image) and tested for
+    collapse.  The span of a face lies in the span of its maximal cofaces,
+    so when beta is injective on the span of every maximal cone it is on
+    the span of every cone.  It then carries the extremal rays of a cone
+    onto those of its image, which is sharp: each image is the cone on the
+    primitive images of the rays (one ray dict per fold), sorted, which is
+    its canonical V-data, of the dimension of the cone.  When one maximal
+    cone collapses, every cone is mapped and tested, as the report names
+    each collapsed cone.
+
     Where beta is injective on each span it carries the faces of sigma onto
     those of beta(sigma), so the images are sharp and closed under faces.
     Such a set is a fan exactly when distinct members have disjoint relative
@@ -69,26 +79,37 @@ def _fold_images(gs: GsFan) -> Tuple[Dict[Cone, Cone], List[dict], List[Cone]]:
     and contain a cap b; conversely, in a fan a cap b is a face of both, so
     if it meets both relative interiors it is a and b.  So when no cone
     collapses and the images are distinct (equal nonzero images overlap),
-    the fan validator decides.  A refusal's report examines every pair: a
-    facet of one image <= 0 on the other (cones._separating_facet)
-    separates them; others are intersected.
+    the fan validator decides.  The maximal images are then the images of
+    the maximal cones: if beta(sigma) is a face of beta(rho), it is
+    beta(tau) for a face tau of rho, and distinct images make sigma = tau.
+    A refusal's report examines every pair: a facet of one image <= 0 on
+    the other (cones._separating_facet) separates them; others are
+    intersected.
     """
     problems: List[dict] = []
     bbar = gs.beta.free_matrix()
-    images: Dict[Cone, Cone] = {}
-    for sigma in gs.fan.cones:
-        image = sigma.linear_image(bbar)
-        images[sigma] = image
-        if image.dim() != sigma.dim():
-            problems.append({
-                "kind": "collapsed-cone",
-                "detail": f"beta is not injective on the span of {sigma!r}",
-            })
-    if not problems and len(set(images.values())) == len(images):
-        canonical = _canonical(images.values())
-        maximal = _maximal_cones(canonical)
-        if not _cone_violations(gs.beta.target.free_rank, canonical, maximal):
-            return images, problems, maximal
+    top = {sigma: sigma.linear_image(bbar) for sigma in gs.fan.maximal_cones()}
+    if all(image.dim() == sigma.dim() for sigma, image in top.items()):
+        ray = {r: primitive_vector(bbar.apply(r)) for sigma in top for r in sigma.rays}
+        images = {
+            c: top[c] if c in top else Cone(bbar.rows, sorted(ray[r] for r in c.rays), (), _dim=c.dim())
+            for c in gs.fan.cones
+        }
+        if len(set(images.values())) == len(images):
+            canonical = _canonical(images.values())
+            maximal = sorted(top.values(), key=lambda c: (c.dim(), c.rays))
+            if not _cone_violations(gs.beta.target.free_rank, canonical, maximal):
+                return images, problems, maximal
+    else:
+        images = {}
+        for sigma in gs.fan.cones:
+            image = top[sigma] if sigma in top else sigma.linear_image(bbar)
+            images[sigma] = image
+            if image.dim() != sigma.dim():
+                problems.append({
+                    "kind": "collapsed-cone",
+                    "detail": f"beta is not injective on the span of {sigma!r}",
+                })
     cones = list(gs.fan.cones)
     for i, a in enumerate(cones):
         for b in cones[i + 1:]:
@@ -110,7 +131,12 @@ def fold(gs: GsFan) -> Tuple[KmFan, KmFanHom]:
     The returned morphism beta : F -> fold(F, beta) is tame.  The folded
     fan keeps the cone verdict of _fold_images, which ran the cone phase of
     validation on its very cone set, so its validate() runs only the data
-    phase.
+    phase.  The morphism keeps the semi-tame verdict the fold proved
+    (KmFanHom._semi_tame): the images are distinct and are the folded
+    fan's cones, beta is injective on every span and carries the rays of
+    each cone onto those of its image, and each folded datum is beta(L_sigma)
+    as is_semi_tame would rebuild it.  So is_tame computes only the kernel
+    and cokernel of beta.
     """
     images, problems, maximal = _fold_images(gs)
     if problems:
@@ -121,7 +147,7 @@ def fold(gs: GsFan) -> Tuple[KmFan, KmFanHom]:
         for sigma, image in images.items()
     }
     folded = KmFan._make(n, data.keys(), data, maximal)
-    return folded, KmFanHom(gs.fan, folded, gs.beta, images)
+    return folded, KmFanHom._semi_tame(gs.fan, folded, gs.beta, images)
 
 
 class Unfolding:
@@ -339,22 +365,33 @@ def _unfolded_fan(fan: KmFan, unf: Unfolding, group: FgaGroup) -> Tuple[KmFan, D
     colimit, or its free quotient.  The free quotient's coordinates are the
     colimit's first free_rank, so a datum is generated by the first
     group.ncoords rows of its structure map, whose columns are reduced.
-    Returns the fan and the cone map i(sigma) -> sigma."""
-    preimages: Dict[Cone, Cone] = {}
+    Returns the fan and the cone map i(sigma) -> sigma.
+
+    The rays are mapped once per maximal cone sigma: one linear system on
+    the free basis of F_sigma gives each ray's primitive preimage there,
+    and the free part of i_sigma maps it.  That map is injective, as beta
+    o i_sigma is the inclusion of F_sigma, whose free projection is; so
+    i(tau), for every face tau of sigma, is the sharp cone on the primitive
+    images of its rays, sorted, of the dimension of tau.  The structure
+    maps commute with the inclusions (i_tau is i_sigma on F_tau), so a
+    ray's image is the same from every maximal cone that holds it: one ray
+    dict serves every cone, as in _fold_images.
+    """
+    ray: Dict[Vec, Vec] = {}
+    for sigma in unf.block_offsets:
+        ibar = unf.structure_maps[sigma].free_matrix()
+        preimages = _preimage_rays(fan.data[sigma].free_basis(), sigma.rays)
+        ray.update((r, primitive_vector(ibar.apply(x))) for r, x in zip(sigma.rays, preimages))
+    cone_map: Dict[Cone, Cone] = {}
     data: Dict[Cone, LatticeDatum] = {}
     for sigma in fan.cones:
-        datum = fan.data[sigma]
-        imap = unf.structure_maps[sigma]
-        # sigma in datum coordinates -> rays in the colimit's free quotient
-        rays_c = _preimage_rays(datum.free_basis(), sigma.rays)
-        ibar = imap.free_matrix()
-        image = Cone.from_generators([ibar.apply(r) for r in rays_c], group.free_rank)
+        image = Cone(group.free_rank, sorted(ray[r] for r in sigma.rays), (), _dim=sigma.dim())
         if image in data:
             raise KmFanError("internal: unfolding produced a duplicate cone")
-        preimages[image] = sigma
-        gens = [col[:group.ncoords] for col in imap.matrix.columns()]
+        cone_map[image] = sigma
+        gens = [col[:group.ncoords] for col in unf.structure_maps[sigma].matrix.columns()]
         data[image] = LatticeDatum.from_generators(group, gens)
-    return KmFan._make(group, preimages, data), preimages
+    return KmFan._make(group, cone_map, data), cone_map
 
 
 def unfold(fan: KmFan) -> Tuple[KmFan, KmFanHom, Unfolding]:

@@ -589,7 +589,14 @@ def hermite_column_basis(m: IntMatrix) -> IntMatrix:
     reduced into [0, pivot): that form of a lattice is unique, whatever
     elimination reaches it.
     """
-    basis, _ = _row_echelon(m.columns())
+    return _hermite_basis(m.columns(), m.rows)
+
+
+def _hermite_basis(columns: Sequence[Sequence[int]], rows: int) -> IntMatrix:
+    """hermite_column_basis of the matrix with these int columns, each of
+    length rows: the columns go to the row echelon form as they are, with
+    no matrix built or transposed first."""
+    basis, _ = _row_echelon(columns)
     # ascending pivot rows, so a reduction never disturbs rows already
     # reduced; column i is zero above its pivot row, which lies below the
     # pivot row of column i - 1
@@ -603,7 +610,7 @@ def hermite_column_basis(m: IntMatrix) -> IntMatrix:
             q = basis[j][r] // p
             if q:
                 basis[j] = tuple([x - q * y for x, y in zip(basis[j], pivot)])
-    return IntMatrix._from_columns(basis, m.rows)
+    return IntMatrix._from_columns(basis, rows)
 
 
 def lattice_intersection(a: IntMatrix, b: IntMatrix) -> IntMatrix:

@@ -6,11 +6,12 @@ import pytest
 
 from kmfan.abelian import FgaGroup, GroupHom, is_tame_hom
 from kmfan.cones import Cone
-from kmfan.fans import KmFan, KmFanHom, LatticeDatum, from_classical, validate_hom
+from kmfan.fans import KmFan, KmFanHom, LatticeDatum, from_classical, is_semi_tame, validate_hom
 from kmfan.intlinalg import IntMatrix, primitive_vector
 
 _trusted_make = KmFan._make
 _trusted_hom_init = KmFanHom.__init__
+_trusted_semi_tame = KmFanHom._semi_tame
 
 
 @pytest.fixture(autouse=True, scope="session")
@@ -19,9 +20,10 @@ def trusted_construction_oracle():
     built by KmFan._make must validate, both phases, on a copy built without
     a kept cone verdict, and the maximal cones handed over with one must be
     the fan's, which is then built with the verdict; a KmFanHom must
-    carry the cone map that validate_hom derives for its group map.  The
-    guard keeps the KmFanHom built inside validate_hom from checking
-    itself."""
+    carry the cone map that validate_hom derives for its group map, and
+    one handed a semi-tame verdict (KmFanHom._semi_tame) must be judged
+    semi-tame by is_semi_tame as a fresh morphism.  The guard keeps the
+    KmFanHom built inside validate_hom from checking itself."""
     init = KmFanHom.__init__
     active = []
 
@@ -46,9 +48,14 @@ def trusted_construction_oracle():
         assert isinstance(derived, KmFanHom), derived
         assert self.cone_images == derived.cone_images
 
+    def checked_semi_tame(source, target, hom, cone_images):
+        assert is_semi_tame(KmFanHom(source, target, hom, cone_images))
+        return _trusted_semi_tame(source, target, hom, cone_images)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(KmFan, "_make", staticmethod(checked_make))
         mp.setattr(KmFanHom, "__init__", checked_init)
+        mp.setattr(KmFanHom, "_semi_tame", staticmethod(checked_semi_tame))
         yield
 
 
@@ -62,6 +69,7 @@ def without_construction_oracle(monkeypatch) -> None:
     a count of a construction's calls leaves out those of the checks."""
     monkeypatch.setattr(KmFan, "_make", staticmethod(_trusted_make))
     monkeypatch.setattr(KmFanHom, "__init__", _trusted_hom_init)
+    monkeypatch.setattr(KmFanHom, "_semi_tame", staticmethod(_trusted_semi_tame))
 
 
 @pytest.fixture

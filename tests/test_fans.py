@@ -182,6 +182,26 @@ class TestClassical:
         with pytest.raises(TorsionAmbient):
             from_classical(N22, [Cone.from_generators([(1,)], 1)])
 
+    def test_face_closure_enumerates_uncovered_cones_only(self, monkeypatch):
+        """Given a cone with all its faces, in any order, from_classical
+        builds the fan of the cone alone, and enumerates the faces of the
+        cone only: every other given cone is in the closure by then."""
+        rng = random.Random(7171)
+        for cone in (
+            Cone.from_generators([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3),
+            Cone.from_generators([(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)], 3),
+        ):
+            expected = from_classical(FgaGroup(3), [cone])
+            given = cone.faces()
+            rng.shuffle(given)
+            calls = []
+            real = Cone.faces
+            monkeypatch.setattr(Cone, "faces", lambda c: calls.append(c) or real(c))
+            fan = from_classical(FgaGroup(3), given)
+            monkeypatch.undo()
+            assert fan == expected
+            assert calls == [cone]
+
     def test_maximal_cones_decide_as_all_cones_do(self):
         """is_classical reads the maximal cones only; on valid fans that is
         the all-cones reading, every datum saturated in a lattice.  Seeded

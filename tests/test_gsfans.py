@@ -1,5 +1,6 @@
 """GS fans, folding, and the unfolding correspondence."""
 
+import collections
 import itertools
 import os
 import random
@@ -1094,7 +1095,9 @@ def one_pass_fans(lattice_fans):
     p1 = projective_line_fan()
     three_ray = [three_ray_classical_fan(rng) for _ in range(40)]
     three_ray += [product(fan, p1)[0] for fan in three_ray[:8]]
-    named = [torsion_colimit_fan(), golden_input("p22.json"), golden_input("nonsat.json")]
+    square = square_cone_gsfan().fan
+    named = [torsion_colimit_fan(), golden_input("p22.json"), golden_input("nonsat.json"),
+             square, dilate(square, 2)[0]]
     return lattice_fans + list(seeded_colimit_fans(120)) + three_ray + named
 
 
@@ -1173,3 +1176,83 @@ class TestFoldKeepsConeVerdict:
             with pytest.raises(NotFoldable) as refusal:
                 fold(gs)
             assert refusal.value.violations == expected
+
+
+def square_cone_gsfan() -> GsFan:
+    """The cone on (+-1, 0, 1) and (0, +-1, 1), which is not simplicial,
+    with its faces, under beta = 2I plus the superdiagonal."""
+    cone = Cone.from_generators([(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)], 3)
+    beta = IntMatrix([[2, 1, 0], [0, 2, 1], [0, 0, 2]])
+    return GsFan(from_classical(Z3, [cone]), GroupHom(Z3, Z3, beta))
+
+
+def fold_cases():
+    """Seeded foldable GS fans and the GS fan on the square cone."""
+    rng = random.Random(3131)
+    return [random_foldable_gsfan(rng) for _ in range(40)] + [square_cone_gsfan()]
+
+
+class TestMapEachMaximalConeOnce:
+    def test_face_images_are_linear_images(self):
+        """fold reads the image of a face off the ray images of the fold;
+        it is the linear image of the face, with its dimension."""
+        for i, gs in enumerate(fold_cases()):
+            bbar = gs.beta.free_matrix()
+            _, hom = fold(gs)
+            for sigma in gs.fan.cones:
+                image, expected = hom.cone_images[sigma], sigma.linear_image(bbar)
+                assert (image, image.dim()) == (expected, expected.dim()), (i, sigma)
+
+    def test_fold_maps_the_maximal_cones_only(self, monkeypatch):
+        """A fold with m maximal cones calls Cone.linear_image m times, and
+        Cone.from_generators only inside those calls.  The construction
+        oracle is off."""
+        without_construction_oracle(monkeypatch)
+        cases = fold_cases()
+        calls = collections.Counter()
+        real_image, real_generators = Cone.linear_image, Cone.from_generators
+        monkeypatch.setattr(Cone, "linear_image", lambda c, m: calls.update(["linear_image"]) or real_image(c, m))
+        monkeypatch.setattr(Cone, "from_generators", staticmethod(
+            lambda gens, r: calls.update(["from_generators"]) or real_generators(gens, r)))
+        for i, gs in enumerate(cases):
+            calls.clear()
+            fold(gs)
+            m = len(gs.fan.maximal_cones())
+            assert calls == {"linear_image": m, "from_generators": m}, i
+
+    def test_unfolding_solves_one_system_per_maximal_cone(self, monkeypatch, lattice_fans):
+        """_unfolded_fan builds one LinearSystem per maximal cone, over the
+        colimit and over its free quotient alike.  The construction oracle
+        is off."""
+        without_construction_oracle(monkeypatch)
+        calls = []
+        real = intlinalg.LinearSystem.__init__
+        monkeypatch.setattr(intlinalg.LinearSystem, "__init__", lambda system, m: calls.append(1) or real(system, m))
+        faces = 0
+        for i, fan in enumerate(one_pass_fans(lattice_fans)):
+            unf = lattice_data_colimit(fan)
+            for group in (unf.colimit, FgaGroup(unf.colimit.free_rank)):
+                calls.clear()
+                gsfans._unfolded_fan(fan, unf, group)
+                assert len(calls) == len(fan.maximal_cones()), i
+            faces += len(fan.cones) - len(fan.maximal_cones())
+        assert faces > 0
+
+    def test_tameness_of_a_fold_reads_its_verdict(self, monkeypatch):
+        """is_tame on fold's morphism runs no is_semi_tame, and computes the
+        kernel and the cokernel of beta once each.  The construction oracle
+        is off."""
+        without_construction_oracle(monkeypatch)
+        homs = [fold(gs)[1] for gs in fold_cases()]
+        calls = collections.Counter()
+
+        def spy(fn):
+            return lambda *a: calls.update([fn.__name__]) or fn(*a)
+
+        monkeypatch.setattr(fans, "is_semi_tame", spy(fans.is_semi_tame))
+        for fn in (abelian.kernel_subgroup, abelian._cokernel_group):
+            monkeypatch.setattr(abelian, fn.__name__, spy(fn))
+        for i, hom in enumerate(homs):
+            calls.clear()
+            assert is_tame(hom), i
+            assert calls == {"kernel_subgroup": 1, "_cokernel_group": 1}, i
