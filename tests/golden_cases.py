@@ -33,6 +33,7 @@ def input_documents():
     """filename -> document text for every golden input."""
     Z = FgaGroup(1)
     Z2 = FgaGroup(2)
+    Z3 = FgaGroup(3)
     N22 = FgaGroup(1, (2,))
 
     zero1 = Cone.zero(1)
@@ -74,6 +75,11 @@ def input_documents():
         Cone.from_generators([(32, -9)], 2),
     ])
 
+    # the cone on (+-1, 0, 1) and (0, +-1, 1), which is not simplicial, with its faces
+    square = from_classical(Z3, [
+        Cone.from_generators([(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)], 3),
+    ])
+
     # a deliberately broken document: the positive ray is missing the zero cone
     broken = {
         "schema_version": "1",
@@ -93,6 +99,7 @@ def input_documents():
         "sing.json": dumps(fan_to_obj(sing)),
         "nonsat.json": dumps(fan_to_obj(nonsat)),
         "wedges.json": dumps(fan_to_obj(wedges)),
+        "square.json": dumps(fan_to_obj(square)),
         "broken.json": dumps(broken),
         "gs2.json": dumps(gsfan_to_obj(gs)),
         "p22hom.json": dumps(hom_to_obj(
@@ -105,6 +112,9 @@ def input_documents():
             GroupHom(Z, FgaGroup(0), IntMatrix.zero(0, 1)), "a1.json", "point.json")),
         "x2hom.json": dumps(hom_to_obj(
             GroupHom(Z, Z, IntMatrix([[2]])), "a1.json", "a1.json")),
+        # an inclusion of index 2 that shears the square cone
+        "square2hom.json": dumps(hom_to_obj(
+            GroupHom(Z3, Z3, IntMatrix([[1, 0, 1], [0, 1, 0], [0, 0, 2]])), "square.json", "square.json")),
     }
     return docs
 
@@ -123,6 +133,8 @@ CASES = [
     ("dilate_a1_3", ["dilate", "--fan", "a1.json", "--point", "3"], 0),
     ("inflate_a1", ["inflate", "--fan", "a1.json", "--hom", "x2hom.json"], 0),
     ("contract_a1", ["contract", "--fan", "a1.json", "--hom", "x2hom.json"], 0),
+    ("inflate_square", ["inflate", "--fan", "square.json", "--hom", "square2hom.json"], 0),
+    ("contract_square", ["contract", "--fan", "square.json", "--hom", "square2hom.json"], 0),
     ("resolve_sing", ["resolve", "--fan", "sing.json"], 0),
     ("support_in", ["support", "--fan", "p22.json", "--point", "1,1"], 0),
     ("support_out", ["support", "--fan", "p22.json", "--point", "1,0"], 0),
