@@ -75,6 +75,11 @@ class LatticeDatum:
     def from_generators(ambient: FgaGroup, generators: Iterable[Sequence[int]]) -> "LatticeDatum":
         return LatticeDatum(ambient, Subgroup.from_generators(ambient, generators))
 
+    def _image(self, hom: GroupHom) -> "LatticeDatum":
+        """The subgroup of hom's target that the images of this datum's
+        generators generate."""
+        return LatticeDatum.from_generators(hom.target, map(hom.apply, self.generators()))
+
     def basis(self) -> IntMatrix:
         if self._basis is None:
             object.__setattr__(self, "_basis", self.subgroup.lattice_basis())
@@ -497,6 +502,28 @@ def _saturated_in(outer: LatticeDatum, inner: LatticeDatum) -> bool:
     return is_saturated(IntMatrix._from_columns(coords, outer.rank()))
 
 
+def _ray_images(m: IntMatrix, fan: KmFan) -> Dict[Vec, Vec]:
+    """The primitive image m r of each ray r of the fan, one product per
+    ray: the rays are those of the fan's ray cones, as a fan is closed
+    under faces.  A ray mapped to 0 gives the zero vector."""
+    return {c.rays[0]: primitive_vector(m.apply(c.rays[0])) for c in fan.ray_cones()}
+
+
+def _carried(cones: Iterable[Cone], ray: Dict[Vec, Vec], rank: int) -> Dict[Cone, Cone]:
+    """Each cone carried along a linear map that is injective on its span,
+    given the primitive image of each ray (ray) in Z^rank: the sharp cone on
+    the sorted images of its rays, of its dimension.
+
+    Proof.  A linear map f injective on Span(sigma) is an isomorphism of
+    Span(sigma) onto Span(f(sigma)), so it carries the faces of sigma onto
+    those of f(sigma), and its extremal rays onto those of f(sigma), which
+    is sharp as sigma is, of dimension dim sigma.  The rays of a sharp cone
+    are the primitive vectors on its extremal rays, sorted: its canonical
+    V-data.  So no double description is needed.
+    """
+    return {c: Cone(rank, sorted(ray[r] for r in c.rays), (), _dim=c.dim()) for c in cones}
+
+
 class KmFanHom:
     """A morphism of KM fans with its minimal-cone assignment sigma -> the
     minimal target cone containing f(sigma): built by the construction, or
@@ -566,7 +593,8 @@ def validate_hom(f: GroupHom, source: KmFan, target: KmFan):
     cone where the morphism conditions fail.  Only the minimal containing
     cone needs its datum checked; compatibility transfers the condition to
     every other containing cone.  This is for maps from outside the library;
-    its constructions carry their own cone maps.
+    its constructions carry their own cone maps.  Containment is read on
+    the primitive ray images (_ray_images), positive multiples of the images.
 
     The minimal cone is the first containing cone tau in fan order, with no
     intersection.  The smallest face of tau containing f(sigma) lies in
@@ -577,10 +605,10 @@ def validate_hom(f: GroupHom, source: KmFan, target: KmFan):
     """
     if f.source != source.group or f.target != target.group:
         raise KmFanError("homomorphism endpoints do not match the fans")
-    fbar = f.free_matrix()
+    ray = _ray_images(f.free_matrix(), source)
     images: Dict[Cone, Cone] = {}
     for sigma in source.cones:
-        img_gens = [fbar.apply(rr) for rr in sigma.rays]
+        img_gens = [ray[r] for r in sigma.rays]
         minimal = next(
             (c for c in target.cones if all(c.contains_point(g) for g in img_gens)), None
         )
@@ -676,11 +704,7 @@ def coarse_fan(fan: KmFan) -> Tuple[KmFan, KmFanHom]:
 def rigidify(fan: KmFan) -> Tuple[KmFan, KmFanHom]:
     """Push the lattice data into N/N_tor: the initial lattice KM fan under F."""
     nbar, proj = free_quotient(fan.group)
-    data = {}
-    for c in fan.cones:
-        gens = [proj.apply(g) for g in fan.data[c].generators()]
-        data[c] = LatticeDatum.from_generators(nbar, gens)
-    rig = KmFan._make(nbar, fan.cones, data)
+    rig = KmFan._make(nbar, fan.cones, {c: fan.data[c]._image(proj) for c in fan.cones})
     return rig, KmFanHom(fan, rig, proj, {c: c for c in fan.cones})
 
 
@@ -749,20 +773,16 @@ def inflate(fan: KmFan, inclusion: GroupHom) -> Tuple[KmFan, KmFanHom]:
     """Regard the fan over a finite-index overgroup N <= N'.
 
     ``inclusion`` is an injective map N -> N' with finite cokernel; the
-    resulting morphism F -> F' is tame.
+    resulting morphism F -> F' is tame.  Its free part is injective (an
+    element sent to torsion has a multiple sent to 0): cones are _carried.
     """
     if inclusion.source != fan.group:
         raise KmFanError("inclusion must start at the fan's group")
     if not is_injective(inclusion) or not _cokernel_group(inclusion).is_finite():
         raise NotFiniteIndex("inclusion must be injective with finite cokernel")
     fbar = inclusion.free_matrix()
-    cone_map = {}
-    data = {}
-    for c in fan.cones:
-        newc = c.linear_image(fbar)
-        cone_map[c] = newc
-        gens = [inclusion.apply(g) for g in fan.data[c].generators()]
-        data[newc] = LatticeDatum.from_generators(inclusion.target, gens)
+    cone_map = _carried(fan.cones, _ray_images(fbar, fan), fbar.rows)
+    data = {cone_map[c]: fan.data[c]._image(inclusion) for c in fan.cones}
     inflated = KmFan._make(inclusion.target, cone_map.values(), data)
     return inflated, KmFanHom(fan, inflated, inclusion, cone_map)
 
@@ -777,18 +797,22 @@ def contract(fan: KmFan, inclusion: GroupHom) -> Tuple[KmFan, KmFanHom]:
         raise KmFanError("inclusion must land in the fan's group")
     if not is_injective(inclusion) or not _cokernel_group(inclusion).is_finite():
         raise NotFiniteIndex("inclusion must be injective with finite cokernel")
-    fbar = inclusion.free_matrix()
-    cone_map = {}
-    data = {}
-    for c in fan.cones:
-        newc = Cone.from_generators(_preimage_rays(fbar, c.rays), inclusion.source.free_rank)
-        cone_map[newc] = c
-        data[newc] = LatticeDatum(
-            inclusion.source,
-            preimage_subgroup(inclusion, fan.data[c].subgroup),
-        )
-    contracted = KmFan._make(inclusion.source, cone_map, data)
+    contracted, cone_map = _restricted(fan, inclusion)
     return contracted, KmFanHom(contracted, fan, inclusion, cone_map)
+
+
+def _restricted(fan: KmFan, inclusion: GroupHom) -> Tuple[KmFan, Dict[Cone, Cone]]:
+    """The fan over N', given an injective map N' -> N whose free part is
+    injective and whose image holds every cone, with its cone map back:
+    the preimages of the cones and of the data.  The free part maps the
+    preimage of a cone onto it, so the cone is _carried back, with the
+    primitive preimages of all rays from one linear system."""
+    rays = [c.rays[0] for c in fan.ray_cones()]
+    ray = dict(zip(rays, _preimage_rays(inclusion.free_matrix(), rays)))
+    back = {newc: c for c, newc in _carried(fan.cones, ray, inclusion.source.free_rank).items()}
+    data = {newc: LatticeDatum(inclusion.source, preimage_subgroup(inclusion, fan.data[c].subgroup))
+            for newc, c in back.items()}
+    return KmFan._make(inclusion.source, back, data), back
 
 
 def is_simplicial(fan: KmFan) -> bool:
@@ -815,8 +839,7 @@ def star(fan: KmFan, tau: Cone) -> KmFan:
             continue
         image = sigma.linear_image(pbar)
         cones.append(image)
-        gens = [proj.apply(g) for g in fan.data[sigma].generators()]
-        data[image] = LatticeDatum.from_generators(q, gens)
+        data[image] = fan.data[sigma]._image(proj)
     return KmFan._make(q, cones, data)
 
 
@@ -896,20 +919,14 @@ def atoroidal_split(fan: KmFan) -> Tuple[KmFan, FgaGroup, KmFanHom]:
 
     G is atoroidal over the saturated subgroup generated by all lattice data,
     B = N/A is free, and the returned morphism is an isomorphism from
-    product(G, zero_fan(B)) onto F determined by a chosen splitting.
+    product(G, zero_fan(B)) onto F determined by a chosen splitting.  G is
+    F _restricted to A, which holds N_tor and every datum.
     """
     n = fan.group
     pres = _quotient_presentation(n, _data_sum(fan))
     bgrp, free_proj = free_quotient(pres.group)
     a_grp, incl = kernel_subgroup(GroupHom(n, pres.group, pres.proj).then(free_proj)).as_group()
-    inc_free = incl.free_matrix()
-    back = {}
-    data = {}
-    for c in fan.cones:
-        newc = Cone.from_generators(_preimage_rays(inc_free, c.rays), a_grp.free_rank)
-        back[newc] = c
-        data[newc] = LatticeDatum(a_grp, preimage_subgroup(incl, fan.data[c].subgroup))
-    g_fan = KmFan._make(a_grp, back, data)
+    g_fan, back = _restricted(fan, incl)
 
     # a splitting N = A + s(B): the section's free columns lift the basis of B
     section = pres.section.select_columns(range(bgrp.ncoords))
@@ -1213,10 +1230,9 @@ def is_equidimensional(f: KmFanHom) -> bool:
     mapped to 0 gives the zero vector, which is no ray of tau.
     """
     _require_finite_cokernel(f)
-    fbar = f.hom.free_matrix()
+    ray = _ray_images(f.hom.free_matrix(), f.source)
     return all(
-        {primitive_vector(fbar.apply(r)) for r in sigma.rays}.issuperset(f.cone_images[sigma].rays)
-        for sigma in f.source.cones
+        {ray[r] for r in sigma.rays}.issuperset(f.cone_images[sigma].rays) for sigma in f.source.cones
     )
 
 
@@ -1229,9 +1245,7 @@ def has_reduced_fibers(f: KmFanHom) -> bool:
     if not is_equidimensional(f):
         raise PreconditionsFail("reduced-fiber criterion requires an equidimensional map")
     for sigma in f.source.cones:
-        mapped = Subgroup.from_generators(
-            f.target.group, [f.hom.apply(g) for g in f.source.datum(sigma).generators()]
-        )
+        mapped = f.source.datum(sigma)._image(f.hom).subgroup
         if not mapped.contains_subgroup(f.target.datum(f.cone_images[sigma]).subgroup):
             return False
     return True
@@ -1248,26 +1262,21 @@ def is_semi_tame(f: KmFanHom) -> bool:
     f(sigma) is compared with tau = f.cone_images[sigma], the smallest target
     cone containing it, on V-data alone: f(sigma) is a target cone of the
     dimension of sigma iff it is tau and dim tau = dim sigma.  Then f is
-    injective on Span(sigma) and carries the extremal rays of sigma onto
-    those of tau; conversely, if the primitive vectors on the images of the
-    rays of sigma are the rays of tau, f(sigma) is tau.  A ray mapped to 0
-    gives the zero vector, which is no ray of tau.  Target cones are sharp,
-    so their sorted rays are their canonical V-data.
+    injective on Span(sigma), and tau has the sorted primitive images of
+    the rays of sigma (_ray_images) as its rays (_carried); conversely, if
+    it has, f(sigma) is tau.  A ray mapped to 0 gives the zero vector,
+    which is no ray of tau.
     """
-    fbar = f.hom.free_matrix()
+    ray = _ray_images(f.hom.free_matrix(), f.source)
     images = []
     for sigma in f.source.cones:
         image = f.cone_images[sigma]
         if image.dim() != sigma.dim():
             return False
-        ray_images = {primitive_vector(fbar.apply(r)) for r in sigma.rays}
-        if tuple(sorted(ray_images)) != image.rays:
+        if tuple(sorted({ray[r] for r in sigma.rays})) != image.rays:
             return False
         images.append(image)
-        mapped = Subgroup.from_generators(
-            f.target.group, [f.hom.apply(g) for g in f.source.datum(sigma).generators()]
-        )
-        if mapped != f.target.datum(image).subgroup:
+        if f.source.datum(sigma)._image(f.hom).subgroup != f.target.datum(image).subgroup:
             return False
     if len(set(images)) != len(f.source.cones):
         return False
@@ -1317,15 +1326,13 @@ def is_representable(f: KmFanHom) -> bool:
 
 def is_proper(f: KmFanHom) -> bool:
     """Support criterion: the preimage of the coarse support equals the
-    coarse support, checked cone by cone on maximal target cones."""
+    coarse support, checked cone by cone on maximal target cones, on the
+    primitive images of the rays (_ray_images)."""
     fbar = f.hom.free_matrix()
+    ray = _ray_images(fbar, f.source)
     for tau in f.target.maximal_cones():
         target_cone = tau.preimage(fbar)
-        pieces = [
-            sigma
-            for sigma in f.source.cones
-            if all(tau.contains_point(fbar.apply(r)) for r in sigma.rays)
-        ]
+        pieces = [sigma for sigma in f.source.cones if all(tau.contains_point(ray[r]) for r in sigma.rays)]
         if not union_covers(target_cone, pieces):
             return False
     return True

@@ -18,8 +18,10 @@ from .fans import (
     KmFanHom,
     LatticeDatum,
     _canonical,
+    _carried,
     _cone_violations,
     _maximal_cones,
+    _ray_images,
     is_atoroidal,
     is_classical,
 )
@@ -64,12 +66,9 @@ def _fold_images(gs: GsFan) -> Tuple[Dict[Cone, Cone], List[dict], List[Cone]]:
     Only the maximal cones are mapped (Cone.linear_image) and tested for
     collapse.  The span of a face lies in the span of its maximal cofaces,
     so when beta is injective on the span of every maximal cone it is on
-    the span of every cone.  It then carries the extremal rays of a cone
-    onto those of its image, which is sharp: each image is the cone on the
-    primitive images of the rays (one ray dict per fold), sorted, which is
-    its canonical V-data, of the dimension of the cone.  When one maximal
-    cone collapses, every cone is mapped and tested, as the report names
-    each collapsed cone.
+    the span of every cone, and the faces are carried along it
+    (fans._carried).  When one maximal cone collapses, every cone is mapped
+    and tested, as the report names each collapsed cone.
 
     Where beta is injective on each span it carries the faces of sigma onto
     those of beta(sigma), so the images are sharp and closed under faces.
@@ -90,11 +89,7 @@ def _fold_images(gs: GsFan) -> Tuple[Dict[Cone, Cone], List[dict], List[Cone]]:
     bbar = gs.beta.free_matrix()
     top = {sigma: sigma.linear_image(bbar) for sigma in gs.fan.maximal_cones()}
     if all(image.dim() == sigma.dim() for sigma, image in top.items()):
-        ray = {r: primitive_vector(bbar.apply(r)) for sigma in top for r in sigma.rays}
-        images = {
-            c: top[c] if c in top else Cone(bbar.rows, sorted(ray[r] for r in c.rays), (), _dim=c.dim())
-            for c in gs.fan.cones
-        }
+        images = {**_carried(gs.fan.cones, _ray_images(bbar, gs.fan), bbar.rows), **top}
         if len(set(images.values())) == len(images):
             canonical = _canonical(images.values())
             maximal = sorted(top.values(), key=lambda c: (c.dim(), c.rays))
@@ -141,12 +136,8 @@ def fold(gs: GsFan) -> Tuple[KmFan, KmFanHom]:
     images, problems, maximal = _fold_images(gs)
     if problems:
         raise NotFoldable(problems)
-    n = gs.beta.target
-    data = {
-        image: LatticeDatum.from_generators(n, map(gs.beta.apply, gs.fan.data[sigma].generators()))
-        for sigma, image in images.items()
-    }
-    folded = KmFan._make(n, data.keys(), data, maximal)
+    data = {image: gs.fan.data[sigma]._image(gs.beta) for sigma, image in images.items()}
+    folded = KmFan._make(gs.beta.target, data.keys(), data, maximal)
     return folded, KmFanHom._semi_tame(gs.fan, folded, gs.beta, images)
 
 
@@ -371,24 +362,21 @@ def _unfolded_fan(fan: KmFan, unf: Unfolding, group: FgaGroup) -> Tuple[KmFan, D
     the free basis of F_sigma gives each ray's primitive preimage there,
     and the free part of i_sigma maps it.  That map is injective, as beta
     o i_sigma is the inclusion of F_sigma, whose free projection is; so
-    i(tau), for every face tau of sigma, is the sharp cone on the primitive
-    images of its rays, sorted, of the dimension of tau.  The structure
+    every face of sigma is carried along it (fans._carried).  The structure
     maps commute with the inclusions (i_tau is i_sigma on F_tau), so a
     ray's image is the same from every maximal cone that holds it: one ray
-    dict serves every cone, as in _fold_images.
+    dict serves every cone.
     """
     ray: Dict[Vec, Vec] = {}
     for sigma in unf.block_offsets:
         ibar = unf.structure_maps[sigma].free_matrix()
         preimages = _preimage_rays(fan.data[sigma].free_basis(), sigma.rays)
         ray.update((r, primitive_vector(ibar.apply(x))) for r, x in zip(sigma.rays, preimages))
-    cone_map: Dict[Cone, Cone] = {}
-    data: Dict[Cone, LatticeDatum] = {}
-    for sigma in fan.cones:
-        image = Cone(group.free_rank, sorted(ray[r] for r in sigma.rays), (), _dim=sigma.dim())
-        if image in data:
-            raise KmFanError("internal: unfolding produced a duplicate cone")
-        cone_map[image] = sigma
+    cone_map = {image: sigma for sigma, image in _carried(fan.cones, ray, group.free_rank).items()}
+    if len(cone_map) != len(fan.cones):
+        raise KmFanError("internal: unfolding produced a duplicate cone")
+    data = {}
+    for image, sigma in cone_map.items():
         gens = [col[:group.ncoords] for col in unf.structure_maps[sigma].matrix.columns()]
         data[image] = LatticeDatum.from_generators(group, gens)
     return KmFan._make(group, cone_map, data), cone_map

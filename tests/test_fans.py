@@ -90,7 +90,9 @@ from kmfan.intlinalg import (
     saturate,
 )
 
+import carry_oracle
 import test_properties
+from test_gsfans import seeded_lattice_fans, square_cone_gsfan
 from test_monoids import _in_submonoid
 from conftest import (
     build_p22,
@@ -2287,3 +2289,147 @@ class TestValidationFromFacets:
             assert cone.facet_cones() == [f for f in cone.faces() if f.dim() == d - 1]
             shapes["simplicial" if cone.is_simplicial() else "sharp" if cone.is_sharp() else "lineality"] += 1
         assert min(shapes.values()) >= 25, shapes
+
+
+def index_inclusion(rng, group: FgaGroup) -> GroupHom:
+    """An injective map of the group into itself with finite cokernel: an
+    upper triangular free block with diagonal 1, 2 or 3, free coordinates
+    sent into torsion at random, and the identity on torsion."""
+    r, t = group.free_rank, len(group.torsion)
+    rows = []
+    for i in range(r):
+        rows.append([0] * i + [rng.choice([1, 1, 2, 3])] + [rng.randint(-1, 1) for _ in range(r - i - 1)] + [0] * t)
+    for j, d in enumerate(group.torsion):
+        rows.append([rng.randrange(d) for _ in range(r)] + [int(j == k) for k in range(t)])
+    return GroupHom(group, group, IntMatrix._make(tuple(tuple(row) for row in rows), group.ncoords))
+
+
+def carry_fans():
+    """Seeded lattice fans, seeded simplicial KM fans with torsion, P(2,2),
+    and the fan of the square cone on (+-1, 0, 1), (0, +-1, 1), with its
+    classical data and dilated."""
+    rng = random.Random(6161)
+    torsion = []
+    while len(torsion) < 20:
+        fan = random_simplicial_km_fan(rng)
+        if fan.group.torsion:
+            torsion.append(fan)
+    square = square_cone_gsfan().fan
+    return list(seeded_lattice_fans(60)) + torsion + [build_p22(), square, dilate(square, 2)[0]]
+
+
+def carry_morphisms():
+    """Morphisms of the constructions on carry_fans, seeded_torsion_morphisms,
+    a fold, maps to a point and the P(2,2) map; and, not equidimensional,
+    the identity from the square cone cut in two and from polygon fans into
+    the quadrants."""
+    rng = random.Random(6262)
+    p1 = projective_line_fan()
+    out = [p22_morphism(), fold(square_cone_gsfan())[1]] + seeded_torsion_morphisms(41, 20)
+    z3 = FgaGroup(3)
+    halves = from_classical(z3, [
+        Cone.from_generators([(1, 0, 1), (-1, 0, 1), (0, y, 1)], 3) for y in (1, -1)
+    ])
+    out.append(validate_hom(GroupHom.identity(z3), halves, square_cone_gsfan().fan))
+    quadrants = from_classical(Z2, [
+        Cone.from_generators([u, v], 2)
+        for u, v in [((1, 0), (0, 1)), ((0, 1), (-1, 0)), ((-1, 0), (0, -1)), ((0, -1), (1, 0))]
+    ])
+    for _ in range(40):
+        f = validate_hom(GroupHom.identity(Z2), _random_polygon_fan(rng), quadrants)
+        out += [f] if isinstance(f, KmFanHom) else []
+    for fan in carry_fans():
+        inc = index_inclusion(rng, fan.group)
+        out += [inflate(fan, inc)[1], contract(fan, inc)[1], atoroidal_split(fan)[2], to_point(fan)]
+        out += [rigidify(fan)[1], product(fan, p1)[1]]
+    return out
+
+
+class TestCarryAlongAMap:
+    def test_inflate_and_contract_equal_the_per_cone_references(self):
+        """The same fan, cone dimensions and cone map as the constructions
+        that map or solve every cone on its own."""
+        rng = random.Random(6363)
+        non_simplicial = 0
+        for i, fan in enumerate(carry_fans()):
+            for _ in range(2):
+                inc = index_inclusion(rng, fan.group)
+                for construction, reference in ((inflate, carry_oracle.inflate_reference),
+                                                (contract, carry_oracle.contract_reference)):
+                    built, hom = construction(fan, inc)
+                    expected, cone_map = reference(fan, inc)
+                    assert built == expected and built.group == expected.group, (i, construction)
+                    assert [c.dim() for c in built.cones] == [c.dim() for c in expected.cones], i
+                    assert hom.cone_images == cone_map, (i, construction)
+            non_simplicial += not is_simplicial(fan)
+        assert non_simplicial >= 2
+
+    def test_atoroidal_split_equals_the_per_cone_reference(self):
+        tori = 0
+        for i, fan in enumerate(carry_fans()):
+            g_fan, bgrp, iso = atoroidal_split(fan)
+            expected, expected_b, expected_iso = carry_oracle.atoroidal_split_reference(fan)
+            assert g_fan == expected and g_fan.group == expected.group and bgrp == expected_b, i
+            assert [c.dim() for c in g_fan.cones] == [c.dim() for c in expected.cones], i
+            assert iso.hom == expected_iso.hom and iso.cone_images == expected_iso.cone_images, i
+            tori += bgrp.free_rank > 0
+        assert tori >= 10
+
+    def test_predicates_equal_the_per_cone_references(self):
+        """is_semi_tame, is_equidimensional, is_proper and validate_hom on
+        the morphisms of carry_morphisms, and validate_hom on random maps
+        of each fan to itself, agree with the references, each verdict
+        seen both ways."""
+        rng = random.Random(6464)
+        seen = collections.Counter()
+        predicates = (
+            ("semi-tame", is_semi_tame, carry_oracle.is_semi_tame_reference),
+            ("equidimensional", is_equidimensional, carry_oracle.is_equidimensional_reference),
+            ("proper", is_proper, carry_oracle.is_proper_reference),
+        )
+        homs = carry_morphisms()
+        for fan in carry_fans():
+            n = fan.group
+            m = random_hom(rng, n, n)
+            verdict = validate_hom(m, fan, fan)
+            expected = carry_oracle.validate_hom_reference(m, fan, fan)
+            assert type(verdict) is type(expected), fan
+            if isinstance(expected, HomRefusal):
+                assert (verdict.cone, verdict.reason) == (expected.cone, expected.reason)
+                seen["refused"] += 1
+            else:
+                assert verdict.cone_images == expected.cone_images
+                homs.append(verdict)
+        for i, f in enumerate(homs):
+            again = validate_hom(f.hom, f.source, f.target)
+            assert again.cone_images == carry_oracle.validate_hom_reference(f.hom, f.source, f.target).cone_images
+            for name, predicate, reference in predicates:
+                outcome = _outcome(predicate, f)
+                assert outcome == _outcome(reference, f), (i, name)
+                seen[name, outcome] += 1
+        for name, _, _ in predicates:
+            assert seen[name, True] >= 10 and seen[name, False] >= 10, seen
+        assert seen["refused"] >= 10, seen
+
+    def test_one_linear_system_and_no_linear_image(self, monkeypatch):
+        """contract and atoroidal_split solve the preimages of all rays in
+        one LinearSystem per call, and inflate calls no Cone.linear_image.
+        The construction oracle is off."""
+        without_construction_oracle(monkeypatch)
+        rng = random.Random(6565)
+        cases = [(fan, index_inclusion(rng, fan.group)) for fan in carry_fans()]
+        calls = collections.Counter()
+        real_system, real_image = LinearSystem.__init__, Cone.linear_image
+        monkeypatch.setattr(LinearSystem, "__init__", lambda s, m: calls.update(["system"]) or real_system(s, m))
+        monkeypatch.setattr(Cone, "linear_image", lambda c, m: calls.update(["linear_image"]) or real_image(c, m))
+        rays = 0
+        for i, (fan, inc) in enumerate(cases):
+            for run in (lambda: contract(fan, inc), lambda: atoroidal_split(fan)):
+                calls.clear()
+                run()
+                assert calls == {"system": 1}, i
+            calls.clear()
+            inflate(fan, inc)
+            assert calls["linear_image"] == 0, i
+            rays += len(fan.ray_cones()) > 1
+        assert rays >= 40
