@@ -148,9 +148,11 @@ class KmFan:
     sort, no validation.
 
     The face index, filled on first use, holds the maximal cones and, once
-    validate has run the cone phase, its verdict: (maximal, violations or
-    None).  Like the caches of a Cone it is idempotent, so it is written
-    without a lock: a racing writer stores the same cones and verdict.
+    validate has run, its whole verdict: (maximal, problems or None).  A
+    construction that proved its fan valid hands both over through _make,
+    so the fan's validate() runs no phase at all.  Like the caches of a
+    Cone the index is idempotent, so it is written without a lock: a racing
+    writer stores the same cones and verdict.
     """
 
     __slots__ = ("group", "cones", "data", "_index")
@@ -166,9 +168,10 @@ class KmFan:
               maximal: Optional[Sequence[Cone]] = None) -> "KmFan":
         """Trusted constructor: the caller guarantees a valid fan.
 
-        A caller that ran the cone phase (_cone_violations) on this cone set
-        and found nothing passes its maximal cones, and the fan keeps that
-        verdict in its face index.
+        A caller that proved the fan valid, both phases (the cone set and
+        the lattice data), passes its maximal cones, in fan order; the fan
+        keeps them with the empty verdict in its face index, and its
+        validate() runs nothing.
         """
         fan = _fill(object.__new__(KmFan), group, cones, data)
         if maximal is not None:
@@ -182,16 +185,21 @@ class KmFan:
         """Structured list of violations; empty when the fan is valid.
 
         Two phases, the second only when the first finds nothing: the cone
-        set (_cone_violations), then the lattice data and their compatibility.
-        The cone phase runs once per fan: its verdict is kept in the face
-        index.
+        set (_cone_violations), then the lattice data and their
+        compatibility (_datum_violations).  Every facet of every cone is
+        built once, for the maximal cones and the closure check both.  The
+        whole verdict is kept in the face index, so the phases run at most
+        once per fan; each call returns a fresh copy of it.
         """
-        maximal = self.maximal_cones()
-        problems = self._index[1]
-        if problems is None:
-            problems = tuple(_cone_violations(self.group.free_rank, self.cones, maximal))
-            object.__setattr__(self, "_index", (self._index[0], problems))
-        return list(problems) or self._datum_violations()
+        index = self._index
+        if index is None or index[1] is None:
+            facets = _facet_set(self.cones)
+            maximal = index[0] if index else tuple(_maximal_cones(self.cones, facets))
+            problems = (_cone_violations(self.group.free_rank, self.cones, maximal, facets)
+                        or self._datum_violations())
+            index = (maximal, tuple(problems))
+            object.__setattr__(self, "_index", index)
+        return [dict(p) for p in index[1]]
 
     def _datum_violations(self) -> List[dict]:
         """The data phase of validate, run on a valid cone set.
@@ -292,8 +300,13 @@ class KmFan:
         return f"KmFan(group={self.group!r}, ncones={len(self.cones)})"
 
 
+def _fan_order(c: Cone) -> Tuple[int, Tuple[Vec, ...]]:
+    """The sort key of a fan's cones: dimension, then rays."""
+    return (c.dim(), c.rays)
+
+
 def _canonical(cones: Iterable[Cone]) -> Tuple[Cone, ...]:
-    return tuple(sorted(set(cones), key=lambda c: (c.dim(), c.rays)))
+    return tuple(sorted(set(cones), key=_fan_order))
 
 
 def _fill(fan: KmFan, group: FgaGroup, cones: Iterable[Cone], data: Dict[Cone, LatticeDatum]) -> KmFan:
@@ -304,16 +317,20 @@ def _fill(fan: KmFan, group: FgaGroup, cones: Iterable[Cone], data: Dict[Cone, L
     return fan
 
 
-def _cone_violations(r: int, cones: Sequence[Cone], maximal: Sequence[Cone]) -> List[dict]:
+def _cone_violations(r: int, cones: Sequence[Cone], maximal: Sequence[Cone],
+                     facets: Optional[set] = None) -> List[dict]:
     """The cone-set phase of validation, over cones in canonical order,
-    given the cones that are no facet of another (_maximal_cones).
+    given the cones that are no facet of another (_maximal_cones) and,
+    optionally, the set of their facets (_facet_set).
 
     Each step runs only when the earlier ones found nothing: the ambient
     rank; sharpness and closure under faces; the pairwise check.  Closure
     is checked on facets: when every facet of every cone is in the set,
     so is every face, as a face of a cone ends a chain of facets from it
     (the face lattice is graded: Ziegler, Lectures on Polytopes, Ch. 2);
-    so a missing-face entry names a missing facet.  Before
+    so a missing-face entry names a missing facet.  The cones are closed
+    exactly when the facet set lies in the cone set; only when it does not
+    are the facets built again, cone by cone, for the report.  Before
     the pairwise check, a complete simplicial fan is certified valid
     without it (_certified_complete_simplicial, which carries the proof);
     when the certificate cannot decide, the pairwise check runs.  The
@@ -349,10 +366,11 @@ def _cone_violations(r: int, cones: Sequence[Cone], maximal: Sequence[Cone]) -> 
             return out
         if not c.is_sharp():
             out.append({"kind": "non-sharp-cone", "detail": f"cone {c!r} contains a line"})
-    for c in cones:
-        for f in c.facet_cones():
-            if f not in cone_set:
-                out.append({"kind": "missing-face", "detail": f"face {f!r} of {c!r} is not in the fan"})
+    if not (_facet_set(cones) if facets is None else facets) <= cone_set:
+        for c in cones:
+            for f in c.facet_cones():
+                if f not in cone_set:
+                    out.append({"kind": "missing-face", "detail": f"face {f!r} of {c!r} is not in the fan"})
     if out:
         return out
     if _certified_complete_simplicial(r, maximal):
@@ -458,8 +476,14 @@ def _certified_complete_simplicial(r: int, maximal: Sequence[Cone]) -> bool:
     return sum(holds_p(c.rays) for c in maximal) == 1
 
 
-def _maximal_cones(cones: Sequence[Cone]) -> List[Cone]:
-    """The cones that are no facet of another, in the given order.
+def _facet_set(cones: Iterable[Cone]) -> set:
+    """Every facet of every cone (Cone.facet_cones)."""
+    return {f for c in cones for f in c.facet_cones()}
+
+
+def _maximal_cones(cones: Sequence[Cone], facets: Optional[set] = None) -> List[Cone]:
+    """The cones that are no facet of another, in the given order; facets,
+    when given, is their _facet_set.
 
     When the cones are closed under faces these are the maximal cones, the
     cones that are no proper face of another.  A facet is a proper face;
@@ -468,7 +492,7 @@ def _maximal_cones(cones: Sequence[Cone]) -> List[Cone]:
     on Polytopes, Ch. 2), whose members are faces of sigma and so in the
     set: tau is a facet of the last of them before it.
     """
-    proper = {f for c in cones for f in c.facet_cones()}
+    proper = _facet_set(cones) if facets is None else facets
     return [c for c in cones if c not in proper]
 
 
@@ -650,10 +674,13 @@ def from_classical(group: FgaGroup, cones: Iterable[Cone]) -> KmFan:
     of a face is a face, so its faces are there too.  Given the face
     lattice of a cone, that enumerates the faces of the cone alone.
 
-    Only the cone set of the face closure is validated: the data
-    Span(sigma) cap N are valid and compatible by construction.  The fan
-    keeps the verdict and the maximal cones in its face index, so a later
-    validate() runs only the data phase.
+    Only the cone set of the face closure is validated, and its facets
+    are built once for the maximal cones and the closure check.  The data
+    Span(sigma) cap N are valid and compatible by construction: each is
+    torsion-free, as N is, of rank dim sigma and in the span, and for a
+    face tau of sigma, Span(tau) cap (Span(sigma) cap N) = Span(tau) cap N,
+    as Span(tau) lies in Span(sigma).  So the fan is handed its whole
+    verdict with its maximal cones, and its validate() runs nothing.
     """
     if not group.is_lattice():
         raise TorsionAmbient("a classical fan needs a torsion-free group")
@@ -663,8 +690,9 @@ def from_classical(group: FgaGroup, cones: Iterable[Cone]) -> KmFan:
             faces.update(c.faces())
     closure = _canonical(faces) or (Cone.zero(group.free_rank),)
     data = _saturated_data(group, closure)
-    maximal = _maximal_cones(closure)
-    problems = _cone_violations(group.free_rank, closure, maximal)
+    facets = _facet_set(closure)
+    maximal = _maximal_cones(closure, facets)
+    problems = _cone_violations(group.free_rank, closure, maximal, facets)
     if problems:
         raise InvalidFan(problems)
     return KmFan._make(group, closure, data, maximal)
@@ -695,16 +723,31 @@ def is_classical(fan: KmFan) -> bool:
 
 
 def coarse_fan(fan: KmFan) -> Tuple[KmFan, KmFanHom]:
-    """The underlying classical fan over N/N_tor, with the projection map."""
+    """The underlying classical fan over N/N_tor, with the projection map.
+
+    It is valid, and keeps the fan's maximal cones: its cone set is the
+    fan's, a valid one in the same free quotient Z^r, and its data
+    Span(sigma) cap N/N_tor are valid and compatible by construction, as
+    in from_classical.
+    """
     nbar, proj = free_quotient(fan.group)
-    coarse = KmFan._make(nbar, fan.cones, _saturated_data(nbar, fan.cones))
+    coarse = KmFan._make(nbar, fan.cones, _saturated_data(nbar, fan.cones), fan.maximal_cones())
     return coarse, KmFanHom(fan, coarse, proj, {c: c for c in fan.cones})
 
 
 def rigidify(fan: KmFan) -> Tuple[KmFan, KmFanHom]:
-    """Push the lattice data into N/N_tor: the initial lattice KM fan under F."""
+    """Push the lattice data into N/N_tor: the initial lattice KM fan under F.
+
+    It is valid, and keeps the fan's maximal cones.  Its cone set is the
+    fan's.  The projection keeps the free coordinates and is injective on
+    each F_sigma, which meets N_tor in 0; so proj(F_sigma) is a lattice of
+    rank dim sigma in Span(sigma).  For a face tau of sigma, an element
+    proj(y) with y in F_sigma lies in Span(tau) exactly when y does, so
+    Span(tau) cap proj(F_sigma) = proj(Span(tau) cap F_sigma) = proj(F_tau).
+    """
     nbar, proj = free_quotient(fan.group)
-    rig = KmFan._make(nbar, fan.cones, {c: fan.data[c]._image(proj) for c in fan.cones})
+    data = {c: fan.data[c]._image(proj) for c in fan.cones}
+    rig = KmFan._make(nbar, fan.cones, data, fan.maximal_cones())
     return rig, KmFanHom(fan, rig, proj, {c: c for c in fan.cones})
 
 
@@ -758,14 +801,21 @@ def _scaled_markings(fan: KmFan, orders: Sequence[int]) -> Tuple[KmFan, KmFanHom
 
 
 def dilate(fan: KmFan, factor: int) -> Tuple[KmFan, KmFanHom]:
-    """Scale every lattice datum by a positive integer."""
+    """Scale every lattice datum by a positive integer.
+
+    It is valid, and keeps the fan's maximal cones.  Its cone set is the
+    fan's.  k F_sigma lies in F_sigma, so it is torsion-free, and it has
+    rank dim sigma in Span(sigma).  For a face tau of sigma, k y with y in
+    F_sigma lies in Span(tau) exactly when y does, so Span(tau) cap
+    k F_sigma = k (Span(tau) cap F_sigma) = k F_tau.
+    """
     if factor < 1:
         raise KmFanError("dilation factor must be positive")
     data = {}
     for c in fan.cones:
         gens = [tuple(factor * x for x in g) for g in fan.data[c].generators()]
         data[c] = LatticeDatum.from_generators(fan.group, gens)
-    dilated = KmFan._make(fan.group, fan.cones, data)
+    dilated = KmFan._make(fan.group, fan.cones, data, fan.maximal_cones())
     return dilated, KmFanHom(dilated, fan, GroupHom.identity(fan.group), {c: c for c in fan.cones})
 
 
@@ -896,21 +946,42 @@ def fundamental_group(fan: KmFan) -> FgaGroup:
 
 
 def product(a: KmFan, b: KmFan) -> Tuple[KmFan, KmFanHom, KmFanHom]:
-    """The product fan over N x N', with the two projections."""
+    """The product fan over N x N', with the two projections.
+
+    Its cones are the products sigma x tau, with data F_sigma + F_tau.  The
+    rays of sigma x tau are those of sigma and of tau, padded with zeros:
+    they are primitive, and they are its extremal rays, as the faces of a
+    product of sharp cones are the products of faces.  So each product is
+    built from its sorted rays, of dimension dim sigma + dim tau, with no
+    rank test.
+
+    The product is valid.  Its cones are closed under faces, and
+    (sigma x tau) cap (sigma' x tau') = (sigma cap sigma') x (tau cap tau')
+    is a face of both.  F_sigma + F_tau meets N_tor + N'_tor in 0, has rank
+    dim sigma + dim tau and lies in Span(sigma) x Span(tau); for faces,
+    (Span(sigma') x Span(tau')) cap (F_sigma + F_tau) = (Span(sigma') cap
+    F_sigma) + (Span(tau') cap F_tau) = F_sigma' + F_tau'.  A product is
+    maximal exactly when both factors are, so the fan is handed its whole
+    verdict with the products of maximal cones, in fan order.
+    """
     grp, inc1, inc2, proj1, proj2 = direct_sum(a.group, b.group)
     ra, rb = a.group.free_rank, b.group.free_rank
+    top_a, top_b = set(a.maximal_cones()), set(b.maximal_cones())
     to_a, to_b = {}, {}
     data = {}
+    maximal = []
     for ca in a.cones:
         for cb in b.cones:
             rays = [r + (0,) * rb for r in ca.rays] + [(0,) * ra + r for r in cb.rays]
-            c = Cone.from_generators(rays, ra + rb)
+            c = Cone(ra + rb, sorted(rays), (), _dim=ca.dim() + cb.dim())
             to_a[c], to_b[c] = ca, cb
+            if ca in top_a and cb in top_b:
+                maximal.append(c)
             gens = [inc1.apply(g) for g in a.data[ca].generators()] + [
                 inc2.apply(g) for g in b.data[cb].generators()
             ]
             data[c] = LatticeDatum.from_generators(grp, gens)
-    prod = KmFan._make(grp, to_a, data)
+    prod = KmFan._make(grp, to_a, data, sorted(maximal, key=_fan_order))
     return prod, KmFanHom(prod, a, proj1, to_a), KmFanHom(prod, b, proj2, to_b)
 
 

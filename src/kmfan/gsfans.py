@@ -20,6 +20,7 @@ from .fans import (
     _canonical,
     _carried,
     _cone_violations,
+    _fan_order,
     _maximal_cones,
     _ray_images,
     is_atoroidal,
@@ -92,7 +93,7 @@ def _fold_images(gs: GsFan) -> Tuple[Dict[Cone, Cone], List[dict], List[Cone]]:
         images = {**_carried(gs.fan.cones, _ray_images(bbar, gs.fan), bbar.rows), **top}
         if len(set(images.values())) == len(images):
             canonical = _canonical(images.values())
-            maximal = sorted(top.values(), key=lambda c: (c.dim(), c.rays))
+            maximal = sorted(top.values(), key=_fan_order)
             if not _cone_violations(gs.beta.target.free_rank, canonical, maximal):
                 return images, problems, maximal
     else:
@@ -124,9 +125,14 @@ def fold(gs: GsFan) -> Tuple[KmFan, KmFanHom]:
     """The folding: the lattice KM fan (N, {beta(sigma)}, {beta(L_sigma)}).
 
     The returned morphism beta : F -> fold(F, beta) is tame.  The folded
-    fan keeps the cone verdict of _fold_images, which ran the cone phase of
-    validation on its very cone set, so its validate() runs only the data
-    phase.  The morphism keeps the semi-tame verdict the fold proved
+    fan is valid, and keeps its whole verdict.  _fold_images ran the cone
+    phase of validation on its very cone set.  The data hold too: beta is
+    injective on Span(sigma), which holds L_sigma, so beta(L_sigma) is a
+    lattice (N is one) of rank dim sigma in Span(beta sigma); and for a face
+    tau of sigma, beta(y) with y in L_sigma lies in Span(beta tau) =
+    beta(Span(tau)) exactly when y lies in Span(tau), by that injectivity,
+    so beta(L_tau) = Span(beta tau) cap beta(L_sigma).  So its validate()
+    runs nothing.  The morphism keeps the semi-tame verdict the fold proved
     (KmFanHom._semi_tame): the images are distinct and are the folded
     fan's cones, beta is injective on every span and carries the rays of
     each cone onto those of its image, and each folded datum is beta(L_sigma)
@@ -366,20 +372,39 @@ def _unfolded_fan(fan: KmFan, unf: Unfolding, group: FgaGroup) -> Tuple[KmFan, D
     maps commute with the inclusions (i_tau is i_sigma on F_tau), so a
     ray's image is the same from every maximal cone that holds it: one ray
     dict serves every cone.
+
+    The fan is valid, and is handed its whole verdict with the images of
+    the maximal cones, in fan order.  beta o i_sigma is the inclusion of
+    F_sigma, so the free part of beta maps i(sigma) isomorphically back onto
+    sigma, relative interiors onto relative interiors.  So the images are
+    sharp and closed under faces, and two of them whose relative interiors
+    meet are images of cones of the fan whose relative interiors meet, so
+    are equal: the images form a fan, whose maximal cones are the images
+    of the maximal cones (_fold_images).  If i_sigma(x) is torsion, so is
+    x = beta(i_sigma(x)) in F_sigma, which meets N_tor in 0: i_sigma(F_sigma)
+    is a lattice of rank dim sigma in Span(i(sigma)), and so is its free
+    projection, over the free quotient (as in fans.rigidify).  For a face
+    tau of sigma, i_tau is i_sigma on F_tau, and i_sigma(y) for y in F_sigma
+    lies in Span(i(tau)) exactly when y lies in Span(tau), as the free part
+    of i_sigma is injective on Span(sigma); so Span(i(tau)) cap
+    i_sigma(F_sigma) = i_sigma(F_tau), and the same holds for the free
+    projections.
     """
     ray: Dict[Vec, Vec] = {}
     for sigma in unf.block_offsets:
         ibar = unf.structure_maps[sigma].free_matrix()
         preimages = _preimage_rays(fan.data[sigma].free_basis(), sigma.rays)
         ray.update((r, primitive_vector(ibar.apply(x))) for r, x in zip(sigma.rays, preimages))
-    cone_map = {image: sigma for sigma, image in _carried(fan.cones, ray, group.free_rank).items()}
+    images = _carried(fan.cones, ray, group.free_rank)
+    cone_map = {image: sigma for sigma, image in images.items()}
     if len(cone_map) != len(fan.cones):
         raise KmFanError("internal: unfolding produced a duplicate cone")
     data = {}
     for image, sigma in cone_map.items():
         gens = [col[:group.ncoords] for col in unf.structure_maps[sigma].matrix.columns()]
         data[image] = LatticeDatum.from_generators(group, gens)
-    return KmFan._make(group, cone_map, data), cone_map
+    maximal = sorted((images[sigma] for sigma in unf.block_offsets), key=_fan_order)
+    return KmFan._make(group, cone_map, data, maximal), cone_map
 
 
 def unfold(fan: KmFan) -> Tuple[KmFan, KmFanHom, Unfolding]:

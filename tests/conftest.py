@@ -18,8 +18,8 @@ _trusted_semi_tame = KmFanHom._semi_tame
 def trusted_construction_oracle():
     """Check every trusted construction against the validating paths: a fan
     built by KmFan._make must validate, both phases, on a copy built without
-    a kept cone verdict, and the maximal cones handed over with one must be
-    the fan's, which is then built with the verdict; a KmFanHom must
+    a kept verdict, and the maximal cones handed over with one must be the
+    fan's, which is then built with the verdict; a KmFanHom must
     carry the cone map that validate_hom derives for its group map, and
     one handed a semi-tame verdict (KmFanHom._semi_tame) must be judged
     semi-tame by is_semi_tame as a fresh morphism.  The guard keeps the

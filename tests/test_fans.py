@@ -76,7 +76,7 @@ from kmfan import abelian, intlinalg
 from kmfan import cones as cones_module
 from kmfan import fans as fans_module
 from kmfan.fans import _certified_complete_simplicial, _cone_violations, _maximal_cones
-from kmfan.gsfans import GsFan, fold
+from kmfan.gsfans import GsFan, fold, rigidified_unfold, unfold
 from kmfan.monoids import AffineMonoid
 from kmfan.intlinalg import (
     IntMatrix,
@@ -1529,7 +1529,9 @@ class TestCompleteSimplicialCertificate:
         lambda: product(product(projective_line_fan(), projective_line_fan())[0], projective_line_fan())[0],
     ], ids=["polygon_64", "p1_cubed"])
     def test_validation_descends_no_pair(self, monkeypatch, build):
+        """On a copy without the verdict its construction hands over."""
         fan = build()
+        fan = unchecked_fan(fan.group, fan.cones, fan.data)
         calls = []
         real = fans_module._separating_facet
         monkeypatch.setattr(fans_module, "_separating_facet", lambda a, b: calls.append(1) or real(a, b))
@@ -1538,7 +1540,9 @@ class TestCompleteSimplicialCertificate:
 
     def test_data_checked_once_per_covering_pair(self, monkeypatch):
         """(P(2,2))^4, over a group with torsion, checks each covering pair
-        once; (P^1)^4 has classical data, read per cone, and checks none."""
+        once; (P^1)^4 has classical data, read per cone, and checks none.
+        Both are validated on a copy without the verdict product hands
+        over."""
         calls = []
         real = fans_module._saturated_in
         monkeypatch.setattr(fans_module, "_saturated_in", lambda *a: calls.append(1) or real(*a))
@@ -1549,7 +1553,7 @@ class TestCompleteSimplicialCertificate:
             )
             assert covering == 208
             calls.clear()
-            assert fan.validate() == []
+            assert unchecked_fan(fan.group, fan.cones, fan.data).validate() == []
             assert len(calls) == pinned
 
     def test_data_phase_builds_no_kernel_and_no_quotient(self, monkeypatch):
@@ -2289,6 +2293,104 @@ class TestValidationFromFacets:
             assert cone.facet_cones() == [f for f in cone.faces() if f.dim() == d - 1]
             shapes["simplicial" if cone.is_simplicial() else "sharp" if cone.is_sharp() else "lineality"] += 1
         assert min(shapes.values()) >= 25, shapes
+
+
+def _count_phases(monkeypatch) -> list:
+    """Record each call of the two validation phases."""
+    calls = []
+    real_cones, real_data = fans_module._cone_violations, KmFan._datum_violations
+    monkeypatch.setattr(fans_module, "_cone_violations", lambda *a: calls.append("cones") or real_cones(*a))
+    monkeypatch.setattr(KmFan, "_datum_violations", lambda fan: calls.append("data") or real_data(fan))
+    return calls
+
+
+def _torsion_datum_p22() -> KmFan:
+    """P(2,2) with the datum of one ray replaced by a torsion subgroup."""
+    p22 = build_p22()
+    plus = Cone.from_generators([(1,)], 1)
+    data = {**p22.data, plus: LatticeDatum.from_generators(p22.group, [(0, 1)])}
+    return unchecked_fan(p22.group, p22.cones, data)
+
+
+def _square_cone_fan() -> KmFan:
+    """The fan of the cone on (+-1, 0, 1) and (0, +-1, 1), not simplicial."""
+    cone = Cone.from_generators([(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)], 3)
+    return from_classical(FgaGroup(3), [cone])
+
+
+class TestKeptVerdict:
+    def test_second_validate_runs_no_phase(self, monkeypatch):
+        """The first validate() of a fan without a verdict runs the cone
+        phase, and the data phase when the cones pass; the second runs
+        neither and returns the same report."""
+        p22_cubed, polygon = _power(build_p22(), 3), _complete_polygon_31()
+        quadrant = Cone.from_generators([(1, 0), (0, 1)], 2)
+        open_quadrant = unchecked_fan(Z2, [quadrant], {quadrant: LatticeDatum.from_generators(Z2, [(1, 0), (0, 1)])})
+        cases = [
+            (unchecked_fan(p22_cubed.group, p22_cubed.cones, p22_cubed.data), ["cones", "data"], True),
+            (unchecked_fan(polygon.group, polygon.cones, polygon.data), ["cones", "data"], True),
+            (open_quadrant, ["cones"], False),
+            (_torsion_datum_p22(), ["cones", "data"], False),
+        ]
+        calls = _count_phases(monkeypatch)
+        for fan, first_calls, valid in cases:
+            calls.clear()
+            report = fan.validate()
+            assert calls == first_calls and (report == []) == valid
+            calls.clear()
+            assert fan.validate() == report
+            assert calls == []
+
+    def test_report_is_a_fresh_copy(self):
+        """An invalid fan reports the same on every call, and a caller that
+        changes one report changes no other."""
+        for fan in (_torsion_datum_p22(), unchecked_fan(Z2, [Cone.from_generators([(1, 0), (0, 1)], 2)], {})):
+            first, second = fan.validate(), fan.validate()
+            assert first and first == second
+            expected = [dict(p) for p in second]
+            first[0]["detail"] = "changed"
+            first.append({"kind": "extra", "detail": ""})
+            assert second == expected == fan.validate()
+
+    def test_trusted_constructions_keep_the_whole_verdict(self, monkeypatch):
+        """Fans that from_classical, product, fold, unfold, rigidified_unfold,
+        coarse_fan, rigidify and dilate build run no phase in validate(), and
+        hand over the maximal cones that the faces give."""
+        p22 = build_p22()
+        folded = fold(square_cone_gsfan())[0]
+        built = [
+            _complete_polygon_31(),
+            product(p22, p22)[0],
+            folded,
+            unfold(p22)[0],
+            unfold(folded)[0],
+            rigidified_unfold(_power(p22, 2))[0],
+            coarse_fan(p22)[0],
+            rigidify(p22)[0],
+            dilate(p22, 3)[0],
+            dilate(_square_cone_fan(), 2)[0],
+        ]
+        calls = _count_phases(monkeypatch)
+        for fan in built:
+            assert fan.validate() == []
+            assert fan.maximal_cones() == maximal_cones_by_faces(fan.cones)
+        assert calls == []
+
+    def test_product_hands_over_the_maximal_cones(self):
+        """product's maximal cones are those _maximal_cones finds on its
+        cones, and each product cone, built from its rays with no rank
+        test, is the cone from_generators builds on them, of the same
+        dimension."""
+        p22, p1 = build_p22(), projective_line_fan()
+        cases = [_power(p22, k) for k in (2, 3, 4)] + [_power(p1, k) for k in (2, 3, 4)] + [
+            product(_complete_polygon_31(), p1)[0],
+            product(_square_cone_fan(), p1)[0],
+        ]
+        for prod in cases:
+            assert prod.maximal_cones() == _maximal_cones(prod.cones) == maximal_cones_by_faces(prod.cones)
+            for c in prod.cones:
+                fresh = Cone.from_generators(c.rays, c.ambient_rank)
+                assert fresh == c and fresh.dim() == c.dim()
 
 
 def index_inclusion(rng, group: FgaGroup) -> GroupHom:
