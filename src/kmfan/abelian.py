@@ -231,18 +231,20 @@ class Subgroup:
     def full(ambient: FgaGroup) -> "Subgroup":
         return Subgroup(ambient, IntMatrix.identity(ambient.ncoords))
 
-    def _solve(self, vector: Sequence[int]) -> Optional[Vec]:
-        """The x with P x = v for the reduced element v; None outside H."""
-        v = self.ambient.reduce(vector)
+    def _solve(self, vectors: Iterable[Sequence[int]]) -> Optional[IntMatrix]:
+        """The X with P X = [v_1 ... v_m] for the reduced elements v_i, or
+        None when one of them is outside H: one batched solve
+        (LinearSystem.integer_matrix)."""
         if self._system is None:
             object.__setattr__(self, "_system", LinearSystem(self.preimage))
-        return self._system.integer(v)
+        columns = [self.ambient.reduce(v) for v in vectors]
+        return self._system.integer_matrix(IntMatrix._from_columns(columns, self.ambient.ncoords))
 
     def contains(self, vector: Sequence[int]) -> bool:
-        return self._solve(vector) is not None
+        return self._solve([vector]) is not None
 
     def contains_subgroup(self, other: "Subgroup") -> bool:
-        return all(map(self.contains, other.generators()))
+        return self._solve(other.generators()) is not None
 
     def generators(self) -> List[Vec]:
         """Canonical generators (images of the preimage basis, zeros dropped)."""
@@ -552,16 +554,15 @@ def dd_of_hom(f: GroupHom, kernel: Optional[Subgroup] = None,
     r_tgt = tgt.relation_matrix()          # b x kp
     big_f = f.matrix                       # b x a
 
+    def solved(system: LinearSystem, rhs: IntMatrix, what: str) -> IntMatrix:
+        x = system.integer_matrix(rhs)
+        if x is None:
+            raise KmFanError(f"internal: {what}")
+        return x
+
     # G : Z^k -> Z^{kp} with F R = R' G (exists because f is well defined)
     tgt_relations = LinearSystem(r_tgt)
-    gcols = []
-    for j in range(k):
-        rhs = big_f.apply(r_src.column(j))
-        sol = tgt_relations.integer(rhs)
-        if sol is None:
-            raise KmFanError("internal: relation compatibility failed")
-        gcols.append(sol)
-    gmat = IntMatrix._from_columns(gcols, kp)
+    gmat = solved(tgt_relations, big_f @ r_src, "relation compatibility failed")
 
     # A = [[R], [-G]]  ((a+kp) x k);  B = [F | R']  (b x (a+kp))
     amat = IntMatrix._make(r_src.entries + gmat.scale(-1).entries, k)
@@ -570,60 +571,40 @@ def dd_of_hom(f: GroupHom, kernel: Optional[Subgroup] = None,
     kb = kernel_basis(amat.transpose())     # columns: basis of ker(A^T) in Z^{a+kp}
     s = kb.cols
     kernel_system = LinearSystem(kb)
-
-    def in_kernel_coords(vector: Sequence[int]) -> Vec:
-        sol = kernel_system.integer(vector)
-        if sol is None:
-            raise KmFanError("internal: vector not in kernel lattice")
-        return sol
+    outside = "vector not in kernel lattice"
 
     # relations of D(f): the columns of B^T expressed in the kernel basis
-    rel_cols = [in_kernel_coords(row) for row in bmat.entries]
-    pres = present_quotient(s, IntMatrix._from_columns(rel_cols, s))
+    pres = present_quotient(s, solved(kernel_system, bmat.transpose(), outside))
     dgroup = pres.group
 
     ker_basis = ker_sub.lattice_basis()     # a x s_k, columns a basis of Ker f
     s_k = ker_basis.cols
 
     # --- witness: D(f) -> (Ker f)^v --------------------------------------
-    # mu2 solves R' mu2 = -F X columnwise; the dual of the chain inclusion
-    mu2_cols = []
-    for j in range(s_k):
-        rhs = tuple(-x for x in big_f.apply(ker_basis.column(j)))
-        sol = tgt_relations.integer(rhs)
-        if sol is None:
-            raise KmFanError("internal: kernel column does not map into relations")
-        mu2_cols.append(sol)
-    mu2 = IntMatrix._from_columns(mu2_cols, kp)
+    # mu2 solves R' mu2 = -F X; the dual of the chain inclusion
+    mu2 = solved(tgt_relations, (big_f @ ker_basis).scale(-1), "kernel column does not map into relations")
     ker_dual = FgaGroup(s_k)
     pairing = ker_basis.transpose().hstack(mu2.transpose())   # s_k x (a+kp)
     to_ker_dual = GroupHom(dgroup, ker_dual, pairing @ kb @ pres.section)
 
     # --- witness: E(Cok f) -> D(f) ----------------------------------------
+    # GroupHom reduces the columns of its matrix, so pres.proj @ X sends
+    # each column of X to its normal form, here and below
     cmat = hermite_column_basis(big_f.hstack(r_tgt))          # b x b (cok finite)
     ecok_pres = present_quotient(cmat.cols, cmat.transpose())
     ecok = ecok_pres.group                                    # = ext_group(cok)
-    image_system = LinearSystem(cmat)
-    nu_cols = []
-    for j in range(a + kp):
-        sol = image_system.integer(bmat.column(j))
-        if sol is None:
-            raise KmFanError("internal: image column outside image lattice")
-        nu_cols.append(sol)
-    nu_t = IntMatrix._make(tuple(nu_cols), cmat.cols)         # nu^T: (a+kp) x t
-    cols = [pres.to_normal(in_kernel_coords(nu_t.apply(xi))) for xi in ecok_pres.section.columns()]
-    from_ext_cok = GroupHom(ecok, dgroup, IntMatrix._from_columns(cols, dgroup.ncoords))
+    nu = solved(LinearSystem(cmat), bmat, "image column outside image lattice")
+    lifted = solved(kernel_system, nu.transpose() @ ecok_pres.section, outside)
+    from_ext_cok = GroupHom(ecok, dgroup, pres.proj @ lifted)
 
     # --- witness: N^v -> D(f) ----------------------------------------------
     src_dual = dual_group(src)
-    units = IntMatrix.identity(a + kp).entries[: src.free_rank]
-    cols = [pres.to_normal(in_kernel_coords(e)) for e in units]
-    from_source_dual = GroupHom(src_dual, dgroup, IntMatrix._from_columns(cols, dgroup.ncoords))
+    units = IntMatrix.identity(a + kp).select_columns(range(src.free_rank))
+    from_source_dual = GroupHom(src_dual, dgroup, pres.proj @ solved(kernel_system, units, outside))
 
     # --- witness: D(f) -> E(N') ---------------------------------------------
     etgt = ext_group(tgt)
-    cols = [etgt.reduce(kb.apply(col)[a:]) for col in pres.section.columns()]
-    to_ext_target = GroupHom(dgroup, etgt, IntMatrix._from_columns(cols, etgt.ncoords))
+    to_ext_target = GroupHom(dgroup, etgt, (kb @ pres.section).select_rows(range(a, a + kp)))
 
     return DerivedDual(
         hom=f,

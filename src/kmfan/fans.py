@@ -94,13 +94,18 @@ class LatticeDatum:
     def rank(self) -> int:
         return self.basis().cols
 
+    def coordinate_matrix(self, vectors: Iterable[Sequence[int]]) -> Optional[IntMatrix]:
+        """The coordinates of the elements in basis(), as the columns of a
+        matrix, or None when one is outside the datum.  The subgroup's
+        preimage basis is basis() | relations (Subgroup), so one batched
+        solve serves them all; the relation coefficients are dropped."""
+        x, k = self.subgroup._solve(vectors), self.rank()
+        return x if x is None or x.rows == k else x.select_rows(range(k))
+
     def coordinates(self, vector: Sequence[int]) -> Optional[Vec]:
-        """The coordinates of the element in basis(), or None when it is
-        outside the datum.  The subgroup's preimage basis is basis() |
-        relations (Subgroup), so its one linear system serves every element;
-        the relation coefficients are dropped."""
-        sol, k = self.subgroup._solve(vector), self.rank()
-        return None if sol is None else sol[:k]
+        """coordinate_matrix of the one element, as a vector."""
+        x = self.coordinate_matrix([vector])
+        return None if x is None else x.column(0)
 
     def contains(self, vector: Sequence[int]) -> bool:
         return self.coordinates(vector) is not None
@@ -517,13 +522,8 @@ def _saturated_in(outer: LatticeDatum, inner: LatticeDatum) -> bool:
     coordinates of outer, so inner is saturated in outer exactly when they
     have rank(inner) invariant factors, all 1.
     """
-    coords = []
-    for g in inner.generators():
-        x = outer.coordinates(g)
-        if x is None:
-            return False
-        coords.append(x)
-    return is_saturated(IntMatrix._from_columns(coords, outer.rank()))
+    coords = outer.coordinate_matrix(inner.generators())
+    return coords is not None and is_saturated(coords)
 
 
 def _ray_images(m: IntMatrix, fan: KmFan) -> Dict[Vec, Vec]:
@@ -638,12 +638,8 @@ def validate_hom(f: GroupHom, source: KmFan, target: KmFan):
         )
         if minimal is None:
             return HomRefusal(sigma, "image of the cone is not contained in any target cone")
-        datum = target.datum(minimal)
-        for gen in source.datum(sigma).generators():
-            if not datum.contains(f.apply(gen)):
-                return HomRefusal(
-                    sigma, "lattice datum does not map into the datum of the minimal cone"
-                )
+        if target.datum(minimal).coordinate_matrix(map(f.apply, source.datum(sigma).generators())) is None:
+            return HomRefusal(sigma, "lattice datum does not map into the datum of the minimal cone")
         images[sigma] = minimal
     return KmFanHom(source, target, f, images)
 
@@ -1048,8 +1044,9 @@ def support_contains(fan: KmFan, element: Sequence[int]) -> bool:
 
 
 def coarse_support_contains(fan: KmFan, vector: Sequence[int]) -> bool:
-    """Membership of a free-quotient vector in the union of the cones."""
-    return any(c.contains_point(vector) for c in fan.cones)
+    """Membership of a free-quotient vector in the union of the cones,
+    which is the union of the maximal ones (_support_holder)."""
+    return _support_holder(fan, vector) is not None
 
 
 def construct_lifting(fan: KmFan, sigma: Cone) -> Subgroup:
@@ -1126,13 +1123,15 @@ def _torsion_injective(f: KmFanHom, sigma: Cone) -> bool:
     saturated in Lambda: when the coordinates of Lambda_sigma's basis in
     Lambda's basis span a saturated sublattice.  They are solved for the
     columns as they are, not reduced modulo R, which would change the
-    lattice they span.
+    lattice they span.  A map built by hand that sends F_sigma outside
+    F'_tau leaves some column without coordinates, and is refused.
     """
     tau = f.cone_images[sigma]
     big = preimage_subgroup(f.hom, f.target.datum(tau).subgroup).preimage
-    system = LinearSystem(big)
-    coords = [system.integer(c) for c in f.source.datum(sigma).subgroup.preimage.columns()]
-    return is_saturated(IntMatrix._from_columns(coords, big.cols))
+    coords = LinearSystem(big).integer_matrix(f.source.datum(sigma).subgroup.preimage)
+    if coords is None:
+        raise KmFanError(f"the datum of {sigma!r} does not map into the datum of its image {tau!r}")
+    return is_saturated(coords)
 
 
 class LocalPresentation:
@@ -1165,10 +1164,8 @@ def local_presentation(fan: KmFan, sigma: Cone) -> LocalPresentation:
     n = fan.group
     datum = LatticeDatum(n, lifting)
     r = datum.rank()
-    # the cone in L-coordinates
-    sigma_l = Cone.from_generators(_preimage_rays(datum.free_basis(), sigma.rays), r)
-    monoid = AffineMonoid(sigma_l.dual())
-    hb = monoid.hilbert_basis()
+    # the dual of the cone in L-coordinates
+    hb = AffineMonoid(_datum_monoid(sigma, datum).cone.dual()).hilbert_basis()
 
     # stabilizer and action: E(N/L) = Lambda^v / im(J^T) with Lambda the
     # preimage lattice of L and J its basis; the action sends phi in L^v to
@@ -1176,13 +1173,9 @@ def local_presentation(fan: KmFan, sigma: Cone) -> LocalPresentation:
     j = lifting.preimage                          # n.ncoords x n.ncoords
     pres = present_quotient(j.cols, j.transpose())
     stabilizer = pres.group
-    pr_cols = []
-    for col in j.columns():
-        sol = datum.coordinates(col)
-        if sol is None:
-            raise KmFanError("internal: preimage column is not in the lifting")
-        pr_cols.append(sol)
-    pr = IntMatrix._from_columns(pr_cols, r)       # Lambda -> L in bases
+    pr = datum.coordinate_matrix(j.columns())      # Lambda -> L in bases
+    if pr is None:
+        raise KmFanError("internal: preimage column is not in the lifting")
     action = GroupHom(dual_group(FgaGroup(r)), stabilizer, pres.proj @ pr.transpose())
     return LocalPresentation(sigma, lifting, hb, stabilizer, action)
 
@@ -1261,13 +1254,11 @@ def _check_monoid_saturated(cone, datum, gens):
     one of them, and the generators generate P once they contain the basis.
     KmFan refuses a cone that is not sharp, whatever this check finds.
     """
-    coords = set()
-    for g in gens:
-        sol = datum.coordinates(g)
-        if sol is None:
-            raise InvalidFan([{ "kind": "non-saturated-monoid",
-                                "detail": "generator outside its own group"}])
-        coords.add(sol)
+    coords = datum.coordinate_matrix(gens)
+    if coords is None:
+        raise InvalidFan([{ "kind": "non-saturated-monoid",
+                            "detail": "generator outside its own group"}])
+    coords = set(coords.columns())
     for h in _datum_monoid(cone, datum).hilbert_basis():
         if h not in coords:
             raise InvalidFan([{ "kind": "non-saturated-monoid",

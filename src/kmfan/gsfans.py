@@ -8,7 +8,7 @@ semi-tame cover of a KM fan.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .abelian import FgaGroup, GroupHom, QuotientPresentation, present_quotient
 from .cones import Cone, _preimage_rays, _separating_facet
@@ -233,25 +233,48 @@ def _maximal_cone_presentation(
                 for tau in rho.facet_cones():
                     links.setdefault(tau, []).append(over)
 
-    rel_cols: List[Vec] = []
+    # each face with relations: the cofaces it reads coordinates in, its
+    # first and its class heads, and its basis; a face of rank 0 has none
+    related: List[Tuple[List[Cone], List[Vec]]] = []
     for tau, over in cofaces.items():
-        if len(over) < 2:
-            continue
-        heads = _class_heads(over, links[tau]) if tau in links else over[1:]
-        if not heads:
-            continue
-        off_first = offsets[over[0]]
-        for g in fan.data[tau].basis().columns():
-            base = _coords_in(fan.data[over[0]], g)
+        if len(over) > 1 and fan.data[tau].rank():
+            heads = _class_heads(over, links[tau]) if tau in links else over[1:]
+            if heads:
+                related.append(([over[0], *heads], fan.data[tau].generators()))
+    coords = _face_coordinates(fan, related)
+
+    rel_cols: List[Vec] = []
+    for (first, *heads), basis in related:
+        off_first, table = offsets[first], coords[first]
+        for g in basis:
             for sigma in heads:
                 col = [0] * total
-                for i, x in enumerate(base):
+                for i, x in enumerate(table[g]):
                     col[off_first + i] = x
                 off = offsets[sigma]
-                for i, x in enumerate(_coords_in(fan.data[sigma], g)):
+                for i, x in enumerate(coords[sigma][g]):
                     col[off + i] -= x
                 rel_cols.append(tuple(col))
     return offsets, cofaces, IntMatrix._from_columns(rel_cols, total)
+
+
+def _face_coordinates(fan: KmFan,
+                      faces: Iterable[Tuple[List[Cone], List[Vec]]]) -> Dict[Cone, Dict[Vec, Vec]]:
+    """From pairs (maximal cofaces of a face, basis of its datum): for each
+    of those cofaces sigma, a table from each distinct vector of the bases
+    paired with it to its coordinates in F_sigma, from one batched solve
+    per sigma (LatticeDatum.coordinate_matrix)."""
+    needs: Dict[Cone, Dict[Vec, None]] = {}
+    for over, basis in faces:
+        for sigma in over:
+            needs.setdefault(sigma, {}).update(dict.fromkeys(basis))
+    coords = {}
+    for sigma, vectors in needs.items():
+        x = fan.data[sigma].coordinate_matrix(vectors)
+        if x is None:
+            raise KmFanError(f"internal: a face datum lies outside the datum of {sigma!r}")
+        coords[sigma] = dict(zip(vectors, x.columns()))
+    return coords
 
 
 def _class_heads(over: List[Cone], groups: List[List[Cone]]) -> List[Cone]:
@@ -289,13 +312,15 @@ def lattice_data_colimit(fan: KmFan) -> Unfolding:
     (_maximal_cone_presentation).  The structure map of a maximal cone is
     the projection of its block; that of any other cone tau is the map of
     its first maximal coface sigma, read on the coordinates of F_tau's basis
-    in F_sigma.  beta sends each block generator to its element of N, and
-    reads the colimit through the presentation's section.
+    in F_sigma, which one batched solve per sigma gives for all the faces
+    whose first coface it is (_face_coordinates).  beta sends each block
+    generator to its element of N, and reads the colimit through the
+    presentation's section.
 
     The internal check that beta o i_c is the inclusion of F_c runs on the
     maximal cones only, and the identity follows for every other cone tau.
     Write C for the coordinates of F_tau's basis in F_sigma, sigma its first
-    maximal coface: they are exact (_coords_in), so B_sigma C = B_tau in N
+    maximal coface: they are exact solutions, so B_sigma C = B_tau in N
     for the bases B.  And i_tau = i_sigma o C, so
     beta o i_tau = (beta o i_sigma) o C, which sends e_j to B_sigma C e_j,
     the j-th element of B_tau, once beta o i_sigma is the inclusion.
@@ -303,18 +328,16 @@ def lattice_data_colimit(fan: KmFan) -> Unfolding:
     offsets, cofaces, relations = _maximal_cone_presentation(fan)
     pres = present_quotient(relations.rows, relations)
     colimit = pres.group
+    faces = {c: fan.data[c].generators() for c in fan.cones if c not in offsets}
+    coords = _face_coordinates(fan, ((cofaces[c][:1], basis) for c, basis in faces.items() if basis))
     structure: Dict[Cone, GroupHom] = {}
     for c in fan.cones:
         sigma = cofaces[c][0]
         off, width = offsets[sigma], fan.data[sigma].rank()
         image = pres.proj.select_columns(range(off, off + width))
-        if c != sigma:
-            coords = [_coords_in(fan.data[sigma], g) for g in fan.data[c].basis().columns()]
-            image = image @ IntMatrix._from_columns(coords, width)
-        cols = [colimit.reduce(col) for col in image.columns()]
-        structure[c] = GroupHom(
-            FgaGroup(len(cols)), colimit, IntMatrix._from_columns(cols, colimit.ncoords)
-        )
+        if c in faces:
+            image = image @ IntMatrix._from_columns([coords[sigma][g] for g in faces[c]], width)
+        structure[c] = GroupHom(FgaGroup(image.cols), colimit, image)
     # beta: send each block generator to the corresponding element of N
     beta_cols = [fan.group.reduce(g) for m in offsets for g in fan.data[m].basis().columns()]
     beta_on_blocks = IntMatrix._from_columns(beta_cols, fan.group.ncoords)
@@ -328,14 +351,6 @@ def lattice_data_colimit(fan: KmFan) -> Unfolding:
             if comp.apply(e) != fan.group.reduce(col):
                 raise KmFanError("internal: colimit structure map is inconsistent")
     return Unfolding(colimit, structure, beta, block_offsets=offsets, presentation=pres)
-
-
-def _coords_in(datum: LatticeDatum, element: Vec) -> Vec:
-    """The coordinates of an element of a smaller datum in this datum."""
-    sol = datum.coordinates(element)
-    if sol is None:
-        raise KmFanError("internal: datum element outside a larger datum")
-    return sol
 
 
 def induced_colimit_map(sub: Unfolding, sup: Unfolding) -> GroupHom:

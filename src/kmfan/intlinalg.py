@@ -19,10 +19,11 @@ columns, reduced at each pivot.  ``kernel_basis`` reads the rows of the
 transform past the rank, and ``saturate`` is the kernel of the left kernel.
 ``LinearSystem(m)`` keeps the echelon with its row transform and answers
 every right-hand side against an injective m by back substitution, as an
-integer solution (``integer``) or a primitive ray (``ray``); only a
-rank-deficient m runs a Smith decomposition there.  ``solve_integer`` is the
-one-shot form.  A full Smith form is computed only where its diagonal or one
-of its transforms is read.  ``rank`` is fraction-free Gaussian elimination.
+integer solution (``integer``, or ``integer_matrix`` for all the columns of
+a matrix at once) or a primitive ray (``ray``); only a rank-deficient m
+runs a Smith decomposition there.  ``solve_integer`` is the one-shot form.
+A full Smith form is computed only where its diagonal or one of its
+transforms is read.  ``rank`` is fraction-free Gaussian elimination.
 """
 
 from __future__ import annotations
@@ -380,7 +381,8 @@ def _row_echelon(rows: Sequence[Sequence[int]], transform: bool = False) -> Tupl
 
 def _back_substitute(echelon: Sequence[Vec], c: Sequence[int], exact: bool) -> Optional[List[int]]:
     """A solution of E x = c for square upper triangular E with positive
-    diagonal, by back substitution.
+    diagonal, by back substitution; entries of c past the size of E are
+    not read.
 
     exact: the integer solution, or None when a division leaves a
     remainder.  Otherwise a positive multiple of the rational solution, in
@@ -522,25 +524,18 @@ class LinearSystem:
             self._t, self._v = s.u, s.v
             self._diag = s.diagonal()[: self.rank]
 
-    def _coordinates(self, b: Sequence[int]) -> Optional[Vec]:
-        """T b (or U b) cut to the rank, or None when b is outside the
-        rational span.  Entries of b that are not integers raise TypeError."""
+    def _coordinates(self, b: Sequence[int]) -> Vec:
+        """T b (or U b), which is nonzero past the rank exactly when b is
+        outside the rational span.  Entries of b that are not integers raise
+        TypeError."""
         b = _int_vector(b)
         if len(b) != self.matrix.rows:
             raise DimensionMismatch("right-hand side length does not match row count")
-        c = self._t.apply(b)
+        return self._t.apply(b)
+
+    def _integer(self, c: Vec) -> Optional[Vec]:
+        """The witness of integer for c = T b (or U b), or None."""
         if any(c[self.rank:]):
-            return None
-        return c[: self.rank]
-
-    def integer(self, b: Sequence[int]) -> Optional[Vec]:
-        """Some integer solution x of M x = b, or None when none exists.
-
-        The witness is deterministic: the only one for injective M, and the
-        one whose free Smith coordinates are zero otherwise.
-        """
-        c = self._coordinates(b)
-        if c is None:
             return None
         if self._v is None:
             x = _back_substitute(self._echelon, c, exact=True)
@@ -550,6 +545,22 @@ class LinearSystem:
         y = [ci // di for ci, di in zip(c, self._diag)] + [0] * (self.matrix.cols - self.rank)
         return self._v.apply(y)
 
+    def integer(self, b: Sequence[int]) -> Optional[Vec]:
+        """Some integer solution x of M x = b, or None when none exists.
+
+        The witness is deterministic: the only one for injective M, and the
+        one whose free Smith coordinates are zero otherwise.
+        """
+        return self._integer(self._coordinates(b))
+
+    def integer_matrix(self, b: IntMatrix) -> Optional[IntMatrix]:
+        """The integer X with M X = B, or None when some column of B has no
+        integer solution; column by column, the witnesses integer returns."""
+        if b.rows != self.matrix.rows:
+            raise DimensionMismatch("right-hand side row count does not match")
+        x = [self._integer(self._t.apply(col)) for col in b.columns()]
+        return None if None in x else IntMatrix._from_columns(x, self.matrix.cols)
+
     def ray(self, b: Sequence[int]) -> Optional[Vec]:
         """For injective M: the primitive x with M x a positive multiple of b
         (zero for b = 0), or None when b is outside the span of M.  This is
@@ -558,7 +569,7 @@ class LinearSystem:
         if self.rank != self.matrix.cols:
             raise ValueError("ray needs an injective matrix")
         c = self._coordinates(b)
-        if c is None:
+        if any(c[self.rank:]):
             return None
         return primitive_vector(_back_substitute(self._echelon, c, exact=False))
 

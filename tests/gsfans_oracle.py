@@ -9,6 +9,9 @@ the echelon of that presentation, saturated data included.
 rigidified_unfold_reference builds the unfolding over the colimit of
 gsfans.lattice_data_colimit, then pushes every datum into the colimit's
 free quotient, with loops of its own.
+per_vector_presentation and per_vector_colimit are the pruned
+presentation and the colimit with the coordinates of each face vector in
+a maximal coface solved on their own, every time they are read.
 tests/test_gsfans.py compares the library's presentation, colimit,
 representability test and one-pass rigidified unfolding with these.
 """
@@ -18,8 +21,8 @@ from typing import Dict, List, Optional, Tuple
 from kmfan.abelian import FgaGroup, GroupHom, free_quotient, present_quotient
 from kmfan.cones import Cone, _preimage_rays
 from kmfan.fans import KmFan, KmFanHom, LatticeDatum
-from kmfan.gsfans import lattice_data_colimit
-from kmfan.intlinalg import IntMatrix, _row_echelon, is_saturated
+from kmfan.gsfans import _class_heads, lattice_data_colimit
+from kmfan.intlinalg import IntMatrix, Vec, _row_echelon, is_saturated, solve_integer
 
 
 def full_maximal_cone_presentation(fan: KmFan) -> Tuple[Dict[Cone, int], IntMatrix]:
@@ -93,3 +96,65 @@ def rigidified_unfold_reference(fan: KmFan) -> Tuple[KmFan, Optional[KmFanHom]]:
     bbar_cols = [unf.beta.apply(e) for e in IntMatrix.identity(lt.ncoords).entries[: lt.free_rank]]
     betabar = GroupHom(rig.group, fan.group, IntMatrix._from_columns(bbar_cols, fan.group.ncoords))
     return rig, KmFanHom(rig, fan, betabar, preimages)
+
+
+def coordinates_per_vector(datum: LatticeDatum, g: Vec) -> Vec:
+    """The coordinates of an element of the datum in its basis, from a
+    solve of its own on the preimage basis."""
+    return solve_integer(datum.subgroup.preimage, datum.ambient.reduce(g))[: datum.rank()]
+
+
+def per_vector_presentation(fan: KmFan) -> Tuple[Dict[Cone, int], Dict[Cone, List[Cone]], IntMatrix]:
+    """gsfans._maximal_cone_presentation with one solve per basis vector of
+    a face in each maximal coface whose block a relation reads."""
+    offsets: Dict[Cone, int] = {}
+    cofaces: Dict[Cone, List[Cone]] = {}
+    total = 0
+    for sigma in fan.maximal_cones():
+        offsets[sigma] = total
+        total += fan.data[sigma].rank()
+        for tau in sigma.faces():
+            cofaces.setdefault(tau, []).append(sigma)
+    links: Dict[Cone, List[List[Cone]]] = {}
+    if len(offsets) > 1:
+        for rho, over in cofaces.items():
+            if len(over) > 1 and rho.dim() > 1:
+                for tau in rho.facet_cones():
+                    links.setdefault(tau, []).append(over)
+    rel_cols = []
+    for tau, over in cofaces.items():
+        if len(over) < 2:
+            continue
+        heads = _class_heads(over, links[tau]) if tau in links else over[1:]
+        for g in fan.data[tau].basis().columns():
+            base = coordinates_per_vector(fan.data[over[0]], g)
+            for sigma in heads:
+                col = [0] * total
+                for i, x in enumerate(base):
+                    col[offsets[over[0]] + i] = x
+                for i, x in enumerate(coordinates_per_vector(fan.data[sigma], g)):
+                    col[offsets[sigma] + i] -= x
+                rel_cols.append(tuple(col))
+    return offsets, cofaces, IntMatrix._from_columns(rel_cols, total)
+
+
+def per_vector_colimit(fan: KmFan) -> Tuple[FgaGroup, Dict[Cone, GroupHom], GroupHom]:
+    """The colimit, the structure maps and beta of
+    gsfans.lattice_data_colimit, from per_vector_presentation, with one
+    solve per basis vector of each face in its first maximal coface."""
+    offsets, cofaces, relations = per_vector_presentation(fan)
+    pres = present_quotient(relations.rows, relations)
+    colimit = pres.group
+    structure = {}
+    for c in fan.cones:
+        sigma = cofaces[c][0]
+        off, width = offsets[sigma], fan.data[sigma].rank()
+        image = pres.proj.select_columns(range(off, off + width))
+        if c != sigma:
+            coords = [coordinates_per_vector(fan.data[sigma], g) for g in fan.data[c].basis().columns()]
+            image = image @ IntMatrix._from_columns(coords, width)
+        cols = [colimit.reduce(col) for col in image.columns()]
+        structure[c] = GroupHom(FgaGroup(len(cols)), colimit, IntMatrix._from_columns(cols, colimit.ncoords))
+    beta_cols = [fan.group.reduce(g) for m in offsets for g in fan.data[m].basis().columns()]
+    beta = GroupHom(colimit, fan.group, IntMatrix._from_columns(beta_cols, fan.group.ncoords) @ pres.section)
+    return colimit, structure, beta

@@ -2,9 +2,10 @@
 
 Fraction elimination, independent of every integer normal form; the
 Smith-based bodies that kmfan.intlinalg and kmfan.gsfans replaced with one
-row echelon form; and the Smith decomposition with one step closure per
-elementary operation, which the augmented rows replaced.  The tests compare
-the library against them.
+row echelon form; the Smith decomposition with one step closure per
+elementary operation, which the augmented rows replaced; and the
+per-column loop that LinearSystem.integer_matrix replaced.  The tests
+compare the library against them.
 """
 
 from fractions import Fraction
@@ -64,6 +65,18 @@ def solve_rational(m: IntMatrix, b: Sequence[Fraction]) -> Optional[Tuple[Fracti
     for i, j in enumerate(pivots):
         x[j] = a[i][nc]
     return tuple(x)
+
+
+def integer_matrix_by_columns(system, b: IntMatrix) -> Optional[IntMatrix]:
+    """LinearSystem.integer_matrix as the loop it replaced: integer on each
+    column of b, None as soon as one has no solution, the answers stacked."""
+    columns = []
+    for col in b.columns():
+        x = system.integer(col)
+        if x is None:
+            return None
+        columns.append(x)
+    return IntMatrix._from_columns(columns, system.matrix.cols)
 
 
 def fraction_vector_to_primitive(v: Sequence[Fraction]) -> Vec:

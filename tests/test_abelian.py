@@ -256,6 +256,25 @@ class TestDerivedDual:
             assert a.from_source_dual == b.from_source_dual
             assert a.to_ext_target == b.to_ext_target
 
+    def test_witness_matrices_are_pinned(self):
+        """Witnesses recorded when every solve in dd_of_hom ran one column
+        at a time: the batched solves return the same ones, with the
+        relation map G of a source with torsion, and E(Cok f) nontrivial."""
+        cases = [
+            (FgaGroup(4), FgaGroup(2, (2,)), [[2, 1, 2, 3], [-1, 3, -1, -2], [1, 0, 1, 1]],
+             FgaGroup(2, (2,)), [[[0], [0], [1]], [[0, -1, 0], [1, -11, 0]],
+                                 [[-11, 1, 0, 7], [-1, 0, 1, 0], [0, 0, 0, 0]], [[0, 0, 1]]]),
+            (FgaGroup(2, (2,)), FgaGroup(0, (4, 4)), [[1, 2, 2], [1, 3, 2]],
+             FgaGroup(2), [[[], []], [[-1, 0], [-4, -1]], [[-2, 0], [8, -4]], [[2, 3], [0, 1]]]),
+            (FgaGroup(3, (4,)), FgaGroup(1, (8,)), [[1, -3, 2, 0], [7, 2, 0, 2]],
+             FgaGroup(2), [[[], []], [[-1, 0], [3, -1]], [[-2, 0, 1], [-6, -2, 0]], [[0, 4]]]),
+        ]
+        for source, target, rows, group, witnesses in cases:
+            dd = dd_of_hom(GroupHom(source, target, IntMatrix(rows)))
+            assert dd.group == group
+            got = [dd.from_ext_cok, dd.to_ker_dual, dd.from_source_dual, dd.to_ext_target]
+            assert [[list(r) for r in w.matrix.entries] for w in got] == witnesses
+
 
 def _check_exactness(dd):
     """The short sequence E(Cok f) -> D(f) -> (Ker f)^v is exact with exact
@@ -465,6 +484,32 @@ class TestSubgroupReads:
         assert len(subgroups) >= 300
         assert seen["torsion"] >= 50 and seen["lattice"] >= 100, seen
         assert seen["in"] >= 300 and seen["out"] >= 300, seen
+
+    def test_batched_coordinates_equal_the_per_element_solves(self):
+        """LatticeDatum.coordinate_matrix and contains_subgroup against one
+        solve per reduced element on the preimage basis, over ambients with
+        torsion too: inside elements are combinations of the preimage basis
+        whose torsion coordinates are not reduced, and one random element
+        in a batch mostly makes the whole batch None."""
+        rng = random.Random(2121)
+        seen = {"unreduced": 0, "solved": 0, "none": 0, "empty": 0}
+        subgroups = seeded_subgroups(2121, 300)
+        for sub in subgroups:
+            datum, ambient = LatticeDatum(sub.ambient, sub), sub.ambient
+            system = LinearSystem(sub.preimage)
+            inside, *random_elements = _sample_elements(rng, sub)[1:]
+            for batch in ([], [inside, ambient.zero()], [inside, *random_elements]):
+                per = [system.integer(ambient.reduce(v)) for v in batch]
+                solvable = None not in per
+                if sub.is_lattice():
+                    k = datum.rank()
+                    want = IntMatrix._from_columns([x[:k] for x in per], k) if solvable else None
+                    assert datum.coordinate_matrix(batch) == want, (sub, batch)
+                    assert [datum.coordinates(v) for v in batch] == [x and x[:k] for x in per]
+                assert sub.contains_subgroup(Subgroup.from_generators(ambient, batch)) == solvable
+                seen["empty" if not batch else "solved" if solvable else "none"] += 1
+                seen["unreduced"] += bool(batch) and solvable and ambient.reduce(inside) != inside
+        assert seen["unreduced"] >= 50 and min(seen.values()) >= 100, seen
 
     def test_reads_build_no_presentation(self, monkeypatch):
         """The reads take no kernel, quotient, Smith form or Hermite basis,

@@ -4,6 +4,7 @@ import collections
 import itertools
 import math
 import random
+import re
 import sys
 import time
 
@@ -24,6 +25,7 @@ from kmfan.errors import (
     ConeNotInFan,
     InfiniteCokernel,
     InvalidFan,
+    KmFanError,
     NotSimplicial,
     NotSmooth,
     NotTame,
@@ -533,6 +535,35 @@ class TestSupport:
         for _ in range(30):
             p = (rng.randint(-4, 4), rng.randint(-4, 4))
             assert support_contains(fan, p) == coarse_support_contains(fan, p)
+
+    def test_coarse_support_reads_the_maximal_cones(self, monkeypatch):
+        """coarse_support_contains against a scan of every cone, on seeded
+        fans, most of them not complete, at points inside maximal cones, on
+        walls (relative interiors of the other cones of positive dimension)
+        and outside the support; it tests a point against maximal cones
+        only."""
+        from kmfan.fans import coarse_support_contains
+
+        rng = random.Random(1919)
+        fans = [random_simplicial_km_fan(rng) for _ in range(60)] + list(seeded_lattice_fans(60))
+        calls = []
+        real = Cone.contains_point
+        monkeypatch.setattr(Cone, "contains_point", lambda c, p: calls.append(c) or real(c, p))
+        kinds = collections.Counter()
+        for fan in fans:
+            maximal = set(fan.maximal_cones())
+            points = [(c.relative_interior_point(), "inside" if c in maximal else "wall")
+                      for c in fan.cones if c.dim()]
+            points += [(tuple(rng.randint(-6, 6) for _ in range(fan.group.free_rank)), "random")
+                       for _ in range(6)]
+            points += [(tuple(-x for x in p), "mirrored") for p, _ in points[:4]]
+            for p, kind in points:
+                want = any(real(c, p) for c in fan.cones)
+                calls.clear()
+                assert coarse_support_contains(fan, p) == want, (fan, p)
+                assert set(calls) <= maximal
+                kinds[kind if want else "outside"] += 1
+        assert kinds["inside"] >= 100 and kinds["wall"] >= 100 and kinds["outside"] >= 100, kinds
 
     def test_extension_equivalence(self):
         # n is in the fine support iff Z -> N, 1 -> n, maps the affine-line
@@ -1221,6 +1252,25 @@ class TestQuotientSections:
                 for sigma in f.source.cones
             )
         assert verdicts.count(True) >= 100 and verdicts.count(False) >= 50
+
+    def test_a_datum_outside_its_image_datum_is_refused(self, monkeypatch):
+        """A KmFanHom built by hand whose source datum <1> on the ray (1,)
+        does not map into the datum <2> of its image: is_representable
+        raises KmFanError naming the cone, where it once raised a bare
+        TypeError.  validate_hom refuses the same map."""
+        without_construction_oracle(monkeypatch)
+        zero, ray = Cone.zero(1), Cone.from_generators([(1,)], 1)
+
+        def fan(generator):
+            return KmFan(Z, [zero, ray], {zero: LatticeDatum.from_generators(Z, []),
+                                          ray: LatticeDatum.from_generators(Z, [generator])})
+
+        source, target = fan((1,)), fan((2,))
+        identity = GroupHom.identity(Z)
+        assert isinstance(validate_hom(identity, source, target), HomRefusal)
+        f = KmFanHom(source, target, identity, {zero: zero, ray: ray})
+        with pytest.raises(KmFanError, match=re.escape(repr(ray))):
+            is_representable(f)
 
     def test_contract_presents_no_quotient(self, monkeypatch):
         """The cokernel test of the inclusion reads invariant factors, and

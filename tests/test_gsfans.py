@@ -55,6 +55,8 @@ from gsfans_oracle import (
     colimit_reference,
     full_maximal_cone_presentation,
     is_gs_representable_reference,
+    per_vector_colimit,
+    per_vector_presentation,
     rigidified_unfold_reference,
 )
 from linalg_oracles import blocks_saturated_by_smith
@@ -1256,3 +1258,82 @@ class TestMapEachMaximalConeOnce:
             calls.clear()
             assert is_tame(hom), i
             assert calls == {"kernel_subgroup": 1, "_cokernel_group": 1}, i
+
+
+def solved_columns(monkeypatch):
+    """Record every right-hand side a LinearSystem solves, as (system,
+    column), through integer and integer_matrix."""
+    solved = []
+    real_integer, real_batch = intlinalg.LinearSystem.integer, intlinalg.LinearSystem.integer_matrix
+    monkeypatch.setattr(intlinalg.LinearSystem, "integer",
+                        lambda system, b: solved.append((id(system), tuple(b))) or real_integer(system, b))
+    monkeypatch.setattr(intlinalg.LinearSystem, "integer_matrix", lambda system, b: solved.extend(
+        (id(system), col) for col in b.columns()) or real_batch(system, b))
+    return solved
+
+
+class TestFaceCoordinatesPerMaximalCone:
+    """The presentation and the structure maps read the coordinates of face
+    vectors from one batched solve per maximal cone, over its distinct
+    vectors (gsfans._face_coordinates)."""
+
+    def test_face_lattice_of_z8_solves_each_unit_vector_once(self, monkeypatch):
+        """The 255 faces of the cone on the unit vectors of Z^8 have that
+        cone as their one maximal coface, and their bases are unit vectors:
+        8 right-hand sides, where a solve per basis vector of each face
+        makes 1016."""
+        fan = unit_cone_face_lattice(8)
+        for c in fan.cones:
+            fan.data[c].basis()
+        solved = solved_columns(monkeypatch)
+        lattice_data_colimit(fan)
+        assert len(solved) == 8 and {col for _, col in solved} == set(fan.maximal_cones()[0].rays)
+
+    def test_each_pass_solves_a_vector_once_per_maximal_cone(self, monkeypatch):
+        """(P^1)^3: the presentation and the structure maps each solve a
+        pair of maximal cone and distinct vector at most once (24 and 18
+        solves, of 24 pairs in all), where a solve per vector and read
+        makes 78."""
+        fan = products_of_lines(3)
+        for sigma in fan.maximal_cones():
+            fan.data[sigma].coordinates(fan.group.zero())
+        pairs = {(id(fan.data[sigma].subgroup._system), v)
+                 for sigma in fan.maximal_cones() for v in fan.data[sigma].generators()}
+        solved = solved_columns(monkeypatch)
+        real, marks = gsfans._maximal_cone_presentation, []
+
+        def presentation(f):
+            out = real(f)
+            marks.append(len(solved))
+            return out
+
+        monkeypatch.setattr(gsfans, "_maximal_cone_presentation", presentation)
+        lattice_data_colimit(fan)
+        (end,) = marks
+        for run in (solved[:end], solved[end:]):
+            assert len(set(run)) == len(run) and set(run) <= pairs
+        assert len(pairs) == 24 and 0 < len(solved) <= 2 * len(pairs) < 78
+
+    def test_relations_and_structure_maps_equal_the_per_vector_form(self, lattice_fans):
+        """Offsets, cofaces and relations of the presentation, and the
+        colimit, structure maps and beta, equal those of the form that
+        solves each face vector on its own (gsfans_oracle), on the seeded
+        families, (P(2,2))^k, (P^1)^k, polygons times P^1, the pruned
+        products and the fan whose colimit has torsion."""
+        rng = random.Random(6161)
+        p1, p22 = projective_line_fan(), build_p22()
+        cases = lattice_fans[:160] + list(seeded_colimit_fans(150))
+        cases += [products_of_lines(k) for k in (1, 2, 3, 4)]
+        cases += [p22, product(p22, p22)[0], product(product(p22, p22)[0], p22)[0]]
+        cases += [product(random_polygon_km_fan(rng), p1)[0] for _ in range(6)] + [product(polygon_fan(12), p1)[0]]
+        cases += [torsion_colimit_fan()] + pruned_products()
+        relations = torsion = torsion_groups = 0
+        for i, fan in enumerate(cases):
+            presentation = gsfans._maximal_cone_presentation(fan)
+            assert presentation == per_vector_presentation(fan), i
+            unf = lattice_data_colimit(fan)
+            assert (unf.colimit, unf.structure_maps, unf.beta) == per_vector_colimit(fan), i
+            relations += presentation[2].cols > 0
+            torsion += bool(unf.colimit.torsion)
+            torsion_groups += bool(fan.group.torsion)
+        assert relations >= 150 and torsion >= 3 and torsion_groups >= 30, (relations, torsion, torsion_groups)

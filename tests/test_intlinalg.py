@@ -1,5 +1,6 @@
 """Exact integer linear algebra: Smith form, kernels, solving, saturation."""
 
+import collections
 import itertools
 import random
 from fractions import Fraction
@@ -26,6 +27,7 @@ from kmfan.intlinalg import (
 from linalg_oracles import (
     fraction_vector_to_primitive,
     hermite_by_gcd_sort,
+    integer_matrix_by_columns,
     kernel_by_smith,
     saturate_by_smith,
     smith_decomposition_reference,
@@ -538,6 +540,60 @@ class TestLinearSystem:
             assert [solve_integer(m, b) for b in rhs] == want
             system = LinearSystem(m)
             assert [system.integer(b) for b in rhs] == want
+
+
+def _batch(rng, m: IntMatrix, solvable: bool) -> IntMatrix:
+    """Up to four right-hand sides for m: images of random integer vectors,
+    and, unless solvable, one random column at a random place, which m
+    mostly cannot reach."""
+    columns = [m.apply([rng.randint(-4, 4) for _ in range(m.cols)]) for _ in range(rng.randint(0, 4))]
+    if not solvable:
+        columns.insert(rng.randint(0, len(columns)), tuple(rng.randint(-9, 9) for _ in range(m.rows)))
+    return IntMatrix._from_columns(columns, m.rows)
+
+
+class TestIntegerMatrix:
+    """The batched solve against the per-column integer loop it replaced
+    (linalg_oracles.integer_matrix_by_columns)."""
+
+    def test_equals_the_per_column_loop(self):
+        rng = random.Random(3232)
+        matrices = _seeded_injective(rng, 160)
+        matrices += [_rank_deficient(rng, rng.randint(1, 6), rng.randint(1, 6), rng.randint(0, 3)) for _ in range(80)]
+        matrices += [_with_zero_lines(rng, m) for m in _seeded_injective(rng, 40)[4:]]
+        matrices += _seeded_matrices(3333, 80)
+        kinds = collections.Counter()
+        for m in matrices:
+            system = LinearSystem(m)
+            smith = system.rank < m.cols
+            for solvable in (True, False):
+                b = _batch(rng, m, solvable)
+                x = system.integer_matrix(b)
+                assert x == integer_matrix_by_columns(system, b), (m, b)
+                if x is not None:
+                    assert (x.rows, x.cols) == (m.cols, b.cols) and m @ x == b, (m, b)
+                kinds["empty" if not b.cols else "none" if x is None else "smith" if smith else "echelon"] += 1
+        assert kinds["echelon"] >= 150 and kinds["smith"] >= 80, kinds
+        assert kinds["none"] >= 150 and kinds["empty"] >= 40, kinds
+
+    def test_one_column_without_a_solution_gives_none(self):
+        system = LinearSystem(IntMatrix([[2, 0], [0, 3], [0, 0]]))
+        assert system.integer_matrix(IntMatrix([[2, 4], [3, -3], [0, 0]])) == IntMatrix([[1, 2], [1, -1]])
+        assert system.integer_matrix(IntMatrix([[2, 4, 2], [3, -3, 1], [0, 0, 0]])) is None
+        assert system.integer_matrix(IntMatrix([[2], [3], [1]])) is None
+        assert system.integer_matrix(IntMatrix.zero(3, 0)) == IntMatrix.zero(2, 0)
+
+    def test_smith_witnesses_are_the_pinned_ones(self):
+        """The witnesses of test_solve_integer_witnesses_are_pinned, on a
+        rank-deficient matrix, come out of one batch."""
+        m = IntMatrix([[3, 1, 4, 1], [5, 9, 2, 6]])
+        b = IntMatrix.from_columns([(1, 0), (0, 1), (7, -3), (100, -41)])
+        want = [(0, 64, 9, -99), (0, -7, -1, 11), (0, 469, 66, -726), (0, 6687, 941, -10351)]
+        assert LinearSystem(m).integer_matrix(b) == IntMatrix.from_columns(want)
+
+    def test_right_hand_side_row_count_checked(self):
+        with pytest.raises(DimensionMismatch):
+            LinearSystem(IntMatrix([[1, 0]])).integer_matrix(IntMatrix([[1], [2]]))
 
 
 class TestExactRightHandSides:
