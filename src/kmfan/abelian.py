@@ -42,10 +42,13 @@ class FgaGroup:
                 raise ValueError("torsion invariants must be >= 2")
             if i and torsion[i] % torsion[i - 1]:
                 raise ValueError("torsion invariants must divide in sequence")
-        object.__setattr__(self, "free_rank", free_rank)
-        object.__setattr__(self, "torsion", torsion)
+        _set_free_rank(self, free_rank)
+        _set_torsion(self, torsion)
 
     def __setattr__(self, *args):
+        raise AttributeError("FgaGroup is immutable")
+
+    def __delattr__(self, *args):
         raise AttributeError("FgaGroup is immutable")
 
     @property
@@ -135,11 +138,14 @@ class GroupHom:
                     f"matrix does not define a homomorphism: generator {r + i} "
                     f"of order {d} has image of larger order"
                 )
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "matrix", matrix)
+        _set_hom_source(self, source)
+        _set_hom_target(self, target)
+        _set_hom_matrix(self, matrix)
 
     def __setattr__(self, *args):
+        raise AttributeError("GroupHom is immutable")
+
+    def __delattr__(self, *args):
         raise AttributeError("GroupHom is immutable")
 
     @staticmethod
@@ -206,12 +212,15 @@ class Subgroup:
     __slots__ = ("ambient", "preimage", "_as_group", "_system")
 
     def __init__(self, ambient: FgaGroup, preimage: IntMatrix):
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "preimage", preimage)
-        object.__setattr__(self, "_as_group", None)
-        object.__setattr__(self, "_system", None)
+        _set_subgroup_ambient(self, ambient)
+        _set_preimage(self, preimage)
+        _set_as_group(self, None)
+        _set_system(self, None)
 
     def __setattr__(self, *args):
+        raise AttributeError("Subgroup is immutable")
+
+    def __delattr__(self, *args):
         raise AttributeError("Subgroup is immutable")
 
     @staticmethod
@@ -231,17 +240,30 @@ class Subgroup:
     def full(ambient: FgaGroup) -> "Subgroup":
         return Subgroup(ambient, IntMatrix.identity(ambient.ncoords))
 
+    def _linear_system(self) -> LinearSystem:
+        """The linear system on P, built on first use and kept."""
+        system = self._system
+        if system is None:
+            system = LinearSystem(self.preimage)
+            _set_system(self, system)
+        return system
+
     def _solve(self, vectors: Iterable[Sequence[int]]) -> Optional[IntMatrix]:
         """The X with P X = [v_1 ... v_m] for the reduced elements v_i, or
         None when one of them is outside H: one batched solve
         (LinearSystem.integer_matrix)."""
-        if self._system is None:
-            object.__setattr__(self, "_system", LinearSystem(self.preimage))
         columns = [self.ambient.reduce(v) for v in vectors]
-        return self._system.integer_matrix(IntMatrix._from_columns(columns, self.ambient.ncoords))
+        return self._linear_system().integer_matrix(IntMatrix._from_columns(columns, self.ambient.ncoords))
+
+    def _solve_one(self, vector: Sequence[int]) -> Optional[Vec]:
+        """_solve of one element, as a vector: the x with P x = v for the
+        reduced element v, or None when v is outside H.  It goes through
+        LinearSystem.integer, whose witness is that of each column of the
+        batched solve, with no one-column matrix built and taken apart."""
+        return self._linear_system().integer(self.ambient.reduce(vector))
 
     def contains(self, vector: Sequence[int]) -> bool:
-        return self._solve([vector]) is not None
+        return self._solve_one(vector) is not None
 
     def contains_subgroup(self, other: "Subgroup") -> bool:
         return self._solve(other.generators()) is not None
@@ -264,9 +286,7 @@ class Subgroup:
     def as_group(self) -> Tuple[FgaGroup, GroupHom]:
         """The abstract isomorphism type plus an inclusion into the ambient."""
         if self._as_group is None:
-            object.__setattr__(
-                self, "_as_group", _presentation_of_image(self.ambient, self.preimage)
-            )
+            _set_as_group(self, _presentation_of_image(self.ambient, self.preimage))
         return self._as_group
 
     def group(self) -> FgaGroup:
@@ -301,6 +321,18 @@ class Subgroup:
 
     def __repr__(self):
         return f"Subgroup({self.ambient!r}, gens={self.generators()})"
+
+
+# slot setters, bound once (see intlinalg._set_rows)
+_set_free_rank = FgaGroup.free_rank.__set__
+_set_torsion = FgaGroup.torsion.__set__
+_set_hom_source = GroupHom.source.__set__
+_set_hom_target = GroupHom.target.__set__
+_set_hom_matrix = GroupHom.matrix.__set__
+_set_subgroup_ambient = Subgroup.ambient.__set__
+_set_preimage = Subgroup.preimage.__set__
+_set_as_group = Subgroup._as_group.__set__
+_set_system = Subgroup._system.__set__
 
 
 class QuotientPresentation:

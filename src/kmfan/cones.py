@@ -135,23 +135,35 @@ def _dedupe(vectors: Iterable[Vec]) -> List[Vec]:
 
 
 class Cone:
-    """A rational polyhedral cone in canonical form."""
+    """A rational polyhedral cone in canonical form.
 
-    __slots__ = ("ambient_rank", "rays", "lineality", "_h", "_faces", "_dim", "_span")
+    The hash of the V-data is computed once, when the cone is built, and
+    kept: every fan keys its data, cofaces and offsets by cone.  The
+    H-description, faces, dimension and span lattice are derived on first
+    use and kept; each is a function of the V-data, so a racing writer
+    stores an equal value and no lock is needed.
+    """
+
+    __slots__ = ("ambient_rank", "rays", "lineality", "_h", "_faces", "_dim", "_span", "_hash")
 
     def __init__(self, ambient_rank, rays, lineality, _h=None, _dim=None):
         """Canonical V-data; _h is the (facets, equations) pair and _dim the
         dimension when the caller already knows them, otherwise they are
         derived on first use."""
-        object.__setattr__(self, "ambient_rank", ambient_rank)
-        object.__setattr__(self, "rays", tuple(rays))
-        object.__setattr__(self, "lineality", tuple(lineality))
-        object.__setattr__(self, "_h", _h)
-        object.__setattr__(self, "_faces", None)
-        object.__setattr__(self, "_dim", _dim)
-        object.__setattr__(self, "_span", None)
+        rays, lineality = tuple(rays), tuple(lineality)
+        _set_ambient_rank(self, ambient_rank)
+        _set_rays(self, rays)
+        _set_lineality(self, lineality)
+        _set_h(self, _h)
+        _set_faces(self, None)
+        _set_dim(self, _dim)
+        _set_span(self, None)
+        _set_hash(self, hash((ambient_rank, rays, lineality)))
 
     def __setattr__(self, *args):
+        raise AttributeError("Cone is immutable")
+
+    def __delattr__(self, *args):
         raise AttributeError("Cone is immutable")
 
     @property
@@ -165,9 +177,11 @@ class Cone:
         return self._h_data()[1]
 
     def _h_data(self) -> Tuple[Tuple[Vec, ...], Tuple[Vec, ...]]:
-        if self._h is None:
-            object.__setattr__(self, "_h", _derive_h(self))
-        return self._h
+        h = self._h
+        if h is None:
+            h = _derive_h(self)
+            _set_h(self, h)
+        return h
 
     # -- constructors ---------------------------------------------------
 
@@ -181,14 +195,15 @@ class Cone:
         rays, and its H-description, when read, comes from one row echelon
         form of its rays.  Any other cone takes its H-description from one DD
         here and keeps the generators that are extremal; the DD serves only
-        such cones and cones given by constraints.
+        such cones and cones given by constraints.  No ray, or one, is
+        independent with no rank test.
         """
         gens = [_int_vector(g) for g in generators]
         for g in gens:
             if len(g) != ambient_rank:
                 raise DimensionMismatch("generator has wrong length")
         rays = _dedupe(primitive_vector(g) for g in gens if any(g))
-        if _rank_of_vectors(rays, ambient_rank) == len(rays):
+        if len(rays) <= 1 or _rank_of_vectors(rays, ambient_rank) == len(rays):
             return Cone(ambient_rank, sorted(rays), (), _dim=len(rays))
         h = _h_description(rays, ambient_rank)
         facets, equations = h
@@ -233,7 +248,7 @@ class Cone:
     def dim(self) -> int:
         if self._dim is None:
             rank = _rank_of_vectors(list(self.rays) + list(self.lineality), self.ambient_rank)
-            object.__setattr__(self, "_dim", rank)
+            _set_dim(self, rank)
         return self._dim
 
     def is_sharp(self) -> bool:
@@ -259,7 +274,7 @@ class Cone:
         )
 
     def __hash__(self):
-        return hash((self.ambient_rank, self.rays, self.lineality))
+        return self._hash
 
     def __repr__(self):
         if self.lineality:
@@ -269,11 +284,19 @@ class Cone:
     # -- membership ------------------------------------------------------
 
     def contains_point(self, vector: Sequence) -> bool:
+        """Whether the point satisfies every span equation, then every facet
+        inequality: one pass over the H-description, which stops at the
+        first that fails."""
         if len(vector) != self.ambient_rank:
             raise DimensionMismatch("point has wrong length")
-        return all(_dot(e, vector) == 0 for e in self.equations) and all(
-            _dot(h, vector) >= 0 for h in self.facets
-        )
+        facets, equations = self._h_data()
+        for e in equations:
+            if _dot(e, vector) != 0:
+                return False
+        for h in facets:
+            if _dot(h, vector) < 0:
+                return False
+        return True
 
     def classify_point(self, vector: Sequence):
         """Classify a rational point: ('outside', None), ('interior', None),
@@ -341,7 +364,7 @@ class Cone:
                                 new.append(child)
                     frontier = new
                 ordered = sorted(found, key=lambda c: (c.dim(), c.rays))
-            object.__setattr__(self, "_faces", tuple(ordered))
+            _set_faces(self, tuple(ordered))
         return list(self._faces)
 
     def facet_cones(self) -> List["Cone"]:
@@ -407,7 +430,7 @@ class Cone:
             else:
                 m = IntMatrix._from_columns(gens, self.ambient_rank)
                 span = hermite_column_basis(m) if is_saturated(m) else saturate(m)
-            object.__setattr__(self, "_span", span)
+            _set_span(self, span)
         return self._span
 
     def linear_image(self, matrix: IntMatrix) -> "Cone":
@@ -429,6 +452,17 @@ class Cone:
         ineqs = [mt.apply(h) for h in self.facets]
         eqs = [mt.apply(e) for e in self.equations]
         return Cone.from_halfspaces(ineqs, eqs, matrix.cols)
+
+
+# slot setters, bound once (see intlinalg._set_rows)
+_set_ambient_rank = Cone.ambient_rank.__set__
+_set_rays = Cone.rays.__set__
+_set_lineality = Cone.lineality.__set__
+_set_h = Cone._h.__set__
+_set_faces = Cone._faces.__set__
+_set_dim = Cone._dim.__set__
+_set_span = Cone._span.__set__
+_set_hash = Cone._hash.__set__
 
 
 def _derive_h(cone: Cone) -> Tuple[Tuple[Vec, ...], Tuple[Vec, ...]]:

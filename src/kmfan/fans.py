@@ -64,11 +64,14 @@ class LatticeDatum:
     def __init__(self, ambient: FgaGroup, subgroup: Subgroup):
         if subgroup.ambient != ambient:
             raise KmFanError("datum subgroup lives in the wrong group")
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "subgroup", subgroup)
-        object.__setattr__(self, "_basis", None)
+        _set_datum_ambient(self, ambient)
+        _set_subgroup(self, subgroup)
+        _set_basis(self, None)
 
     def __setattr__(self, *args):
+        raise AttributeError("LatticeDatum is immutable")
+
+    def __delattr__(self, *args):
         raise AttributeError("LatticeDatum is immutable")
 
     @staticmethod
@@ -81,9 +84,11 @@ class LatticeDatum:
         return LatticeDatum.from_generators(hom.target, map(hom.apply, self.generators()))
 
     def basis(self) -> IntMatrix:
-        if self._basis is None:
-            object.__setattr__(self, "_basis", self.subgroup.lattice_basis())
-        return self._basis
+        basis = self._basis
+        if basis is None:
+            basis = self.subgroup.lattice_basis()
+            _set_basis(self, basis)
+        return basis
 
     def generators(self) -> List[Vec]:
         return list(self.basis().columns())
@@ -103,9 +108,10 @@ class LatticeDatum:
         return x if x is None or x.rows == k else x.select_rows(range(k))
 
     def coordinates(self, vector: Sequence[int]) -> Optional[Vec]:
-        """coordinate_matrix of the one element, as a vector."""
-        x = self.coordinate_matrix([vector])
-        return None if x is None else x.column(0)
+        """coordinate_matrix of the one element, as a vector, solved on its
+        own (Subgroup._solve_one)."""
+        x, k = self.subgroup._solve_one(vector), self.rank()
+        return None if x is None else x[:k]
 
     def contains(self, vector: Sequence[int]) -> bool:
         return self.coordinates(vector) is not None
@@ -180,10 +186,13 @@ class KmFan:
         """
         fan = _fill(object.__new__(KmFan), group, cones, data)
         if maximal is not None:
-            object.__setattr__(fan, "_index", (tuple(maximal), ()))
+            _set_index(fan, (tuple(maximal), ()))
         return fan
 
     def __setattr__(self, *args):
+        raise AttributeError("KmFan is immutable")
+
+    def __delattr__(self, *args):
         raise AttributeError("KmFan is immutable")
 
     def validate(self) -> List[dict]:
@@ -203,7 +212,7 @@ class KmFan:
             problems = (_cone_violations(self.group.free_rank, self.cones, maximal, facets)
                         or self._datum_violations())
             index = (maximal, tuple(problems))
-            object.__setattr__(self, "_index", index)
+            _set_index(self, index)
         return [dict(p) for p in index[1]]
 
     def _datum_violations(self) -> List[dict]:
@@ -287,7 +296,7 @@ class KmFan:
         """The cones that are no facet of another (_maximal_cones), kept in
         the face index."""
         if self._index is None:
-            object.__setattr__(self, "_index", (tuple(_maximal_cones(self.cones)), None))
+            _set_index(self, (tuple(_maximal_cones(self.cones)), None))
         return list(self._index[0])
 
     def __eq__(self, other):
@@ -305,6 +314,16 @@ class KmFan:
         return f"KmFan(group={self.group!r}, ncones={len(self.cones)})"
 
 
+# slot setters, bound once (see intlinalg._set_rows)
+_set_datum_ambient = LatticeDatum.ambient.__set__
+_set_subgroup = LatticeDatum.subgroup.__set__
+_set_basis = LatticeDatum._basis.__set__
+_set_group = KmFan.group.__set__
+_set_cones = KmFan.cones.__set__
+_set_data = KmFan.data.__set__
+_set_index = KmFan._index.__set__
+
+
 def _fan_order(c: Cone) -> Tuple[int, Tuple[Vec, ...]]:
     """The sort key of a fan's cones: dimension, then rays."""
     return (c.dim(), c.rays)
@@ -315,10 +334,10 @@ def _canonical(cones: Iterable[Cone]) -> Tuple[Cone, ...]:
 
 
 def _fill(fan: KmFan, group: FgaGroup, cones: Iterable[Cone], data: Dict[Cone, LatticeDatum]) -> KmFan:
-    object.__setattr__(fan, "group", group)
-    object.__setattr__(fan, "cones", _canonical(cones))
-    object.__setattr__(fan, "data", dict(data))
-    object.__setattr__(fan, "_index", None)
+    _set_group(fan, group)
+    _set_cones(fan, _canonical(cones))
+    _set_data(fan, dict(data))
+    _set_index(fan, None)
     return fan
 
 
@@ -335,7 +354,14 @@ def _cone_violations(r: int, cones: Sequence[Cone], maximal: Sequence[Cone],
     (the face lattice is graded: Ziegler, Lectures on Polytopes, Ch. 2);
     so a missing-face entry names a missing facet.  The cones are closed
     exactly when the facet set lies in the cone set; only when it does not
-    are the facets built again, cone by cone, for the report.  Before
+    are the facets built again, cone by cone, for the report.
+
+    In rank r <= 1 the pairwise check is skipped: every pair meets in a
+    common face.  Proof.  A sharp cone of R^0 is {0}, and a sharp cone of R^1
+    is {0}, R>=0 or R<=0.  Two distinct ones meet in {0}, a face of both,
+    and in the set: one of the two is a ray, and the closure step has put
+    its facet {0} in the set.  The ambient, sharpness and closure steps
+    still run first, so a set they reject gets the same report.  Before
     the pairwise check, a complete simplicial fan is certified valid
     without it (_certified_complete_simplicial, which carries the proof);
     when the certificate cannot decide, the pairwise check runs.  The
@@ -376,7 +402,7 @@ def _cone_violations(r: int, cones: Sequence[Cone], maximal: Sequence[Cone],
             for f in c.facet_cones():
                 if f not in cone_set:
                     out.append({"kind": "missing-face", "detail": f"face {f!r} of {c!r} is not in the fan"})
-    if out:
+    if out or r <= 1:
         return out
     if _certified_complete_simplicial(r, maximal):
         return out
@@ -564,11 +590,11 @@ class KmFanHom:
     __slots__ = ("source", "target", "hom", "cone_images", "_tame")
 
     def __init__(self, source: KmFan, target: KmFan, hom: GroupHom, cone_images: Dict[Cone, Cone]):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "hom", hom)
-        object.__setattr__(self, "cone_images", dict(cone_images))
-        object.__setattr__(self, "_tame", None)
+        _set_source(self, source)
+        _set_target(self, target)
+        _set_hom(self, hom)
+        _set_cone_images(self, dict(cone_images))
+        _set_tame(self, None)
 
     @staticmethod
     def _semi_tame(source: KmFan, target: KmFan, hom: GroupHom, cone_images: Dict[Cone, Cone]) -> "KmFanHom":
@@ -576,10 +602,13 @@ class KmFanHom:
         (gsfans.fold): the tameness slot starts at True, so _tameness runs
         no is_semi_tame."""
         f = KmFanHom(source, target, hom, cone_images)
-        object.__setattr__(f, "_tame", True)
+        _set_tame(f, True)
         return f
 
     def __setattr__(self, *args):
+        raise AttributeError("KmFanHom is immutable")
+
+    def __delattr__(self, *args):
         raise AttributeError("KmFanHom is immutable")
 
     def then(self, other: "KmFanHom") -> "KmFanHom":
@@ -595,6 +624,14 @@ class KmFanHom:
 
     def __repr__(self):
         return f"KmFanHom({self.source!r} -> {self.target!r})"
+
+
+# slot setters, bound once (see intlinalg._set_rows)
+_set_source = KmFanHom.source.__set__
+_set_target = KmFanHom.target.__set__
+_set_hom = KmFanHom.hom.__set__
+_set_cone_images = KmFanHom.cone_images.__set__
+_set_tame = KmFanHom._tame.__set__
 
 
 class HomRefusal:
@@ -1360,7 +1397,7 @@ def _tameness(f: KmFanHom) -> Tuple[bool, Optional[Subgroup], Optional[FgaGroup]
             verdict = (True, *kernel_and_cokernel(f.hom))
         else:
             verdict = (False, None, None)
-        object.__setattr__(f, "_tame", verdict)
+        _set_tame(f, verdict)
     return verdict
 
 

@@ -44,14 +44,22 @@ class GsFan:
         # a map of lattices has finite cokernel iff its rank is the target's
         if len(invariant_factors(beta.matrix)) != beta.target.free_rank:
             raise KmFanError("beta must have finite cokernel")
-        object.__setattr__(self, "fan", fan)
-        object.__setattr__(self, "beta", beta)
+        _set_fan(self, fan)
+        _set_beta(self, beta)
 
     def __setattr__(self, *args):
         raise AttributeError("GsFan is immutable")
 
+    def __delattr__(self, *args):
+        raise AttributeError("GsFan is immutable")
+
     def __repr__(self):
         return f"GsFan(L={self.fan.group!r}, N={self.beta.target!r})"
+
+
+# slot setters, bound once (see intlinalg._set_rows)
+_set_fan = GsFan.fan.__set__
+_set_beta = GsFan.beta.__set__
 
 
 def is_foldable(gs: GsFan) -> Tuple[bool, List[dict]]:

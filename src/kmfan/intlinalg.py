@@ -79,11 +79,14 @@ class IntMatrix:
             if cols is None:
                 raise DimensionMismatch("empty matrix needs an explicit column count")
             ncols = cols
-        object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", ncols)
-        object.__setattr__(self, "entries", rows)
+        _set_rows(self, len(rows))
+        _set_cols(self, ncols)
+        _set_entries(self, rows)
 
     def __setattr__(self, *args):
+        raise AttributeError("IntMatrix is immutable")
+
+    def __delattr__(self, *args):
         raise AttributeError("IntMatrix is immutable")
 
     # -- constructors -------------------------------------------------
@@ -93,9 +96,9 @@ class IntMatrix:
         """Trusted constructor: entries is a tuple of int tuples, each of
         length cols, and is used as it is, with no check or copy."""
         m = object.__new__(IntMatrix)
-        object.__setattr__(m, "rows", len(entries))
-        object.__setattr__(m, "cols", cols)
-        object.__setattr__(m, "entries", entries)
+        _set_rows(m, len(entries))
+        _set_cols(m, cols)
+        _set_entries(m, entries)
         return m
 
     @staticmethod
@@ -183,6 +186,16 @@ class IntMatrix:
     def scale(self, a: int) -> "IntMatrix":
         a = _int_entry(a)
         return IntMatrix._make(tuple(tuple([a * x for x in r]) for r in self.entries), self.cols)
+
+
+# The slot setters of IntMatrix, bound once.  The immutable value classes
+# write their slots through such bound descriptors, at about half the
+# cost of the generic attribute write of object, which looks the name up in
+# the type on every call; their own __setattr__ and __delattr__ refuse every
+# write from outside.
+_set_rows = IntMatrix.rows.__set__
+_set_cols = IntMatrix.cols.__set__
+_set_entries = IntMatrix.entries.__set__
 
 
 # ---------------------------------------------------------------------------

@@ -33,12 +33,15 @@ class AffineMonoid:
     __slots__ = ("cone", "ambient_lattice_rank", "_hilbert", "_lock")
 
     def __init__(self, cone: Cone):
-        object.__setattr__(self, "cone", cone)
-        object.__setattr__(self, "ambient_lattice_rank", cone.ambient_rank)
-        object.__setattr__(self, "_hilbert", None)
-        object.__setattr__(self, "_lock", threading.Lock())
+        _set_cone(self, cone)
+        _set_ambient_lattice_rank(self, cone.ambient_rank)
+        _set_hilbert(self, None)
+        _set_lock(self, threading.Lock())
 
     def __setattr__(self, *args):
+        raise AttributeError("AffineMonoid is immutable")
+
+    def __delattr__(self, *args):
         raise AttributeError("AffineMonoid is immutable")
 
     @property
@@ -70,7 +73,7 @@ class AffineMonoid:
         """
         with self._lock:
             if self._hilbert is None:
-                object.__setattr__(self, "_hilbert", self._compute_hilbert())
+                _set_hilbert(self, self._compute_hilbert())
         return list(self._hilbert)
 
     def _compute_hilbert(self) -> Tuple[Vec, ...]:
@@ -100,6 +103,13 @@ class AffineMonoid:
 
     def __repr__(self):
         return f"AffineMonoid({self.cone!r})"
+
+
+# slot setters, bound once (see intlinalg._set_rows)
+_set_cone = AffineMonoid.cone.__set__
+_set_ambient_lattice_rank = AffineMonoid.ambient_lattice_rank.__set__
+_set_hilbert = AffineMonoid._hilbert.__set__
+_set_lock = AffineMonoid._lock.__set__
 
 
 def _sharp_hilbert_basis(cone: Cone) -> List[Vec]:

@@ -27,7 +27,7 @@ from kmfan.abelian import (
 )
 from kmfan import abelian, fans, intlinalg
 from kmfan.cones import Cone
-from kmfan.errors import NonLattice, NotTame
+from kmfan.errors import DimensionMismatch, NonLattice, NotTame
 from kmfan.fans import LatticeDatum
 from kmfan.intlinalg import IntMatrix, LinearSystem, hermite_column_basis, kernel_basis, solve_integer
 
@@ -510,6 +510,45 @@ class TestSubgroupReads:
                 seen["empty" if not batch else "solved" if solvable else "none"] += 1
                 seen["unreduced"] += bool(batch) and solvable and ambient.reduce(inside) != inside
         assert seen["unreduced"] >= 50 and min(seen.values()) >= 100, seen
+
+    def test_one_element_equals_the_batched_path(self):
+        """Subgroup.contains and LatticeDatum.coordinates and .contains solve
+        one element on its own; their answers, witnesses and errors are those
+        of the one-column batched solve, over ambients with torsion and on
+        elements whose torsion coordinates are not reduced."""
+        rng = random.Random(3333)
+        seen = {"unreduced": 0, "in": 0, "out": 0, "datum": 0, "torsion datum": 0}
+        for sub in seeded_subgroups(3333, 300):
+            datum, ambient = LatticeDatum(sub.ambient, sub), sub.ambient
+            r = ambient.free_rank
+            elements = _sample_elements(rng, sub)
+            # shift one element by each relation d_i e_{r+i}, off its reduced form
+            elements.append(tuple(x + (ambient.torsion[i - r] if i >= r else 0)
+                                  for i, x in enumerate(elements[0])))
+            for v in elements:
+                batched = sub._solve([v])
+                assert sub.contains(v) == (batched is not None), (sub, v)
+                assert sub._solve_one(v) == (None if batched is None else batched.column(0))
+                seen["in" if batched is not None else "out"] += 1
+                seen["unreduced"] += ambient.reduce(v) != v
+                if sub.is_lattice():
+                    m = datum.coordinate_matrix([v])
+                    assert datum.coordinates(v) == (None if m is None else m.column(0)), (sub, v)
+                    assert datum.contains(v) == (m is not None)
+                    seen["datum"] += 1
+            if not sub.is_lattice():
+                seen["torsion datum"] += 1
+                with pytest.raises(NonLattice):
+                    datum.coordinate_matrix([ambient.zero()])
+                with pytest.raises(NonLattice):
+                    datum.coordinates(ambient.zero())
+            for bad, error in (((0,) * (ambient.ncoords + 1), DimensionMismatch),
+                               ((0.5,) * ambient.ncoords, TypeError)):
+                if ambient.ncoords:
+                    for solve in (lambda v: sub._solve([v]), sub.contains):
+                        with pytest.raises(error):
+                            solve(bad)
+        assert min(seen.values()) >= 50, seen
 
     def test_reads_build_no_presentation(self, monkeypatch):
         """The reads take no kernel, quotient, Smith form or Hermite basis,

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -353,6 +354,34 @@ class TestMembership:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             QUAD.classify_point((1, 0, 0))
+
+    def test_contains_point_equals_the_generator_form(self):
+        """contains_point, one loop over the equations and then the facets,
+        against all() over each, on seeded cones with lineality or of lower
+        dimension: at points of every face, their negations, points moved
+        along the lineality, halves of them as fractions, and random
+        points."""
+        rng = random.Random(4242)
+        seen = {"lineality": 0, "lower": 0, "in": 0, "out": 0, "face": 0}
+        for r, gens in _generator_sets(4242, 300):
+            cone = Cone.from_generators(gens, r)
+            if cone.is_sharp() and cone.dim() == r:
+                continue
+            seen["lineality" if cone.lineality else "lower"] += 1
+            faces = [face.relative_interior_point() for face in cone.faces()]
+            points = faces + [tuple(-x for x in p) for p in faces]
+            points += [tuple(a + 2 * b for a, b in zip(p, l)) for p in faces[-2:] for l in cone.lineality]
+            points += [tuple(rng.randint(-4, 4) for _ in range(r)) for _ in range(4)]
+            points += [tuple(Fraction(x, 2) for x in p) for p in points[::3]]
+            for p in points:
+                want = all(sum(a * b for a, b in zip(e, p)) == 0 for e in cone.equations) and all(
+                    sum(a * b for a, b in zip(h, p)) >= 0 for h in cone.facets)
+                assert cone.contains_point(p) == want, (cone, p)
+                seen["in" if want else "out"] += 1
+                seen["face"] += want and any(sum(a * b for a, b in zip(h, p)) == 0 for h in cone.facets)
+            with pytest.raises(DimensionMismatch):
+                cone.contains_point((0,) * (r + 1))
+        assert min(seen.values()) >= 30, seen
 
 
 class TestIntersect:

@@ -42,6 +42,15 @@ def test_library_imports_no_fractions():
     assert importers == set()
 
 
+def test_values_write_their_slots_through_bound_setters():
+    """No module writes a slot through the generic object.__setattr__: each
+    immutable value class writes through its slot descriptors, bound once
+    at import (tests/test_values.py checks that writes from outside are
+    refused)."""
+    writers = {path.name for path in SRC.rglob("*.py") if "object.__setattr__" in path.read_text()}
+    assert writers == set()
+
+
 def test_the_check_sees_a_foreign_import(tmp_path):
     module = tmp_path / "m.py"
     module.write_text("import os\nfrom numpy import array\nfrom . import cones\n")

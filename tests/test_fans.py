@@ -1375,6 +1375,96 @@ def _cone_phase(r, closure):
     return _cone_violations(r, cones, _maximal_cones(cones))
 
 
+def cone_violations_all_pairs(r, cones, maximal, facets=None):
+    """The cone phase of validation with the pairwise descent over every
+    pair of maximal cones in every rank: _cone_violations as it was before
+    it skipped the pair check in rank r <= 1."""
+    out = []
+    cone_set = set(cones)
+    if not cones:
+        out.append({"kind": "empty-fan", "detail": "a fan must contain at least one cone"})
+        return out
+    for c in cones:
+        if c.ambient_rank != r:
+            out.append({"kind": "wrong-ambient", "detail": f"cone {c!r} has ambient rank {c.ambient_rank}, expected {r}"})
+            return out
+        if not c.is_sharp():
+            out.append({"kind": "non-sharp-cone", "detail": f"cone {c!r} contains a line"})
+    if not (fans_module._facet_set(cones) if facets is None else facets) <= cone_set:
+        for c in cones:
+            for f in c.facet_cones():
+                if f not in cone_set:
+                    out.append({"kind": "missing-face", "detail": f"face {f!r} of {c!r} is not in the fan"})
+    if out:
+        return out
+    if _certified_complete_simplicial(r, maximal):
+        return out
+    instances = {c: c for c in cones}
+
+    def meet_in_common_face(a, b):
+        while a not in b.faces() and b not in a.faces():
+            h = _separating_facet(a, b)
+            if h is None:
+                meet = a.intersect(b)
+                return meet in cone_set and meet.is_face_of(a) and meet.is_face_of(b)
+            a, b = instances[a._face([h])], instances[b._face([h])]
+        return True
+
+    for i, a in enumerate(maximal):
+        for b in maximal[i + 1:]:
+            if not meet_in_common_face(a, b):
+                out.append({
+                    "kind": "bad-intersection",
+                    "detail": f"{a!r} and {b!r} do not intersect in a common face",
+                })
+    return out
+
+
+class TestRankAtMostOneConePhase:
+    """In rank r <= 1 the cone phase skips the pair check, and reports what
+    the all-pairs descent reports."""
+
+    @staticmethod
+    def cases():
+        zero, plus, minus = Cone.zero(1), Cone.ray((1,)), Cone.ray((-1,))
+        line, plane_ray = Cone.full(1), Cone.ray((1, 0))
+        out = [(1, list(s)) for k in range(4) for s in itertools.combinations((zero, plus, minus), k)]
+        out += [(0, []), (0, [Cone.zero(0)]), (0, [Cone.zero(0), zero]), (0, [zero, plus])]
+        out += [(1, [line]), (1, [zero, line]), (1, [zero, plus, line]), (1, [line, minus])]
+        out += [(1, [zero, plane_ray]), (1, [zero, plus, Cone.zero(2)]), (1, [plus, plane_ray])]
+        # rank 2: two rays meeting in {0}, and two overlapping cones with all
+        # their faces, which the pair check must reject
+        a, b = Cone.from_generators([(1, 0), (1, 1)], 2), Cone.from_generators([(1, 0), (2, 1)], 2)
+        out += [(2, [Cone.zero(2), plane_ray, Cone.ray((0, 1))]), (2, list({*a.faces(), *b.faces()}))]
+        return out
+
+    def test_same_report_as_the_all_pairs_descent(self):
+        kinds = collections.Counter()
+        for r, cones in self.cases():
+            cones = fans_module._canonical(cones)
+            maximal = _maximal_cones(cones)
+            want = cone_violations_all_pairs(r, cones, maximal)
+            assert cone_violations_all_pairs(r, cones, maximal, fans_module._facet_set(cones)) == want
+            for facets in (None, fans_module._facet_set(cones)):
+                assert _cone_violations(r, cones, maximal, facets) == want, (r, cones)
+            kinds.update({p["kind"] for p in want} or {"valid"})
+        assert kinds == {"valid": 6, "missing-face": 4, "non-sharp-cone": 4,
+                         "wrong-ambient": 5, "empty-fan": 2, "bad-intersection": 1}, kinds
+
+    @pytest.mark.parametrize("build", [build_p22, projective_line_fan, line_fan])
+    def test_validation_of_rank_one_fans_runs_no_pair_check(self, monkeypatch, build):
+        """On a copy without the verdict its construction hands over: no
+        separating facet, no face set, no intersection, no H-description."""
+        fan = build()
+        fan = unchecked_fan(fan.group, fan.cones, fan.data)
+        calls = []
+        for owner, name in ((fans_module, "_separating_facet"), (cones_module, "_derive_h"),
+                            (Cone, "faces"), (Cone, "intersect")):
+            monkeypatch.setattr(owner, name, lambda *a, _n=name: calls.append(_n))
+        assert fan.validate() == []
+        assert calls == []
+
+
 class TestSeparatingFacets:
     def test_pairs_agree_with_the_intersection_oracle(self, monkeypatch):
         """Validation of the face closure of a pair reports a bad intersection
