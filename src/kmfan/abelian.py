@@ -257,10 +257,11 @@ class Subgroup:
 
     def _solve_one(self, vector: Sequence[int]) -> Optional[Vec]:
         """_solve of one element, as a vector: the x with P x = v for the
-        reduced element v, or None when v is outside H.  It goes through
-        LinearSystem.integer, whose witness is that of each column of the
-        batched solve, with no one-column matrix built and taken apart."""
-        return self._linear_system().integer(self.ambient.reduce(vector))
+        reduced element v, or None when v is outside H: the column step of
+        the batched solve, with no one-column matrix built and no second
+        check of v, which reduce has checked and converted."""
+        system = self._linear_system()
+        return system._integer(system._t.apply(self.ambient.reduce(vector)))
 
     def contains(self, vector: Sequence[int]) -> bool:
         return self._solve_one(vector) is not None

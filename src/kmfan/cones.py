@@ -18,6 +18,7 @@ one DD of those constraints.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from math import prod
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -426,7 +427,7 @@ class Cone:
                     ray = tuple(-x for x in ray)
                 span = IntMatrix._from_columns([ray], self.ambient_rank)
             elif self.dim() == self.ambient_rank:
-                span = IntMatrix.identity(self.ambient_rank)
+                span = _identity(self.ambient_rank)
             else:
                 m = IntMatrix._from_columns(gens, self.ambient_rank)
                 span = hermite_column_basis(m) if is_saturated(m) else saturate(m)
@@ -453,6 +454,9 @@ class Cone:
         eqs = [mt.apply(e) for e in self.equations]
         return Cone.from_halfspaces(ineqs, eqs, matrix.cols)
 
+
+# the identity of each rank, built on first use and shared by the cones
+_identity = lru_cache(maxsize=None)(IntMatrix.identity)
 
 # slot setters, bound once (see intlinalg._set_rows)
 _set_ambient_rank = Cone.ambient_rank.__set__

@@ -79,9 +79,10 @@ class LatticeDatum:
         return LatticeDatum(ambient, Subgroup.from_generators(ambient, generators))
 
     def _image(self, hom: GroupHom) -> "LatticeDatum":
-        """The subgroup of hom's target that the images of this datum's
-        generators generate."""
-        return LatticeDatum.from_generators(hom.target, map(hom.apply, self.generators()))
+        """The subgroup of hom's target generated by the images of this
+        datum's generators, the columns of one matrix product: the one way
+        a datum moves along a map."""
+        return LatticeDatum.from_generators(hom.target, (hom.matrix @ self.basis()).columns())
 
     def basis(self) -> IntMatrix:
         basis = self._basis
@@ -820,15 +821,12 @@ def roots(fan: KmFan, orders: Sequence[int]) -> Tuple[KmFan, KmFanHom]:
 def _scaled_markings(fan: KmFan, orders: Sequence[int]) -> Tuple[KmFan, KmFanHom]:
     """The fan whose datum on each cone is spanned by its rays' markings,
     the marking of the i-th ray scaled by orders[i], with the identity map
-    to fan."""
-    rays = fan.ray_cones()
-    marking = [ray_marking(fan, ray) for ray in rays]
-    data = {}
-    for c in fan.cones:
-        gens = [
-            tuple(a * x for x in m) for ray, a, m in zip(rays, orders, marking) if c.contains_cone(ray)
-        ]
-        data[c] = LatticeDatum.from_generators(fan.group, gens)
+    to fan.  Each cone's generators are read off its own rays: in a fan a
+    ray cone inside c meets c in a face of both, so it is one of c's rays,
+    and each ray of c is a face of c, so a ray cone of the fan."""
+    scaled_marking = {ray.rays[0]: tuple(a * x for x in ray_marking(fan, ray))
+                      for ray, a in zip(fan.ray_cones(), orders)}
+    data = {c: LatticeDatum.from_generators(fan.group, [scaled_marking[r] for r in c.rays]) for c in fan.cones}
     scaled = KmFan._make(fan.group, fan.cones, data)
     return scaled, KmFanHom(scaled, fan, GroupHom.identity(fan.group), {c: c for c in fan.cones})
 
@@ -840,14 +838,13 @@ def dilate(fan: KmFan, factor: int) -> Tuple[KmFan, KmFanHom]:
     fan's.  k F_sigma lies in F_sigma, so it is torsion-free, and it has
     rank dim sigma in Span(sigma).  For a face tau of sigma, k y with y in
     F_sigma lies in Span(tau) exactly when y does, so Span(tau) cap
-    k F_sigma = k (Span(tau) cap F_sigma) = k F_tau.
+    k F_sigma = k (Span(tau) cap F_sigma) = k F_tau.  Each k F_sigma is
+    F_sigma's _image under k times the identity.
     """
     if factor < 1:
         raise KmFanError("dilation factor must be positive")
-    data = {}
-    for c in fan.cones:
-        gens = [tuple(factor * x for x in g) for g in fan.data[c].generators()]
-        data[c] = LatticeDatum.from_generators(fan.group, gens)
+    scaling = GroupHom(fan.group, fan.group, IntMatrix.identity(fan.group.ncoords).scale(factor))
+    data = {c: fan.data[c]._image(scaling) for c in fan.cones}
     dilated = KmFan._make(fan.group, fan.cones, data, fan.maximal_cones())
     return dilated, KmFanHom(dilated, fan, GroupHom.identity(fan.group), {c: c for c in fan.cones})
 
@@ -986,7 +983,7 @@ def product(a: KmFan, b: KmFan) -> Tuple[KmFan, KmFanHom, KmFanHom]:
     they are primitive, and they are its extremal rays, as the faces of a
     product of sharp cones are the products of faces.  So each product is
     built from its sorted rays, of dimension dim sigma + dim tau, with no
-    rank test.
+    rank test.  Each factor datum is pushed through its inclusion once.
 
     The product is valid.  Its cones are closed under faces, and
     (sigma x tau) cap (sigma' x tau') = (sigma cap sigma') x (tau cap tau')
@@ -1000,6 +997,8 @@ def product(a: KmFan, b: KmFan) -> Tuple[KmFan, KmFanHom, KmFanHom]:
     grp, inc1, inc2, proj1, proj2 = direct_sum(a.group, b.group)
     ra, rb = a.group.free_rank, b.group.free_rank
     top_a, top_b = set(a.maximal_cones()), set(b.maximal_cones())
+    left = {ca: (inc1.matrix @ a.data[ca].basis()).columns() for ca in a.cones}
+    right = {cb: (inc2.matrix @ b.data[cb].basis()).columns() for cb in b.cones}
     to_a, to_b = {}, {}
     data = {}
     maximal = []
@@ -1010,10 +1009,7 @@ def product(a: KmFan, b: KmFan) -> Tuple[KmFan, KmFanHom, KmFanHom]:
             to_a[c], to_b[c] = ca, cb
             if ca in top_a and cb in top_b:
                 maximal.append(c)
-            gens = [inc1.apply(g) for g in a.data[ca].generators()] + [
-                inc2.apply(g) for g in b.data[cb].generators()
-            ]
-            data[c] = LatticeDatum.from_generators(grp, gens)
+            data[c] = LatticeDatum.from_generators(grp, left[ca] + right[cb])
     prod = KmFan._make(grp, to_a, data, sorted(maximal, key=_fan_order))
     return prod, KmFanHom(prod, a, proj1, to_a), KmFanHom(prod, b, proj2, to_b)
 

@@ -21,7 +21,6 @@ from .fans import (
     _carried,
     _cone_violations,
     _fan_order,
-    _maximal_cones,
     _ray_images,
     is_atoroidal,
     is_classical,
@@ -180,14 +179,17 @@ class Unfolding:
 
 def _maximal_cone_presentation(
     fan: KmFan,
-) -> Tuple[Dict[Cone, int], Dict[Cone, List[Cone]], IntMatrix]:
+) -> Tuple[Dict[Cone, int], Dict[Cone, List[Cone]], IntMatrix, Dict[Cone, Dict[Vec, Vec]]]:
     """The colimit of the lattice data, presented on maximal-cone blocks.
 
     Returns the block offset of each maximal cone, the maximal cofaces of
-    each cone (both in fan order; a maximal cone is its own), and the
+    each cone (both in fan order; a maximal cone is its own), the
     relations: for each face tau with maximal cofaces sigma_1, ..., sigma_k,
     and each generator g of F_tau, g in sigma_1's block minus g in the block
-    of the first cone of each other class of tau's linked cofaces (below).
+    of the first cone of each other class of tau's linked cofaces (below),
+    and the _face_coordinates table of every non-maximal face of positive
+    rank in its sigma_1 and its class heads, which lattice_data_colimit
+    reads its structure maps from.
 
     The colimit is defined on a block F_tau for every cone, with the
     relation g in rho's block = g in tau's block for each face pair
@@ -241,18 +243,17 @@ def _maximal_cone_presentation(
                 for tau in rho.facet_cones():
                     links.setdefault(tau, []).append(over)
 
-    # each face with relations: the cofaces it reads coordinates in, its
-    # first and its class heads, and its basis; a face of rank 0 has none
-    related: List[Tuple[List[Cone], List[Vec]]] = []
+    # each non-maximal face of positive rank: the cofaces it reads
+    # coordinates in, its first and its class heads, and its basis
+    faces: List[Tuple[List[Cone], List[Vec]]] = []
     for tau, over in cofaces.items():
-        if len(over) > 1 and fan.data[tau].rank():
+        if tau not in offsets and fan.data[tau].rank():
             heads = _class_heads(over, links[tau]) if tau in links else over[1:]
-            if heads:
-                related.append(([over[0], *heads], fan.data[tau].generators()))
-    coords = _face_coordinates(fan, related)
+            faces.append(([over[0], *heads], fan.data[tau].generators()))
+    coords = _face_coordinates(fan, faces)
 
     rel_cols: List[Vec] = []
-    for (first, *heads), basis in related:
+    for (first, *heads), basis in faces:
         off_first, table = offsets[first], coords[first]
         for g in basis:
             for sigma in heads:
@@ -263,7 +264,7 @@ def _maximal_cone_presentation(
                 for i, x in enumerate(coords[sigma][g]):
                     col[off + i] -= x
                 rel_cols.append(tuple(col))
-    return offsets, cofaces, IntMatrix._from_columns(rel_cols, total)
+    return offsets, cofaces, IntMatrix._from_columns(rel_cols, total), coords
 
 
 def _face_coordinates(fan: KmFan,
@@ -320,10 +321,9 @@ def lattice_data_colimit(fan: KmFan) -> Unfolding:
     (_maximal_cone_presentation).  The structure map of a maximal cone is
     the projection of its block; that of any other cone tau is the map of
     its first maximal coface sigma, read on the coordinates of F_tau's basis
-    in F_sigma, which one batched solve per sigma gives for all the faces
-    whose first coface it is (_face_coordinates).  beta sends each block
-    generator to its element of N, and reads the colimit through the
-    presentation's section.
+    in F_sigma, from the presentation's coordinate table: no face is
+    solved a second time.  beta sends each block generator to its element
+    of N, and reads the colimit through the presentation's section.
 
     The internal check that beta o i_c is the inclusion of F_c runs on the
     maximal cones only, and the identity follows for every other cone tau.
@@ -333,31 +333,26 @@ def lattice_data_colimit(fan: KmFan) -> Unfolding:
     beta o i_tau = (beta o i_sigma) o C, which sends e_j to B_sigma C e_j,
     the j-th element of B_tau, once beta o i_sigma is the inclusion.
     """
-    offsets, cofaces, relations = _maximal_cone_presentation(fan)
+    offsets, cofaces, relations, coords = _maximal_cone_presentation(fan)
     pres = present_quotient(relations.rows, relations)
     colimit = pres.group
-    faces = {c: fan.data[c].generators() for c in fan.cones if c not in offsets}
-    coords = _face_coordinates(fan, ((cofaces[c][:1], basis) for c, basis in faces.items() if basis))
     structure: Dict[Cone, GroupHom] = {}
     for c in fan.cones:
         sigma = cofaces[c][0]
         off, width = offsets[sigma], fan.data[sigma].rank()
         image = pres.proj.select_columns(range(off, off + width))
-        if c in faces:
-            image = image @ IntMatrix._from_columns([coords[sigma][g] for g in faces[c]], width)
+        if c not in offsets:
+            image = image @ IntMatrix._from_columns([coords[sigma][g] for g in fan.data[c].generators()], width)
         structure[c] = GroupHom(FgaGroup(image.cols), colimit, image)
     # beta: send each block generator to the corresponding element of N
     beta_cols = [fan.group.reduce(g) for m in offsets for g in fan.data[m].basis().columns()]
     beta_on_blocks = IntMatrix._from_columns(beta_cols, fan.group.ncoords)
     beta = GroupHom(colimit, fan.group, beta_on_blocks @ pres.section)
-    # sanity: beta o i_sigma is the inclusion F_sigma -> N, generator by
-    # generator, on the maximal cones; the others follow (see above)
-    for c in offsets:
-        basis = fan.data[c].basis()
-        comp = structure[c].then(beta)
-        for e, col in zip(IntMatrix.identity(basis.cols).entries, basis.columns()):
-            if comp.apply(e) != fan.group.reduce(col):
-                raise KmFanError("internal: colimit structure map is inconsistent")
+    # sanity: beta o i_sigma is the inclusion F_sigma -> N, on the maximal
+    # cones; the others follow (see above)
+    for c, off in offsets.items():
+        if structure[c].then(beta).matrix.columns() != tuple(beta_cols[off:off + fan.data[c].rank()]):
+            raise KmFanError("internal: colimit structure map is inconsistent")
     return Unfolding(colimit, structure, beta, block_offsets=offsets, presentation=pres)
 
 
@@ -459,8 +454,7 @@ def rigidified_unfold(fan: KmFan) -> Tuple[KmFan, Optional[KmFanHom]]:
     if not fan.group.is_lattice():
         return rig, None
     # beta kills the colimit torsion (it lands in a lattice), so it factors
-    bbar_cols = [unf.beta.apply(e) for e in IntMatrix.identity(lt.ncoords).entries[: lt.free_rank]]
-    betabar = GroupHom(rig.group, fan.group, IntMatrix._from_columns(bbar_cols, fan.group.ncoords))
+    betabar = GroupHom(rig.group, fan.group, unf.beta.matrix.select_columns(range(lt.free_rank)))
     return rig, KmFanHom(rig, fan, betabar, preimages)
 
 
@@ -511,7 +505,7 @@ def is_gs_representable(fan: KmFan) -> bool:
     unsaturated = [s for s in fan.maximal_cones() if not is_saturated(fan.data[s].basis())]
     if not unsaturated:
         return True
-    offsets, _, relations = _maximal_cone_presentation(fan)
+    offsets, _, relations, _ = _maximal_cone_presentation(fan)
     echelon, t = _row_echelon(relations.entries, transform=True)
     free_rows = t.entries[len(echelon):]
     for sigma in unsaturated:

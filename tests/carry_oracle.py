@@ -8,6 +8,13 @@ cone.  The predicate references map the rays of every cone anew, with no
 ray map shared between cones: validate_hom and is_proper test containment on
 the images themselves, is_semi_tame and is_equidimensional compare the
 primitive images with the rays of the cone map's image.
+
+The datum references push a datum generator by generator, where the library
+takes one matrix product (LatticeDatum._image): image_reference through
+GroupHom.apply, product_data_reference through both inclusions for every
+pair of cones, dilate_data_reference by scaling each generator, and
+scaled_markings_reference (roots and canonical_resolution) with a
+contains_cone scan of every ray for every cone.
 tests/test_fans.py compares the library with these.
 """
 
@@ -18,6 +25,7 @@ from kmfan.abelian import (
     GroupHom,
     Subgroup,
     _quotient_presentation,
+    direct_sum,
     free_quotient,
     kernel_subgroup,
     preimage_subgroup,
@@ -32,6 +40,7 @@ from kmfan.fans import (
     _matrix_add,
     _require_finite_cokernel,
     product,
+    ray_marking,
     zero_fan,
 )
 from kmfan.intlinalg import primitive_vector
@@ -47,6 +56,45 @@ def inflate_reference(fan: KmFan, inclusion: GroupHom) -> Tuple[KmFan, Dict[Cone
         gens = [inclusion.apply(g) for g in fan.data[c].generators()]
         data[newc] = LatticeDatum.from_generators(inclusion.target, gens)
     return KmFan._make(inclusion.target, cone_map.values(), data), cone_map
+
+
+def image_reference(datum: LatticeDatum, hom: GroupHom) -> LatticeDatum:
+    """The subgroup the images of the datum's generators generate."""
+    return LatticeDatum.from_generators(hom.target, [hom.apply(g) for g in datum.generators()])
+
+
+def product_data_reference(a: KmFan, b: KmFan) -> Dict[Tuple[Cone, Cone], LatticeDatum]:
+    """The datum of each product cone, keyed by its pair of factor cones:
+    both bases mapped through their inclusions anew for every pair."""
+    grp, inc1, inc2, _, _ = direct_sum(a.group, b.group)
+    return {
+        (ca, cb): LatticeDatum.from_generators(
+            grp, [inc1.apply(g) for g in a.data[ca].generators()] + [inc2.apply(g) for g in b.data[cb].generators()]
+        )
+        for ca in a.cones
+        for cb in b.cones
+    }
+
+
+def dilate_data_reference(fan: KmFan, factor: int) -> Dict[Cone, LatticeDatum]:
+    """factor times each generator of each datum."""
+    return {
+        c: LatticeDatum.from_generators(fan.group, [tuple(factor * x for x in g) for g in fan.data[c].generators()])
+        for c in fan.cones
+    }
+
+
+def scaled_markings_reference(fan: KmFan, orders) -> Dict[Cone, LatticeDatum]:
+    """The datum of each cone spanned by the scaled markings of the ray
+    cones it contains, every ray tested against every cone."""
+    rays = fan.ray_cones()
+    marking = [ray_marking(fan, ray) for ray in rays]
+    return {
+        c: LatticeDatum.from_generators(
+            fan.group, [tuple(a * x for x in m) for ray, a, m in zip(rays, orders, marking) if c.contains_cone(ray)]
+        )
+        for c in fan.cones
+    }
 
 
 def contract_reference(fan: KmFan, inclusion: GroupHom) -> Tuple[KmFan, Dict[Cone, Cone]]:

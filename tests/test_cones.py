@@ -288,6 +288,17 @@ class TestSpan:
     def test_zero_span(self):
         assert Cone.zero(2).span_lattice_basis().cols == 0
 
+    def test_full_dimensional_cones_of_one_rank_share_the_identity(self):
+        """One immutable identity per rank, not one per cone; a cone with a
+        lineality space and a cone of another rank included."""
+        third = Cone.from_generators([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
+        other = Cone.from_generators([(1, 2, 0), (-1, 0, 0), (0, -1, 3), (0, 0, -1)], 3)
+        halfspace = Cone.from_generators([(1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)], 3)
+        basis = third.span_lattice_basis()
+        assert basis == IntMatrix.identity(3)
+        assert other.span_lattice_basis() is basis and halfspace.span_lattice_basis() is basis
+        assert QUAD.span_lattice_basis() == IntMatrix.identity(2)
+
     def test_closed_forms_agree_with_saturate(self, monkeypatch):
         """Seeded cones in r = 1..4: full-dimensional (sharp or not), single
         rays (many with a negative leading entry), lines, intermediate cones

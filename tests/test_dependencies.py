@@ -51,6 +51,33 @@ def test_values_write_their_slots_through_bound_setters():
     assert writers == set()
 
 
+def unused_imports(path: pathlib.Path):
+    """The names a module imports (__future__ aside) that it never reads."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    return imported - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_every_imported_name_is_used():
+    """Each library module but the package's __init__, which re-exports,
+    uses every name it imports."""
+    unused = {(path.name, name) for path in SRC.rglob("*.py") if path.name != "__init__.py"
+              for name in unused_imports(path)}
+    assert unused == set()
+
+
+def test_the_check_sees_an_unused_import(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("from __future__ import annotations\nimport os, re as regex\nfrom . import cones, fans\n"
+                      "x: os.PathLike = cones\n")
+    assert unused_imports(module) == {"regex", "fans"}
+
+
 def test_the_check_sees_a_foreign_import(tmp_path):
     module = tmp_path / "m.py"
     module.write_text("import os\nfrom numpy import array\nfrom . import cones\n")

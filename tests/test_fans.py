@@ -23,6 +23,7 @@ from kmfan.abelian import (
 from kmfan.cones import Cone, _separating_facet
 from kmfan.errors import (
     ConeNotInFan,
+    DimensionMismatch,
     InfiniteCokernel,
     InvalidFan,
     KmFanError,
@@ -94,7 +95,7 @@ from kmfan.intlinalg import (
 
 import carry_oracle
 import test_properties
-from test_gsfans import seeded_lattice_fans, square_cone_gsfan
+from test_gsfans import polygon_fan, random_polygon_km_fan, seeded_lattice_fans, square_cone_gsfan
 from test_monoids import _in_submonoid
 from conftest import (
     build_p22,
@@ -2675,3 +2676,96 @@ class TestCarryAlongAMap:
             assert calls["linear_image"] == 0, i
             rays += len(fan.ray_cones()) > 1
         assert rays >= 40
+
+
+def smooth_and_simplicial_fans():
+    """carry_fans, products of some of them with P^1, rooted P(2,2) and
+    polygons; the smooth ones are rooted, the simplicial ones resolved."""
+    rng = random.Random(6767)
+    p1 = projective_line_fan()
+    fans = carry_fans() + [product(fan, p1)[0] for fan in carry_fans()[::7]]
+    fans += [polygon_fan(12), product(random_polygon_km_fan(rng), p1)[0], product(build_p22(), p1)[0]]
+    return [fan for fan in fans if is_simplicial(fan)]
+
+
+class TestOnePushPerDatum:
+    """Every construction that moves a datum along a map takes one matrix
+    product per datum (LatticeDatum._image) or reads generators off the
+    cone's own rays; the per-generator forms are the references of
+    carry_oracle."""
+
+    def test_image_equals_the_per_generator_push(self):
+        rng = random.Random(6868)
+        torsion = 0
+        for i, fan in enumerate(carry_fans()):
+            for c in fan.cones[::2]:
+                target = random_group(rng)
+                hom = random_hom(rng, fan.group, target)
+                image = fan.data[c]._image(hom)
+                assert image == carry_oracle.image_reference(fan.data[c], hom), (i, c)
+                assert image.ambient == target
+                torsion += bool(target.torsion) and fan.data[c].rank() > 0
+        assert torsion >= 40
+
+    def test_image_from_the_wrong_ambient_raises(self):
+        """A datum of P(2,2), over Z + Z/2, along a map from Z^3."""
+        fan = build_p22()
+        datum, hom = fan.data[fan.maximal_cones()[0]], GroupHom.identity(FgaGroup(3))
+        for push in (datum._image, lambda h: carry_oracle.image_reference(datum, h)):
+            with pytest.raises(DimensionMismatch):
+                push(hom)
+
+    def test_product_data_equal_the_per_pair_push(self):
+        """(P(2,2))^k and (P^1)^k for k <= 3, and polygons times P^1."""
+        rng = random.Random(6969)
+        p1, p22 = projective_line_fan(), build_p22()
+        cases = []
+        for base in (p22, p1):
+            power = base
+            for _ in range(2):
+                cases.append((power, base))
+                power = product(power, base)[0]
+        cases += [(polygon_fan(12), p1), (random_polygon_km_fan(rng), p1), (p1, random_polygon_km_fan(rng))]
+        for i, (a, b) in enumerate(cases):
+            prod, to_a, to_b = product(a, b)
+            data = {(to_a.cone_images[c], to_b.cone_images[c]): prod.data[c] for c in prod.cones}
+            assert data == carry_oracle.product_data_reference(a, b), i
+        assert len(cases[1][0].cones) == 9 and cases[1][0].group.torsion == (2, 2)
+
+    def test_dilate_equals_per_generator_scaling(self):
+        """On P(2,2), over Z + Z/2, every factor, and on carry_fans."""
+        rng = random.Random(7070)
+        for factor in (1, 2, 3, 4, 5):
+            fan = build_p22()
+            assert dilate(fan, factor)[0].data == carry_oracle.dilate_data_reference(fan, factor), factor
+        for i, fan in enumerate(carry_fans()):
+            factor = rng.randint(1, 6)
+            assert dilate(fan, factor)[0].data == carry_oracle.dilate_data_reference(fan, factor), i
+
+    def test_roots_and_resolution_equal_the_contains_cone_scan(self):
+        rng = random.Random(7171)
+        smooth = 0
+        for i, fan in enumerate(smooth_and_simplicial_fans()):
+            ones = [1] * len(fan.ray_cones())
+            assert canonical_resolution(fan)[0].data == carry_oracle.scaled_markings_reference(fan, ones), i
+            if is_smooth(fan):
+                orders = [rng.randint(1, 4) for _ in ones]
+                assert roots(fan, orders)[0].data == carry_oracle.scaled_markings_reference(fan, orders), i
+                smooth += 1
+        assert smooth >= 30
+
+    def test_no_contains_cone_scan_and_no_per_generator_apply(self, monkeypatch):
+        """canonical_resolution calls no Cone.contains_cone, and product no
+        GroupHom.apply.  The construction oracle is off."""
+        without_construction_oracle(monkeypatch)
+        fans = smooth_and_simplicial_fans()
+        calls = collections.Counter()
+        real_contains, real_apply = Cone.contains_cone, GroupHom.apply
+        monkeypatch.setattr(Cone, "contains_cone", lambda c, o: calls.update(["contains_cone"]) or real_contains(c, o))
+        monkeypatch.setattr(GroupHom, "apply", lambda h, v: calls.update(["apply"]) or real_apply(h, v))
+        p1 = projective_line_fan()
+        for fan in fans:
+            canonical_resolution(fan)
+            product(fan, p1)
+            product(p1, fan)
+        assert calls == {}

@@ -580,7 +580,7 @@ class TestMaximalConePresentation:
         cases = lattice_fans + [polygon_fan(64), linked_pages_fan(False), nonsaturated_colimit_fan()]
         answers = []
         for i, fan in enumerate(cases):
-            offsets, _, relations = gsfans._maximal_cone_presentation(fan)
+            offsets, _, relations, _ = gsfans._maximal_cone_presentation(fan)
             blocks = [(off, fan.data[sigma].rank()) for sigma, off in offsets.items()]
             answer = is_gs_representable(fan)
             assert answer == blocks_saturated_by_smith(relations, blocks), (i, fan.cones)
@@ -698,7 +698,7 @@ class TestPrunedPresentation:
         pruned = 0
         answers = []
         for i, fan in enumerate(cases):
-            offsets, _, relations = gsfans._maximal_cone_presentation(fan)
+            offsets, _, relations, _ = gsfans._maximal_cone_presentation(fan)
             full_offsets, full = full_maximal_cone_presentation(fan)
             assert offsets == full_offsets, i
             assert hermite_column_basis(relations) == hermite_column_basis(full), i
@@ -708,7 +708,7 @@ class TestPrunedPresentation:
             pruned += relations.cols < full.cols
             answers.append(answer)
         assert pruned >= 20
-        _, _, relations = gsfans._maximal_cone_presentation(bowtie_fan())
+        _, _, relations, _ = gsfans._maximal_cone_presentation(bowtie_fan())
         assert (relations.cols, full_maximal_cone_presentation(bowtie_fan())[1].cols) == (5, 9)
         assert answers.count(False) >= 40 and answers.count(True) >= 600
 
@@ -717,7 +717,7 @@ class TestPrunedPresentation:
         """(P^1)^k: 2^k maximal cones of rank k; the full presentation's
         relations against the pruned ones."""
         fan = products_of_lines(k)
-        offsets, _, relations = gsfans._maximal_cone_presentation(fan)
+        offsets, _, relations, _ = gsfans._maximal_cone_presentation(fan)
         assert (len(offsets), relations.rows, relations.cols) == (2 ** k, k * 2 ** k, kept)
         assert full_maximal_cone_presentation(fan)[1].cols == full
 
@@ -1138,9 +1138,9 @@ class TestOnePassRigidification:
         real = gsfans._maximal_cone_presentation
 
         def killing(fan):
-            offsets, cofaces, relations = real(fan)
+            offsets, cofaces, relations, coords = real(fan)
             kill = tuple(int(i == 0) for i in range(relations.rows))
-            return offsets, cofaces, IntMatrix._from_columns(list(relations.columns()) + [kill], relations.rows)
+            return offsets, cofaces, IntMatrix._from_columns(list(relations.columns()) + [kill], relations.rows), coords
 
         monkeypatch.setattr(gsfans, "_maximal_cone_presentation", killing)
         with pytest.raises(KmFanError, match="colimit structure map is inconsistent"):
@@ -1290,10 +1290,10 @@ class TestFaceCoordinatesPerMaximalCone:
         assert len(solved) == 8 and {col for _, col in solved} == set(fan.maximal_cones()[0].rays)
 
     def test_each_pass_solves_a_vector_once_per_maximal_cone(self, monkeypatch):
-        """(P^1)^3: the presentation and the structure maps each solve a
-        pair of maximal cone and distinct vector at most once (24 and 18
-        solves, of 24 pairs in all), where a solve per vector and read
-        makes 78."""
+        """(P^1)^3: the presentation solves each of the 24 pairs of maximal
+        cone and distinct vector once, and the structure maps read its
+        table and solve nothing: 24 solves, where a second pass made 42
+        and a solve per vector and read 78."""
         fan = products_of_lines(3)
         for sigma in fan.maximal_cones():
             fan.data[sigma].coordinates(fan.group.zero())
@@ -1309,10 +1309,8 @@ class TestFaceCoordinatesPerMaximalCone:
 
         monkeypatch.setattr(gsfans, "_maximal_cone_presentation", presentation)
         lattice_data_colimit(fan)
-        (end,) = marks
-        for run in (solved[:end], solved[end:]):
-            assert len(set(run)) == len(run) and set(run) <= pairs
-        assert len(pairs) == 24 and 0 < len(solved) <= 2 * len(pairs) < 78
+        assert marks == [len(solved)] and len(solved) == len(pairs) == 24
+        assert set(solved) == pairs
 
     def test_relations_and_structure_maps_equal_the_per_vector_form(self, lattice_fans):
         """Offsets, cofaces and relations of the presentation, and the
@@ -1330,7 +1328,7 @@ class TestFaceCoordinatesPerMaximalCone:
         relations = torsion = torsion_groups = 0
         for i, fan in enumerate(cases):
             presentation = gsfans._maximal_cone_presentation(fan)
-            assert presentation == per_vector_presentation(fan), i
+            assert presentation[:3] == per_vector_presentation(fan), i
             unf = lattice_data_colimit(fan)
             assert (unf.colimit, unf.structure_maps, unf.beta) == per_vector_colimit(fan), i
             relations += presentation[2].cols > 0
