@@ -9,13 +9,14 @@ groups are isomorphic iff they are equal.
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch, KmFanError, NonLattice, NotTame
 from .intlinalg import (
     IntMatrix,
     LinearSystem,
     Vec,
+    _Value,
     _hermite_basis,
     _int_entry,
     _int_vector,
@@ -27,7 +28,7 @@ from .intlinalg import (
 )
 
 
-class FgaGroup:
+class FgaGroup(_Value):
     """A finitely generated abelian group in invariant-factor normal form."""
 
     __slots__ = ("free_rank", "torsion")
@@ -44,12 +45,6 @@ class FgaGroup:
                 raise ValueError("torsion invariants must divide in sequence")
         _set_free_rank(self, free_rank)
         _set_torsion(self, torsion)
-
-    def __setattr__(self, *args):
-        raise AttributeError("FgaGroup is immutable")
-
-    def __delattr__(self, *args):
-        raise AttributeError("FgaGroup is immutable")
 
     @property
     def ncoords(self) -> int:
@@ -116,7 +111,7 @@ class FgaGroup:
         return " + ".join(parts) if parts else "0"
 
 
-class GroupHom:
+class GroupHom(_Value):
     """A homomorphism of FgaGroups, given by an integer matrix on coordinates.
 
     Column j is the image of the j-th standard generator of the source; the
@@ -141,12 +136,6 @@ class GroupHom:
         _set_hom_source(self, source)
         _set_hom_target(self, target)
         _set_hom_matrix(self, matrix)
-
-    def __setattr__(self, *args):
-        raise AttributeError("GroupHom is immutable")
-
-    def __delattr__(self, *args):
-        raise AttributeError("GroupHom is immutable")
 
     @staticmethod
     def identity(group: FgaGroup) -> "GroupHom":
@@ -187,7 +176,7 @@ class GroupHom:
         return f"GroupHom({self.source!r} -> {self.target!r}, {self.matrix.entries})"
 
 
-class Subgroup:
+class Subgroup(_Value):
     """A subgroup of an FgaGroup, in canonical form.
 
     Internally the subgroup H <= N is stored as P, the Hermite column basis
@@ -216,12 +205,6 @@ class Subgroup:
         _set_preimage(self, preimage)
         _set_as_group(self, None)
         _set_system(self, None)
-
-    def __setattr__(self, *args):
-        raise AttributeError("Subgroup is immutable")
-
-    def __delattr__(self, *args):
-        raise AttributeError("Subgroup is immutable")
 
     @staticmethod
     def from_generators(ambient: FgaGroup, generators: Iterable[Sequence[int]]) -> "Subgroup":
@@ -324,7 +307,7 @@ class Subgroup:
         return f"Subgroup({self.ambient!r}, gens={self.generators()})"
 
 
-# slot setters, bound once (see intlinalg._set_rows)
+# slot setters, bound once (see intlinalg._Value)
 _set_free_rank = FgaGroup.free_rank.__set__
 _set_torsion = FgaGroup.torsion.__set__
 _set_hom_source = GroupHom.source.__set__
@@ -336,18 +319,12 @@ _set_as_group = Subgroup._as_group.__set__
 _set_system = Subgroup._system.__set__
 
 
-class QuotientPresentation:
+class QuotientPresentation(NamedTuple):
     """Normal form of Z^m / (column span), with projection and a section."""
 
-    __slots__ = ("group", "proj", "section")
-
-    def __init__(self, group: FgaGroup, proj: IntMatrix, section: IntMatrix):
-        self.group = group
-        self.proj = proj          # group.ncoords x m
-        self.section = section    # m x group.ncoords
-
-    def to_normal(self, vector: Sequence[int]) -> Vec:
-        return self.group.reduce(self.proj.apply(vector))
+    group: FgaGroup
+    proj: IntMatrix       # group.ncoords x m
+    section: IntMatrix    # m x group.ncoords
 
     def lift(self, coords: Sequence[int]) -> Vec:
         return self.section.apply(coords)
@@ -522,7 +499,7 @@ def is_tame_hom(f: GroupHom) -> bool:
     return _cokernel_group(f).is_finite() and kernel_subgroup(f).is_lattice()
 
 
-class DerivedDual:
+class DerivedDual(NamedTuple):
     """D(f) = H^0 of the Z-dual of the two-term complex [N -> N'], for tame f.
 
     Carries explicit witnesses of the exact sequences it sits in:
@@ -534,27 +511,14 @@ class DerivedDual:
     ext_group(...) of the corresponding group.
     """
 
-    __slots__ = (
-        "hom",
-        "group",
-        "kernel",
-        "cokernel",
-        "from_ext_cok",
-        "to_ker_dual",
-        "from_source_dual",
-        "to_ext_target",
-    )
-
-    def __init__(self, hom, group, kernel, cokernel, from_ext_cok, to_ker_dual,
-                 from_source_dual, to_ext_target):
-        self.hom = hom
-        self.group = group
-        self.kernel = kernel
-        self.cokernel = cokernel
-        self.from_ext_cok = from_ext_cok
-        self.to_ker_dual = to_ker_dual
-        self.from_source_dual = from_source_dual
-        self.to_ext_target = to_ext_target
+    hom: GroupHom
+    group: FgaGroup
+    kernel: Subgroup
+    cokernel: FgaGroup
+    from_ext_cok: GroupHom
+    to_ker_dual: GroupHom
+    from_source_dual: GroupHom
+    to_ext_target: GroupHom
 
 
 def dd_of_hom(f: GroupHom, kernel: Optional[Subgroup] = None,

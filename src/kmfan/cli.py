@@ -66,27 +66,30 @@ def _read_json(path: str):
 
 def _read_document(path: str, decode):
     """decode applied to the JSON document at path; a document it refuses is
-    a schema error."""
+    a schema error, and a fan it finds invalid an invalid-fan refusal."""
     obj = _read_json(path)
     try:
         return decode(obj)
     except DocumentError as exc:
         raise CliFailure(2, {"error": "schema", "detail": str(exc)})
-
-
-def _load_fan(path: str) -> KmFan:
-    try:
-        return _read_document(path, fan_from_obj)
     except InvalidFan as exc:
         raise CliFailure(1, {"error": "invalid-fan", "violations": exc.violations})
 
 
+def _load_fan(path: str) -> KmFan:
+    return _read_document(path, fan_from_obj)
+
+
 def _check_fan(path: str) -> KmFan:
     """The reader of validate: an invalid fan is its {"ok": false} result."""
-    try:
-        return _read_document(path, fan_from_obj)
-    except InvalidFan as exc:
-        raise CliFailure(1, {"ok": False, "violations": exc.violations})
+
+    def decode(obj) -> KmFan:
+        try:
+            return fan_from_obj(obj)
+        except InvalidFan as exc:
+            raise CliFailure(1, {"ok": False, "violations": exc.violations})
+
+    return _read_document(path, decode)
 
 
 def _read_gsfan(path: str):

@@ -28,6 +28,7 @@ from .intlinalg import (
     IntMatrix,
     LinearSystem,
     Vec,
+    _Value,
     _back_substitute,
     _dot,
     _int_vector,
@@ -135,7 +136,7 @@ def _dedupe(vectors: Iterable[Vec]) -> List[Vec]:
     return out
 
 
-class Cone:
+class Cone(_Value):
     """A rational polyhedral cone in canonical form.
 
     The hash of the V-data is computed once, when the cone is built, and
@@ -160,12 +161,6 @@ class Cone:
         _set_dim(self, _dim)
         _set_span(self, None)
         _set_hash(self, hash((ambient_rank, rays, lineality)))
-
-    def __setattr__(self, *args):
-        raise AttributeError("Cone is immutable")
-
-    def __delattr__(self, *args):
-        raise AttributeError("Cone is immutable")
 
     @property
     def facets(self) -> Tuple[Vec, ...]:
@@ -458,7 +453,7 @@ class Cone:
 # the identity of each rank, built on first use and shared by the cones
 _identity = lru_cache(maxsize=None)(IntMatrix.identity)
 
-# slot setters, bound once (see intlinalg._set_rows)
+# slot setters, bound once (see intlinalg._Value)
 _set_ambient_rank = Cone.ambient_rank.__set__
 _set_rays = Cone.rays.__set__
 _set_lineality = Cone.lineality.__set__
@@ -542,7 +537,7 @@ def _reduce_mod_lattice(vectors: Sequence[Vec], lattice: Sequence[Vec], ambient:
 
 
 def _complement_projector(lineality: Sequence[Vec], ambient: int):
-    """Project onto a canonical complement of the (saturated) lineality lattice.
+    """Project onto a canonical complement of the saturated, nonzero lineality.
 
     Returns a function mapping an integer vector to the primitive generator of
     its class modulo the lineality, embedded back via the complement basis.
@@ -551,8 +546,6 @@ def _complement_projector(lineality: Sequence[Vec], ambient: int):
     complement: U L V = [I; 0], and past the rank the section is the columns
     of U^{-1} and the projection the rows of U.
     """
-    if not lineality:
-        return primitive_vector
     pres = present_quotient(ambient, IntMatrix._from_columns(lineality, ambient))
 
     def project(v: Vec) -> Vec:

@@ -9,7 +9,7 @@ subgroups of N given in full coordinates.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .abelian import (
     FgaGroup,
@@ -47,6 +47,7 @@ from .intlinalg import (
     IntMatrix,
     LinearSystem,
     Vec,
+    _Value,
     _determinant,
     hermite_column_basis,
     is_saturated,
@@ -56,23 +57,20 @@ from .intlinalg import (
 from .monoids import AffineMonoid, is_free_monoid
 
 
-class LatticeDatum:
+class LatticeDatum(_Value):
     """A finite-index lattice inside Span(sigma) cap N, attached to a cone."""
 
-    __slots__ = ("ambient", "subgroup", "_basis")
+    __slots__ = ("subgroup", "_basis")
 
     def __init__(self, ambient: FgaGroup, subgroup: Subgroup):
         if subgroup.ambient != ambient:
             raise KmFanError("datum subgroup lives in the wrong group")
-        _set_datum_ambient(self, ambient)
         _set_subgroup(self, subgroup)
         _set_basis(self, None)
 
-    def __setattr__(self, *args):
-        raise AttributeError("LatticeDatum is immutable")
-
-    def __delattr__(self, *args):
-        raise AttributeError("LatticeDatum is immutable")
+    @property
+    def ambient(self) -> FgaGroup:
+        return self.subgroup.ambient
 
     @staticmethod
     def from_generators(ambient: FgaGroup, generators: Iterable[Sequence[int]]) -> "LatticeDatum":
@@ -139,20 +137,16 @@ class LatticeDatum:
         return out
 
     def __eq__(self, other):
-        return (
-            isinstance(other, LatticeDatum)
-            and self.ambient == other.ambient
-            and self.subgroup == other.subgroup
-        )
+        return isinstance(other, LatticeDatum) and self.subgroup == other.subgroup
 
     def __hash__(self):
-        return hash((self.ambient, self.subgroup))
+        return hash(self.subgroup)
 
     def __repr__(self):
         return f"LatticeDatum({self.generators()})"
 
 
-class KmFan:
+class KmFan(_Value):
     """A KM fan (N, F, {F_sigma}) in canonical form.
 
     The constructor validates and raises InvalidFan.  Constructions that
@@ -170,7 +164,9 @@ class KmFan:
     __slots__ = ("group", "cones", "data", "_index")
 
     def __init__(self, group: FgaGroup, cones: Iterable[Cone], data: Dict[Cone, LatticeDatum]):
-        _fill(self, group, cones, data)
+        """The validated fan, with the data of its own cones only."""
+        cones = _canonical(cones)
+        _fill(self, group, cones, {c: data[c] for c in cones if c in data})
         problems = self.validate()
         if problems:
             raise InvalidFan(problems)
@@ -185,16 +181,10 @@ class KmFan:
         keeps them with the empty verdict in its face index, and its
         validate() runs nothing.
         """
-        fan = _fill(object.__new__(KmFan), group, cones, data)
+        fan = _fill(object.__new__(KmFan), group, _canonical(cones), dict(data))
         if maximal is not None:
             _set_index(fan, (tuple(maximal), ()))
         return fan
-
-    def __setattr__(self, *args):
-        raise AttributeError("KmFan is immutable")
-
-    def __delattr__(self, *args):
-        raise AttributeError("KmFan is immutable")
 
     def validate(self) -> List[dict]:
         """Structured list of violations; empty when the fan is valid.
@@ -315,8 +305,7 @@ class KmFan:
         return f"KmFan(group={self.group!r}, ncones={len(self.cones)})"
 
 
-# slot setters, bound once (see intlinalg._set_rows)
-_set_datum_ambient = LatticeDatum.ambient.__set__
+# slot setters, bound once (see intlinalg._Value)
 _set_subgroup = LatticeDatum.subgroup.__set__
 _set_basis = LatticeDatum._basis.__set__
 _set_group = KmFan.group.__set__
@@ -334,10 +323,12 @@ def _canonical(cones: Iterable[Cone]) -> Tuple[Cone, ...]:
     return tuple(sorted(set(cones), key=_fan_order))
 
 
-def _fill(fan: KmFan, group: FgaGroup, cones: Iterable[Cone], data: Dict[Cone, LatticeDatum]) -> KmFan:
+def _fill(fan: KmFan, group: FgaGroup, cones: Tuple[Cone, ...], data: Dict[Cone, LatticeDatum]) -> KmFan:
+    """The fan with its slots written: canonical cones and a data dict of
+    its own."""
     _set_group(fan, group)
-    _set_cones(fan, _canonical(cones))
-    _set_data(fan, dict(data))
+    _set_cones(fan, cones)
+    _set_data(fan, data)
     _set_index(fan, None)
     return fan
 
@@ -575,7 +566,7 @@ def _carried(cones: Iterable[Cone], ray: Dict[Vec, Vec], rank: int) -> Dict[Cone
     return {c: Cone(rank, sorted(ray[r] for r in c.rays), (), _dim=c.dim()) for c in cones}
 
 
-class KmFanHom:
+class KmFanHom(_Value):
     """A morphism of KM fans with its minimal-cone assignment sigma -> the
     minimal target cone containing f(sigma): built by the construction, or
     derived by validate_hom for a group map from outside the library.
@@ -606,12 +597,6 @@ class KmFanHom:
         _set_tame(f, True)
         return f
 
-    def __setattr__(self, *args):
-        raise AttributeError("KmFanHom is immutable")
-
-    def __delattr__(self, *args):
-        raise AttributeError("KmFanHom is immutable")
-
     def then(self, other: "KmFanHom") -> "KmFanHom":
         """other o self, with the composed cone map: the minimal cone
         containing g(f(sigma)) is the image of the minimal cone tau containing
@@ -627,7 +612,7 @@ class KmFanHom:
         return f"KmFanHom({self.source!r} -> {self.target!r})"
 
 
-# slot setters, bound once (see intlinalg._set_rows)
+# slot setters, bound once (see intlinalg._Value)
 _set_source = KmFanHom.source.__set__
 _set_target = KmFanHom.target.__set__
 _set_hom = KmFanHom.hom.__set__
@@ -635,14 +620,11 @@ _set_cone_images = KmFanHom.cone_images.__set__
 _set_tame = KmFanHom._tame.__set__
 
 
-class HomRefusal:
+class HomRefusal(NamedTuple):
     """A structured reason why a group map fails to be a fan morphism."""
 
-    __slots__ = ("cone", "reason")
-
-    def __init__(self, cone: Cone, reason: str):
-        self.cone = cone
-        self.reason = reason
+    cone: Cone
+    reason: str
 
     def __repr__(self):
         return f"HomRefusal({self.cone!r}: {self.reason})"
@@ -896,7 +878,10 @@ def _restricted(fan: KmFan, inclusion: GroupHom) -> Tuple[KmFan, Dict[Cone, Cone
 
 
 def is_simplicial(fan: KmFan) -> bool:
-    return all(c.is_simplicial() for c in fan.cones)
+    """Every cone is simplicial, read on the maximal cones only: every cone
+    is a face of a maximal one, and the rays of a face of a simplicial cone
+    are some of its rays, which are independent."""
+    return all(c.is_simplicial() for c in fan.maximal_cones())
 
 
 def canonical_resolution(fan: KmFan) -> Tuple[KmFan, KmFanHom]:
@@ -908,9 +893,7 @@ def canonical_resolution(fan: KmFan) -> Tuple[KmFan, KmFanHom]:
 
 def star(fan: KmFan, tau: Cone) -> KmFan:
     """The star fan of tau: the KM fan over N/F_tau on the cones containing tau."""
-    if tau not in fan.data:
-        raise ConeNotInFan(f"{tau!r} is not a cone of this fan")
-    q, proj = quotient(fan.group, fan.data[tau].subgroup)
+    q, proj = quotient(fan.group, fan.datum(tau).subgroup)
     pbar = proj.free_matrix()
     cones = []
     data = {}
@@ -923,16 +906,13 @@ def star(fan: KmFan, tau: Cone) -> KmFan:
     return KmFan._make(q, cones, data)
 
 
-class StratumInfo:
+class StratumInfo(NamedTuple):
     """Invariants of the locally closed stratum attached to a cone."""
 
-    __slots__ = ("cone", "torus_rank", "isotropy", "band")
-
-    def __init__(self, cone: Cone, torus_rank: int, isotropy: FgaGroup, band: FgaGroup):
-        self.cone = cone
-        self.torus_rank = torus_rank
-        self.isotropy = isotropy
-        self.band = band
+    cone: Cone
+    torus_rank: int
+    isotropy: FgaGroup
+    band: FgaGroup
 
     def __repr__(self):
         return f"StratumInfo(cone={self.cone!r}, torus_rank={self.torus_rank}, isotropy={self.isotropy!r})"
@@ -941,9 +921,7 @@ class StratumInfo:
 def isotropy(fan: KmFan, sigma: Cone) -> FgaGroup:
     """The torsion subgroup of N/F_sigma, read off the invariant factors of
     F_sigma's preimage lattice: no projection onto N/F_sigma is built."""
-    if sigma not in fan.data:
-        raise ConeNotInFan(f"{sigma!r} is not a cone of this fan")
-    return FgaGroup(0, _quotient_group(fan.group, fan.data[sigma].subgroup).torsion)
+    return FgaGroup(0, _quotient_group(fan.group, fan.datum(sigma).subgroup).torsion)
 
 
 def strata(fan: KmFan) -> List[StratumInfo]:
@@ -1219,11 +1197,13 @@ def local_presentation(fan: KmFan, sigma: Cone) -> LocalPresentation:
 
 
 def is_smooth(fan: KmFan) -> bool:
-    """Every monoid P_sigma = sigma cap F_sigma is free."""
-    for c in fan.cones:
-        if not is_free_monoid(cone_monoid(fan, c)):
-            return False
-    return True
+    """Every monoid P_sigma = sigma cap F_sigma is free, read on the maximal
+    cones only.  Every cone tau is a face of a maximal sigma, and
+    P_tau = tau cap F_tau = tau cap Span(tau) cap F_sigma = tau cap F_sigma
+    by compatibility: the face of P_sigma cut out by the supporting
+    hyperplane that cuts tau out of sigma.  A face of N^n is N^k on some of
+    its generators, free."""
+    return all(is_free_monoid(cone_monoid(fan, c)) for c in fan.maximal_cones())
 
 
 def cone_monoid(fan: KmFan, sigma: Cone) -> AffineMonoid:
@@ -1299,12 +1279,12 @@ def _check_monoid_saturated(cone, datum, gens):
 
 
 def is_atoroidal(fan: KmFan) -> bool:
-    all_rays = [r for c in fan.cones for r in c.rays]
-    if fan.group.free_rank == 0:
-        return True
-    if not all_rays:
-        return False
-    return matrix_rank(IntMatrix._make(tuple(all_rays), fan.group.free_rank)) == fan.group.free_rank
+    """The rays of the cones span the free quotient over Q.  Those are the
+    rays of the ray cones: each ray of a cone spans a face of it, a cone of
+    the fan."""
+    r = fan.group.free_rank
+    rays = tuple(c.rays[0] for c in fan.ray_cones())
+    return r == 0 or bool(rays) and matrix_rank(IntMatrix._make(rays, r)) == r
 
 
 def is_nondegenerate(fan: KmFan) -> bool:

@@ -25,10 +25,10 @@ from .fans import (
     is_atoroidal,
     is_classical,
 )
-from .intlinalg import IntMatrix, Vec, _row_echelon, invariant_factors, is_saturated, primitive_vector
+from .intlinalg import IntMatrix, Vec, _Value, _row_echelon, invariant_factors, is_saturated, primitive_vector
 
 
-class GsFan:
+class GsFan(_Value):
     """A classical fan in a lattice L with a finite-cokernel map beta: L -> N."""
 
     __slots__ = ("fan", "beta")
@@ -46,17 +46,11 @@ class GsFan:
         _set_fan(self, fan)
         _set_beta(self, beta)
 
-    def __setattr__(self, *args):
-        raise AttributeError("GsFan is immutable")
-
-    def __delattr__(self, *args):
-        raise AttributeError("GsFan is immutable")
-
     def __repr__(self):
         return f"GsFan(L={self.fan.group!r}, N={self.beta.target!r})"
 
 
-# slot setters, bound once (see intlinalg._set_rows)
+# slot setters, bound once (see intlinalg._Value)
 _set_fan = GsFan.fan.__set__
 _set_beta = GsFan.beta.__set__
 
@@ -187,9 +181,9 @@ def _maximal_cone_presentation(
     relations: for each face tau with maximal cofaces sigma_1, ..., sigma_k,
     and each generator g of F_tau, g in sigma_1's block minus g in the block
     of the first cone of each other class of tau's linked cofaces (below),
-    and the _face_coordinates table of every non-maximal face of positive
-    rank in its sigma_1 and its class heads, which lattice_data_colimit
-    reads its structure maps from.
+    and the _face_coordinates table of the bases of the faces that emit a
+    relation, in their sigma_1 and class heads, which lattice_data_colimit
+    completes and reads its structure maps from.
 
     The colimit is defined on a block F_tau for every cone, with the
     relation g in rho's block = g in tau's block for each face pair
@@ -243,14 +237,16 @@ def _maximal_cone_presentation(
                 for tau in rho.facet_cones():
                     links.setdefault(tau, []).append(over)
 
-    # each non-maximal face of positive rank: the cofaces it reads
-    # coordinates in, its first and its class heads, and its basis
+    # each face of positive rank with several maximal cofaces (so not
+    # maximal) and a class head: the cofaces it reads coordinates in, its
+    # first and its class heads, and its basis
     faces: List[Tuple[List[Cone], List[Vec]]] = []
     for tau, over in cofaces.items():
-        if tau not in offsets and fan.data[tau].rank():
+        if len(over) > 1 and fan.data[tau].rank():
             heads = _class_heads(over, links[tau]) if tau in links else over[1:]
-            faces.append(([over[0], *heads], fan.data[tau].generators()))
-    coords = _face_coordinates(fan, faces)
+            if heads:
+                faces.append(([over[0], *heads], fan.data[tau].generators()))
+    coords = _face_coordinates(fan, faces, {})
 
     rel_cols: List[Vec] = []
     for (first, *heads), basis in faces:
@@ -267,22 +263,24 @@ def _maximal_cone_presentation(
     return offsets, cofaces, IntMatrix._from_columns(rel_cols, total), coords
 
 
-def _face_coordinates(fan: KmFan,
-                      faces: Iterable[Tuple[List[Cone], List[Vec]]]) -> Dict[Cone, Dict[Vec, Vec]]:
-    """From pairs (maximal cofaces of a face, basis of its datum): for each
-    of those cofaces sigma, a table from each distinct vector of the bases
-    paired with it to its coordinates in F_sigma, from one batched solve
-    per sigma (LatticeDatum.coordinate_matrix)."""
+def _face_coordinates(fan: KmFan, faces: Iterable[Tuple[List[Cone], List[Vec]]],
+                      coords: Dict[Cone, Dict[Vec, Vec]]) -> Dict[Cone, Dict[Vec, Vec]]:
+    """coords, a table for each maximal cone sigma from vectors to their
+    coordinates in F_sigma, completed from pairs (maximal cofaces of a
+    face, basis of its datum): each distinct vector of the bases paired
+    with a sigma that its table lacks is added, from one batched solve per
+    sigma (LatticeDatum.coordinate_matrix)."""
     needs: Dict[Cone, Dict[Vec, None]] = {}
     for over, basis in faces:
         for sigma in over:
-            needs.setdefault(sigma, {}).update(dict.fromkeys(basis))
-    coords = {}
+            table = coords.get(sigma, {})
+            needs.setdefault(sigma, {}).update(dict.fromkeys(g for g in basis if g not in table))
     for sigma, vectors in needs.items():
-        x = fan.data[sigma].coordinate_matrix(vectors)
-        if x is None:
-            raise KmFanError(f"internal: a face datum lies outside the datum of {sigma!r}")
-        coords[sigma] = dict(zip(vectors, x.columns()))
+        if vectors:
+            x = fan.data[sigma].coordinate_matrix(vectors)
+            if x is None:
+                raise KmFanError(f"internal: a face datum lies outside the datum of {sigma!r}")
+            coords.setdefault(sigma, {}).update(zip(vectors, x.columns()))
     return coords
 
 
@@ -321,9 +319,10 @@ def lattice_data_colimit(fan: KmFan) -> Unfolding:
     (_maximal_cone_presentation).  The structure map of a maximal cone is
     the projection of its block; that of any other cone tau is the map of
     its first maximal coface sigma, read on the coordinates of F_tau's basis
-    in F_sigma, from the presentation's coordinate table: no face is
-    solved a second time.  beta sends each block generator to its element
-    of N, and reads the colimit through the presentation's section.
+    in F_sigma, from the presentation's coordinate table, completed with
+    the vectors it lacks: no vector is solved twice in one sigma.  beta
+    sends each block generator to its element of N, and reads the colimit
+    through the presentation's section.
 
     The internal check that beta o i_c is the inclusion of F_c runs on the
     maximal cones only, and the identity follows for every other cone tau.
@@ -334,6 +333,8 @@ def lattice_data_colimit(fan: KmFan) -> Unfolding:
     the j-th element of B_tau, once beta o i_sigma is the inclusion.
     """
     offsets, cofaces, relations, coords = _maximal_cone_presentation(fan)
+    bases = {c: fan.data[c].generators() for c in fan.cones if c not in offsets}
+    _face_coordinates(fan, [([cofaces[c][0]], basis) for c, basis in bases.items()], coords)
     pres = present_quotient(relations.rows, relations)
     colimit = pres.group
     structure: Dict[Cone, GroupHom] = {}
@@ -342,7 +343,7 @@ def lattice_data_colimit(fan: KmFan) -> Unfolding:
         off, width = offsets[sigma], fan.data[sigma].rank()
         image = pres.proj.select_columns(range(off, off + width))
         if c not in offsets:
-            image = image @ IntMatrix._from_columns([coords[sigma][g] for g in fan.data[c].generators()], width)
+            image = image @ IntMatrix._from_columns([coords[sigma][g] for g in bases[c]], width)
         structure[c] = GroupHom(FgaGroup(image.cols), colimit, image)
     # beta: send each block generator to the corresponding element of N
     beta_cols = [fan.group.reduce(g) for m in offsets for g in fan.data[m].basis().columns()]

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import operator
 from math import gcd
-from typing import Collection, Iterable, List, Optional, Sequence, Tuple
+from typing import Collection, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatch
 
@@ -62,7 +62,24 @@ def _dot(a: Sequence, b: Sequence):
     return sum(map(operator.mul, a, b))
 
 
-class IntMatrix:
+class _Value:
+    """The base of the library's immutable values: every write or delete of
+    an attribute from outside raises.  A value writes its own slots, in its
+    constructors and its lazy caches, through their slot descriptors' setters,
+    bound once at import (_set_rows and the like), at about half the cost of
+    the generic attribute write of object, which looks the name up in the
+    type on every call.  A cache holds a function of the value, so a racing
+    writer stores an equal one and no lock is needed."""
+
+    __slots__ = ()
+
+    def __setattr__(self, *args):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+
+class IntMatrix(_Value):
     """An immutable integer matrix stored as a tuple of row tuples."""
 
     __slots__ = ("rows", "cols", "entries")
@@ -82,12 +99,6 @@ class IntMatrix:
         _set_rows(self, len(rows))
         _set_cols(self, ncols)
         _set_entries(self, rows)
-
-    def __setattr__(self, *args):
-        raise AttributeError("IntMatrix is immutable")
-
-    def __delattr__(self, *args):
-        raise AttributeError("IntMatrix is immutable")
 
     # -- constructors -------------------------------------------------
 
@@ -188,11 +199,7 @@ class IntMatrix:
         return IntMatrix._make(tuple(tuple([a * x for x in r]) for r in self.entries), self.cols)
 
 
-# The slot setters of IntMatrix, bound once.  The immutable value classes
-# write their slots through such bound descriptors, at about half the
-# cost of the generic attribute write of object, which looks the name up in
-# the type on every call; their own __setattr__ and __delattr__ refuse every
-# write from outside.
+# slot setters, bound once (see _Value)
 _set_rows = IntMatrix.rows.__set__
 _set_cols = IntMatrix.cols.__set__
 _set_entries = IntMatrix.entries.__set__
@@ -206,19 +213,16 @@ _set_entries = IntMatrix.entries.__set__
 TRANSFORMS = ("u", "v", "u_inv")
 
 
-class SmithDecomposition:
+class SmithDecomposition(NamedTuple):
     """U @ M @ V = D with U, V unimodular and D in Smith normal form.
 
     A transform the decomposition was not asked to track is None.
     """
 
-    __slots__ = ("u", "d", "v", "u_inv")
-
-    def __init__(self, u, d, v, u_inv):
-        self.u = u
-        self.d = d
-        self.v = v
-        self.u_inv = u_inv
+    u: Optional[IntMatrix]
+    d: IntMatrix
+    v: Optional[IntMatrix]
+    u_inv: Optional[IntMatrix]
 
     def diagonal(self) -> Tuple[int, ...]:
         return tuple(self.d.entries[i][i] for i in range(min(self.d.rows, self.d.cols)))

@@ -9,7 +9,6 @@ enumerates the fundamental parallelepiped of each simplicial piece.
 from __future__ import annotations
 
 import itertools
-import threading
 from math import prod
 from typing import List, Sequence, Tuple
 
@@ -19,6 +18,7 @@ from .errors import KmFanError, NotAFace, NotSharp
 from .intlinalg import (
     IntMatrix,
     Vec,
+    _Value,
     _back_substitute,
     _dot,
     _row_echelon,
@@ -27,22 +27,18 @@ from .intlinalg import (
 )
 
 
-class AffineMonoid:
+class AffineMonoid(_Value):
     """The monoid cone cap Z^r for a rational polyhedral cone."""
 
-    __slots__ = ("cone", "ambient_lattice_rank", "_hilbert", "_lock")
+    __slots__ = ("cone", "_hilbert")
 
     def __init__(self, cone: Cone):
         _set_cone(self, cone)
-        _set_ambient_lattice_rank(self, cone.ambient_rank)
         _set_hilbert(self, None)
-        _set_lock(self, threading.Lock())
 
-    def __setattr__(self, *args):
-        raise AttributeError("AffineMonoid is immutable")
-
-    def __delattr__(self, *args):
-        raise AttributeError("AffineMonoid is immutable")
+    @property
+    def ambient_lattice_rank(self) -> int:
+        return self.cone.ambient_rank
 
     @property
     def unit_basis(self) -> Tuple[Vec, ...]:
@@ -71,10 +67,11 @@ class AffineMonoid:
         Returns the irreducible elements of the sharp part (sorted), followed
         by u, -u for each unit basis vector u.
         """
-        with self._lock:
-            if self._hilbert is None:
-                _set_hilbert(self, self._compute_hilbert())
-        return list(self._hilbert)
+        hilbert = self._hilbert
+        if hilbert is None:
+            hilbert = self._compute_hilbert()
+            _set_hilbert(self, hilbert)
+        return list(hilbert)
 
     def _compute_hilbert(self) -> Tuple[Vec, ...]:
         cone = self.cone
@@ -105,11 +102,9 @@ class AffineMonoid:
         return f"AffineMonoid({self.cone!r})"
 
 
-# slot setters, bound once (see intlinalg._set_rows)
+# slot setters, bound once (see intlinalg._Value)
 _set_cone = AffineMonoid.cone.__set__
-_set_ambient_lattice_rank = AffineMonoid.ambient_lattice_rank.__set__
 _set_hilbert = AffineMonoid._hilbert.__set__
-_set_lock = AffineMonoid._lock.__set__
 
 
 def _sharp_hilbert_basis(cone: Cone) -> List[Vec]:
@@ -123,8 +118,6 @@ def _sharp_hilbert_basis(cone: Cone) -> List[Vec]:
     and a reducible one is the sum of irreducibles of smaller grade, kept
     before it.  So the kept set is the Hilbert basis whatever the grading.
     """
-    if not cone.rays:
-        return []
     candidates = set(cone.rays)
     for simplex in _pulling_triangulation(cone):
         candidates.update(_parallelepiped_points(simplex, cone.ambient_rank))

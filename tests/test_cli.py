@@ -271,6 +271,9 @@ class TestDocumentRoundTrip:
         # cones are read in order: a duplicate is reported before a later bad entry
         (fan_from_obj, {**V1, "group": LINE, "cones": [{"rays": [[1]]}, {"rays": [[3]]}, {}]},
          "duplicate cone in document"),
+        (gsfan_from_obj, {**GS, "lattice": {"free_rank": 1, "torsion_invariants": [2]}},
+         "the fan lattice of a GS fan must be torsion-free"),
+        (gsfan_from_obj, {**GS, "cones": [], "beta": [[1]]}, "beta has the wrong number of rows"),
     ])
     def test_decoder_messages(self, decode, obj, message):
         with pytest.raises(DocumentError) as info:
@@ -423,6 +426,52 @@ class TestExitCodes:
         assert captured.err == ""
         assert captured.out.count("\n") == 1
         assert json.loads(captured.out)["error"] == "malformed"
+
+    def test_fold_of_overlapping_cones_is_an_invalid_fan(self, workdir):
+        """The fan of a GS document is validated as it loads; its report is
+        the invalid-fan object of every reader, where it once was the repr
+        of the violations in a precondition object."""
+        plane = {"free_rank": 2, "torsion_invariants": []}
+        doc = {"schema_version": "1", "lattice": plane, "group": plane, "beta": [[1, 0], [0, 1]],
+               "cones": [{"rays": [[1, 0], [1, 2]]}, {"rays": [[1, 1], [0, 1]]}]}
+        with open("overlap.json", "w", encoding="utf-8") as fh:
+            fh.write(dumps(doc))
+        code, out = invoke(["fold", "--fan", "overlap.json"])
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["error"] == "invalid-fan"
+        assert [v["kind"] for v in payload["violations"]] == ["bad-intersection"]
+
+    def test_a_collapsing_beta_is_not_foldable(self, workdir):
+        plane = {"free_rank": 2, "torsion_invariants": []}
+        doc = {"schema_version": "1", "lattice": plane, "group": {"free_rank": 1, "torsion_invariants": []},
+               "beta": [[1, 1]], "cones": [{"rays": [[1, 0], [0, 1]]}]}
+        with open("collapse.json", "w", encoding="utf-8") as fh:
+            fh.write(dumps(doc))
+        code, out = invoke(["fold", "--fan", "collapse.json"])
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["error"] == "not-foldable"
+        assert "collapsed-cone" in {v["kind"] for v in payload["violations"]}
+
+    def test_a_map_that_is_no_fan_morphism_is_an_invalid_hom(self, workdir):
+        """-1 sends the ray of A^1 off the fan."""
+        doc = {"matrix": [[-1]], "schema_version": "1", "source_fan": "a1.json", "target_fan": "a1.json"}
+        with open("flip.json", "w", encoding="utf-8") as fh:
+            fh.write(dumps(doc))
+        code, out = invoke(["proper", "--hom", "flip.json"])
+        assert code == 1
+        assert json.loads(out) == {
+            "error": "invalid-hom",
+            "cone": [[1]],
+            "detail": "image of the cone is not contained in any target cone",
+        }
+
+    @pytest.mark.parametrize("point", ["1,x", "1.5,0", "1,,1"])
+    def test_a_bad_point_list_is_exit_two_usage(self, workdir, point):
+        code, out = invoke(["support", "--fan", "p22.json", "--point", point])
+        assert code == 2
+        assert json.loads(out) == {"error": "usage", "detail": f"bad integer list {point!r}"}
 
     @pytest.mark.parametrize("out", [os.path.join("missing", "x.svg"), "."], ids=["missing_dir", "directory"])
     def test_unwritable_draw_output_is_exit_two_io(self, workdir, capsys, out):

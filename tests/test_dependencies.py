@@ -51,6 +51,42 @@ def test_values_write_their_slots_through_bound_setters():
     assert writers == set()
 
 
+def attribute_writers(path: pathlib.Path):
+    """The classes of a module that define __setattr__ or __delattr__, by a
+    def or an assignment in the class body."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ClassDef):
+            names = set()
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    names.add(item.name)
+                elif isinstance(item, ast.Assign):
+                    names.update(t.id for t in item.targets if isinstance(t, ast.Name))
+            if names & {"__setattr__", "__delattr__"}:
+                yield node.name
+
+
+def test_one_class_refuses_writes():
+    """Every immutable value inherits the one pair of intlinalg._Value
+    (tests/test_values.py checks that the value classes do)."""
+    assert {(path.name, name) for path in SRC.rglob("*.py") for name in attribute_writers(path)} == {
+        ("intlinalg.py", "_Value")}
+
+
+def test_the_check_sees_a_writer(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("class A:\n    def __setattr__(self, *a):\n        pass\n\n"
+                      "class B:\n    __delattr__ = object.__delattr__\n\nclass C:\n    x = 1\n")
+    assert list(attribute_writers(module)) == ["A", "B"]
+
+
+def test_no_module_takes_a_lock():
+    """Every cache is an idempotent write of a function of its value: no
+    module imports threading."""
+    importers = {path.name for path in SRC.rglob("*.py") if "threading" in absolute_imports(path)}
+    assert importers == set()
+
+
 def unused_imports(path: pathlib.Path):
     """The names a module imports (__future__ aside) that it never reads."""
     tree = ast.parse(path.read_text(), filename=str(path))

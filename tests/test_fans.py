@@ -42,6 +42,7 @@ from kmfan.fans import (
     canonical_resolution,
     coarse_fan,
     compatible_lifting,
+    cone_monoid,
     construct_lifting,
     contract,
     dilate,
@@ -80,7 +81,7 @@ from kmfan import cones as cones_module
 from kmfan import fans as fans_module
 from kmfan.fans import _certified_complete_simplicial, _cone_violations, _maximal_cones
 from kmfan.gsfans import GsFan, fold, rigidified_unfold, unfold
-from kmfan.monoids import AffineMonoid
+from kmfan.monoids import AffineMonoid, is_free_monoid
 from kmfan.intlinalg import (
     IntMatrix,
     LinearSystem,
@@ -95,7 +96,13 @@ from kmfan.intlinalg import (
 
 import carry_oracle
 import test_properties
-from test_gsfans import polygon_fan, random_polygon_km_fan, seeded_lattice_fans, square_cone_gsfan
+from test_gsfans import (
+    polygon_fan,
+    random_foldable_gsfan,
+    random_polygon_km_fan,
+    seeded_lattice_fans,
+    square_cone_gsfan,
+)
 from test_monoids import _in_submonoid
 from conftest import (
     build_p22,
@@ -113,6 +120,7 @@ from conftest import (
 
 Z = FgaGroup(1)
 Z2 = FgaGroup(2)
+Z3 = FgaGroup(3)
 N22 = FgaGroup(1, (2,))
 
 
@@ -167,6 +175,37 @@ class TestValidation:
         plus = Cone.from_generators([(1,)], 1)
         fan = unchecked_fan(Z, [plus], {plus: LatticeDatum.from_generators(Z, [(1,)])})
         assert any(v["kind"] == "missing-face" for v in fan.validate())
+
+    def test_missing_datum_reported(self):
+        plus = Cone.from_generators([(1,)], 1)
+        with pytest.raises(InvalidFan) as err:
+            KmFan(Z, [Cone.zero(1), plus], {Cone.zero(1): LatticeDatum.from_generators(Z, [])})
+        assert err.value.violations == [{"kind": "missing-datum", "detail": f"no lattice datum for {plus!r}"}]
+
+    def test_datum_in_another_group_reported(self):
+        plus = Cone.from_generators([(1,)], 1)
+        with pytest.raises(InvalidFan) as err:
+            KmFan(Z, [Cone.zero(1), plus], {
+                Cone.zero(1): LatticeDatum.from_generators(Z, []),
+                plus: LatticeDatum.from_generators(N22, [(1, 0)]),
+            })
+        assert [v["kind"] for v in err.value.violations] == ["wrong-datum-group"]
+
+    def test_classical_overlap_rejected(self):
+        with pytest.raises(InvalidFan) as err:
+            from_classical(Z2, [Cone.from_generators([(1, 0), (1, 2)], 2), Cone.from_generators([(1, 1), (0, 1)], 2)])
+        assert [v["kind"] for v in err.value.violations] == ["bad-intersection"]
+
+    def test_data_of_other_cones_are_dropped(self):
+        """A datum handed over for a cone outside the fan is not kept: the
+        fan answers for its own cones only."""
+        plus, minus = Cone.from_generators([(1,)], 1), Cone.from_generators([(-1,)], 1)
+        data = {c: LatticeDatum.from_generators(Z, c.rays) for c in (Cone.zero(1), plus, minus)}
+        fan = KmFan(Z, [Cone.zero(1), plus], data)
+        assert set(fan.data) == set(fan.cones) == {Cone.zero(1), plus}
+        for ask in (fan.datum, lambda c: isotropy(fan, c), lambda c: star(fan, c)):
+            with pytest.raises(ConeNotInFan):
+                ask(minus)
 
 
 class TestClassical:
@@ -1791,6 +1830,30 @@ class TestSemiTameFromConeImages:
         assert seen[True] >= 30 and sum(seen.values()) - seen[True] >= 30, seen
         assert min(seen.values()) >= 5, seen
 
+    def test_a_cone_map_onto_other_rays_is_refused(self, monkeypatch):
+        """The identity of P^1 with a hand-built cone map that swaps its two
+        rays: each ray goes to a cone of its dimension with the other ray.
+        The construction oracle, which would refuse the cone map, is off."""
+        without_construction_oracle(monkeypatch)
+        fan = projective_line_fan()
+        zero, minus, plus = fan.cones
+        swapped = KmFanHom(fan, fan, GroupHom.identity(Z), {zero: zero, plus: minus, minus: plus})
+        assert not is_semi_tame(swapped)
+        assert is_semi_tame(validate_hom(GroupHom.identity(Z), fan, fan))
+
+    def test_two_cones_with_one_image_are_refused(self):
+        """The projection Z^3 -> Z^2 takes cone((1,0,0),(0,1,0)) and
+        cone((1,0,1),(0,1,1)) onto the quadrant, each ray onto a ray and each
+        datum onto the quadrant's."""
+        z3 = FgaGroup(3)
+        source = from_classical(z3, [Cone.from_generators([(1, 0, 0), (0, 1, 0)], 3),
+                                     Cone.from_generators([(1, 0, 1), (0, 1, 1)], 3)])
+        quadrant = from_classical(Z2, [Cone.from_generators([(1, 0), (0, 1)], 2)])
+        f = validate_hom(GroupHom(z3, Z2, IntMatrix([[1, 0, 0], [0, 1, 0]])), source, quadrant)
+        assert isinstance(f, KmFanHom)
+        assert not is_semi_tame(f)
+        assert semi_tame_by_images(f) == (False, "not bijective")
+
 
 def equidimensional_by_images(f: KmFanHom) -> bool:
     """is_equidimensional by the image cones f(sigma) themselves, one
@@ -2769,3 +2832,61 @@ class TestOnePushPerDatum:
             product(fan, p1)
             product(p1, fan)
         assert calls == {}
+
+
+def smooth_over_all_cones(fan: KmFan) -> bool:
+    return all(is_free_monoid(cone_monoid(fan, c)) for c in fan.cones)
+
+
+def simplicial_over_all_cones(fan: KmFan) -> bool:
+    return all(c.is_simplicial() for c in fan.cones)
+
+
+def atoroidal_over_all_rays(fan: KmFan) -> bool:
+    """Every ray of every cone, with repeats, spans the free quotient."""
+    all_rays = [r for c in fan.cones for r in c.rays]
+    if fan.group.free_rank == 0:
+        return True
+    if not all_rays:
+        return False
+    return matrix_rank(IntMatrix._make(tuple(all_rays), fan.group.free_rank)) == fan.group.free_rank
+
+
+class TestPredicatesOnMaximalCones:
+    """is_smooth and is_simplicial read the maximal cones, and is_atoroidal
+    the rays of the ray cones; the forms over every cone are the oracles."""
+
+    @staticmethod
+    def cases():
+        rng = random.Random(7272)
+        p1 = projective_line_fan()
+        fans = carry_fans() + [product(fan, p1)[0] for fan in carry_fans()[::5]]
+        fans += [fold(random_foldable_gsfan(rng))[0] for _ in range(20)]
+        fans += [_random_polygon_fan(rng) for _ in range(30)]
+        fans += [random_simplicial_km_fan(rng) for _ in range(30)]
+        fans += [from_classical(Z2, [Cone.from_generators([(1, 0), (1, 2)], 2)]), zero_fan(FgaGroup(2, (3,)))]
+        for n in range(4, 9):  # cones over n-gons, with their faces, times P^1 and dilated
+            polygon = from_classical(Z3, [Cone.from_generators([(x, y, 10) for x, y in _circle_rays(n)], 3)])
+            fans += [polygon, product(polygon, p1)[0], dilate(polygon, n)[0]]
+        return fans
+
+    def test_agree_with_the_all_cones_forms(self):
+        seen = collections.Counter()
+        for i, fan in enumerate(self.cases()):
+            for predicate, oracle in ((is_smooth, smooth_over_all_cones),
+                                      (is_simplicial, simplicial_over_all_cones),
+                                      (is_atoroidal, atoroidal_over_all_rays)):
+                verdict = predicate(fan)
+                assert verdict == oracle(fan), (i, predicate.__name__)
+                seen[predicate.__name__, verdict] += 1
+        assert len(seen) == 6 and min(seen.values()) >= 5, seen
+        assert sum(bool(fan.group.torsion) for fan in self.cases()) >= 20
+
+    def test_smoothness_builds_one_monoid_per_maximal_cone(self, monkeypatch):
+        """(P^1)^3: 8 monoids for its 8 maximal cones, of 27 cones."""
+        fan = product(product(projective_line_fan(), projective_line_fan())[0], projective_line_fan())[0]
+        built = []
+        real = fans_module.cone_monoid
+        monkeypatch.setattr(fans_module, "cone_monoid", lambda f, c: built.append(c) or real(f, c))
+        assert is_smooth(fan)
+        assert built == fan.maximal_cones() and (len(built), len(fan.cones)) == (8, 27)

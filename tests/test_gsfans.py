@@ -114,6 +114,18 @@ def nonsaturated_colimit_fan():
     return KmFan(Z2, base.cones, data)
 
 
+class TestGsFanRefusals:
+    @pytest.mark.parametrize("fan, beta, error, message", [
+        (lambda: nonsaturated_single_cone_fan(), GroupHom.identity(Z2), KmFanError, "must be classical"),
+        (projective_line_fan, GroupHom.identity(Z2), KmFanError, "start at the fan's lattice"),
+        (projective_line_fan, GroupHom(Z, FgaGroup(1, (2,)), IntMatrix([[1], [0]])), NonLattice, "land in a lattice"),
+        (projective_line_fan, GroupHom(Z, Z2, IntMatrix([[1], [0]])), KmFanError, "finite cokernel"),
+    ], ids=["unsaturated-fan", "wrong-source", "torsion-target", "infinite-cokernel"])
+    def test_refused(self, fan, beta, error, message):
+        with pytest.raises(error, match=message):
+            GsFan(fan(), beta)
+
+
 class TestFoldable:
     def test_doubling_is_foldable(self):
         gs = GsFan(line_fan(), GroupHom(Z, Z, IntMatrix([[2]])))
@@ -1288,6 +1300,31 @@ class TestFaceCoordinatesPerMaximalCone:
         solved = solved_columns(monkeypatch)
         lattice_data_colimit(fan)
         assert len(solved) == 8 and {col for _, col in solved} == set(fan.maximal_cones()[0].rays)
+
+    def test_one_maximal_cone_makes_no_solve_for_the_test(self, monkeypatch):
+        """A fan with one maximal cone has no relations, so the GS test
+        solves no face vector; the colimit solves them for its structure
+        maps."""
+        fan = nonsaturated_single_cone_fan()
+        solved = solved_columns(monkeypatch)
+        assert is_gs_representable(fan)
+        assert solved == []
+        lattice_data_colimit(fan)
+        assert {col for _, col in solved} == {(1, 0), (1, 2)}
+
+    def test_the_test_solves_only_the_faces_that_emit_relations(self, monkeypatch):
+        """Two cones on a shared facet, dilated: the ray (1,1,0) of the facet
+        has both as maximal cofaces, linked by the facet, so it emits no
+        relation, and the GS test solves only the facet's basis, in both
+        cones; the colimit adds the ray's vector in its first coface."""
+        shared = [(1, 0, 0), (1, 1, 0)]
+        fan = dilate(from_classical(Z3, [Cone.from_generators(shared + [(0, 0, z)], 3) for z in (1, -1)]), 2)[0]
+        solved = solved_columns(monkeypatch)
+        is_gs_representable(fan)
+        assert sorted(col for _, col in solved) == [(0, 2, 0), (0, 2, 0), (2, 0, 0), (2, 0, 0)]
+        del solved[:]
+        lattice_data_colimit(fan)
+        assert (2, 2, 0) in {col for _, col in solved}
 
     def test_each_pass_solves_a_vector_once_per_maximal_cone(self, monkeypatch):
         """(P^1)^3: the presentation solves each of the 24 pairs of maximal

@@ -1,12 +1,14 @@
 """The library's immutable values: every write from outside is refused, the
-caches they keep hold their first value, and a cone's kept hash is the hash
-of its V-data."""
+caches they keep hold their first value, a cone's kept hash is the hash of
+its V-data, and the records the library returns are tuples that compare
+and hash by value."""
 
 import random
 
 import pytest
 
-from kmfan.abelian import FgaGroup, GroupHom, Subgroup
+from kmfan import intlinalg
+from kmfan.abelian import FgaGroup, GroupHom, Subgroup, dd_of_hom, present_quotient
 from kmfan.cones import Cone
 from kmfan.fans import (
     KmFan,
@@ -16,11 +18,14 @@ from kmfan.fans import (
     _ray_images,
     is_tame,
     product,
+    strata,
+    validate_hom,
 )
-from kmfan.intlinalg import IntMatrix
+from kmfan.gsfans import GsFan
+from kmfan.intlinalg import IntMatrix, smith_decomposition
 from kmfan.monoids import AffineMonoid
 
-from conftest import build_p22, projective_line_fan
+from conftest import build_p22, line_fan, projective_line_fan
 from test_cones import _generator_sets
 from test_gsfans import square_cone_gsfan
 
@@ -49,6 +54,14 @@ def _values():
 
 
 VALUES = _values()
+
+
+def test_value_classes_share_one_base():
+    assert {type(value) for value in VALUES.values()} == {
+        IntMatrix, Cone, FgaGroup, GroupHom, Subgroup, LatticeDatum, KmFan, KmFanHom, GsFan, AffineMonoid}
+    for value in VALUES.values():
+        assert isinstance(value, intlinalg._Value)
+        assert "__setattr__" not in vars(type(value)) and "__delattr__" not in vars(type(value))
 
 
 @pytest.mark.parametrize("name", sorted(VALUES))
@@ -143,3 +156,39 @@ def test_cone_hash_is_that_of_its_v_data():
         assert cones, name
         for c in cones:
             assert hash(c) == hash((c.ambient_rank, c.rays, c.lineality)), (name, c)
+
+
+def _records():
+    """Each record the library returns, built twice from equal inputs."""
+    m = [[2, 4, 4], [-6, 6, 12], [10, -4, -16]]
+    group = FgaGroup(1, (2,))
+    tame = GroupHom(FgaGroup(2), group, IntMatrix([[1, 1], [1, 0]]))
+    a1 = line_fan()
+    flip = GroupHom(a1.group, a1.group, IntMatrix([[-1]]))
+    return {
+        "SmithDecomposition": lambda: smith_decomposition(IntMatrix(m)),
+        "QuotientPresentation": lambda: present_quotient(3, IntMatrix(m)),
+        "DerivedDual": lambda: dd_of_hom(tame),
+        "HomRefusal": lambda: validate_hom(flip, a1, a1),
+        "StratumInfo": lambda: strata(build_p22())[1],
+    }
+
+
+RECORDS = _records()
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_records_are_values(name):
+    """A record is a named tuple: setting or deleting a field raises, and
+    two records with equal fields, built apart, are equal and hash equal."""
+    first, second = RECORDS[name](), RECORDS[name]()
+    assert type(first).__name__ == name and isinstance(first, tuple)
+    assert first is not second and first == second and hash(first) == hash(second)
+    for field in type(first)._fields:
+        with pytest.raises(AttributeError):
+            setattr(first, field, None)
+        with pytest.raises(AttributeError):
+            delattr(first, field)
+    with pytest.raises(AttributeError):
+        first.extra = 1
+    assert first == second
