@@ -49,6 +49,7 @@ from .intlinalg import (
     Vec,
     _Value,
     _determinant,
+    _dot,
     hermite_column_basis,
     is_saturated,
     primitive_vector,
@@ -151,14 +152,12 @@ class KmFan(_Value):
 
     The constructor validates and raises InvalidFan.  Constructions that
     start from a valid fan build theirs with KmFan._make: the same canonical
-    sort, no validation.
+    sort, no validation, and the maximal cones the construction proved.
 
-    The face index, filled on first use, holds the maximal cones and, once
-    validate has run, its whole verdict: (maximal, problems or None).  A
-    construction that proved its fan valid hands both over through _make,
-    so the fan's validate() runs no phase at all.  Like the caches of a
-    Cone the index is idempotent, so it is written without a lock: a racing
-    writer stores the same cones and verdict.
+    Every constructor writes the face index once, in _fill: the maximal
+    cones and the whole verdict of validation, (maximal, problems).  So a
+    fan's verdict is fixed when it is built, and validate() and
+    maximal_cones() read it.
     """
 
     __slots__ = ("group", "cones", "data", "_index")
@@ -166,109 +165,24 @@ class KmFan(_Value):
     def __init__(self, group: FgaGroup, cones: Iterable[Cone], data: Dict[Cone, LatticeDatum]):
         """The validated fan, with the data of its own cones only."""
         cones = _canonical(cones)
-        _fill(self, group, cones, {c: data[c] for c in cones if c in data})
-        problems = self.validate()
+        data = {c: data[c] for c in cones if c in data}
+        maximal, problems = _verdict(group, cones, data)
         if problems:
             raise InvalidFan(problems)
+        _fill(self, group, cones, data, maximal, problems)
 
     @staticmethod
     def _make(group: FgaGroup, cones: Iterable[Cone], data: Dict[Cone, LatticeDatum],
-              maximal: Optional[Sequence[Cone]] = None) -> "KmFan":
-        """Trusted constructor: the caller guarantees a valid fan.
-
-        A caller that proved the fan valid, both phases (the cone set and
-        the lattice data), passes its maximal cones, in fan order; the fan
-        keeps them with the empty verdict in its face index, and its
-        validate() runs nothing.
-        """
-        fan = _fill(object.__new__(KmFan), group, _canonical(cones), dict(data))
-        if maximal is not None:
-            _set_index(fan, (tuple(maximal), ()))
-        return fan
+              maximal: Sequence[Cone]) -> "KmFan":
+        """Trusted constructor: the caller proved the fan valid, both phases
+        (the cone set and the lattice data), and passes its maximal cones,
+        in fan order; the fan keeps them with the empty verdict."""
+        return _fill(object.__new__(KmFan), group, _canonical(cones), dict(data), maximal, ())
 
     def validate(self) -> List[dict]:
-        """Structured list of violations; empty when the fan is valid.
-
-        Two phases, the second only when the first finds nothing: the cone
-        set (_cone_violations), then the lattice data and their
-        compatibility (_datum_violations).  Every facet of every cone is
-        built once, for the maximal cones and the closure check both.  The
-        whole verdict is kept in the face index, so the phases run at most
-        once per fan; each call returns a fresh copy of it.
-        """
-        index = self._index
-        if index is None or index[1] is None:
-            facets = _facet_set(self.cones)
-            maximal = index[0] if index else tuple(_maximal_cones(self.cones, facets))
-            problems = (_cone_violations(self.group.free_rank, self.cones, maximal, facets)
-                        or self._datum_violations())
-            index = (maximal, tuple(problems))
-            _set_index(self, index)
-        return [dict(p) for p in index[1]]
-
-    def _datum_violations(self) -> List[dict]:
-        """The data phase of validate, run on a valid cone set.
-
-        The compatibility loop skips tau = {0} and tau = sigma, the first and
-        last of sigma.faces(): both hold for every datum that passed
-        LatticeDatum.violations.  Span(sigma) cap F_sigma = F_sigma, as F_sigma
-        lies in the span; and Span({0}) cap F_sigma is the part of F_sigma
-        with zero free projection, which is 0 as the free projections of its
-        basis are independent, while F_{0} is a lattice of rank dim {0} = 0.
-
-        A pair is checked as F_tau saturated in F_sigma (_saturated_in,
-        which carries the proof that this is F_tau = Span(tau) cap F_sigma
-        for data that passed LatticeDatum.violations).
-
-        Only the covering pairs, tau a facet of sigma, are checked, and
-        when they all hold so does every pair.  If tau < rho < sigma, then
-        Span(tau) cap F_sigma = Span(tau) cap (Span(rho) cap F_sigma) =
-        Span(tau) cap F_rho, as Span(tau) lies in Span(rho); and the face
-        lattice of a cone is graded (Ziegler, Lectures on Polytopes, Ch. 2),
-        so every face tau of sigma ends a chain of covering pairs from sigma,
-        through cones of the fan, which is closed under faces.  The report
-        names the covering pairs that fail, in fan order.
-
-        Classical data are read per cone.  On a lattice N a datum stores the
-        Hermite basis of itself as its preimage, and c.span_lattice_basis()
-        is the Hermite basis of Span(c) cap N; Hermite bases are canonical,
-        so the two are equal exactly when F_c = Span(c) cap N.  Such a datum
-        is valid: it is torsion-free, as N is, of rank dim c, in the span;
-        so LatticeDatum.violations is skipped.  For a covering pair with
-        classical F_sigma, Span(tau) cap F_sigma = Span(tau) cap Span(sigma)
-        cap N = Span(tau) cap N, as Span(tau) lies in Span(sigma): the pair
-        holds exactly when F_tau is classical too.  Every other pair keeps
-        _saturated_in.
-        """
-        out: List[dict] = []
-        lattice = self.group.is_lattice()
-        classical = set()
-        for c in self.cones:
-            datum = self.data.get(c)
-            if datum is None:
-                out.append({"kind": "missing-datum", "detail": f"no lattice datum for {c!r}"})
-                continue
-            if datum.ambient != self.group:
-                out.append({"kind": "wrong-datum-group", "detail": f"datum for {c!r} lives in the wrong group"})
-                continue
-            if lattice and datum.subgroup.preimage == c.span_lattice_basis():
-                classical.add(c)
-                continue
-            for v in datum.violations(c):
-                out.append({"kind": "invalid-datum", "detail": f"{c!r}: {v}"})
-        if out:
-            return out
-        data = self.data
-        for sigma in self.cones:
-            if sigma.dim() > 1:
-                for tau in sigma.facet_cones():
-                    holds = (tau in classical) if sigma in classical else _saturated_in(data[sigma], data[tau])
-                    if not holds:
-                        out.append({
-                            "kind": "incompatible-data",
-                            "detail": f"datum of face {tau!r} is not Span(face) cap datum of {sigma!r}",
-                        })
-        return out
+        """Structured list of violations, a fresh copy of the verdict the
+        constructor wrote (_verdict); empty when the fan is valid."""
+        return [dict(p) for p in self._index[1]]
 
     # -- accessors ---------------------------------------------------------
 
@@ -284,10 +198,8 @@ class KmFan(_Value):
         return [c for c in self.cones if c.dim() == 1]
 
     def maximal_cones(self) -> List[Cone]:
-        """The cones that are no facet of another (_maximal_cones), kept in
+        """The cones that are no facet of another (_cone_phase), kept in
         the face index."""
-        if self._index is None:
-            _set_index(self, (tuple(_maximal_cones(self.cones)), None))
         return list(self._index[0])
 
     def __eq__(self, other):
@@ -323,30 +235,45 @@ def _canonical(cones: Iterable[Cone]) -> Tuple[Cone, ...]:
     return tuple(sorted(set(cones), key=_fan_order))
 
 
-def _fill(fan: KmFan, group: FgaGroup, cones: Tuple[Cone, ...], data: Dict[Cone, LatticeDatum]) -> KmFan:
-    """The fan with its slots written: canonical cones and a data dict of
-    its own."""
+def _fill(fan: KmFan, group: FgaGroup, cones: Tuple[Cone, ...], data: Dict[Cone, LatticeDatum],
+          maximal: Sequence[Cone], problems: Sequence[dict]) -> KmFan:
+    """The fan with its slots written: canonical cones, a data dict of its
+    own, and the face index (maximal, problems), written once."""
     _set_group(fan, group)
     _set_cones(fan, cones)
     _set_data(fan, data)
-    _set_index(fan, None)
+    _set_index(fan, (tuple(maximal), tuple(problems)))
     return fan
 
 
-def _cone_violations(r: int, cones: Sequence[Cone], maximal: Sequence[Cone],
-                     facets: Optional[set] = None) -> List[dict]:
-    """The cone-set phase of validation, over cones in canonical order,
-    given the cones that are no facet of another (_maximal_cones) and,
-    optionally, the set of their facets (_facet_set).
+def _verdict(group: FgaGroup, cones: Sequence[Cone],
+             data: Dict[Cone, LatticeDatum]) -> Tuple[List[Cone], List[dict]]:
+    """The maximal cones and the violations of a fan, empty when it is
+    valid: the cone phase (_cone_phase), then, when it finds nothing, the
+    data phase (_datum_violations) on the facets the cone phase listed."""
+    facets, maximal, problems = _cone_phase(group.free_rank, cones)
+    return maximal, problems or _datum_violations(group, cones, data, facets)
 
-    Each step runs only when the earlier ones found nothing: the ambient
+
+def _cone_phase(r: int, cones: Sequence[Cone]) -> Tuple[Dict[Cone, List[Cone]], List[Cone], List[dict]]:
+    """The cone-set phase of validation, over cones in canonical order:
+    the facet list of every cone (Cone.facet_cones, built once), the cones
+    that are no facet of another, and the violations.
+
+    When the cones are closed under faces the cones that are no facet of
+    another are the maximal cones, the cones that are no proper face of
+    another.  A facet is a proper face; and a proper face tau of a cone
+    sigma in the set ends a chain of facets from sigma, as the face lattice
+    of sigma is graded (Ziegler, Lectures on Polytopes, Ch. 2), whose
+    members are faces of sigma and so in the set: tau is a facet of the
+    last of them before it.
+
+    Each check runs only when the earlier ones found nothing: the ambient
     rank; sharpness and closure under faces; the pairwise check.  Closure
     is checked on facets: when every facet of every cone is in the set,
-    so is every face, as a face of a cone ends a chain of facets from it
-    (the face lattice is graded: Ziegler, Lectures on Polytopes, Ch. 2);
-    so a missing-face entry names a missing facet.  The cones are closed
-    exactly when the facet set lies in the cone set; only when it does not
-    are the facets built again, cone by cone, for the report.
+    so is every face, as a face of a cone ends a chain of facets from it;
+    so a missing-face entry names a missing facet, read off the same
+    facet lists.
 
     In rank r <= 1 the pairwise check is skipped: every pair meets in a
     common face.  Proof.  A sharp cone of R^0 is {0}, and a sharp cone of R^1
@@ -378,26 +305,25 @@ def _cone_violations(r: int, cones: Sequence[Cone], maximal: Sequence[Cone],
     separating hyperplane need not be a facet of either cone, one double
     description intersects the pair and the meet is tested directly.
     """
+    facets = {c: c.facet_cones() for c in cones}
+    proper = {f for listed in facets.values() for f in listed}
+    maximal = [c for c in cones if c not in proper]
     out: List[dict] = []
-    cone_set = set(cones)
     if not cones:
         out.append({"kind": "empty-fan", "detail": "a fan must contain at least one cone"})
-        return out
+        return facets, maximal, out
     for c in cones:
         if c.ambient_rank != r:
             out.append({"kind": "wrong-ambient", "detail": f"cone {c!r} has ambient rank {c.ambient_rank}, expected {r}"})
-            return out
+            return facets, maximal, out
         if not c.is_sharp():
             out.append({"kind": "non-sharp-cone", "detail": f"cone {c!r} contains a line"})
-    if not (_facet_set(cones) if facets is None else facets) <= cone_set:
-        for c in cones:
-            for f in c.facet_cones():
-                if f not in cone_set:
-                    out.append({"kind": "missing-face", "detail": f"face {f!r} of {c!r} is not in the fan"})
-    if out or r <= 1:
-        return out
-    if _certified_complete_simplicial(r, maximal):
-        return out
+    cone_set = set(cones)
+    if not proper <= cone_set:
+        out += [{"kind": "missing-face", "detail": f"face {f!r} of {c!r} is not in the fan"}
+                for c in cones for f in facets[c] if f not in cone_set]
+    if out or r <= 1 or _certified_complete_simplicial(r, maximal):
+        return facets, maximal, out
     instances = {c: c for c in cones}
     faces: Dict[Cone, set] = {}
 
@@ -422,7 +348,7 @@ def _cone_violations(r: int, cones: Sequence[Cone], maximal: Sequence[Cone],
                     "kind": "bad-intersection",
                     "detail": f"{a!r} and {b!r} do not intersect in a common face",
                 })
-    return out
+    return facets, maximal, out
 
 
 def _certified_complete_simplicial(r: int, maximal: Sequence[Cone]) -> bool:
@@ -499,24 +425,70 @@ def _certified_complete_simplicial(r: int, maximal: Sequence[Cone]) -> bool:
     return sum(holds_p(c.rays) for c in maximal) == 1
 
 
-def _facet_set(cones: Iterable[Cone]) -> set:
-    """Every facet of every cone (Cone.facet_cones)."""
-    return {f for c in cones for f in c.facet_cones()}
+def _datum_violations(group: FgaGroup, cones: Sequence[Cone], data: Dict[Cone, LatticeDatum],
+                      facets: Dict[Cone, List[Cone]]) -> List[dict]:
+    """The data phase of validation, run on a valid cone set with the facet
+    list of each cone (_cone_phase).
 
+    The compatibility loop skips tau = {0} and tau = sigma, the first and
+    last of sigma.faces(): both hold for every datum that passed
+    LatticeDatum.violations.  Span(sigma) cap F_sigma = F_sigma, as F_sigma
+    lies in the span; and Span({0}) cap F_sigma is the part of F_sigma
+    with zero free projection, which is 0 as the free projections of its
+    basis are independent, while F_{0} is a lattice of rank dim {0} = 0.
 
-def _maximal_cones(cones: Sequence[Cone], facets: Optional[set] = None) -> List[Cone]:
-    """The cones that are no facet of another, in the given order; facets,
-    when given, is their _facet_set.
+    A pair is checked as F_tau saturated in F_sigma (_saturated_in,
+    which carries the proof that this is F_tau = Span(tau) cap F_sigma
+    for data that passed LatticeDatum.violations).
 
-    When the cones are closed under faces these are the maximal cones, the
-    cones that are no proper face of another.  A facet is a proper face;
-    and a proper face tau of a cone sigma in the set ends a chain of facets
-    from sigma, as the face lattice of sigma is graded (Ziegler, Lectures
-    on Polytopes, Ch. 2), whose members are faces of sigma and so in the
-    set: tau is a facet of the last of them before it.
+    Only the covering pairs, tau a facet of sigma, are checked, and
+    when they all hold so does every pair.  If tau < rho < sigma, then
+    Span(tau) cap F_sigma = Span(tau) cap (Span(rho) cap F_sigma) =
+    Span(tau) cap F_rho, as Span(tau) lies in Span(rho); and the face
+    lattice of a cone is graded (Ziegler, Lectures on Polytopes, Ch. 2),
+    so every face tau of sigma ends a chain of covering pairs from sigma,
+    through cones of the fan, which is closed under faces.  The report
+    names the covering pairs that fail, in fan order.
+
+    Classical data are read per cone.  On a lattice N a datum stores the
+    Hermite basis of itself as its preimage, and c.span_lattice_basis()
+    is the Hermite basis of Span(c) cap N; Hermite bases are canonical,
+    so the two are equal exactly when F_c = Span(c) cap N.  Such a datum
+    is valid: it is torsion-free, as N is, of rank dim c, in the span;
+    so LatticeDatum.violations is skipped.  For a covering pair with
+    classical F_sigma, Span(tau) cap F_sigma = Span(tau) cap Span(sigma)
+    cap N = Span(tau) cap N, as Span(tau) lies in Span(sigma): the pair
+    holds exactly when F_tau is classical too.  Every other pair keeps
+    _saturated_in.
     """
-    proper = _facet_set(cones) if facets is None else facets
-    return [c for c in cones if c not in proper]
+    out: List[dict] = []
+    lattice = group.is_lattice()
+    classical = set()
+    for c in cones:
+        datum = data.get(c)
+        if datum is None:
+            out.append({"kind": "missing-datum", "detail": f"no lattice datum for {c!r}"})
+            continue
+        if datum.ambient != group:
+            out.append({"kind": "wrong-datum-group", "detail": f"datum for {c!r} lives in the wrong group"})
+            continue
+        if lattice and datum.subgroup.preimage == c.span_lattice_basis():
+            classical.add(c)
+            continue
+        for v in datum.violations(c):
+            out.append({"kind": "invalid-datum", "detail": f"{c!r}: {v}"})
+    if out:
+        return out
+    for sigma in cones:
+        if sigma.dim() > 1:
+            for tau in facets[sigma]:
+                holds = (tau in classical) if sigma in classical else _saturated_in(data[sigma], data[tau])
+                if not holds:
+                    out.append({
+                        "kind": "incompatible-data",
+                        "detail": f"datum of face {tau!r} is not Span(face) cap datum of {sigma!r}",
+                    })
+    return out
 
 
 def _saturated_in(outer: LatticeDatum, inner: LatticeDatum) -> bool:
@@ -575,8 +547,8 @@ class KmFanHom(_Value):
     verdict and, for a semi-tame map, the kernel and cokernel of the group
     map.  A construction that proved its map semi-tame builds it with
     _semi_tame, which leaves True in the slot until the kernel and cokernel
-    are computed.  Like KmFan's face index the slot is idempotent, so it is
-    written without a lock: a racing writer stores the same verdict.
+    are computed.  The slot is idempotent, so it is written without a lock:
+    a racing writer stores the same verdict.
     """
 
     __slots__ = ("source", "target", "hom", "cone_images", "_tame")
@@ -634,30 +606,38 @@ def validate_hom(f: GroupHom, source: KmFan, target: KmFan):
     """Check that a group homomorphism defines a morphism of KM fans.
 
     Returns a KmFanHom on success, otherwise a HomRefusal naming the first
-    cone where the morphism conditions fail.  Only the minimal containing
-    cone needs its datum checked; compatibility transfers the condition to
-    every other containing cone.  This is for maps from outside the library;
-    its constructions carry their own cone maps.  Containment is read on
-    the primitive ray images (_ray_images), positive multiples of the images.
+    cone, in fan order, where the morphism conditions fail.  Only the
+    minimal containing cone needs its datum checked; compatibility
+    transfers the condition to every other containing cone.  This is for
+    maps from outside the library; its constructions carry their own cone
+    maps.  Containment is read on the primitive ray images (_ray_images),
+    positive multiples of the images.
 
-    The minimal cone is the first containing cone tau in fan order, with no
-    intersection.  The smallest face of tau containing f(sigma) lies in
-    every other containing cone tau', since tau cap tau' is a face of tau
-    containing f(sigma); so it is the minimal cone, and it is a cone of the
-    fan.  The fan's cones are sorted by dimension, so a proper face of tau
-    would come before tau: the smallest face is tau itself.
+    Each minimal cone is located from one point, with no scan of the
+    target's cones.  The sum p of the ray images lies in the relative
+    interior of f(sigma).  Let tau be the target cone with p in its
+    relative interior, if p lies in the support: in a fan the relative
+    interiors of the cones partition it.  If f(sigma) lies in a target cone
+    c, then p does, and the smallest face of c holding p is tau; it holds a
+    relative-interior point of f(sigma), so it holds f(sigma).  And the
+    holder of p (_support_holder) meets c in a face of both that holds p,
+    so it contains tau.  So f(sigma) lies in some target cone exactly when
+    the holder holds every ray image; tau, a face of every cone that holds
+    f(sigma), is then the minimal cone, and it is the face of the holder
+    cut out by the facets that vanish on p.
     """
     if f.source != source.group or f.target != target.group:
         raise KmFanError("homomorphism endpoints do not match the fans")
     ray = _ray_images(f.free_matrix(), source)
+    r = target.group.free_rank
     images: Dict[Cone, Cone] = {}
     for sigma in source.cones:
-        img_gens = [ray[r] for r in sigma.rays]
-        minimal = next(
-            (c for c in target.cones if all(c.contains_point(g) for g in img_gens)), None
-        )
-        if minimal is None:
+        img_gens = [ray[v] for v in sigma.rays]
+        p = tuple(map(sum, zip(*img_gens))) if img_gens else (0,) * r
+        holder = _support_holder(target, p)
+        if holder is None or not all(holder.contains_point(g) for g in img_gens):
             return HomRefusal(sigma, "image of the cone is not contained in any target cone")
+        minimal = holder._face([h for h in holder.facets if _dot(h, p) == 0])
         if target.datum(minimal).coordinate_matrix(map(f.apply, source.datum(sigma).generators())) is None:
             return HomRefusal(sigma, "lattice datum does not map into the datum of the minimal cone")
         images[sigma] = minimal
@@ -670,9 +650,10 @@ def validate_hom(f: GroupHom, source: KmFan, target: KmFan):
 
 
 def zero_fan(group: FgaGroup) -> KmFan:
-    """The fan whose only cone is the zero cone, with the zero datum."""
+    """The fan whose only cone is the zero cone, with the zero datum, its
+    one maximal cone."""
     c = Cone.zero(group.free_rank)
-    return KmFan._make(group, [c], {c: LatticeDatum.from_generators(group, [])})
+    return KmFan._make(group, [c], {c: LatticeDatum.from_generators(group, [])}, [c])
 
 
 def zero_fan_unit(fan: KmFan) -> KmFanHom:
@@ -690,8 +671,8 @@ def from_classical(group: FgaGroup, cones: Iterable[Cone]) -> KmFan:
     of a face is a face, so its faces are there too.  Given the face
     lattice of a cone, that enumerates the faces of the cone alone.
 
-    Only the cone set of the face closure is validated, and its facets
-    are built once for the maximal cones and the closure check.  The data
+    Only the cone set of the face closure is validated (_cone_phase),
+    which also gives the maximal cones.  The data
     Span(sigma) cap N are valid and compatible by construction: each is
     torsion-free, as N is, of rank dim sigma and in the span, and for a
     face tau of sigma, Span(tau) cap (Span(sigma) cap N) = Span(tau) cap N,
@@ -706,9 +687,7 @@ def from_classical(group: FgaGroup, cones: Iterable[Cone]) -> KmFan:
             faces.update(c.faces())
     closure = _canonical(faces) or (Cone.zero(group.free_rank),)
     data = _saturated_data(group, closure)
-    facets = _facet_set(closure)
-    maximal = _maximal_cones(closure, facets)
-    problems = _cone_violations(group.free_rank, closure, maximal, facets)
+    _, maximal, problems = _cone_phase(group.free_rank, closure)
     if problems:
         raise InvalidFan(problems)
     return KmFan._make(group, closure, data, maximal)
@@ -805,11 +784,22 @@ def _scaled_markings(fan: KmFan, orders: Sequence[int]) -> Tuple[KmFan, KmFanHom
     the marking of the i-th ray scaled by orders[i], with the identity map
     to fan.  Each cone's generators are read off its own rays: in a fan a
     ray cone inside c meets c in a face of both, so it is one of c's rays,
-    and each ray of c is a face of c, so a ray cone of the fan."""
+    and each ray of c is a face of c, so a ray cone of the fan.
+
+    For a simplicial fan, which roots and canonical_resolution require,
+    the fan is valid and keeps the fan's maximal cones.  Its cone set is
+    the fan's.  The scaled markings of the rays r_1..r_k of sigma have
+    free parts that are positive multiples of the r_i, which are
+    independent: so an integer combination of them with zero free part
+    has zero coefficients, and F_sigma meets N_tor in 0, has rank k = dim
+    sigma and lies in Span(sigma).  For a face tau of sigma, on the rays
+    r_i with i in S, a combination whose free part lies in Span(tau) has
+    zero coefficients off S, by the same independence: Span(tau) cap
+    F_sigma = F_tau."""
     scaled_marking = {ray.rays[0]: tuple(a * x for x in ray_marking(fan, ray))
                       for ray, a in zip(fan.ray_cones(), orders)}
     data = {c: LatticeDatum.from_generators(fan.group, [scaled_marking[r] for r in c.rays]) for c in fan.cones}
-    scaled = KmFan._make(fan.group, fan.cones, data)
+    scaled = KmFan._make(fan.group, fan.cones, data, fan.maximal_cones())
     return scaled, KmFanHom(scaled, fan, GroupHom.identity(fan.group), {c: c for c in fan.cones})
 
 
@@ -837,6 +827,15 @@ def inflate(fan: KmFan, inclusion: GroupHom) -> Tuple[KmFan, KmFanHom]:
     ``inclusion`` is an injective map N -> N' with finite cokernel; the
     resulting morphism F -> F' is tame.  Its free part is injective (an
     element sent to torsion has a multiple sent to 0): cones are _carried.
+
+    The fan is valid, and is handed its whole verdict with the images of
+    the maximal cones, in fan order.  The free part is a linear isomorphism
+    of the free quotients, which carries the fan onto a fan, faces onto
+    faces and maximal cones onto maximal cones.  The inclusion is injective,
+    so each image of F_sigma is a lattice of rank dim sigma, in the span of
+    the image cone; torsion goes to torsion, so an image y' of y in F_sigma
+    lies in the span of the image of tau exactly when y lies in Span(tau),
+    and the images keep compatibility.
     """
     if inclusion.source != fan.group:
         raise KmFanError("inclusion must start at the fan's group")
@@ -845,7 +844,8 @@ def inflate(fan: KmFan, inclusion: GroupHom) -> Tuple[KmFan, KmFanHom]:
     fbar = inclusion.free_matrix()
     cone_map = _carried(fan.cones, _ray_images(fbar, fan), fbar.rows)
     data = {cone_map[c]: fan.data[c]._image(inclusion) for c in fan.cones}
-    inflated = KmFan._make(inclusion.target, cone_map.values(), data)
+    maximal = sorted((cone_map[c] for c in fan.maximal_cones()), key=_fan_order)
+    inflated = KmFan._make(inclusion.target, cone_map.values(), data, maximal)
     return inflated, KmFanHom(fan, inflated, inclusion, cone_map)
 
 
@@ -868,13 +868,27 @@ def _restricted(fan: KmFan, inclusion: GroupHom) -> Tuple[KmFan, Dict[Cone, Cone
     injective and whose image holds every cone, with its cone map back:
     the preimages of the cones and of the data.  The free part maps the
     preimage of a cone onto it, so the cone is _carried back, with the
-    primitive preimages of all rays from one linear system."""
+    primitive preimages of all rays from one linear system.
+
+    The fan is valid, and is handed its whole verdict with the preimages
+    of the maximal cones, in fan order.  The free part is a linear
+    isomorphism onto a subspace that holds every cone, so the preimages
+    form a fan, with faces onto faces and maximal cones onto maximal cones.
+    The preimage of F_sigma is torsion-free, as the inclusion is injective
+    and F_sigma is.  Its image, F_sigma cap inclusion(N'), has finite index
+    in F_sigma, as N' has finite index in N (contract) or holds every datum
+    (atoroidal_split); so it has rank dim sigma, in the span of the
+    preimage cone sigma'.  Torsion goes to torsion, so y in N' lies in
+    Span(tau') exactly when its image lies in Span(tau): Span(tau') cap
+    preimage(F_sigma) = preimage(Span(tau) cap F_sigma) = preimage(F_tau)."""
     rays = [c.rays[0] for c in fan.ray_cones()]
     ray = dict(zip(rays, _preimage_rays(inclusion.free_matrix(), rays)))
-    back = {newc: c for c, newc in _carried(fan.cones, ray, inclusion.source.free_rank).items()}
+    carried = _carried(fan.cones, ray, inclusion.source.free_rank)
+    back = {newc: c for c, newc in carried.items()}
     data = {newc: LatticeDatum(inclusion.source, preimage_subgroup(inclusion, fan.data[c].subgroup))
             for newc, c in back.items()}
-    return KmFan._make(inclusion.source, back, data), back
+    maximal = sorted((carried[c] for c in fan.maximal_cones()), key=_fan_order)
+    return KmFan._make(inclusion.source, back, data, maximal), back
 
 
 def is_simplicial(fan: KmFan) -> bool:
@@ -892,18 +906,27 @@ def canonical_resolution(fan: KmFan) -> Tuple[KmFan, KmFanHom]:
 
 
 def star(fan: KmFan, tau: Cone) -> KmFan:
-    """The star fan of tau: the KM fan over N/F_tau on the cones containing tau."""
+    """The star fan of tau: the KM fan over N/F_tau on the cones containing tau.
+
+    Its maximal cones are the images of the maximal cones that contain
+    tau, in fan order.  Projection along Span(tau) maps the cones that
+    contain tau one to one onto the star's cones, preserving inclusion;
+    and a cone maximal among those containing tau is maximal in the fan,
+    as every cone above it contains tau.
+    """
     q, proj = quotient(fan.group, fan.datum(tau).subgroup)
     pbar = proj.free_matrix()
-    cones = []
+    top = set(fan.maximal_cones())
     data = {}
+    maximal = []
     for sigma in fan.cones:
         if not sigma.contains_cone(tau):
             continue
         image = sigma.linear_image(pbar)
-        cones.append(image)
         data[image] = fan.data[sigma]._image(proj)
-    return KmFan._make(q, cones, data)
+        if sigma in top:
+            maximal.append(image)
+    return KmFan._make(q, data.keys(), data, sorted(maximal, key=_fan_order))
 
 
 class StratumInfo(NamedTuple):

@@ -19,7 +19,7 @@ from .fans import (
     LatticeDatum,
     _canonical,
     _carried,
-    _cone_violations,
+    _cone_phase,
     _fan_order,
     _ray_images,
     is_atoroidal,
@@ -63,7 +63,7 @@ def is_foldable(gs: GsFan) -> Tuple[bool, List[dict]]:
 
 def _fold_images(gs: GsFan) -> Tuple[Dict[Cone, Cone], List[dict], List[Cone]]:
     """The image beta(sigma) of every cone, the foldability problems, and,
-    when there are none, the maximal images (fans._maximal_cones).
+    when there are none, the maximal images (fans._cone_phase).
 
     Only the maximal cones are mapped (Cone.linear_image) and tested for
     collapse.  The span of a face lies in the span of its maximal cofaces,
@@ -93,9 +93,8 @@ def _fold_images(gs: GsFan) -> Tuple[Dict[Cone, Cone], List[dict], List[Cone]]:
     if all(image.dim() == sigma.dim() for sigma, image in top.items()):
         images = {**_carried(gs.fan.cones, _ray_images(bbar, gs.fan), bbar.rows), **top}
         if len(set(images.values())) == len(images):
-            canonical = _canonical(images.values())
-            maximal = sorted(top.values(), key=_fan_order)
-            if not _cone_violations(gs.beta.target.free_rank, canonical, maximal):
+            _, maximal, cone_problems = _cone_phase(gs.beta.target.free_rank, _canonical(images.values()))
+            if not cone_problems:
                 return images, problems, maximal
     else:
         images = {}

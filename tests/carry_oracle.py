@@ -15,7 +15,9 @@ GroupHom.apply, product_data_reference through both inclusions for every
 pair of cones, dilate_data_reference by scaling each generator, and
 scaled_markings_reference (roots and canonical_resolution) with a
 contains_cone scan of every ray for every cone.
-tests/test_fans.py compares the library with these.
+tests/test_fans.py compares the library with these.  The reference fans
+are built with unchecked_fan, which validates them without trusting a
+handed-over verdict.
 """
 
 from typing import Dict, Tuple
@@ -45,6 +47,8 @@ from kmfan.fans import (
 )
 from kmfan.intlinalg import primitive_vector
 
+from conftest import unchecked_fan
+
 
 def inflate_reference(fan: KmFan, inclusion: GroupHom) -> Tuple[KmFan, Dict[Cone, Cone]]:
     """The inflated fan and its cone map, each cone a linear image."""
@@ -55,7 +59,7 @@ def inflate_reference(fan: KmFan, inclusion: GroupHom) -> Tuple[KmFan, Dict[Cone
         cone_map[c] = newc
         gens = [inclusion.apply(g) for g in fan.data[c].generators()]
         data[newc] = LatticeDatum.from_generators(inclusion.target, gens)
-    return KmFan._make(inclusion.target, cone_map.values(), data), cone_map
+    return unchecked_fan(inclusion.target, cone_map.values(), data), cone_map
 
 
 def image_reference(datum: LatticeDatum, hom: GroupHom) -> LatticeDatum:
@@ -105,7 +109,7 @@ def contract_reference(fan: KmFan, inclusion: GroupHom) -> Tuple[KmFan, Dict[Con
         newc = Cone.from_generators(_preimage_rays(fbar, c.rays), inclusion.source.free_rank)
         back[newc] = c
         data[newc] = LatticeDatum(inclusion.source, preimage_subgroup(inclusion, fan.data[c].subgroup))
-    return KmFan._make(inclusion.source, back, data), back
+    return unchecked_fan(inclusion.source, back, data), back
 
 
 def atoroidal_split_reference(fan: KmFan) -> Tuple[KmFan, FgaGroup, KmFanHom]:

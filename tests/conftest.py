@@ -6,34 +6,36 @@ import pytest
 
 from kmfan.abelian import FgaGroup, GroupHom, is_tame_hom
 from kmfan.cones import Cone
+from kmfan import fans
 from kmfan.fans import KmFan, KmFanHom, LatticeDatum, from_classical, is_semi_tame, validate_hom
 from kmfan.intlinalg import IntMatrix, primitive_vector
 
 _trusted_make = KmFan._make
 _trusted_hom_init = KmFanHom.__init__
 _trusted_semi_tame = KmFanHom._semi_tame
+_cone_faces = Cone.faces
 
 
 @pytest.fixture(autouse=True, scope="session")
 def trusted_construction_oracle():
     """Check every trusted construction against the validating paths: a fan
-    built by KmFan._make must validate, both phases, on a copy built without
-    a kept verdict, and the maximal cones handed over with one must be the
-    fan's, which is then built with the verdict; a KmFanHom must
-    carry the cone map that validate_hom derives for its group map, and
-    one handed a semi-tame verdict (KmFanHom._semi_tame) must be judged
-    semi-tame by is_semi_tame as a fresh morphism.  The guard keeps the
-    KmFanHom built inside validate_hom from checking itself."""
+    built by KmFan._make must validate, both phases, on a copy that computes
+    its own verdict (unchecked_fan), and the maximal cones handed over must
+    be the cones that are no proper face of another, read off every face
+    (maximal_cones_by_faces); the fan is then built with the verdict; a
+    KmFanHom must carry the cone map that validate_hom derives for its
+    group map, and one handed a semi-tame verdict (KmFanHom._semi_tame)
+    must be judged semi-tame by is_semi_tame as a fresh morphism.  The
+    guard keeps the KmFanHom built inside validate_hom from checking
+    itself."""
     init = KmFanHom.__init__
     active = []
 
-    def checked_make(group, cones, data, maximal=None):
-        fan = _trusted_make(group, cones, data)
+    def checked_make(group, cones, data, maximal):
+        fan = unchecked_fan(group, cones, data)
         problems = fan.validate()
         assert problems == [], problems
-        if maximal is None:
-            return fan
-        assert tuple(maximal) == tuple(fan.maximal_cones()), maximal
+        assert list(maximal) == maximal_cones_by_faces(fan.cones) == fan.maximal_cones(), maximal
         return _trusted_make(group, cones, data, maximal)
 
     def checked_init(self, source, target, hom, cone_images):
@@ -60,8 +62,18 @@ def trusted_construction_oracle():
 
 
 def unchecked_fan(group, cones, data) -> KmFan:
-    """A KmFan built with no validation, for tests of validate() itself."""
-    return _trusted_make(group, cones, data)
+    """A KmFan that keeps the verdict of validation instead of raising it,
+    for tests of validate() itself: its face index is filled with
+    fans._verdict, the one place a fan's index holds violations."""
+    cones = fans._canonical(cones)
+    return fans._fill(object.__new__(KmFan), group, cones, dict(data), *fans._verdict(group, cones, data))
+
+
+def maximal_cones_by_faces(cones) -> list:
+    """The cones that are no proper face of another, from every face
+    (Cone.faces as defined, unseen by a test's spy on it)."""
+    proper = {f for c in cones for f in _cone_faces(c) if f != c}
+    return [c for c in cones if c not in proper]
 
 
 def without_construction_oracle(monkeypatch) -> None:

@@ -120,6 +120,70 @@ def test_the_check_sees_a_foreign_import(tmp_path):
     assert list(absolute_imports(module)) == ["os", "numpy"]
 
 
+def trusted_fan_calls(path: pathlib.Path):
+    """The number of arguments of every KmFan._make call in a module."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "_make"
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "KmFan"):
+            yield len(node.args) + len(node.keywords)
+
+
+def callers_of(path: pathlib.Path, name: str):
+    """The functions of a module that call the given name, by their own
+    name; a call outside every function is reported as the module's."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id == name:
+                yield owner
+            yield from visit(child, owner)
+
+    return set(visit(tree, "<module>"))
+
+
+def defaulted_parameters(path: pathlib.Path):
+    """(function, parameter) for every parameter with a default value."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            positional = node.args.posonlyargs + node.args.args
+            for arg in positional[len(positional) - len(node.args.defaults):]:
+                yield node.name, arg.arg
+            for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+                if default is not None:
+                    yield node.name, arg.arg
+
+
+class TestVerdictWrittenOnce:
+    """A fan's verdict is fixed when it is built: every trusted
+    construction hands over its maximal cones, the face index is written in
+    one place, and no phase of validation takes its facets optionally."""
+
+    def test_every_trusted_construction_hands_over_its_maximal_cones(self):
+        counts = [n for path in SRC.rglob("*.py") for n in trusted_fan_calls(path)]
+        assert counts and set(counts) == {4}, counts
+
+    def test_the_face_index_is_written_in_fill_only(self):
+        writers = {(path.name, owner) for path in SRC.rglob("*.py") for owner in callers_of(path, "_set_index")}
+        assert writers == {("fans.py", "_fill")}
+
+    def test_no_function_takes_optional_facets(self):
+        optional = {(path.name, fn) for path in SRC.rglob("*.py")
+                    for fn, arg in defaulted_parameters(path) if arg == "facets"}
+        assert optional == set()
+
+    def test_the_checks_see_their_targets(self, tmp_path):
+        module = tmp_path / "m.py"
+        module.write_text("def f(a, facets=None, *, b=1):\n    _set_index(a)\n    KmFan._make(a, b)\n\n"
+                          "def _fill(x):\n    _set_index(x)\n    KmFan._make(x, x, x, x)\n\n_set_index(0)\n")
+        assert sorted(trusted_fan_calls(module)) == [2, 4]
+        assert callers_of(module, "_set_index") == {"f", "_fill", "<module>"}
+        assert set(defaulted_parameters(module)) == {("f", "facets"), ("f", "b")}
+
+
 def named_modules(name):
     """The library modules whose source names the given identifier."""
     return {

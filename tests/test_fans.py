@@ -2,7 +2,9 @@
 
 import collections
 import itertools
+import json
 import math
+import pathlib
 import random
 import re
 import sys
@@ -77,9 +79,11 @@ from kmfan.fans import (
     zero_fan_unit,
 )
 from kmfan import abelian, intlinalg
+from kmfan import cli as cli_module
 from kmfan import cones as cones_module
 from kmfan import fans as fans_module
-from kmfan.fans import _certified_complete_simplicial, _cone_violations, _maximal_cones
+from kmfan import gsfans as gsfans_module
+from kmfan.fans import _certified_complete_simplicial, _cone_phase
 from kmfan.gsfans import GsFan, fold, rigidified_unfold, unfold
 from kmfan.monoids import AffineMonoid, is_free_monoid
 from kmfan.intlinalg import (
@@ -108,6 +112,7 @@ from conftest import (
     build_p22,
     build_p22_source,
     line_fan,
+    maximal_cones_by_faces,
     p22_hom_matrix,
     plane_fan,
     projective_line_fan,
@@ -1409,16 +1414,16 @@ def _polygon_fan_64() -> KmFan:
     return from_classical(Z2, [Cone.from_generators([u, v], 2) for u, v in zip(rays, rays[1:] + rays[:1])])
 
 
-def _cone_phase(r, closure):
-    """The cone phase of validation on a set of cones, in canonical order."""
-    cones = sorted(closure, key=lambda c: (c.dim(), c.rays))
-    return _cone_violations(r, cones, _maximal_cones(cones))
+def _cone_report(r, closure):
+    """The report of the cone phase of validation on a set of cones, in
+    canonical order."""
+    return _cone_phase(r, sorted(closure, key=lambda c: (c.dim(), c.rays)))[2]
 
 
-def cone_violations_all_pairs(r, cones, maximal, facets=None):
+def cone_violations_all_pairs(r, cones, maximal):
     """The cone phase of validation with the pairwise descent over every
-    pair of maximal cones in every rank: _cone_violations as it was before
-    it skipped the pair check in rank r <= 1."""
+    pair of maximal cones in every rank: the report of _cone_phase as it
+    was before it skipped the pair check in rank r <= 1."""
     out = []
     cone_set = set(cones)
     if not cones:
@@ -1430,7 +1435,7 @@ def cone_violations_all_pairs(r, cones, maximal, facets=None):
             return out
         if not c.is_sharp():
             out.append({"kind": "non-sharp-cone", "detail": f"cone {c!r} contains a line"})
-    if not (fans_module._facet_set(cones) if facets is None else facets) <= cone_set:
+    if not {f for c in cones for f in c.facet_cones()} <= cone_set:
         for c in cones:
             for f in c.facet_cones():
                 if f not in cone_set:
@@ -1482,25 +1487,25 @@ class TestRankAtMostOneConePhase:
         kinds = collections.Counter()
         for r, cones in self.cases():
             cones = fans_module._canonical(cones)
-            maximal = _maximal_cones(cones)
+            facets, maximal, problems = _cone_phase(r, cones)
+            assert facets == {c: c.facet_cones() for c in cones}
             want = cone_violations_all_pairs(r, cones, maximal)
-            assert cone_violations_all_pairs(r, cones, maximal, fans_module._facet_set(cones)) == want
-            for facets in (None, fans_module._facet_set(cones)):
-                assert _cone_violations(r, cones, maximal, facets) == want, (r, cones)
+            assert problems == want, (r, cones)
             kinds.update({p["kind"] for p in want} or {"valid"})
         assert kinds == {"valid": 6, "missing-face": 4, "non-sharp-cone": 4,
                          "wrong-ambient": 5, "empty-fan": 2, "bad-intersection": 1}, kinds
 
     @pytest.mark.parametrize("build", [build_p22, projective_line_fan, line_fan])
     def test_validation_of_rank_one_fans_runs_no_pair_check(self, monkeypatch, build):
-        """On a copy without the verdict its construction hands over: no
-        separating facet, no face set, no intersection, no H-description."""
+        """On a copy that validates itself, without the verdict its
+        construction hands over: no separating facet, no face set, no
+        intersection, no H-description."""
         fan = build()
-        fan = unchecked_fan(fan.group, fan.cones, fan.data)
         calls = []
         for owner, name in ((fans_module, "_separating_facet"), (cones_module, "_derive_h"),
                             (Cone, "faces"), (Cone, "intersect")):
             monkeypatch.setattr(owner, name, lambda *a, _n=name: calls.append(_n))
+        fan = unchecked_fan(fan.group, fan.cones, fan.data)
         assert fan.validate() == []
         assert calls == []
 
@@ -1525,7 +1530,7 @@ class TestSeparatingFacets:
                 assert all(_dot(h, g) == 0 for g in meet.generators())
             closure = {face for c in (a, b) for face in c.faces()}
             calls.clear()
-            problems = _cone_phase(3, closure)
+            problems = _cone_report(3, closure)
             assert (problems == []) == common_face, (a, b, problems)
             if common_face and calls:
                 fallback += 1
@@ -1549,7 +1554,7 @@ class TestSeparatingFacets:
             meet = a.intersect(b)
             common_face = meet.is_face_of(a) and meet.is_face_of(b)
             closure = {face for c in (a, b) for face in c.faces()}
-            problems = _cone_phase(3, closure)
+            problems = _cone_report(3, closure)
             assert (problems == []) == common_face, (a, b, problems)
             seen[common_face] += 1
 
@@ -1606,11 +1611,11 @@ def _classical_unchecked(r, maximal_rays) -> KmFan:
 
 
 def _descent_violations(fan: KmFan, monkeypatch) -> list:
-    """fan.validate() with the certificate switched off: the pairwise
-    descent's report."""
+    """The report of a copy of the fan validated with the certificate
+    switched off: the pairwise descent's report."""
     with monkeypatch.context() as m:
         m.setattr(fans_module, "_certified_complete_simplicial", lambda r, maximal: False)
-        return fan.validate()
+        return unchecked_fan(fan.group, fan.cones, fan.data).validate()
 
 
 def _circle_rays(n):
@@ -1643,7 +1648,7 @@ class TestCompleteSimplicialCertificate:
         for _ in range(fans):
             maximal_rays = _stellar_complete_fan(rng, r, rng.randint(0, steps))
             cones = _closure(r, maximal_rays)
-            assert _certified_complete_simplicial(r, _maximal_cones(cones))
+            assert _certified_complete_simplicial(r, _cone_phase(r, cones)[1])
             faults, bad_pairs = test_properties.TestValidationFuzz.all_pairs_oracle(cones)
             assert faults == [] and bad_pairs == [], maximal_rays
             assert _classical_unchecked(r, maximal_rays).validate() == []
@@ -1662,7 +1667,7 @@ class TestCompleteSimplicialCertificate:
                 continue
             moved = [tuple(new if u == old else u for u in rays) for rays in maximal_rays]
             cones = _closure(r, moved)
-            maximal = _maximal_cones(cones)
+            maximal = _cone_phase(r, cones)[1]
             faults, bad_pairs = test_properties.TestValidationFuzz.all_pairs_oracle(cones)
             valid = not faults and not bad_pairs
             fan = _classical_unchecked(r, moved)
@@ -1684,7 +1689,7 @@ class TestCompleteSimplicialCertificate:
         (c), the fold only (b), the extra cone fails (a); validate reports
         the descent's list."""
         cones = _closure(2, maximal_rays)
-        assert not _certified_complete_simplicial(2, _maximal_cones(cones))
+        assert not _certified_complete_simplicial(2, _cone_phase(2, cones)[1])
         fan = _classical_unchecked(2, maximal_rays)
         problems = fan.validate()
         assert problems and all(p["kind"] == "bad-intersection" for p in problems)
@@ -1700,7 +1705,7 @@ class TestCompleteSimplicialCertificate:
             (2, QUADRANTS[:3]),
             (2, QUADRANTS[:3] + [((0, -1),), ((1, 0),)]),
         ]:
-            assert not _certified_complete_simplicial(r, _maximal_cones(_closure(r, maximal_rays)))
+            assert not _certified_complete_simplicial(r, _cone_phase(r, _closure(r, maximal_rays))[1])
         assert not _certified_complete_simplicial(3, [square])
         assert not _certified_complete_simplicial(1, p1.maximal_cones())
 
@@ -1709,12 +1714,13 @@ class TestCompleteSimplicialCertificate:
         lambda: product(product(projective_line_fan(), projective_line_fan())[0], projective_line_fan())[0],
     ], ids=["polygon_64", "p1_cubed"])
     def test_validation_descends_no_pair(self, monkeypatch, build):
-        """On a copy without the verdict its construction hands over."""
+        """On a copy that validates itself, without the verdict its
+        construction hands over."""
         fan = build()
-        fan = unchecked_fan(fan.group, fan.cones, fan.data)
         calls = []
         real = fans_module._separating_facet
         monkeypatch.setattr(fans_module, "_separating_facet", lambda a, b: calls.append(1) or real(a, b))
+        fan = unchecked_fan(fan.group, fan.cones, fan.data)
         assert fan.validate() == []
         assert calls == []
 
@@ -1743,13 +1749,13 @@ class TestCompleteSimplicialCertificate:
         for _ in range(3):
             fan = product(fan, p1)[0]
         fresh = {c: LatticeDatum(fan.group, fan.data[c].subgroup) for c in fan.cones}
-        fan = unchecked_fan(fan.group, fan.cones, fresh)
         calls = []
         for module in sys.modules.values():
             if module.__name__.startswith("kmfan"):
                 for name in ("kernel_basis", "present_quotient"):
                     if hasattr(module, name):
                         monkeypatch.setattr(module, name, lambda *a, _name=name: calls.append(_name))
+        fan = unchecked_fan(fan.group, fan.cones, fresh)
         assert fan.validate() == []
         assert calls == []
 
@@ -2032,12 +2038,13 @@ def _power(fan: KmFan, k: int) -> KmFan:
     return out
 
 
-def _fresh(fan: KmFan) -> KmFan:
-    """The fan on new cone instances and new data, which keep no span
-    lattices and no linear systems yet."""
+def _fresh(fan: KmFan):
+    """The group, cones and data of the fan, on new cone instances and new
+    data, which keep no span lattices and no linear systems yet: the
+    arguments of unchecked_fan, which validates them."""
     cones = {Cone.from_generators(c.rays, c.ambient_rank): fan.data[c] for c in fan.cones}
     data = {c: LatticeDatum(fan.group, d.subgroup) for c, d in cones.items()}
-    return unchecked_fan(fan.group, list(data), data)
+    return fan.group, list(data), data
 
 
 class TestInvariantsWithoutTransforms:
@@ -2099,12 +2106,12 @@ class TestInvariantsWithoutTransforms:
     def test_validation_with_fresh_cones_runs_no_saturate(self, monkeypatch):
         """A product fan rebuilt from new cone instances, which keep no span
         lattice yet."""
-        fan = _fresh(product(_power(projective_line_fan(), 2), build_p22())[0])
+        fresh = _fresh(product(_power(projective_line_fan(), 2), build_p22())[0])
         calls = []
         for module in list(sys.modules.values()):
             if module.__name__.startswith("kmfan") and hasattr(module, "saturate"):
                 monkeypatch.setattr(module, "saturate", lambda m: calls.append(m))
-        assert fan.validate() == []
+        assert unchecked_fan(*fresh).validate() == []
         assert calls == []
 
 
@@ -2154,9 +2161,9 @@ class TestDatumChecksWithoutSmith:
     ], ids=["p22_fourth", "polygon_31_fold"])
     def test_validate_runs_no_smith_in_the_datum_checks(self, monkeypatch, build):
         """With fresh cones and data that are not classical, so that the
-        saturation tests run: they and the coordinate solves run on row
-        echelon forms alone."""
-        fan = _fresh(build())
+        saturation tests run when the fan is built: they and the coordinate
+        solves run on row echelon forms alone."""
+        fresh = _fresh(build())
         callers, checks = [], []
         real_smith, real_check = intlinalg.smith_decomposition, fans_module._saturated_in
 
@@ -2172,7 +2179,7 @@ class TestDatumChecksWithoutSmith:
             if module.__name__.startswith("kmfan") and hasattr(module, "smith_decomposition"):
                 monkeypatch.setattr(module, "smith_decomposition", spy)
         monkeypatch.setattr(fans_module, "_saturated_in", lambda *a: checks.append(1) or real_check(*a))
-        assert fan.validate() == []
+        assert unchecked_fan(*fresh).validate() == []
         assert checks
         assert [names for names in callers if names & {"_saturated_in", "coordinates"}] == []
 
@@ -2299,12 +2306,6 @@ def facet_normal_certificate(r, maximal) -> bool:
     return sum(c.contains_point(p) for c in maximal) == 1
 
 
-def maximal_cones_by_faces(cones) -> list:
-    """The cones that are no proper face of another, from every face."""
-    proper = {f for c in cones for f in c.faces() if f != c}
-    return [c for c in cones if c not in proper]
-
-
 def missing_faces_by_faces(cones) -> list:
     """(face, cone) for every face of every cone that is not in the set."""
     cone_set = set(cones)
@@ -2341,11 +2342,13 @@ def datum_violations_by_solves(fan: KmFan) -> list:
 
 def oracle_validate(fan: KmFan, monkeypatch) -> list:
     """validate() composed from the oracles: the cone phase with the
-    face-based maximal cones and the facet-normal certificate, then the
-    solve-per-pair data phase."""
+    facet-normal certificate, then the solve-per-pair data phase.  The
+    maximal cones the cone phase finds are checked against the face-based
+    ones by _validate_against_oracles, wherever the pair check reads them:
+    on closed sets of sharp cones."""
     with monkeypatch.context() as m:
         m.setattr(fans_module, "_certified_complete_simplicial", facet_normal_certificate)
-        problems = _cone_violations(fan.group.free_rank, fan.cones, maximal_cones_by_faces(fan.cones))
+        problems = _cone_phase(fan.group.free_rank, fan.cones)[2]
     return problems or datum_violations_by_solves(fan)
 
 
@@ -2459,20 +2462,21 @@ class TestValidationFromFacets:
     def test_validate_derives_no_h_description_and_no_faces(self, monkeypatch, build):
         """With fresh cones and data: closure, maximal cones, certificate
         and data phase all read rays and facets of rays."""
-        fan = _fresh(build())
+        fresh = _fresh(build())
         calls = []
         real_derive, real_faces = cones_module._derive_h, Cone.faces
         monkeypatch.setattr(cones_module, "_derive_h", lambda c: calls.append("_derive_h") or real_derive(c))
         monkeypatch.setattr(Cone, "faces", lambda c: calls.append("faces") or real_faces(c))
-        assert fan.validate() == []
+        assert unchecked_fan(*fresh).validate() == []
         assert calls == []
 
     def test_cone_phase_runs_once_per_fan(self, monkeypatch):
         """A classical fan keeps the verdict of from_classical, and any other
-        fan the verdict of its first validate()."""
+        fan the verdict its constructor wrote: validate() and maximal_cones()
+        run no cone phase."""
         calls = []
-        real = fans_module._cone_violations
-        monkeypatch.setattr(fans_module, "_cone_violations", lambda *a: calls.append(1) or real(*a))
+        real = fans_module._cone_phase
+        monkeypatch.setattr(fans_module, "_cone_phase", lambda *a: calls.append(1) or real(*a))
         polygon = _complete_polygon_31()
         p22_cubed = _power(build_p22(), 3)
         calls.clear()
@@ -2500,11 +2504,13 @@ class TestValidationFromFacets:
 
 
 def _count_phases(monkeypatch) -> list:
-    """Record each call of the two validation phases."""
+    """Record each call of the two validation phases, the cone phase also
+    where gsfans calls it."""
     calls = []
-    real_cones, real_data = fans_module._cone_violations, KmFan._datum_violations
-    monkeypatch.setattr(fans_module, "_cone_violations", lambda *a: calls.append("cones") or real_cones(*a))
-    monkeypatch.setattr(KmFan, "_datum_violations", lambda fan: calls.append("data") or real_data(fan))
+    real_cones, real_data = fans_module._cone_phase, fans_module._datum_violations
+    for module in (fans_module, gsfans_module):
+        monkeypatch.setattr(module, "_cone_phase", lambda *a: calls.append("cones") or real_cones(*a))
+    monkeypatch.setattr(fans_module, "_datum_violations", lambda *a: calls.append("data") or real_data(*a))
     return calls
 
 
@@ -2524,26 +2530,28 @@ def _square_cone_fan() -> KmFan:
 
 class TestKeptVerdict:
     def test_second_validate_runs_no_phase(self, monkeypatch):
-        """The first validate() of a fan without a verdict runs the cone
-        phase, and the data phase when the cones pass; the second runs
-        neither and returns the same report."""
-        p22_cubed, polygon = _power(build_p22(), 3), _complete_polygon_31()
+        """Building a fan that validates itself runs the cone phase, and the
+        data phase when the cones pass; validate() runs neither, and returns
+        the same report on every call."""
+        p22, p22_cubed, polygon = build_p22(), _power(build_p22(), 3), _complete_polygon_31()
         quadrant = Cone.from_generators([(1, 0), (0, 1)], 2)
-        open_quadrant = unchecked_fan(Z2, [quadrant], {quadrant: LatticeDatum.from_generators(Z2, [(1, 0), (0, 1)])})
+        plus = Cone.from_generators([(1,)], 1)
         cases = [
-            (unchecked_fan(p22_cubed.group, p22_cubed.cones, p22_cubed.data), ["cones", "data"], True),
-            (unchecked_fan(polygon.group, polygon.cones, polygon.data), ["cones", "data"], True),
-            (open_quadrant, ["cones"], False),
-            (_torsion_datum_p22(), ["cones", "data"], False),
+            ((p22_cubed.group, p22_cubed.cones, p22_cubed.data), ["cones", "data"], True),
+            ((polygon.group, polygon.cones, polygon.data), ["cones", "data"], True),
+            ((Z2, [quadrant], {quadrant: LatticeDatum.from_generators(Z2, [(1, 0), (0, 1)])}), ["cones"], False),
+            ((p22.group, p22.cones, {**p22.data, plus: LatticeDatum.from_generators(p22.group, [(0, 1)])}),
+             ["cones", "data"], False),
         ]
         calls = _count_phases(monkeypatch)
-        for fan, first_calls, valid in cases:
+        for parts, built_calls, valid in cases:
             calls.clear()
+            fan = unchecked_fan(*parts)
+            assert calls == built_calls
             report = fan.validate()
-            assert calls == first_calls and (report == []) == valid
-            calls.clear()
+            assert (report == []) == valid
             assert fan.validate() == report
-            assert calls == []
+            assert calls == built_calls
 
     def test_report_is_a_fresh_copy(self):
         """An invalid fan reports the same on every call, and a caller that
@@ -2557,31 +2565,58 @@ class TestKeptVerdict:
             assert second == expected == fan.validate()
 
     def test_trusted_constructions_keep_the_whole_verdict(self, monkeypatch):
-        """Fans that from_classical, product, fold, unfold, rigidified_unfold,
-        coarse_fan, rigidify and dilate build run no phase in validate(), and
-        hand over the maximal cones that the faces give."""
-        p22 = build_p22()
-        folded = fold(square_cone_gsfan())[0]
-        built = [
-            _complete_polygon_31(),
-            product(p22, p22)[0],
-            folded,
-            unfold(p22)[0],
-            unfold(folded)[0],
-            rigidified_unfold(_power(p22, 2))[0],
-            coarse_fan(p22)[0],
-            rigidify(p22)[0],
-            dilate(p22, 3)[0],
-            dilate(_square_cone_fan(), 2)[0],
+        """Every trusted construction hands over the whole verdict: building
+        its fan runs no validation phase but the cone phase from_classical
+        and fold run on their own cone sets, its validate() and
+        maximal_cones() run none, and its maximal cones are those the faces
+        give.  The construction oracle, which validates every trusted fan,
+        is off while the phases are counted."""
+        p22, square, polygon = build_p22(), _square_cone_fan(), _complete_polygon_31()
+        gs = square_cone_gsfan()
+        folded = fold(gs)[0]
+        p22_squared = _power(p22, 2)
+        plane_ray = from_classical(Z2, [Cone.ray((1, 0))])
+        rng = random.Random(3838)
+        p22_inclusion, square_inclusion = index_inclusion(rng, p22.group), index_inclusion(rng, Z3)
+        square_ray = square.ray_cones()[0]
+        builds = [
+            (lambda: from_classical(Z2, polygon.maximal_cones()), ["cones"]),
+            (lambda: product(p22, p22)[0], []),
+            (lambda: fold(gs)[0], ["cones"]),
+            (lambda: unfold(p22)[0], []),
+            (lambda: unfold(folded)[0], []),
+            (lambda: rigidified_unfold(p22_squared)[0], []),
+            (lambda: coarse_fan(p22)[0], []),
+            (lambda: rigidify(p22)[0], []),
+            (lambda: dilate(p22, 3)[0], []),
+            (lambda: dilate(square, 2)[0], []),
+            (lambda: zero_fan(p22.group), []),
+            (lambda: star(p22, p22.ray_cones()[0]), []),
+            (lambda: star(square, square_ray), []),
+            (lambda: star(polygon, polygon.zero_cone()), []),
+            (lambda: inflate(p22, p22_inclusion)[0], []),
+            (lambda: inflate(square, square_inclusion)[0], []),
+            (lambda: contract(p22, p22_inclusion)[0], []),
+            (lambda: contract(square, square_inclusion)[0], []),
+            (lambda: roots(p22, [2, 3])[0], []),
+            (lambda: canonical_resolution(polygon)[0], []),
+            (lambda: atoroidal_split(plane_ray)[0], []),
+            (lambda: atoroidal_split(p22)[0], []),
         ]
+        without_construction_oracle(monkeypatch)
         calls = _count_phases(monkeypatch)
-        for fan in built:
+        for build, built_calls in builds:
+            calls.clear()
+            fan = build()
+            assert calls == built_calls, fan
+            calls.clear()
             assert fan.validate() == []
             assert fan.maximal_cones() == maximal_cones_by_faces(fan.cones)
-        assert calls == []
+            assert calls == []
+            assert unchecked_fan(fan.group, fan.cones, fan.data).maximal_cones() == fan.maximal_cones()
 
     def test_product_hands_over_the_maximal_cones(self):
-        """product's maximal cones are those _maximal_cones finds on its
+        """product's maximal cones are those _cone_phase finds on its
         cones, and each product cone, built from its rays with no rank
         test, is the cone from_generators builds on them, of the same
         dimension."""
@@ -2591,7 +2626,8 @@ class TestKeptVerdict:
             product(_square_cone_fan(), p1)[0],
         ]
         for prod in cases:
-            assert prod.maximal_cones() == _maximal_cones(prod.cones) == maximal_cones_by_faces(prod.cones)
+            found = _cone_phase(prod.group.free_rank, prod.cones)[1]
+            assert prod.maximal_cones() == found == maximal_cones_by_faces(prod.cones)
             for c in prod.cones:
                 fresh = Cone.from_generators(c.rays, c.ambient_rank)
                 assert fresh == c and fresh.dim() == c.dim()
@@ -2890,3 +2926,74 @@ class TestPredicatesOnMaximalCones:
         monkeypatch.setattr(fans_module, "cone_monoid", lambda f, c: built.append(c) or real(f, c))
         assert is_smooth(fan)
         assert built == fan.maximal_cones() and (len(built), len(fan.cones)) == (8, 27)
+
+
+def _same_verdict(f: GroupHom, source: KmFan, target: KmFan) -> str:
+    """validate_hom against the scan of every target cone in fan order
+    (carry_oracle.validate_hom_reference): the same cone map, or the same
+    refused cone and reason.  Returns which it was."""
+    verdict = validate_hom(f, source, target)
+    expected = carry_oracle.validate_hom_reference(f, source, target)
+    assert type(verdict) is type(expected), (verdict, expected)
+    if isinstance(expected, HomRefusal):
+        assert (verdict.cone, verdict.reason) == (expected.cone, expected.reason)
+        return expected.reason
+    assert verdict.cone_images == expected.cone_images
+    return "morphism"
+
+
+class TestValidateHomFromAPoint:
+    def test_agrees_with_the_scan_on_seeded_torsion_morphisms(self):
+        """Each morphism's group map, from source to target and back: the
+        way back keeps every cone and refuses a datum that does not map in."""
+        seen = collections.Counter()
+        for f in seeded_torsion_morphisms(53, 40):
+            seen[_same_verdict(f.hom, f.source, f.target)] += 1
+            seen[_same_verdict(f.hom, f.target, f.source)] += 1
+        assert seen["morphism"] >= 40, seen
+        assert seen["lattice datum does not map into the datum of the minimal cone"] >= 10, seen
+
+    def test_agrees_with_the_scan_on_the_golden_hom_documents(self):
+        inputs = pathlib.Path(__file__).resolve().parent / "golden" / "inputs"
+        documents = sorted(p for p in inputs.glob("*.json") if "source_fan" in json.loads(p.read_text()))
+        assert len(documents) >= 4
+        for path in documents:
+            source, target, hom = cli_module._read_hom(str(path))
+            assert _same_verdict(hom, source, target) == "morphism", path.name
+
+    def test_refusals_match_the_scan(self):
+        """An image that straddles two maximal cones, with the point p on
+        their common ray or inside one of them; an image outside the
+        support; and a datum that does not map into its minimal cone's."""
+        quadrants = from_classical(Z2, [Cone.from_generators(rays, 2) for rays in QUADRANTS])
+        identity = GroupHom.identity(Z2)
+        straddling = [
+            from_classical(Z2, [Cone.from_generators([(1, -1), (1, 1)], 2)]),
+            from_classical(Z2, [Cone.from_generators([(1, -1), (2, 1)], 2)]),
+        ]
+        for source in straddling:
+            assert _same_verdict(identity, source, quadrants) == "image of the cone is not contained in any target cone"
+        first = from_classical(Z2, [Cone.from_generators(QUADRANTS[0], 2)])
+        assert _same_verdict(identity, quadrants, first) == "image of the cone is not contained in any target cone"
+        line, doubled = line_fan(), dilate(line_fan(), 2)[0]
+        one = GroupHom.identity(Z)
+        assert _same_verdict(one, line, doubled) == "lattice datum does not map into the datum of the minimal cone"
+        assert _same_verdict(one, doubled, line) == "morphism"
+
+    def test_identity_of_a_face_lattice_locates_each_cone_from_one_point(self, monkeypatch):
+        """The identity of the face lattice of the cone on the unit vectors
+        of Z^8: contains_point runs at most once per target maximal cone
+        and once per ray for each source cone, 1280 calls, where the scan
+        of every target cone made 55677.  The construction oracle, which
+        runs validate_hom again for each KmFanHom, is off."""
+        z8 = FgaGroup(8)
+        fan = from_classical(z8, [Cone.from_generators([tuple(int(i == j) for j in range(8)) for i in range(8)], 8)])
+        bound = sum(len(fan.maximal_cones()) + len(sigma.rays) for sigma in fan.cones)
+        assert (len(fan.cones), bound) == (256, 1280)
+        without_construction_oracle(monkeypatch)
+        calls = []
+        real = Cone.contains_point
+        monkeypatch.setattr(Cone, "contains_point", lambda c, v: calls.append(1) or real(c, v))
+        f = validate_hom(GroupHom.identity(z8), fan, fan)
+        assert len(calls) <= bound
+        assert f.cone_images == {c: c for c in fan.cones}

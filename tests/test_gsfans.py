@@ -1161,21 +1161,26 @@ class TestOnePassRigidification:
 
 class TestFoldKeepsConeVerdict:
     def test_validate_runs_only_the_data_phase(self, monkeypatch):
-        """The folded fan keeps the cone verdict of the fold, so validate()
-        makes no _cone_violations call, and it agrees with a fan built and
-        validated from the same cones and data.  The construction oracle,
-        which validates every trusted fan, is off."""
+        """The fold runs the cone phase once, on the folded cone set, and
+        the folded fan keeps that verdict, so validate() makes no
+        _cone_phase call, and it agrees with a fan built and validated from
+        the same cones and data.  The construction oracle, which validates
+        every trusted fan, is off."""
         without_construction_oracle(monkeypatch)
         rng = random.Random(2727)
         for _ in range(40):
-            folded, _ = fold(random_foldable_gsfan(rng))
-            expected = KmFan(folded.group, folded.cones, folded.data).validate()
+            gs = random_foldable_gsfan(rng)
             calls = []
-            real = fans._cone_violations
-            monkeypatch.setattr(fans, "_cone_violations", lambda *a: calls.append(1) or real(*a))
-            assert folded.validate() == expected == []
-            monkeypatch.setattr(fans, "_cone_violations", real)
-            assert calls == []
+            real = fans._cone_phase
+            for module in (fans, gsfans):
+                monkeypatch.setattr(module, "_cone_phase", lambda *a: calls.append(1) or real(*a))
+            folded, _ = fold(gs)
+            assert calls == [1]
+            assert folded.validate() == []
+            for module in (fans, gsfans):
+                monkeypatch.setattr(module, "_cone_phase", real)
+            assert calls == [1]
+            assert KmFan(folded.group, folded.cones, folded.data).validate() == []
 
     def test_refusals_report_as_before(self):
         """A fold that is refused keeps no verdict, and its report is the

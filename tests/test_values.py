@@ -25,7 +25,7 @@ from kmfan.gsfans import GsFan
 from kmfan.intlinalg import IntMatrix, smith_decomposition
 from kmfan.monoids import AffineMonoid
 
-from conftest import build_p22, line_fan, projective_line_fan
+from conftest import build_p22, line_fan, projective_line_fan, unchecked_fan
 from test_cones import _generator_sets
 from test_gsfans import square_cone_gsfan
 
@@ -118,14 +118,17 @@ def test_caches_keep_their_first_value():
     index = fan._index
     fan.validate(), fan.maximal_cones(), fan.validate()
     assert fan._index is index and index[1] == ()
-    fresh = KmFan._make(fan.group, fan.cones, fan.data)  # no verdict handed over
-    fresh.maximal_cones()
-    maximal = fresh._index[0]
-    fresh.validate()
-    verdict = fresh._index
-    assert verdict[0] is maximal and verdict[1] == ()
-    fresh.validate(), fresh.maximal_cones()
-    assert fresh._index is verdict
+    trusted = KmFan._make(fan.group, fan.cones, fan.data, fan.maximal_cones())  # verdict handed over
+    verdict = trusted._index
+    assert verdict == index and verdict[1] == ()
+    trusted.validate(), trusted.maximal_cones()
+    assert trusted._index is verdict
+    plus = fan.ray_cones()[0]
+    invalid = unchecked_fan(fan.group, fan.cones, {**fan.data, plus: LatticeDatum.from_generators(fan.group, [])})
+    verdict = invalid._index
+    assert verdict[0] == index[0] and verdict[1]
+    invalid.validate(), invalid.maximal_cones()
+    assert invalid._index is verdict
 
     _, proj, _ = product(projective_line_fan(), projective_line_fan())
     f = KmFanHom(proj.source, proj.target, proj.hom, proj.cone_images)
