@@ -141,12 +141,12 @@ class Cone(_Value):
 
     The hash of the V-data is computed once, when the cone is built, and
     kept: every fan keys its data, cofaces and offsets by cone.  The
-    H-description, faces, dimension and span lattice are derived on first
-    use and kept; each is a function of the V-data, so a racing writer
-    stores an equal value and no lock is needed.
+    H-description, dimension and span lattice are derived on first use and
+    kept; each is a function of the V-data, so a racing writer stores an
+    equal value and no lock is needed.
     """
 
-    __slots__ = ("ambient_rank", "rays", "lineality", "_h", "_faces", "_dim", "_span", "_hash")
+    __slots__ = ("ambient_rank", "rays", "lineality", "_h", "_dim", "_span", "_hash")
 
     def __init__(self, ambient_rank, rays, lineality, _h=None, _dim=None):
         """Canonical V-data; _h is the (facets, equations) pair and _dim the
@@ -157,7 +157,6 @@ class Cone(_Value):
         _set_rays(self, rays)
         _set_lineality(self, lineality)
         _set_h(self, _h)
-        _set_faces(self, None)
         _set_dim(self, _dim)
         _set_span(self, None)
         _set_hash(self, hash((ambient_rank, rays, lineality)))
@@ -336,32 +335,27 @@ class Cone(_Value):
 
     def faces(self) -> List["Cone"]:
         """All faces, including {0}-or-lineality and the cone itself, ordered
-        by dimension then lexicographically by rays."""
-        if self._faces is None:
-            if self.is_simplicial():
-                # the cones on the subsets of the sorted rays, already in
-                # (dimension, rays) order
-                ordered = [
-                    Cone(self.ambient_rank, sub, (), _dim=k)
-                    for k in range(self.dim() + 1)
-                    for sub in itertools.combinations(self.rays, k)
-                ]
-            else:
-                whole = self._face([])  # a copy: the cache must not refer to self
-                found = {whole}
-                frontier = [whole]
-                while frontier:
-                    new = []
-                    for face in frontier:
-                        for h in self.facets:
-                            child = face._face([h])
-                            if child not in found:
-                                found.add(child)
-                                new.append(child)
-                    frontier = new
-                ordered = sorted(found, key=lambda c: (c.dim(), c.rays))
-            _set_faces(self, tuple(ordered))
-        return list(self._faces)
+        by dimension then lexicographically by rays; built on each call."""
+        if self.is_simplicial():
+            # the cones on the subsets of the sorted rays, already in
+            # (dimension, rays) order
+            return [
+                Cone(self.ambient_rank, sub, (), _dim=k)
+                for k in range(self.dim() + 1)
+                for sub in itertools.combinations(self.rays, k)
+            ]
+        found = {self}
+        frontier = [self]
+        while frontier:
+            new = []
+            for face in frontier:
+                for h in self.facets:
+                    child = face._face([h])
+                    if child not in found:
+                        found.add(child)
+                        new.append(child)
+            frontier = new
+        return sorted(found, key=lambda c: (c.dim(), c.rays))
 
     def facet_cones(self) -> List["Cone"]:
         """The faces of codimension one, sorted by rays, as in faces().
@@ -458,7 +452,6 @@ _set_ambient_rank = Cone.ambient_rank.__set__
 _set_rays = Cone.rays.__set__
 _set_lineality = Cone.lineality.__set__
 _set_h = Cone._h.__set__
-_set_faces = Cone._faces.__set__
 _set_dim = Cone._dim.__set__
 _set_span = Cone._span.__set__
 _set_hash = Cone._hash.__set__

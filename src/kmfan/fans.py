@@ -912,15 +912,19 @@ def star(fan: KmFan, tau: Cone) -> KmFan:
     tau, in fan order.  Projection along Span(tau) maps the cones that
     contain tau one to one onto the star's cones, preserving inclusion;
     and a cone maximal among those containing tau is maximal in the fan,
-    as every cone above it contains tau.
+    as every cone above it contains tau.  A cone sigma of the fan contains
+    tau, a cone of the fan, exactly when tau's rays are among sigma's:
+    tau = tau cap sigma is then a face of sigma, and a sigma that holds
+    tau's rays holds tau, the cone on them.
     """
     q, proj = quotient(fan.group, fan.datum(tau).subgroup)
     pbar = proj.free_matrix()
     top = set(fan.maximal_cones())
     data = {}
     maximal = []
+    inside = set(tau.rays)
     for sigma in fan.cones:
-        if not sigma.contains_cone(tau):
+        if not inside.issubset(sigma.rays):
             continue
         image = sigma.linear_image(pbar)
         data[image] = fan.data[sigma]._image(proj)
@@ -1289,12 +1293,13 @@ def _check_monoid_saturated(cone, datum, gens):
     K-Theory, Ch. 2): an irreducible element that is a sum of generators is
     one of them, and the generators generate P once they contain the basis.
     KmFan refuses a cone that is not sharp, whatever this check finds.
+
+    Every generator has coordinates: fan_from_monoids builds the datum as
+    the subgroup the generators generate, and calls this only once
+    LatticeDatum.violations has found it torsion-free, so basis() is a
+    basis of a group that holds each of them.
     """
-    coords = datum.coordinate_matrix(gens)
-    if coords is None:
-        raise InvalidFan([{ "kind": "non-saturated-monoid",
-                            "detail": "generator outside its own group"}])
-    coords = set(coords.columns())
+    coords = set(datum.coordinate_matrix(gens).columns())
     for h in _datum_monoid(cone, datum).hilbert_basis():
         if h not in coords:
             raise InvalidFan([{ "kind": "non-saturated-monoid",
@@ -1424,13 +1429,16 @@ def is_representable(f: KmFanHom) -> bool:
 
 def is_proper(f: KmFanHom) -> bool:
     """Support criterion: the preimage of the coarse support equals the
-    coarse support, checked cone by cone on maximal target cones, on the
-    primitive images of the rays (_ray_images)."""
+    coarse support, checked cone by cone on maximal target cones.  f(sigma)
+    lies in tau exactly when its minimal cone f.cone_images[sigma] is a
+    face of tau, that is, when that cone's rays are among tau's: the
+    minimal cone lies in any cone of the target fan that holds f(sigma),
+    as it meets that cone in a face of itself holding f(sigma)."""
     fbar = f.hom.free_matrix()
-    ray = _ray_images(fbar, f.source)
     for tau in f.target.maximal_cones():
         target_cone = tau.preimage(fbar)
-        pieces = [sigma for sigma in f.source.cones if all(tau.contains_point(ray[r]) for r in sigma.rays)]
+        rays = set(tau.rays)
+        pieces = [sigma for sigma in f.source.cones if rays.issuperset(f.cone_images[sigma].rays)]
         if not union_covers(target_cone, pieces):
             return False
     return True

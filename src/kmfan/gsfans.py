@@ -65,11 +65,13 @@ def _fold_images(gs: GsFan) -> Tuple[Dict[Cone, Cone], List[dict], List[Cone]]:
     """The image beta(sigma) of every cone, the foldability problems, and,
     when there are none, the maximal images (fans._cone_phase).
 
-    Only the maximal cones are mapped (Cone.linear_image) and tested for
-    collapse.  The span of a face lies in the span of its maximal cofaces,
-    so when beta is injective on the span of every maximal cone it is on
-    the span of every cone, and the faces are carried along it
-    (fans._carried).  When one maximal cone collapses, every cone is mapped
+    Collapse is read off the primitive ray images (fans._ray_images): the
+    rays of sigma span Span(sigma), so beta is injective on it exactly when
+    their images have rank dim sigma.  Only the maximal cones are tested.
+    The span of a face lies in the span of its maximal cofaces, so when
+    beta is injective on the span of every maximal cone it is on the span
+    of every cone, and every cone is carried along it (fans._carried).
+    When one maximal cone collapses, every cone is mapped (Cone.linear_image)
     and tested, as the report names each collapsed cone.
 
     Where beta is injective on each span it carries the faces of sigma onto
@@ -89,9 +91,10 @@ def _fold_images(gs: GsFan) -> Tuple[Dict[Cone, Cone], List[dict], List[Cone]]:
     """
     problems: List[dict] = []
     bbar = gs.beta.free_matrix()
-    top = {sigma: sigma.linear_image(bbar) for sigma in gs.fan.maximal_cones()}
-    if all(image.dim() == sigma.dim() for sigma, image in top.items()):
-        images = {**_carried(gs.fan.cones, _ray_images(bbar, gs.fan), bbar.rows), **top}
+    ray = _ray_images(bbar, gs.fan)
+    if all(len(_row_echelon([ray[r] for r in sigma.rays])[0]) == sigma.dim()
+           for sigma in gs.fan.maximal_cones()):
+        images = _carried(gs.fan.cones, ray, bbar.rows)
         if len(set(images.values())) == len(images):
             _, maximal, cone_problems = _cone_phase(gs.beta.target.free_rank, _canonical(images.values()))
             if not cone_problems:
@@ -99,8 +102,7 @@ def _fold_images(gs: GsFan) -> Tuple[Dict[Cone, Cone], List[dict], List[Cone]]:
     else:
         images = {}
         for sigma in gs.fan.cones:
-            image = top[sigma] if sigma in top else sigma.linear_image(bbar)
-            images[sigma] = image
+            image = images[sigma] = sigma.linear_image(bbar)
             if image.dim() != sigma.dim():
                 problems.append({
                     "kind": "collapsed-cone",
@@ -184,6 +186,16 @@ def _maximal_cone_presentation(
     relation, in their sigma_1 and class heads, which lattice_data_colimit
     completes and reads its structure maps from.
 
+    The cofaces are read off the rays.  A cone tau of the fan lies in a
+    maximal cone sigma exactly when tau = tau cap sigma is a face of sigma,
+    whose rays are then among sigma's; conversely a sigma that holds tau's
+    rays holds tau, the cone on them.  So the maximal cofaces of tau are
+    the maximal cones whose rays include tau's, all of them for {0}.  The
+    cones are listed by the index of their first maximal coface, then in
+    fan order: the order in which a walk over the faces of each maximal
+    cone in turn (Cone.faces, in fan order) first reaches them, which the
+    relations follow.
+
     The colimit is defined on a block F_tau for every cone, with the
     relation g in rho's block = g in tau's block for each face pair
     tau < rho and g in a basis of F_tau.  Tietze moves take that to the
@@ -195,46 +207,44 @@ def _maximal_cone_presentation(
     i = 2, ..., k, of tau.
 
     Most of those are redundant, and are not emitted.  Two maximal cofaces
-    of tau are linked when both are cofaces of one non-maximal cone rho
-    that has tau as a facet; the classes are those of the equivalence this
-    generates (a maximal cone is its own only maximal coface, so it links
-    nothing).  Claim: the relations kept, g in sigma_1's block = g in the
-    block of the first coface of each other class, generate every relation
-    of the full presentation.  By induction down from the top dimension,
-    suppose they generate those of every face of dimension above dim tau.
-    Take rho non-maximal with tau as a facet, and two of its maximal
-    cofaces a, b.  F_tau = Span(tau) cap F_rho lies in F_rho, and the
+    of tau are linked when they share a ray outside tau; the classes are
+    those of the equivalence this generates.  In a fan a cap b is a face of
+    a, the cone on the rays a and b share, so they are linked exactly when
+    a cap b is strictly larger than tau.  Claim: the relations kept, g in
+    sigma_1's block = g in the block of the first coface of each other
+    class, generate every relation of the full presentation.  By induction
+    down from the top dimension, suppose they generate those of every face
+    of dimension above dim tau.  Take linked a != b: rho = a cap b is a cone
+    of the fan of dimension above dim tau, and a and b are among its
+    maximal cofaces.  F_tau = Span(tau) cap F_rho lies in F_rho, and the
     coordinates of an element in a block are linear in it, so for g in
     F_tau, g in a's block minus g in b's block is an integral combination
     of rho's full relations, which are generated by hypothesis.  Chaining
     such steps identifies g across each class, and the kept relations join
     each class to sigma_1's.  A face of top dimension is maximal and has
-    none.  A non-maximal rho > tau of higher codimension would link nothing
-    more: rho's face lattice is graded (Ziegler, Lectures on Polytopes,
-    Ch. 2), so tau is a facet of some face rho' of rho in the fan,
-    non-maximal as rho is, whose maximal cofaces include rho's.
+    none.  These are the classes of the rule that links the maximal cofaces
+    of each non-maximal cone with tau as a facet: such a cone lies in
+    a cap b; and a cap b, a face of a, has such a face, as its face lattice
+    is graded (Ziegler, Lectures on Polytopes, Ch. 2).
 
-    In free rank 2 and below nothing is pruned: a non-maximal cone with a
-    facet of positive rank has dimension at least 2, and no such cone is
-    a proper face there.  A fan with one maximal cone has no relations.
+    In free rank 2 and below nothing is pruned: two maximal cones there
+    meet in a proper face of each, of dimension at most 1, so they share at
+    most one ray, and a common face tau of positive rank holds it.  A fan
+    with one maximal cone has no relations.
     """
     offsets: Dict[Cone, int] = {}
-    cofaces: Dict[Cone, List[Cone]] = {}
+    by_ray: Dict[Vec, List[Cone]] = {}
     total = 0
     for sigma in fan.maximal_cones():
         offsets[sigma] = total
         total += fan.data[sigma].rank()
-        for tau in sigma.faces():
-            cofaces.setdefault(tau, []).append(sigma)
-
-    # the coface lists of the non-maximal cones that have each face as a
-    # facet; facets of dimension 0 have no generators and are skipped
-    links: Dict[Cone, List[List[Cone]]] = {}
-    if len(offsets) > 1:
-        for rho, over in cofaces.items():
-            if len(over) > 1 and rho.dim() > 1:
-                for tau in rho.facet_cones():
-                    links.setdefault(tau, []).append(over)
+        for r in sigma.rays:
+            by_ray.setdefault(r, []).append(sigma)
+    rays = {sigma: set(sigma.rays) for sigma in offsets}
+    index = {sigma: i for i, sigma in enumerate(offsets)}
+    cofaces = {tau: [sigma for sigma in by_ray[tau.rays[0]] if rays[sigma].issuperset(tau.rays)]
+               if tau.rays else list(offsets) for tau in fan.cones}
+    cofaces = dict(sorted(cofaces.items(), key=lambda item: index[item[1][0]]))
 
     # each face of positive rank with several maximal cofaces (so not
     # maximal) and a class head: the cofaces it reads coordinates in, its
@@ -242,7 +252,7 @@ def _maximal_cone_presentation(
     faces: List[Tuple[List[Cone], List[Vec]]] = []
     for tau, over in cofaces.items():
         if len(over) > 1 and fan.data[tau].rank():
-            heads = _class_heads(over, links[tau]) if tau in links else over[1:]
+            heads = _class_heads(over, tau)
             if heads:
                 faces.append(([over[0], *heads], fan.data[tau].generators()))
     coords = _face_coordinates(fan, faces, {})
@@ -283,10 +293,10 @@ def _face_coordinates(fan: KmFan, faces: Iterable[Tuple[List[Cone], List[Vec]]],
     return coords
 
 
-def _class_heads(over: List[Cone], groups: List[List[Cone]]) -> List[Cone]:
+def _class_heads(over: List[Cone], tau: Cone) -> List[Cone]:
     """The first cone, in the order of over, of each class of the
-    equivalence on over that every group links, except over[0]'s class.
-    A union-find; each group is a sublist of over."""
+    equivalence on over, the maximal cofaces of tau, generated by sharing
+    a ray outside tau, except over[0]'s class.  A union-find."""
     parent = {sigma: sigma for sigma in over}
 
     def find(sigma: Cone) -> Cone:
@@ -295,12 +305,14 @@ def _class_heads(over: List[Cone], groups: List[List[Cone]]) -> List[Cone]:
             sigma = parent[sigma]
         return sigma
 
-    for group in groups:
-        root = find(group[0])
-        for sigma in group[1:]:
-            other = find(sigma)
-            if other is not root:
-                parent[other] = root
+    inside = set(tau.rays)
+    holder: Dict[Vec, Cone] = {}  # the first cone of over on each ray outside tau
+    for sigma in over:
+        for r in sigma.rays:
+            if r not in inside:
+                root, other = find(holder.setdefault(r, sigma)), find(sigma)
+                if other is not root:
+                    parent[other] = root
     seen = {find(over[0])}
     heads = []
     for sigma in over[1:]:

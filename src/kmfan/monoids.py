@@ -12,7 +12,7 @@ import itertools
 from math import prod
 from typing import List, Sequence, Tuple
 
-from .abelian import FgaGroup, GroupHom, kernel_subgroup, present_quotient
+from .abelian import FgaGroup, GroupHom, kernel_subgroup
 from .cones import Cone, _preimage_rays
 from .errors import KmFanError, NotAFace, NotSharp
 from .intlinalg import (
@@ -76,17 +76,13 @@ class AffineMonoid(_Value):
     def _compute_hilbert(self) -> Tuple[Vec, ...]:
         cone = self.cone
         units = list(cone.lineality)
-        if not cone.rays:
-            sharp_part: List[Vec] = []
-        elif units:
-            # coordinates on a canonical complement of the unit lattice: the
-            # quotient by it is free, and its section spans the complement
-            pres = present_quotient(cone.ambient_rank, IntMatrix._from_columns(units, cone.ambient_rank))
-            image = Cone.from_generators([pres.proj.apply(r) for r in cone.rays], pres.proj.rows)
-            sharp_part = [pres.section.apply(v) for v in _sharp_hilbert_basis(image)]
-        else:
-            sharp_part = _sharp_hilbert_basis(cone)
-        out = sorted(sharp_part)
+        # the rays lie in the canonical complement W of the unit lattice U
+        # (cones._complement_projector), a saturated one: Z^r is the direct
+        # sum of W_Z and U_Z.  A point w + u lies in the cone exactly when w
+        # lies in the sharp cone on the rays, whose Hilbert basis is the
+        # sharp part's
+        sharp = Cone(cone.ambient_rank, cone.rays, ()) if units else cone
+        out = sorted(_sharp_hilbert_basis(sharp)) if cone.rays else []
         for u in units:
             out.append(u)
             out.append(tuple(-x for x in u))

@@ -11,7 +11,10 @@ gsfans.lattice_data_colimit, then pushes every datum into the colimit's
 free quotient, with loops of its own.
 per_vector_presentation and per_vector_colimit are the pruned
 presentation and the colimit with the coordinates of each face vector in
-a maximal coface solved on their own, every time they are read.
+a maximal coface solved on their own, every time they are read; the
+presentation walks the faces of each maximal cone (Cone.faces) for the
+cofaces, and links the maximal cofaces of each non-maximal cone that has
+a face as a facet (Cone.facet_cones).
 tests/test_gsfans.py compares the library's presentation, colimit,
 representability test and one-pass rigidified unfolding with these.
 """
@@ -21,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 from kmfan.abelian import FgaGroup, GroupHom, free_quotient, present_quotient
 from kmfan.cones import Cone, _preimage_rays
 from kmfan.fans import KmFan, KmFanHom, LatticeDatum
-from kmfan.gsfans import _class_heads, lattice_data_colimit
+from kmfan.gsfans import lattice_data_colimit
 from kmfan.intlinalg import IntMatrix, Vec, _row_echelon, is_saturated, solve_integer
 
 
@@ -104,6 +107,34 @@ def coordinates_per_vector(datum: LatticeDatum, g: Vec) -> Vec:
     return solve_integer(datum.subgroup.preimage, datum.ambient.reduce(g))[: datum.rank()]
 
 
+def class_heads_by_links(over: List[Cone], groups: List[List[Cone]]) -> List[Cone]:
+    """The first cone, in the order of over, of each class of the
+    equivalence on over that every group links, except over[0]'s class: a
+    union-find, each group a sublist of over."""
+    parent = {sigma: sigma for sigma in over}
+
+    def find(sigma: Cone) -> Cone:
+        while parent[sigma] is not sigma:
+            parent[sigma] = parent[parent[sigma]]
+            sigma = parent[sigma]
+        return sigma
+
+    for group in groups:
+        root = find(group[0])
+        for sigma in group[1:]:
+            other = find(sigma)
+            if other is not root:
+                parent[other] = root
+    seen = {find(over[0])}
+    heads = []
+    for sigma in over[1:]:
+        root = find(sigma)
+        if root not in seen:
+            seen.add(root)
+            heads.append(sigma)
+    return heads
+
+
 def per_vector_presentation(fan: KmFan) -> Tuple[Dict[Cone, int], Dict[Cone, List[Cone]], IntMatrix]:
     """gsfans._maximal_cone_presentation with one solve per basis vector of
     a face in each maximal coface whose block a relation reads."""
@@ -125,7 +156,7 @@ def per_vector_presentation(fan: KmFan) -> Tuple[Dict[Cone, int], Dict[Cone, Lis
     for tau, over in cofaces.items():
         if len(over) < 2:
             continue
-        heads = _class_heads(over, links[tau]) if tau in links else over[1:]
+        heads = class_heads_by_links(over, links[tau]) if tau in links else over[1:]
         for g in fan.data[tau].basis().columns():
             base = coordinates_per_vector(fan.data[over[0]], g)
             for sigma in heads:

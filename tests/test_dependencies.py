@@ -225,3 +225,46 @@ class TestModuleBoundaries:
         square = Cone.from_generators([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)], 3)
         assert sorted(monoids._sharp_hilbert_basis(square)) == [(-1, 0, 1), (0, -1, 1), (0, 0, 1), (0, 1, 1), (1, 0, 1)]
         assert len(AffineMonoid(Cone.from_generators([(1, 3), (1, 0), (0, -1), (0, 1)], 2)).hilbert_basis()) == 3
+
+
+def class_slots(path: pathlib.Path, name: str):
+    """The __slots__ a class of a module assigns in its body, as a set, or
+    None when it assigns none."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ClassDef) and node.name == name:
+            for item in node.body:
+                if isinstance(item, ast.Assign) and any(
+                        isinstance(t, ast.Name) and t.id == "__slots__" for t in item.targets):
+                    return set(ast.literal_eval(item.value))
+    return None
+
+
+def method_calls(path: pathlib.Path):
+    """The name of every attribute a module calls, as in x.name(...)."""
+    return {node.func.attr for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)}
+
+
+class TestFacesReadOffRays:
+    """A face question about the cones of a fan is answered from their
+    rays: a cone keeps no face list, the colimit presentation builds no
+    face or facet cone, and a monoid reads its sharp part off its cone's
+    canonical rays with no quotient."""
+
+    def test_a_cone_keeps_no_face_list(self):
+        slots = class_slots(SRC / "cones.py", "Cone")
+        assert "_h" in slots and "_faces" not in slots
+
+    def test_the_colimit_calls_no_face_enumeration(self):
+        assert {"faces", "facet_cones"}.isdisjoint(method_calls(SRC / "gsfans.py"))
+
+    def test_monoids_present_no_quotient(self):
+        assert "monoids" not in named_modules("present_quotient")
+        assert not hasattr(monoids, "present_quotient")
+
+    def test_the_checks_see_their_targets(self, tmp_path):
+        module = tmp_path / "m.py"
+        module.write_text("class A:\n    __slots__ = ('x', '_faces')\n\nclass B:\n    pass\n\n"
+                          "def f(c):\n    return c.faces() + c.facet_cones + g(c)\n")
+        assert class_slots(module, "A") == {"x", "_faces"} and class_slots(module, "B") is None
+        assert method_calls(module) == {"faces"}

@@ -1058,6 +1058,20 @@ class TestMonoidPresentation:
         fan = fan_from_monoids(Z, [[], [(2,)]])
         assert fan == dilate(line_fan(), 2)[0]
 
+    def test_a_cone_presented_twice_with_one_datum_is_kept_once(self):
+        fan = fan_from_monoids(Z, [[], [(1,)], [(1,)]])
+        assert fan == line_fan() and len(fan.cones) == 2
+
+    @pytest.mark.parametrize("group, generators, kind", [
+        (Z, [[], [(1,)], [(2,)]], "duplicate-cone"),
+        (N22, [[(0, 1)]], "invalid-datum"),
+    ])
+    def test_refusals(self, group, generators, kind):
+        """A cone presented twice with two data, and a datum with torsion."""
+        with pytest.raises(InvalidFan) as err:
+            fan_from_monoids(group, generators)
+        assert [v["kind"] for v in err.value.violations] == [kind]
+
 
 class TestPredicates:
     def test_plane_fan_flags(self):

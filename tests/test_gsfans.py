@@ -1008,6 +1008,32 @@ def random_polygon_km_fan(rng: random.Random) -> KmFan:
     return KmFan(Z2, base.cones, data)
 
 
+def face_fan(rng: random.Random) -> KmFan:
+    """The classical fan of the cones over the facets of the hull of the
+    +-e_i and 2 to 10 other nonzero points of {-1, 0, 1}^3, read off the
+    facets of the cone on the points lifted to height 1; mostly not
+    simplicial."""
+    units = [tuple(s if j == i else 0 for j in range(3)) for i in range(3) for s in (1, -1)]
+    grid = [p for p in itertools.product((-1, 0, 1), repeat=3) if any(p) and p not in units]
+    points = units + rng.sample(grid, rng.randint(2, 10))
+    hull = Cone.from_generators([p + (1,) for p in points], 4)
+    facets = [[p for p in points if sum(x * y for x, y in zip(h, p + (1,))) == 0] for h in hull.facets]
+    return from_classical(Z3, [Cone.from_generators(facet, 3) for facet in facets])
+
+
+def face_fan_cases():
+    """Seeded face fans, each dilated by 2 and folded along 2I plus the
+    superdiagonal, and the first three times P^1."""
+    rng = random.Random(4242)
+    beta = GroupHom(Z3, Z3, IntMatrix([[2, 1, 0], [0, 2, 1], [0, 0, 2]]))
+    p1 = projective_line_fan()
+    cases = []
+    for i in range(12):
+        fan = face_fan(rng)
+        cases += [fan, dilate(fan, 2)[0], fold(GsFan(fan, beta))[0]] + ([product(fan, p1)[0]] if i < 3 else [])
+    return cases
+
+
 def seeded_colimit_fans(count: int):
     """Seeded KM fans for the colimit oracle: random simplicial fans (their
     groups may have torsion), the same times P^1, and polygons."""
@@ -1223,9 +1249,10 @@ class TestMapEachMaximalConeOnce:
                 assert (image, image.dim()) == (expected, expected.dim()), (i, sigma)
 
     def test_fold_maps_the_maximal_cones_only(self, monkeypatch):
-        """A fold with m maximal cones calls Cone.linear_image m times, and
-        Cone.from_generators only inside those calls.  The construction
-        oracle is off."""
+        """A valid fold calls neither Cone.linear_image nor
+        Cone.from_generators: collapse is read off the ray images, and every
+        cone is carried along beta (fans._carried).  The construction oracle
+        is off."""
         without_construction_oracle(monkeypatch)
         cases = fold_cases()
         calls = collections.Counter()
@@ -1236,8 +1263,7 @@ class TestMapEachMaximalConeOnce:
         for i, gs in enumerate(cases):
             calls.clear()
             fold(gs)
-            m = len(gs.fan.maximal_cones())
-            assert calls == {"linear_image": m, "from_generators": m}, i
+            assert calls == {}, i
 
     def test_unfolding_solves_one_system_per_maximal_cone(self, monkeypatch, lattice_fans):
         """_unfolded_fan builds one LinearSystem per maximal cone, over the
@@ -1359,15 +1385,17 @@ class TestFaceCoordinatesPerMaximalCone:
         colimit, structure maps and beta, equal those of the form that
         solves each face vector on its own (gsfans_oracle), on the seeded
         families, (P(2,2))^k, (P^1)^k, polygons times P^1, the pruned
-        products and the fan whose colimit has torsion."""
+        products, the fan whose colimit has torsion, and the face fans with
+        their dilations, folds and products, where the link rule prunes
+        non-simplicial cones."""
         rng = random.Random(6161)
         p1, p22 = projective_line_fan(), build_p22()
         cases = lattice_fans[:160] + list(seeded_colimit_fans(150))
         cases += [products_of_lines(k) for k in (1, 2, 3, 4)]
         cases += [p22, product(p22, p22)[0], product(product(p22, p22)[0], p22)[0]]
         cases += [product(random_polygon_km_fan(rng), p1)[0] for _ in range(6)] + [product(polygon_fan(12), p1)[0]]
-        cases += [torsion_colimit_fan()] + pruned_products()
-        relations = torsion = torsion_groups = 0
+        cases += [torsion_colimit_fan()] + pruned_products() + face_fan_cases()
+        relations = torsion = torsion_groups = pruned_non_simplicial = 0
         for i, fan in enumerate(cases):
             presentation = gsfans._maximal_cone_presentation(fan)
             assert presentation[:3] == per_vector_presentation(fan), i
@@ -1376,4 +1404,23 @@ class TestFaceCoordinatesPerMaximalCone:
             relations += presentation[2].cols > 0
             torsion += bool(unf.colimit.torsion)
             torsion_groups += bool(fan.group.torsion)
+            pruned_non_simplicial += (not fans.is_simplicial(fan)
+                                      and presentation[2].cols < full_maximal_cone_presentation(fan)[1].cols)
         assert relations >= 150 and torsion >= 3 and torsion_groups >= 30, (relations, torsion, torsion_groups)
+        assert pruned_non_simplicial >= 30, pruned_non_simplicial
+
+
+class TestCofacesFromRays:
+    def test_the_presentation_builds_no_face_cone(self, monkeypatch, lattice_fans):
+        """_maximal_cone_presentation and lattice_data_colimit read cofaces
+        and links off the rays: neither calls Cone.faces or
+        Cone.facet_cones."""
+        cases = lattice_fans[:40] + [products_of_lines(3), build_p22()] + face_fan_cases()[:6]
+        calls = collections.Counter()
+        monkeypatch.setattr(Cone, "faces", lambda c: calls.update(["faces"]) or [])
+        monkeypatch.setattr(Cone, "facet_cones", lambda c: calls.update(["facet_cones"]) or [])
+        relations = 0
+        for fan in cases:
+            relations += gsfans._maximal_cone_presentation(fan)[2].cols > 0
+            lattice_data_colimit(fan)
+        assert calls == {} and relations >= 20, (calls, relations)

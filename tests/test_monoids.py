@@ -73,6 +73,11 @@ class TestHilbertBasis:
         m = AffineMonoid(Cone.from_generators([(2, -1), (0, 1)], 2))
         assert sorted(m.hilbert_basis()) == [(0, 1), (1, 0), (2, -1)]
 
+    def test_contains_reads_the_cone(self):
+        m = AffineMonoid(Cone.from_generators([(2, -1), (0, 1)], 2))
+        points = [(1, 0), (2, -1), (0, 0), (2, -2), (-1, 0)]
+        assert [m.contains(p) for p in points] == [True, True, True, False, False]
+
     def test_halfplane_units_split(self):
         m = AffineMonoid(Cone.from_generators([(1, 0), (0, 1), (0, -1)], 2))
         hb = m.hilbert_basis()
@@ -157,6 +162,10 @@ class TestKernelSubmonoid:
         m = AffineMonoid(Cone.from_generators([(1,)], 1))
         a = GroupHom.zero(FgaGroup(1), FgaGroup(0, (2,)))
         assert kernel_submonoid(m, a) == [(1,)]
+
+    def test_zero_cone_of_the_zero_lattice(self):
+        m = AffineMonoid(Cone.zero(0))
+        assert kernel_submonoid(m, GroupHom.zero(FgaGroup(0), FgaGroup(0, (2,)))) == []
 
     def test_parity_on_quadrant(self):
         m = AffineMonoid(QUAD)
